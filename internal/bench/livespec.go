@@ -120,10 +120,11 @@ type LiveSpecResult struct {
 
 // newLiveServer builds the echo server: the three plan configurations
 // register through explicit closures — pinning them to the
-// template+plan reply path, so their series keep measuring what they
-// measured before fusion existed — and the fused configuration
-// registers through RegisterTyped, which installs the specialized
-// dispatch entry (fixed-offset header parse, fused success reply).
+// template+plan reply encoding (success template, then the closure on a
+// pooled handle), so their series keep measuring what they measured
+// before fusion existed — and the fused configuration registers through
+// RegisterTyped, whose handler appends the fused success reply. Both
+// kinds are reached through the server's one fixed-offset dispatch.
 func newLiveServer() *server.Server {
 	s := server.New()
 	for _, m := range LiveModes {

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -162,9 +161,8 @@ func (c *Config) fill() {
 // ---------------------------------------------------------------------------
 // Reply demultiplexer
 
-// demux routes reply buffers from the transport's reader goroutine to the
-// per-call channels registered by issuing goroutines, keyed on XID. It is
-// the concurrency core shared by both transports.
+// demux routes reply buffers from a link's reader goroutine to the
+// per-call channels registered by issuing goroutines, keyed on XID.
 type demux struct {
 	mu    sync.Mutex // guards calls, err
 	calls map[uint32]chan *[]byte
@@ -176,31 +174,30 @@ func newDemux() *demux {
 	return &demux{calls: make(map[uint32]chan *[]byte), done: make(chan struct{})}
 }
 
-// errXIDInFlight reports a registration colliding with a call already
-// in flight on the same XID. Never surfaced to callers: registerCall
-// absorbs it by advancing to the next XID.
-var errXIDInFlight = errors.New("client: xid already in flight")
-
-// register installs a reply channel for xid. The channel stays registered
-// until unregister, so duplicate replies and ill-formed datagrams can be
-// absorbed without losing the slot. A second registration on an XID that
-// is still in flight is rejected: silently replacing the slot — what an
+// register claims the next XID off the client's counter and installs a
+// reply channel for it. The channel stays registered until unregister,
+// so duplicate replies and ill-formed datagrams can be absorbed without
+// losing the slot. XIDs still claimed by in-flight calls from a previous
+// counter epoch are skipped: silently replacing the slot — what an
 // unchecked map store would do — loses the first call's channel, and a
 // reply for that XID would then be delivered to the wrong waiter. The
 // collision is reachable once the 32-bit counter wraps on a long-lived
-// connection while a slow call from the previous epoch is still waiting.
-func (d *demux) register(xid uint32) (chan *[]byte, error) {
+// connection while a slow call from the previous epoch is still waiting;
+// the skip loop terminates because fewer than 2^32 calls can be in
+// flight at once.
+func (d *demux) register(counter *atomic.Uint32) (uint32, chan *[]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.err != nil {
-		return nil, d.err
+		return 0, nil, d.err
 	}
-	if _, busy := d.calls[xid]; busy {
-		return nil, errXIDInFlight
+	xid := counter.Add(1)
+	for d.calls[xid] != nil {
+		xid = counter.Add(1)
 	}
 	ch := make(chan *[]byte, 1)
 	d.calls[xid] = ch
-	return ch, nil
+	return xid, ch, nil
 }
 
 // unregister removes the slot and reclaims any undelivered reply buffer.
@@ -263,146 +260,530 @@ func (d *demux) inFlight() int {
 	return len(d.calls)
 }
 
-// lifecycle is the close state machine shared by both transports. done
-// is closed the moment Close begins, so backoff and redial sleeps can
-// select on it and unblock immediately instead of finishing their
-// timer (the client-side mirror of the server's accept-backoff fix).
-type lifecycle struct {
-	mu     sync.Mutex // guards closed
-	closed bool
-	done   chan struct{}
+// ---------------------------------------------------------------------------
+// The call engine and its transport seam
+//
+// One state machine runs every call on either transport — register XID →
+// encode once → send → await → classify → retry under RetryPolicy — over
+// a small transport seam (the cl_ops vector under clnt_call in the
+// original CLIENT). Everything a call needs that outlives it lives on
+// the engine; everything that differs between a datagram socket and a
+// record stream sits behind transport and traits.
+
+// link is one connection's worth of engine state: the demultiplexer and
+// the reader feeding it. A datagram client has one for life; a stream
+// client has one per connection generation, so a dead generation's
+// state never bleeds into its replacement.
+type link struct {
+	dmx    *demux
+	reader sync.Once
+
+	// Stream generations only; nil on a datagram link.
+	conn  net.Conn
+	batch *xdr.RecBatcher // owns the write side of the record stream
+	rrec  *xdr.RecStream  // the read side; only the pump touches it
 }
 
-func newLifecycle() lifecycle {
-	return lifecycle{done: make(chan struct{})}
+// start launches the link's read pump on first use.
+func (l *link) start(e *engine) {
+	l.reader.Do(func() { go e.pump(l) })
 }
 
-func (l *lifecycle) isClosed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
+// transport is what differs per transport at run time.
+type transport interface {
+	// acquire returns the link the next attempt goes out on: a datagram
+	// socket's one fixed link, or a stream's current generation —
+	// redialing, single-flight, when that generation has failed.
+	acquire(ctx context.Context, deadline time.Time) (*link, error)
+	// send puts one encoded request on l. kept reports who owns buf
+	// afterwards: a datagram transport leaves it with the engine, which
+	// re-sends the same bytes on the backoff tick; a stream's batcher
+	// takes it, error or not.
+	send(l *link, buf *[]byte, deadline time.Time) (kept bool, err error)
+	// recv reads the next reply message on l into bp. ok=false with a
+	// nil error is a message to discard and keep reading; an error is
+	// terminal for the link and fails every call waiting on it.
+	recv(l *link, bp *[]byte) (ok bool, err error)
 }
 
-// beginClose marks the lifecycle closed and wakes every sleeper
-// selecting on done. It reports whether this call was the one that
-// performed the transition (repeat closes are no-ops).
-func (l *lifecycle) beginClose() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+// traits are the constants a transport fixes for its engine.
+type traits struct {
+	// prefix is the bytes reserved ahead of every encoded request: the
+	// stream's record mark, which the record layer patches in place so
+	// the message is never copied again.
+	prefix int
+	// maxReq is the exclusive bound on an encoded request, 0 for none.
+	// A datagram that *fills* the receiver's buffer is indistinguishable
+	// from a truncated one and is dropped on arrival, so sending it
+	// would only burn the timeout; stream records grow freely.
+	maxReq int
+	// illFormed is what an undecodable reply ends the call with. nil
+	// ignores it and keeps waiting, as clntudp_call did: a retransmission
+	// can still draw a good one. A stream's reply will not come again.
+	illFormed error
+}
+
+// engine owns the client-lifetime state — header template, XID counter,
+// fused/compiled codec cache, retry policy, budget, counters — and the
+// call state machine. UDP and TCP embed one; what makes reconnect cheap
+// is that none of it belongs to a link, so a replacement connection
+// recompiles nothing.
+type engine struct {
+	traits
+	cfg     Config
+	tr      transport
+	tmpl    *rpcmsg.CallTemplate
+	tmplErr error // cfg's auth material failed to compile; every call returns it
+
+	xid atomic.Uint32
+
+	planMu sync.RWMutex // guards plans
+	plans  map[uint32]*plannedProc
+
+	policy *RetryPolicy // nil → fixed-tick retransmission, no call retry
+	budget *retryBudget // shared by retransmits, call retries and redials
+
+	retransmits, retries, budgetDenied atomic.Uint64
+	reconnects, redialFailures         atomic.Uint64
+
+	// closed is set, and done closed, the moment Close begins, so backoff
+	// and redial sleeps select on done and unblock immediately instead of
+	// finishing their timer (the client-side mirror of the server's
+	// accept-backoff fix).
+	closeMu sync.Mutex // guards closed
+	closed  bool
+	done    chan struct{}
+}
+
+// init fills the engine in place from a filled Config. baseDelay seeds
+// the policy's BaseDelay (the datagram client's Retransmit knob; 0
+// elsewhere). The template compiler rejects only auth material the
+// generic encoder rejects too, so the encoder's error under the
+// compiler's wrap is the call's marshal error, derived once.
+func (e *engine) init(cfg Config, tr transport, t traits, baseDelay time.Duration) {
+	e.cfg, e.tr, e.traits = cfg, tr, t
+	e.done = make(chan struct{})
+	e.xid.Store(cfg.FirstXID)
+	var err error
+	if e.tmpl, err = rpcmsg.NewCallTemplate(cfg.Prog, cfg.Vers, cfg.Cred, rpcmsg.None()); err != nil {
+		if inner := errors.Unwrap(err); inner != nil {
+			err = inner
+		}
+		e.tmplErr = fmt.Errorf("client: marshal call header: %w", err)
+	}
+	if cfg.Retry != nil || cfg.Redial != nil {
+		var p RetryPolicy
+		if cfg.Retry != nil {
+			p = *cfg.Retry
+		}
+		p = p.norm(baseDelay)
+		e.policy = &p
+		e.budget = newRetryBudget(&p)
+	}
+}
+
+func (e *engine) isClosed() bool {
+	e.closeMu.Lock()
+	defer e.closeMu.Unlock()
+	return e.closed
+}
+
+// beginClose marks the client closed and wakes every sleeper selecting
+// on done. It reports whether this call was the one that performed the
+// transition (repeat closes are no-ops).
+func (e *engine) beginClose() bool {
+	e.closeMu.Lock()
+	defer e.closeMu.Unlock()
+	if e.closed {
 		return false
 	}
-	l.closed = true
-	if l.done != nil {
-		close(l.done)
-	}
+	e.closed = true
+	close(e.done)
 	return true
 }
 
-// closeOnce performs the shared close sequence: mark closed, close the
-// underlying connection (which stops the reader goroutine), then fail
-// in-flight calls with ErrClosed. Repeat closes are no-ops.
-func (l *lifecycle) closeOnce(conn io.Closer, dmx *demux) error {
-	if !l.beginClose() {
-		return nil
+// RetryStats reports the client's retransmission and retry counters.
+func (e *engine) RetryStats() RetryStats {
+	return RetryStats{
+		Retransmits:  e.retransmits.Load(),
+		Retries:      e.retries.Load(),
+		BudgetDenied: e.budgetDenied.Load(),
 	}
-	err := conn.Close()
-	dmx.fail(ErrClosed)
-	return err
 }
 
-// registerCall assigns the next XID and registers its reply slot,
-// skipping over XIDs still claimed by in-flight calls from a previous
-// counter epoch (post-wrap collisions). The loop terminates because
-// fewer than 2^32 calls can be in flight at once.
-func registerCall(xid *atomic.Uint32, dmx *demux) (uint32, chan *[]byte, error) {
-	for {
-		id := xid.Add(1)
-		ch, err := dmx.register(id)
-		if errors.Is(err, errXIDInFlight) {
-			continue
+// Call performs one remote procedure call: marshal header + args into a
+// pooled buffer, send, await the XID-matched reply, then decode the
+// results with reply. It is safe for concurrent use: calls from many
+// goroutines proceed in parallel on one socket or connection and their
+// replies may arrive in any order. Over UDP the call retransmits until
+// answered (every cfg.Retransmit, or on the retry policy's backoff);
+// over TCP it is one record out and one back, pipelined with its
+// neighbours.
+func (e *engine) Call(proc uint32, args, reply Marshal) error {
+	return e.doCall(context.Background(), proc, callReq{args: args}, replySink{fn: reply})
+}
+
+// CallCtx is Call with a per-call context: the call's deadline is the
+// earlier of the context deadline and the client's Timeout, and
+// cancelling the context abandons the call immediately (releasing its
+// reply slot; a late reply is dropped by the demultiplexer exactly like
+// any stale datagram). Over a stream the deadline also bounds the shared
+// record write (the batcher arms the connection's write deadline from
+// the earliest deadline in each batch).
+func (e *engine) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
+	return e.doCall(ctx, proc, callReq{args: args}, replySink{fn: reply})
+}
+
+// plannedCaller is the hook CallTyped probes for: a transport that
+// encodes requests and decodes replies with cached per-procedure codecs
+// instead of per-call closures.
+type plannedCaller interface {
+	callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) error
+}
+
+// callPlanned is the entry point CallTyped routes typed calls through:
+// same transport semantics as Call, with the request encoded by the
+// procedure's cached whole-call codec and the results decoded straight
+// from the reply.
+func (e *engine) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) error {
+	p := e.lookup(proc, argc, resc)
+	return e.doCall(ctx, proc,
+		callReq{cc: p.call, argp: arg},
+		replySink{rc: p.rep, resc: resc, resp: res})
+}
+
+// call is the state one call's stages share; it lives on doCall's stack.
+type call struct {
+	ctx      context.Context
+	proc     uint32
+	req      callReq
+	sink     replySink
+	deadline time.Time
+	expired  <-chan time.Time // fires at deadline
+}
+
+// verdict classifies how one attempt ended.
+type verdict uint8
+
+const (
+	// final: the error is the call's outcome — reply decoded, RPC
+	// error, timeout, cancellation, closed client.
+	final verdict = iota
+	// notSent: a transport failure before the request could reach the
+	// wire (the link was dead at registration, or its batcher rejected
+	// the record before queueing it). Always safe to retry.
+	notSent
+	// maybeSent: the request was handed to the wire before the link
+	// died, so the server may have executed it. Retried only under
+	// RetryPolicy.RetryAmbiguous: the stream path has no duplicate-
+	// request cache to absorb a re-execution.
+	maybeSent
+)
+
+// doCall drives one call to completion, possibly across links. Each
+// attempt runs on the link acquire hands out; a datagram call has one
+// attempt (its recover step is the retransmit arm inside await), a
+// stream call with Redial loops here through single-flight reconnect.
+//
+//specrpc:hotpath
+func (e *engine) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
+	if e.isClosed() {
+		return ErrClosed
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c := call{ctx: ctx, proc: proc, req: req, sink: sink, deadline: callDeadline(ctx, e.cfg.Timeout)}
+	overall := time.NewTimer(time.Until(c.deadline))
+	defer overall.Stop()
+	c.expired = overall.C
+
+	attempts := 1
+	if e.cfg.Redial != nil { // the call may outlive its link
+		attempts = e.policy.MaxAttempts
+	}
+	var lastErr error
+	lastSent := false
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if attempt > 1 {
+			if lastSent && !e.policy.RetryAmbiguous {
+				break
+			}
+			if !e.budget.take() {
+				e.budgetDenied.Add(1)
+				lastErr = overBudget(lastErr)
+				break
+			}
+			if err := e.sleep(ctx, e.policy.delay(attempt-1)); err != nil {
+				return err
+			}
+			if time.Now().After(c.deadline) {
+				break
+			}
+			e.retries.Add(1)
 		}
-		return id, ch, err
+		v, err := e.attempt(&c)
+		if v == final {
+			return err
+		}
+		lastErr, lastSent = err, v == maybeSent
+	}
+	if e.cfg.Redial == nil {
+		return lastErr
+	}
+	return &TransportError{Err: lastErr, MaybeSent: lastSent}
+}
+
+// errBudget reports a retry or redial suppressed by the token-bucket
+// budget: the client is failing faster than the policy lets it retry.
+var errBudget = errors.New("client: retry budget exhausted")
+
+func overBudget(err error) error { return fmt.Errorf("%w (%w)", err, errBudget) }
+
+// sleep waits out one backoff delay, cut short by ctx or by Close.
+func (e *engine) sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-e.done:
+		return ErrClosed
+	}
+}
+
+// attempt runs one send/await cycle on the current link.
+//
+//specrpc:hotpath
+func (e *engine) attempt(c *call) (verdict, error) {
+	l, err := e.tr.acquire(c.ctx, c.deadline)
+	if err != nil {
+		return final, acquireFailed(err)
+	}
+	l.start(e)
+
+	xid, ch, err := l.dmx.register(&e.xid)
+	if err != nil {
+		return e.linkFailed(notSent, err)
+	}
+	defer l.dmx.unregister(xid)
+
+	buf, err := e.marshalReq(c.req, xid, c.proc)
+	if err != nil {
+		return final, err
+	}
+	kept, err := e.tr.send(l, buf, c.deadline)
+	if kept {
+		defer xdr.PutBuf(buf)
+	} else {
+		buf = nil
+	}
+	if err != nil {
+		return e.linkFailed(sendVerdict(err), err)
+	}
+	return e.await(c, l, ch, buf)
+}
+
+// acquireFailed classifies an acquire error: a closed client, an expired
+// deadline and a cancelled context are the call's own outcome; anything
+// else is a reconnect that already retried dialing under the policy, so
+// it surfaces with the not-sent classification rather than looping.
+func acquireFailed(err error) error {
+	if errors.Is(err, ErrClosed) || errors.Is(err, ErrTimeout) ||
+		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return &TransportError{Err: err, MaybeSent: false}
+}
+
+// sendVerdict classifies a failed send: a record rejected by an
+// already-failed batcher never entered the queue; any other write
+// failure may have put a prefix of the batch — including this record —
+// on the wire.
+func sendVerdict(err error) verdict {
+	if errors.Is(err, xdr.ErrRejected) {
+		return notSent
+	}
+	return maybeSent
+}
+
+// linkFailed ends an attempt whose link broke under it: a closed client
+// reports ErrClosed, anything else goes to the retry loop as v.
+func (e *engine) linkFailed(v verdict, err error) (verdict, error) {
+	if e.isClosed() {
+		return final, ErrClosed
+	}
+	return v, err
+}
+
+// await is the one wait every call makes: reply, retransmit tick,
+// deadline, cancellation, link death. resend is the request a datagram
+// transport left with the engine; nil (a stream) leaves the retransmit
+// arm a nil channel. With a policy the retransmit schedule is
+// exponential backoff with full jitter, bounded by MaxAttempts and the
+// retry budget; without one it is the classic fixed tick. Either way
+// the deadline — not the attempt bound — ends the call: a stopped
+// schedule still waits for a straggling reply.
+//
+//specrpc:hotpath
+func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdict, error) {
+	var retrans *time.Timer
+	var tick <-chan time.Time
+	sends := 1 // datagrams sent so far
+	if resend != nil {
+		retrans = time.NewTimer(e.retransmitDelay(sends))
+		defer retrans.Stop()
+		tick = retrans.C
+	}
+	for {
+		v, err := final, error(nil) // what this wake-up ends the attempt with
+		select {
+		case bp := <-ch:
+			err = c.sink.decode(*bp)
+			xdr.PutBuf(bp)
+			if err == errIllFormed {
+				if e.illFormed == nil {
+					continue
+				}
+				err = e.illFormed
+			}
+			return final, err
+		case <-tick:
+			if e.policy != nil {
+				if sends >= e.policy.MaxAttempts {
+					continue // schedule exhausted: wait out the deadline
+				}
+				if !e.budget.take() {
+					// Suppressed, not failed: count it, keep the schedule
+					// running so a refilled bucket resumes retransmitting.
+					e.budgetDenied.Add(1)
+					retrans.Reset(e.policy.delay(sends))
+					continue
+				}
+			}
+			if _, err = e.tr.send(l, resend, c.deadline); err == nil {
+				sends++
+				e.retransmits.Add(1)
+				retrans.Reset(e.retransmitDelay(sends))
+				continue
+			}
+			v, err = e.linkFailed(maybeSent, err)
+		case <-c.expired:
+			if err = c.ctx.Err(); err == nil {
+				err = ErrTimeout
+			}
+		case <-c.ctx.Done():
+			err = c.ctx.Err()
+		case <-l.dmx.done:
+			v, err = e.linkFailed(maybeSent, l.dmx.error())
+		}
+		// The call is about to end without its reply — but the reader may
+		// have delivered one in the same instant the link failed or the
+		// clock ran out, and select picks among ready arms at random. A
+		// last non-blocking look keeps a call from discarding its own
+		// answer.
+		if ok, derr := drainReply(ch, &c.sink); ok {
+			return final, derr
+		}
+		return v, err
+	}
+}
+
+// retransmitDelay is the wait before datagram send n+1.
+func (e *engine) retransmitDelay(n int) time.Duration {
+	if e.policy != nil {
+		return e.policy.delay(n)
+	}
+	return e.cfg.Retransmit
+}
+
+// drainReply is await's last non-blocking check of the reply channel.
+// Reports true when a decodable reply was found.
+func drainReply(ch chan *[]byte, sink *replySink) (bool, error) {
+	select {
+	case bp := <-ch:
+		err := sink.decode(*bp)
+		xdr.PutBuf(bp)
+		if err == errIllFormed {
+			return false, nil
+		}
+		return true, err
+	default:
+		return false, nil
+	}
+}
+
+// pump is the demultiplexer's feed: it owns l's read side, reads one
+// reply message at a time into a pooled buffer, peeks its XID, and hands
+// the buffer to the matching call. Messages no call waits on (a reply
+// arriving after its call timed out, a duplicate) are dropped. It exits
+// — failing only this link — on the transport's terminal read error.
+//
+//specrpc:hotpath
+func (e *engine) pump(l *link) {
+	for {
+		bp := xdr.GetBuf(e.cfg.BufSize)
+		ok, err := e.tr.recv(l, bp)
+		if err != nil {
+			xdr.PutBuf(bp)
+			if e.isClosed() {
+				err = ErrClosed
+			}
+			l.dmx.fail(err)
+			return
+		}
+		if ok {
+			if xid, has := rpcmsg.PeekXID(*bp); has && l.dmx.deliver(xid, bp) {
+				continue
+			}
+		}
+		xdr.PutBuf(bp)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Shared call-side helpers
-
-// callTemplate compiles the per-client header template: Prog, Vers,
-// Cred, and Verf are constant for a client's lifetime, so the header
-// bytes are folded once and only the XID and procedure number are
-// patched per call. A nil result (auth material the template compiler
-// rejects — which the generic encoder rejects too) selects the generic
-// interpretive path in marshalCall.
-func callTemplate(cfg *Config) *rpcmsg.CallTemplate {
-	t, err := rpcmsg.NewCallTemplate(cfg.Prog, cfg.Vers, cfg.Cred, rpcmsg.None())
-	if err != nil {
-		return nil
-	}
-	return t
-}
-
-// marshalCall encodes the call header and arguments into a pooled
-// buffer, leaving prefix reserved bytes at its head (the TCP transport
-// reserves the record mark there, so the record layer frames and writes
-// the message without copying it again). With a template the header is
-// one copy plus two 4-byte stores; without one it runs the generic
-// encoder. Both produce byte-identical headers. The returned buffer
-// must go back via xdr.PutBuf.
-func marshalCall(cfg *Config, tmpl *rpcmsg.CallTemplate, xid, proc uint32, args Marshal, prefix int) (*[]byte, error) {
-	bp := xdr.GetBuf(cfg.BufSize + prefix)
-	buf := (*bp)[:prefix]
-	e := xdr.GetEnc(buf)
-	var err error
-	if tmpl != nil {
-		e.BS.SetBuffer(tmpl.AppendCall(buf, xid, proc))
-		if err = args(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal args: %w", err)
-		}
-	} else {
-		hdr := rpcmsg.CallHeader{
-			XID: xid, Prog: cfg.Prog, Vers: cfg.Vers, Proc: proc,
-			Cred: cfg.Cred, Verf: rpcmsg.None(),
-		}
-		if err = hdr.Marshal(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal call header: %w", err)
-		} else if err = args(&e.X); err != nil {
-			err = fmt.Errorf("client: marshal args: %w", err)
-		}
-	}
-	*bp = e.BS.Buffer() // keep any growth pooled
-	xdr.PutEnc(e)
-	if err != nil {
-		xdr.PutBuf(bp)
-		return nil, err
-	}
-	return bp, nil
-}
+// Request encoding and reply decoding
 
 // callReq selects how a call's request bytes are produced: args is the
-// closure path (the legacy Marshal API), cc+argp is the fused path (one
-// whole-call codec pass). Exactly one is set.
+// closure path (the Marshal API), cc+argp the codec path (one whole-call
+// pass). Exactly one is set.
 type callReq struct {
 	args Marshal
 	cc   wire.CallAppender
 	argp unsafe.Pointer
 }
 
-// marshalReq encodes one complete request into a pooled buffer with
-// prefix reserved bytes at its head. The fused path reserves header and
-// fixed-size argument bytes in one bounds check and stamps the XID into
-// the image; the closure path is marshalCall unchanged. Both produce
-// byte-identical messages.
-func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, r callReq, xid, proc uint32, prefix int) (*[]byte, error) {
-	if r.cc == nil {
-		return marshalCall(cfg, tmpl, xid, proc, r.args, prefix)
+// marshalReq encodes one complete request into a pooled buffer behind
+// the transport's reserved prefix. The closure path copies the header
+// template, patches XID and procedure, and runs the args closure; the
+// codec path reserves header and fixed-size argument bytes in one
+// bounds check and stamps the XID into the image. Both produce
+// byte-identical messages. The returned buffer must go back via
+// xdr.PutBuf.
+func (e *engine) marshalReq(r callReq, xid, proc uint32) (*[]byte, error) {
+	if e.tmplErr != nil {
+		return nil, e.tmplErr
 	}
-	bp := xdr.GetBuf(cfg.BufSize + prefix)
-	var bs xdr.BufStream
-	bs.SetBuffer((*bp)[:prefix])
-	err := r.cc.Append(&bs, xid, r.argp)
-	*bp = bs.Buffer() // keep any growth pooled
+	bp := xdr.GetBuf(e.cfg.BufSize + e.prefix)
+	var err error
+	if r.cc != nil {
+		var bs xdr.BufStream
+		bs.SetBuffer((*bp)[:e.prefix])
+		err = r.cc.Append(&bs, xid, r.argp)
+		*bp = bs.Buffer() // keep any growth pooled
+	} else {
+		enc := xdr.GetEnc(e.tmpl.AppendCall((*bp)[:e.prefix], xid, proc))
+		err = r.args(&enc.X)
+		*bp = enc.BS.Buffer()
+		xdr.PutEnc(enc)
+	}
+	if err == nil && e.maxReq > 0 && len(*bp) >= e.maxReq {
+		// The growable buffer fits any request; the transport does not.
+		err = fmt.Errorf("%w (request %d bytes reaches datagram buffer %d)",
+			xdr.ErrOverflow, len(*bp), e.maxReq)
+	}
 	if err != nil {
 		xdr.PutBuf(bp)
 		return nil, fmt.Errorf("client: marshal args: %w", err)
@@ -411,7 +792,7 @@ func marshalReq(cfg *Config, tmpl *rpcmsg.CallTemplate, r callReq, xid, proc uin
 }
 
 // replySink selects how a call's reply bytes are consumed: fn is the
-// closure path, rc+resp the fused path. The fused path decodes results
+// closure path, rc+resp the codec path. The codec path decodes results
 // straight out of the accepted-success reply; any other reply shape
 // falls back to the generic header walk (via resc for the results), so
 // failure detail is identical on both paths.
@@ -443,10 +824,9 @@ func (s *replySink) decode(raw []byte) error {
 	return decodeReply(raw, rm)
 }
 
-// errIllFormed marks a reply buffer whose header failed to decode; over a
-// datagram transport the call keeps waiting, as clntudp_call ignored
-// undecodable datagrams. It only surfaces wrapped (stream transports
-// treat it as fatal), so it carries no "client:" prefix of its own.
+// errIllFormed marks a reply buffer whose header failed to decode.
+// decodeReply returns it bare; it only surfaces wrapped (as a stream's
+// traits.illFormed), so it carries no "client:" prefix of its own.
 var errIllFormed = errors.New("ill-formed reply header")
 
 // decodeReply interprets one complete reply message and runs the caller's
@@ -480,115 +860,6 @@ func decodeReply(raw []byte, reply Marshal) error {
 	return nil
 }
 
-// drainReply makes a last non-blocking check of the reply channel before
-// Call returns a transport error or timeout. The reader goroutine may have
-// delivered a valid reply in the same instant the connection failed, and
-// select picks among ready arms at random, so without this a call could
-// discard its own answer. Reports true when a decodable reply was found.
-func drainReply(ch chan *[]byte, sink *replySink) (bool, error) {
-	select {
-	case bp := <-ch:
-		err := sink.decode(*bp)
-		xdr.PutBuf(bp)
-		if errors.Is(err, errIllFormed) {
-			return false, nil
-		}
-		return true, err
-	default:
-		return false, nil
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Fused whole-call plans
-
-// plannedProcs caches the fused whole-call codecs a client compiles on
-// first typed use of each (procedure, plan pair): the call side fuses
-// the client's header template with the argument plan, the reply side
-// wraps the result plan for direct decode. An entry with no codecs
-// records that its plan pair cannot fuse (exotic auth, generic-mode
-// plans). The cache keys on the procedure and re-resolves when the
-// caller's plans differ from the cached pair, so the fusion decision
-// always belongs to the plans in hand, never to whichever caller
-// happened to arrive first.
-type plannedProcs struct {
-	mu sync.RWMutex // guards m
-	m  map[uint32]*plannedProc
-}
-
-type plannedProc struct {
-	argc, resc *wire.Codec // identity of the plans the entry was compiled for
-	call       wire.CallAppender
-	rep        wire.ReplyDecoder // call == nil marks an unfusable pair
-}
-
-// lookup resolves (compiling on first use, or when the plans changed)
-// the fused codecs for proc. It returns nil — route through the
-// closure path — when this plan pair cannot fuse.
-func (ps *plannedProcs) lookup(tmpl *rpcmsg.CallTemplate, proc uint32, argc, resc *wire.Codec) *plannedProc {
-	ps.mu.RLock()
-	e := ps.m[proc]
-	ps.mu.RUnlock()
-	if e == nil || e.argc != argc || e.resc != resc {
-		e = compilePlanned(tmpl, proc, argc, resc)
-		ps.mu.Lock()
-		if ps.m == nil {
-			ps.m = make(map[uint32]*plannedProc)
-		}
-		// Last writer wins: concurrent compilations for the same pair are
-		// equivalent, and a different pair claims the slot for its own
-		// steady state (alternating pairs on one procedure would thrash
-		// the cache, but each call still gets a correct codec).
-		ps.m[proc] = e
-		ps.mu.Unlock()
-	}
-	if e.call == nil {
-		return nil
-	}
-	return e
-}
-
-// compilePlanned builds the fused entry for one plan pair; when the
-// pair must stay on the template+plan path — no template (auth material
-// the template compiler rejects) or interpretive-mode plans — the entry
-// carries no codecs and records the negative decision for that pair.
-func compilePlanned(tmpl *rpcmsg.CallTemplate, proc uint32, argc, resc *wire.Codec) *plannedProc {
-	e := &plannedProc{argc: argc, resc: resc}
-	if tmpl == nil {
-		return e
-	}
-	// Generic-mode codecs are rejected by the constructors themselves
-	// (no flat program to fuse), so no mode pre-check is needed here.
-	call, err := wire.NewCallCodec(tmpl, proc, argc)
-	if err != nil {
-		return e
-	}
-	rep, err := wire.NewReplyCodec(nil, resc)
-	if err != nil {
-		return e
-	}
-	e.call, e.rep = call, rep
-	// An rpcgen-emitted compiled codec registered for either plan takes
-	// precedence over the fused interpreter; the message bytes are
-	// identical, only the marshaling engine changes. The concrete values
-	// are checked for nil before the interface assignment so a missing
-	// registration can never plant a typed-nil appender.
-	if cc := wire.NewCompiledCallCodec(tmpl, proc, argc); cc != nil {
-		e.call = cc
-	}
-	if rc := wire.NewCompiledReplyCodec(nil, resc); rc != nil {
-		e.rep = rc
-	}
-	return e
-}
-
-// plannedCaller is the transport hook CallTyped probes for: transports
-// that can compile fused whole-call codecs report handled=true and
-// perform the call; anything else falls back to the closure path.
-type plannedCaller interface {
-	callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error)
-}
-
 func checkReply(rh *rpcmsg.ReplyHeader) error {
 	if rh.Stat == rpcmsg.MsgAccepted && rh.AcceptStat == rpcmsg.Success {
 		return nil
@@ -603,6 +874,105 @@ func checkReply(rh *rpcmsg.ReplyHeader) error {
 }
 
 // ---------------------------------------------------------------------------
+// Per-procedure whole-call codecs
+
+// plannedProc is one entry of the engine's plan cache: the whole-call
+// codecs a client builds on first typed use of a (procedure, plan pair).
+// The call side joins the client's header template with the argument
+// plan, the reply side wraps the result plan for direct decode.
+type plannedProc struct {
+	argc, resc *wire.Codec // identity of the plans the entry was built for
+	call       wire.CallAppender
+	rep        wire.ReplyDecoder
+}
+
+// lookup resolves (building on first use, or when the plans changed) the
+// whole-call codecs for proc. The cache keys on the procedure and
+// re-resolves when the caller's plans differ from the cached pair, so
+// the codec always belongs to the plans in hand, never to whichever
+// caller happened to arrive first.
+func (e *engine) lookup(proc uint32, argc, resc *wire.Codec) *plannedProc {
+	e.planMu.RLock()
+	p := e.plans[proc]
+	e.planMu.RUnlock()
+	if p == nil || p.argc != argc || p.resc != resc {
+		p = compilePlanned(e.tmpl, proc, argc, resc)
+		e.planMu.Lock()
+		if e.plans == nil {
+			e.plans = make(map[uint32]*plannedProc)
+		}
+		// Last writer wins: concurrent compilations for the same pair are
+		// equivalent, and a different pair claims the slot for its own
+		// steady state (alternating pairs on one procedure would thrash
+		// the cache, but each call still gets a correct codec).
+		e.plans[proc] = p
+		e.planMu.Unlock()
+	}
+	return p
+}
+
+// compilePlanned builds the entry for one plan pair, on the best rung
+// the pair reaches: rpcgen-emitted compiled codecs, else the fused
+// interpreter, else — Generic-mode plans have no flat program to fuse,
+// and the constructors reject them — the header template plus the
+// plans' interpretive Marshal. The message bytes are identical on every
+// rung; only the marshaling engine changes.
+func compilePlanned(tmpl *rpcmsg.CallTemplate, proc uint32, argc, resc *wire.Codec) *plannedProc {
+	p := &plannedProc{argc: argc, resc: resc,
+		call: &planCall{tmpl: tmpl, proc: proc, argc: argc}, rep: planReply{resc}}
+	call, err := wire.NewCallCodec(tmpl, proc, argc)
+	if err != nil {
+		return p
+	}
+	rep, err := wire.NewReplyCodec(nil, resc)
+	if err != nil {
+		return p
+	}
+	p.call, p.rep = call, rep
+	// The concrete values are checked for nil before the interface
+	// assignment so a missing registration can never plant a typed-nil
+	// appender.
+	if cc := wire.NewCompiledCallCodec(tmpl, proc, argc); cc != nil {
+		p.call = cc
+	}
+	if rc := wire.NewCompiledReplyCodec(nil, resc); rc != nil {
+		p.rep = rc
+	}
+	return p
+}
+
+// planCall is the CallAppender of an unfusable plan pair: the header
+// template, then the argument plan through its interpretive Marshal.
+type planCall struct {
+	tmpl *rpcmsg.CallTemplate
+	proc uint32
+	argc *wire.Codec // nil for void arguments
+}
+
+func (c *planCall) Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) error {
+	bs.SetBuffer(c.tmpl.AppendCall(bs.Buffer(), xid, c.proc))
+	if c.argc == nil {
+		return nil
+	}
+	return c.argc.Marshal(&xdr.XDR{Op: xdr.Encode, Stream: bs}, arg)
+}
+
+// planReply is planCall's reply side: the fixed-offset success test,
+// then the result plan's DecodeBody (whose Generic-mode fallback is the
+// interpretive walker).
+type planReply struct {
+	resc *wire.Codec // nil for void results
+}
+
+func (r planReply) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) {
+	body, ok := rpcmsg.AcceptedSuccessBody(raw)
+	if !ok || r.resc == nil {
+		return ok, nil
+	}
+	return true, r.resc.DecodeBody(body, res)
+}
+
+// ---------------------------------------------------------------------------
 // UDP
 
 // UDP is a datagram client (CLIENT from clntudp_create): unreliable
@@ -611,255 +981,91 @@ func checkReply(rh *rpcmsg.ReplyHeader) error {
 // call retransmits independently while a shared reader goroutine routes
 // replies.
 type UDP struct {
-	cfg    Config
-	tmpl   *rpcmsg.CallTemplate
+	engine
 	conn   net.PacketConn
 	server net.Addr
+	link   link // the socket's one link
 
-	xid       atomic.Uint32
-	dmx       *demux
-	planned   plannedProcs
 	truncated atomic.Uint64
-	reader    sync.Once
-	life      lifecycle
-
-	policy *RetryPolicy // nil → legacy fixed-tick retransmission
-	budget *retryBudget
-	stats  retryCounters
+	readErrs  int // back-to-back read errors; only the pump touches it
 }
 
 // NewUDP returns a client sending calls for cfg.Prog/cfg.Vers to server
 // over conn. The caller retains ownership of conn's lifetime via Close.
 func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
 	cfg.fill()
-	c := &UDP{cfg: cfg, tmpl: callTemplate(&cfg), conn: conn, server: server,
-		dmx: newDemux(), life: newLifecycle()}
-	c.xid.Store(cfg.FirstXID)
-	if cfg.Retry != nil {
-		p := cfg.Retry.norm(cfg.Retransmit)
-		c.policy = &p
-		c.budget = newRetryBudget(&p)
-	}
+	cfg.Redial = nil // a stream knob: a datagram client has its one link for life
+	c := &UDP{conn: conn, server: server, link: link{dmx: newDemux()}}
+	c.engine.init(cfg, c, traits{maxReq: cfg.BufSize}, cfg.Retransmit)
 	return c
 }
 
-// Call performs one remote procedure call: marshal header + args, send,
-// await the XID-matched reply (retransmitting every cfg.Retransmit), then
-// decode the results with reply. It is safe for concurrent use; unlike
-// the original one-socket client, concurrent calls proceed in parallel
-// and replies may arrive in any order.
-func (c *UDP) Call(proc uint32, args, reply Marshal) error {
-	return c.doCall(context.Background(), proc, callReq{args: args}, replySink{fn: reply})
-}
+func (c *UDP) acquire(context.Context, time.Time) (*link, error) { return &c.link, nil }
 
-// CallCtx is Call with a per-call context: the call's deadline is the
-// earlier of the context deadline and the client's Timeout, and
-// cancelling the context abandons the call immediately (releasing its
-// reply slot; a late reply is dropped by the demultiplexer exactly like
-// any stale datagram).
-func (c *UDP) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
-	return c.doCall(ctx, proc, callReq{args: args}, replySink{fn: reply})
-}
-
-// callPlanned is the fused entry point CallTyped routes typed calls
-// through: same transport semantics as Call, with the request encoded
-// by a whole-call codec and the results decoded straight from the
-// reply. handled=false sends the caller to the closure path.
-func (c *UDP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error) {
-	e := c.planned.lookup(c.tmpl, proc, argc, resc)
-	if e == nil {
-		return false, nil
+func (c *UDP) send(_ *link, buf *[]byte, _ time.Time) (bool, error) {
+	if _, err := c.conn.WriteTo(*buf, c.server); err != nil {
+		return true, fmt.Errorf("client: send: %w", err)
 	}
-	return true, c.doCall(ctx, proc,
-		callReq{cc: e.call, argp: arg},
-		replySink{rc: e.rep, resc: resc, resp: res})
-}
-
-func (c *UDP) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.reader.Do(func() { go c.readLoop() })
-
-	xid, ch, err := registerCall(&c.xid, c.dmx)
-	if err != nil {
-		return err
-	}
-	defer c.dmx.unregister(xid)
-
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, req, xid, proc, 0)
-	if err != nil {
-		return err
-	}
-	defer xdr.PutBuf(reqBuf)
-	if len(*reqBuf) >= c.cfg.BufSize {
-		// The growable marshal buffer fits any request, but a datagram
-		// transport must still bound it: reject client-side, as the
-		// original fixed-buffer client did with a marshal overflow. The
-		// bound is exclusive: a datagram that *fills* the receiver's
-		// buffer is indistinguishable from a truncated one and is
-		// dropped on arrival, so sending it would only burn the timeout.
-		return fmt.Errorf("client: marshal args: %w (request %d bytes reaches datagram buffer %d)",
-			xdr.ErrOverflow, len(*reqBuf), c.cfg.BufSize)
-	}
-
-	if err := c.send(*reqBuf); err != nil {
-		return err
-	}
-	// attempt counts datagrams sent so far. With a policy the schedule is
-	// exponential backoff with full jitter, bounded by MaxAttempts and the
-	// retry budget; without one it is the classic fixed tick. Either way
-	// the deadline — not the attempt bound — ends the call: a stopped
-	// retransmission schedule still waits for a straggling reply.
-	deadline := callDeadline(ctx, c.cfg.Timeout)
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
-	attempt := 1
-	next := c.cfg.Retransmit
-	if c.policy != nil {
-		next = c.policy.delay(attempt)
-	}
-	retrans := time.NewTimer(next)
-	defer retrans.Stop()
-	for {
-		select {
-		case bp := <-ch:
-			err := sink.decode(*bp)
-			xdr.PutBuf(bp)
-			if errors.Is(err, errIllFormed) {
-				continue // undecodable datagram: ignore, keep waiting
-			}
-			return err
-		case <-retrans.C:
-			if c.policy != nil {
-				if attempt >= c.policy.MaxAttempts {
-					continue // schedule exhausted: wait out the deadline
-				}
-				if !c.budget.take() {
-					// Suppressed, not failed: count it, keep the schedule
-					// running so a refilled bucket resumes retransmitting.
-					c.stats.budgetDenied.Add(1)
-					retrans.Reset(c.policy.delay(attempt))
-					continue
-				}
-			}
-			if err := c.send(*reqBuf); err != nil {
-				if ok, derr := drainReply(ch, &sink); ok {
-					return derr
-				}
-				return err
-			}
-			attempt++
-			c.stats.retransmits.Add(1)
-			if c.policy != nil {
-				retrans.Reset(c.policy.delay(attempt))
-			} else {
-				retrans.Reset(c.cfg.Retransmit)
-			}
-		case <-overall.C:
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return ErrTimeout
-		case <-ctx.Done():
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			return ctx.Err()
-		case <-c.dmx.done:
-			if ok, err := drainReply(ch, &sink); ok {
-				return err
-			}
-			return c.dmx.error()
-		}
-	}
-}
-
-// RetryStats reports the client's retransmission counters.
-func (c *UDP) RetryStats() RetryStats { return c.stats.retryStats() }
-
-// InFlight reports how many calls currently hold a reply slot; it
-// returns to zero once every outstanding call finishes, times out, or
-// is cancelled (no slot leaks).
-func (c *UDP) InFlight() int { return c.dmx.inFlight() }
-
-func (c *UDP) send(req []byte) error {
-	if _, err := c.conn.WriteTo(req, c.server); err != nil {
-		if c.isClosed() {
-			return ErrClosed
-		}
-		return fmt.Errorf("client: send: %w", err)
-	}
-	return nil
+	return true, nil
 }
 
 // maxConsecReadErrs bounds how many back-to-back datagram read errors the
 // reader tolerates before declaring the socket dead.
 const maxConsecReadErrs = 64
 
-// readLoop is the demultiplexer: it owns the socket's read side, peeks
-// the XID of each datagram, and hands the pooled buffer to the matching
-// call. It exits when the socket is closed or persistently failing.
-func (c *UDP) readLoop() {
-	consecErrs := 0
-	for {
-		bp := xdr.GetBuf(c.cfg.BufSize)
-		// Read into exactly BufSize bytes: recycled pool buffers may be
-		// larger, and the datagram size bound must not vary with them.
-		buf := (*bp)[:c.cfg.BufSize]
-		n, _, err := c.conn.ReadFrom(buf)
-		if err != nil {
-			xdr.PutBuf(bp)
-			if c.isClosed() || errors.Is(err, net.ErrClosed) {
-				c.dmx.fail(ErrClosed)
-				return
-			}
-			// Datagram read errors are usually per-packet (e.g. an ICMP
-			// port-unreachable surfaced on read after a send to a briefly
-			// down server): keep reading so one transient error does not
-			// brick the client — calls keep retransmitting meanwhile. A
-			// persistent error stream means the socket is dead; fail every
-			// call rather than spinning forever.
-			if consecErrs++; consecErrs >= maxConsecReadErrs {
-				c.dmx.fail(fmt.Errorf("client: recv: %w", err))
-				return
-			}
-			continue
+func (c *UDP) recv(_ *link, bp *[]byte) (bool, error) {
+	// Read into exactly BufSize bytes: recycled pool buffers may be
+	// larger, and the datagram size bound must not vary with them.
+	buf := (*bp)[:c.cfg.BufSize]
+	n, _, err := c.conn.ReadFrom(buf)
+	if err != nil {
+		if errors.Is(err, net.ErrClosed) {
+			return false, ErrClosed
 		}
-		consecErrs = 0
-		if n == c.cfg.BufSize {
-			// A datagram that fills the read buffer exactly cannot be told
-			// apart from one the kernel truncated to fit it; handing it to
-			// the reply decoder would risk parsing a prefix of the real
-			// message as if complete. Drop it — the call retransmits — and
-			// count the drop so operators can size BufSize accordingly.
-			c.truncated.Add(1)
-			xdr.PutBuf(bp)
-			continue
+		// Datagram read errors are usually per-packet (e.g. an ICMP
+		// port-unreachable surfaced on read after a send to a briefly
+		// down server): keep reading so one transient error does not
+		// brick the client — calls keep retransmitting meanwhile. A
+		// persistent error stream means the socket is dead; fail every
+		// call rather than spinning forever.
+		if c.readErrs++; c.readErrs < maxConsecReadErrs && !c.isClosed() {
+			return false, nil
 		}
-		*bp = buf[:n]
-		xid, ok := rpcmsg.PeekXID(*bp)
-		if !ok || !c.dmx.deliver(xid, bp) {
-			xdr.PutBuf(bp) // stale or duplicate reply: discard
-		}
+		return false, fmt.Errorf("client: recv: %w", err)
 	}
+	c.readErrs = 0
+	if n == c.cfg.BufSize {
+		// A datagram that fills the read buffer exactly cannot be told
+		// apart from one the kernel truncated to fit it; handing it to
+		// the reply decoder would risk parsing a prefix of the real
+		// message as if complete. Drop it — the call retransmits — and
+		// count the drop so operators can size BufSize accordingly.
+		c.truncated.Add(1)
+		return false, nil
+	}
+	*bp = buf[:n]
+	return true, nil
 }
 
 // TruncatedDrops reports how many possibly-truncated reply datagrams
 // (received length == BufSize) the reader has discarded.
 func (c *UDP) TruncatedDrops() uint64 { return c.truncated.Load() }
 
-func (c *UDP) isClosed() bool { return c.life.isClosed() }
+// InFlight reports how many calls currently hold a reply slot; it
+// returns to zero once every outstanding call finishes, times out, or
+// is cancelled (no slot leaks).
+func (c *UDP) InFlight() int { return c.link.dmx.inFlight() }
 
 // Close releases the client and its socket. In-flight calls fail with
-// ErrClosed.
-func (c *UDP) Close() error { return c.life.closeOnce(c.conn, c.dmx) }
+// ErrClosed. Repeat closes are no-ops.
+func (c *UDP) Close() error {
+	if !c.beginClose() {
+		return nil
+	}
+	err := c.conn.Close() // stops the reader goroutine
+	c.link.dmx.fail(ErrClosed)
+	return err
+}
 
 // ---------------------------------------------------------------------------
 // TCP
@@ -876,91 +1082,22 @@ func (c *UDP) Close() error { return c.life.closeOnce(c.conn, c.dmx) }
 // the one-write-per-record baseline). CallBatched queues fire-and-forget
 // requests on the same writer.
 type TCP struct {
-	cfg  Config
-	tmpl *rpcmsg.CallTemplate
+	engine
 
-	xid     atomic.Uint32
-	planned plannedProcs
-	life    lifecycle
-
-	policy *RetryPolicy             // nil → legacy single-connection client
-	budget *retryBudget             // shared by call retries and redials
-	redial func() (net.Conn, error) // nil → no transparent reconnect
-	stats  retryCounters
-
-	// connMu guards cur, redialCh — the connection generations. cur is the connection
-	// calls go out on; each generation owns its conn, demultiplexer,
-	// batcher, and reader, so a dead generation's state never bleeds
-	// into its replacement. redialCh is non-nil while one goroutine is
+	// connMu guards cur, redialCh — the connection generations. cur is the
+	// link calls go out on; each generation owns its conn, demultiplexer,
+	// batcher, and reader. redialCh is non-nil while one goroutine is
 	// reconnecting (closed when it finishes): single-flight, so a burst
 	// of failing calls produces one dial sequence, not one each.
 	connMu   sync.Mutex
-	cur      *tcpConn
+	cur      *link
 	redialCh chan struct{}
 }
 
-// tcpConn is one connection generation: everything whose lifetime is
-// the connection's, not the client's. The client-lifetime state — XID
-// counter, header template, fused/compiled codec cache, retry budget,
-// stats — lives on TCP and is reused across generations, which is what
-// makes reconnect cheap: a replacement connection recompiles nothing.
-type tcpConn struct {
-	conn   net.Conn
-	dmx    *demux
-	batch  *xdr.RecBatcher // owns the write side of the record stream
-	reader sync.Once
-}
-
-func (tc *tcpConn) start(c *TCP) {
-	tc.reader.Do(func() { go c.readLoop(tc) })
-}
-
-// minWriteGrace floors the armed write deadline: a call whose own
-// deadline already passed (it will time out regardless) must not arm an
-// instantly-expired deadline and poison the shared write for the
-// healthy calls batched with it.
-const minWriteGrace = 5 * time.Millisecond
-
-// newConn builds a connection generation around conn, wiring the
-// batcher's deadline and failure hooks to this generation only.
-func (c *TCP) newConn(conn net.Conn) *tcpConn {
-	tc := &tcpConn{conn: conn, dmx: newDemux()}
-	tc.batch = xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
-	// The write deadline covers each vectored write: a peer that stopped
-	// reading must not wedge the writers sharing the stream past their
-	// call budget. earliest is the tightest per-call deadline among the
-	// batched records (from WriteDeadline), so a nearly-expired call
-	// bounds the write by its own remaining budget, never by a whole
-	// fresh Timeout; records with no deadline fall back to Timeout.
-	tc.batch.PreWrite = func(earliest time.Time) error {
-		dl := time.Now().Add(c.cfg.Timeout)
-		if !earliest.IsZero() && earliest.Before(dl) {
-			dl = earliest
-			if floor := time.Now().Add(minWriteGrace); dl.Before(floor) {
-				dl = floor
-			}
-		}
-		return conn.SetWriteDeadline(dl)
-	}
-	// A failed or timed-out batch write leaves the record framing
-	// unusable for every call sharing the stream — including calls whose
-	// records were queued by a leader that already returned — so fail the
-	// generation and close its connection so everyone unblocks now.
-	tc.batch.OnError = func(err error) {
-		if c.isClosed() {
-			tc.dmx.fail(ErrClosed)
-		} else {
-			tc.dmx.fail(fmt.Errorf("client: send record: %w", err))
-		}
-		_ = conn.Close()
-	}
-	if c.cfg.NoBatch {
-		tc.batch.MaxBatch = 1
-	} else if c.cfg.MaxFlushDelay > 0 {
-		tc.batch.MaxFlushDelay = c.cfg.MaxFlushDelay
-	}
-	return tc
-}
+// errIllFormedReply is a stream's traits.illFormed: the record framing
+// delivered a whole reply, so an undecodable one will not be followed by
+// a better copy.
+var errIllFormedReply = fmt.Errorf("client: read reply: %w", errIllFormed)
 
 // NewTCP returns a client issuing calls over the established connection.
 // With cfg.Redial set the connection is only the first of possibly many:
@@ -968,18 +1105,9 @@ func (c *TCP) newConn(conn net.Conn) *tcpConn {
 // a replacement generation transparently.
 func NewTCP(conn net.Conn, cfg Config) *TCP {
 	cfg.fill()
-	c := &TCP{cfg: cfg, tmpl: callTemplate(&cfg), life: newLifecycle(), redial: cfg.Redial}
-	c.xid.Store(cfg.FirstXID)
-	if cfg.Retry != nil || cfg.Redial != nil {
-		var p RetryPolicy
-		if cfg.Retry != nil {
-			p = *cfg.Retry
-		}
-		p = p.norm(0)
-		c.policy = &p
-		c.budget = newRetryBudget(&p)
-	}
-	c.cur = c.newConn(conn)
+	c := &TCP{}
+	c.engine.init(cfg, c, traits{prefix: xdr.RecordMarkLen, illFormed: errIllFormedReply}, 0)
+	c.cur = c.newLink(conn)
 	return c
 }
 
@@ -996,48 +1124,86 @@ func DialTCP(network, addr string, cfg Config) (*TCP, error) {
 	return NewTCP(conn, cfg), nil
 }
 
-// current returns the live connection generation (nil only after Close
-// races the first use — cur is set before NewTCP returns).
-func (c *TCP) current() *tcpConn {
+// minWriteGrace floors the armed write deadline: a call whose own
+// deadline already passed (it will time out regardless) must not arm an
+// instantly-expired deadline and poison the shared write for the
+// healthy calls batched with it.
+const minWriteGrace = 5 * time.Millisecond
+
+// newLink builds a connection generation around conn, wiring the
+// batcher's deadline and failure hooks to this generation only.
+func (c *TCP) newLink(conn net.Conn) *link {
+	l := &link{dmx: newDemux(), conn: conn,
+		batch: xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
+		rrec:  xdr.NewRecStream(conn, 0)}
+	// The write deadline covers each vectored write: a peer that stopped
+	// reading must not wedge the writers sharing the stream past their
+	// call budget. earliest is the tightest per-call deadline among the
+	// batched records (from WriteDeadline), so a nearly-expired call
+	// bounds the write by its own remaining budget, never by a whole
+	// fresh Timeout; records with no deadline fall back to Timeout.
+	l.batch.PreWrite = func(earliest time.Time) error {
+		dl := time.Now().Add(c.cfg.Timeout)
+		if !earliest.IsZero() && earliest.Before(dl) {
+			dl = earliest
+			if floor := time.Now().Add(minWriteGrace); dl.Before(floor) {
+				dl = floor
+			}
+		}
+		return conn.SetWriteDeadline(dl)
+	}
+	// A failed or timed-out batch write leaves the record framing
+	// unusable for every call sharing the stream — including calls whose
+	// records were queued by a leader that already returned — so fail the
+	// generation and close its connection so everyone unblocks now.
+	l.batch.OnError = func(err error) {
+		if c.isClosed() {
+			l.dmx.fail(ErrClosed)
+		} else {
+			l.dmx.fail(sendRecordFailed(err))
+		}
+		_ = conn.Close()
+	}
+	if c.cfg.NoBatch {
+		l.batch.MaxBatch = 1
+	} else if c.cfg.MaxFlushDelay > 0 {
+		l.batch.MaxFlushDelay = c.cfg.MaxFlushDelay
+	}
+	return l
+}
+
+func sendRecordFailed(err error) error { return fmt.Errorf("client: send record: %w", err) }
+
+// current returns the live connection generation.
+func (c *TCP) current() *link {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.cur
 }
 
-// errBudget reports a retry or redial suppressed by the token-bucket
-// budget: the client is failing faster than the policy lets it retry.
-var errBudget = errors.New("client: retry budget exhausted")
-
 // acquire returns a healthy connection generation, reconnecting if the
 // current one has failed. Without a Redial it returns the current
 // generation regardless of health — the call then surfaces the dead
-// generation's error exactly as the legacy client did. With one, the
-// first goroutine to find the generation dead becomes the redialer and
-// the rest wait on its outcome (bounded by the caller's deadline).
-func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*tcpConn, error) {
+// generation's error. With one, the first goroutine to find the
+// generation dead becomes the redialer and the rest wait on its outcome
+// (bounded by the caller's deadline).
+func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*link, error) {
 	for {
 		c.connMu.Lock()
-		if c.life.isClosed() {
+		if c.isClosed() {
 			c.connMu.Unlock()
 			return nil, ErrClosed
 		}
-		tc := c.cur
-		if tc != nil && tc.dmx.error() == nil {
+		l := c.cur
+		if c.cfg.Redial == nil || l.dmx.error() == nil {
 			c.connMu.Unlock()
-			return tc, nil
-		}
-		if c.redial == nil {
-			c.connMu.Unlock()
-			if tc == nil {
-				return nil, ErrClosed
-			}
-			return tc, nil
+			return l, nil
 		}
 		if c.redialCh == nil {
 			ch := make(chan struct{})
 			c.redialCh = ch
 			c.connMu.Unlock()
-			err := c.reconnect(tc)
+			err := c.reconnect(l)
 			c.connMu.Lock()
 			c.redialCh = nil
 			c.connMu.Unlock()
@@ -1058,7 +1224,7 @@ func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*tcpConn, error)
 		case <-ctx.Done():
 			wait.Stop()
 			return nil, ctx.Err()
-		case <-c.life.done:
+		case <-c.done:
 			wait.Stop()
 			return nil, ErrClosed
 		}
@@ -1067,253 +1233,82 @@ func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*tcpConn, error)
 
 // reconnect retires the dead generation and dials its replacement under
 // the retry policy: each attempt after the first spends a budget token
-// and backs off with full jitter, interruptible by Close. On success
-// the replacement is installed as cur (unless Close won the race, in
-// which case the fresh connection is closed again).
-func (c *TCP) reconnect(old *tcpConn) error {
-	if old != nil {
-		_ = old.conn.Close()
-	}
+// and backs off with full jitter. On success the replacement is
+// installed as cur (unless Close won the race, in which case the fresh
+// connection is closed again).
+func (c *TCP) reconnect(old *link) error {
+	_ = old.conn.Close()
 	var lastErr error
 	for attempt := 1; attempt <= c.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			if !c.budget.take() {
-				c.stats.budgetDenied.Add(1)
+				c.budgetDenied.Add(1)
 				return fmt.Errorf("client: reconnect: %w", errBudget)
 			}
-			backoff := time.NewTimer(c.policy.delay(attempt - 1))
-			select {
-			case <-backoff.C:
-			case <-c.life.done:
-				backoff.Stop()
-				return ErrClosed
+			// The redial belongs to the client, not to whichever call
+			// tripped it: only Close cuts its backoff short.
+			if err := c.sleep(context.Background(), c.policy.delay(attempt-1)); err != nil {
+				return err
 			}
 		}
-		if c.life.isClosed() {
+		if c.isClosed() {
 			return ErrClosed
 		}
-		conn, err := c.redial()
+		conn, err := c.cfg.Redial()
 		if err != nil {
-			c.stats.redialFailures.Add(1)
+			c.redialFailures.Add(1)
 			lastErr = err
 			continue
 		}
-		tc := c.newConn(conn)
+		l := c.newLink(conn)
 		c.connMu.Lock()
-		if c.life.isClosed() {
+		if c.isClosed() {
 			c.connMu.Unlock()
 			_ = conn.Close()
 			return ErrClosed
 		}
-		c.cur = tc
+		c.cur = l
 		c.connMu.Unlock()
-		c.stats.reconnects.Add(1)
+		c.reconnects.Add(1)
 		return nil
 	}
 	return fmt.Errorf("client: reconnect: %w", lastErr)
 }
 
-// Call performs one call over the stream: one record out, one record
-// back, with the wait multiplexed so concurrent calls share the
-// connection. The arguments are marshaled into a pooled buffer outside
-// the write lock, so slow marshaling never blocks other senders.
-func (c *TCP) Call(proc uint32, args, reply Marshal) error {
-	return c.doCall(context.Background(), proc, callReq{args: args}, replySink{fn: reply})
+// send hands the record to the generation's batcher. Concurrent callers
+// coalesce — their records leave in one vectored write — and any queued
+// batched calls (CallBatched) ride out with this record. The call's
+// deadline rides along so the batch write is armed with the earliest
+// deadline among its records.
+func (c *TCP) send(l *link, buf *[]byte, deadline time.Time) (bool, error) {
+	if err := l.batch.WriteDeadline(buf, deadline); err != nil {
+		return false, sendRecordFailed(err)
+	}
+	return false, nil
 }
 
-// CallCtx is Call with a per-call context; see (*UDP).CallCtx. Over the
-// stream the context deadline also bounds the shared record write (the
-// batcher arms the connection's write deadline from the earliest
-// deadline in each batch).
-func (c *TCP) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
-	return c.doCall(ctx, proc, callReq{args: args}, replySink{fn: reply})
+func (c *TCP) recv(l *link, bp *[]byte) (bool, error) {
+	rec, err := l.rrec.ReadRecord((*bp)[:0])
+	*bp = rec // keep any growth pooled
+	if err != nil {
+		return false, fmt.Errorf("client: read reply: %w", err)
+	}
+	return true, nil
 }
-
-// callPlanned is the fused entry point CallTyped routes typed calls
-// through; see (*UDP).callPlanned.
-func (c *TCP) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) (bool, error) {
-	e := c.planned.lookup(c.tmpl, proc, argc, resc)
-	if e == nil {
-		return false, nil
-	}
-	return true, c.doCall(ctx, proc,
-		callReq{cc: e.call, argp: arg},
-		replySink{rc: e.rep, resc: resc, resp: res})
-}
-
-// doCall drives one call to completion, possibly across connection
-// generations. Each attempt runs on the then-current generation; a
-// transport failure is classified by whether the request could have
-// reached the server. "Definitely not sent" failures (the batcher
-// rejected the record before queueing it, or the generation was already
-// dead at registration) are always safe to retry; "maybe sent" failures
-// (the record was handed to the wire before the connection died) are
-// retried only under RetryPolicy.RetryAmbiguous, because the stream
-// path has no duplicate-request cache to absorb a re-execution.
-func (c *TCP) doCall(ctx context.Context, proc uint32, req callReq, sink replySink) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	deadline := callDeadline(ctx, c.cfg.Timeout)
-	maxAttempts := 1
-	if c.policy != nil && c.redial != nil {
-		maxAttempts = c.policy.MaxAttempts
-	}
-	var lastErr error
-	lastSent := false
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if attempt > 1 {
-			if lastSent && !c.policy.RetryAmbiguous {
-				break
-			}
-			if !c.budget.take() {
-				c.stats.budgetDenied.Add(1)
-				lastErr = fmt.Errorf("%w (%w)", lastErr, errBudget)
-				break
-			}
-			backoff := time.NewTimer(c.policy.delay(attempt - 1))
-			select {
-			case <-backoff.C:
-			case <-ctx.Done():
-				backoff.Stop()
-				return ctx.Err()
-			case <-c.life.done:
-				backoff.Stop()
-				return ErrClosed
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			c.stats.retries.Add(1)
-		}
-		final, err, sent := c.attemptOnce(ctx, proc, req, sink, deadline)
-		if final {
-			return err
-		}
-		lastErr, lastSent = err, sent
-	}
-	if c.redial == nil {
-		return lastErr
-	}
-	return &TransportError{Err: lastErr, MaybeSent: lastSent}
-}
-
-// attemptOnce runs one send/await cycle on the current generation.
-// final=true means err is the call's outcome (reply decoded, RPC error,
-// timeout, cancellation, closed client); final=false means a transport
-// failure the retry loop may act on, with sent reporting whether the
-// request could have reached the server.
-func (c *TCP) attemptOnce(ctx context.Context, proc uint32, req callReq, sink replySink, deadline time.Time) (final bool, err error, sent bool) {
-	tc, aerr := c.acquire(ctx, deadline)
-	if aerr != nil {
-		if errors.Is(aerr, ErrClosed) || errors.Is(aerr, ErrTimeout) ||
-			errors.Is(aerr, context.Canceled) || errors.Is(aerr, context.DeadlineExceeded) {
-			return true, aerr, false
-		}
-		// Reconnect already retried dialing under the policy; surface its
-		// failure with the not-sent classification rather than looping.
-		return true, &TransportError{Err: aerr, MaybeSent: false}, false
-	}
-	tc.start(c)
-
-	xid, ch, rerr := registerCall(&c.xid, tc.dmx)
-	if rerr != nil {
-		// The generation died before the call registered: nothing sent.
-		if c.isClosed() {
-			return true, ErrClosed, false
-		}
-		return false, rerr, false
-	}
-	defer tc.dmx.unregister(xid)
-
-	// The record mark is reserved at the head of the marshal buffer, so
-	// the record layer patches it in place and the whole call leaves in
-	// one Write — the message is never copied into the fragment buffer.
-	reqBuf, merr := marshalReq(&c.cfg, c.tmpl, req, xid, proc, xdr.RecordMarkLen)
-	if merr != nil {
-		return true, merr, false
-	}
-	// Ownership of reqBuf transfers to the batcher: it is released after
-	// the batch carrying it is written. Concurrent callers coalesce —
-	// their records leave in one vectored write — and any queued batched
-	// calls (CallBatched) ride out with this record. The call's deadline
-	// rides along so the batch write is armed with the earliest deadline
-	// among its records.
-	if werr := tc.batch.WriteDeadline(reqBuf, deadline); werr != nil {
-		if c.isClosed() {
-			return true, ErrClosed, false
-		}
-		// A record rejected by an already-failed batcher never entered the
-		// queue: definitively not sent. Any other write failure may have
-		// put a prefix of the batch — including this record — on the wire.
-		return false, fmt.Errorf("client: send record: %w", werr), !errors.Is(werr, xdr.ErrRejected)
-	}
-
-	overall := time.NewTimer(time.Until(deadline))
-	defer overall.Stop()
-	select {
-	case bp := <-ch:
-		derr := sink.decode(*bp)
-		xdr.PutBuf(bp)
-		if errors.Is(derr, errIllFormed) {
-			return true, fmt.Errorf("client: read reply: %w", derr), true
-		}
-		return true, derr, true
-	case <-overall.C:
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return true, cerr, true
-		}
-		return true, ErrTimeout, true
-	case <-ctx.Done():
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		return true, ctx.Err(), true
-	case <-tc.dmx.done:
-		if ok, derr := drainReply(ch, &sink); ok {
-			return true, derr, true
-		}
-		if c.isClosed() {
-			return true, ErrClosed, false
-		}
-		// The request was handed to the wire before the generation died:
-		// the server may have executed it even though no reply arrived.
-		return false, tc.dmx.error(), true
-	}
-}
-
-// RetryStats reports the client's retry counters.
-func (c *TCP) RetryStats() RetryStats { return c.stats.retryStats() }
 
 // ReconnectStats reports the client's transparent-reconnect counters.
-func (c *TCP) ReconnectStats() ReconnectStats { return c.stats.reconnectStats() }
+func (c *TCP) ReconnectStats() ReconnectStats {
+	return ReconnectStats{Reconnects: c.reconnects.Load(), RedialFailures: c.redialFailures.Load()}
+}
 
 // InFlight reports how many calls currently hold a reply slot on the
 // live connection generation; see (*UDP).InFlight.
-func (c *TCP) InFlight() int {
-	tc := c.current()
-	if tc == nil {
-		return 0
-	}
-	return tc.dmx.inFlight()
-}
+func (c *TCP) InFlight() int { return c.current().dmx.inFlight() }
 
 // QueuedRecords reports how many records sit unflushed in the live
 // generation's batcher queue (leak gauge: cancelled and failed calls
 // must not strand entries there).
-func (c *TCP) QueuedRecords() int {
-	tc := c.current()
-	if tc == nil {
-		return 0
-	}
-	return tc.batch.Pending()
-}
+func (c *TCP) QueuedRecords() int { return c.current().batch.Pending() }
 
 // CallBatched issues one ONC batched (fire-and-forget) call: the request
 // is marshaled and queued on the connection's record writer, and no
@@ -1334,73 +1329,36 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
-	tc, aerr := c.acquire(context.Background(), time.Now().Add(c.cfg.Timeout))
-	if aerr != nil {
-		return aerr
+	l, err := c.acquire(context.Background(), time.Now().Add(c.cfg.Timeout))
+	if err != nil {
+		return err
 	}
 	// Start the reader even though no reply is expected: the server
 	// replies to batched calls it cannot tell apart from normal ones, and
 	// someone must drain those records off the connection.
-	tc.start(c)
-	xid := c.xid.Add(1)
-	reqBuf, err := marshalReq(&c.cfg, c.tmpl, callReq{args: args}, xid, proc, xdr.RecordMarkLen)
+	l.start(&c.engine)
+	buf, err := c.marshalReq(callReq{args: args}, c.xid.Add(1), proc)
 	if err != nil {
 		return err
 	}
-	if err := tc.batch.Queue(reqBuf); err != nil {
-		if c.isClosed() {
-			return ErrClosed
-		}
-		return fmt.Errorf("client: send record: %w", err)
-	}
-	return nil
+	return c.wrote(l.batch.Queue(buf))
 }
 
 // Flush forces out every queued batched call without issuing a terminal
 // Call. A failure here poisons the connection like any other write
 // failure.
-func (c *TCP) Flush() error {
-	tc := c.current()
-	if tc == nil {
+func (c *TCP) Flush() error { return c.wrote(c.current().batch.Flush()) }
+
+// wrote maps a batcher write outcome to the client's error surface.
+func (c *TCP) wrote(err error) error {
+	if err == nil {
+		return nil
+	}
+	if c.isClosed() {
 		return ErrClosed
 	}
-	if err := tc.batch.Flush(); err != nil {
-		if c.isClosed() {
-			return ErrClosed
-		}
-		return fmt.Errorf("client: send record: %w", err)
-	}
-	return nil
+	return sendRecordFailed(err)
 }
-
-// readLoop owns one generation's read side: it slurps one reply record
-// at a time into a pooled buffer and routes it by XID. Records for XIDs
-// with no waiter (e.g. replies arriving after a call timed out) are
-// dropped. A read failure fails only this generation; with Redial set
-// the next call swaps in a replacement.
-func (c *TCP) readLoop(tc *tcpConn) {
-	rrec := xdr.NewRecStream(tc.conn, 0)
-	for {
-		bp := xdr.GetBuf(c.cfg.BufSize)
-		rec, err := rrec.ReadRecord((*bp)[:0])
-		*bp = rec
-		if err != nil {
-			xdr.PutBuf(bp)
-			if c.isClosed() {
-				tc.dmx.fail(ErrClosed)
-			} else {
-				tc.dmx.fail(fmt.Errorf("client: read reply: %w", err))
-			}
-			return
-		}
-		xid, ok := rpcmsg.PeekXID(rec)
-		if !ok || !tc.dmx.deliver(xid, bp) {
-			xdr.PutBuf(bp) // stale record (timed-out call): discard
-		}
-	}
-}
-
-func (c *TCP) isClosed() bool { return c.life.isClosed() }
 
 // Close flushes any queued batched calls, then releases the client and
 // its connection. In-flight calls fail with ErrClosed; a flush failure
@@ -1409,18 +1367,13 @@ func (c *TCP) isClosed() bool { return c.life.isClosed() }
 // Closing also interrupts any in-progress retry backoff or redial sleep
 // immediately: sleepers select on the lifecycle's done channel.
 func (c *TCP) Close() error {
-	if !c.life.beginClose() {
+	if !c.beginClose() {
 		return nil
 	}
-	c.connMu.Lock()
-	tc := c.cur
-	c.connMu.Unlock()
-	if tc == nil {
-		return nil
-	}
-	ferr := tc.batch.Flush()
-	err := tc.conn.Close()
-	tc.dmx.fail(ErrClosed)
+	l := c.current()
+	ferr := l.batch.Flush()
+	err := l.conn.Close()
+	l.dmx.fail(ErrClosed)
 	if err == nil && ferr != nil {
 		err = fmt.Errorf("client: flush batched calls: %w", ferr)
 	}
@@ -1442,8 +1395,6 @@ type CtxCaller interface {
 }
 
 var (
-	_ Caller        = (*UDP)(nil)
-	_ Caller        = (*TCP)(nil)
 	_ CtxCaller     = (*UDP)(nil)
 	_ CtxCaller     = (*TCP)(nil)
 	_ plannedCaller = (*UDP)(nil)

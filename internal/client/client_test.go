@@ -2,16 +2,18 @@ package client
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"specrpc/internal/netsim"
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
 
@@ -78,101 +80,184 @@ func TestVoidMarshaler(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Call-path specialization: differential and allocation tests
 
+// testEngine builds a bare engine — no transport behind it — for the
+// encode-side tests, reserving prefix bytes like the transport that
+// would own it.
+func testEngine(cfg Config, prefix int) *engine {
+	cfg.fill()
+	e := new(engine)
+	e.init(cfg, nil, traits{prefix: prefix}, 0)
+	return e
+}
+
 // TestMarshalCallTemplateMatchesGeneric pins the tentpole property on
-// the client: the templated marshal path emits byte-identical requests
-// to the generic interpretive path, with and without a reserved record
-// mark prefix.
+// the client: every request encoder — the closure path over the header
+// template, the fused whole-call codec, and the template+Marshal codec
+// of an interpretive-mode plan — emits requests byte-identical to the
+// reference (rpcmsg.CallHeader.Marshal followed by the argument
+// marshaler), with and without a reserved record mark prefix.
 func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 	sysCred, err := (&rpcmsg.SysCred{Stamp: 1, MachineName: "pc", UID: 2, GID: 3}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	arg := []int32{-1, 0x0EEDFACE, 7}
+	args := func(x *xdr.XDR) error { return fusedGenPlan.Marshal(x, &arg) }
 	for _, cred := range []rpcmsg.OpaqueAuth{rpcmsg.None(), sysCred} {
 		cfg := Config{Prog: 0x20000099, Vers: 2, Cred: cred}
-		cfg.fill()
-		tmpl := callTemplate(&cfg)
-		if tmpl == nil {
-			t.Fatal("template compile failed for ordinary auth")
-		}
-		args := func(x *xdr.XDR) error {
-			v := uint32(0xFEEDFACE)
-			return x.Uint32(&v)
-		}
-		spec, err := marshalCall(&cfg, tmpl, 77, 5, args, 0)
-		if err != nil {
+		bs := xdr.NewBufEncode(nil)
+		enc := xdr.NewEncoder(bs)
+		hdr := rpcmsg.CallHeader{XID: 77, Prog: cfg.Prog, Vers: cfg.Vers, Proc: 5,
+			Cred: cred, Verf: rpcmsg.None()}
+		if err := hdr.Marshal(enc); err != nil {
 			t.Fatal(err)
 		}
-		gen, err := marshalCall(&cfg, nil, 77, 5, args, 0)
-		if err != nil {
+		if err := args(enc); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(*spec, *gen) {
-			t.Fatalf("templated call diverged:\n got %x\nwant %x", *spec, *gen)
+		want := bs.Buffer()
+
+		for _, prefix := range []int{0, xdr.RecordMarkLen} {
+			e := testEngine(cfg, prefix)
+			if e.tmplErr != nil {
+				t.Fatalf("template compile failed for ordinary auth: %v", e.tmplErr)
+			}
+			reqs := map[string]callReq{"closure": {args: args}}
+			for name, plan := range map[string]*wire.Plan[[]int32]{"fused": fusedArgPlan, "generic-plan": fusedGenPlan} {
+				p := e.lookup(5, plan.Codec(), plan.Codec())
+				if _, generic := p.call.(*planCall); generic != (plan == fusedGenPlan) {
+					t.Fatalf("%s plan resolved to %T", name, p.call)
+				}
+				reqs[name] = callReq{cc: p.call, argp: unsafe.Pointer(&arg)}
+			}
+			for name, r := range reqs {
+				got, err := e.marshalReq(r, 77, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal((*got)[prefix:], want) {
+					t.Errorf("%s, prefix %d: request diverged from the reference:\n got %x\nwant %x",
+						name, prefix, (*got)[prefix:], want)
+				}
+				xdr.PutBuf(got)
+			}
 		}
-		pre, err := marshalCall(&cfg, tmpl, 77, 5, args, xdr.RecordMarkLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal((*pre)[xdr.RecordMarkLen:], *gen) {
-			t.Fatalf("prefixed call diverged after the mark:\n got %x\nwant %x",
-				(*pre)[xdr.RecordMarkLen:], *gen)
-		}
-		xdr.PutBuf(spec)
-		xdr.PutBuf(gen)
-		xdr.PutBuf(pre)
 	}
 }
 
-// TestMarshalCallOversizedAuthFallsBack: auth the template compiler
-// rejects must still fail identically through the generic path.
-func TestMarshalCallOversizedAuthFallsBack(t *testing.T) {
-	cfg := Config{Prog: 1, Vers: 1,
+// TestOversizedCredFailsEveryCall: auth material the template compiler
+// rejects — which the generic encoder rejects too — fails every call on
+// both transports with the one stored error, wrapped as a header marshal
+// failure, and puts nothing on the wire.
+func TestOversizedCredFailsEveryCall(t *testing.T) {
+	cfg := Config{Prog: 1, Vers: 1, Timeout: time.Second,
 		Cred: rpcmsg.OpaqueAuth{Flavor: rpcmsg.AuthSys, Body: make([]byte, rpcmsg.MaxAuthBytes+1)}}
-	cfg.fill()
-	if tmpl := callTemplate(&cfg); tmpl != nil {
-		t.Fatal("oversized cred compiled to a template")
+	arg := []int32{1}
+	var res []int32
+	check := func(t *testing.T, what string, err, first error) error {
+		t.Helper()
+		const want = "client: marshal call header: cred: rpcmsg: auth body exceeds 400 bytes"
+		if !errors.Is(err, rpcmsg.ErrAuthTooBig) || err.Error() != want {
+			t.Fatalf("%s = %v, want %q wrapping ErrAuthTooBig", what, err, want)
+		}
+		if first != nil && err != first {
+			t.Fatalf("%s returned a fresh error %v, want the stored %v", what, err, first)
+		}
+		return err
 	}
-	if _, err := marshalCall(&cfg, nil, 1, 1, Void, 0); err == nil {
-		t.Fatal("oversized cred marshaled")
+	calls := func(t *testing.T, c CtxCaller) error {
+		first := check(t, "Call", c.Call(1, Void, Void), nil)
+		check(t, "CallCtx", c.CallCtx(context.Background(), 1, Void, Void), first)
+		check(t, "CallTyped", CallTyped(c, 1, fusedArgPlan, &arg, fusedArgPlan, &res), first)
+		check(t, "CallTyped (generic plan)", CallTyped(c, 1, fusedGenPlan, &arg, fusedGenPlan, &res), first)
+		return first
+	}
+	for _, tr := range conformanceTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			p := &fakePeer{seen: make(chan struct{}, 1)}
+			c := tr.dial(t, p, cfg)
+			first := calls(t, c)
+			if tc, ok := c.(*TCP); ok {
+				check(t, "CallBatched", tc.CallBatched(1, Void), first)
+				if err := tc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if q := tc.QueuedRecords(); q != 0 {
+					t.Fatalf("%d records queued", q)
+				}
+			}
+			if n, r := c.InFlight(), p.requests.Load(); n != 0 || r != 0 {
+				t.Fatalf("in flight %d, requests on the wire %d; want 0, 0", n, r)
+			}
+		})
 	}
 }
 
 // TestCallPathAllocFree pins the perf acceptance criterion: with the
 // header template and pooled buffers/handles, the transport layers —
-// header marshal, framing, reply header decode — allocate nothing.
-// The body marshalers here use the stream bulk primitives, as compiled
-// wire plans do; the per-primitive escape of the generic x.Uint32 path
-// is the interpretive-layer cost the plans exist to remove, and is
-// measured separately by the header-path benchmarks.
+// header marshal, framing, reply header decode — allocate nothing, on
+// the closure path and on the codec path, behind either transport's
+// prefix. The closure body marshalers here use the stream bulk
+// primitives, as compiled wire plans do; the per-primitive escape of the
+// generic x.Uint32 path is the interpretive-layer cost the plans exist
+// to remove, and is measured separately by the header-path benchmarks.
+// The codec path's one allocation is the BufStream handed to the
+// CallAppender interface; it predates the engine and is pinned so it
+// does not grow.
 func TestCallPathAllocFree(t *testing.T) {
-	cfg := Config{Prog: 0x20000099, Vers: 2}
-	cfg.fill()
-	tmpl := callTemplate(&cfg)
-	args := func(x *xdr.XDR) error { return x.Stream.PutLong(7) }
-	if allocs := testing.AllocsPerRun(100, func() {
-		req, err := marshalCall(&cfg, tmpl, 42, 1, args, xdr.RecordMarkLen)
-		if err != nil {
-			t.Fatal(err)
+	arg := []int32{1, 2, 3}
+	for _, prefix := range []int{0, xdr.RecordMarkLen} {
+		e := testEngine(Config{Prog: 0x20000099, Vers: 2}, prefix)
+		p := e.lookup(1, fusedArgPlan.Codec(), fusedArgPlan.Codec())
+		for _, tc := range []struct {
+			name string
+			req  callReq
+			want float64
+		}{
+			{"closure", callReq{args: func(x *xdr.XDR) error { return x.Stream.PutLong(7) }}, 0},
+			{"fused", callReq{cc: p.call, argp: unsafe.Pointer(&arg)}, 1},
+		} {
+			req := tc.req
+			if allocs := testing.AllocsPerRun(100, func() {
+				buf, err := e.marshalReq(req, 42, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xdr.PutBuf(buf)
+			}); allocs > tc.want {
+				t.Errorf("%s marshalReq, prefix %d: %.1f allocs/op, want <= %.0f", tc.name, prefix, allocs, tc.want)
+			}
 		}
-		xdr.PutBuf(req)
-	}); allocs != 0 {
-		t.Errorf("templated marshalCall: %.1f allocs/op, want 0", allocs)
 	}
 
 	reply := rpcmsg.MustReplyTemplate(rpcmsg.None()).AppendReply(nil, 42)
 	reply = append(reply, 0, 0, 0, 9)
 	var got int32
-	dec := func(x *xdr.XDR) error { return x.Stream.GetLong(&got) }
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := decodeReply(reply, dec); err != nil {
-			t.Fatal(err)
+	for name, sink := range map[string]*replySink{
+		"closure": {fn: func(x *xdr.XDR) error { return x.Stream.GetLong(&got) }},
+		"fused":   {rc: testReplyCodec(t), resp: unsafe.Pointer(&got)},
+	} {
+		got = 0
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := sink.decode(reply); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s reply decode: %.1f allocs/op, want 0", name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("fast-path decodeReply: %.1f allocs/op, want 0", allocs)
+		if got != 9 {
+			t.Fatalf("%s result = %d, want 9", name, got)
+		}
 	}
-	if got != 9 {
-		t.Fatalf("result = %d, want 9", got)
+}
+
+func testReplyCodec(t *testing.T) wire.ReplyDecoder {
+	t.Helper()
+	rc, err := wire.NewReplyCodec(nil, wire.MustPlan[int32](wire.Int32T(), wire.Specialized).Codec())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return rc
 }
 
 // ---------------------------------------------------------------------------
@@ -237,75 +322,10 @@ func TestDrainReply(t *testing.T) {
 	}
 }
 
-// dieAfterReplyConn answers the first request with a success reply and
-// then fails every read: the reply and the terminal transport error
-// race to the caller, which must prefer the reply (via drainReply) no
-// matter which select arm wins.
-type dieAfterReplyConn struct {
-	t     *testing.T
-	reply chan []byte
-	once  sync.Once
-}
-
-func newDieAfterReplyConn(t *testing.T) *dieAfterReplyConn {
-	return &dieAfterReplyConn{t: t, reply: make(chan []byte, 1)}
-}
-
-func (c *dieAfterReplyConn) WriteTo(p []byte, _ net.Addr) (int, error) {
-	c.once.Do(func() {
-		xid, ok := rpcmsg.PeekXID(p)
-		if !ok {
-			c.t.Error("request without XID")
-		}
-		c.reply <- successReplyBytes(c.t, xid, 4321)
-		close(c.reply)
-	})
-	return len(p), nil
-}
-
-func (c *dieAfterReplyConn) ReadFrom(p []byte) (int, net.Addr, error) {
-	r, ok := <-c.reply
-	if !ok {
-		return 0, nil, errors.New("socket died")
-	}
-	return copy(p, r), fakeAddr{}, nil
-}
-
-func (c *dieAfterReplyConn) Close() error                     { return nil }
-func (c *dieAfterReplyConn) LocalAddr() net.Addr              { return fakeAddr{} }
-func (c *dieAfterReplyConn) SetDeadline(time.Time) error      { return nil }
-func (c *dieAfterReplyConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *dieAfterReplyConn) SetWriteDeadline(time.Time) error { return nil }
-
 type fakeAddr struct{}
 
 func (fakeAddr) Network() string { return "fake" }
 func (fakeAddr) String() string  { return "fake" }
-
-// TestUDPCallPrefersReplyOverTransportError: the reader delivers a valid
-// reply and immediately afterwards the socket dies, closing dmx.done.
-// Call's select then has two ready arms; whichever fires, the call must
-// return the reply, not the transport error. Iterated because select
-// picks ready arms at random.
-func TestUDPCallPrefersReplyOverTransportError(t *testing.T) {
-	for i := 0; i < 25; i++ {
-		conn := newDieAfterReplyConn(t)
-		c := NewUDP(conn, fakeAddr{}, Config{
-			Prog: 1, Vers: 1,
-			Timeout:    10 * time.Second,
-			Retransmit: time.Hour, // keep retransmission out of the race
-		})
-		var got uint32
-		err := c.Call(1, Void, func(x *xdr.XDR) error { return x.Uint32(&got) })
-		if err != nil {
-			t.Fatalf("iteration %d: Call = %v, want reply 4321", i, err)
-		}
-		if got != 4321 {
-			t.Fatalf("iteration %d: result = %d", i, got)
-		}
-		_ = c.Close()
-	}
-}
 
 // TestUDPRetransmitAfterDrop: the first request datagram is dropped by
 // the network; the call must retransmit after cfg.Retransmit and

@@ -48,6 +48,16 @@ func newFusedSimPair(t *testing.T, cfg Config) (*UDP, *server.Server) {
 	return c, srv
 }
 
+// fusedEntry reports whether proc's cached whole-call codecs for the
+// plan pair are the fused (or compiled) ones rather than the
+// template+Marshal pair of an unfusable plan.
+func fusedEntry(e *engine, proc uint32, plan *wire.Plan[[]int32]) bool {
+	p := e.lookup(proc, plan.Codec(), plan.Codec())
+	_, genericCall := p.call.(*planCall)
+	_, genericRep := p.rep.(planReply)
+	return !genericCall && !genericRep
+}
+
 // TestCallTypedFusedRoundTrip drives typed calls over netsim and checks
 // that they actually took the fused path: the per-procedure plan cache
 // must hold a compiled whole-call codec afterwards.
@@ -63,15 +73,14 @@ func TestCallTypedFusedRoundTrip(t *testing.T) {
 			t.Fatalf("bad echo: %v", out)
 		}
 	}
-	e := c.planned.lookup(c.tmpl, fusedProc, fusedArgPlan.Codec(), fusedArgPlan.Codec())
-	if e == nil || e.call == nil || e.rep == nil {
+	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
 		t.Fatal("typed call did not compile a fused whole-call codec")
 	}
 }
 
 // TestCallTypedGenericPlanFallsBack: interpretive-mode plans have no
-// flat program to fuse, so CallTyped must take the closure path — and
-// still round-trip.
+// flat program to fuse, so CallTyped must fall back to the cached
+// template+Marshal codec — and still round-trip.
 func TestCallTypedGenericPlanFallsBack(t *testing.T) {
 	c, srv := newFusedSimPair(t, Config{Timeout: 5 * time.Second})
 	server.RegisterTyped(srv, fusedProg, fusedVers, 2, fusedGenPlan, fusedGenPlan,
@@ -84,7 +93,7 @@ func TestCallTypedGenericPlanFallsBack(t *testing.T) {
 	if len(out) != 2 || out[1] != 8 {
 		t.Fatalf("bad echo: %v", out)
 	}
-	if e := c.planned.lookup(c.tmpl, 2, fusedGenPlan.Codec(), fusedGenPlan.Codec()); e != nil {
+	if fusedEntry(&c.engine, 2, fusedGenPlan) {
 		t.Fatal("generic plan unexpectedly fused")
 	}
 }
@@ -98,18 +107,18 @@ func TestCallTypedPlanSwitchRecompiles(t *testing.T) {
 	c, _ := newFusedSimPair(t, Config{Timeout: 5 * time.Second})
 	in := []int32{1, 2, 3}
 	var out []int32
-	// First caller uses interpretive plans: closure path, negative entry.
+	// First caller uses interpretive plans: an unfused entry.
 	if err := CallTyped(c, fusedProc, fusedGenPlan, &in, fusedGenPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if e := c.planned.lookup(c.tmpl, fusedProc, fusedGenPlan.Codec(), fusedGenPlan.Codec()); e != nil {
+	if fusedEntry(&c.engine, fusedProc, fusedGenPlan) {
 		t.Fatal("generic pair unexpectedly fused")
 	}
 	// A later caller with specialized plans must still get fusion.
 	if err := CallTyped(c, fusedProc, fusedArgPlan, &in, fusedArgPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if e := c.planned.lookup(c.tmpl, fusedProc, fusedArgPlan.Codec(), fusedArgPlan.Codec()); e == nil {
+	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
 		t.Fatal("specialized pair did not fuse after a generic-plan call")
 	}
 	// And a distinct-but-equivalent specialized pair round-trips too.

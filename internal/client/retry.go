@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -164,27 +163,6 @@ type ReconnectStats struct {
 	// RedialFailures is the dial attempts that failed (each backs off
 	// under the retry policy before the next).
 	RedialFailures uint64
-}
-
-// retryCounters is the atomic backing store shared by both transports.
-type retryCounters struct {
-	retransmits, retries, budgetDenied atomic.Uint64
-	reconnects, redialFailures         atomic.Uint64
-}
-
-func (c *retryCounters) retryStats() RetryStats {
-	return RetryStats{
-		Retransmits:  c.retransmits.Load(),
-		Retries:      c.retries.Load(),
-		BudgetDenied: c.budgetDenied.Load(),
-	}
-}
-
-func (c *retryCounters) reconnectStats() ReconnectStats {
-	return ReconnectStats{
-		Reconnects:     c.reconnects.Load(),
-		RedialFailures: c.redialFailures.Load(),
-	}
 }
 
 // TransportError reports a transport-level call failure on a stream

@@ -244,7 +244,7 @@ func TestFusedCallSurvivesReconnectByteIdentical(t *testing.T) {
 	if len(out) != len(in) || out[0] != 3 || out[7] != 6 {
 		t.Fatalf("bad echo after reconnect: %v", out)
 	}
-	if e := c.planned.lookup(c.tmpl, fusedProc, fusedArgPlan.Codec(), fusedArgPlan.Codec()); e == nil {
+	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
 		t.Fatal("call did not take the fused path")
 	}
 	if rc := c.ReconnectStats(); rc.Reconnects != 1 {

@@ -13,23 +13,23 @@ import (
 // codec-based entry point generated stubs route through. A nil plan
 // marks a void side.
 //
-// On the package's own transports the call runs through a fused
-// whole-call codec: the header template and the argument plan execute
-// as one residual program over one buffer (compiled on first use of
-// each procedure and cached), and the results decode straight out of
-// the accepted-success reply. Procedures that cannot fuse — exotic
-// auth the template compiler rejects, or interpretive-mode plans —
-// take the closure adapter below, byte-identical on the wire either
-// way, so typed and closure calls multiplex freely on one connection.
+// On the package's own transports the call runs through a whole-call
+// codec cached per procedure on first use: for plans with a flat
+// program the header template and the argument plan execute as one
+// residual program over one buffer (rpcgen-compiled or fused), and the
+// results decode straight out of the accepted-success reply;
+// interpretive-mode plans get the template plus their generic Marshal.
+// The wire bytes are identical either way, so typed and closure calls
+// multiplex freely on one connection.
 func CallTyped[A, R any](c Caller, proc uint32, args *wire.Plan[A], arg *A, results *wire.Plan[R], res *R) error {
 	return CallTypedCtx(context.Background(), c, proc, args, arg, results, res)
 }
 
 // CallTypedCtx is CallTyped with a per-call context: the context's
 // deadline and cancellation compose with the client's global timeout
-// exactly as in CallCtx, on both the fused and the closure path (the
-// closure fallback requires the transport to implement CtxCaller; a
-// plain Caller falls back to Call and ignores the context).
+// exactly as in CallCtx. A foreign Caller only speaks closures, so it
+// gets a closure pair over the plans (and the context only if it
+// implements CtxCaller).
 func CallTypedCtx[A, R any](ctx context.Context, c Caller, proc uint32, args *wire.Plan[A], arg *A, results *wire.Plan[R], res *R) error {
 	if pc, ok := c.(plannedCaller); ok {
 		var argc, resc *wire.Codec
@@ -40,9 +40,7 @@ func CallTypedCtx[A, R any](ctx context.Context, c Caller, proc uint32, args *wi
 		if results != nil {
 			resc, rp = results.Codec(), unsafe.Pointer(res)
 		}
-		if handled, err := pc.callPlanned(ctx, proc, argc, ap, resc, rp); handled {
-			return err
-		}
+		return pc.callPlanned(ctx, proc, argc, ap, resc, rp)
 	}
 	am := Void
 	if args != nil {

@@ -13,28 +13,32 @@ import (
 	"specrpc/internal/xdr"
 )
 
-// The fused dispatch path must be observationally identical to the
-// generic walk: same replies byte for byte, for success and for every
-// error outcome. These tests register the same echo through
-// RegisterTyped (which installs both the fused entry and the generic
-// fallback) and through an equivalent closure-only registration, then
-// compare handleCall outputs.
+// Every way of registering a procedure must be observationally
+// identical: same replies byte for byte, for success and for every
+// error outcome. These tests register the same echo through Register,
+// through RegisterTyped with specialized plans, and through
+// RegisterTyped with Generic-mode plans, then compare handleCall's
+// output with a reference built by ReplyHeader.Marshal.
 
-var fusedTestPlan = wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Specialized)
+var (
+	fusedTestPlan   = wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Specialized)
+	genericTestPlan = wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Generic)
+)
 
 // newTypedServer registers the echo (and a failing proc) through the
-// typed entry points, engaging the fused dispatch table.
-func newTypedServer() *Server {
+// typed entry point over plan.
+func newTypedServerOn(plan *wire.Plan[[]int32]) *Server {
 	s := New()
-	RegisterTyped(s, testProg, testVers, procEcho, fusedTestPlan, fusedTestPlan,
+	RegisterTyped(s, testProg, testVers, procEcho, plan, plan,
 		func(arg *[]int32) (*[]int32, error) { return arg, nil })
-	RegisterTyped(s, testProg, testVers, procFail, fusedTestPlan, fusedTestPlan,
+	RegisterTyped(s, testProg, testVers, procFail, plan, plan,
 		func(arg *[]int32) (*[]int32, error) { return nil, errors.New("handler exploded") })
 	return s
 }
 
-// newClosureServer is the same service through closure registrations
-// only: the reference for byte-identical replies.
+func newTypedServer() *Server { return newTypedServerOn(fusedTestPlan) }
+
+// newClosureServer is the same service through closure registrations.
 func newClosureServer() *Server {
 	s := New()
 	s.Register(testProg, testVers, procEcho, func(dec *xdr.XDR) (Marshal, error) {
@@ -54,38 +58,69 @@ func newClosureServer() *Server {
 	return s
 }
 
+// referenceReply builds a reply the interpretive way: ReplyHeader.Marshal
+// and, for a success, the results through the generic array marshaler.
+func referenceReply(t *testing.T, rh rpcmsg.ReplyHeader, results []int32) []byte {
+	t.Helper()
+	bs := xdr.NewBufEncode(nil)
+	enc := xdr.NewEncoder(bs)
+	if err := rh.Marshal(enc); err != nil {
+		t.Fatal(err)
+	}
+	if rh.AcceptStat == rpcmsg.Success {
+		if err := xdr.Array(enc, &results, xdr.NoSizeLimit, (*xdr.XDR).Long); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bs.Buffer()
+}
+
 func TestTypedDispatchByteIdentical(t *testing.T) {
-	typed := newTypedServer()
-	closure := newClosureServer()
-	if typed.typedFor(testProg, testVers, procEcho) == nil {
-		t.Fatal("RegisterTyped did not install a fused dispatch entry")
+	servers := map[string]*Server{
+		"closure":       newClosureServer(),
+		"typed":         newTypedServer(),
+		"typed-generic": newTypedServerOn(genericTestPlan),
+	}
+	// A second registered version makes the mismatch bounds distinct.
+	for _, s := range servers {
+		s.Register(testProg, testVers+3, procEcho, echoProc)
 	}
 
 	in := []int32{4, 5, 6, 7}
-	cases := map[string][]byte{
-		"success": buildCall(t, 11, testVers, procEcho, func(x *xdr.XDR) error {
-			return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long)
-		}),
-		// Truncated argument body: GARBAGE_ARGS on both paths.
-		"garbage": append(buildCall(t, 12, testVers, procEcho, nil), 0, 0, 0, 9),
-		"system-err": buildCall(t, 13, testVers, procFail, func(x *xdr.XDR) error {
-			return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long)
-		}),
-		"proc-unavail": buildCall(t, 14, testVers, 99, nil),
-		"prog-unavail": func() []byte {
+	inArgs := func(x *xdr.XDR) error { return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long) }
+	mismatch := rpcmsg.ErrorReply(16, rpcmsg.ProgMismatch)
+	mismatch.Mismatch = rpcmsg.MismatchInfo{Low: testVers, High: testVers + 3}
+	cases := []struct {
+		name string
+		req  []byte
+		want rpcmsg.ReplyHeader
+	}{
+		{"success", buildCall(t, 11, testVers, procEcho, inArgs), rpcmsg.AcceptedReply(11)},
+		// Truncated argument body: a count with no elements behind it.
+		{"garbage", append(buildCall(t, 12, testVers, procEcho, nil), 0, 0, 0, 9),
+			rpcmsg.ErrorReply(12, rpcmsg.GarbageArgs)},
+		{"system-err", buildCall(t, 13, testVers, procFail, inArgs), rpcmsg.ErrorReply(13, rpcmsg.SystemErr)},
+		{"proc-unavail", buildCall(t, 14, testVers, 99, nil), rpcmsg.ErrorReply(14, rpcmsg.ProcUnavail)},
+		{"prog-unavail", func() []byte {
 			b := buildCall(t, 15, testVers, procEcho, nil)
 			b[15] = 0x42 // clobber prog
 			return b
-		}(),
+		}(), rpcmsg.ErrorReply(15, rpcmsg.ProgUnavail)},
+		{"prog-mismatch", buildCall(t, 16, testVers+9, procEcho, nil), mismatch},
 	}
-	for name, req := range cases {
-		got, gotErr := typed.handleCall(req, make([]byte, 0, 4096))
-		want, wantErr := closure.handleCall(req, make([]byte, 0, 4096))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: typed err=%v closure err=%v", name, gotErr, wantErr)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: typed reply differs from closure reply\n got %x\nwant %x", name, got, want)
+	for _, tc := range cases {
+		want := referenceReply(t, tc.want, in)
+		for name, s := range servers {
+			// A reserved prefix, as the stream path passes: the reply must
+			// follow it and leave it alone, on the rewind paths too.
+			prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF}
+			got, err := s.handleCall(tc.req, append(make([]byte, 0, 4096), prefix...))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, name, err)
+			}
+			if !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], want) {
+				t.Errorf("%s/%s: reply differs from the reference\n got %x\nwant %x%x", tc.name, name, got, prefix, want)
+			}
 		}
 	}
 }
@@ -113,13 +148,31 @@ func TestTypedDispatchVoidResult(t *testing.T) {
 	}
 }
 
-// TestRegisterClearsTypedEntry: re-registering a triple through the
-// closure API must also drop the stale fused entry.
-func TestRegisterClearsTypedEntry(t *testing.T) {
-	s := newTypedServer()
-	s.Register(testProg, testVers, procEcho, echoProc)
-	if s.typedFor(testProg, testVers, procEcho) != nil {
-		t.Fatal("closure re-registration left the fused entry in place")
+// TestRegisterReplacesTypedHandler: the table holds one handler per
+// triple, so re-registering through the other API replaces it — in
+// either direction — instead of leaving a stale entry to shadow it.
+func TestRegisterReplacesTypedHandler(t *testing.T) {
+	req := buildCall(t, 51, testVers, procFail, func(x *xdr.XDR) error {
+		arr := []int32{1}
+		return xdr.Array(x, &arr, xdr.NoSizeLimit, (*xdr.XDR).Long)
+	})
+	stat := func(s *Server) rpcmsg.AcceptStat {
+		out, err := s.handleCall(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rh, _ := decodeReply(t, out)
+		return rh.AcceptStat
+	}
+	s := newTypedServer() // procFail: SYSTEM_ERR
+	s.Register(testProg, testVers, procFail, echoProc)
+	if got := stat(s); got != rpcmsg.Success {
+		t.Fatalf("after closure re-registration: %v, want the closure handler's SUCCESS", got)
+	}
+	RegisterTyped(s, testProg, testVers, procFail, fusedTestPlan, fusedTestPlan,
+		func(arg *[]int32) (*[]int32, error) { return nil, errors.New("handler exploded") })
+	if got := stat(s); got != rpcmsg.SystemErr {
+		t.Fatalf("after typed re-registration: %v, want the typed handler's SYSTEM_ERR", got)
 	}
 }
 

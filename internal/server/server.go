@@ -54,20 +54,18 @@ type procKey struct {
 	prog, vers, proc uint32
 }
 
-// TypedProc handles one procedure on the fused fast path: body holds
+// TypedProc is the one handler shape the dispatch table holds: body is
 // the raw argument bytes located at fixed offsets by rpcmsg.CallBody,
-// and the handler appends its complete success reply (fused header +
-// results) onto bs. Returning an error (ErrGarbageArgs for argument
-// decode failures) makes the caller emit the matching error reply,
-// byte-identical to the generic path's.
+// and the handler appends its complete success reply (header + results)
+// onto bs. Returning an error makes handleCall rewind bs and emit the
+// matching error reply: GARBAGE_ARGS for ErrGarbageArgs, SYSTEM_ERR for
+// anything else. Register and RegisterTyped both install one.
 type TypedProc func(body []byte, xid uint32, bs *xdr.BufStream) error
 
 // Server dispatches RPC calls to registered procedures.
 type Server struct {
-	mu       sync.RWMutex // guards procs, typed, versions
-	procs    map[procKey]Proc
-	typed    map[procKey]TypedProc // fused fast-path dispatch table
-	versions map[uint32][2]uint32  // prog -> [low, high] registered versions
+	mu       sync.RWMutex // guards procs
+	procs    map[procKey]TypedProc
 	cache    *replyCache
 	inflight *inflightSet
 	bufSize  int
@@ -86,15 +84,13 @@ type Server struct {
 	// ServeUDP loop, for the DatagramIOStats counters.
 	dgio atomic.Pointer[batchio.Conn]
 
-	// typedCount mirrors len(typed) for a lock-free gate: servers with
-	// no typed registrations skip the fused-path probe entirely.
-	typedCount atomic.Int32
-	truncated  atomic.Uint64
-	cacheHits  atomic.Uint64 // duplicate calls answered from the reply cache
-	qdrops     atomic.Uint64 // datagrams shed by admission control
-	connDrops  atomic.Uint64 // connections refused by the limit
-	idleDrops  atomic.Uint64 // connections reaped by the idle timeout
-	conns      atomic.Int64  // live stream connections
+	truncated atomic.Uint64
+	cacheHits atomic.Uint64 // duplicate calls answered from the reply cache
+	qdrops    atomic.Uint64 // datagrams shed by admission control
+	connDrops atomic.Uint64 // connections refused by the limit
+	idleDrops atomic.Uint64 // connections reaped by the idle timeout
+	panics    atomic.Uint64 // handler panics contained as SYSTEM_ERR
+	conns     atomic.Int64  // live stream connections
 
 	wg        sync.WaitGroup
 	closeMu   sync.Mutex // guards closers, closerSeq, closed
@@ -255,9 +251,7 @@ func New(opts ...Option) *Server {
 		workers = 8
 	}
 	s := &Server{
-		procs:    make(map[procKey]Proc),
-		typed:    make(map[procKey]TypedProc),
-		versions: make(map[uint32][2]uint32),
+		procs:    make(map[procKey]TypedProc),
 		bufSize:  8900,
 		workers:  workers,
 		cacheCap: 128,
@@ -285,68 +279,70 @@ func New(opts ...Option) *Server {
 }
 
 // Register installs the handler for (prog, vers, proc), the svc_register
-// step. Registering the same triple twice replaces the handler — and
-// clears any fused fast-path entry, so a later closure registration
-// cannot be shadowed by a stale specialized one.
+// step. Registering the same triple twice replaces the handler. The
+// closure API is an adapter over the table's handler shape: a pooled
+// decoder over the argument bytes, the precompiled success header, then
+// the results closure on a pooled encode handle.
 func (s *Server) Register(prog, vers, proc uint32, h Proc) {
-	s.registerBoth(prog, vers, proc, h, nil)
+	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
+		d := xdr.GetDec(body)
+		results, err := h(&d.X)
+		xdr.PutDec(d)
+		if err != nil {
+			return err
+		}
+		appendSuccess(bs, xid)
+		if results == nil {
+			return nil
+		}
+		// The handle escapes into the closure, so it is borrowed — and
+		// pointed at the caller's stream — rather than built per call.
+		e := xdr.GetEnc(nil)
+		e.X.Stream = bs
+		err = results(&e.X)
+		xdr.PutEnc(e)
+		if err != nil {
+			return errEncodeResults
+		}
+		return nil
+	})
 }
 
-// registerBoth installs the generic handler and (when th is non-nil)
-// its fused fast-path entry in one lock acquisition, so the two
-// dispatch tables can never disagree about which registration a triple
-// belongs to — concurrent registrations interleave whole, not halved.
-func (s *Server) registerBoth(prog, vers, proc uint32, h Proc, th TypedProc) {
+// errEncodeResults reports a results closure that failed mid-encode. It
+// deliberately wraps nothing: whatever the closure returned, the reply
+// is SYSTEM_ERR.
+var errEncodeResults = errors.New("server: results failed to encode")
+
+// register installs h for the triple, replacing any earlier handler.
+func (s *Server) register(prog, vers, proc uint32, h TypedProc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := procKey{prog, vers, proc}
-	s.procs[k] = h
-	if th != nil {
-		s.typed[k] = th
-	} else {
-		delete(s.typed, k)
-	}
-	s.typedCount.Store(int32(len(s.typed)))
-	r, ok := s.versions[prog]
-	if !ok {
-		s.versions[prog] = [2]uint32{vers, vers}
-		return
-	}
-	if vers < r[0] {
-		r[0] = vers
-	}
-	if vers > r[1] {
-		r[1] = vers
-	}
-	s.versions[prog] = r
+	s.procs[procKey{prog, vers, proc}] = h
 }
 
-// typedFor resolves the fused dispatch entry for a routing triple, or
-// nil when the call must take the generic walk.
-func (s *Server) typedFor(prog, vers, proc uint32) TypedProc {
+// lookup resolves a routing triple to its handler, or to the RFC 1057
+// accept_stat that refuses it — with, for PROG_MISMATCH, the range of
+// versions the program is registered under. Refusals are the cold path,
+// so the range is read off the table itself rather than kept in step
+// beside it.
+func (s *Server) lookup(prog, vers, proc uint32) (TypedProc, rpcmsg.AcceptStat, rpcmsg.MismatchInfo) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.typed[procKey{prog, vers, proc}]
-}
-
-// dispatch resolves a call header to a handler or an error reply status.
-func (s *Server) dispatch(h *rpcmsg.CallHeader) (Proc, rpcmsg.ReplyHeader) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vers, ok := s.versions[h.Prog]
-	if !ok {
-		return nil, rpcmsg.ErrorReply(h.XID, rpcmsg.ProgUnavail)
+	if h, ok := s.procs[procKey{prog, vers, proc}]; ok {
+		return h, rpcmsg.Success, rpcmsg.MismatchInfo{}
 	}
-	if h.Vers < vers[0] || h.Vers > vers[1] {
-		r := rpcmsg.ErrorReply(h.XID, rpcmsg.ProgMismatch)
-		r.Mismatch = rpcmsg.MismatchInfo{Low: vers[0], High: vers[1]}
-		return nil, r
+	stat := rpcmsg.ProgUnavail
+	vr := rpcmsg.MismatchInfo{Low: ^uint32(0)}
+	for k := range s.procs {
+		if k.prog == prog {
+			stat = rpcmsg.ProcUnavail
+			vr.Low, vr.High = min(vr.Low, k.vers), max(vr.High, k.vers)
+		}
 	}
-	proc, ok := s.procs[procKey{h.Prog, h.Vers, h.Proc}]
-	if !ok {
-		return nil, rpcmsg.ErrorReply(h.XID, rpcmsg.ProcUnavail)
+	if stat == rpcmsg.ProcUnavail && (vers < vr.Low || vers > vr.High) {
+		stat = rpcmsg.ProgMismatch
 	}
-	return proc, rpcmsg.AcceptedReply(h.XID)
+	return nil, stat, vr
 }
 
 // successTemplate is the precompiled accepted-success reply header
@@ -355,101 +351,69 @@ func (s *Server) dispatch(h *rpcmsg.CallHeader) (Proc, rpcmsg.ReplyHeader) {
 // one word instead of walking the generic header encoder.
 var successTemplate = rpcmsg.MustReplyTemplate(rpcmsg.None())
 
+// appendSuccess appends the accepted-success header for xid onto bs.
+func appendSuccess(bs *xdr.BufStream, xid uint32) {
+	successTemplate.CopyTo(bs.Extend(successTemplate.Len()), xid)
+}
+
+// errBadCallHeader reports a message the fixed-offset call parse
+// rejects — exactly the messages CallHeader.Marshal rejects
+// (FuzzCallBody). There is no XID to reply to; datagram transports drop
+// it, as svc_udp did, and stream transports close the connection.
+var errBadCallHeader = errors.New("server: bad call header")
+
 // handleCall decodes one request from req and produces the reply bytes,
 // appending after replyBuf's existing contents (the TCP path reserves
 // the record mark there) and growing the backing array when the reply
-// is larger. It is shared by the UDP and TCP paths and safe to run from
-// many workers at once.
+// is larger. The routing triple and argument bytes are located at fixed
+// offsets; the handler appends the whole success reply itself, and every
+// refusal or handler failure rewinds to the reserved prefix and marshals
+// the RFC 1057 error reply. It is shared by the UDP and TCP paths and
+// safe to run from many workers at once.
+//
+//specrpc:hotpath
 func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
-	// Fused fast path: locate the routing triple and argument bytes at
-	// fixed offsets and jump straight to the per-procedure specialized
-	// handler, skipping the generic header walk and dispatch. Anything
-	// the fixed-offset parse rejects, and every triple without a fused
-	// registration, falls through to the interpretive path below —
-	// which accepts exactly the same messages and produces identical
-	// replies. The atomic gate keeps closure-only servers from paying
-	// the parse and the extra lock acquisition on every message.
-	if s.typedCount.Load() != 0 {
-		if xid, prog, vers, proc, body, ok := rpcmsg.CallBody(req); ok {
-			if th := s.typedFor(prog, vers, proc); th != nil {
-				return s.handleTyped(th, body, xid, replyBuf)
-			}
-		}
+	xid, prog, vers, proc, body, ok := rpcmsg.CallBody(req)
+	if !ok {
+		return nil, errBadCallHeader
 	}
-	d := xdr.GetDec(req)
-	defer xdr.PutDec(d)
-	var hdr rpcmsg.CallHeader
-	if err := hdr.Marshal(&d.X); err != nil {
-		// Undecodable header: no XID to reply to; drop, as svc_udp did.
-		return nil, fmt.Errorf("server: bad call header: %w", err)
-	}
-
-	proc, rh := s.dispatch(&hdr)
-	var results Marshal
-	if proc != nil {
-		var err error
-		results, err = proc(&d.X)
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrGarbageArgs):
-			rh = rpcmsg.ErrorReply(hdr.XID, rpcmsg.GarbageArgs)
-			results = nil
-		default:
-			rh = rpcmsg.ErrorReply(hdr.XID, rpcmsg.SystemErr)
-			results = nil
-		}
-	}
-
-	base := len(replyBuf)
 	e := xdr.GetEnc(replyBuf)
 	defer xdr.PutEnc(e)
-	if rh.Stat == rpcmsg.MsgAccepted && rh.AcceptStat == rpcmsg.Success &&
-		rh.Verf.Flavor == rpcmsg.AuthNone && len(rh.Verf.Body) == 0 {
-		successTemplate.CopyTo(e.BS.Extend(successTemplate.Len()), rh.XID)
-	} else if err := rh.Marshal(&e.X); err != nil {
-		return nil, fmt.Errorf("server: marshal reply header: %w", err)
-	}
-	if results != nil {
-		if err := results(&e.X); err != nil {
-			// Results failed to encode: restart with SYSTEM_ERR, keeping
-			// any reserved prefix in place.
-			if err2 := e.BS.SetPos(base); err2 != nil {
-				return nil, fmt.Errorf("server: marshal error reply: %w", err2)
-			}
-			se := rpcmsg.ErrorReply(hdr.XID, rpcmsg.SystemErr)
-			if err2 := se.Marshal(&e.X); err2 != nil {
-				return nil, fmt.Errorf("server: marshal error reply: %w", err2)
-			}
+	h, stat, vr := s.lookup(prog, vers, proc)
+	if h != nil {
+		if stat = s.invoke(h, body, xid, &e.BS); stat == rpcmsg.Success {
+			return e.BS.Buffer(), nil
 		}
+		// Rewind past anything a partially-failed handler wrote, keeping
+		// the reserved prefix in place.
+		e.BS.SetBuffer(e.BS.Buffer()[:len(replyBuf)])
+	}
+	rh := rpcmsg.ErrorReply(xid, stat)
+	rh.Mismatch = vr
+	if err := rh.Marshal(&e.X); err != nil {
+		return nil, fmt.Errorf("server: marshal error reply: %w", err) //specvet:ok hotpath (error path only)
 	}
 	return e.BS.Buffer(), nil
 }
 
-// handleTyped runs one call through its fused handler: the success
-// reply (precompiled header + result plan) is appended in one pass by
-// the handler itself; error outcomes rewind the buffer and marshal the
-// same error replies the generic path produces.
-func (s *Server) handleTyped(th TypedProc, body []byte, xid uint32, replyBuf []byte) ([]byte, error) {
-	base := len(replyBuf)
-	var bs xdr.BufStream
-	bs.SetBuffer(replyBuf)
-	err := th(body, xid, &bs)
-	if err == nil {
-		return bs.Buffer(), nil
+// invoke is the single point every handler runs at. It maps the
+// handler's outcome to an accept_stat and contains a panic: a handler
+// bug answers its one call with SYSTEM_ERR, counted, instead of taking
+// down the process and every other call in it.
+func (s *Server) invoke(h TypedProc, body []byte, xid uint32, bs *xdr.BufStream) (stat rpcmsg.AcceptStat) {
+	defer func() {
+		if recover() != nil {
+			s.panics.Add(1)
+			stat = rpcmsg.SystemErr
+		}
+	}()
+	switch err := h(body, xid, bs); {
+	case err == nil:
+		return rpcmsg.Success
+	case errors.Is(err, ErrGarbageArgs):
+		return rpcmsg.GarbageArgs
 	}
-	stat := rpcmsg.SystemErr
-	if errors.Is(err, ErrGarbageArgs) {
-		stat = rpcmsg.GarbageArgs
-	}
-	// Rewind past anything a partially-failed handler wrote, keeping
-	// the reserved prefix (the TCP record mark) in place.
-	e := xdr.GetEnc(bs.Buffer()[:base])
-	defer xdr.PutEnc(e)
-	rh := rpcmsg.ErrorReply(xid, stat)
-	if err := rh.Marshal(&e.X); err != nil {
-		return nil, fmt.Errorf("server: marshal error reply: %w", err)
-	}
-	return e.BS.Buffer(), nil
+	return rpcmsg.SystemErr
 }
 
 // dgram is one received datagram in flight to a worker.
@@ -610,6 +574,10 @@ func (s *Server) ConnLimitDrops() uint64 { return s.connDrops.Load() }
 // IdleDrops reports how many stream connections the WithIdleTimeout
 // reaper has closed for staying silent a full window.
 func (s *Server) IdleDrops() uint64 { return s.idleDrops.Load() }
+
+// HandlerPanics reports how many handler panics were contained and
+// answered with SYSTEM_ERR.
+func (s *Server) HandlerPanics() uint64 { return s.panics.Load() }
 
 // Conns reports the number of stream connections currently being served.
 func (s *Server) Conns() int { return int(s.conns.Load()) }

@@ -38,7 +38,7 @@ func newTestServer() *Server {
 }
 
 // buildCall marshals a call message for the test program.
-func buildCall(t *testing.T, xid, vers, proc uint32, args func(x *xdr.XDR) error) []byte {
+func buildCall(t testing.TB, xid, vers, proc uint32, args func(x *xdr.XDR) error) []byte {
 	t.Helper()
 	buf := make([]byte, 4096)
 	mem := xdr.NewMemEncode(buf)

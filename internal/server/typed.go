@@ -15,42 +15,14 @@ import (
 // Argument decode failures become GARBAGE_ARGS, exactly as on the
 // closure path.
 //
-// Alongside the generic registration, procedures whose plans carry a
-// compiled flat program (any non-Generic mode) also get an entry in the
-// server's fused dispatch table: requests recognized at fixed offsets
-// skip the interpretive header walk, decode their arguments straight
-// from the datagram or record bytes, and append the success reply —
-// precompiled header plus result plan — in one pass. The generic
-// registration remains the fallback for everything else and produces
-// byte-identical replies.
+// The one handler it installs decodes its arguments straight from the
+// datagram or record bytes and appends the success reply — precompiled
+// header plus results — in one pass, each side on the best rung its
+// plan reaches: an rpcgen-emitted compiled routine, else the plan
+// executor, else (Generic-mode plans, which have no flat program) the
+// interpretive walker. Every rung produces byte-identical replies.
 func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 	args *wire.Plan[A], results *wire.Plan[R], h func(arg *A) (*R, error)) {
-	generic := func(dec *xdr.XDR) (Marshal, error) {
-		var arg A
-		if args != nil {
-			if err := args.Marshal(dec, &arg); err != nil {
-				return nil, errors.Join(ErrGarbageArgs, err)
-			}
-		}
-		res, err := h(&arg)
-		if err != nil {
-			return nil, err
-		}
-		if results == nil || res == nil {
-			return voidReply, nil
-		}
-		return func(enc *xdr.XDR) error { return results.Marshal(enc, res) }, nil
-	}
-	// Both entries are installed in one step: a concurrent registration
-	// on the same triple then replaces (or is replaced by) this one as
-	// a whole, never leaving this fused handler paired with someone
-	// else's generic one.
-	s.registerBoth(prog, vers, proc, generic, compileTypedProc(args, results, h))
-}
-
-// compileTypedProc builds the fused fast-path handler, or nil when the
-// procedure must stay on the generic path (interpretive-mode plans).
-func compileTypedProc[A, R any](args *wire.Plan[A], results *wire.Plan[R], h func(arg *A) (*R, error)) TypedProc {
 	var argc, resc *wire.Codec
 	if args != nil {
 		argc = args.Codec()
@@ -58,21 +30,12 @@ func compileTypedProc[A, R any](args *wire.Plan[A], results *wire.Plan[R], h fun
 	if results != nil {
 		resc = results.Codec()
 	}
-	if (argc != nil && argc.Mode() == wire.Generic) ||
-		(resc != nil && resc.Mode() == wire.Generic) {
-		return nil
+	// Nil checks happen on the concrete values so a missing compiled
+	// registration never plants a typed-nil appender in the interface.
+	var rc wire.ReplyAppender = planReply{resc}
+	if fused, err := wire.NewReplyCodec(successTemplate, resc); err == nil {
+		rc = fused
 	}
-	fused, err := wire.NewReplyCodec(successTemplate, resc)
-	if err != nil {
-		return nil
-	}
-	// An rpcgen-emitted compiled routine registered for either plan takes
-	// precedence over the plan executor: the argument decode and the
-	// reply append each pick the straight-line form when one exists, and
-	// both forms produce byte-identical messages. Nil checks happen on
-	// the concrete values so a missing registration never plants a
-	// typed-nil appender in the interface.
-	var rc wire.ReplyAppender = fused
 	if crc := wire.NewCompiledReplyCodec(successTemplate, resc); crc != nil {
 		rc = crc
 	}
@@ -80,7 +43,7 @@ func compileTypedProc[A, R any](args *wire.Plan[A], results *wire.Plan[R], h fun
 	if decodeArg == nil && argc != nil {
 		decodeArg = argc.DecodeBody
 	}
-	return func(body []byte, xid uint32, bs *xdr.BufStream) error {
+	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
 		var arg A
 		if decodeArg != nil {
 			if err := decodeArg(body, unsafe.Pointer(&arg)); err != nil {
@@ -95,9 +58,22 @@ func compileTypedProc[A, R any](args *wire.Plan[A], results *wire.Plan[R], h fun
 			return rc.AppendHeader(bs, xid)
 		}
 		return rc.Append(bs, xid, unsafe.Pointer(res))
-	}
+	})
 }
 
-// voidReply is the shared empty-body marshaler, so void replies do not
-// allocate a closure per call.
-func voidReply(*xdr.XDR) error { return nil }
+// planReply is the ReplyAppender of a Generic-mode result plan, which
+// NewReplyCodec rejects: the success header, then the plan's
+// interpretive Marshal.
+type planReply struct {
+	resc *wire.Codec
+}
+
+func (r planReply) AppendHeader(bs *xdr.BufStream, xid uint32) error {
+	appendSuccess(bs, xid)
+	return nil
+}
+
+func (r planReply) Append(bs *xdr.BufStream, xid uint32, res unsafe.Pointer) error {
+	appendSuccess(bs, xid)
+	return r.resc.Marshal(&xdr.XDR{Op: xdr.Encode, Stream: bs}, res)
+}
