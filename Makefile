@@ -32,8 +32,9 @@ bench:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-readable live benchmark: the generic/specialized/chunked codec
-# comparison over netsim, UDP, and TCP, the header-path series, the
+# Machine-readable live benchmark: the generic/specialized codec
+# comparison (plus the fused and compiled whole-call series) over
+# netsim, UDP, and TCP, the header-path series, the
 # open-loop tail-latency grid (sharded call tracking vs the single-lock
 # shards=1 baseline), and the batched-vs-unbatched syscalls/op series,
 # written to BENCH_live.json so the perf trajectory is tracked from PR
@@ -98,9 +99,11 @@ batch-smoke:
 # the call-body accept-set differential (fixed-offset parse == header
 # walker), the whole-call fusion differentials (fused bytes ==
 # template-copy + plan bytes), the derivation differential
-# (tempo-derived plan == hand-built plan, bytes and errors alike), and
+# (tempo-derived plan == hand-built plan, bytes and errors alike),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
-# when the header walk does, every reply parses and echoes the XID).
+# when the header walk does, every reply parses and echoes the XID), and
+# the .x front end fed arbitrary text (Parse never panics; what it
+# accepts generates Go that parses, plan-only and compiled).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRecRead -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCallHeader -fuzztime=10s ./internal/rpcmsg
@@ -113,6 +116,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDerivedPlan -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rpcgen
 
 # Build the rpcgen-generated stubs as part of the pipeline: generate
 # from the richest testdata spec into a temp package — once plan-only,

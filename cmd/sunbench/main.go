@@ -1,8 +1,9 @@
 // Command sunbench regenerates the paper's evaluation: Tables 1-4 and
 // the six panels of Figure 6, over the calibrated IPX/SunOS and PC/Linux
 // platform models. It also measures the live concurrent transport in
-// throughput mode, and the live generic/specialized/chunked marshal-plan
-// comparison in -live-spec mode.
+// throughput mode, and the live generic/specialized marshal-plan
+// comparison in -live-spec mode (Table 4's bounded unrolling is a
+// model-track result only: -table 4).
 //
 // Usage:
 //
@@ -19,7 +20,7 @@
 //	sunbench -chaos           # goodput + retry/reconnect counters under seeded faults
 //	sunbench -chaos -transport tcp -chaos-loss 0.2 -chaos-calls 1000 -seed 42
 //	sunbench -live-spec       # live codec comparison (incl. fused + compiled whole-call) over sim, udp, tcp
-//	sunbench -live-spec -fused=false          # the three plan series only (drops fused and compiled)
+//	sunbench -live-spec -fused=false          # the two plan series only (drops fused and compiled)
 //	sunbench -live-spec -header-path -json BENCH_live.json
 //	sunbench -header-path     # generic vs templated RPC header work
 //	sunbench -throughput -cpuprofile cpu.out -memprofile mem.out
@@ -60,8 +61,8 @@ func realMain() int {
 	chaosLoss := flag.Float64("chaos-loss", 0.15, "headline fault intensity for -chaos (loss rate on datagrams, scaled reset/split rates on tcp)")
 	chaosCalls := flag.Int("chaos-calls", 400, "total calls per -chaos point")
 	seed := flag.Int64("seed", 1, "fault-schedule seed for -chaos")
-	liveSpec := flag.Bool("live-spec", false, "measure the generic/specialized/chunked marshal plans over the live transports")
-	fused := flag.Bool("fused", true, "include the fused and compiled whole-call series in -live-spec (-fused=false for the three plan series only)")
+	liveSpec := flag.Bool("live-spec", false, "measure the generic/specialized marshal plans over the live transports")
+	fused := flag.Bool("fused", true, "include the fused and compiled whole-call series in -live-spec (-fused=false for the two plan series only)")
 	liveSpecReps := flag.Int("live-spec-reps", 1, "complete -live-spec grid passes; the per-point median is reported")
 	headerPath := flag.Bool("header-path", false, "measure the generic vs templated RPC header encode/decode paths")
 	transports := flag.String("transport", "sim,udp,tcp", "comma-separated transports for -throughput and -live-spec")
@@ -205,7 +206,7 @@ func splitTransports(transports string) []string {
 	return out
 }
 
-// runLiveSpec prints the paper's three-configuration comparison measured
+// runLiveSpec prints the paper's generic/specialized comparison measured
 // on the live wire path.
 func runLiveSpec(transports string, calls, reps int, skipFused bool, out *jsonReport) error {
 	rows, err := bench.LiveSpec(bench.LiveSpecOptions{

@@ -1,9 +1,11 @@
 package bench
 
-// Live specialization mode: the paper's Generic/Specialized/Chunked
-// comparison (§5, Tables 1/2/4) measured on the real concurrent
-// transport instead of the VM cost models. One echo server exposes the
-// same int-array procedure three times, once per codec configuration;
+// Live specialization mode: the paper's Generic/Specialized comparison
+// (§5, Tables 1/2) measured on the real concurrent transport instead of
+// the VM cost models. (Table 4's bounded unrolling stays in the model
+// track, sunbench -table 4: live it measured no different from
+// Specialized.) One echo server exposes the same int-array procedure
+// once per codec configuration;
 // the harness drives each over netsim, UDP loopback, and TCP loopback
 // across the paper's array-size grid and reports wall-clock latency and
 // throughput. The numbers are measured, not modeled — this is the
@@ -36,7 +38,6 @@ const (
 var liveProcs = map[wire.Mode]uint32{
 	wire.Generic:     1,
 	wire.Specialized: 2,
-	wire.Chunked:     3,
 }
 
 // liveProcFused is the whole-call configuration: the same specialized
@@ -56,15 +57,14 @@ const FusedSeries = "fused"
 // CompiledSeries names the compiled-stub configuration.
 const CompiledSeries = "compiled"
 
-// LiveModes lists the three plan configurations in presentation order;
-// the fused series rides alongside them under FusedSeries.
-var LiveModes = []wire.Mode{wire.Generic, wire.Specialized, wire.Chunked}
+// LiveModes lists the plan configurations in presentation order; the
+// fused and compiled series ride alongside them.
+var LiveModes = []wire.Mode{wire.Generic, wire.Specialized}
 
 // livePlans compiles the int-array echo plan per mode, once.
 var livePlans = map[wire.Mode]*wire.Plan[[]int32]{
 	wire.Generic:     wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Generic),
 	wire.Specialized: wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Specialized),
-	wire.Chunked:     wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Chunked),
 }
 
 // LivePlan returns the compiled int-array plan for a configuration; the
@@ -82,7 +82,7 @@ type LiveSpecOptions struct {
 	// Warmup calls before each measurement. Default 50.
 	Warmup int
 	// SkipFused drops the fused and compiled whole-call series, leaving
-	// only the three template+plan configurations.
+	// only the template+plan configurations.
 	SkipFused bool
 	// Reps runs the whole grid this many times — complete passes, so
 	// host drift lands on every series alike, the open-loop harness's
@@ -118,7 +118,7 @@ type LiveSpecResult struct {
 	CallsPerSec float64 `json:"calls_per_sec"`
 }
 
-// newLiveServer builds the echo server: the three plan configurations
+// newLiveServer builds the echo server: the plan configurations
 // register through explicit closures — pinning them to the
 // template+plan reply encoding (success template, then the closure on a
 // pooled handle), so their series keep measuring what they measured
@@ -188,7 +188,7 @@ func liveClient(transport string, s *server.Server) (client.Caller, func(), erro
 	}
 }
 
-// LiveSpec measures the three codec configurations over the requested
+// LiveSpec measures the codec configurations over the requested
 // transports and sizes. Calls are sequential (one in flight): this is a
 // latency comparison of the marshaling layers, not a pipelining test —
 // Throughput covers that. With Reps > 1 each point reports the median
@@ -245,7 +245,7 @@ func liveSpecOnce(o LiveSpecOptions) ([]LiveSpecResult, error) {
 			}
 			out := make([]int32, n)
 
-			// The three plan series call through explicit closures — the
+			// The plan series call through explicit closures — the
 			// pre-fusion template+plan client path — and the fused series
 			// through CallTyped, which routes onto the whole-call codec.
 			type series struct {
@@ -315,86 +315,64 @@ func liveSpecOnce(o LiveSpecOptions) ([]LiveSpecResult, error) {
 }
 
 // FormatLiveSpec renders the comparison grouped per transport, one row
-// per size with the three configurations side by side and the
-// generic/specialized speedup — the live rendering of Table 2's layout.
+// per size with the configurations side by side and each one's speedup
+// over generic — the live rendering of Table 2's layout. Only series
+// that were measured get a column, so a SkipFused run prints the
+// two-configuration table instead of columns of zeros masquerading as
+// measurements.
 func FormatLiveSpec(rows []LiveSpecResult) string {
 	type key struct {
 		tr string
 		n  int
 	}
-	byPoint := map[key]map[string]LiveSpecResult{}
+	byPoint := map[key]map[string]float64{}
 	var order []key
+	measured := map[string]bool{}
 	for _, r := range rows {
 		k := key{r.Transport, r.N}
 		if byPoint[k] == nil {
-			byPoint[k] = map[string]LiveSpecResult{}
+			byPoint[k] = map[string]float64{}
 			order = append(order, k)
 		}
-		byPoint[k][r.Mode] = r
+		byPoint[k][r.Mode] = r.NsPerCall
+		measured[r.Mode] = true
 	}
-	// Render the fused and compiled columns only when those series were
-	// measured, so a SkipFused run prints the three-configuration table
-	// instead of columns of zeros masquerading as measurements.
-	hasFused, hasCompiled := false, false
-	for _, r := range rows {
-		switch r.Mode {
-		case FusedSeries:
-			hasFused = true
-		case CompiledSeries:
-			hasCompiled = true
+	type column struct{ series, title, speedup string }
+	cols := []column{{"generic", "Generic", ""}, {"specialized", "Specialized", "Spd(S)"}}
+	for _, c := range []column{{FusedSeries, "Fused", "Spd(F)"}, {CompiledSeries, "Compiled", "Spd(X)"}} {
+		if measured[c.series] {
+			cols = append(cols, c)
 		}
 	}
 	var sb strings.Builder
 	sb.WriteString("Live specialization: round-trip µs/call by marshal configuration (echo of 4-byte ints)\n")
-	switch {
-	case hasCompiled:
-		fmt.Fprintf(&sb, "%-9s %6s %12s %12s %12s %12s %12s %8s %8s %8s %8s\n",
-			"Transport", "N", "Generic", "Specialized", "Chunked", "Fused", "Compiled", "Spd(S)", "Spd(C)", "Spd(F)", "Spd(X)")
-	case hasFused:
-		fmt.Fprintf(&sb, "%-9s %6s %12s %12s %12s %12s %8s %8s %8s\n",
-			"Transport", "N", "Generic", "Specialized", "Chunked", "Fused", "Spd(S)", "Spd(C)", "Spd(F)")
-	default:
-		fmt.Fprintf(&sb, "%-9s %6s %12s %12s %12s %9s %9s\n",
-			"Transport", "N", "Generic", "Specialized", "Chunked", "Spd(S)", "Spd(C)")
+	fmt.Fprintf(&sb, "%-9s %6s", "Transport", "N")
+	for _, c := range cols {
+		fmt.Fprintf(&sb, " %12s", c.title)
 	}
+	for _, c := range cols[1:] {
+		fmt.Fprintf(&sb, " %8s", c.speedup)
+	}
+	sb.WriteString("\n")
 	last := ""
 	for _, k := range order {
 		if last != "" && last != k.tr {
 			sb.WriteString("\n")
 		}
 		last = k.tr
-		g := byPoint[k]["generic"]
-		s := byPoint[k]["specialized"]
-		c := byPoint[k]["chunked"]
-		spdS, spdC := 0.0, 0.0
-		if s.NsPerCall > 0 {
-			spdS = g.NsPerCall / s.NsPerCall
+		ns := byPoint[k]
+		fmt.Fprintf(&sb, "%-9s %6d", k.tr, k.n)
+		for _, c := range cols {
+			fmt.Fprintf(&sb, " %12.1f", ns[c.series]/1e3)
 		}
-		if c.NsPerCall > 0 {
-			spdC = g.NsPerCall / c.NsPerCall
+		for _, c := range cols[1:] {
+			spd := 0.0
+			if ns[c.series] > 0 {
+				spd = ns["generic"] / ns[c.series]
+			}
+			fmt.Fprintf(&sb, " %8.2f", spd)
 		}
-		if !hasFused {
-			fmt.Fprintf(&sb, "%-9s %6d %12.1f %12.1f %12.1f %9.2f %9.2f\n",
-				k.tr, k.n, g.NsPerCall/1e3, s.NsPerCall/1e3, c.NsPerCall/1e3, spdS, spdC)
-			continue
-		}
-		fu := byPoint[k][FusedSeries]
-		spdF := 0.0
-		if fu.NsPerCall > 0 {
-			spdF = g.NsPerCall / fu.NsPerCall
-		}
-		if !hasCompiled {
-			fmt.Fprintf(&sb, "%-9s %6d %12.1f %12.1f %12.1f %12.1f %8.2f %8.2f %8.2f\n",
-				k.tr, k.n, g.NsPerCall/1e3, s.NsPerCall/1e3, c.NsPerCall/1e3, fu.NsPerCall/1e3, spdS, spdC, spdF)
-			continue
-		}
-		co := byPoint[k][CompiledSeries]
-		spdX := 0.0
-		if co.NsPerCall > 0 {
-			spdX = g.NsPerCall / co.NsPerCall
-		}
-		fmt.Fprintf(&sb, "%-9s %6d %12.1f %12.1f %12.1f %12.1f %12.1f %8.2f %8.2f %8.2f %8.2f\n",
-			k.tr, k.n, g.NsPerCall/1e3, s.NsPerCall/1e3, c.NsPerCall/1e3, fu.NsPerCall/1e3, co.NsPerCall/1e3, spdS, spdC, spdF, spdX)
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }

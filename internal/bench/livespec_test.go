@@ -34,7 +34,7 @@ func TestLiveSpecSim(t *testing.T) {
 		}
 	}
 	out := FormatLiveSpec(rows)
-	for _, want := range []string{"Transport", "Generic", "Specialized", "Chunked", "Fused", "Compiled", "sim"} {
+	for _, want := range []string{"Transport", "Generic", "Specialized", "Fused", "Compiled", "sim"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("format missing %q:\n%s", want, out)
 		}
@@ -95,7 +95,7 @@ var benchSizes = Sizes
 
 // BenchmarkLiveSpecEncode measures the client marshaling stage (paper
 // Table 1) on the live encode path: plan -> pooled growable buffer. The
-// specialized and chunked plans must be allocation-free here.
+// specialized plan must be allocation-free here.
 func BenchmarkLiveSpecEncode(b *testing.B) {
 	for _, m := range LiveModes {
 		for _, n := range benchSizes {
@@ -157,24 +157,22 @@ func BenchmarkLiveSpecDecode(b *testing.B) {
 // TestLiveSpecEncodeAllocFree pins the acceptance criterion directly:
 // the specialized plan encodes the whole grid with zero allocations.
 func TestLiveSpecEncodeAllocFree(t *testing.T) {
-	for _, m := range []wire.Mode{wire.Specialized, wire.Chunked} {
-		for _, n := range benchSizes {
-			plan := LivePlan(m)
-			args := make([]int32, n)
-			bs := xdr.NewBufEncode(make([]byte, 0, 4*n+64))
-			enc := xdr.NewEncoder(bs)
+	plan := LivePlan(wire.Specialized)
+	for _, n := range benchSizes {
+		args := make([]int32, n)
+		bs := xdr.NewBufEncode(make([]byte, 0, 4*n+64))
+		enc := xdr.NewEncoder(bs)
+		if err := plan.Marshal(enc, &args); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			bs.Reset()
 			if err := plan.Marshal(enc, &args); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				bs.Reset()
-				if err := plan.Marshal(enc, &args); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%v N=%d: %.1f allocs/op on encode, want 0", m, n, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Errorf("N=%d: %.1f allocs/op on encode, want 0", n, allocs)
 		}
 	}
 }

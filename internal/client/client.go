@@ -427,7 +427,9 @@ func (e *engine) Call(proc uint32, args, reply Marshal) error {
 // earlier of the context deadline and the client's Timeout, and
 // cancelling the context abandons the call immediately (releasing its
 // reply slot; a late reply is dropped by the demultiplexer exactly like
-// any stale datagram). Over a stream the deadline also bounds the shared
+// any stale datagram). A reply wait that ends at the context's own
+// deadline reports context.DeadlineExceeded; one that ends at Timeout,
+// ErrTimeout. Over a stream the deadline also bounds the shared
 // record write (the batcher arms the connection's write deadline from
 // the earliest deadline in each batch).
 func (e *engine) CallCtx(ctx context.Context, proc uint32, args, reply Marshal) error {
@@ -459,6 +461,7 @@ type call struct {
 	req      callReq
 	sink     replySink
 	deadline time.Time
+	ctxBound bool             // deadline is ctx's own, not cfg.Timeout
 	expired  <-chan time.Time // fires at deadline
 }
 
@@ -493,7 +496,8 @@ func (e *engine) doCall(ctx context.Context, proc uint32, req callReq, sink repl
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c := call{ctx: ctx, proc: proc, req: req, sink: sink, deadline: callDeadline(ctx, e.cfg.Timeout)}
+	c := call{ctx: ctx, proc: proc, req: req, sink: sink}
+	c.deadline, c.ctxBound = callDeadline(ctx, e.cfg.Timeout)
 	overall := time.NewTimer(time.Until(c.deadline))
 	defer overall.Stop()
 	c.expired = overall.C
@@ -671,7 +675,15 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 			}
 			v, err = e.linkFailed(maybeSent, err)
 		case <-c.expired:
-			if err = c.ctx.Err(); err == nil {
+			// The engine's timer and the context's are due in the same
+			// instant when the deadline is the context's own; the error is
+			// the context's whichever fired first.
+			switch {
+			case c.ctx.Err() != nil:
+				err = c.ctx.Err()
+			case c.ctxBound:
+				err = context.DeadlineExceeded
+			default:
 				err = ErrTimeout
 			}
 		case <-c.ctx.Done():

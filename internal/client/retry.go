@@ -189,11 +189,13 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // callDeadline resolves a call's absolute deadline: the earlier of the
-// context deadline and now+timeout.
-func callDeadline(ctx context.Context, timeout time.Duration) time.Time {
-	dl := time.Now().Add(timeout)
+// context deadline and now+timeout. fromCtx reports that the context's
+// own deadline is the bound, so its expiry is the context's error to
+// report whichever timer notices first.
+func callDeadline(ctx context.Context, timeout time.Duration) (dl time.Time, fromCtx bool) {
+	dl = time.Now().Add(timeout)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(dl) {
-		dl = cd
+		return cd, true
 	}
-	return dl
+	return dl, false
 }

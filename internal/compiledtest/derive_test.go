@@ -63,44 +63,42 @@ func derivable(rng *rand.Rand) []struct {
 // same accept/reject and value in — for every derivable generated type.
 func TestDerivedPlanMatchesGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, mode := range []wire.Mode{wire.Specialized, wire.Chunked} {
-		for _, tc := range derivable(rng) {
-			derived, err := wire.DeriveCodec(tc.wt, tc.rt, mode)
-			if err != nil {
-				t.Errorf("%s/%v: derivation failed: %v", tc.name, mode, err)
-				continue
+	for _, tc := range derivable(rng) {
+		derived, err := wire.DeriveCodec(tc.wt, tc.rt, wire.Specialized)
+		if err != nil {
+			t.Errorf("%s: derivation failed: %v", tc.name, err)
+			continue
+		}
+		hand, err := wire.Compile(tc.wt, tc.rt, wire.Specialized)
+		if err != nil {
+			t.Fatalf("%s: hand compile: %v", tc.name, err)
+		}
+		if d, h := derived.ProgString(), hand.ProgString(); d != h {
+			t.Errorf("%s: derived program differs from hand-built\nderived:\n%s\nhand:\n%s", tc.name, d, h)
+			continue
+		}
+		for pass := 0; pass < 25; pass++ {
+			p := tc.val()
+			hb := xdr.NewBufEncode(nil)
+			if err := tc.hand.Encode(xdr.NewEncoder(hb), p); err != nil {
+				t.Fatalf("%s: hand encode: %v", tc.name, err)
 			}
-			hand, err := wire.Compile(tc.wt, tc.rt, mode)
-			if err != nil {
-				t.Fatalf("%s/%v: hand compile: %v", tc.name, mode, err)
+			db := xdr.NewBufEncode(nil)
+			if err := derived.Encode(xdr.NewEncoder(db), p); err != nil {
+				t.Fatalf("%s: derived encode: %v", tc.name, err)
 			}
-			if d, h := derived.ProgString(), hand.ProgString(); d != h {
-				t.Errorf("%s/%v: derived program differs from hand-built\nderived:\n%s\nhand:\n%s", tc.name, mode, d, h)
-				continue
+			if !bytes.Equal(db.Buffer(), hb.Buffer()) {
+				t.Fatalf("%s: derived bytes differ\n got %x\nwant %x", tc.name, db.Buffer(), hb.Buffer())
 			}
-			for pass := 0; pass < 25; pass++ {
-				p := tc.val()
-				hb := xdr.NewBufEncode(nil)
-				if err := tc.hand.Encode(xdr.NewEncoder(hb), p); err != nil {
-					t.Fatalf("%s/%v: hand encode: %v", tc.name, mode, err)
-				}
-				db := xdr.NewBufEncode(nil)
-				if err := derived.Encode(xdr.NewEncoder(db), p); err != nil {
-					t.Fatalf("%s/%v: derived encode: %v", tc.name, mode, err)
-				}
-				if !bytes.Equal(db.Buffer(), hb.Buffer()) {
-					t.Fatalf("%s/%v: derived bytes differ\n got %x\nwant %x", tc.name, mode, db.Buffer(), hb.Buffer())
-				}
-				gotH := reflect.New(tc.rt)
-				gotD := reflect.New(tc.rt)
-				herr := tc.hand.DecodeBody(hb.Buffer(), gotH.UnsafePointer())
-				derr := derived.DecodeBody(hb.Buffer(), gotD.UnsafePointer())
-				if (herr == nil) != (derr == nil) {
-					t.Fatalf("%s/%v: decode disagreement: hand=%v derived=%v", tc.name, mode, herr, derr)
-				}
-				if herr == nil && !reflect.DeepEqual(gotH.Elem().Interface(), gotD.Elem().Interface()) {
-					t.Fatalf("%s/%v: decoded values differ", tc.name, mode)
-				}
+			gotH := reflect.New(tc.rt)
+			gotD := reflect.New(tc.rt)
+			herr := tc.hand.DecodeBody(hb.Buffer(), gotH.UnsafePointer())
+			derr := derived.DecodeBody(hb.Buffer(), gotD.UnsafePointer())
+			if (herr == nil) != (derr == nil) {
+				t.Fatalf("%s: decode disagreement: hand=%v derived=%v", tc.name, herr, derr)
+			}
+			if herr == nil && !reflect.DeepEqual(gotH.Elem().Interface(), gotD.Elem().Interface()) {
+				t.Fatalf("%s: decoded values differ", tc.name)
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func (o *GoOptions) fill() {
 // closures over the generic XDR layer. The output is gofmt-formatted.
 func GenerateGo(spec *Spec, opts GoOptions) (string, error) {
 	opts.fill()
-	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool)}
+	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool), types: make(map[string]*wire.Type)}
 	if err := g.run(); err != nil {
 		return "", err
 	}
@@ -81,10 +81,11 @@ type goGen struct {
 	spec     *Spec
 	opts     GoOptions
 	sb       strings.Builder
-	compiled strings.Builder // emitted straight-line codecs, appended last
-	hasEmit  bool            // any compiled codec was emitted
-	needMath bool            // an emitted codec uses the math package
-	compat   map[string]bool // declared type name -> in wire subset
+	compiled strings.Builder       // emitted straight-line codecs, appended last
+	hasEmit  bool                  // any compiled codec was emitted
+	needMath bool                  // an emitted codec uses the math package
+	compat   map[string]bool       // declared type name -> in wire subset
+	types    map[string]*wire.Type // declared type name -> its description
 }
 
 func (g *goGen) pf(format string, args ...any) {
@@ -257,177 +258,148 @@ func (g *goGen) procTyped(p ProcDef) bool {
 	return g.refCompat(p.Arg) && g.refCompat(p.Result)
 }
 
-// wireExpr renders the wire.Type construction expression for a type use
-// already known to be in the subset.
-func (g *goGen) wireExpr(t TypeRef) (string, error) {
-	var base string
+// wireRef resolves a type use already known to be in the subset, twice
+// over from one switch: expr is the wire.Type constructor expression
+// written into the generated source, typ the same description built
+// in-process — so the tree the generated package compiles at init is the
+// tree the compiled-codec emitter reads here. typ records a Go spelling
+// only where the shape does not imply it: enums and typedef'd names.
+func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 	switch t.Kind {
 	case KindInt:
-		base = "wire.Int32T()"
+		expr, typ = "wire.Int32T()", wire.Int32T()
 	case KindUint:
-		base = "wire.Uint32T()"
+		expr, typ = "wire.Uint32T()", wire.Uint32T()
 	case KindHyper:
-		base = "wire.HyperT()"
+		expr, typ = "wire.HyperT()", wire.HyperT()
 	case KindUhyper:
-		base = "wire.UhyperT()"
+		expr, typ = "wire.UhyperT()", wire.UhyperT()
 	case KindBool:
-		base = "wire.BoolT()"
+		expr, typ = "wire.BoolT()", wire.BoolT()
 	case KindFloat:
-		base = "wire.Float32T()"
+		expr, typ = "wire.Float32T()", wire.Float32T()
 	case KindDouble:
-		base = "wire.Float64T()"
+		expr, typ = "wire.Float64T()", wire.Float64T()
 	case KindString:
-		base = fmt.Sprintf("wire.StringT(%d)", t.Bound)
+		expr, typ = fmt.Sprintf("wire.StringT(%d)", t.Bound), wire.StringT(uint32(t.Bound))
 	case KindOpaqueF:
-		base = fmt.Sprintf("wire.OpaqueFixedT(%d)", t.Bound)
+		expr, typ = fmt.Sprintf("wire.OpaqueFixedT(%d)", t.Bound), wire.OpaqueFixedT(t.Bound)
 	case KindOpaqueV:
-		base = fmt.Sprintf("wire.OpaqueVarT(%d)", t.Bound)
+		expr, typ = fmt.Sprintf("wire.OpaqueVarT(%d)", t.Bound), wire.OpaqueVarT(uint32(t.Bound))
 	case KindNamed:
-		kind, _ := g.spec.declKind(t.Name)
-		if kind == "enum" {
-			base = "wire.Int32T()" // enums are int32 on the wire
+		if kind, _ := g.spec.declKind(t.Name); kind == "enum" {
+			// Enums are int32 on the wire and cast through their own name.
+			expr, typ = "wire.Int32T()", &wire.Type{Kind: wire.Int32, Go: GoName(t.Name)}
 		} else {
-			base = wireVar(t.Name)
+			expr = wireVar(t.Name)
+			if typ, err = g.declType(t.Name); err != nil {
+				return "", nil, err
+			}
 		}
 	default:
-		return "", fmt.Errorf("rpcgen: type kind %d has no wire description", t.Kind)
+		return "", nil, fmt.Errorf("rpcgen: type kind %d has no wire description", t.Kind)
 	}
 	switch {
 	case t.FixedArray > 0:
-		base = fmt.Sprintf("wire.FixedArrayT(%d, %s)", t.FixedArray, base)
+		expr, typ = fmt.Sprintf("wire.FixedArrayT(%d, %s)", t.FixedArray, expr), wire.FixedArrayT(t.FixedArray, typ)
 	case t.VarArray:
-		base = fmt.Sprintf("wire.VarArrayT(%d, %s)", t.Bound, base)
+		expr, typ = fmt.Sprintf("wire.VarArrayT(%d, %s)", t.Bound, expr), wire.VarArrayT(uint32(t.Bound), typ)
 	}
-	return base, nil
+	return expr, typ, nil
+}
+
+// structRef is wireRef for a struct declaration: the StructT expression
+// and the tree, field by field.
+func (g *goGen) structRef(st StructDef) (expr string, typ *wire.Type, err error) {
+	exprs := make([]string, len(st.Fields))
+	fields := make([]wire.Field, len(st.Fields))
+	for i, f := range st.Fields {
+		fe, ft, err := g.wireRef(f.Type)
+		if err != nil {
+			return "", nil, fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, err)
+		}
+		exprs[i] = fmt.Sprintf("wire.F(%q, %s)", f.Name, fe)
+		fields[i] = wire.F(f.Name, ft)
+	}
+	expr = fmt.Sprintf("wire.StructT(%q,\n\t\t%s,\n\t)", st.Name, strings.Join(exprs, ",\n\t\t"))
+	return expr, wire.StructT(st.Name, fields...), nil
+}
+
+// typedefRef is wireRef for a typedef declaration: the underlying
+// shape's expression, and its tree under the declared name — what
+// allocations and casts must spell; the shape itself is unchanged.
+func (g *goGen) typedefRef(td TypedefDef) (expr string, typ *wire.Type, err error) {
+	expr, under, err := g.wireRef(td.Type)
+	if err != nil {
+		return "", nil, fmt.Errorf("typedef %s: %w", td.Name, err)
+	}
+	named := *under
+	named.Go = GoName(td.Name)
+	return expr, &named, nil
+}
+
+// declType builds, once, the description a declared struct or typedef
+// in the subset names (the value of its generated wireVar).
+func (g *goGen) declType(name string) (t *wire.Type, err error) {
+	if memo, ok := g.types[name]; ok {
+		return memo, nil
+	}
+	for _, st := range g.spec.Structs {
+		if st.Name == name {
+			_, t, err = g.structRef(st)
+		}
+	}
+	for _, td := range g.spec.Typedefs {
+		if td.Name == name {
+			_, t, err = g.typedefRef(td)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if t == nil {
+		return nil, fmt.Errorf("rpcgen: no declaration for type %s", name)
+	}
+	g.types[name] = t
+	return t, nil
 }
 
 // planRef resolves the plan expression for a proc argument or result: a
 // declared struct/typedef reuses its package plan; anything else gets a
-// dedicated variable (returned as decl) compiled over the same wire
-// description.
-func (g *goGen) planRef(t TypeRef, dedicated string) (ref, decl string, err error) {
+// dedicated variable, declared here (with its compiled codec pair),
+// compiled over the same wire description.
+func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 	plain := t.FixedArray == 0 && !t.VarArray && !t.Optional
 	if t.Kind == KindNamed && plain {
 		if kind, _ := g.spec.declKind(t.Name); kind == "struct" || kind == "typedef" {
-			return planVar(t.Name), "", nil
+			return planVar(t.Name), nil
 		}
 	}
-	typ, err := g.goType(t)
+	goT, err := g.goType(t)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	expr, err := g.wireExpr(t)
+	expr, root, err := g.wireRef(t)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
-	decl = fmt.Sprintf("var %s = wire.MustPlan[%s](%s, wire.Specialized)\n\n", dedicated, typ, expr)
-	return dedicated, decl, nil
+	g.pf("var %s = wire.MustPlan[%s](%s, wire.Specialized)\n\n", dedicated, goT, expr)
+	// The codec pair is named after the variable, minus its "plan".
+	r := []rune(strings.TrimPrefix(dedicated, "plan"))
+	r[0] = unicode.ToUpper(r[0])
+	return dedicated, g.genCompiled(string(r), goT, dedicated, root)
 }
 
-// ---------------------------------------------------------------------------
-// Compiled straight-line codecs
-//
-// When opts.Compiled is set, every plan the generator emits also gets a
-// pair of rpcgen-compiled routines (wire.EmitCompiledFuncs): the wire
-// shape lowered into straight-line Go with field selectors instead of a
-// plan-executor tail, registered against the plan in init so the
-// transports' typed entry points find them. The emitter needs both the
-// wire shape and the Go spellings, which only the generator knows —
-// that pairing is what EmitType carries.
-
-// emitTypeRef builds the EmitType tree for a type use already known to
-// be in the wire subset.
-func (g *goGen) emitTypeRef(t TypeRef) (*wire.EmitType, error) {
-	base, err := g.emitBase(t)
-	if err != nil {
-		return nil, err
+// genCompiled emits, when opts.Compiled asks for it, the straight-line
+// codec pair for one plan (wire.EmitCompiledFuncs: the wire shape
+// lowered into Go with field selectors instead of a plan-executor tail)
+// plus its init-time registration, so the transports' typed entry
+// points find it. Both accumulate after all declarations.
+func (g *goGen) genCompiled(base, goType, planExpr string, root *wire.Type) error {
+	if !g.opts.Compiled {
+		return nil
 	}
-	switch {
-	case t.FixedArray > 0:
-		goT, err := g.goType(t)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.EmitType{Kind: wire.FixedArray, Go: goT, Len: t.FixedArray, Elem: base}, nil
-	case t.VarArray:
-		goT, err := g.goType(t)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.EmitType{Kind: wire.VarArray, Go: goT, Bound: uint32(t.Bound), Elem: base}, nil
-	}
-	return base, nil
-}
-
-// emitBase resolves the element shape of a TypeRef, ignoring array
-// declarators.
-func (g *goGen) emitBase(t TypeRef) (*wire.EmitType, error) {
-	switch t.Kind {
-	case KindInt:
-		return &wire.EmitType{Kind: wire.Int32, Go: "int32"}, nil
-	case KindUint:
-		return &wire.EmitType{Kind: wire.Uint32, Go: "uint32"}, nil
-	case KindHyper:
-		return &wire.EmitType{Kind: wire.Hyper, Go: "int64"}, nil
-	case KindUhyper:
-		return &wire.EmitType{Kind: wire.Uhyper, Go: "uint64"}, nil
-	case KindBool:
-		return &wire.EmitType{Kind: wire.Bool, Go: "bool"}, nil
-	case KindFloat:
-		return &wire.EmitType{Kind: wire.Float32, Go: "float32"}, nil
-	case KindDouble:
-		return &wire.EmitType{Kind: wire.Float64, Go: "float64"}, nil
-	case KindString:
-		return &wire.EmitType{Kind: wire.String, Go: "string", Bound: uint32(t.Bound)}, nil
-	case KindOpaqueF:
-		return &wire.EmitType{Kind: wire.OpaqueFixed, Go: fmt.Sprintf("[%d]byte", t.Bound), Len: t.Bound}, nil
-	case KindOpaqueV:
-		return &wire.EmitType{Kind: wire.OpaqueVar, Go: "[]byte", Bound: uint32(t.Bound)}, nil
-	case KindNamed:
-		kind, _ := g.spec.declKind(t.Name)
-		switch kind {
-		case "enum":
-			return &wire.EmitType{Kind: wire.Int32, Go: GoName(t.Name)}, nil
-		case "struct":
-			for _, st := range g.spec.Structs {
-				if st.Name != t.Name {
-					continue
-				}
-				et := &wire.EmitType{Kind: wire.Struct, Go: GoName(st.Name)}
-				for _, f := range st.Fields {
-					ft, err := g.emitTypeRef(f.Type)
-					if err != nil {
-						return nil, err
-					}
-					et.Fields = append(et.Fields, wire.EmitField{Sel: GoName(f.Name), T: ft})
-				}
-				return et, nil
-			}
-		case "typedef":
-			for _, td := range g.spec.Typedefs {
-				if td.Name != t.Name {
-					continue
-				}
-				et, err := g.emitTypeRef(td.Type)
-				if err != nil {
-					return nil, err
-				}
-				// The named type is what allocations and casts must
-				// spell; the shape underneath is unchanged.
-				named := *et
-				named.Go = GoName(td.Name)
-				return &named, nil
-			}
-		}
-		return nil, fmt.Errorf("rpcgen: no declaration for type %s", t.Name)
-	}
-	return nil, fmt.Errorf("rpcgen: type kind %d has no compiled emission", t.Kind)
-}
-
-// genCompiled emits the straight-line codec pair for one plan plus its
-// init-time registration, accumulated after all declarations.
-func (g *goGen) genCompiled(base, goType, planExpr string, root *wire.EmitType) error {
-	src, usesMath, err := wire.EmitCompiledFuncs(base, goType, root)
+	src, usesMath, err := wire.EmitCompiledFuncs(base, root)
 	if err != nil {
 		return err
 	}
@@ -438,34 +410,6 @@ func (g *goGen) genCompiled(base, goType, planExpr string, root *wire.EmitType) 
 	g.hasEmit = true
 	g.needMath = g.needMath || usesMath
 	return nil
-}
-
-// genCompiledRef is genCompiled for a TypeRef root (dedicated proc
-// plans and typedefs).
-func (g *goGen) genCompiledRef(base, goType, planExpr string, t TypeRef) error {
-	root, err := g.emitTypeRef(t)
-	if err != nil {
-		return err
-	}
-	return g.genCompiled(base, goType, planExpr, root)
-}
-
-// genCompiledDedicated emits the codec pair for a dedicated proc plan
-// variable (an argument or result that is not a declared named type),
-// deriving the function base name from the variable.
-func (g *goGen) genCompiledDedicated(planName string, t TypeRef) error {
-	base := strings.TrimPrefix(planName, "plan")
-	if base == "" || base == planName {
-		base = GoName(planName)
-	}
-	r := []rune(base)
-	r[0] = unicode.ToUpper(r[0])
-	base = string(r)
-	goT, err := g.goType(t)
-	if err != nil {
-		return err
-	}
-	return g.genCompiledRef(base, goT, planName, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -629,18 +573,15 @@ func (g *goGen) genTypedef(td TypedefDef) error {
 	g.pf("// %s is the IDL typedef %s.\ntype %s %s\n\n", name, td.Name, name, typ)
 
 	if g.declCompat("typedef", td.Name) {
-		expr, err := g.wireExpr(td.Type)
+		expr, root, err := g.typedefRef(td)
 		if err != nil {
-			return fmt.Errorf("typedef %s: %w", td.Name, err)
+			return err
 		}
 		g.genPlanDecl(td.Name, name, expr)
 		g.pf("// Marshal encodes or decodes the value through its compiled wire plan.\n")
 		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(td.Name))
-		if g.opts.Compiled {
-			if err := g.genCompiledRef(name, name, planVar(td.Name),
-				TypeRef{Kind: KindNamed, Name: td.Name}); err != nil {
-				return fmt.Errorf("typedef %s: %w", td.Name, err)
-			}
+		if err := g.genCompiled(name, name, planVar(td.Name), root); err != nil {
+			return fmt.Errorf("typedef %s: %w", td.Name, err)
 		}
 		return nil
 	}
@@ -673,23 +614,15 @@ func (g *goGen) genStruct(st StructDef) error {
 	g.pf("}\n\n")
 
 	if g.declCompat("struct", st.Name) {
-		var fields []string
-		for _, f := range st.Fields {
-			expr, err := g.wireExpr(f.Type)
-			if err != nil {
-				return fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, err)
-			}
-			fields = append(fields, fmt.Sprintf("wire.F(%q, %s)", f.Name, expr))
+		expr, root, err := g.structRef(st)
+		if err != nil {
+			return err
 		}
-		expr := fmt.Sprintf("wire.StructT(%q,\n\t\t%s,\n\t)", st.Name, strings.Join(fields, ",\n\t\t"))
 		g.genPlanDecl(st.Name, name, expr)
 		g.pf("// Marshal encodes or decodes the struct through its compiled wire plan.\n")
 		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(st.Name))
-		if g.opts.Compiled {
-			if err := g.genCompiledRef(name, name, planVar(st.Name),
-				TypeRef{Kind: KindNamed, Name: st.Name}); err != nil {
-				return fmt.Errorf("struct %s: %w", st.Name, err)
-			}
+		if err := g.genCompiled(name, name, planVar(st.Name), root); err != nil {
+			return fmt.Errorf("struct %s: %w", st.Name, err)
 		}
 		return nil
 	}
@@ -803,29 +736,13 @@ func (g *goGen) genProgram(p ProgramDef) error {
 				continue
 			}
 			mname := GoName(strings.ToLower(proc.Name))
-			ap, adecl, err := g.planRef(proc.Arg, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Arg")
+			ap, err := g.planRef(proc.Arg, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Arg")
 			if err != nil {
 				return fmt.Errorf("proc %s arg: %w", proc.Name, err)
 			}
-			rp, rdecl, err := g.planRef(proc.Result, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Res")
+			rp, err := g.planRef(proc.Result, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Res")
 			if err != nil {
 				return fmt.Errorf("proc %s result: %w", proc.Name, err)
-			}
-			if adecl != "" {
-				g.pf("%s", adecl)
-				if g.opts.Compiled {
-					if err := g.genCompiledDedicated(ap, proc.Arg); err != nil {
-						return fmt.Errorf("proc %s arg: %w", proc.Name, err)
-					}
-				}
-			}
-			if rdecl != "" {
-				g.pf("%s", rdecl)
-				if g.opts.Compiled {
-					if err := g.genCompiledDedicated(rp, proc.Result); err != nil {
-						return fmt.Errorf("proc %s result: %w", proc.Name, err)
-					}
-				}
 			}
 			typed[proc.Name] = typedProc{argPlan: ap, resPlan: rp}
 		}

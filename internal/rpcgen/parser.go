@@ -91,8 +91,18 @@ type parser struct {
 	spec *Spec
 }
 
-func (p *parser) cur() xtok  { return p.toks[p.pos] }
-func (p *parser) next() xtok { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() xtok { return p.toks[p.pos] }
+
+// next consumes the current token, except the final EOF: the position
+// never leaves the token slice, so a caller that read EOF where it
+// wanted a value reports its ordinary "expected ..." error next.
+func (p *parser) next() xtok {
+	t := p.toks[p.pos]
+	if p.pos < len(p.toks)-1 {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) at(text string) bool { return p.cur().text == text }
 

@@ -97,6 +97,7 @@ func TestParseErrors(t *testing.T) {
 		`program P { version V { } };`,          // missing numbers
 		`struct s { string name; };`,            // unbounded string
 		`typedef int t<10>; typedef int t<20>;`, // redeclaration
+		`union u switch (int a) { case`,         // truncated: used to step past EOF and panic
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -34,7 +34,7 @@ func (c *Codec) Encode(x *xdr.XDR, p unsafe.Pointer) error {
 		// transport encodes into. Anything else falls back to the walker,
 		// which is correct (if interpretive) against any stream.
 		if bs, ok := x.Stream.(*xdr.BufStream); ok {
-			return encodeProg(bs, c.prog, p, c.chunk())
+			return encodeProg(bs, c.prog, p)
 		}
 	}
 	return walk(x, &c.root, p)
@@ -44,7 +44,7 @@ func (c *Codec) Encode(x *xdr.XDR, p unsafe.Pointer) error {
 func (c *Codec) Decode(x *xdr.XDR, p unsafe.Pointer) error {
 	if c.mode != Generic {
 		if ms, ok := x.Stream.(*xdr.MemStream); ok {
-			return decodeProg(ms, c.prog, p, c.chunk())
+			return decodeProg(ms, c.prog, p)
 		}
 	}
 	return walk(x, &c.root, p)
@@ -63,7 +63,7 @@ func (c *Codec) DecodeBody(body []byte, p unsafe.Pointer) error {
 		// below is what lets escape analysis prove that.
 		var ms xdr.MemStream
 		ms.SetBuffer(body)
-		return decodeProg(&ms, c.prog, p, c.chunk())
+		return decodeProg(&ms, c.prog, p)
 	}
 	return c.decodeBodyGeneric(body, p)
 }
@@ -76,15 +76,6 @@ func (c *Codec) decodeBodyGeneric(body []byte, p unsafe.Pointer) error {
 	ms.SetBuffer(body)
 	x := xdr.XDR{Op: xdr.Decode, Stream: &ms}
 	return walk(&x, &c.root, p)
-}
-
-// chunk reports the run bound in elements: 0 (unbounded) for the fully
-// specialized plan, ChunkUnits for the bounded-unrolling configuration.
-func (c *Codec) chunk() int {
-	if c.mode == Chunked {
-		return ChunkUnits
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -208,13 +199,13 @@ func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintpt
 }
 
 // ---------------------------------------------------------------------------
-// Specialized / chunked codec: the flat plan executors.
+// Specialized codec: the flat plan executors.
 //
-// Each instruction is one run: one growth or bounds check, then direct
-// big-endian stores or loads over the window. chunk bounds the elements
-// per inner run (0 = unbounded); the chunked configuration drives long
-// runs through an outer loop in ChunkUnits-element chunks, the paper's
-// Table 4 transform.
+// Each fixed-size instruction is one run: one growth or bounds check
+// sized by the instruction's precomputed wire bytes, then direct
+// big-endian stores or loads over the window through putRun/getRun —
+// the same kernels the fused whole-message prefix (fused.go) stores
+// through, so the two cannot disagree about a run's bytes.
 
 // errBadInstruction reports a corrupted plan. A plan is built once by
 // Compile/DeriveCodec, so this is an internal invariant, not an input
@@ -223,19 +214,13 @@ func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintpt
 var errBadInstruction = errors.New("wire: bad instruction in plan")
 
 //specrpc:hotpath
-func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer, chunk int) error {
+func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 	for i := range prog {
 		in := &prog[i]
 		q := unsafe.Add(p, in.off)
 		switch in.op {
-		case opUnits:
-			encUnits(bs, q, in.n, chunk)
-		case opUnits8:
-			encUnits8(bs, q, in.n, chunk)
-		case opBools:
-			encBools(bs, q, in.n, chunk)
-		case opBytes:
-			encBytes(bs, q, in.n)
+		case opUnits, opUnits8, opBools, opBytes:
+			putRun(bs.Extend(in.wire), in.op, q, in.n)
 		case opString:
 			h := (*stringHeader)(q)
 			if uint32(h.len) > in.bound {
@@ -248,20 +233,14 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer, chunk int) er
 				return xdr.ErrTooBig
 			}
 			encCounted(bs, h.data, h.len)
-		case opSliceUnits, opSliceUnits8, opSliceBools:
+		case opSliceRun:
 			h := (*sliceHeader)(q)
 			if uint32(h.len) > in.bound {
 				return xdr.ErrTooBig
 			}
-			binary.BigEndian.PutUint32(bs.Extend(4), uint32(h.len))
-			switch in.op {
-			case opSliceUnits:
-				encUnits(bs, h.data, h.len*in.unitsPer, chunk)
-			case opSliceUnits8:
-				encUnits8(bs, h.data, h.len*in.unitsPer, chunk)
-			default:
-				encBools(bs, h.data, h.len*in.unitsPer, chunk)
-			}
+			w := bs.Extend(4 + h.len*in.wire)
+			binary.BigEndian.PutUint32(w, uint32(h.len))
+			putRun(w[4:], in.run, h.data, h.len*in.unitsPer)
 		case opSliceSub:
 			h := (*sliceHeader)(q)
 			if uint32(h.len) > in.bound {
@@ -269,13 +248,13 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer, chunk int) er
 			}
 			binary.BigEndian.PutUint32(bs.Extend(4), uint32(h.len))
 			for j := 0; j < h.len; j++ {
-				if err := encodeProg(bs, in.sub, unsafe.Add(h.data, uintptr(j)*in.stride), chunk); err != nil {
+				if err := encodeProg(bs, in.sub, unsafe.Add(h.data, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
 		case opVecSub:
 			for j := 0; j < in.n; j++ {
-				if err := encodeProg(bs, in.sub, unsafe.Add(q, uintptr(j)*in.stride), chunk); err != nil {
+				if err := encodeProg(bs, in.sub, unsafe.Add(q, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
@@ -286,62 +265,36 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer, chunk int) er
 	return nil
 }
 
-// encUnits writes n 4-byte big-endian units from src: the residual loop
-// of the specialized stub — no dispatch, no per-unit check, just the
-// byte-order store.
+// putRun stores n units of run class o from src into w, which the
+// caller reserved at runWire(o, n) bytes: the residual loop of the
+// specialized stub — no per-unit dispatch or check, just the byte-order
+// store — and, for fixed opaque data, one memcpy plus explicit padding
+// (the window may be recycled dirty memory).
 //
 //specrpc:hotpath
-func encUnits(bs *xdr.BufStream, src unsafe.Pointer, n, chunk int) {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		w := bs.Extend(4 * k)
-		for j := 0; j < k; j++ {
-			binary.BigEndian.PutUint32(w[4*j:], *(*uint32)(unsafe.Add(src, uintptr(done+j)*4)))
+func putRun(w []byte, o op, src unsafe.Pointer, n int) {
+	switch o {
+	case opUnits:
+		for j := 0; j < n; j++ {
+			binary.BigEndian.PutUint32(w[4*j:], *(*uint32)(unsafe.Add(src, uintptr(j)*4)))
 		}
-		done += k
-	}
-}
-
-//specrpc:hotpath
-func encUnits8(bs *xdr.BufStream, src unsafe.Pointer, n, chunk int) {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		w := bs.Extend(8 * k)
-		for j := 0; j < k; j++ {
-			binary.BigEndian.PutUint64(w[8*j:], *(*uint64)(unsafe.Add(src, uintptr(done+j)*8)))
+	case opUnits8:
+		for j := 0; j < n; j++ {
+			binary.BigEndian.PutUint64(w[8*j:], *(*uint64)(unsafe.Add(src, uintptr(j)*8)))
 		}
-		done += k
-	}
-}
-
-//specrpc:hotpath
-func encBools(bs *xdr.BufStream, src unsafe.Pointer, n, chunk int) {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		w := bs.Extend(4 * k)
-		for j := 0; j < k; j++ {
+	case opBools:
+		for j := 0; j < n; j++ {
 			var u uint32
-			if *(*byte)(unsafe.Add(src, done+j)) != 0 {
+			if *(*byte)(unsafe.Add(src, j)) != 0 {
 				u = 1
 			}
 			binary.BigEndian.PutUint32(w[4*j:], u)
 		}
-		done += k
-	}
-}
-
-// encBytes writes n fixed opaque bytes plus padding as one memcpy run.
-//
-//specrpc:hotpath
-func encBytes(bs *xdr.BufStream, src unsafe.Pointer, n int) {
-	if n == 0 {
-		return
-	}
-	pad := xdr.Pad(n)
-	w := bs.Extend(n + pad)
-	copy(w, unsafe.Slice((*byte)(src), n))
-	for j := n; j < n+pad; j++ {
-		w[j] = 0
+	case opBytes:
+		copy(w, unsafe.Slice((*byte)(src), n))
+		for j := n; j < len(w); j++ {
+			w[j] = 0
+		}
 	}
 }
 
@@ -360,43 +313,18 @@ func encCounted(bs *xdr.BufStream, src unsafe.Pointer, n int) {
 	}
 }
 
-// runLen bounds one inner run to the chunk size (0 = unbounded).
-//
 //specrpc:hotpath
-func runLen(remaining, chunk int) int {
-	if chunk > 0 && remaining > chunk {
-		return chunk
-	}
-	return remaining
-}
-
-//specrpc:hotpath
-func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer, chunk int) error {
+func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 	for i := range prog {
 		in := &prog[i]
 		q := unsafe.Add(p, in.off)
 		switch in.op {
-		case opUnits:
-			if err := decUnits(ms, q, in.n, chunk); err != nil {
-				return err
-			}
-		case opUnits8:
-			if err := decUnits8(ms, q, in.n, chunk); err != nil {
-				return err
-			}
-		case opBools:
-			if err := decBools(ms, q, in.n, chunk); err != nil {
-				return err
-			}
-		case opBytes:
-			pad := xdr.Pad(in.n)
-			b, err := ms.Take(in.n + pad)
+		case opUnits, opUnits8, opBools, opBytes:
+			b, err := ms.Take(in.wire)
 			if err != nil {
 				return err
 			}
-			if in.n > 0 {
-				copy(unsafe.Slice((*byte)(q), in.n), b)
-			}
+			getRun(b, in.op, q, in.n)
 		case opString:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
@@ -421,7 +349,7 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer, chunk int) er
 				*dst = make([]byte, cnt)
 			}
 			copy(*dst, b[:cnt])
-		case opSliceUnits, opSliceUnits8, opSliceBools:
+		case opSliceRun:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
 				return err
@@ -429,25 +357,15 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer, chunk int) er
 			// Reject counts the remaining bytes cannot possibly satisfy
 			// before allocating, so a hostile length prefix cannot force a
 			// huge allocation.
-			wirePer := 4 * in.unitsPer
-			if in.op == opSliceUnits8 {
-				wirePer = 8 * in.unitsPer
-			}
-			if int64(cnt)*int64(wirePer) > int64(ms.Remaining()) {
+			if int64(cnt)*int64(in.wire) > int64(ms.Remaining()) {
 				return xdr.ErrOverflow
 			}
 			data := ensureSlicePtrFree(q, cnt, in.stride)
-			switch in.op {
-			case opSliceUnits:
-				err = decUnits(ms, data, cnt*in.unitsPer, chunk)
-			case opSliceUnits8:
-				err = decUnits8(ms, data, cnt*in.unitsPer, chunk)
-			default:
-				err = decBools(ms, data, cnt*in.unitsPer, chunk)
-			}
+			b, err := ms.Take(cnt * in.wire)
 			if err != nil {
 				return err
 			}
+			getRun(b, in.run, data, cnt*in.unitsPer)
 		case opSliceSub:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
@@ -461,13 +379,13 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer, chunk int) er
 			}
 			data := ensureSlice(q, in.sliceT, cnt, in.stride)
 			for j := 0; j < cnt; j++ {
-				if err := decodeProg(ms, in.sub, unsafe.Add(data, uintptr(j)*in.stride), chunk); err != nil {
+				if err := decodeProg(ms, in.sub, unsafe.Add(data, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
 		case opVecSub:
 			for j := 0; j < in.n; j++ {
-				if err := decodeProg(ms, in.sub, unsafe.Add(q, uintptr(j)*in.stride), chunk); err != nil {
+				if err := decodeProg(ms, in.sub, unsafe.Add(q, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
@@ -491,52 +409,27 @@ func decCount(ms *xdr.MemStream, bound uint32) (int, error) {
 	return int(cnt), nil
 }
 
+// getRun is putRun's inverse: it loads n units of run class o out of b —
+// runWire(o, n) bytes the caller already bounds-checked — into dst.
+//
 //specrpc:hotpath
-func decUnits(ms *xdr.MemStream, dst unsafe.Pointer, n, chunk int) error {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		b, err := ms.Take(4 * k)
-		if err != nil {
-			return err
+func getRun(b []byte, o op, dst unsafe.Pointer, n int) {
+	switch o {
+	case opUnits:
+		for j := 0; j < n; j++ {
+			*(*uint32)(unsafe.Add(dst, uintptr(j)*4)) = binary.BigEndian.Uint32(b[4*j:])
 		}
-		for j := 0; j < k; j++ {
-			*(*uint32)(unsafe.Add(dst, uintptr(done+j)*4)) = binary.BigEndian.Uint32(b[4*j:])
+	case opUnits8:
+		for j := 0; j < n; j++ {
+			*(*uint64)(unsafe.Add(dst, uintptr(j)*8)) = binary.BigEndian.Uint64(b[8*j:])
 		}
-		done += k
+	case opBools:
+		for j := 0; j < n; j++ {
+			*(*bool)(unsafe.Add(dst, j)) = binary.BigEndian.Uint32(b[4*j:]) != 0
+		}
+	case opBytes:
+		copy(unsafe.Slice((*byte)(dst), n), b)
 	}
-	return nil
-}
-
-//specrpc:hotpath
-func decUnits8(ms *xdr.MemStream, dst unsafe.Pointer, n, chunk int) error {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		b, err := ms.Take(8 * k)
-		if err != nil {
-			return err
-		}
-		for j := 0; j < k; j++ {
-			*(*uint64)(unsafe.Add(dst, uintptr(done+j)*8)) = binary.BigEndian.Uint64(b[8*j:])
-		}
-		done += k
-	}
-	return nil
-}
-
-//specrpc:hotpath
-func decBools(ms *xdr.MemStream, dst unsafe.Pointer, n, chunk int) error {
-	for done := 0; done < n; {
-		k := runLen(n-done, chunk)
-		b, err := ms.Take(4 * k)
-		if err != nil {
-			return err
-		}
-		for j := 0; j < k; j++ {
-			*(*bool)(unsafe.Add(dst, done+j)) = binary.BigEndian.Uint32(b[4*j:]) != 0
-		}
-		done += k
-	}
-	return nil
 }
 
 // ensureSlicePtrFree is ensureSlice for element types the compiler proved

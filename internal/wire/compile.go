@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"unsafe"
+
+	"specrpc/internal/xdr"
 )
 
 // Mode selects which of the paper's §5 marshaling configurations a plan
@@ -19,9 +21,6 @@ const (
 	// Specialized is the flat compiled plan: fused runs, one bounds check
 	// per run, direct stream access.
 	Specialized
-	// Chunked is the specialized plan with runs bounded to ChunkUnits,
-	// executed under an outer driver loop (paper Table 4).
-	Chunked
 )
 
 // String names the mode as the paper's tables do.
@@ -31,16 +30,10 @@ func (m Mode) String() string {
 		return "generic"
 	case Specialized:
 		return "specialized"
-	case Chunked:
-		return "chunked"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
 }
-
-// ChunkUnits is the bounded-unrolling run length in 4-byte units,
-// matching the 250-element chunks of the paper's Table 4.
-const ChunkUnits = 250
 
 // node is the bound form of a Type used by the generic walker: the type
 // tree annotated with the Go offsets resolved against the concrete struct
@@ -56,7 +49,9 @@ type node struct {
 	bound  uint32
 }
 
-// op is one compiled instruction class of the flat plan.
+// op is one compiled instruction class of the flat plan. The four run
+// classes come first: they are the fixed-size instructions, the ones
+// whose wire size is static (op.fixed).
 type op uint8
 
 const (
@@ -75,14 +70,11 @@ const (
 	opString
 	// opOpaqueV moves counted raw bytes ([]byte) at off.
 	opOpaqueV
-	// opSliceUnits moves a counted slice at off whose element flattens to
-	// unitsPer 4-byte units (e.g. []int32, []color, or a []point whose
-	// fields fuse completely).
-	opSliceUnits
-	// opSliceUnits8 is opSliceUnits for 8-byte-unit elements.
-	opSliceUnits8
-	// opSliceBools moves a counted []bool at off.
-	opSliceBools
+	// opSliceRun moves a counted slice at off whose element flattens to
+	// unitsPer units of run class run (e.g. []int32, []color, []bool,
+	// []int64, or a []point whose fields fuse completely): the count,
+	// then one run over the whole backing array.
+	opSliceRun
 	// opSliceSub moves a counted slice of composite elements: count, then
 	// the sub-program per element advancing by stride.
 	opSliceSub
@@ -98,12 +90,45 @@ const (
 type instr struct {
 	op       op
 	off      uintptr
-	n        int     // unit/byte count (opUnits*, opBytes, opVecSub)
+	n        int     // unit/byte count (run classes, opVecSub)
+	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun)
 	bound    uint32  // decode limit for counted ops
 	stride   uintptr // Go element size for slice/vector ops
-	unitsPer int     // fused units per element (opSliceUnits*)
+	run      op      // run class of the fused element (opSliceRun)
+	unitsPer int     // fused units per element (opSliceRun)
 	sub      []instr
 	sliceT   reflect.Type // concrete slice type for decode allocation
+}
+
+// fixed reports whether o is a run class: a fixed-size instruction.
+func (o op) fixed() bool { return o >= opUnits && o <= opBytes }
+
+// memWidth is the Go-memory size of one unit of run class o.
+func (o op) memWidth() uintptr {
+	switch o {
+	case opUnits:
+		return 4
+	case opUnits8:
+		return 8
+	default: // opBools, opBytes
+		return 1
+	}
+}
+
+// runWire reports the wire bytes n units of run class o occupy. It is the
+// flat program's one answer to "what is the static wire size": every
+// instr.wire is computed here, when the instruction is built, and the
+// executors and the fused view only ever read the field. (The Type
+// tree's answer is Type.wireSize.)
+func runWire(o op, n int) int {
+	switch o {
+	case opUnits8:
+		return 8 * n
+	case opBytes:
+		return n + xdr.Pad(n)
+	default: // opUnits, opBools: one 4-byte unit each
+		return 4 * n
+	}
 }
 
 // Codec is a compiled marshal plan for one (wire.Type, Go type) pair in
@@ -114,7 +139,7 @@ type Codec struct {
 	t    *Type
 	rt   reflect.Type
 	root node    // generic walker (also the fallback for foreign streams)
-	prog []instr // flat plan (Specialized / Chunked)
+	prog []instr // flat plan (Specialized)
 }
 
 // Mode reports the configuration the codec was compiled for.
@@ -136,7 +161,7 @@ func (c *Codec) Instructions() int { return len(c.prog) }
 // does no reflection.
 func Compile(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 	switch mode {
-	case Generic, Specialized, Chunked:
+	case Generic, Specialized:
 	default:
 		return nil, fmt.Errorf("wire: unknown mode %d", int(mode))
 	}
@@ -285,34 +310,44 @@ func flatten(n node, base uintptr) ([]instr, error) {
 // instruction when the two are the same class and contiguous in Go
 // memory — the compile-time analog of the specializer coalescing
 // adjacent stores.
-func appendRun(prog *[]instr, o op, off uintptr, n int, width uintptr) {
+func appendRun(prog *[]instr, o op, off uintptr, n int) {
 	if k := len(*prog); k > 0 {
 		prev := &(*prog)[k-1]
-		if prev.op == o && prev.off+uintptr(prev.n)*width == off {
+		if prev.op == o && prev.off+uintptr(prev.n)*o.memWidth() == off {
 			// opBytes runs carry wire padding after them; only a run that
 			// ends 4-byte aligned can absorb more bytes.
 			if o != opBytes || prev.n%4 == 0 {
 				prev.n += n
+				prev.wire = runWire(o, prev.n)
 				return
 			}
 		}
 	}
-	*prog = append(*prog, instr{op: o, off: off, n: n})
+	*prog = append(*prog, instr{op: o, off: off, n: n, wire: runWire(o, n)})
+}
+
+// sliceRun builds the counted-slice instruction for elements that fuse
+// to unitsPer units of run class run.
+func sliceRun(off uintptr, bound uint32, run op, unitsPer int, sliceT reflect.Type) instr {
+	return instr{
+		op: opSliceRun, off: off, bound: bound, run: run, unitsPer: unitsPer,
+		wire: runWire(run, unitsPer), stride: sliceT.Elem().Size(), sliceT: sliceT,
+	}
 }
 
 func flattenInto(prog *[]instr, n node, base uintptr) error {
 	off := base + n.off
 	switch n.t.Kind {
 	case Int32, Uint32, Float32:
-		appendRun(prog, opUnits, off, 1, 4)
+		appendRun(prog, opUnits, off, 1)
 	case Hyper, Uhyper, Float64:
-		appendRun(prog, opUnits8, off, 1, 8)
+		appendRun(prog, opUnits8, off, 1)
 	case Bool:
-		appendRun(prog, opBools, off, 1, 1)
+		appendRun(prog, opBools, off, 1)
 	case String:
 		*prog = append(*prog, instr{op: opString, off: off, bound: n.bound})
 	case OpaqueFixed:
-		appendRun(prog, opBytes, off, n.t.Len, 1)
+		appendRun(prog, opBytes, off, n.t.Len)
 	case OpaqueVar:
 		*prog = append(*prog, instr{op: opOpaqueV, off: off, bound: n.bound})
 	case Struct:
@@ -326,20 +361,11 @@ func flattenInto(prog *[]instr, n node, base uintptr) error {
 		if err != nil {
 			return err
 		}
-		if units, w, ok := fullyFused(sub, n.stride); ok {
+		if units, run, ok := fullyFused(sub, n.stride); ok {
 			// The element flattens to contiguous units covering its whole
 			// stride, so the array is one big run: loop bounds resolved at
 			// compile time.
-			switch w {
-			case opUnits:
-				appendRun(prog, opUnits, off, n.t.Len*units, 4)
-			case opUnits8:
-				appendRun(prog, opUnits8, off, n.t.Len*units, 8)
-			case opBools:
-				appendRun(prog, opBools, off, n.t.Len*units, 1)
-			case opBytes:
-				appendRun(prog, opBytes, off, n.t.Len*units, 1)
-			}
+			appendRun(prog, run, off, n.t.Len*units)
 			return nil
 		}
 		*prog = append(*prog, instr{op: opVecSub, off: off, n: n.t.Len, stride: n.stride, sub: sub})
@@ -348,18 +374,8 @@ func flattenInto(prog *[]instr, n node, base uintptr) error {
 		if err != nil {
 			return err
 		}
-		if units, w, ok := fullyFused(sub, n.stride); ok && w != opBytes {
-			o := opSliceUnits
-			switch w {
-			case opUnits8:
-				o = opSliceUnits8
-			case opBools:
-				o = opSliceBools
-			}
-			*prog = append(*prog, instr{
-				op: o, off: off, bound: n.bound,
-				stride: n.stride, unitsPer: units, sliceT: n.sliceT,
-			})
+		if units, run, ok := fullyFused(sub, n.stride); ok && run != opBytes {
+			*prog = append(*prog, sliceRun(off, n.bound, run, units, n.sliceT))
 			return nil
 		}
 		*prog = append(*prog, instr{
@@ -380,18 +396,10 @@ func fullyFused(sub []instr, stride uintptr) (count int, o op, ok bool) {
 		return 0, 0, false
 	}
 	in := sub[0]
-	var width uintptr
-	switch in.op {
-	case opUnits:
-		width = 4
-	case opUnits8:
-		width = 8
-	case opBools, opBytes:
-		width = 1
-	default:
+	if !in.op.fixed() {
 		return 0, 0, false
 	}
-	if uintptr(in.n)*width != stride {
+	if uintptr(in.n)*in.op.memWidth() != stride {
 		return 0, 0, false // Go padding inside the element: cannot fuse
 	}
 	if in.op == opBytes && in.n%4 != 0 {

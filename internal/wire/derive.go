@@ -96,10 +96,10 @@ func deriveElem(t *Type) (*planext.Shape, error) {
 // DeriveCodec builds the codec for (t, rt) from the specializer instead
 // of the hand compiler: probe stubs are specialized in both directions,
 // the residual schedules are cross-checked and lowered onto rt's layout.
-// The mode must be Specialized or Chunked (a derived plan is by
-// construction not the generic walker).
+// The mode must be Specialized (a derived plan is by construction not
+// the generic walker).
 func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
-	if mode != Specialized && mode != Chunked {
+	if mode != Specialized {
 		return nil, fmt.Errorf("wire: derive: mode %s is not a plan mode", mode)
 	}
 	if t == nil {
@@ -232,9 +232,9 @@ func lowerAccess(prog *[]instr, sched *planext.Schedule, i int, t *Type, rt refl
 	}
 	switch cur.Kind {
 	case Int32, Uint32:
-		appendRun(prog, opUnits, off, 1, 4)
+		appendRun(prog, opUnits, off, 1)
 	case Bool:
-		appendRun(prog, opBools, off, 1, 1)
+		appendRun(prog, opBools, off, 1)
 	default:
 		return 0, fmt.Errorf("wire: derive: access %s resolves to non-scalar %s", a, cur.Kind)
 	}
@@ -281,19 +281,16 @@ func lowerCounted(prog *[]instr, sched *planext.Schedule, i int, ft *Type, frt r
 			return 0, fmt.Errorf("wire: derive: probe group for %s: access %d is %s, want element %d", count, i+1+j, got, j)
 		}
 	}
-	var o op
+	var run op
 	switch ft.Elem.Kind {
 	case Int32, Uint32:
-		o = opSliceUnits
+		run = opUnits
 	case Bool:
-		o = opSliceBools
+		run = opBools
 	default:
 		return 0, fmt.Errorf("wire: derive: counted %s elements", ft.Elem.Kind)
 	}
-	*prog = append(*prog, instr{
-		op: o, off: off, bound: effBound(ft.Bound),
-		stride: frt.Elem().Size(), unitsPer: 1, sliceT: frt,
-	})
+	*prog = append(*prog, sliceRun(off, effBound(ft.Bound), run, 1, frt))
 	return 1 + k, nil
 }
 
@@ -345,8 +342,8 @@ func (in instr) String() string {
 		fmt.Fprintf(&sb, " n=%d", in.n)
 	case opString, opOpaqueV:
 		fmt.Fprintf(&sb, " bound=%#x", in.bound)
-	case opSliceUnits, opSliceUnits8, opSliceBools:
-		fmt.Fprintf(&sb, " bound=%#x stride=%d per=%d %s", in.bound, in.stride, in.unitsPer, in.sliceT)
+	case opSliceRun:
+		fmt.Fprintf(&sb, " bound=%#x stride=%d per=%d*%s %s", in.bound, in.stride, in.unitsPer, in.run, in.sliceT)
 	case opSliceSub:
 		fmt.Fprintf(&sb, " bound=%#x stride=%d %s", in.bound, in.stride, in.sliceT)
 	case opVecSub:
@@ -370,12 +367,8 @@ func (o op) String() string {
 		return "string"
 	case opOpaqueV:
 		return "opaque<>"
-	case opSliceUnits:
-		return "slice-units"
-	case opSliceUnits8:
-		return "slice-unit8"
-	case opSliceBools:
-		return "slice-bools"
+	case opSliceRun:
+		return "slice-run"
 	case opSliceSub:
 		return "slice-sub"
 	case opVecSub:

@@ -167,22 +167,20 @@ var derivedCorpus = []struct {
 // the hand compiler builds.
 func TestDerivedPlanStructuralEquality(t *testing.T) {
 	for _, tc := range derivedCorpus {
-		for _, mode := range []Mode{Specialized, Chunked} {
-			hand, err := Compile(tc.t, tc.rt, mode)
-			if err != nil {
-				t.Fatalf("%s: Compile: %v", tc.name, err)
-			}
-			derived, err := DeriveCodec(tc.t, tc.rt, mode)
-			if err != nil {
-				t.Fatalf("%s: DeriveCodec: %v", tc.name, err)
-			}
-			if !reflect.DeepEqual(hand.prog, derived.prog) {
-				t.Errorf("%s (%s): derived program differs from hand-built\nhand:\n%sderived:\n%s",
-					tc.name, mode, hand.ProgString(), derived.ProgString())
-			}
-			if derived.Instructions() == 0 {
-				t.Errorf("%s: derived codec has an empty program", tc.name)
-			}
+		hand, err := Compile(tc.t, tc.rt, Specialized)
+		if err != nil {
+			t.Fatalf("%s: Compile: %v", tc.name, err)
+		}
+		derived, err := DeriveCodec(tc.t, tc.rt, Specialized)
+		if err != nil {
+			t.Fatalf("%s: DeriveCodec: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(hand.prog, derived.prog) {
+			t.Errorf("%s: derived program differs from hand-built\nhand:\n%sderived:\n%s",
+				tc.name, hand.ProgString(), derived.ProgString())
+		}
+		if derived.Instructions() == 0 {
+			t.Errorf("%s: derived codec has an empty program", tc.name)
 		}
 	}
 }
@@ -280,10 +278,13 @@ func TestDeriveUnsupportedFallsBack(t *testing.T) {
 }
 
 // TestDeriveRejectsGenericMode pins that derivation refuses the
-// walker mode instead of returning a codec with no program.
+// walker mode — and every other value that is not Specialized —
+// instead of returning a codec with no program.
 func TestDeriveRejectsGenericMode(t *testing.T) {
-	if _, err := DeriveCodec(Int32T(), reflect.TypeOf(int32(0)), Generic); err == nil {
-		t.Fatal("DeriveCodec(Generic) succeeded, want error")
+	for _, m := range []Mode{Generic, 0, Specialized + 1} {
+		if _, err := DeriveCodec(Int32T(), reflect.TypeOf(int32(0)), m); err == nil {
+			t.Errorf("DeriveCodec(%v) succeeded, want error", m)
+		}
 	}
 }
 

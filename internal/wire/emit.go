@@ -3,11 +3,12 @@ package wire
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"specrpc/internal/xdr"
 )
 
-// This file is the codegen backend of the fifth specialization rung:
+// This file is the codegen backend of the top specialization rung:
 // where fused.go still *interprets* a flat instruction array at run
 // time, the emitter below lowers the same wire shape into straight-line
 // Go source that rpcgen writes next to the generated stubs. The emitted
@@ -17,14 +18,15 @@ import (
 // resolves to constants, fixed opaque data is a copy, and
 // variable-length tails run as explicit loops — no Op dispatch at all.
 //
-// The emitter works from an EmitType tree rather than a compiled Codec
-// because generation happens in the rpcgen process, where the Go types
-// being described do not exist yet: there is no reflect.Type to take
-// offsets from, so the emitted code addresses fields by selector and
-// lets the compiler do the offset arithmetic. rpcgen builds the tree
-// from its AST, pairing each wire shape with the Go spelling the casts
-// and allocations need (enum fields cast through their named type,
-// named slice typedefs allocate as themselves).
+// The emitter is a second back end over the one Type tree the runtime
+// compiles, not over the flat program: generation happens in the rpcgen
+// process, where the Go types being described do not exist yet, so
+// there is no reflect.Type to take offsets from and the emitted code
+// addresses fields by selector (derived from Field.Name) and lets the
+// compiler do the offset arithmetic. A program's runs are fused by
+// Go-memory contiguity and have lost those selectors. What the tree
+// cannot imply — the declared name an enum field casts through or a
+// typedef'd slice allocates as — rides on Type.Go.
 //
 // Byte and error equivalence with the interpretive plans is a hard
 // requirement — compiled, fused, and generic codecs multiplex on one
@@ -35,29 +37,56 @@ import (
 // nil-on-zero rules of ensureSlice/ensureSlicePtrFree. The differential
 // fuzz test (FuzzCompiledCodec) pins all of it.
 
-// EmitType pairs one wire shape with the Go type spelling the emitted
-// source needs at that node. Trees mirror Type: arrays carry an element,
-// structs carry fields.
-type EmitType struct {
-	// Kind selects the wire shape, as in Type.
-	Kind Kind
-	// Go is the Go type spelling of this node as the generated package
-	// sees it ("int32", "Color", "Numbers", "[]Point", "[8]byte").
-	Go string
-	// Len is the fixed length for OpaqueFixed and FixedArray.
-	Len int
-	// Bound limits String/OpaqueVar/VarArray counts; 0 means unbounded.
-	Bound uint32
-	// Elem is the element for FixedArray and VarArray.
-	Elem *EmitType
-	// Fields are the struct members in wire order.
-	Fields []EmitField
+// goIdent exports an IDL identifier exactly as rpcgen.GoName spells the
+// declarations the emitted code refers to (lower_snake -> CamelCase).
+func goIdent(name string) string {
+	var sb strings.Builder
+	for _, p := range strings.Split(name, "_") {
+		if p == "" {
+			continue
+		}
+		r := []rune(p)
+		r[0] = unicode.ToUpper(r[0])
+		sb.WriteString(string(r))
+	}
+	return sb.String()
 }
 
-// EmitField is one struct member: the Go field selector plus its shape.
-type EmitField struct {
-	Sel string
-	T   *EmitType
+// goSpelling is the Go type the generated package declares for t: the
+// explicit Type.Go where one was recorded, otherwise what the shape
+// implies.
+func goSpelling(t *Type) string {
+	if t.Go != "" {
+		return t.Go
+	}
+	switch t.Kind {
+	case Int32:
+		return "int32"
+	case Uint32:
+		return "uint32"
+	case Bool:
+		return "bool"
+	case Float32:
+		return "float32"
+	case Hyper:
+		return "int64"
+	case Uhyper:
+		return "uint64"
+	case Float64:
+		return "float64"
+	case String:
+		return "string"
+	case OpaqueFixed:
+		return fmt.Sprintf("[%d]byte", t.Len)
+	case OpaqueVar:
+		return "[]byte"
+	case FixedArray:
+		return fmt.Sprintf("[%d]%s", t.Len, goSpelling(t.Elem))
+	case VarArray:
+		return "[]" + goSpelling(t.Elem)
+	default: // Struct
+		return goIdent(t.Name)
+	}
 }
 
 // EmitCompiledFuncs renders the compiled encoder/decoder pair for one
@@ -67,11 +96,12 @@ type EmitField struct {
 // functions are meant to be registered with RegisterCompiled in the
 // generated package's init. usesMath reports whether the source needs
 // the math import (float fields); encoding/binary is always needed.
-func EmitCompiledFuncs(base, goType string, root *EmitType) (src string, usesMath bool, err error) {
+func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err error) {
 	if root == nil {
 		return "", false, fmt.Errorf("wire: emit: nil root type")
 	}
 	e := &emitter{}
+	goType := goSpelling(root)
 
 	e.pf("// compiledAppend%s is the rpcgen-emitted straight-line encoder for %s:", base, goType)
 	e.pf("// one reservation covers the header and the leading fixed-size fields,")
@@ -143,34 +173,6 @@ func (lb *lineBuf) add(format string, args ...any) {
 	lb.lines = append(lb.lines, strings.Repeat("\t", lb.depth)+fmt.Sprintf(format, args...))
 }
 
-// emitWireSize reports the static wire size of t, when it has one:
-// everything except strings, variable opaque, and counted arrays.
-func emitWireSize(t *EmitType) (int, bool) {
-	switch t.Kind {
-	case Int32, Uint32, Bool, Float32:
-		return 4, true
-	case Hyper, Uhyper, Float64:
-		return 8, true
-	case OpaqueFixed:
-		return t.Len + xdr.Pad(t.Len), true
-	case FixedArray:
-		es, ok := emitWireSize(t.Elem)
-		return t.Len * es, ok
-	case Struct:
-		total := 0
-		for _, f := range t.Fields {
-			n, ok := emitWireSize(f.T)
-			if !ok {
-				return 0, false
-			}
-			total += n
-		}
-		return total, true
-	default:
-		return 0, false
-	}
-}
-
 // offExpr renders base+k, folding the literal when there is no base.
 func offExpr(base string, k int) string {
 	if base == "" {
@@ -194,7 +196,7 @@ const unrollLimit = 4
 // buf[base+const] where buf was carved out by a single Extend (encode)
 // or covered by a single length check (decode).
 
-func emitStores(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, off int) {
+func emitStores(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int) {
 	switch t.Kind {
 	case Int32, Uint32:
 		lb.add("binary.BigEndian.PutUint32(%s[%s:], uint32(%s))", buf, offExpr(base, off), expr)
@@ -211,7 +213,7 @@ func emitStores(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, of
 	case Float32:
 		e.math = true
 		inner := expr
-		if t.Go != "float32" {
+		if goSpelling(t) != "float32" {
 			inner = fmt.Sprintf("float32(%s)", expr)
 		}
 		lb.add("binary.BigEndian.PutUint32(%s[%s:], math.Float32bits(%s))", buf, offExpr(base, off), inner)
@@ -220,7 +222,7 @@ func emitStores(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, of
 	case Float64:
 		e.math = true
 		inner := expr
-		if t.Go != "float64" {
+		if goSpelling(t) != "float64" {
 			inner = fmt.Sprintf("float64(%s)", expr)
 		}
 		lb.add("binary.BigEndian.PutUint64(%s[%s:], math.Float64bits(%s))", buf, offExpr(base, off), inner)
@@ -234,12 +236,12 @@ func emitStores(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, of
 		}
 	case Struct:
 		for _, f := range t.Fields {
-			emitStores(e, lb, f.T, expr+"."+f.Sel, buf, base, off)
-			n, _ := emitWireSize(f.T)
+			emitStores(e, lb, f.Type, expr+"."+goIdent(f.Name), buf, base, off)
+			n, _ := f.Type.wireSize()
 			off += n
 		}
 	case FixedArray:
-		es, _ := emitWireSize(t.Elem)
+		es, _ := t.Elem.wireSize()
 		if es == 0 || t.Len == 0 {
 			return
 		}
@@ -259,32 +261,32 @@ func emitStores(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, of
 	}
 }
 
-func emitLoads(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, off int) {
+func emitLoads(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int) {
 	load32 := fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:])", buf, offExpr(base, off))
 	load64 := fmt.Sprintf("binary.BigEndian.Uint64(%s[%s:])", buf, offExpr(base, off))
 	switch t.Kind {
 	case Int32, Uint32:
-		lb.add("%s = %s(%s)", expr, t.Go, load32)
+		lb.add("%s = %s(%s)", expr, goSpelling(t), load32)
 	case Bool:
-		if t.Go == "bool" {
+		if goSpelling(t) == "bool" {
 			lb.add("%s = %s != 0", expr, load32)
 		} else {
-			lb.add("%s = %s(%s != 0)", expr, t.Go, load32)
+			lb.add("%s = %s(%s != 0)", expr, goSpelling(t), load32)
 		}
 	case Float32:
 		e.math = true
 		inner := fmt.Sprintf("math.Float32frombits(%s)", load32)
-		if t.Go != "float32" {
-			inner = fmt.Sprintf("%s(%s)", t.Go, inner)
+		if goSpelling(t) != "float32" {
+			inner = fmt.Sprintf("%s(%s)", goSpelling(t), inner)
 		}
 		lb.add("%s = %s", expr, inner)
 	case Hyper, Uhyper:
-		lb.add("%s = %s(%s)", expr, t.Go, load64)
+		lb.add("%s = %s(%s)", expr, goSpelling(t), load64)
 	case Float64:
 		e.math = true
 		inner := fmt.Sprintf("math.Float64frombits(%s)", load64)
-		if t.Go != "float64" {
-			inner = fmt.Sprintf("%s(%s)", t.Go, inner)
+		if goSpelling(t) != "float64" {
+			inner = fmt.Sprintf("%s(%s)", goSpelling(t), inner)
 		}
 		lb.add("%s = %s", expr, inner)
 	case OpaqueFixed:
@@ -294,12 +296,12 @@ func emitLoads(e *emitter, lb *lineBuf, t *EmitType, expr, buf, base string, off
 		lb.add("copy(%s[:], %s[%s:%s])", expr, buf, offExpr(base, off), offExpr(base, off+t.Len))
 	case Struct:
 		for _, f := range t.Fields {
-			emitLoads(e, lb, f.T, expr+"."+f.Sel, buf, base, off)
-			n, _ := emitWireSize(f.T)
+			emitLoads(e, lb, f.Type, expr+"."+goIdent(f.Name), buf, base, off)
+			n, _ := f.Type.wireSize()
 			off += n
 		}
 	case FixedArray:
-		es, _ := emitWireSize(t.Elem)
+		es, _ := t.Elem.wireSize()
 		if es == 0 || t.Len == 0 {
 			return
 		}
@@ -336,8 +338,8 @@ type appendGen struct {
 	headerDone bool
 }
 
-func (g *appendGen) walk(t *EmitType, expr string) error {
-	if sz, ok := emitWireSize(t); ok {
+func (g *appendGen) walk(t *Type, expr string) error {
+	if sz, ok := t.wireSize(); ok {
 		if sz == 0 {
 			return nil
 		}
@@ -352,7 +354,7 @@ func (g *appendGen) walk(t *EmitType, expr string) error {
 	switch t.Kind {
 	case Struct:
 		for _, f := range t.Fields {
-			if err := g.walk(f.T, expr+"."+f.Sel); err != nil {
+			if err := g.walk(f.Type, expr+"."+goIdent(f.Name)); err != nil {
 				return err
 			}
 		}
@@ -415,7 +417,7 @@ func (g *appendGen) emitPend() {
 // emitCounted renders a string or variable-opaque item: bound check
 // before the count (as encodeProg does), one reservation for count +
 // bytes + padding, padding zeroed explicitly.
-func (g *appendGen) emitCounted(t *EmitType, expr string) {
+func (g *appendGen) emitCounted(t *Type, expr string) {
 	e := g.e
 	if t.Bound > 0 {
 		e.pf("if uint32(len(%s)) > %d {", expr, t.Bound)
@@ -430,7 +432,7 @@ func (g *appendGen) emitCounted(t *EmitType, expr string) {
 	e.pf("%s := bs.Extend(4 + %s + %s)", wv, nv, pv)
 	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
 	src := expr
-	if t.Kind == String && t.Go != "string" {
+	if t.Kind == String && goSpelling(t) != "string" {
 		src = fmt.Sprintf("string(%s)", expr)
 	}
 	e.pf("copy(%s[4:], %s)", wv, src)
@@ -442,13 +444,13 @@ func (g *appendGen) emitCounted(t *EmitType, expr string) {
 	e.pf("}")
 }
 
-func (g *appendGen) emitVarArray(t *EmitType, expr string) error {
+func (g *appendGen) emitVarArray(t *Type, expr string) error {
 	e := g.e
 	// Hoist the slice into a local: indexing the original lvalue inside
 	// the loop would force the compiler to reload the slice header every
 	// iteration (the []byte window it stores through might alias it) and
 	// bounds-check every element load; a local header plus a range loop
-	// keeps both out of the residual loop, matching encUnits' cost.
+	// keeps both out of the residual loop, matching putRun's cost.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
 	if t.Bound > 0 {
@@ -460,7 +462,7 @@ func (g *appendGen) emitVarArray(t *EmitType, expr string) error {
 	}
 	nv := e.name("n")
 	e.pf("%s := len(%s)", nv, sv)
-	if es, ok := emitWireSize(t.Elem); ok {
+	if es, ok := t.Elem.wireSize(); ok {
 		// Fixed-size elements: count and every element share one
 		// reservation, stores strength-reduce to constant strides.
 		wv := e.name("w")
@@ -522,8 +524,8 @@ type decodeGen struct {
 	static   int
 }
 
-func (g *decodeGen) walk(t *EmitType, expr string) error {
-	if sz, ok := emitWireSize(t); ok {
+func (g *decodeGen) walk(t *Type, expr string) error {
+	if sz, ok := t.wireSize(); ok {
 		if sz == 0 {
 			return nil
 		}
@@ -541,7 +543,7 @@ func (g *decodeGen) walk(t *EmitType, expr string) error {
 	switch t.Kind {
 	case Struct:
 		for _, f := range t.Fields {
-			if err := g.walk(f.T, expr+"."+f.Sel); err != nil {
+			if err := g.walk(f.Type, expr+"."+goIdent(f.Name)); err != nil {
 				return err
 			}
 		}
@@ -640,7 +642,7 @@ func (g *decodeGen) emitCount(bound uint32) string {
 	return nv
 }
 
-func (g *decodeGen) emitCounted(t *EmitType, expr string) {
+func (g *decodeGen) emitCounted(t *Type, expr string) {
 	e := g.e
 	nv := g.emitCount(t.Bound)
 	pv := e.name("p")
@@ -651,14 +653,14 @@ func (g *decodeGen) emitCounted(t *EmitType, expr string) {
 	e.indent--
 	e.pf("}")
 	if t.Kind == String {
-		e.pf("%s = %s(body[pos : pos+%s])", expr, t.Go, nv)
+		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
 	} else {
 		// Mirror decodeProg's opOpaqueV: reallocate only on a length
 		// change, so a zero count against a non-empty field leaves a
 		// non-nil empty slice, exactly like the plan.
 		e.pf("if len(%s) != %s {", expr, nv)
 		e.indent++
-		e.pf("%s = make(%s, %s)", expr, t.Go, nv)
+		e.pf("%s = make(%s, %s)", expr, goSpelling(t), nv)
 		e.indent--
 		e.pf("}")
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
@@ -668,7 +670,7 @@ func (g *decodeGen) emitCounted(t *EmitType, expr string) {
 
 // emitSliceAlloc renders the ensureSlice-equivalent: reuse on matching
 // length, nil on zero, fresh allocation otherwise.
-func (g *decodeGen) emitSliceAlloc(t *EmitType, expr, nv string) {
+func (g *decodeGen) emitSliceAlloc(t *Type, expr, nv string) {
 	e := g.e
 	e.pf("if len(%s) != %s {", expr, nv)
 	e.indent++
@@ -678,17 +680,17 @@ func (g *decodeGen) emitSliceAlloc(t *EmitType, expr, nv string) {
 	e.indent--
 	e.pf("} else {")
 	e.indent++
-	e.pf("%s = make(%s, %s)", expr, t.Go, nv)
+	e.pf("%s = make(%s, %s)", expr, goSpelling(t), nv)
 	e.indent--
 	e.pf("}")
 	e.indent--
 	e.pf("}")
 }
 
-func (g *decodeGen) emitVarArray(t *EmitType, expr string) error {
+func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 	e := g.e
 	nv := g.emitCount(t.Bound)
-	if es, ok := emitWireSize(t.Elem); ok {
+	if es, ok := t.Elem.wireSize(); ok {
 		// Fixed-size elements: the exact byte requirement is known up
 		// front, so one check rejects hostile counts before allocation
 		// and the element loop runs unchecked.

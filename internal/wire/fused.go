@@ -18,11 +18,11 @@ import (
 // argument encode is a single specialized routine.
 //
 // A CallCodec emits a complete call message: one bounds reservation
-// covers the header image plus every leading fixed-size run of the
-// argument plan, the XID and procedure number live at fixed offsets
+// covers the header image plus every leading fixed-size instruction of
+// the argument plan, the XID and procedure number live at fixed offsets
 // inside the image (the procedure is stamped at compile time, the XID
-// per call), and only the variable-sized tail of the plan still walks
-// instruction by instruction. A ReplyCodec does the same for the
+// per call), and only the variable-sized tail of the plan still pays a
+// reservation per instruction. A ReplyCodec does the same for the
 // accepted-success reply on the server and decodes results straight out
 // of the raw reply bytes on the client, with no intermediate XDR handle.
 //
@@ -30,124 +30,60 @@ import (
 // replace, so their bytes are identical to the template-copy + plan
 // pair by construction; the differential fuzz tests keep that true.
 
-// fixedRun is one precomputed store of a fused image: a fixed-size plan
-// instruction whose wire offset inside the single reservation is known
-// at compile time.
-type fixedRun struct {
-	op   op
-	off  uintptr // Go offset within the value
-	woff int     // wire offset within the reserved window
-	n    int     // units (opUnits/opUnits8/opBools) or bytes (opBytes)
-}
-
-// fusedBody is the compiled argument or result half of a whole-message
-// codec: the leading fixed-size runs folded into the header's bounds
-// reservation, and the variable-sized tail left to the plan executor.
+// fusedBody is the argument or result half of a whole-message codec: a
+// view of the codec's own flat program, not a second compilation of it.
+// The leading fixed-size instructions are stored straight into the
+// header's bounds reservation; the rest, from the first variable-sized
+// instruction on, runs through the plan executor. Both halves store
+// through putRun, so fused bytes equal plan bytes by construction.
 type fusedBody struct {
-	fixed     []fixedRun
-	fixedWire int // wire bytes the fixed runs cover
-	tail      []instr
-	chunk     int
+	prog      []instr // the codec's program, shared
+	nfixed    int     // leading fixed-size instructions: prog[:nfixed]
+	fixedWire int     // wire bytes prog[:nfixed] covers
 }
 
-// compileFusedBody splits a codec's flat program into the runs that can
-// share the header's bounds reservation and the variable tail. A nil
-// codec (a void side) compiles to the empty body. Chunked codecs keep
-// everything in the tail: bounding each reservation to ChunkUnits is the
-// point of that configuration, so folding runs into one big window would
-// change what is being measured.
-func compileFusedBody(c *Codec) (fusedBody, error) {
+// fuseBody takes the fused view of a codec's flat program. A nil codec
+// (a void side) yields the empty body.
+func fuseBody(c *Codec) (fusedBody, error) {
 	if c == nil {
 		return fusedBody{}, nil
 	}
 	if c.mode == Generic {
 		return fusedBody{}, fmt.Errorf("wire: cannot fuse a generic codec")
 	}
-	b := fusedBody{chunk: c.chunk()}
-	prog := c.prog
-	if c.mode == Chunked {
-		b.tail = prog
-		return b, nil
-	}
-	i := 0
-fold:
-	for ; i < len(prog); i++ {
-		in := prog[i]
-		var wireBytes int
-		switch in.op {
-		case opUnits, opBools:
-			wireBytes = 4 * in.n
-		case opUnits8:
-			wireBytes = 8 * in.n
-		case opBytes:
-			wireBytes = in.n + xdr.Pad(in.n)
-		default:
-			// First variable-sized instruction: everything from here on
-			// runs through the plan executor.
-			break fold
-		}
-		b.fixed = append(b.fixed, fixedRun{op: in.op, off: in.off, woff: b.fixedWire, n: in.n})
-		b.fixedWire += wireBytes
-	}
-	if i < len(prog) {
-		b.tail = prog[i:]
+	b := fusedBody{prog: c.prog}
+	for b.nfixed < len(b.prog) && b.prog[b.nfixed].op.fixed() {
+		b.fixedWire += b.prog[b.nfixed].wire
+		b.nfixed++
 	}
 	return b, nil
 }
 
-// encodeFixed executes the fused stores into the already-reserved
+// encodeFixed executes fixed-size instructions into an already-reserved
 // window: no growth checks, no dispatch through the stream — the
 // residual loop of the whole-call specialization.
 //
 //specrpc:hotpath
-func encodeFixed(w []byte, runs []fixedRun, p unsafe.Pointer) {
-	for i := range runs {
-		r := &runs[i]
-		q := unsafe.Add(p, r.off)
-		dst := w[r.woff:]
-		switch r.op {
-		case opUnits:
-			for j := 0; j < r.n; j++ {
-				binary.BigEndian.PutUint32(dst[4*j:], *(*uint32)(unsafe.Add(q, uintptr(j)*4)))
-			}
-		case opUnits8:
-			for j := 0; j < r.n; j++ {
-				binary.BigEndian.PutUint64(dst[8*j:], *(*uint64)(unsafe.Add(q, uintptr(j)*8)))
-			}
-		case opBools:
-			for j := 0; j < r.n; j++ {
-				var u uint32
-				if *(*byte)(unsafe.Add(q, j)) != 0 {
-					u = 1
-				}
-				binary.BigEndian.PutUint32(dst[4*j:], u)
-			}
-		case opBytes:
-			copy(dst[:r.n], unsafe.Slice((*byte)(q), r.n))
-			for j := r.n; j < r.n+xdr.Pad(r.n); j++ {
-				dst[j] = 0
-			}
-		}
+func encodeFixed(w []byte, prog []instr, p unsafe.Pointer) {
+	for i := range prog {
+		in := &prog[i]
+		putRun(w[:in.wire], in.op, unsafe.Add(p, in.off), in.n)
+		w = w[in.wire:]
 	}
 }
 
 // appendFused emits one whole message: a single Extend covers the
-// header image plus the fixed runs, the XID is stamped at its fixed
-// offset, and any variable tail continues through the plan executor on
-// the same buffer.
+// header image plus the fixed prefix of the program, the XID is stamped
+// at its fixed offset, and the variable tail continues through the plan
+// executor on the same buffer.
 //
 //specrpc:hotpath
 func appendFused(bs *xdr.BufStream, hdr []byte, xidOff int, body *fusedBody, xid uint32, p unsafe.Pointer) error {
 	w := bs.Extend(len(hdr) + body.fixedWire)
 	copy(w, hdr)
 	binary.BigEndian.PutUint32(w[xidOff:], xid)
-	if len(body.fixed) > 0 {
-		encodeFixed(w[len(hdr):], body.fixed, p)
-	}
-	if len(body.tail) > 0 {
-		return encodeProg(bs, body.tail, p, body.chunk)
-	}
-	return nil
+	encodeFixed(w[len(hdr):], body.prog[:body.nfixed], p)
+	return encodeProg(bs, body.prog[body.nfixed:], p)
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +106,7 @@ func NewCallCodec(tmpl *rpcmsg.CallTemplate, proc uint32, args *Codec) (*CallCod
 	if tmpl == nil {
 		return nil, fmt.Errorf("wire: nil call template")
 	}
-	body, err := compileFusedBody(args)
+	body, err := fuseBody(args)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +141,7 @@ type ReplyCodec struct {
 // NewReplyCodec fuses tmpl and the result codec. A nil results codec
 // marks a void result side; a Generic-mode codec is rejected.
 func NewReplyCodec(tmpl *rpcmsg.ReplyTemplate, results *Codec) (*ReplyCodec, error) {
-	body, err := compileFusedBody(results)
+	body, err := fuseBody(results)
 	if err != nil {
 		return nil, err
 	}

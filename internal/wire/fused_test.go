@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/xdr"
 )
-
-// fusedModes are the configurations the whole-call codecs compile for;
-// Generic has no flat program and is rejected by construction.
-var fusedModes = []Mode{Specialized, Chunked}
 
 func testCallTemplate(t *testing.T) *rpcmsg.CallTemplate {
 	t.Helper()
@@ -37,20 +34,18 @@ func templatePlusPlan(t *testing.T, tmpl *rpcmsg.CallTemplate, p *Plan[everythin
 func TestCallPlanMatchesTemplatePlusPlan(t *testing.T) {
 	tmpl := testCallTemplate(t)
 	v := sampleEverything()
-	for _, m := range fusedModes {
-		p := MustPlan[everything](everythingType(), m)
-		cp, err := NewCallPlan(tmpl, 7, p)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		want := templatePlusPlan(t, tmpl, p, 99, 7, &v)
-		bs := xdr.NewBufEncode(nil)
-		if err := cp.AppendCall(bs, 99, &v); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !bytes.Equal(bs.Buffer(), want) {
-			t.Errorf("%v: fused call differs from template+plan\n got %x\nwant %x", m, bs.Buffer(), want)
-		}
+	p := MustPlan[everything](everythingType(), Specialized)
+	cp, err := NewCallPlan(tmpl, 7, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := templatePlusPlan(t, tmpl, p, 99, 7, &v)
+	bs := xdr.NewBufEncode(nil)
+	if err := cp.AppendCall(bs, 99, &v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bs.Buffer(), want) {
+		t.Errorf("fused call differs from template+plan\n got %x\nwant %x", bs.Buffer(), want)
 	}
 }
 
@@ -83,34 +78,32 @@ func TestFusedRejectsGeneric(t *testing.T) {
 func TestReplyPlanMatchesTemplatePlusPlan(t *testing.T) {
 	rtmpl := rpcmsg.MustReplyTemplate(rpcmsg.None())
 	v := sampleEverything()
-	for _, m := range fusedModes {
-		p := MustPlan[everything](everythingType(), m)
-		rp, err := NewReplyPlan(rtmpl, p)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		ref := xdr.NewBufEncode(nil)
-		ref.SetBuffer(rtmpl.AppendReply(nil, 5))
-		if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
-			t.Fatal(err)
-		}
-		bs := xdr.NewBufEncode(nil)
-		if err := rp.AppendReply(bs, 5, &v); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
-			t.Errorf("%v: fused reply differs from template+plan\n got %x\nwant %x", m, bs.Buffer(), ref.Buffer())
-		}
+	p := MustPlan[everything](everythingType(), Specialized)
+	rp, err := NewReplyPlan(rtmpl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := xdr.NewBufEncode(nil)
+	ref.SetBuffer(rtmpl.AppendReply(nil, 5))
+	if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
+		t.Fatal(err)
+	}
+	bs := xdr.NewBufEncode(nil)
+	if err := rp.AppendReply(bs, 5, &v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
+		t.Errorf("fused reply differs from template+plan\n got %x\nwant %x", bs.Buffer(), ref.Buffer())
+	}
 
-		// The decode side recovers the value straight from the raw reply.
-		var got everything
-		handled, err := rp.DecodeReply(bs.Buffer(), &got)
-		if !handled || err != nil {
-			t.Fatalf("%v: DecodeReply handled=%v err=%v", m, handled, err)
-		}
-		if !reflect.DeepEqual(got, v) {
-			t.Errorf("%v: decode mismatch\n got %+v\nwant %+v", m, got, v)
-		}
+	// The decode side recovers the value straight from the raw reply.
+	var got everything
+	handled, err := rp.DecodeReply(bs.Buffer(), &got)
+	if !handled || err != nil {
+		t.Fatalf("DecodeReply handled=%v err=%v", handled, err)
+	}
+	if !reflect.DeepEqual(got, v) {
+		t.Errorf("decode mismatch\n got %+v\nwant %+v", got, v)
 	}
 }
 
@@ -155,9 +148,11 @@ func TestReplyPlanRejectsNonSuccess(t *testing.T) {
 	}
 }
 
-// TestCallPlanFixedFusion verifies the single-reservation property: a
-// fully fixed-size argument folds into the header's bounds check with
-// nothing left for the instruction walker.
+// TestCallPlanFixedFusion verifies the single-reservation property
+// against the fused view of the program: a fully fixed-size argument is
+// all prefix — it folds into the header's bounds check with nothing left
+// for the instruction walker — and the prefix stops at the first
+// variable-sized instruction, sharing the codec's program either way.
 func TestCallPlanFixedFusion(t *testing.T) {
 	type pair struct {
 		A int32
@@ -169,17 +164,42 @@ func TestCallPlanFixedFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cc.body.tail) != 0 || len(cc.body.fixed) != 1 || cc.body.fixedWire != 8 {
-		t.Errorf("pair did not fuse into the header reservation: %+v", cc.body)
+	if b := cc.body; b.nfixed != len(b.prog) || b.nfixed != 1 || b.fixedWire != 8 {
+		t.Errorf("pair did not fuse into the header reservation: %+v", b)
 	}
-	// Chunked keeps the instruction walker (bounded runs are the point).
-	pc := MustPlan[pair](pt, Chunked)
-	ccc, err := NewCallCodec(testCallTemplate(t), 1, pc.Codec())
+
+	type mid struct {
+		A    int32
+		Flag bool
+		H    int64
+		Name string
+		Z    int32
+	}
+	mt := StructT("mid", F("a", Int32T()), F("flag", BoolT()), F("h", HyperT()),
+		F("name", StringT(0)), F("z", Int32T()))
+	mc := MustPlan[mid](mt, Specialized).Codec()
+	mcc, err := NewCallCodec(testCallTemplate(t), 1, mc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ccc.body.fixed) != 0 || len(ccc.body.tail) == 0 {
-		t.Errorf("chunked body unexpectedly folded: %+v", ccc.body)
+	b := mcc.body
+	if len(b.prog) != 5 || &b.prog[0] != &mc.prog[0] {
+		t.Fatalf("fused body is not a view of the codec's %d-instruction program: %+v", len(mc.prog), b)
+	}
+	if b.nfixed != 3 || b.fixedWire != 4+4+8 || b.prog[b.nfixed].op != opString {
+		t.Errorf("prefix = %d instructions / %d bytes, want 3 / 16 stopping at the string", b.nfixed, b.fixedWire)
+	}
+	v := mid{A: -1, Flag: true, H: 1 << 40, Name: "abcde", Z: 7}
+	bs, ref := xdr.NewBufEncode(nil), xdr.NewBufEncode(nil)
+	if err := mcc.Append(bs, 9, unsafe.Pointer(&v)); err != nil {
+		t.Fatal(err)
+	}
+	ref.SetBuffer(testCallTemplate(t).AppendCall(nil, 9, 1))
+	if err := mc.Encode(xdr.NewEncoder(ref), unsafe.Pointer(&v)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
+		t.Errorf("fused call differs from template+plan\n got %x\nwant %x", bs.Buffer(), ref.Buffer())
 	}
 }
 

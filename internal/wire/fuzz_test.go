@@ -67,18 +67,14 @@ func fuzzValue(a int32, h int64, flag bool, name string, raw []byte) everything 
 }
 
 // FuzzCallPlanFused: fused whole-call bytes == CallTemplate.AppendCall
-// + plan Encode, for both fusable configurations, across random
-// identities and credential material.
+// + plan Encode, across random identities and credential material.
 func FuzzCallPlanFused(f *testing.F) {
 	f.Add(uint32(1), uint32(0x20000532), uint32(1), uint32(2),
 		int32(rpcmsg.AuthNone), []byte{}, int32(5), int64(-9), true, "hello", []byte{1, 2, 3, 4, 5})
 	f.Add(uint32(0xffffffff), uint32(0), uint32(9), uint32(0),
 		int32(rpcmsg.AuthSys), []byte{1, 2, 3}, int32(-1), int64(1)<<40, false, "", make([]byte, 200))
 
-	plans := map[Mode]*Plan[everything]{
-		Specialized: MustPlan[everything](everythingType(), Specialized),
-		Chunked:     MustPlan[everything](everythingType(), Chunked),
-	}
+	p := MustPlan[everything](everythingType(), Specialized)
 	f.Fuzz(func(t *testing.T, xid, prog, vers, proc uint32,
 		credFlavor int32, credBody []byte, a int32, h int64, flag bool, name string, raw []byte) {
 		cred := rpcmsg.OpaqueAuth{Flavor: rpcmsg.AuthFlavor(credFlavor), Body: credBody}
@@ -87,24 +83,21 @@ func FuzzCallPlanFused(f *testing.F) {
 			t.Skip() // auth the generic encoder also rejects: no template, no fusion
 		}
 		v := fuzzValue(a, h, flag, name, raw)
-		for mode, p := range plans {
-			cp, err := NewCallPlan(tmpl, proc, p)
-			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
-			}
-			ref := xdr.NewBufEncode(nil)
-			ref.SetBuffer(tmpl.AppendCall(nil, xid, proc))
-			if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
-				t.Fatalf("%v: reference encode: %v", mode, err)
-			}
-			bs := xdr.NewBufEncode(nil)
-			if err := cp.AppendCall(bs, xid, &v); err != nil {
-				t.Fatalf("%v: fused encode: %v", mode, err)
-			}
-			if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
-				t.Fatalf("%v: fused call differs from template+plan\n got %x\nwant %x",
-					mode, bs.Buffer(), ref.Buffer())
-			}
+		cp, err := NewCallPlan(tmpl, proc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := xdr.NewBufEncode(nil)
+		ref.SetBuffer(tmpl.AppendCall(nil, xid, proc))
+		if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
+			t.Fatalf("reference encode: %v", err)
+		}
+		bs := xdr.NewBufEncode(nil)
+		if err := cp.AppendCall(bs, xid, &v); err != nil {
+			t.Fatalf("fused encode: %v", err)
+		}
+		if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
+			t.Fatalf("fused call differs from template+plan\n got %x\nwant %x", bs.Buffer(), ref.Buffer())
 		}
 	})
 }
@@ -116,10 +109,7 @@ func FuzzReplyPlanFused(f *testing.F) {
 	f.Add(uint32(1), int32(rpcmsg.AuthNone), []byte{}, int32(5), int64(-9), true, "hello", []byte{1, 2, 3})
 	f.Add(uint32(0xffffffff), int32(rpcmsg.AuthShort), []byte{9, 9}, int32(-1), int64(1)<<40, false, "", make([]byte, 200))
 
-	plans := map[Mode]*Plan[everything]{
-		Specialized: MustPlan[everything](everythingType(), Specialized),
-		Chunked:     MustPlan[everything](everythingType(), Chunked),
-	}
+	p := MustPlan[everything](everythingType(), Specialized)
 	f.Fuzz(func(t *testing.T, xid uint32,
 		verfFlavor int32, verfBody []byte, a int32, h int64, flag bool, name string, raw []byte) {
 		verf := rpcmsg.OpaqueAuth{Flavor: rpcmsg.AuthFlavor(verfFlavor), Body: verfBody}
@@ -128,39 +118,36 @@ func FuzzReplyPlanFused(f *testing.F) {
 			t.Skip()
 		}
 		v := fuzzValue(a, h, flag, name, raw)
-		for mode, p := range plans {
-			rp, err := NewReplyPlan(tmpl, p)
-			if err != nil {
-				t.Fatalf("%v: %v", mode, err)
-			}
-			ref := xdr.NewBufEncode(nil)
-			ref.SetBuffer(tmpl.AppendReply(nil, xid))
-			if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
-				t.Fatalf("%v: reference encode: %v", mode, err)
-			}
-			bs := xdr.NewBufEncode(nil)
-			if err := rp.AppendReply(bs, xid, &v); err != nil {
-				t.Fatalf("%v: fused encode: %v", mode, err)
-			}
-			if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
-				t.Fatalf("%v: fused reply differs from template+plan\n got %x\nwant %x",
-					mode, bs.Buffer(), ref.Buffer())
-			}
+		rp, err := NewReplyPlan(tmpl, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := xdr.NewBufEncode(nil)
+		ref.SetBuffer(tmpl.AppendReply(nil, xid))
+		if err := p.Encode(xdr.NewEncoder(ref), &v); err != nil {
+			t.Fatalf("reference encode: %v", err)
+		}
+		bs := xdr.NewBufEncode(nil)
+		if err := rp.AppendReply(bs, xid, &v); err != nil {
+			t.Fatalf("fused encode: %v", err)
+		}
+		if !bytes.Equal(bs.Buffer(), ref.Buffer()) {
+			t.Fatalf("fused reply differs from template+plan\n got %x\nwant %x", bs.Buffer(), ref.Buffer())
+		}
 
-			// Decode side: the fixed-offset path must accept this healthy
-			// reply and recover a value that re-encodes identically.
-			var got everything
-			handled, err := rp.DecodeReply(bs.Buffer(), &got)
-			if !handled || err != nil {
-				t.Fatalf("%v: DecodeReply handled=%v err=%v", mode, handled, err)
-			}
-			re := xdr.NewBufEncode(nil)
-			if err := p.Encode(xdr.NewEncoder(re), &got); err != nil {
-				t.Fatalf("%v: re-encode: %v", mode, err)
-			}
-			if !bytes.Equal(re.Buffer(), ref.Buffer()[tmpl.Len():]) {
-				t.Fatalf("%v: decoded value re-encodes differently", mode)
-			}
+		// Decode side: the fixed-offset path must accept this healthy
+		// reply and recover a value that re-encodes identically.
+		var got everything
+		handled, err := rp.DecodeReply(bs.Buffer(), &got)
+		if !handled || err != nil {
+			t.Fatalf("DecodeReply handled=%v err=%v", handled, err)
+		}
+		re := xdr.NewBufEncode(nil)
+		if err := p.Encode(xdr.NewEncoder(re), &got); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(re.Buffer(), ref.Buffer()[tmpl.Len():]) {
+			t.Fatal("decoded value re-encodes differently")
 		}
 	})
 }

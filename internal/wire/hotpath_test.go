@@ -20,18 +20,18 @@ func TestBadInstructionSentinel(t *testing.T) {
 	bad := []instr{{op: 0xff}}
 
 	bs := xdr.NewBufEncode(nil)
-	if err := encodeProg(bs, bad, unsafe.Pointer(&v), 0); !errors.Is(err, errBadInstruction) {
+	if err := encodeProg(bs, bad, unsafe.Pointer(&v)); !errors.Is(err, errBadInstruction) {
 		t.Fatalf("encodeProg on corrupted plan: err = %v, want errBadInstruction", err)
 	}
 	var ms xdr.MemStream
 	ms.SetBuffer([]byte{0, 0, 0, 0})
-	if err := decodeProg(&ms, bad, unsafe.Pointer(&v), 0); !errors.Is(err, errBadInstruction) {
+	if err := decodeProg(&ms, bad, unsafe.Pointer(&v)); !errors.Is(err, errBadInstruction) {
 		t.Fatalf("decodeProg on corrupted plan: err = %v, want errBadInstruction", err)
 	}
 
 	if n := testing.AllocsPerRun(100, func() {
 		bs.SetBuffer(bs.Buffer()[:0])
-		if encodeProg(bs, bad, unsafe.Pointer(&v), 0) == nil {
+		if encodeProg(bs, bad, unsafe.Pointer(&v)) == nil {
 			t.Fatal("corrupted plan encoded")
 		}
 	}); n != 0 {

@@ -6,7 +6,7 @@
 //
 // The package transplants the paper's §5 comparison (Muller et al.,
 // ICDCS'98) onto the production hot path. One description compiles into
-// three interchangeable codecs:
+// two interchangeable codecs:
 //
 //   - Generic: an interpretive tree-walker. Every leaf dispatches on the
 //     handle mode and funnels through the Stream interface one 4-byte
@@ -17,12 +17,16 @@
 //     array; adjacent fixed-size fields fuse into single runs, each run
 //     pays one bounds check, and fixed opaque data becomes one memcpy.
 //     This is the paper's fully specialized stub rendered as data.
-//   - Chunked: the specialized plan with bounded runs (paper Table 4):
-//     long runs execute through an outer driver loop in ChunkUnits-unit
-//     chunks, bounding the working footprint of any single run.
 //
-// All three produce byte-identical wire data, so they interoperate
-// freely: a Generic client can call a Specialized server and vice versa.
+// Both produce byte-identical wire data, so they interoperate freely: a
+// Generic client can call a Specialized server and vice versa. (The
+// paper's third configuration, bounded unrolling, lives in the model
+// track — internal/core.Chunked and sunbench -table 4 — where its
+// i-cache effect is real; live it measured no different from
+// Specialized and was retired.)
+//
+// The same Type tree is also what rpcgen hands the compiled-stub emitter
+// (emit.go), so a shape is described once however it ends up executed.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 3, the stub layer: it compiles type descriptions down onto the
@@ -31,7 +35,11 @@
 // internal/server fast paths execute.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"specrpc/internal/xdr"
+)
 
 // Kind enumerates the wire-level shapes a Type can take.
 type Kind uint8
@@ -105,6 +113,10 @@ type Type struct {
 	Elem *Type
 	// Fields are the struct members, in wire order.
 	Fields []Field
+	// Go is the Go type spelling the compiled-stub emitter casts and
+	// allocates with, set where the shape alone does not imply it (an
+	// enum's or typedef's declared name); the codecs ignore it.
+	Go string
 }
 
 // Field is one struct member.
@@ -185,4 +197,34 @@ func effBound(b uint32) uint32 {
 		return ^uint32(0) // NoSizeLimit
 	}
 	return b
+}
+
+// wireSize reports the static wire size of t when it has one — every
+// shape built without a String, OpaqueVar, or VarArray, whose sizes
+// depend on the value. It is the one such answer on the Type tree; the
+// flat program's is runWire.
+func (t *Type) wireSize() (int, bool) {
+	switch t.Kind {
+	case Int32, Uint32, Bool, Float32:
+		return 4, true
+	case Hyper, Uhyper, Float64:
+		return 8, true
+	case OpaqueFixed:
+		return t.Len + xdr.Pad(t.Len), true
+	case FixedArray:
+		es, ok := t.Elem.wireSize()
+		return t.Len * es, ok
+	case Struct:
+		total := 0
+		for _, f := range t.Fields {
+			n, ok := f.Type.wireSize()
+			if !ok {
+				return 0, false
+			}
+			total += n
+		}
+		return total, true
+	default:
+		return 0, false
+	}
 }

@@ -75,7 +75,7 @@ func sampleEverything() everything {
 	}
 }
 
-var modes = []Mode{Generic, Specialized, Chunked}
+var modes = []Mode{Generic, Specialized}
 
 // handwritten is the reference encoding via the micro-layered xdr calls
 // a hand-written stub would make; every codec must match it byte for
@@ -197,27 +197,98 @@ func assertEverythingEqual(t *testing.T, got, want *everything) {
 	}
 }
 
-// TestChunkedCrossesChunkBoundary exercises runs longer than ChunkUnits
-// so the chunked driver loop actually iterates.
-func TestChunkedCrossesChunkBoundary(t *testing.T) {
-	n := 3*ChunkUnits + 17
-	in := make([]int32, n)
-	for i := range in {
-		in[i] = int32(i * 3)
+// staticWire sums the precomputed wire bytes of a program made only of
+// fixed-size instructions (runs, and vectors of them).
+func staticWire(t *testing.T, prog []instr) int {
+	t.Helper()
+	total := 0
+	for _, in := range prog {
+		switch {
+		case in.op.fixed():
+			total += in.wire
+		case in.op == opVecSub:
+			total += in.n * staticWire(t, in.sub)
+		default:
+			t.Fatalf("static-size type compiled to a variable-size instruction %s", in)
+		}
 	}
-	ty := VarArrayT(0, Int32T())
-	ref := encodeInts(t, MustPlan[[]int32](ty, Generic), in)
-	for _, m := range []Mode{Specialized, Chunked} {
-		got := encodeInts(t, MustPlan[[]int32](ty, m), in)
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("%v: bytes differ from generic at N=%d", m, n)
+	return total
+}
+
+// TestStaticWireSize checks the two static-size answers — Type.wireSize
+// on the tree, instr.wire (runWire) on the flat program — against each
+// other and against the length every codec actually encodes, for each
+// static-size shape of the corpus; and that every counted kind, or
+// anything containing one, reports "not static".
+func TestStaticWireSize(t *testing.T) {
+	pt := StructT("point", F("x", Int32T()), F("y", Int32T()))
+	type padded struct {
+		Tag     [5]byte
+		Corners [2]point
+		H       int64
+		Flag    bool
+		Grid    [2][3]bool
+	}
+	paddedT := StructT("padded",
+		F("tag", OpaqueFixedT(5)),
+		F("corners", FixedArrayT(2, pt)),
+		F("h", HyperT()),
+		F("flag", BoolT()),
+		F("grid", FixedArrayT(2, FixedArrayT(3, BoolT()))),
+	)
+	static := []struct {
+		ty   *Type
+		v    any
+		want int
+	}{
+		{Int32T(), int32(0), 4}, {Uint32T(), uint32(0), 4}, {BoolT(), false, 4}, {Float32T(), float32(0), 4},
+		{HyperT(), int64(0), 8}, {UhyperT(), uint64(0), 8}, {Float64T(), float64(0), 8},
+		{OpaqueFixedT(0), [0]byte{}, 0}, {OpaqueFixedT(1), [1]byte{}, 4},
+		{OpaqueFixedT(4), [4]byte{}, 4}, {OpaqueFixedT(5), [5]byte{}, 8}, {OpaqueFixedT(10), [10]byte{}, 12},
+		{FixedArrayT(3, Int32T()), [3]int32{}, 12},
+		{FixedArrayT(2, FixedArrayT(3, BoolT())), [2][3]bool{}, 24},
+		{FixedArrayT(3, OpaqueFixedT(5)), [3][5]byte{}, 24}, // padding between elements: a vector, not a run
+		{FixedArrayT(3, OpaqueFixedT(8)), [3][8]byte{}, 24},
+		{pt, point{}, 8}, {FixedArrayT(2, pt), [2]point{}, 16},
+		{paddedT, padded{}, 8 + 16 + 8 + 4 + 24},
+		{FixedArrayT(2, paddedT), [2]padded{}, 2 * 60},
+	}
+	for _, tc := range static {
+		got, ok := tc.ty.wireSize()
+		if !ok || got != tc.want {
+			t.Errorf("%s %T: wireSize = %d, %v, want %d, true", tc.ty.Kind, tc.v, got, ok, tc.want)
 		}
-		var out []int32
-		if err := MustPlan[[]int32](ty, m).Marshal(xdr.NewDecoder(xdr.NewMemDecode(got)), &out); err != nil {
-			t.Fatalf("%v decode: %v", m, err)
+		pv := reflect.New(reflect.TypeOf(tc.v))
+		for _, m := range modes {
+			c, err := Compile(tc.ty, pv.Type().Elem(), m)
+			if err != nil {
+				t.Fatalf("%T: %v", tc.v, err)
+			}
+			bs := xdr.NewBufEncode(nil)
+			if err := c.Encode(xdr.NewEncoder(bs), pv.UnsafePointer()); err != nil {
+				t.Fatalf("%T %v: %v", tc.v, m, err)
+			}
+			if len(bs.Buffer()) != tc.want {
+				t.Errorf("%T %v: encoded %d bytes, want %d", tc.v, m, len(bs.Buffer()), tc.want)
+			}
+			if m == Specialized {
+				if n := staticWire(t, c.prog); n != tc.want {
+					t.Errorf("%T: program covers %d static wire bytes, want %d\n%s", tc.v, n, tc.want, c.ProgString())
+				}
+			}
 		}
-		if len(out) != n || out[0] != 0 || out[n-1] != in[n-1] {
-			t.Fatalf("%v: bad round trip", m)
+	}
+	counted := []*Type{
+		StringT(0), StringT(8), OpaqueVarT(0), OpaqueVarT(8), VarArrayT(0, Int32T()), VarArrayT(4, pt),
+		FixedArrayT(2, StringT(4)), FixedArrayT(2, VarArrayT(0, BoolT())),
+		StructT("s", F("a", Int32T()), F("name", StringT(0))),
+		StructT("s", F("blob", OpaqueVarT(0)), F("a", Int32T())),
+		StructT("outer", F("in", StructT("s", F("nums", VarArrayT(0, HyperT()))))),
+		everythingType(),
+	}
+	for _, ty := range counted {
+		if n, ok := ty.wireSize(); ok {
+			t.Errorf("%s: wireSize = %d, true, want not static", ty.Kind, n)
 		}
 	}
 }
