@@ -94,7 +94,9 @@ batch-smoke:
 	$(GO) run ./cmd/sunbench -batch -transport udp,tcp -clients 2 -depth 8 -calls 2000
 
 # Short native-fuzz smoke over the decode boundary (the record-marking
-# reader and the RPC call-header decoder, fed raw bytes), the header
+# reader and the RPC call-header decoder, fed raw bytes), the record
+# reader's read-ahead differential (whole delivery == seeded short
+# reads == a walk over the marks, records and error class alike), the header
 # template differentials (template bytes == generic marshaler bytes),
 # the call-body accept-set differential (fixed-offset parse == header
 # walker), the whole-call fusion differentials (fused bytes ==
@@ -105,7 +107,8 @@ batch-smoke:
 # the .x front end fed arbitrary text (Parse never panics; what it
 # accepts generates Go that parses, plan-only and compiled).
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzRecRead -fuzztime=10s ./internal/xdr
+	$(GO) test -run=NONE -fuzz='FuzzRecRead$$' -fuzztime=10s ./internal/xdr
+	$(GO) test -run=NONE -fuzz=FuzzRecReadDiff -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCallHeader -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz=FuzzCallTemplate -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz='FuzzReplyTemplate$$' -fuzztime=10s ./internal/rpcmsg

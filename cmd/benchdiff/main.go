@@ -124,6 +124,7 @@ type report struct {
 		ClientWritesPerOp float64 `json:"client_writes_per_op"`
 		ServerWritesPerOp float64 `json:"server_writes_per_op"`
 		ServerReadsPerOp  float64 `json:"server_reads_per_op"`
+		ClientReadsPerOp  float64 `json:"client_reads_per_op"`
 	} `json:"batch"`
 	Chaos []struct {
 		Transport string  `json:"transport"`
@@ -198,6 +199,9 @@ func (r *report) series() map[string]float64 {
 		out[base+"/cliW_op"] = b.ClientWritesPerOp
 		out[base+"/srvW_op"] = b.ServerWritesPerOp
 		out[base+"/srvR_op"] = b.ServerReadsPerOp
+		if b.ClientReadsPerOp > 0 { // absent from snapshots before the column
+			out[base+"/cliR_op"] = b.ClientReadsPerOp
+		}
 	}
 	// Chaos goodput under randomized faults is not a stable timing
 	// series, so the family is deliberately absent from

@@ -43,8 +43,10 @@ type BatchOptions struct {
 	//             with Depth.
 	//   "calls" — ONC batched calls (TCP only): groups of batchGroup-1
 	//             CallBatched flushed by a terminal Call, the protocol-
-	//             level batching of the Sun RPC lineage. Deterministic
-	//             writes/op regardless of scheduling.
+	//             level batching of the Sun RPC lineage. A group is
+	//             issued atomically per connection (Depth goroutines on
+	//             one connection take turns), so writes/op is exactly
+	//             1/batchGroup regardless of scheduling.
 	Mode string
 	// Clients, Depth, Calls, ArraySize as in ThroughputOptions.
 	Clients, Depth, Calls, ArraySize int
@@ -109,14 +111,20 @@ type BatchResult struct {
 	// request syscalls per call (UDP: sendmmsg/recvmmsg calls per call).
 	ServerWritesPerOp float64 `json:"server_writes_per_op"`
 	ServerReadsPerOp  float64 `json:"server_reads_per_op"`
+	// ClientReadsPerOp is reply-receive syscalls per call on the client
+	// (TCP rows only): with the record layer's read-ahead, 1.0 for a lone
+	// caller and less when replies arrive in bursts.
+	ClientReadsPerOp float64 `json:"client_reads_per_op,omitempty"`
 	// Batched reports whether the UDP mmsg kernel path was active (always
 	// false for TCP rows; the TCP mechanism is vectored writes, not mmsg).
 	Batched bool `json:"mmsg,omitempty"`
 }
 
-// countConn counts Write and Read calls passing through to a kernel
-// socket: each is exactly one syscall, so the counters are the
-// syscalls/op instrument for stream transports.
+// countConn counts Write calls and the Read calls that delivered bytes
+// passing through to a kernel socket: each is one syscall that moved
+// data, so the counters are the syscalls/op instrument for stream
+// transports. (A Read is counted on return, not on entry: the read a
+// served connection is parked in when the run ends moved nothing.)
 type countConn struct {
 	net.Conn
 	writes, reads *atomic.Uint64
@@ -128,8 +136,11 @@ func (c countConn) Write(p []byte) (int, error) {
 }
 
 func (c countConn) Read(p []byte) (int, error) {
-	c.reads.Add(1)
-	return c.Conn.Read(p)
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
 }
 
 // countListener wraps accepted connections in countConn, so every
@@ -198,6 +209,7 @@ func batchTCP(o BatchOptions) (BatchResult, error) {
 	res.ClientWritesPerOp = perOp(cliWrites.Load(), o.Calls)
 	res.ServerWritesPerOp = perOp(srvWrites.Load(), o.Calls)
 	res.ServerReadsPerOp = perOp(srvReads.Load(), o.Calls)
+	res.ClientReadsPerOp = perOp(cliReads.Load(), o.Calls)
 	return res, nil
 }
 
@@ -267,7 +279,10 @@ func perOp(n uint64, calls int) float64 {
 // driveBatch distributes o.Calls over Clients×Depth goroutines (ticket
 // counter, as in Throughput). In "calls" mode each ticket is one group:
 // batchGroup-1 fire-and-forget calls and a terminal echo call that
-// flushes them.
+// flushes them, issued under the connection's group lock: a terminal
+// call from another goroutine — or its group-commit leader, still
+// looping — would otherwise carry off a half-queued group, and the rest
+// of it would cost a second write.
 func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Duration, error) {
 	var tickets atomic.Int64
 	perTicket := 1
@@ -287,12 +302,13 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 		}
 		errMu.Unlock()
 	}
+	groupMu := make([]sync.Mutex, o.Clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for ci := 0; ci < o.Clients; ci++ {
 		for d := 0; d < o.Depth; d++ {
 			wg.Add(1)
-			go func(c client.Caller) {
+			go func(c client.Caller, group *sync.Mutex) {
 				defer wg.Done()
 				in := make([]int32, o.ArraySize)
 				for i := range in {
@@ -301,30 +317,37 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 				marshal := func(x *xdr.XDR) error {
 					return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long)
 				}
-				for tickets.Add(-1) >= 0 {
+				var out []int32
+				unmarshal := func(x *xdr.XDR) error {
+					return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long)
+				}
+				one := func() error {
 					if o.Mode == "calls" {
+						group.Lock()
+						defer group.Unlock()
 						tc := c.(*client.TCP)
 						for k := 0; k < batchGroup-1; k++ {
 							if err := tc.CallBatched(loadEcho, marshal); err != nil {
-								setErr(err)
-								return
+								return err
 							}
 						}
 					}
-					var out []int32
-					unmarshal := func(x *xdr.XDR) error {
-						return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long)
-					}
+					out = nil
 					if err := c.Call(loadEcho, marshal, unmarshal); err != nil {
+						return err
+					}
+					if len(out) != o.ArraySize {
+						return fmt.Errorf("bench: echo length %d, want %d", len(out), o.ArraySize)
+					}
+					return nil
+				}
+				for tickets.Add(-1) >= 0 {
+					if err := one(); err != nil {
 						setErr(err)
 						return
 					}
-					if len(out) != o.ArraySize {
-						setErr(fmt.Errorf("bench: echo length %d, want %d", len(out), o.ArraySize))
-						return
-					}
 				}
-			}(callerFor(ci))
+			}(callerFor(ci), &groupMu[ci])
 		}
 	}
 	wg.Wait()
@@ -339,13 +362,17 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 func FormatBatch(rows []BatchResult) string {
 	var sb strings.Builder
 	sb.WriteString("Batch: syscalls per call, counted via conn shims (tcp) / batch-I/O layer (udp)\n")
-	fmt.Fprintf(&sb, "%-9s %-6s %8s %6s %7s %12s %9s %9s %9s %6s\n",
+	fmt.Fprintf(&sb, "%-9s %-6s %8s %6s %7s %12s %9s %9s %9s %9s %6s\n",
 		"Transport", "Mode", "Clients", "Depth", "Calls", "Calls/s",
-		"cliW/op", "srvW/op", "srvR/op", "mmsg")
+		"cliW/op", "cliR/op", "srvW/op", "srvR/op", "mmsg")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-9s %-6s %8d %6d %7d %12.0f %9.3f %9.3f %9.3f %6v\n",
+		cliR := "-" // counted by the stream shim only
+		if r.Transport == "tcp" {
+			cliR = fmt.Sprintf("%.3f", r.ClientReadsPerOp)
+		}
+		fmt.Fprintf(&sb, "%-9s %-6s %8d %6d %7d %12.0f %9.3f %9s %9.3f %9.3f %6v\n",
 			r.Transport, r.Mode, r.Clients, r.Depth, r.Calls, r.CallsPerSec,
-			r.ClientWritesPerOp, r.ServerWritesPerOp, r.ServerReadsPerOp, r.Batched)
+			r.ClientWritesPerOp, cliR, r.ServerWritesPerOp, r.ServerReadsPerOp, r.Batched)
 	}
 	return sb.String()
 }

@@ -31,13 +31,34 @@ func TestBatchTCPOffWritesPerOp(t *testing.T) {
 		t.Fatalf("server counters missing: reads/op=%v writes/op=%v",
 			res.ServerReadsPerOp, res.ServerWritesPerOp)
 	}
+	checkReadsPerOp(t, res, 1.0)
+}
+
+// checkReadsPerOp pins the record layer's read-ahead from the outside,
+// counted on both ends: a record costs at most one read that delivered
+// bytes (it was two — mark, then payload — before the window), and a
+// burst that left in one write costs one for all of it.
+func checkReadsPerOp(t *testing.T, res BatchResult, bound float64) {
+	t.Helper()
+	if res.ServerReadsPerOp <= 0 || res.ClientReadsPerOp <= 0 {
+		t.Fatalf("%s: read counters missing: srvR/op=%v cliR/op=%v", res.Mode, res.ServerReadsPerOp, res.ClientReadsPerOp)
+	}
+	if res.ServerReadsPerOp > bound {
+		t.Errorf("%s depth %d: server reads/op = %v, want <= %v", res.Mode, res.Depth, res.ServerReadsPerOp, bound)
+	}
+	if res.ClientReadsPerOp > 1.0 {
+		t.Errorf("%s depth %d: client reads/op = %v, want <= 1.0", res.Mode, res.Depth, res.ClientReadsPerOp)
+	}
 }
 
 // TestBatchTCPCallsWritesPerOp: ONC batched calls are deterministic —
 // batchGroup-1 queued records and the terminal call leave in one
-// coalesced write, so writes/op is exactly 1/batchGroup at any depth.
+// coalesced write, so writes/op is exactly 1/batchGroup at any depth
+// (driveBatch issues a group atomically per connection; without that a
+// neighbour's terminal call flushes half a group and the count drifts).
 // This is the depth>=4 syscall-reduction pin of the acceptance
-// criteria, counted rather than timed.
+// criteria, counted rather than timed. The server picks a group up with
+// the record layer's read-ahead, so its reads/op fall with the writes.
 func TestBatchTCPCallsWritesPerOp(t *testing.T) {
 	for _, depth := range []int{1, 4} {
 		res := runBatch(t, BatchOptions{Transport: "tcp", Mode: "calls",
@@ -51,6 +72,7 @@ func TestBatchTCPCallsWritesPerOp(t *testing.T) {
 			t.Fatalf("depth %d: no reduction vs the off baseline (%v >= 1.0)",
 				depth, res.ClientWritesPerOp)
 		}
+		checkReadsPerOp(t, res, 0.5)
 	}
 }
 
@@ -67,6 +89,7 @@ func TestBatchTCPOnBounded(t *testing.T) {
 	if res.ClientWritesPerOp <= 0 {
 		t.Fatalf("on-mode client writes/op = %v, counters not wired", res.ClientWritesPerOp)
 	}
+	checkReadsPerOp(t, res, 1.0)
 }
 
 // TestBatchUDPModes: both datagram modes run end to end over real

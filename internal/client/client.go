@@ -25,7 +25,9 @@
 // and flush policy"): concurrent TCP calls coalesce their records into
 // shared vectored writes via the group-commit RecBatcher, and
 // CallBatched queues ONC fire-and-forget calls that leave with the next
-// terminal Call, Flush, or Close.
+// terminal Call, Flush, or Close. On the way in, the reply pump reads
+// through the record layer's read-ahead window: one read per reply, or
+// per burst of replies.
 package client
 
 import (
@@ -164,10 +166,11 @@ func (c *Config) fill() {
 // demux routes reply buffers from a link's reader goroutine to the
 // per-call channels registered by issuing goroutines, keyed on XID.
 type demux struct {
-	mu    sync.Mutex // guards calls, err
+	mu    sync.Mutex // guards calls, free, err
 	calls map[uint32]chan *[]byte
-	err   error         // terminal transport error; set once
-	done  chan struct{} // closed when err is set
+	free  []chan *[]byte // idle reply slots, each empty; at most the peak calls in flight
+	err   error          // terminal transport error; set once
+	done  chan struct{}  // closed when err is set
 }
 
 func newDemux() *demux {
@@ -195,24 +198,35 @@ func (d *demux) register(counter *atomic.Uint32) (uint32, chan *[]byte, error) {
 	for d.calls[xid] != nil {
 		xid = counter.Add(1)
 	}
-	ch := make(chan *[]byte, 1)
+	var ch chan *[]byte
+	if n := len(d.free); n > 0 {
+		ch, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		ch = make(chan *[]byte, 1)
+	}
 	d.calls[xid] = ch
 	return xid, ch, nil
 }
 
-// unregister removes the slot and reclaims any undelivered reply buffer.
+// unregister removes the slot, reclaims any undelivered reply buffer and
+// keeps the channel for the next call. The caller must be done with the
+// channel. Removing and draining under the lock deliver sends under is
+// what makes the reuse safe: once the slot is off the map no reply can
+// reach it, so it goes back on the free list empty.
 func (d *demux) unregister(xid uint32) {
 	d.mu.Lock()
 	ch := d.calls[xid]
-	delete(d.calls, xid)
-	d.mu.Unlock()
+	var stale *[]byte
 	if ch != nil {
+		delete(d.calls, xid)
 		select {
-		case bp := <-ch:
-			xdr.PutBuf(bp)
+		case stale = <-ch:
 		default:
 		}
+		d.free = append(d.free, ch)
 	}
+	d.mu.Unlock()
+	xdr.PutBuf(stale)
 }
 
 // deliver hands a pooled reply buffer to the call waiting on xid. It
@@ -779,18 +793,18 @@ func (e *engine) marshalReq(r callReq, xid, proc uint32) (*[]byte, error) {
 		return nil, e.tmplErr
 	}
 	bp := xdr.GetBuf(e.cfg.BufSize + e.prefix)
+	// One pooled handle serves both branches: its stream escapes through
+	// the CallAppender interface and its XDR handle into the closure.
+	enc := xdr.GetEnc((*bp)[:e.prefix])
 	var err error
 	if r.cc != nil {
-		var bs xdr.BufStream
-		bs.SetBuffer((*bp)[:e.prefix])
-		err = r.cc.Append(&bs, xid, r.argp)
-		*bp = bs.Buffer() // keep any growth pooled
+		err = r.cc.Append(&enc.BS, xid, r.argp)
 	} else {
-		enc := xdr.GetEnc(e.tmpl.AppendCall((*bp)[:e.prefix], xid, proc))
+		enc.BS.SetBuffer(e.tmpl.AppendCall(enc.BS.Buffer(), xid, proc))
 		err = r.args(&enc.X)
-		*bp = enc.BS.Buffer()
-		xdr.PutEnc(enc)
 	}
+	*bp = enc.BS.Buffer() // keep any growth pooled
+	xdr.PutEnc(enc)
 	if err == nil && e.maxReq > 0 && len(*bp) >= e.maxReq {
 		// The growable buffer fits any request; the transport does not.
 		err = fmt.Errorf("%w (request %d bytes reaches datagram buffer %d)",
@@ -1343,6 +1357,12 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	}
 	l, err := c.acquire(context.Background(), time.Now().Add(c.cfg.Timeout))
 	if err != nil {
+		return err
+	}
+	// A link whose reader has already failed takes no more records: the
+	// queue would never be flushed to anyone, and the failure a terminal
+	// call reported must stick for the batched calls after it.
+	if err := l.dmx.error(); err != nil {
 		return err
 	}
 	// Start the reader even though no reply is expected: the server

@@ -201,9 +201,6 @@ func TestOversizedCredFailsEveryCall(t *testing.T) {
 // primitives, as compiled wire plans do; the per-primitive escape of the
 // generic x.Uint32 path is the interpretive-layer cost the plans exist
 // to remove, and is measured separately by the header-path benchmarks.
-// The codec path's one allocation is the BufStream handed to the
-// CallAppender interface; it predates the engine and is pinned so it
-// does not grow.
 func TestCallPathAllocFree(t *testing.T) {
 	arg := []int32{1, 2, 3}
 	for _, prefix := range []int{0, xdr.RecordMarkLen} {
@@ -215,7 +212,7 @@ func TestCallPathAllocFree(t *testing.T) {
 			want float64
 		}{
 			{"closure", callReq{args: func(x *xdr.XDR) error { return x.Stream.PutLong(7) }}, 0},
-			{"fused", callReq{cc: p.call, argp: unsafe.Pointer(&arg)}, 1},
+			{"fused", callReq{cc: p.call, argp: unsafe.Pointer(&arg)}, 0},
 		} {
 			req := tc.req
 			if allocs := testing.AllocsPerRun(100, func() {

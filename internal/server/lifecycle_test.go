@@ -323,3 +323,60 @@ func TestServeTCPConnLimit(t *testing.T) {
 		t.Fatalf("call on freed slot: %v", err)
 	}
 }
+
+// TestServeTCPMaxRecord pins WithMaxRecord against the peer the bound
+// exists for: one that streams fragments and never sets the
+// last-fragment bit. The old server grew the request buffer for as long
+// as the peer kept sending; now the connection is closed as soon as the
+// announced total passes the bound, and counted.
+func TestServeTCPMaxRecord(t *testing.T) {
+	const limit = 64 << 10
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(WithMaxRecord(limit))
+	s.Register(testProg, testVers, procEcho, echoProc)
+	defer s.Close()
+	go func() { _ = s.ServeTCP(ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// 1000-byte fragments, last-fragment bit clear, until the server hangs
+	// up: the write fails once the close reaches this end. 100x the bound
+	// is the give-up point of a server that never does.
+	frag := append([]byte{0, 0, 0x03, 0xe8}, make([]byte, 1000)...)
+	_ = conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	sent := 0
+	for ; sent < 100*limit; sent += 1000 {
+		if _, err := conn.Write(frag); err != nil {
+			break
+		}
+	}
+	if sent >= 100*limit {
+		t.Fatalf("server swallowed %d bytes of one unfinished record (bound %d)", sent, limit)
+	}
+	waitFor(t, "over-limit drop to be counted", func() bool { return s.RecordLimitDrops() == 1 })
+	waitFor(t, "over-limit conn to untrack", func() bool { return s.Conns() == 0 })
+
+	// A record at the bound is still served, on a fresh connection.
+	ok, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.NewTCP(ok, client.Config{Prog: testProg, Vers: testVers})
+	defer c.Close()
+	big := make([]int32, (limit-64)/4) // call header + count word fit in the 64
+	var out []int32
+	if err := c.Call(procEcho,
+		func(x *xdr.XDR) error { return xdr.Array(x, &big, xdr.NoSizeLimit, (*xdr.XDR).Long) },
+		func(x *xdr.XDR) error { return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long) }); err != nil || len(out) != len(big) {
+		t.Fatalf("record under the bound: %d words back, err %v", len(out), err)
+	}
+	if got := s.RecordLimitDrops(); got != 1 {
+		t.Fatalf("RecordLimitDrops = %d, want 1", got)
+	}
+}

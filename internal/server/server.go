@@ -19,9 +19,10 @@
 // executing internal/wire plans over internal/xdr streams. Its syscalls
 // are batched on both transports (DESIGN.md, "Batching and flush
 // policy"): concurrent stream handlers group-commit their reply records
-// into shared coalesced writes, and ServeUDP moves datagrams in
-// recvmmsg/sendmmsg batches through internal/platform/batchio where the
-// kernel supports it.
+// into shared coalesced writes, a stream connection's pipelined requests
+// are picked up through the record layer's read-ahead window (one read
+// per burst), and ServeUDP moves datagrams in recvmmsg/sendmmsg batches
+// through internal/platform/batchio where the kernel supports it.
 package server
 
 import (
@@ -77,6 +78,8 @@ type Server struct {
 	noWBatch bool // stream reply batching disabled (baseline)
 	dgBatch  int  // datagrams per syscall bound for ServeUDP
 
+	maxRecord int // stream request-record size limit
+
 	idleTimeout time.Duration // stream idle-connection reap (0 = never)
 	maxFlush    time.Duration // reply-batch flush-delay bound (0 = immediate)
 
@@ -89,6 +92,7 @@ type Server struct {
 	qdrops    atomic.Uint64 // datagrams shed by admission control
 	connDrops atomic.Uint64 // connections refused by the limit
 	idleDrops atomic.Uint64 // connections reaped by the idle timeout
+	recDrops  atomic.Uint64 // connections closed for an over-limit record
 	panics    atomic.Uint64 // handler panics contained as SYSTEM_ERR
 	conns     atomic.Int64  // live stream connections
 
@@ -183,6 +187,25 @@ func WithIdleTimeout(d time.Duration) Option {
 	}
 }
 
+// DefaultMaxRecord is the default bound on one stream request record:
+// far above any call the stubs produce, and small enough that a peer
+// cannot pin more than this per connection by never finishing a record.
+const DefaultMaxRecord = 16 << 20
+
+// WithMaxRecord bounds the size of one request record on stream
+// connections (default DefaultMaxRecord), summed over its fragments. A
+// record announcing more closes the connection before the excess is
+// buffered and is counted (RecordLimitDrops): without the bound a peer
+// streaming fragments that never set the last-fragment bit grows the
+// request buffer until the process dies. n <= 0 keeps the default.
+func WithMaxRecord(n int) Option {
+	return func(s *Server) {
+		if n > 0 {
+			s.maxRecord = n
+		}
+	}
+}
+
 // WithMaxFlushDelay lets the reply-batch leader on stream connections
 // wait up to d for more replies to finish before its vectored write
 // leaves (default 0 = write immediately, the group-commit-only
@@ -251,11 +274,12 @@ func New(opts ...Option) *Server {
 		workers = 8
 	}
 	s := &Server{
-		procs:    make(map[procKey]TypedProc),
-		bufSize:  8900,
-		workers:  workers,
-		cacheCap: 128,
-		done:     make(chan struct{}),
+		procs:     make(map[procKey]TypedProc),
+		bufSize:   8900,
+		workers:   workers,
+		cacheCap:  128,
+		maxRecord: DefaultMaxRecord,
+		done:      make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -575,6 +599,10 @@ func (s *Server) ConnLimitDrops() uint64 { return s.connDrops.Load() }
 // reaper has closed for staying silent a full window.
 func (s *Server) IdleDrops() uint64 { return s.idleDrops.Load() }
 
+// RecordLimitDrops reports how many stream connections were closed
+// because a request record exceeded the WithMaxRecord bound.
+func (s *Server) RecordLimitDrops() uint64 { return s.recDrops.Load() }
+
 // HandlerPanics reports how many handler panics were contained and
 // answered with SYSTEM_ERR.
 func (s *Server) HandlerPanics() uint64 { return s.panics.Load() }
@@ -744,8 +772,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	var calls sync.WaitGroup
 	defer calls.Wait()
 	defer conn.Close()
-	rc := &readCounter{Conn: conn}
-	rrec := xdr.NewRecStream(rc, 0)
+	rrec := xdr.NewRecStream(conn, 0)
+	rrec.MaxRecord = s.maxRecord
 	wb := xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
@@ -770,13 +798,19 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		// Read the full request record via the record layer; unlike a
 		// datagram, a TCP record may exceed the datagram buffer size,
-		// so the buffer grows as needed.
+		// so the buffer grows as needed. The layer reads ahead: every
+		// request of a pipelined burst that one read picked up is
+		// dispatched from its window before the loop blocks in the
+		// kernel again.
 		bp := xdr.GetBuf(s.bufSize)
-		req, err := s.readRecordIdle(rc, rrec, (*bp)[:0], &inFlight, &completed)
+		req, err := s.readRecordIdle(conn, rrec, (*bp)[:0], &inFlight, &completed)
 		*bp = req
 		if err != nil {
 			xdr.PutBuf(bp)
-			return // connection closed, broken framing, or idle-reaped
+			if errors.Is(err, xdr.ErrRecordTooLarge) {
+				s.recDrops.Add(1)
+			}
+			return // connection closed, broken framing, over-limit, or idle-reaped
 		}
 		sem <- struct{}{}
 		calls.Add(1)
@@ -809,43 +843,31 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// readCounter wraps the connection the record reader consumes, counting
-// bytes so the idle reaper can tell "timed out with nothing on the
-// wire" (retriable, reapable) from "timed out mid-record" (the record
-// layer cannot resume a half-read record, so the connection is done).
-// Only the connection's read goroutine touches n.
-type readCounter struct {
-	net.Conn
-	n int64
-}
-
-func (r *readCounter) Read(p []byte) (int, error) {
-	n, err := r.Conn.Read(p)
-	r.n += int64(n)
-	return n, err
-}
-
 // readRecordIdle reads one request record, enforcing the idle timeout
 // when one is configured. The deadline re-arms as long as the window
 // saw any sign of life — a handler still running, or one that finished
 // (its client is likely composing the next call) — so only a
 // connection that stayed truly silent for a full window is reaped and
 // counted. Bytes arriving mid-window reset nothing: a record either
-// completes within the window or the stream is declared stalled.
-func (s *Server) readRecordIdle(rc *readCounter, rrec *xdr.RecStream, dst []byte,
+// completes within the window or the stream is declared stalled. The
+// record layer says which it was: a timeout that leaves it on a record
+// boundary with nothing read ahead found the wire quiet (retriable,
+// reapable); one that leaves it inside a record, or holding the front of
+// the next, cannot be resumed and the connection is done.
+func (s *Server) readRecordIdle(conn net.Conn, rrec *xdr.RecStream, dst []byte,
 	inFlight, completed *atomic.Int64) ([]byte, error) {
 	if s.idleTimeout <= 0 {
 		return rrec.ReadRecord(dst)
 	}
 	for {
-		read0, done0 := rc.n, completed.Load()
-		_ = rc.SetReadDeadline(time.Now().Add(s.idleTimeout))
+		done0 := completed.Load()
+		_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		out, err := rrec.ReadRecord(dst)
 		if err == nil {
 			return out, nil
 		}
 		var ne net.Error
-		if !errors.As(err, &ne) || !ne.Timeout() || rc.n != read0 {
+		if !errors.As(err, &ne) || !ne.Timeout() || !rrec.AtBoundary() {
 			return out, err // closed, broken framing, or stalled mid-record
 		}
 		if inFlight.Load() > 0 || completed.Load() != done0 {

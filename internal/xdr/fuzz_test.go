@@ -2,6 +2,10 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
 	"testing"
 )
 
@@ -48,5 +52,157 @@ func FuzzRecRead(f *testing.F) {
 		for s.GetLong(&v) == nil {
 		}
 		_ = NewRecStream(bytes.NewBuffer(data), 0).SkipRecord()
+	})
+}
+
+// shortReader delivers its input 1..k bytes per Read, the sizes drawn
+// from a seeded source: every way a connection can cut the stream.
+type shortReader struct {
+	data []byte
+	rng  *rand.Rand
+	k    int
+}
+
+func (s *shortReader) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(1+s.rng.Intn(s.k), len(p), len(s.data))
+	copy(p, s.data[:n])
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// errClass reduces a read error to what callers may branch on.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return "unexpected-eof"
+	case errors.Is(err, io.EOF):
+		return "eof"
+	case errors.Is(err, ErrOverflow):
+		return "overflow"
+	case errors.Is(err, ErrRecordTooLarge):
+		return "too-large"
+	}
+	return "other: " + err.Error()
+}
+
+// refRecords is the reference the window is checked against: the
+// records of data and the class of the error that ends them, worked out
+// by walking the marks over the whole input.
+func refRecords(data []byte, maxRecord int) (recs [][]byte, class string) {
+	for len(data) > 0 {
+		var rec []byte
+		for last := false; !last; {
+			if len(data) < RecordMarkLen {
+				return recs, "unexpected-eof"
+			}
+			u := uint32(data[0])<<24 | uint32(data[1])<<16 | uint32(data[2])<<8 | uint32(data[3])
+			n := int(u &^ lastFragFlag)
+			last = u&lastFragFlag != 0
+			if len(rec)+n > maxRecord {
+				return recs, "too-large"
+			}
+			if data = data[RecordMarkLen:]; n > len(data) {
+				return recs, "unexpected-eof"
+			}
+			rec, data = append(rec, data[:n]...), data[n:]
+		}
+		recs = append(recs, rec)
+	}
+	return recs, "eof"
+}
+
+// readScript drives ReadRecord, GetBytes and SkipRecord over one stream
+// in an order drawn from seed until the first error, and returns a
+// transcript of everything the stream handed out.
+func readScript(r *RecStream, seed int64) string {
+	var log bytes.Buffer
+	rng := rand.New(rand.NewSource(seed))
+	for step := 0; step < 1<<12; step++ {
+		var err error
+		switch op := rng.Intn(4); op {
+		case 0, 1:
+			var rec []byte
+			rec, err = r.ReadRecord(nil)
+			fmt.Fprintf(&log, "record %x %s\n", rec, errClass(err))
+		case 2:
+			p := make([]byte, rng.Intn(10))
+			err = r.GetBytes(p)
+			if err != nil {
+				p = nil // a failed GetBytes defines no output
+			}
+			fmt.Fprintf(&log, "bytes %x %s\n", p, errClass(err))
+			if errors.Is(err, ErrOverflow) {
+				err = nil // the record is spent, the stream is fine
+			}
+		case 3:
+			err = r.SkipRecord()
+			fmt.Fprintf(&log, "skip %s\n", errClass(err))
+		}
+		if err != nil {
+			break
+		}
+	}
+	return log.String()
+}
+
+// FuzzRecReadDiff checks the read-ahead window differentially. The same
+// bytes are read through a reader that delivers them whole and through
+// one that delivers 1..k bytes per Read, with windows from 16 bytes up:
+// (1) ReadRecord alone must hand out exactly the records a walk over
+// the marks finds, and end with io.EOF when the input stops on a record
+// boundary, io.ErrUnexpectedEOF when it stops inside a record, and
+// ErrRecordTooLarge where the bound is crossed; (2) a seeded interleaving
+// of ReadRecord, GetBytes and SkipRecord on one stream must produce the
+// same transcript however the reads were cut.
+func FuzzRecReadDiff(f *testing.F) {
+	two := frame([]byte("hello world!"), bytes.Repeat([]byte{0xcd}, 90))
+	f.Add(two, int64(1), uint8(3), uint8(0))
+	f.Add(two[:len(two)-5], int64(2), uint8(1), uint8(12))
+	f.Add(two[:18], int64(3), uint8(7), uint8(60))
+	f.Add([]byte{0, 0, 0, 2, 1, 2, 0x80, 0, 0, 1, 3}, int64(4), uint8(2), uint8(1))
+	f.Add([]byte{0x80, 0}, int64(5), uint8(1), uint8(0))
+	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 1, 2, 3}, int64(6), uint8(4), uint8(200))
+
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, k, win uint8) {
+		const maxRecord = 1 << 12
+		window := 16 + int(win) // bufio's minimum, so every value is a distinct size
+		streams := func() (whole, short *RecStream) {
+			whole = NewRecStream(&rwPair{Reader: bytes.NewReader(data)}, window)
+			short = NewRecStream(&rwPair{Reader: &shortReader{
+				data: data, rng: rand.New(rand.NewSource(seed)), k: 1 + int(k)}}, window)
+			whole.MaxRecord, short.MaxRecord = maxRecord, maxRecord
+			return whole, short
+		}
+
+		wantRecs, wantClass := refRecords(data, maxRecord)
+		whole, short := streams()
+		for name, r := range map[string]*RecStream{"whole": whole, "short": short} {
+			for i := 0; ; i++ {
+				rec, err := r.ReadRecord(nil)
+				if err != nil {
+					if i != len(wantRecs) || errClass(err) != wantClass {
+						t.Fatalf("%s reads: stopped after %d records with %v; want %d records, then %s",
+							name, i, err, len(wantRecs), wantClass)
+					}
+					if atEnd := wantClass == "eof"; r.AtBoundary() != atEnd {
+						t.Fatalf("%s reads: AtBoundary = %v after %s", name, !atEnd, wantClass)
+					}
+					break
+				}
+				if i >= len(wantRecs) || !bytes.Equal(rec, wantRecs[i]) {
+					t.Fatalf("%s reads: record %d = %x, not what the marks say", name, i, rec)
+				}
+			}
+		}
+
+		whole, short = streams()
+		if a, b := readScript(whole, seed), readScript(short, seed); a != b {
+			t.Fatalf("interleaved reads diverge.\nwhole:\n%s\nshort:\n%s", a, b)
+		}
 	})
 }

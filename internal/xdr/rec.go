@@ -1,6 +1,8 @@
 package xdr
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -13,11 +15,25 @@ import (
 // A connection-oriented transport needs this layer because, unlike UDP,
 // TCP gives no message boundaries; the record marks let one reply be
 // delimited without knowing its encoded size in advance.
+//
+// The read side keeps xdrrec's read-ahead window: each Read on the
+// connection takes whatever has arrived, up to one fragment size, and
+// marks and payload are then served out of the window, so a burst of
+// small records costs one kernel crossing, not two per record. Both
+// buffers are allocated on first use — a connection's read-only and
+// write-only streams each pay for one.
 type RecStream struct {
-	rw io.ReadWriter
+	rw       io.ReadWriter
+	fragSize int
+
+	// MaxRecord, when positive, bounds the payload of one incoming record
+	// across all its fragments; a record announcing more fails with
+	// ErrRecordTooLarge before the excess is read or buffered. Set it
+	// before the first read.
+	MaxRecord int
 
 	// Write (encode) state.
-	wbuf  []byte // pending fragment payload
+	wbuf  []byte // pending fragment payload; fragSize bytes once written to
 	wpos  int    // bytes of wbuf filled
 	sent  int    // bytes already flushed in the current record
 	werr  error  // sticky write error
@@ -30,27 +46,32 @@ type RecStream struct {
 	wcoal   []byte // scratch for the coalesced single-Write path
 
 	// Read (decode) state.
-	rfrag int  // bytes remaining in the current fragment
-	rlast bool // current fragment is the record's last
-	rcons int  // bytes consumed of the current record
-	rinit bool // a fragment header has been read for this record
+	rbuf  *bufio.Reader // read-ahead window over rw; nil until the first read
+	rfrag int           // bytes remaining in the current fragment
+	rlast bool          // current fragment is the record's last
+	rcons int           // bytes consumed of the current record
+	rinit bool          // a fragment header has been read for this record
+	rlong [BytesPerUnit]byte
 }
 
 var _ Stream = (*RecStream)(nil)
 
-// DefaultFragmentSize is the payload capacity of one outgoing fragment,
-// matching the 4000-byte sendsize/recvsize default of clnttcp_create.
+// DefaultFragmentSize is the payload capacity of one outgoing fragment
+// and the size of the read-ahead window, matching the 4000-byte
+// sendsize/recvsize default of clnttcp_create.
 const DefaultFragmentSize = 4000
 
 const lastFragFlag = uint32(1) << 31
 
 // NewRecStream returns a record-marking stream over rw. fragSize bounds
-// each outgoing fragment payload; 0 selects DefaultFragmentSize.
+// each outgoing fragment payload and sizes the read-ahead window (which
+// is never smaller than bufio's 16-byte minimum); 0 selects
+// DefaultFragmentSize.
 func NewRecStream(rw io.ReadWriter, fragSize int) *RecStream {
 	if fragSize <= 0 {
 		fragSize = DefaultFragmentSize
 	}
-	return &RecStream{rw: rw, wbuf: make([]byte, fragSize)}
+	return &RecStream{rw: rw, fragSize: fragSize}
 }
 
 // PutLong appends a big-endian 4-byte integer to the current record.
@@ -68,6 +89,9 @@ func (r *RecStream) PutBytes(p []byte) error {
 		return r.werr
 	}
 	r.wseal = false
+	if r.wbuf == nil {
+		r.wbuf = make([]byte, r.fragSize)
+	}
 	for len(p) > 0 {
 		n := copy(r.wbuf[r.wpos:], p)
 		r.wpos += n
@@ -172,8 +196,10 @@ func (r *RecStream) flushFragment(last bool) error {
 
 // GetLong consumes a big-endian 4-byte integer from the current record.
 func (r *RecStream) GetLong(v *int32) error {
-	var b [BytesPerUnit]byte
-	if err := r.GetBytes(b[:]); err != nil {
+	// Stream scratch, not a local: the bytes may be handed to the
+	// connection's Read, which would move a local to the heap per call.
+	b := r.rlong[:]
+	if err := r.GetBytes(b); err != nil {
 		return err
 	}
 	*v = int32(uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]))
@@ -189,35 +215,98 @@ func (r *RecStream) GetBytes(p []byte) error {
 			if r.rinit && r.rlast {
 				return ErrOverflow
 			}
-			if err := r.readFragmentHeader(); err != nil {
+			if err := r.nextFragment(); err != nil {
 				return err
 			}
 			continue
 		}
-		n := len(p)
-		if n > r.rfrag {
-			n = r.rfrag
+		n := min(len(p), r.rfrag)
+		if _, err := r.readPayload(p[:n]); err != nil {
+			return err
 		}
-		if _, err := io.ReadFull(r.rw, p[:n]); err != nil {
-			return fmt.Errorf("xdr: read record payload: %w", err)
-		}
-		r.rfrag -= n
-		r.rcons += n
 		p = p[n:]
 	}
 	return nil
 }
 
-func (r *RecStream) readFragmentHeader() error {
-	var h [BytesPerUnit]byte
-	if _, err := io.ReadFull(r.rw, h[:]); err != nil {
-		return fmt.Errorf("xdr: read fragment header: %w", err)
+// reader returns the read-ahead window (xdrrec's fill_input_buf, here a
+// bufio.Reader of one fragment size), allocating it on the first read.
+// Each Read on the connection takes whatever has arrived, up to the
+// window's free space; a payload remainder at least a window long
+// bypasses it and lands in the caller's buffer, so a large record gains
+// no second copy (bufio's large-read path; TestReadAheadReadCounts pins
+// it). A failed read loses nothing already buffered, so a timed out one
+// can be retried.
+func (r *RecStream) reader() *bufio.Reader {
+	if r.rbuf == nil {
+		r.rbuf = bufio.NewReaderSize(r.rw, r.fragSize)
+	}
+	return r.rbuf
+}
+
+// AtBoundary reports whether the reader sits exactly between records:
+// no record open and nothing read ahead. It is what tells a read that
+// timed out on a quiet connection (retriable, or reapable as idle) from
+// one that timed out inside a record or with part of the next one
+// already taken off the wire — a stalled stream, which cannot be
+// resumed by a caller that has given up on the record.
+func (r *RecStream) AtBoundary() bool {
+	return !r.rinit && (r.rbuf == nil || r.rbuf.Buffered() == 0)
+}
+
+// readErr wraps a failed read of the connection. The end of the stream
+// is io.EOF only exactly between records; anywhere else it cut one short.
+func (r *RecStream) readErr(what string, err error) error {
+	if err == io.EOF && !r.AtBoundary() {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("xdr: %s: %w", what, err)
+}
+
+// ErrRecordTooLarge reports an incoming record whose fragments add up to
+// more than the stream's MaxRecord.
+var ErrRecordTooLarge = errors.New("xdr: record exceeds the stream's size limit")
+
+// nextFragment parses the next fragment mark out of the window. The
+// mark is peeked and only then consumed, so a read that fails halfway
+// through it loses nothing.
+func (r *RecStream) nextFragment() error {
+	h, err := r.reader().Peek(RecordMarkLen)
+	if err != nil {
+		return r.readErr("read fragment header", err)
 	}
 	u := uint32(h[0])<<24 | uint32(h[1])<<16 | uint32(h[2])<<8 | uint32(h[3])
+	frag := int(u &^ lastFragFlag)
+	if r.MaxRecord > 0 && frag > r.MaxRecord-r.rcons {
+		// Left unconsumed: the stream is over, and every further read
+		// reports the same thing.
+		return fmt.Errorf("%w (%d bytes)", ErrRecordTooLarge, r.MaxRecord)
+	}
+	_, _ = r.rbuf.Discard(RecordMarkLen) // peeked: cannot fail
 	r.rlast = u&lastFragFlag != 0
-	r.rfrag = int(u &^ lastFragFlag)
+	r.rfrag = frag
 	r.rinit = true
 	return nil
+}
+
+// readPayload moves the next len(p) bytes of the current fragment (the
+// caller bounds p by r.rfrag) into p and reports how many arrived before
+// any error.
+func (r *RecStream) readPayload(p []byte) (int, error) {
+	n, err := io.ReadFull(r.rbuf, p)
+	r.rfrag -= n
+	r.rcons += n
+	if err != nil {
+		return n, r.readErr("read record payload", err)
+	}
+	return n, nil
+}
+
+// endRecord arms the reader for the next record.
+func (r *RecStream) endRecord() {
+	r.rinit = false
+	r.rlast = false
+	r.rcons = 0
 }
 
 // maxFragStep bounds how much ReadRecord grows its buffer ahead of the
@@ -228,30 +317,24 @@ func (r *RecStream) readFragmentHeader() error {
 const maxFragStep = 1 << 20
 
 // ReadRecord appends one complete record to dst and returns the extended
-// slice. It reads fragment-at-a-time, so it is the efficient way for a
-// server to slurp a whole request before dispatching.
+// slice: the efficient way for a transport to slurp a whole message
+// before dispatching. Records already in the read-ahead window are
+// returned without touching the connection. On error dst carries the
+// bytes of the record that did arrive.
 func (r *RecStream) ReadRecord(dst []byte) ([]byte, error) {
 	for {
 		for r.rfrag > 0 {
-			step := r.rfrag
-			if step > maxFragStep {
-				step = maxFragStep
-			}
 			start := len(dst)
-			dst = append(dst, make([]byte, step)...)
-			if _, err := io.ReadFull(r.rw, dst[start:]); err != nil {
-				return dst, fmt.Errorf("xdr: read record payload: %w", err)
+			dst = append(dst, make([]byte, min(r.rfrag, maxFragStep))...)
+			if n, err := r.readPayload(dst[start:]); err != nil {
+				return dst[:start+n], err
 			}
-			r.rcons += step
-			r.rfrag -= step
 		}
 		if r.rinit && r.rlast {
-			r.rinit = false
-			r.rlast = false
-			r.rcons = 0
+			r.endRecord()
 			return dst, nil
 		}
-		if err := r.readFragmentHeader(); err != nil {
+		if err := r.nextFragment(); err != nil {
 			return dst, err
 		}
 	}
@@ -262,22 +345,21 @@ func (r *RecStream) ReadRecord(dst []byte) ([]byte, error) {
 func (r *RecStream) SkipRecord() error {
 	for {
 		if r.rfrag > 0 {
-			if _, err := io.CopyN(io.Discard, r.rw, int64(r.rfrag)); err != nil {
-				return fmt.Errorf("xdr: skip record: %w", err)
+			n, err := r.rbuf.Discard(r.rfrag)
+			r.rfrag -= n
+			r.rcons += n
+			if err != nil {
+				return r.readErr("skip record", err)
 			}
-			r.rcons += r.rfrag
-			r.rfrag = 0
 		}
 		if r.rinit && r.rlast {
 			break
 		}
-		if err := r.readFragmentHeader(); err != nil {
+		if err := r.nextFragment(); err != nil {
 			return err
 		}
 	}
-	r.rinit = false
-	r.rlast = false
-	r.rcons = 0
+	r.endRecord()
 	return nil
 }
 

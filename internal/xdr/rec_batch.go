@@ -166,9 +166,10 @@ type RecBatcher struct {
 	// flushes never delay.
 	MaxFlushDelay time.Duration
 
-	mu        sync.Mutex // guards pend, pendBytes, pendDL, flushing, err, errFired
+	mu        sync.Mutex // guards pend, spare, pendBytes, pendDL, flushing, err, errFired
 	rec       *RecStream
 	pend      []*[]byte
+	spare     []*[]byte // the emptied backing array pend swaps with at the next flush
 	pendBytes int
 	pendDL    time.Time // earliest non-zero per-record deadline in pend
 	flushing  bool
@@ -282,28 +283,19 @@ func (b *RecBatcher) flushLocked(wait bool) error {
 		}
 	}
 	for b.err == nil && len(b.pend) > 0 {
-		batch := b.pend
-		if b.MaxBatch > 0 && len(batch) > b.MaxBatch {
-			batch = batch[:b.MaxBatch]
-		}
-		b.pend = b.pend[len(batch):]
-		// The earliest deadline is tracked per flush generation, not per
-		// batch slice: a MaxBatch split may arm a later batch with an
-		// already-written record's tighter deadline, which only errs on
-		// the strict side.
-		dl := b.pendDL
-		if len(b.pend) == 0 {
-			b.pend = nil // release the consumed backing array
-			b.pendBytes = 0
-			b.pendDL = time.Time{}
-		} else {
-			for _, bp := range batch {
-				b.pendBytes -= len(*bp)
-			}
-		}
+		// The whole queue leaves with this leader: arrivals during its
+		// writes collect in the other backing array, and this one comes
+		// back as the spare, so a steady stream of records allocates no
+		// queue slices.
+		taken, dl := b.pend, b.pendDL
+		b.pend, b.spare = b.spare[:0], nil
+		b.pendBytes = 0
+		b.pendDL = time.Time{}
 		b.mu.Unlock()
-		err := b.writeBatch(batch, dl)
+		err := b.writeTaken(taken, dl)
 		b.mu.Lock()
+		clear(taken) // the buffers went back to the pool; keep no reference
+		b.spare = taken[:0]
 		if err != nil && b.err == nil {
 			b.err = err
 		}
@@ -331,9 +323,29 @@ func (b *RecBatcher) flushLocked(wait bool) error {
 	return err
 }
 
-// writeBatch frames and writes one batch, then releases every buffer.
-// earliest is the tightest per-record deadline in the flush generation
-// (zero when none was attached), forwarded to PreWrite.
+// writeTaken writes the records a leader took off the queue, at most
+// MaxBatch per vectored write, and releases every buffer — written, or
+// stranded behind a failed write. earliest is the tightest per-record
+// deadline among them (zero when none was attached); every write of the
+// generation is armed with it, which for the later ones only errs on
+// the strict side.
+func (b *RecBatcher) writeTaken(taken []*[]byte, earliest time.Time) error {
+	var err error
+	for rest := taken; len(rest) > 0 && err == nil; {
+		n := len(rest)
+		if b.MaxBatch > 0 && n > b.MaxBatch {
+			n = b.MaxBatch
+		}
+		err = b.writeBatch(rest[:n], earliest)
+		rest = rest[n:]
+	}
+	for _, bp := range taken {
+		PutBuf(bp)
+	}
+	return err
+}
+
+// writeBatch frames one batch and writes it with one vectored write.
 func (b *RecBatcher) writeBatch(batch []*[]byte, earliest time.Time) error {
 	var err error
 	if b.PreWrite != nil {
@@ -347,12 +359,9 @@ func (b *RecBatcher) writeBatch(batch []*[]byte, earliest time.Time) error {
 		}
 	}
 	// Flush even after an error: it discards the stream's queue, so no
-	// reference to a released buffer survives.
+	// reference to a buffer about to be released survives.
 	if ferr := b.rec.Flush(); err == nil {
 		err = ferr
-	}
-	for _, bp := range batch {
-		PutBuf(bp)
 	}
 	return err
 }
