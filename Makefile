@@ -103,7 +103,8 @@ batch-smoke:
 # template-copy + plan bytes), the derivation differential
 # (tempo-derived plan == hand-built plan, bytes and errors alike),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
-# when the header walk does, every reply parses and echoes the XID), and
+# when the header walk does, every reply parses and echoes the XID, and
+# only a one-way handler's call goes unanswered), and
 # the .x front end fed arbitrary text (Parse never panics; what it
 # accepts generates Go that parses, plan-only and compiled).
 fuzz:

@@ -73,7 +73,8 @@ import (
 //	throughput       loopback calls/sec under full pipelining
 //	open-loop        p99 tails, one scheduling hiccup from an outlier
 //	batch            counted syscalls/op — deterministic in modes off
-//	                 and calls, scheduling-dependent in mode on
+//	                 and oneway and for the client half of calls,
+//	                 scheduling-dependent elsewhere
 var defaultThresholds = map[string]float64{
 	"live-spec":       0.50,
 	"live-spec-abs":   1.00,

@@ -292,8 +292,9 @@ func runOpenLoop(transports string, conns, depth int, rate float64, dur time.Dur
 // runBatch counts kernel crossings per call for the three batching
 // variants against the same clients x depth grid: each transport runs a
 // 1x1 baseline point and the requested concurrent point, in modes off
-// and on (plus the deterministic ONC batched-calls mode on stream
-// transports). Counters, not timers: the series is stable across hosts.
+// and on (plus the deterministic ONC batched-calls modes on stream
+// transports: replied-to and one-way). Counters, not timers: the series
+// is stable across hosts.
 func runBatch(transports string, clients, depth, calls, size int, out *jsonReport) error {
 	if calls <= 0 {
 		calls = 20000
@@ -309,7 +310,7 @@ func runBatch(transports string, clients, depth, calls, size int, out *jsonRepor
 		}
 		modes := []string{"off", "on"}
 		if tr == "tcp" {
-			modes = append(modes, "calls")
+			modes = append(modes, "calls", "oneway")
 		}
 		for _, cfg := range configs {
 			for _, mode := range modes {

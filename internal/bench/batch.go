@@ -13,6 +13,7 @@ package bench
 // is trying to measure.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -29,6 +30,9 @@ import (
 // batchGroup-1 fire-and-forget CallBatched requests flushed by one
 // terminal Call.
 const batchGroup = 8
+
+// loadSink is the load program's one-way procedure ("oneway" mode).
+const loadSink = uint32(2)
 
 // BatchOptions configures one batch-mode run.
 type BatchOptions struct {
@@ -47,6 +51,10 @@ type BatchOptions struct {
 	//             issued atomically per connection (Depth goroutines on
 	//             one connection take turns), so writes/op is exactly
 	//             1/batchGroup regardless of scheduling.
+	//   "oneway" — "calls" with the batched calls sent to a procedure
+	//             whose handler returns server.ErrNoReply, as the RFC
+	//             has it: the group's only reply is the terminal call's,
+	//             so every syscall column is exactly 1/batchGroup.
 	Mode string
 	// Clients, Depth, Calls, ArraySize as in ThroughputOptions.
 	Clients, Depth, Calls, ArraySize int
@@ -61,7 +69,7 @@ func (o *BatchOptions) fill() error {
 	}
 	switch o.Mode {
 	case "off", "on":
-	case "calls":
+	case "calls", "oneway":
 		if o.Transport != "tcp" {
 			return fmt.Errorf("bench: batched calls need a stream transport (got %q)", o.Transport)
 		}
@@ -77,7 +85,7 @@ func (o *BatchOptions) fill() error {
 	if o.Calls <= 0 {
 		o.Calls = 1000
 	}
-	if o.Mode == "calls" {
+	if o.grouped() {
 		// Whole groups only, so the writes/op arithmetic stays exact.
 		o.Calls -= o.Calls % batchGroup
 		if o.Calls == 0 {
@@ -89,6 +97,9 @@ func (o *BatchOptions) fill() error {
 	}
 	return nil
 }
+
+// grouped reports whether the mode issues ONC batched-call groups.
+func (o *BatchOptions) grouped() bool { return o.Mode == "calls" || o.Mode == "oneway" }
 
 // BatchResult is one measured configuration. The syscall columns are
 // cumulative counts over the run divided by the call count; client
@@ -177,6 +188,14 @@ func Batch(o BatchOptions) (BatchResult, error) {
 func batchTCP(o BatchOptions) (BatchResult, error) {
 	s := newLoadServer(newGauge(0), server.WithWriteBatching(o.Mode != "off"))
 	defer s.Close()
+	// The echo's request half and nothing else: the one-way procedure.
+	s.Register(loadProg, loadVers, loadSink, func(dec *xdr.XDR) (server.Marshal, error) {
+		var arr []int32
+		if err := xdr.Array(dec, &arr, xdr.NoSizeLimit, (*xdr.XDR).Long); err != nil {
+			return nil, errors.Join(server.ErrGarbageArgs, err)
+		}
+		return nil, server.ErrNoReply
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("bench: loopback tcp: %w", err)
@@ -277,7 +296,8 @@ func perOp(n uint64, calls int) float64 {
 }
 
 // driveBatch distributes o.Calls over Clients×Depth goroutines (ticket
-// counter, as in Throughput). In "calls" mode each ticket is one group:
+// counter, as in Throughput). In "calls" and "oneway" mode each ticket is
+// one group:
 // batchGroup-1 fire-and-forget calls and a terminal echo call that
 // flushes them, issued under the connection's group lock: a terminal
 // call from another goroutine — or its group-commit leader, still
@@ -285,9 +305,12 @@ func perOp(n uint64, calls int) float64 {
 // of it would cost a second write.
 func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Duration, error) {
 	var tickets atomic.Int64
-	perTicket := 1
-	if o.Mode == "calls" {
+	perTicket, batchedProc := 1, loadEcho
+	if o.grouped() {
 		perTicket = batchGroup
+	}
+	if o.Mode == "oneway" {
+		batchedProc = loadSink
 	}
 	tickets.Store(int64(o.Calls / perTicket))
 
@@ -322,12 +345,12 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 					return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long)
 				}
 				one := func() error {
-					if o.Mode == "calls" {
+					if o.grouped() {
 						group.Lock()
 						defer group.Unlock()
 						tc := c.(*client.TCP)
 						for k := 0; k < batchGroup-1; k++ {
-							if err := tc.CallBatched(loadEcho, marshal); err != nil {
+							if err := tc.CallBatched(batchedProc, marshal); err != nil {
 								return err
 							}
 						}

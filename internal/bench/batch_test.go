@@ -7,7 +7,9 @@ import (
 
 // The syscalls/op pins here are counter-based and deterministic where
 // the mode's arithmetic is scheduling-independent: "off" issues exactly
-// one client write per call, "calls" exactly one per batchGroup.
+// one write per call on both sides, "calls" exactly one client write per
+// batchGroup, "oneway" exactly one of everything per batchGroup. (The
+// scheduler-dependent server-write bounds are in batch_yield_test.go.)
 
 func runBatch(t *testing.T, o BatchOptions) BatchResult {
 	t.Helper()
@@ -27,9 +29,8 @@ func TestBatchTCPOffWritesPerOp(t *testing.T) {
 	if res.ClientWritesPerOp != 1.0 {
 		t.Fatalf("off-mode client writes/op = %v, want exactly 1.0", res.ClientWritesPerOp)
 	}
-	if res.ServerReadsPerOp <= 0 || res.ServerWritesPerOp <= 0 {
-		t.Fatalf("server counters missing: reads/op=%v writes/op=%v",
-			res.ServerReadsPerOp, res.ServerWritesPerOp)
+	if res.ServerWritesPerOp != 1.0 {
+		t.Fatalf("off-mode server writes/op = %v, want exactly 1.0", res.ServerWritesPerOp)
 	}
 	checkReadsPerOp(t, res, 1.0)
 }
@@ -76,6 +77,28 @@ func TestBatchTCPCallsWritesPerOp(t *testing.T) {
 	}
 }
 
+// TestBatchTCPOneWayExact: with the batched calls one-way a group is one
+// request write, one server read, one reply write and one client read,
+// whatever the scheduler does — there is only one reply to write.
+func TestBatchTCPOneWayExact(t *testing.T) {
+	for _, depth := range []int{1, 4} {
+		res := runBatch(t, BatchOptions{Transport: "tcp", Mode: "oneway",
+			Clients: 1, Depth: depth, Calls: 64})
+		want := 1.0 / batchGroup
+		for _, c := range []struct {
+			name string
+			got  float64
+		}{
+			{"client writes", res.ClientWritesPerOp}, {"server reads", res.ServerReadsPerOp},
+			{"server writes", res.ServerWritesPerOp}, {"client reads", res.ClientReadsPerOp},
+		} {
+			if c.got != want {
+				t.Errorf("depth %d: oneway-mode %s/op = %v, want exactly %v", depth, c.name, c.got, want)
+			}
+		}
+	}
+}
+
 // TestBatchTCPOnBounded: group-commit coalescing never writes more than
 // once per record (each record leaves in exactly one flush), so even
 // under adversarial scheduling writes/op is bounded by the baseline.
@@ -117,8 +140,10 @@ func TestBatchUDPModes(t *testing.T) {
 // TestBatchOptionValidation: calls mode is stream-only and unknown
 // modes are rejected rather than silently measured as something else.
 func TestBatchOptionValidation(t *testing.T) {
-	if _, err := Batch(BatchOptions{Transport: "udp", Mode: "calls"}); err == nil {
-		t.Fatal("udp batched-calls accepted; want error")
+	for _, mode := range []string{"calls", "oneway"} {
+		if _, err := Batch(BatchOptions{Transport: "udp", Mode: mode}); err == nil {
+			t.Fatalf("udp %s accepted; want error", mode)
+		}
 	}
 	if _, err := Batch(BatchOptions{Transport: "tcp", Mode: "bogus"}); err == nil {
 		t.Fatal("unknown mode accepted; want error")

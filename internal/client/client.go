@@ -116,16 +116,6 @@ type Config struct {
 	// batched calls (CallBatched) still queue, they just flush one record
 	// per Write.
 	NoBatch bool
-	// MaxFlushDelay, when positive, lets the stream transport's group-
-	// commit leader wait this long for concurrent calls to queue behind
-	// it before the first vectored write (xdr.RecBatcher.MaxFlushDelay).
-	// Group commit alone only coalesces requests issued while the leader
-	// is inside the write syscall, so at shallow pipeline depth on an
-	// idle host batches stay near one record; a bounded delay buys
-	// coalescing there at the price of up to the delay added per call.
-	// 0 (the default) writes immediately. Ignored over UDP and with
-	// NoBatch.
-	MaxFlushDelay time.Duration
 	// Retry selects policy-driven retransmission and retry: over UDP the
 	// fixed Retransmit tick becomes exponential backoff with full jitter
 	// under a token-bucket budget; over TCP (with Redial set) calls that
@@ -1192,8 +1182,6 @@ func (c *TCP) newLink(conn net.Conn) *link {
 	}
 	if c.cfg.NoBatch {
 		l.batch.MaxBatch = 1
-	} else if c.cfg.MaxFlushDelay > 0 {
-		l.batch.MaxFlushDelay = c.cfg.MaxFlushDelay
 	}
 	return l
 }
@@ -1345,10 +1333,15 @@ func (c *TCP) QueuedRecords() int { return c.current().batch.Pending() }
 // watermark, on an explicit Flush, or on Close.
 //
 // The semantics are strictly weaker than Call: no reply means no
-// at-most-once confirmation and no error report from the server (the
-// server's reply, if any, is discarded by the demultiplexer), and a
+// at-most-once confirmation and no error report from the server, and a
 // transport failure after CallBatched returns surfaces only on the next
-// Call, Flush, or CallBatched. Not supported over UDP, exactly as in the
+// Call, Flush, or CallBatched. What the server does with a batched call
+// is the handler's choice, since the call message itself does not say
+// it is batched: a handler that returns server.ErrNoReply sends nothing
+// (RFC 5531 §8.4.1; a procedure meant to be called only this way should),
+// and any other handler replies as it would to a Call — those replies
+// share the burst's reply write and are discarded here by the
+// demultiplexer, XID unknown. Not supported over UDP, exactly as in the
 // original: a datagram transport would need retransmission, which needs
 // a reply.
 func (c *TCP) CallBatched(proc uint32, args Marshal) error {
@@ -1365,9 +1358,10 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if err := l.dmx.error(); err != nil {
 		return err
 	}
-	// Start the reader even though no reply is expected: the server
-	// replies to batched calls it cannot tell apart from normal ones, and
-	// someone must drain those records off the connection.
+	// Start the reader even though no reply is awaited: unless the
+	// handler returns server.ErrNoReply the server answers a batched call
+	// like any other, and someone must drain those records (and any error
+	// reply) off the connection.
 	l.start(&c.engine)
 	buf, err := c.marshalReq(callReq{args: args}, c.xid.Add(1), proc)
 	if err != nil {

@@ -12,11 +12,12 @@ import (
 
 // FuzzHandleCall feeds arbitrary bytes to the single dispatch path, over
 // a server holding every kind of handler: closure, typed on a fused
-// plan, typed on a Generic-mode plan, failing, and panicking. handleCall
-// must never panic; it returns an error exactly when the reference
-// header walk (CallHeader.Marshal) rejects the input; every reply it
-// does return parses with ReplyHeader.Marshal and echoes the request's
-// XID; and the caller's reserved prefix is left untouched.
+// plan, typed on a Generic-mode plan, failing, panicking, and one-way.
+// handleCall must never panic; it returns an error exactly when the
+// reference header walk (CallHeader.Marshal) rejects the input; every
+// reply it emits parses with ReplyHeader.Marshal, echoes the request's
+// XID and leaves the caller's reserved prefix untouched; and it emits
+// none only for a call the one-way handler received.
 func FuzzHandleCall(f *testing.F) {
 	// Bounded arrays throughout: an unbounded count would let the fuzzer
 	// find the handlers' allocations instead of the dispatch path's bugs.
@@ -36,13 +37,14 @@ func FuzzHandleCall(f *testing.F) {
 		return nil, errors.New("handler exploded")
 	})
 	s.Register(testProg, testVers, procPanic, func(*xdr.XDR) (Marshal, error) { panic("handler bug") })
+	s.Register(testProg, testVers, procOneWay, func(*xdr.XDR) (Marshal, error) { return nil, ErrNoReply })
 	RegisterTyped(s, testProg, testVers, 3, plan, plan, echo)
 	RegisterTyped(s, testProg, testVers+2, 3, genPlan, genPlan, echo)
 
 	arr := []int32{1, 2, 3}
 	args := func(x *xdr.XDR) error { return xdr.Array(x, &arr, xdr.NoSizeLimit, (*xdr.XDR).Long) }
 	for _, c := range []struct{ vers, proc uint32 }{
-		{testVers, procEcho}, {testVers, procFail}, {testVers, procPanic}, {testVers, 3},
+		{testVers, procEcho}, {testVers, procFail}, {testVers, procPanic}, {testVers, procOneWay}, {testVers, 3},
 		{testVers + 2, 3}, {testVers + 1, 3}, {testVers + 9, 3}, {testVers, 99},
 	} {
 		f.Add(buildCall(f, 7, c.vers, c.proc, args))
@@ -61,6 +63,12 @@ func FuzzHandleCall(f *testing.F) {
 			t.Fatalf("handleCall err=%v, reference header walk err=%v on %x", err, refErr, req)
 		}
 		if err != nil {
+			return
+		}
+		if out == nil {
+			if ref.Prog != testProg || ref.Vers != testVers || ref.Proc != procOneWay {
+				t.Fatalf("no reply to a call for prog %#x vers %d proc %d: %x", ref.Prog, ref.Vers, ref.Proc, req)
+			}
 			return
 		}
 		if !bytes.HasPrefix(out, prefix) {

@@ -44,12 +44,25 @@ type Marshal func(x *xdr.XDR) error
 
 // Proc handles one procedure: it decodes arguments from dec and returns
 // the marshaler producing the results. Returning ErrGarbageArgs (or any
-// error wrapping it) yields a GARBAGE_ARGS reply; any other error yields
-// SYSTEM_ERR. Handlers run concurrently and must be safe for that.
+// error wrapping it) yields a GARBAGE_ARGS reply; ErrNoReply yields no
+// reply at all; any other error yields SYSTEM_ERR. Handlers run
+// concurrently and must be safe for that.
 type Proc func(dec *xdr.XDR) (reply Marshal, err error)
 
 // ErrGarbageArgs signals that the arguments failed to decode.
 var ErrGarbageArgs = errors.New("server: garbage args")
+
+// ErrNoReply (or any error wrapping it), returned by a handler of
+// either registration kind, makes the server send nothing for the call
+// — the service routine returning NULL in the C library, and what RFC
+// 5531 §8.4.1 asks of a batched call: the client (TCP.CallBatched) is
+// not waiting, so a reply is a record written only to be thrown away.
+// The call still executed: over UDP its XID is remembered, and a
+// retransmission is answered with the same silence instead of a second
+// execution. It is the only silent outcome — a one-way handler that
+// fails or panics answers SYSTEM_ERR — and a procedure a client may also
+// Call must not return it, or that call waits out its timeout.
+var ErrNoReply = errors.New("server: no reply")
 
 type procKey struct {
 	prog, vers, proc uint32
@@ -59,8 +72,9 @@ type procKey struct {
 // the raw argument bytes located at fixed offsets by rpcmsg.CallBody,
 // and the handler appends its complete success reply (header + results)
 // onto bs. Returning an error makes handleCall rewind bs and emit the
-// matching error reply: GARBAGE_ARGS for ErrGarbageArgs, SYSTEM_ERR for
-// anything else. Register and RegisterTyped both install one.
+// matching error reply — GARBAGE_ARGS for ErrGarbageArgs, SYSTEM_ERR for
+// anything else — or, for ErrNoReply, nothing. Register and
+// RegisterTyped both install one.
 type TypedProc func(body []byte, xid uint32, bs *xdr.BufStream) error
 
 // Server dispatches RPC calls to registered procedures.
@@ -81,7 +95,6 @@ type Server struct {
 	maxRecord int // stream request-record size limit
 
 	idleTimeout time.Duration // stream idle-connection reap (0 = never)
-	maxFlush    time.Duration // reply-batch flush-delay bound (0 = immediate)
 
 	// dgio points at the batched-I/O wrapper of the most recently started
 	// ServeUDP loop, for the DatagramIOStats counters.
@@ -206,29 +219,16 @@ func WithMaxRecord(n int) Option {
 	}
 }
 
-// WithMaxFlushDelay lets the reply-batch leader on stream connections
-// wait up to d for more replies to finish before its vectored write
-// leaves (default 0 = write immediately, the group-commit-only
-// behavior). A few hundred microseconds here trades that much added
-// reply latency for fewer, fuller write syscalls when concurrency is
-// too low for group commit to find natural batches.
-func WithMaxFlushDelay(d time.Duration) Option {
-	return func(s *Server) {
-		if d < 0 {
-			d = 0
-		}
-		s.maxFlush = d
-	}
-}
-
 // WithBufSize sets the datagram receive/reply buffer size (default 8900).
 func WithBufSize(n int) Option { return func(s *Server) { s.bufSize = n } }
 
 // WithWriteBatching toggles reply-record coalescing on stream
-// connections (default on). When on, replies finishing while another
-// handler is inside the write syscall queue behind it and leave together
-// in one vectored write; off keeps the one-Write-per-record baseline,
-// the pre-batching behavior kept measurable for the batch benchmarks.
+// connections (default on). When on, a handler that finishes while
+// others are still in flight on its connection yields once before
+// writing, and replies that finish meanwhile — or while another handler
+// is inside the write syscall — leave together in one vectored write;
+// off keeps the one-Write-per-record baseline, the pre-batching
+// behavior kept measurable for the batch benchmarks.
 func WithWriteBatching(on bool) Option {
 	return func(s *Server) { s.noWBatch = !on }
 }
@@ -392,8 +392,9 @@ var errBadCallHeader = errors.New("server: bad call header")
 // is larger. The routing triple and argument bytes are located at fixed
 // offsets; the handler appends the whole success reply itself, and every
 // refusal or handler failure rewinds to the reserved prefix and marshals
-// the RFC 1057 error reply. It is shared by the UDP and TCP paths and
-// safe to run from many workers at once.
+// the RFC 1057 error reply. A handler that returned ErrNoReply produces
+// no reply: nil bytes, nil error. It is shared by the UDP and TCP paths
+// and safe to run from many workers at once.
 //
 //specrpc:hotpath
 func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
@@ -405,8 +406,11 @@ func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
 	defer xdr.PutEnc(e)
 	h, stat, vr := s.lookup(prog, vers, proc)
 	if h != nil {
-		if stat = s.invoke(h, body, xid, &e.BS); stat == rpcmsg.Success {
+		switch stat = s.invoke(h, body, xid, &e.BS); stat {
+		case rpcmsg.Success:
 			return e.BS.Buffer(), nil
+		case statNoReply:
+			return nil, nil
 		}
 		// Rewind past anything a partially-failed handler wrote, keeping
 		// the reserved prefix in place.
@@ -434,11 +438,17 @@ func (s *Server) invoke(h TypedProc, body []byte, xid uint32, bs *xdr.BufStream)
 	switch err := h(body, xid, bs); {
 	case err == nil:
 		return rpcmsg.Success
+	case errors.Is(err, ErrNoReply):
+		return statNoReply
 	case errors.Is(err, ErrGarbageArgs):
 		return rpcmsg.GarbageArgs
 	}
 	return rpcmsg.SystemErr
 }
+
+// statNoReply is invoke's verdict for ErrNoReply. It is no accept_stat
+// of the protocol and never reaches the wire.
+const statNoReply rpcmsg.AcceptStat = -1
 
 // dgram is one received datagram in flight to a worker.
 type dgram struct {
@@ -626,9 +636,7 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 		peer = makePeerKey(from)
 		if s.cache != nil {
 			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.cacheHits.Add(1)
-				*rp = cached
-				sd.Send(from, cached)
+				s.sendCached(sd, from, rp, cached)
 				return
 			}
 		}
@@ -647,9 +655,7 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 		// at-most-once for non-idempotent procedures.
 		if s.cache != nil {
 			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.cacheHits.Add(1)
-				*rp = cached
-				sd.Send(from, cached)
+				s.sendCached(sd, from, rp, cached)
 				return
 			}
 		}
@@ -657,6 +663,15 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 	out, err := s.handleCall(req, *rp)
 	if err != nil {
 		return // undecodable datagram: drop silently
+	}
+	if out == nil {
+		// ErrNoReply: nothing to send, but the call ran. An empty cache
+		// entry makes a retransmission of it a hit answered with the same
+		// silence, not a second execution.
+		if hasXID && s.cache != nil {
+			s.cache.put(peer, xid, nil)
+		}
+		return
 	}
 	*rp = out // keep any growth pooled
 	if len(out) >= s.bufSize {
@@ -684,6 +699,18 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 		s.cache.put(peer, xid, out)
 	}
 	sd.Send(from, out)
+}
+
+// sendCached answers a duplicate call from the reply cache. cached is
+// the entry copied into rp's storage; an empty one is the record of a
+// call that got no reply (ErrNoReply), and gets none again.
+func (s *Server) sendCached(sd replySender, from net.Addr, rp *[]byte, cached []byte) {
+	s.cacheHits.Add(1)
+	if len(cached) == 0 {
+		return
+	}
+	*rp = cached
+	sd.Send(from, cached)
 }
 
 // ServeTCP accepts stream connections and answers record-marked calls on
@@ -758,12 +785,14 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 
 // serveConn serves one stream connection. Pipelined requests execute
 // concurrently — up to s.workers handlers in flight — and the reply
-// records leave through a group-commit batcher: each finishing handler
-// either writes immediately (uncontended) or queues behind the handler
-// currently inside the write syscall, whose next vectored write carries
-// every reply that accumulated meanwhile. A slow call never blocks the
-// replies of later, faster calls (the client demultiplexes them by
-// XID), and under pipelining many replies share one syscall.
+// records leave through a group-commit batcher: a finishing handler
+// that is alone on the connection writes immediately; one that is not
+// claims the flush, yields the processor once so the handlers that are
+// ready to run finish and queue behind it, and its one vectored write
+// carries them all — the reply half of a burst that arrived in one
+// read. A handler that is blocked is not runnable, so it delays nobody:
+// a slow call never holds the replies of faster calls (the client
+// demultiplexes them by XID).
 func (s *Server) serveConn(conn net.Conn) {
 	// Close the connection before waiting for in-flight handlers (defers
 	// run LIFO): a worker blocked writing a reply to a peer that stopped
@@ -782,7 +811,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.noWBatch {
 		wb.MaxBatch = 1
 	}
-	wb.MaxFlushDelay = s.maxFlush
 	// Flush invariant: every record handed to wb is flushed by some
 	// handler goroutine before it returns (the leader loops until the
 	// queue is empty, and a record queued after the leader exits makes
@@ -794,6 +822,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Handlers bump completed before dropping inFlight, so the reaper can
 	// never observe "nothing running, nothing finished" mid-handoff.
 	var inFlight, completed atomic.Int64
+	// The same count tells the batcher when to hold a write: a handler
+	// stays in flight until its Write returns, so anything above one is
+	// another handler of this connection, about to reply.
+	wb.MoreWriters = func() bool { return inFlight.Load() > 1 }
 	sem := make(chan struct{}, s.workers)
 	for {
 		// Read the full request record via the record layer; unlike a
@@ -826,13 +858,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			// patches the mark in place, so the fully-formed reply goes
 			// to the socket with no second copy.
 			out, err := s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
-			if err != nil {
+			if out == nil {
 				xdr.PutBuf(rp)
-				// Undecodable call header: the stream is suspect and there
-				// is no XID to reply to; close the connection so the peer
-				// fails fast, as the original svc_tcp loop did.
-				_ = conn.Close()
-				return
+				if err != nil {
+					// Undecodable call header: the stream is suspect and
+					// there is no XID to reply to; close the connection so
+					// the peer fails fast, as the original svc_tcp loop did.
+					_ = conn.Close()
+				}
+				return // or the handler asked for no reply (ErrNoReply)
 			}
 			*rp = out
 			// Ownership of rp transfers to the batcher, which releases it

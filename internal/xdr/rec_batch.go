@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -126,7 +127,9 @@ const DefaultBatchWatermark = coalesceLimit
 // the write syscall are picked up on its next loop iteration. Under
 // contention many records leave per syscall; an uncontended write
 // flushes immediately, so batching never *adds* latency — coalescing
-// happens exactly when concurrency makes it possible.
+// happens exactly when concurrency makes it possible. An owner that
+// knows more writers are coming says so through MoreWriters, and the
+// leader lets them queue first.
 //
 // Buffer ownership transfers on every call: the batcher releases each
 // pooled buffer with PutBuf after its batch is written (or dropped on a
@@ -153,18 +156,20 @@ type RecBatcher struct {
 	// MaxBatch == 1 degenerates to one Write per record — the
 	// pre-batching behavior, kept as the measurable baseline.
 	MaxBatch int
-	// MaxFlushDelay, when positive, lets a Write-triggered leader whose
-	// pending batch is still under the watermark wait this long before
-	// its first vectored write, giving concurrent writers that much time
-	// to queue behind it. Group commit alone only coalesces records that
-	// finish while the leader is inside the write syscall; on an idle
-	// host with shallow concurrency that window is nearly empty, and a
-	// bounded delay is the knob that buys batching there — at the price
-	// of adding up to the delay to every reply's latency. 0 (the
-	// default) writes immediately: byte-for-byte and syscall-for-syscall
-	// the pre-knob behavior. Explicit Flush and watermark-triggered
-	// flushes never delay.
-	MaxFlushDelay time.Duration
+	// MoreWriters, when non-nil, reports whether other goroutines are
+	// about to Write on this batcher — the one fact group commit lacks.
+	// A Write that finds it true and becomes the leader yields the
+	// processor once (runtime.Gosched) between claiming the flush and its
+	// first vectored write: writers that are already runnable run, queue
+	// behind the claim, and leave in that write — xdrrec_endofrecord's
+	// sendnow = FALSE, decided per record from what the owner knows. A
+	// writer that is blocked is not runnable, so the yield returns at
+	// once and nothing waits for it: no timer, no delay bound to tune. It
+	// is called on every Write, outside the queue lock, so it must be
+	// cheap (the server's is one atomic load). nil (the client's
+	// batchers), a false answer, MaxBatch == 1, an explicit Flush and a
+	// watermark-triggered flush all write immediately.
+	MoreWriters func() bool
 
 	mu        sync.Mutex // guards pend, spare, pendBytes, pendDL, flushing, err, errFired
 	rec       *RecStream
@@ -222,6 +227,8 @@ func (b *RecBatcher) Pending() int {
 }
 
 func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
+	// Asked before the lock: MoreWriters is the owner's code.
+	yield := flush && b.MaxBatch != 1 && b.MoreWriters != nil && b.MoreWriters()
 	b.mu.Lock()
 	if b.err != nil {
 		err := b.err
@@ -242,7 +249,7 @@ func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
 		b.mu.Unlock()
 		return nil
 	}
-	return b.flushLocked(flush)
+	return b.flushLocked(yield)
 }
 
 // Flush writes everything queued. With nothing queued it is a no-op
@@ -259,28 +266,22 @@ func (b *RecBatcher) Flush() error {
 
 // flushLocked runs the leader protocol. Called with b.mu held; returns
 // with it released. If another leader is already flushing, the queued
-// work is left to it. wait marks a Write-triggered flush, the only kind
-// the MaxFlushDelay knob applies to.
-func (b *RecBatcher) flushLocked(wait bool) error {
+// work is left to it. yield marks a Write whose MoreWriters said other
+// writers are on their way.
+func (b *RecBatcher) flushLocked(yield bool) error {
 	if b.flushing {
 		err := b.err
 		b.mu.Unlock()
 		return err
 	}
 	b.flushing = true
-	if wait && b.MaxFlushDelay > 0 {
-		wm := b.Watermark
-		if wm <= 0 {
-			wm = DefaultBatchWatermark
-		}
-		if b.pendBytes < wm {
-			// Sleep with the leadership claim held but the lock released:
-			// followers queue behind the claim and return immediately, and
-			// everything they add leaves in this leader's first write.
-			b.mu.Unlock()
-			time.Sleep(b.MaxFlushDelay)
-			b.mu.Lock()
-		}
+	if yield {
+		// Yield with the leadership claim held but the lock released:
+		// writers that run meanwhile queue behind the claim and return,
+		// and everything they add leaves in this leader's first write.
+		b.mu.Unlock()
+		runtime.Gosched()
+		b.mu.Lock()
 	}
 	for b.err == nil && len(b.pend) > 0 {
 		// The whole queue leaves with this leader: arrivals during its

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // queueWire writes each payload through QueueRecord+Flush and returns
@@ -242,11 +242,11 @@ func TestRecBatcherErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestRecBatcherFlushDelayZeroUnchanged: with MaxFlushDelay at its zero
-// default the pre-knob contract holds exactly — each uncontended Write
-// costs one syscall as it always did, and the wire bytes match the
-// per-record WriteRecord stream.
-func TestRecBatcherFlushDelayZeroUnchanged(t *testing.T) {
+// TestRecBatcherLoneWriterOneWrite: a writer nobody is about to join
+// pays exactly one write per record and the wire bytes match the
+// per-record WriteRecord stream — with no MoreWriters, with one that
+// answers false, and with MaxBatch == 1, where it is not even asked.
+func TestRecBatcherLoneWriterOneWrite(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
 	var want bytes.Buffer
 	uw := NewRecStream(&rwPair{Writer: &want}, 0)
@@ -255,75 +255,157 @@ func TestRecBatcherFlushDelayZeroUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var cw countingWriter
-	var wire bytes.Buffer
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
-	for i, p := range payloads {
-		if err := b.Write(pooled(p)); err != nil {
-			t.Fatal(err)
-		}
-		if cw.writes != i+1 {
-			t.Fatalf("after %d uncontended Writes: %d syscalls, want %d", i+1, cw.writes, i+1)
-		}
-	}
-	if !bytes.Equal(wire.Bytes(), want.Bytes()) {
-		t.Fatal("MaxFlushDelay=0 wire bytes diverge from WriteRecord")
+	for _, tc := range []struct {
+		name      string
+		configure func(b *RecBatcher, asked *int)
+		wantAsked int
+	}{
+		{"nil predicate", func(*RecBatcher, *int) {}, 0},
+		{"predicate false", func(b *RecBatcher, asked *int) {
+			b.MoreWriters = func() bool { *asked++; return false }
+		}, len(payloads)},
+		{"MaxBatch 1", func(b *RecBatcher, asked *int) {
+			b.MaxBatch = 1
+			b.MoreWriters = func() bool { *asked++; return true }
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cw countingWriter
+			var wire bytes.Buffer
+			b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
+			asked := 0
+			tc.configure(b, &asked)
+			for i, p := range payloads {
+				if err := b.Write(pooled(p)); err != nil {
+					t.Fatal(err)
+				}
+				if cw.writes != i+1 {
+					t.Fatalf("after %d uncontended Writes: %d syscalls, want %d", i+1, cw.writes, i+1)
+				}
+			}
+			if !bytes.Equal(wire.Bytes(), want.Bytes()) {
+				t.Fatal("wire bytes diverge from WriteRecord")
+			}
+			if asked != tc.wantAsked {
+				t.Fatalf("MoreWriters asked %d times, want %d", asked, tc.wantAsked)
+			}
+		})
 	}
 }
 
-// TestRecBatcherFlushDelayCoalesces: a Write-triggered leader under the
-// watermark waits out the knob, and everything queued behind its claim
-// by then leaves in the one vectored write.
-func TestRecBatcherFlushDelayCoalesces(t *testing.T) {
+// yieldRound is one burst on b: followers goroutines that are runnable,
+// their Write not yet begun, at the moment the calling goroutine's Write
+// claims the flush. It needs the single P its callers set: closing the
+// gate readies the followers without running them, so the leader reaches
+// its claim first and only its yield lets them in. It returns each
+// follower's Write error after all of them have returned.
+func yieldRound(b *RecBatcher, followers int) (leaderErr error, followerErrs []error) {
+	gate := make(chan struct{})
+	followerErrs = make([]error, followers)
+	var parked, done sync.WaitGroup
+	for i := 0; i < followers; i++ {
+		parked.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			parked.Done()
+			<-gate
+			followerErrs[i] = b.Write(pooled([]byte(fmt.Sprintf("follower-%d", i))))
+		}(i)
+	}
+	parked.Wait()
+	close(gate)
+	leaderErr = b.Write(pooled([]byte("leader")))
+	done.Wait()
+	return leaderErr, followerErrs
+}
+
+// TestRecBatcherYieldPicksUpRunnableFollowers: a leader told that more
+// writers are coming yields once, and the writers that were runnable at
+// its claim leave in its write. One yield is one trip through the run
+// queue, not a barrier — the scheduler may hand the leader back early
+// now and then — so the pin is the average over many bursts, loose
+// enough for that and an order of magnitude from the one record per
+// write the same bursts cost without the yield.
+func TestRecBatcherYieldPicksUpRunnableFollowers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const followers, rounds = 8, 50
 	var cw countingWriter
 	var wire bytes.Buffer
 	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
-	b.MaxFlushDelay = 20 * time.Millisecond
-	for i := 0; i < 3; i++ {
-		if err := b.Queue(pooled([]byte(fmt.Sprintf("q%d", i)))); err != nil {
-			t.Fatal(err)
+	b.MoreWriters = func() bool { return true }
+	for i := 0; i < rounds; i++ {
+		lerr, ferrs := yieldRound(b, followers)
+		for _, err := range append(ferrs, lerr) {
+			if err != nil {
+				t.Fatalf("round %d: Write: %v", i, err)
+			}
 		}
 	}
-	start := time.Now()
-	if err := b.Write(pooled([]byte("leader"))); err != nil {
-		t.Fatal(err)
+	if n := b.Pending(); n != 0 {
+		t.Fatalf("%d records left queued after every writer returned", n)
 	}
-	if d := time.Since(start); d < b.MaxFlushDelay {
-		t.Fatalf("delayed leader returned after %v, want >= %v", d, b.MaxFlushDelay)
+	records := rounds * (followers + 1)
+	r := NewRecStream(&rwPair{Reader: &wire}, 0)
+	for i := 0; i < records; i++ {
+		if _, err := r.ReadRecord(nil); err != nil {
+			t.Fatalf("after %d of %d records: %v", i, records, err)
+		}
+	}
+	if wire.Len() != 0 {
+		t.Fatalf("%d trailing bytes after the expected records", wire.Len())
+	}
+	t.Logf("%d records in %d writes", records, cw.writes)
+	if cw.writes*3 > records {
+		t.Fatalf("%d records left in %d writes: the leader is not picking up runnable followers (want >= 3 records per write)",
+			records, cw.writes)
+	}
+}
+
+// TestRecBatcherYieldError: a write that fails after the yield fails
+// the whole batcher exactly as an unyielded one does — OnError fires
+// once, the followers that queued behind the claim have their buffers
+// recycled rather than stranded, and later writers are rejected.
+func TestRecBatcherYieldError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	boom := errors.New("peer gone")
+	var cw countingWriter
+	failing := writerFunc(func(p []byte) (int, error) {
+		cw.Write(p)
+		return 0, boom
+	})
+	b := NewRecBatcher(NewRecStream(&rwPair{Writer: failing}, 0))
+	b.MoreWriters = func() bool { return true }
+	fired := 0
+	b.OnError = func(err error) {
+		fired++
+		if !errors.Is(err, boom) {
+			t.Errorf("OnError got %v", err)
+		}
+	}
+	lerr, ferrs := yieldRound(b, 8)
+	// Whoever led got the failure; a follower either queued behind the
+	// claim and returned before the write (nil) or came after it failed.
+	sawBoom := errors.Is(lerr, boom)
+	for i, err := range ferrs {
+		sawBoom = sawBoom || errors.Is(err, boom)
+		if err != nil && !errors.Is(err, boom) {
+			t.Errorf("follower %d: Write = %v, want nil or %v", i, err, boom)
+		}
+	}
+	if !sawBoom {
+		t.Fatal("no writer saw the write failure")
 	}
 	if cw.writes != 1 {
-		t.Fatalf("4 records left in %d writes, want 1 coalesced write", cw.writes)
+		t.Fatalf("%d writes reached the failed stream, want 1", cw.writes)
 	}
-	r := NewRecStream(&rwPair{Reader: &wire}, 0)
-	for i := 0; i < 4; i++ {
-		if _, err := r.ReadRecord(nil); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
+	if fired != 1 {
+		t.Fatalf("OnError fired %d times, want 1", fired)
 	}
-}
-
-// TestRecBatcherFlushDelayBounds: the delay applies only to
-// under-watermark Write-triggered flushes — a Write already past the
-// watermark and an explicit Flush go out immediately.
-func TestRecBatcherFlushDelayBounds(t *testing.T) {
-	var cw countingWriter
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &cw}, 0))
-	b.MaxFlushDelay = 2 * time.Second
-	b.Watermark = 8
-	start := time.Now()
-	if err := b.Write(pooled(bytes.Repeat([]byte{7}, 32))); err != nil {
-		t.Fatal(err)
+	if n := b.Pending(); n != 0 {
+		t.Fatalf("%d records stranded behind the failure", n)
 	}
-	if err := b.Queue(pooled([]byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d >= b.MaxFlushDelay {
-		t.Fatalf("watermark write + explicit Flush took %v: the delay leaked past its trigger", d)
-	}
-	if cw.writes != 2 {
-		t.Fatalf("%d writes, want 2", cw.writes)
+	if err := b.Write(pooled([]byte("late"))); !errors.Is(err, ErrRejected) {
+		t.Fatalf("Write after failure = %v, want ErrRejected", err)
 	}
 }
