@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build xcompile test race bench benchmark-check bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
+.PHONY: all build xcompile test race allocs bench benchmark-check bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
 
 all: build
 
@@ -20,6 +20,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation pins are built `!race` (sync.Pool drops puts under the
+# detector), so the race pass above never runs them: whole-call counts
+# on both transports, the record and datagram batch layers, and a typed
+# round trip through the committed stubs.
+allocs:
+	$(GO) test -run 'Allocs|AllocFree|ArraysRecycle' ./internal/client ./internal/xdr \
+		./internal/platform/batchio ./internal/compiledtest
 
 # Benchmark smoke run: one iteration of every benchmark, with allocation
 # counts, matching the CI step. For real numbers drop -benchtime=1x.
@@ -161,4 +169,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet analyze build xcompile race bench benchmark-check genstubs bench-diff batch-smoke chaos chaos-smoke fuzz
+ci: fmt vet analyze build xcompile race allocs bench benchmark-check genstubs bench-diff batch-smoke chaos chaos-smoke fuzz

@@ -57,7 +57,9 @@ func (c *RminProgV1Client) Rmin(arg *Pair) (*int32, error) {
 	return res, rpcclient.CallTyped(c.C, RminProgV1ProcRmin, planPair, arg, planRminProgV1RminRes, res)
 }
 
-// RminProgV1Handler is the service interface for RMIN_PROG version 1.
+// RminProgV1Handler is the service interface for RMIN_PROG version 1. An argument is
+// valid until the method returns — the server decodes the next call
+// over it — and a result may alias it.
 type RminProgV1Handler interface {
 	Rmin(arg *Pair) (*int32, error)
 }

@@ -60,12 +60,10 @@ func compiledDecodeLivearr(body []byte, v *Livearr) error {
 	if int64(n8)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v)) != n8 {
-		if n8 == 0 {
-			(*v) = nil
-		} else {
-			(*v) = make(Livearr, n8)
-		}
+	if n8 <= cap((*v)) {
+		(*v) = (*v)[:n8]
+	} else {
+		(*v) = make(Livearr, n8)
 	}
 	s9 := (*v)
 	b10 := body[pos:]

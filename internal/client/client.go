@@ -297,8 +297,10 @@ func (l *link) start(e *engine) {
 type transport interface {
 	// acquire returns the link the next attempt goes out on: a datagram
 	// socket's one fixed link, or a stream's current generation —
-	// redialing, single-flight, when that generation has failed.
-	acquire(ctx context.Context, deadline time.Time) (*link, error)
+	// redialing, single-flight, when that generation has failed. A caller
+	// that finds a redial already under way gets its completion channel
+	// instead, to wait on and ask again (engine.linkFor).
+	acquire() (l *link, redialing <-chan struct{}, err error)
 	// send puts one encoded request on l. kept reports who owns buf
 	// afterwards: a datagram transport leaves it with the engine, which
 	// re-sends the same bytes on the backoff tick; a stream's batcher
@@ -465,8 +467,87 @@ type call struct {
 	req      callReq
 	sink     replySink
 	deadline time.Time
-	ctxBound bool             // deadline is ctx's own, not cfg.Timeout
-	expired  <-chan time.Time // fires at deadline
+	ctxBound bool        // deadline is ctx's own, not cfg.Timeout
+	timer    *time.Timer // pooled; armed for deadline by the first wait
+}
+
+// begin starts the clock of one call under ctx and the client's Timeout.
+func (e *engine) begin(ctx context.Context) call {
+	c := call{ctx: ctx}
+	c.deadline, c.ctxBound = callDeadline(ctx, e.cfg.Timeout)
+	return c
+}
+
+// expired is the channel a wait selects on for the call's deadline. The
+// timer behind it is armed by the first wait, so a call that never
+// blocks (CallBatched on a healthy link) never touches one.
+//
+//specrpc:hotpath
+func (c *call) expired() <-chan time.Time {
+	if c.timer == nil {
+		c.timer = getTimer(time.Until(c.deadline))
+	}
+	return c.timer.C
+}
+
+// end releases the call's timer.
+//
+//specrpc:hotpath
+func (c *call) end() {
+	if c.timer != nil {
+		putTimer(c.timer)
+	}
+}
+
+// timedOut is what a wait does with a tick from expired: the error the
+// call ends with, or nil for a tick that came early — a recycled timer
+// can deliver one left over from its previous use — after re-arming the
+// timer for what is left. The deadline ends a call, never the tick. When
+// the deadline is the context's own, the engine's timer and the
+// context's are due in the same instant and the error is the context's
+// whichever fired first.
+func (c *call) timedOut() error {
+	if left := time.Until(c.deadline); left > 0 {
+		c.timer.Reset(left)
+		return nil
+	}
+	switch {
+	case c.ctx.Err() != nil:
+		return c.ctx.Err()
+	case c.ctxBound:
+		return context.DeadlineExceeded
+	default:
+		return ErrTimeout
+	}
+}
+
+// timers recycles stopped timers between calls: a deadline timer per
+// call and a retransmit timer per datagram call were three heap objects
+// each. Both modules say go 1.22, so a timer's channel is the buffered,
+// asynchronous kind: Stop and a drain cannot rule out a send already on
+// its way, and a recycled timer may deliver one stale tick. Every
+// receiver therefore checks the clock against the time it is waiting
+// for (call.timedOut, await's retransmit arm) instead of trusting the
+// tick.
+var timers sync.Pool
+
+//specrpc:hotpath
+func getTimer(d time.Duration) *time.Timer {
+	if t, _ := timers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+//specrpc:hotpath
+func putTimer(t *time.Timer) {
+	t.Stop()
+	select {
+	case <-t.C:
+	default:
+	}
+	timers.Put(t)
 }
 
 // verdict classifies how one attempt ended.
@@ -500,11 +581,9 @@ func (e *engine) doCall(ctx context.Context, proc uint32, req callReq, sink repl
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c := call{ctx: ctx, proc: proc, req: req, sink: sink}
-	c.deadline, c.ctxBound = callDeadline(ctx, e.cfg.Timeout)
-	overall := time.NewTimer(time.Until(c.deadline))
-	defer overall.Stop()
-	c.expired = overall.C
+	c := e.begin(ctx)
+	c.proc, c.req, c.sink = proc, req, sink
+	defer c.end()
 
 	attempts := 1
 	if e.cfg.Redial != nil { // the call may outlive its link
@@ -566,7 +645,7 @@ func (e *engine) sleep(ctx context.Context, d time.Duration) error {
 //
 //specrpc:hotpath
 func (e *engine) attempt(c *call) (verdict, error) {
-	l, err := e.tr.acquire(c.ctx, c.deadline)
+	l, err := e.linkFor(c)
 	if err != nil {
 		return final, acquireFailed(err)
 	}
@@ -592,6 +671,32 @@ func (e *engine) attempt(c *call) (verdict, error) {
 		return e.linkFailed(sendVerdict(err), err)
 	}
 	return e.await(c, l, ch, buf)
+}
+
+// linkFor gets the link for c's next attempt, waiting out another
+// caller's redial if one is under way — on the call's own timer, and
+// ending as any other wait of the call ends.
+func (e *engine) linkFor(c *call) (*link, error) {
+	for {
+		l, redialing, err := e.tr.acquire()
+		if redialing == nil {
+			return l, err
+		}
+		for waiting := true; waiting; {
+			select {
+			case <-redialing:
+				waiting = false
+			case <-c.expired():
+				if err := c.timedOut(); err != nil {
+					return nil, err
+				}
+			case <-c.ctx.Done():
+				return nil, c.ctx.Err()
+			case <-e.done:
+				return nil, ErrClosed
+			}
+		}
+	}
 }
 
 // acquireFailed classifies an acquire error: a closed client, an expired
@@ -639,10 +744,12 @@ func (e *engine) linkFailed(v verdict, err error) (verdict, error) {
 func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdict, error) {
 	var retrans *time.Timer
 	var tick <-chan time.Time
-	sends := 1 // datagrams sent so far
+	var due time.Time // when the next retransmission is scheduled
+	sends := 1        // datagrams sent so far
 	if resend != nil {
-		retrans = time.NewTimer(e.retransmitDelay(sends))
-		defer retrans.Stop()
+		d := e.retransmitDelay(sends)
+		retrans, due = getTimer(d), time.Now().Add(d)
+		defer putTimer(retrans)
 		tick = retrans.C
 	}
 	for {
@@ -659,6 +766,10 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 			}
 			return final, err
 		case <-tick:
+			if early := time.Until(due); early > 0 {
+				retrans.Reset(early) // a tick left in the recycled timer
+				continue
+			}
 			if e.policy != nil {
 				if sends >= e.policy.MaxAttempts {
 					continue // schedule exhausted: wait out the deadline
@@ -667,28 +778,20 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 					// Suppressed, not failed: count it, keep the schedule
 					// running so a refilled bucket resumes retransmitting.
 					e.budgetDenied.Add(1)
-					retrans.Reset(e.policy.delay(sends))
+					due = rearm(retrans, e.policy.delay(sends))
 					continue
 				}
 			}
 			if _, err = e.tr.send(l, resend, c.deadline); err == nil {
 				sends++
 				e.retransmits.Add(1)
-				retrans.Reset(e.retransmitDelay(sends))
+				due = rearm(retrans, e.retransmitDelay(sends))
 				continue
 			}
 			v, err = e.linkFailed(maybeSent, err)
-		case <-c.expired:
-			// The engine's timer and the context's are due in the same
-			// instant when the deadline is the context's own; the error is
-			// the context's whichever fired first.
-			switch {
-			case c.ctx.Err() != nil:
-				err = c.ctx.Err()
-			case c.ctxBound:
-				err = context.DeadlineExceeded
-			default:
-				err = ErrTimeout
+		case <-c.expired():
+			if err = c.timedOut(); err == nil {
+				continue
 			}
 		case <-c.ctx.Done():
 			err = c.ctx.Err()
@@ -705,6 +808,15 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 		}
 		return v, err
 	}
+}
+
+// rearm sets t to fire after d and returns the time that is: what the
+// retransmit arm checks a tick against.
+//
+//specrpc:hotpath
+func rearm(t *time.Timer, d time.Duration) time.Time {
+	t.Reset(d)
+	return time.Now().Add(d)
 }
 
 // retransmitDelay is the wait before datagram send n+1.
@@ -999,6 +1111,7 @@ func (r planReply) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) {
 type UDP struct {
 	engine
 	conn   net.PacketConn
+	udp    *net.UDPConn // conn, when it is a kernel socket; else nil
 	server net.Addr
 	link   link // the socket's one link
 
@@ -1012,11 +1125,12 @@ func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
 	cfg.fill()
 	cfg.Redial = nil // a stream knob: a datagram client has its one link for life
 	c := &UDP{conn: conn, server: server, link: link{dmx: newDemux()}}
+	c.udp, _ = conn.(*net.UDPConn)
 	c.engine.init(cfg, c, traits{maxReq: cfg.BufSize}, cfg.Retransmit)
 	return c
 }
 
-func (c *UDP) acquire(context.Context, time.Time) (*link, error) { return &c.link, nil }
+func (c *UDP) acquire() (*link, <-chan struct{}, error) { return &c.link, nil, nil }
 
 func (c *UDP) send(_ *link, buf *[]byte, _ time.Time) (bool, error) {
 	if _, err := c.conn.WriteTo(*buf, c.server); err != nil {
@@ -1033,7 +1147,15 @@ func (c *UDP) recv(_ *link, bp *[]byte) (bool, error) {
 	// Read into exactly BufSize bytes: recycled pool buffers may be
 	// larger, and the datagram size bound must not vary with them.
 	buf := (*bp)[:c.cfg.BufSize]
-	n, _, err := c.conn.ReadFrom(buf)
+	var n int
+	var err error
+	if c.udp != nil {
+		// The source is discarded either way (replies match on XID); this
+		// form returns it by value instead of boxing an address per reply.
+		n, _, err = c.udp.ReadFromUDPAddrPort(buf)
+	} else {
+		n, _, err = c.conn.ReadFrom(buf)
+	}
 	if err != nil {
 		if errors.Is(err, net.ErrClosed) {
 			return false, ErrClosed
@@ -1199,48 +1321,34 @@ func (c *TCP) current() *link {
 // current one has failed. Without a Redial it returns the current
 // generation regardless of health — the call then surfaces the dead
 // generation's error. With one, the first goroutine to find the
-// generation dead becomes the redialer and the rest wait on its outcome
-// (bounded by the caller's deadline).
-func (c *TCP) acquire(ctx context.Context, deadline time.Time) (*link, error) {
+// generation dead becomes the redialer and the rest are handed the
+// channel its outcome is announced on.
+func (c *TCP) acquire() (*link, <-chan struct{}, error) {
 	for {
 		c.connMu.Lock()
 		if c.isClosed() {
 			c.connMu.Unlock()
-			return nil, ErrClosed
+			return nil, nil, ErrClosed
 		}
 		l := c.cur
 		if c.cfg.Redial == nil || l.dmx.error() == nil {
 			c.connMu.Unlock()
-			return l, nil
+			return l, nil, nil
 		}
-		if c.redialCh == nil {
-			ch := make(chan struct{})
-			c.redialCh = ch
+		if ch := c.redialCh; ch != nil {
 			c.connMu.Unlock()
-			err := c.reconnect(l)
-			c.connMu.Lock()
-			c.redialCh = nil
-			c.connMu.Unlock()
-			close(ch)
-			if err != nil {
-				return nil, err
-			}
-			continue
+			return nil, ch, nil
 		}
-		ch := c.redialCh
+		ch := make(chan struct{})
+		c.redialCh = ch
 		c.connMu.Unlock()
-		wait := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-			wait.Stop()
-		case <-wait.C:
-			return nil, ErrTimeout
-		case <-ctx.Done():
-			wait.Stop()
-			return nil, ctx.Err()
-		case <-c.done:
-			wait.Stop()
-			return nil, ErrClosed
+		err := c.reconnect(l)
+		c.connMu.Lock()
+		c.redialCh = nil
+		c.connMu.Unlock()
+		close(ch)
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 }
@@ -1348,7 +1456,9 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if c.isClosed() {
 		return ErrClosed
 	}
-	l, err := c.acquire(context.Background(), time.Now().Add(c.cfg.Timeout))
+	cl := c.begin(context.Background())
+	defer cl.end()
+	l, err := c.linkFor(&cl)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -213,6 +214,10 @@ func TestTransportConformance(t *testing.T) {
 	for _, tr := range conformanceTransports {
 		for _, sc := range scenarios {
 			t.Run(tr.name+"/"+sc.name, func(t *testing.T) {
+				// Registered first, so it runs after the clean-ups that
+				// close the clients: readers, pumps and pooled timers
+				// leave nothing behind, whatever way the call ended.
+				t.Cleanup(testutil.NoLeak(t))
 				for i := 0; i < max(sc.iters, 1); i++ {
 					p := &fakePeer{replies: sc.replies, die: sc.die, seen: make(chan struct{}, 1)}
 					c := tr.dial(t, p, Config{Prog: 1, Vers: 1, Timeout: 10 * time.Second})

@@ -18,6 +18,7 @@ import (
 
 	"specrpc/internal/netsim"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 )
 
 // writeObserver reports the first Write error on a wrapped conn, so a
@@ -311,5 +312,57 @@ func TestTransportErrorAmbiguousSurfaces(t *testing.T) {
 	case <-dialed:
 		t.Fatal("ambiguous failure was retried without RetryAmbiguous")
 	default:
+	}
+}
+
+// TestRedialWaitEndsAsTheCallEnds: a call that finds another caller's
+// redial under way waits for it on its own deadline, and when that
+// passes the call ends as any other wait of it would — ErrTimeout when
+// the bound was the client's Timeout, the context's error when it was
+// the context's. The wait used to arm a timer of its own beside the
+// call's and report ErrTimeout whenever that one won the select.
+func TestRedialWaitEndsAsTheCallEnds(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	dialing, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c := NewTCP(p1, Config{Prog: 1, Vers: 1, Timeout: 150 * time.Millisecond,
+		Redial: func() (net.Conn, error) {
+			once.Do(func() { close(dialing) })
+			<-hold
+			return nil, errors.New("dial refused")
+		}})
+	c.current().dmx.fail(errors.New("link died"))
+
+	redialer := make(chan error, 1)
+	go func() { redialer <- c.Call(1, Void, Void) }()
+	<-dialing // every later call now waits behind this one's redial
+
+	for i := 0; i < 10; i++ { // both timers are due at once: the error must not ride on which fires
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		err := c.CallCtx(ctx, 1, Void, Void)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrTimeout) {
+			t.Fatalf("context-bound wait ended with %v, want context.DeadlineExceeded", err)
+		}
+	}
+	start := time.Now()
+	if err := c.Call(1, Void, Void); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Timeout-bound wait ended with %v, want ErrTimeout", err)
+	}
+	if took := time.Since(start); took < 150*time.Millisecond || took > 3*time.Second {
+		t.Fatalf("Timeout-bound wait took %v against a 150ms Timeout", took)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if err := c.CallCtx(ctx, 1, Void, Void); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait ended with %v, want context.Canceled", err)
+	}
+
+	close(hold)
+	_ = c.Close()
+	if err := <-redialer; err == nil {
+		t.Fatal("the redialing call succeeded against a dial that always fails")
 	}
 }

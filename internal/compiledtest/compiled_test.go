@@ -188,7 +188,60 @@ func FuzzCompiledCodec(f *testing.F) {
 				t.Fatalf("pass %d: decoded values differ\nplan:     %+v\ncompiled: %+v", pass, pv, cv)
 			}
 		}
+
+		// Reused destination: a server decodes every call of a procedure
+		// into one value, so two different messages go into one target,
+		// shorter after longer and longer after shorter. Both engines
+		// must leave exactly what a decode into a fresh value leaves — no
+		// stale tail, no stale element — up to the one defined difference:
+		// a backing array is kept, so a zero count against a field that
+		// held something leaves it empty, not nil (a nil field stays nil).
+		w := fuzzSample(^a, -h, !flag, name[:len(name)/2], raw[len(raw)/2:])
+		var msgs [2][]byte
+		var fresh [2]Sample
+		for i, val := range []*Sample{&v, &w} {
+			e := xdr.NewBufEncode(nil)
+			if err := planSample.Encode(xdr.NewEncoder(e), val); err != nil {
+				t.Fatalf("encode message %d: %v", i, err)
+			}
+			msgs[i] = e.Buffer()
+			if err := planSample.Codec().DecodeBody(msgs[i], unsafe.Pointer(&fresh[i])); err != nil {
+				t.Fatalf("decode message %d: %v", i, err)
+			}
+		}
+		for _, order := range [][2]int{{0, 1}, {1, 0}} {
+			var pr, cr Sample
+			for _, i := range order {
+				if err := planSample.Codec().DecodeBody(msgs[i], unsafe.Pointer(&pr)); err != nil {
+					t.Fatalf("plan decode of message %d into a used value: %v", i, err)
+				}
+				if err := decode(msgs[i], unsafe.Pointer(&cr)); err != nil {
+					t.Fatalf("compiled decode of message %d into a used value: %v", i, err)
+				}
+			}
+			want := expectReused(fresh[order[0]], fresh[order[1]])
+			if !reflect.DeepEqual(pr, want) {
+				t.Fatalf("plan decode into a used value\n got %+v\nwant %+v", pr, want)
+			}
+			if !reflect.DeepEqual(cr, want) {
+				t.Fatalf("compiled decode into a used value\n got %+v\nwant %+v", cr, want)
+			}
+		}
 	})
+}
+
+// expectReused is what decoding a message over prior must leave, given
+// what it leaves in a fresh value: the same, except that a slice field
+// the message leaves empty keeps prior's backing array — non-nil where
+// prior's was.
+func expectReused(prior, fresh Sample) Sample {
+	pv, fv := reflect.ValueOf(&prior).Elem(), reflect.ValueOf(&fresh).Elem()
+	for i := 0; i < fv.NumField(); i++ {
+		if f := fv.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 && !pv.Field(i).IsNil() {
+			f.Set(reflect.MakeSlice(f.Type(), 0, 0))
+		}
+	}
+	return fresh
 }
 
 // TestCompiledRegistered pins that every plan the generator emitted a

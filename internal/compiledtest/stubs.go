@@ -278,7 +278,9 @@ func (c *ShapeProgV2Client) Sum(arg *Numbers) (*int32, error) {
 	return res, rpcclient.CallTyped(c.C, ShapeProgV2ProcSum, planNumbers, arg, planShapeProgV2SumRes, res)
 }
 
-// ShapeProgV2Handler is the service interface for SHAPE_PROG version 2.
+// ShapeProgV2Handler is the service interface for SHAPE_PROG version 2. An argument is
+// valid until the method returns — the server decodes the next call
+// over it — and a result may alias it.
 type ShapeProgV2Handler interface {
 	Lookup(arg *Point) (*LookupResult, error)
 	Ping() error
@@ -362,12 +364,10 @@ func compiledDecodeNumbers(body []byte, v *Numbers) error {
 	if int64(n8)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v)) != n8 {
-		if n8 == 0 {
-			(*v) = nil
-		} else {
-			(*v) = make(Numbers, n8)
-		}
+	if n8 <= cap((*v)) {
+		(*v) = (*v)[:n8]
+	} else {
+		(*v) = make(Numbers, n8)
 	}
 	s9 := (*v)
 	b10 := body[pos:]
@@ -424,7 +424,9 @@ func compiledDecodeBlob(body []byte, v *Blob) error {
 	if n7+p8 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	if len((*v)) != n7 {
+	if n7 <= cap((*v)) {
+		(*v) = (*v)[:n7]
+	} else {
 		(*v) = make(Blob, n7)
 	}
 	copy((*v), body[pos:pos+n7])
@@ -705,7 +707,9 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n43+p44 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Data) != n43 {
+	if n43 <= cap((*v).Data) {
+		(*v).Data = (*v).Data[:n43]
+	} else {
 		(*v).Data = make([]byte, n43)
 	}
 	copy((*v).Data, body[pos:pos+n43])
@@ -722,12 +726,10 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if int64(n46)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Nums) != n46 {
-		if n46 == 0 {
-			(*v).Nums = nil
-		} else {
-			(*v).Nums = make(Numbers, n46)
-		}
+	if n46 <= cap((*v).Nums) {
+		(*v).Nums = (*v).Nums[:n46]
+	} else {
+		(*v).Nums = make(Numbers, n46)
 	}
 	s47 := (*v).Nums
 	b48 := body[pos:]
@@ -749,7 +751,9 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n51+p52 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Payload) != n51 {
+	if n51 <= cap((*v).Payload) {
+		(*v).Payload = (*v).Payload[:n51]
+	} else {
 		(*v).Payload = make(Blob, n51)
 	}
 	copy((*v).Payload, body[pos:pos+n51])
@@ -766,12 +770,10 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if int64(n54)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Pts) != n54 {
-		if n54 == 0 {
-			(*v).Pts = nil
-		} else {
-			(*v).Pts = make([]Point, n54)
-		}
+	if n54 <= cap((*v).Pts) {
+		(*v).Pts = (*v).Pts[:n54]
+	} else {
+		(*v).Pts = make([]Point, n54)
 	}
 	s55 := (*v).Pts
 	b56 := body[pos:]
@@ -793,12 +795,10 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if int64(n59)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Words) != n59 {
-		if n59 == 0 {
-			(*v).Words = nil
-		} else {
-			(*v).Words = make([]Word, n59)
-		}
+	if n59 <= cap((*v).Words) {
+		(*v).Words = (*v).Words[:n59]
+	} else {
+		(*v).Words = make([]Word, n59)
 	}
 	s60 := (*v).Words
 	for i61 := range s60 {
@@ -830,12 +830,10 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if int64(n66)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if len((*v).Bits) != n66 {
-		if n66 == 0 {
-			(*v).Bits = nil
-		} else {
-			(*v).Bits = make([]bool, n66)
-		}
+	if n66 <= cap((*v).Bits) {
+		(*v).Bits = (*v).Bits[:n66]
+	} else {
+		(*v).Bits = make([]bool, n66)
 	}
 	s67 := (*v).Bits
 	b68 := body[pos:]

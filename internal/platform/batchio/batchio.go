@@ -16,7 +16,9 @@ import (
 
 // Message is one datagram moving through a batch. On reads Buf is the
 // receive buffer and N/Addr report what arrived; on writes Buf is the
-// complete datagram (N is ignored) and Addr the destination.
+// complete datagram (N is ignored) and Addr the destination. A reported
+// Addr is shared by every datagram of its peer: read it, pass it back as
+// a destination, never write through it.
 type Message struct {
 	Buf  []byte
 	N    int
@@ -140,6 +142,11 @@ type Sender struct {
 	pend     []Message
 	bufs     []*[]byte
 	flushing bool
+	// The arrays the previous flush drained, kept so that Send appends
+	// into recycled storage instead of regrowing a queue per flush (as
+	// xdr.RecBatcher does on the stream side).
+	sparePend []Message
+	spareBufs []*[]byte
 }
 
 // NewSender returns a group-commit sender over c using the given buffer
@@ -163,21 +170,18 @@ func (s *Sender) Send(to net.Addr, msg []byte) {
 	}
 	s.flushing = true
 	for len(s.pend) > 0 {
+		// Take the whole queue and leave the spare arrays in its place;
+		// WriteBatch splits it by the syscall bound itself.
 		batch, bufs := s.pend, s.bufs
-		if len(batch) > s.c.batch {
-			batch, bufs = batch[:s.c.batch], bufs[:s.c.batch]
-		}
-		s.pend = s.pend[len(batch):]
-		s.bufs = s.bufs[len(bufs):]
-		if len(s.pend) == 0 {
-			s.pend, s.bufs = nil, nil // release the consumed backing arrays
-		}
+		s.pend, s.bufs = s.sparePend[:0], s.spareBufs[:0]
 		s.mu.Unlock()
 		_ = s.c.WriteBatch(batch)
-		for _, bp := range bufs {
+		for i, bp := range bufs {
 			s.release(bp)
+			batch[i], bufs[i] = Message{}, nil // drop the references
 		}
 		s.mu.Lock()
+		s.sparePend, s.spareBufs = batch, bufs
 	}
 	s.flushing = false
 	s.mu.Unlock()

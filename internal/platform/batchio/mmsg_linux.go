@@ -32,16 +32,30 @@ type mmsgConn struct {
 	stats *Stats
 	v6    bool // socket family: chooses the sockaddr written for sends
 
-	rmu  sync.Mutex
-	rhs  []mmsghdr
-	riov []syscall.Iovec
-	rsa  []syscall.RawSockaddrAny
+	// recv and send are the RawConn callbacks, bound once: a closure
+	// built per batch would carry its in and out values in a heap
+	// environment. Those values live in the fields beside them instead,
+	// each set under the mutex that serializes its side.
+	recv, send func(fd uintptr) bool
 
-	wmu  sync.Mutex
-	whs  []mmsghdr
-	wiov []syscall.Iovec
-	wsa4 []syscall.RawSockaddrInet4
-	wsa6 []syscall.RawSockaddrInet6
+	rmu   sync.Mutex
+	rhs   []mmsghdr
+	riov  []syscall.Iovec
+	rsa   []syscall.RawSockaddrAny
+	rn    int           // in: headers armed
+	rgot  int           // out: messages received
+	rerr  syscall.Errno // out: recvmmsg's failure, 0 for none
+	peers [peerSlots]*peer
+
+	wmu    sync.Mutex
+	whs    []mmsghdr
+	wiov   []syscall.Iovec
+	wsa4   []syscall.RawSockaddrInet4
+	wsa6   []syscall.RawSockaddrInet6
+	wfrom  int           // in: first header to send
+	wto    int           // in: one past the last
+	wwrote int           // out: messages sent
+	werr   syscall.Errno // out: sendmmsg's failure, 0 for none
 }
 
 // newMMsg probes pc for the multi-message path: a kernel UDP socket
@@ -67,6 +81,7 @@ func newMMsg(pc net.PacketConn, batch int, stats *Stats) *mmsgConn {
 		wsa4: make([]syscall.RawSockaddrInet4, batch),
 		wsa6: make([]syscall.RawSockaddrInet6, batch),
 	}
+	m.recv, m.send = m.recvmmsg, m.sendmmsg
 	if la, ok := u.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() == nil {
 		m.v6 = true
 	}
@@ -89,36 +104,38 @@ func (m *mmsgConn) readBatch(msgs []Message) (int, error) {
 		m.rhs[i].hdr.Iov = &m.riov[i]
 		m.rhs[i].hdr.Iovlen = 1
 	}
-	var got int
-	var sysErr error
-	err := m.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&m.rhs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		switch errno {
-		case syscall.EAGAIN, syscall.EINTR:
-			return false // let the poller wait for readability
-		case 0:
-			got = int(r1)
-			m.stats.ReadCalls.Add(1)
-			m.stats.ReadMsgs.Add(uint64(got))
-			return true
-		default:
-			sysErr = errno
-			return true
-		}
-	})
-	if err != nil {
+	m.rn, m.rgot, m.rerr = n, 0, 0
+	if err := m.rc.Read(m.recv); err != nil {
 		return 0, err // poller error: the socket was closed
 	}
-	if sysErr != nil {
-		return 0, sysErr
+	if m.rerr != 0 {
+		return 0, m.rerr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < m.rgot; i++ {
 		msgs[i].N = int(m.rhs[i].nlen)
-		msgs[i].Addr = sockaddrToUDP(&m.rsa[i])
+		msgs[i].Addr = m.peerAddr(&m.rsa[i])
 	}
-	return got, nil
+	return m.rgot, nil
+}
+
+// recvmmsg is readBatch's RawConn callback; rmu is held.
+//
+//specrpc:hotpath
+func (m *mmsgConn) recvmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&m.rhs[0])), uintptr(m.rn),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	switch errno {
+	case syscall.EAGAIN, syscall.EINTR:
+		return false // let the poller wait for readability
+	case 0:
+		m.rgot = int(r1)
+		m.stats.ReadCalls.Add(1)
+		m.stats.ReadMsgs.Add(uint64(m.rgot))
+	default:
+		m.rerr = errno
+	}
+	return true
 }
 
 func (m *mmsgConn) writeBatch(msgs []Message) error {
@@ -147,42 +164,41 @@ func (m *mmsgConn) writeBatch(msgs []Message) error {
 			m.whs[k].nlen = 0
 			k++
 		}
-		n = k
-		sent := 0
-		for sent < n {
-			var wrote int
-			var sysErr error
-			err := m.rc.Write(func(fd uintptr) bool {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&m.whs[sent])), uintptr(n-sent),
-					uintptr(syscall.MSG_DONTWAIT), 0, 0)
-				switch errno {
-				case syscall.EAGAIN, syscall.EINTR:
-					return false // let the poller wait for writability
-				case 0:
-					wrote = int(r1)
-					m.stats.WriteCalls.Add(1)
-					m.stats.WriteMsgs.Add(uint64(wrote))
-					return true
-				default:
-					sysErr = errno
-					return true
-				}
-			})
-			if err != nil {
+		for m.wfrom, m.wto = 0, k; m.wfrom < m.wto; m.wfrom += m.wwrote {
+			m.wwrote, m.werr = 0, 0
+			if err := m.rc.Write(m.send); err != nil {
 				return err
 			}
-			if sysErr != nil {
-				return sysErr
+			if m.werr != 0 {
+				return m.werr
 			}
-			if wrote == 0 {
+			if m.wwrote == 0 {
 				break // defensive: a zero-progress success cannot loop forever
 			}
-			sent += wrote
 		}
 		off += n
 	}
 	return nil
+}
+
+// sendmmsg is writeBatch's RawConn callback; wmu is held.
+//
+//specrpc:hotpath
+func (m *mmsgConn) sendmmsg(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&m.whs[m.wfrom])), uintptr(m.wto-m.wfrom),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	switch errno {
+	case syscall.EAGAIN, syscall.EINTR:
+		return false // let the poller wait for writability
+	case 0:
+		m.wwrote = int(r1)
+		m.stats.WriteCalls.Add(1)
+		m.stats.WriteMsgs.Add(uint64(m.wwrote))
+	default:
+		m.werr = errno
+	}
+	return true
 }
 
 // mu2one sends one message through the portable path (used only for
@@ -231,22 +247,50 @@ func (m *mmsgConn) setName(i int, a net.Addr) bool {
 	return true
 }
 
-// sockaddrToUDP decodes a kernel-filled sockaddr. The address bytes are
-// copied out because the sockaddr buffer is reused by the next batch.
-func sockaddrToUDP(rsa *syscall.RawSockaddrAny) net.Addr {
+// peerSlots sizes the table of interned peer addresses: direct-mapped,
+// so a lookup is one hash and one compare, and two live peers that
+// collide merely take turns allocating.
+const peerSlots = 64
+
+// peer is one interned address: the UDPAddr handed out and, in the same
+// object, the bytes its IP slice points into.
+type peer struct {
+	addr net.UDPAddr
+	ip   [net.IPv6len]byte
+}
+
+// peerAddr decodes a kernel-filled sockaddr into the address reported
+// for the datagram. Nothing writes to a reported address, so every
+// datagram of a returning peer gets the same *net.UDPAddr out of the
+// table, and only a peer not seen lately (or evicted by a collision)
+// costs an allocation; an evicted address stays valid for whoever still
+// holds it. The caller holds rmu.
+//
+//specrpc:hotpath
+func (m *mmsgConn) peerAddr(rsa *syscall.RawSockaddrAny) net.Addr {
+	var ip []byte
+	var pb *[2]byte // port, network byte order
 	switch rsa.Addr.Family {
 	case syscall.AF_INET:
 		sa := (*syscall.RawSockaddrInet4)(unsafe.Pointer(rsa))
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, net.IPv4len)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		ip, pb = sa.Addr[:], (*[2]byte)(unsafe.Pointer(&sa.Port))
 	case syscall.AF_INET6:
 		sa := (*syscall.RawSockaddrInet6)(unsafe.Pointer(rsa))
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		ip := make(net.IP, net.IPv6len)
-		copy(ip, sa.Addr[:])
-		return &net.UDPAddr{IP: ip, Port: int(p[0])<<8 | int(p[1])}
+		ip, pb = sa.Addr[:], (*[2]byte)(unsafe.Pointer(&sa.Port))
+	default:
+		return nil
 	}
-	return nil
+	port := int(pb[0])<<8 | int(pb[1])
+	h := uint32(port)
+	for _, b := range ip[len(ip)-4:] {
+		h = h*31 + uint32(b)
+	}
+	slot := &m.peers[h*0x9e3779b1>>26] // top 6 bits: peerSlots entries
+	if p := *slot; p != nil && p.addr.Port == port && string(p.addr.IP) == string(ip) {
+		return &p.addr
+	}
+	p := &peer{}
+	p.addr = net.UDPAddr{IP: p.ip[:copy(p.ip[:], ip)], Port: port}
+	*slot = p
+	return &p.addr
 }

@@ -806,7 +806,9 @@ func (g *goGen) genProgram(p ProgramDef) error {
 
 		// Server interface + registration.
 		iname := base + "Handler"
-		g.pf("// %s is the service interface for %s version %d.\ntype %s interface {\n", iname, p.Name, v.Num, iname)
+		g.pf("// %s is the service interface for %s version %d. An argument is\n"+
+			"// valid until the method returns — the server decodes the next call\n"+
+			"// over it — and a result may alias it.\ntype %s interface {\n", iname, p.Name, v.Num, iname)
 		for _, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
 			argT, resT := "", ""

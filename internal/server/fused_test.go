@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,6 +146,57 @@ func TestTypedDispatchVoidResult(t *testing.T) {
 	}
 	if dec.Pos() != len(out) {
 		t.Fatalf("void reply carries %d body bytes", len(out)-dec.Pos())
+	}
+}
+
+// TestTypedArgumentsBelongToTheServer pins RegisterTyped's contract from
+// the side a handler can get wrong: arguments are valid until the
+// handler returns. The value, backing arrays included, is the
+// procedure's own and the next call is decoded over it, so a slice a
+// handler kept reads as a later call's argument — while a result that
+// aliases the argument is safe, being encoded before the value is
+// reused.
+func TestTypedArgumentsBelongToTheServer(t *testing.T) {
+	for name, plan := range map[string]*wire.Plan[[]int32]{"specialized": fusedTestPlan, "generic": genericTestPlan} {
+		s := New()
+		var kept []int32
+		RegisterTyped(s, testProg, testVers, procEcho, plan, plan,
+			func(arg *[]int32) (*[]int32, error) {
+				kept = *arg // the bug: no copy
+				return arg, nil
+			})
+		call := func(xid uint32, in []int32) []int32 {
+			req := buildCall(t, xid, testVers, procEcho, func(x *xdr.XDR) error {
+				return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long)
+			})
+			out, err := s.handleCall(req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rh, dec := decodeReply(t, out)
+			var got []int32
+			if err := xdr.Array(dec, &got, xdr.NoSizeLimit, (*xdr.XDR).Long); err != nil || rh.XID != xid {
+				t.Fatalf("%s: reply %+v, %v", name, rh, err)
+			}
+			return got
+		}
+		if got := call(1, []int32{1, 2, 3}); !slices.Equal(got, []int32{1, 2, 3}) || !slices.Equal(kept, got) {
+			t.Fatalf("%s: first call echoed %v, handler kept %v", name, got, kept)
+		}
+		// The pool may drop a value between two calls (a collection; one
+		// put in four under the race detector), so "the next call
+		// overwrites it" is checked as "one of the next few does".
+		overwritten := false
+		for xid := uint32(2); xid < 100 && !overwritten; xid++ {
+			prev, in := kept, []int32{-int32(xid), 8, 9}
+			if got := call(xid, in); !slices.Equal(got, in) {
+				t.Fatalf("%s: call %d echoed %v, want %v", name, xid, got, in)
+			}
+			overwritten = slices.Equal(prev, in)
+		}
+		if !overwritten {
+			t.Fatalf("%s: in 98 calls no kept argument was overwritten by the call after it: arguments are not being reused", name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"specrpc/internal/client"
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -21,6 +22,7 @@ const procSleep = uint32(9)
 // merely waiting on a slow handler — silent on the wire for just as long
 // — is not. The old server held silent connections open forever.
 func TestServeTCPIdleTimeout(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	const idle = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,6 +86,7 @@ func TestServeTCPIdleTimeout(t *testing.T) {
 // a mark or the front of the next record sitting in the read-ahead
 // window behind one that was served.
 func TestServeTCPIdleStalledStream(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	const idle = 100 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

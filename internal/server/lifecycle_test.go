@@ -11,6 +11,7 @@ import (
 
 	"specrpc/internal/client"
 	"specrpc/internal/netsim"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -31,6 +32,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // bound and re-closed thousands of dead connections on shutdown. After
 // N accept/close cycles only the listener's closer may remain live.
 func TestConnCloserUntracked(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +118,7 @@ func (l *flakyListener) Addr() net.Addr { return netsim.Addr("flaky") }
 // the connection accepted after the burst is served normally. The old
 // loop returned on the first error and this test times out against it.
 func TestServeTCPRetriesTransientAcceptErrors(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	ln := newFlakyListener(3)
 	s := newTestServer()
 	defer s.Close()
@@ -157,6 +160,7 @@ func TestServeTCPRetriesTransientAcceptErrors(t *testing.T) {
 // time.Sleep backoff blocks Close for most of a second and fails the
 // bound below.
 func TestCloseInterruptsAcceptBackoff(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	ln := newFlakyListener(1 << 30) // every Accept fails with a temporary error
 	s := newTestServer()
 	serveErr := make(chan error, 1)
@@ -185,6 +189,7 @@ func TestCloseInterruptsAcceptBackoff(t *testing.T) {
 // TestServeTCPPermanentAcceptError pins the other half of the retry
 // policy: a non-temporary accept failure still exits the loop.
 func TestServeTCPPermanentAcceptError(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	ln := newFlakyListener(0)
 	_ = ln.Close() // Accept now fails permanently with net.ErrClosed
 	s := newTestServer()
@@ -233,6 +238,7 @@ func (c *scriptedPacketConn) SetWriteDeadline(t time.Time) error { return nil }
 // excess datagrams and counts them instead of blocking. The old loop
 // blocked forever on the full queue and this test times out against it.
 func TestServeUDPAdmissionControl(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	const (
 		workers = 1
 		queue   = 2
@@ -271,6 +277,7 @@ func TestServeUDPAdmissionControl(t *testing.T) {
 // are closed at accept and counted, and capacity freed by a departing
 // connection is reusable.
 func TestServeTCPConnLimit(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +337,7 @@ func TestServeTCPConnLimit(t *testing.T) {
 // as the peer kept sending; now the connection is closed as soon as the
 // announced total passes the bound, and counted.
 func TestServeTCPMaxRecord(t *testing.T) {
+	defer testutil.NoLeak(t)()
 	const limit = 64 << 10
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

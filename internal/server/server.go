@@ -75,6 +75,12 @@ type procKey struct {
 // matching error reply — GARBAGE_ARGS for ErrGarbageArgs, SYSTEM_ERR for
 // anything else — or, for ErrNoReply, nothing. Register and
 // RegisterTyped both install one.
+//
+// Arguments are valid until the handler returns; results may alias
+// them. body is a window of the transport's request buffer, which is
+// recycled once the reply is out, and whatever the handler appended to
+// bs was copied there: a handler may encode straight out of body, and
+// must copy anything it keeps.
 type TypedProc func(body []byte, xid uint32, bs *xdr.BufStream) error
 
 // Server dispatches RPC calls to registered procedures.
@@ -783,98 +789,194 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 	}
 }
 
+// streamConn is one stream connection being served. Every goroutine of
+// the connection runs the same loop (serve) and is, at any moment, in one
+// of three places: holding the read token (in read, the only code that
+// touches rrec and spawned), running a call (in handle), or parked on
+// work. The token exists exactly once, so the read side needs no lock;
+// it travels over work as a nil record.
+type streamConn struct {
+	s    *Server
+	conn net.Conn
+	rrec *xdr.RecStream  // read side: the token holder's
+	wb   *xdr.RecBatcher // write side: group commit, any handler
+
+	// work carries a request record to run or, as nil, the read token.
+	// Only the token holder sends on it, and it closes it when the stream
+	// ends; unbuffered, so whatever is sent has a goroutine behind it.
+	work    chan *[]byte
+	spawned int            // workers started so far, at most s.workers
+	workers sync.WaitGroup // the spawned workers
+
+	// inFlight/completed drive the idle reaper: a timeout only reaps when
+	// no handler is running and none finished during the armed window.
+	// Handlers bump completed before dropping inFlight, so the reaper can
+	// never observe "nothing running, nothing finished" mid-handoff. The
+	// same count tells the batcher when to hold a write: a call stays in
+	// flight from the moment it was read until its Write returns, so
+	// anything above one is another call of this connection, about to
+	// reply.
+	inFlight, completed atomic.Int64
+}
+
 // serveConn serves one stream connection. Pipelined requests execute
-// concurrently — up to s.workers handlers in flight — and the reply
-// records leave through a group-commit batcher: a finishing handler
-// that is alone on the connection writes immediately; one that is not
-// claims the flush, yields the processor once so the handlers that are
-// ready to run finish and queue behind it, and its one vectored write
-// carries them all — the reply half of a burst that arrived in one
+// concurrently — up to s.workers handlers, plus the goroutine holding
+// the read token — and nothing is started per request: the goroutine the
+// poller woke for a lone request hands the token to a parked worker and
+// runs the call to completion itself, read to reply write, while the
+// requests of a burst that one read picked up go to the workers. When
+// s.workers handlers are running, the next request is read and then
+// waits, unexecuted, for one of them to return: backpressure through the
+// peer's send window, not a drop.
+//
+// Reply records leave through a group-commit batcher: a finishing
+// handler that is alone on the connection writes immediately; one that
+// is not claims the flush, yields the processor once so the handlers
+// that are ready to run finish and queue behind it, and its one vectored
+// write carries them all — the reply half of a burst that arrived in one
 // read. A handler that is blocked is not runnable, so it delays nobody:
 // a slow call never holds the replies of faster calls (the client
 // demultiplexes them by XID).
 func (s *Server) serveConn(conn net.Conn) {
-	// Close the connection before waiting for in-flight handlers (defers
-	// run LIFO): a worker blocked writing a reply to a peer that stopped
-	// reading is only unblocked by the close, so the other order would
-	// wedge this goroutine forever on a stalled client.
-	var calls sync.WaitGroup
-	defer calls.Wait()
-	defer conn.Close()
-	rrec := xdr.NewRecStream(conn, 0)
-	rrec.MaxRecord = s.maxRecord
-	wb := xdr.NewRecBatcher(xdr.NewRecStream(conn, 0))
+	c := &streamConn{s: s, conn: conn,
+		rrec: xdr.NewRecStream(conn, 0),
+		wb:   xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
+		work: make(chan *[]byte)}
+	c.rrec.MaxRecord = s.maxRecord
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
 	// of waiting out its call timeouts.
-	wb.OnError = func(error) { _ = conn.Close() }
+	c.wb.OnError = func(error) { _ = conn.Close() }
 	if s.noWBatch {
-		wb.MaxBatch = 1
+		c.wb.MaxBatch = 1
 	}
+	c.wb.MoreWriters = func() bool { return c.inFlight.Load() > 1 }
 	// Flush invariant: every record handed to wb is flushed by some
-	// handler goroutine before it returns (the leader loops until the
-	// queue is empty, and a record queued after the leader exits makes
-	// its own writer the new leader), and calls.Wait holds serveConn
-	// open until every handler returns — so no reply is stranded by
-	// connection teardown.
-	// inFlight/completed drive the idle reaper: a timeout only reaps when
-	// no handler is running and none finished during the armed window.
-	// Handlers bump completed before dropping inFlight, so the reaper can
-	// never observe "nothing running, nothing finished" mid-handoff.
-	var inFlight, completed atomic.Int64
-	// The same count tells the batcher when to hold a write: a handler
-	// stays in flight until its Write returns, so anything above one is
-	// another handler of this connection, about to reply.
-	wb.MoreWriters = func() bool { return inFlight.Load() > 1 }
-	sem := make(chan struct{}, s.workers)
+	// handler before it returns (the leader loops until the queue is
+	// empty, and a record queued after the leader exits makes its own
+	// writer the new leader), and the Wait below holds serveConn open
+	// until every worker has returned — so no reply is stranded by
+	// connection teardown. The token holder that saw the stream end has
+	// closed the connection by then: a worker blocked writing a reply to
+	// a peer that stopped reading is only unblocked by the close.
+	c.serve(nil) // the accepting goroutine starts out holding the token
+	c.workers.Wait()
+}
+
+// serve is the loop every goroutine of the connection runs, entered with
+// what it was started for: a record to run, or nil — the read token.
+//
+//specrpc:hotpath
+func (c *streamConn) serve(bp *[]byte) {
+	for open := true; open; bp, open = <-c.work {
+		if bp == nil {
+			if bp = c.read(); bp == nil {
+				return // stream over; work is closed
+			}
+		}
+		c.handle(bp)
+	}
+}
+
+// read is the token holder's turn: it reads request records and gives
+// away, each time, either the record or the token. While the read-ahead
+// window still holds bytes the rest of a burst is already here, so the
+// record goes to a worker and the reader keeps the token: the burst
+// fans out as fast as it can be parsed. When the window is empty the
+// next read would block in the kernel anyway, so the token goes instead
+// and the record is returned for the caller to run itself — the lone
+// request of a closed-loop peer is answered by the goroutine that read
+// it, with no switch between read and reply. A nil return means the
+// stream is over: the connection is closed and so is work.
+//
+//specrpc:hotpath
+func (c *streamConn) read() *[]byte {
 	for {
-		// Read the full request record via the record layer; unlike a
-		// datagram, a TCP record may exceed the datagram buffer size,
-		// so the buffer grows as needed. The layer reads ahead: every
-		// request of a pipelined burst that one read picked up is
-		// dispatched from its window before the loop blocks in the
-		// kernel again.
-		bp := xdr.GetBuf(s.bufSize)
-		req, err := s.readRecordIdle(conn, rrec, (*bp)[:0], &inFlight, &completed)
+		// Unlike a datagram, a stream record may exceed the datagram
+		// buffer size, so the buffer grows as needed.
+		bp := xdr.GetBuf(c.s.bufSize)
+		req, err := c.s.readRecordIdle(c.conn, c.rrec, (*bp)[:0], &c.inFlight, &c.completed)
 		*bp = req
 		if err != nil {
 			xdr.PutBuf(bp)
-			if errors.Is(err, xdr.ErrRecordTooLarge) {
-				s.recDrops.Add(1)
-			}
-			return // connection closed, broken framing, over-limit, or idle-reaped
+			c.hangUp(err)
+			return nil
 		}
-		sem <- struct{}{}
-		calls.Add(1)
-		inFlight.Add(1)
-		go func(bp *[]byte) {
-			defer calls.Done()
-			defer func() { <-sem }()
-			defer func() { completed.Add(1); inFlight.Add(-1) }()
-			defer xdr.PutBuf(bp)
-			rp := xdr.GetBuf(s.bufSize)
-			// Reserve the record mark at the head of the reply buffer:
-			// handleCall marshals the reply behind it and the batcher
-			// patches the mark in place, so the fully-formed reply goes
-			// to the socket with no second copy.
-			out, err := s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
-			if out == nil {
-				xdr.PutBuf(rp)
-				if err != nil {
-					// Undecodable call header: the stream is suspect and
-					// there is no XID to reply to; close the connection so
-					// the peer fails fast, as the original svc_tcp loop did.
-					_ = conn.Close()
-				}
-				return // or the handler asked for no reply (ErrNoReply)
-			}
-			*rp = out
-			// Ownership of rp transfers to the batcher, which releases it
-			// once the batch carrying it is written (or dropped on a
-			// poisoned stream). Write errors are handled by OnError above.
-			_ = wb.Write(rp)
-		}(bp)
+		c.inFlight.Add(1)
+		if c.rrec.AtBoundary() {
+			c.give(nil)
+			return bp
+		}
+		c.give(bp)
 	}
+}
+
+// hangUp ends the stream after a failed read — connection closed, broken
+// framing, over-limit record, or idle-reaped — and releases the parked
+// workers. Only the token holder calls it, so nobody is left to send on
+// work.
+func (c *streamConn) hangUp(err error) {
+	if errors.Is(err, xdr.ErrRecordTooLarge) {
+		c.s.recDrops.Add(1)
+	}
+	_ = c.conn.Close()
+	close(c.work)
+}
+
+// give hands a record (or, as nil, the token) to another goroutine of
+// the connection: a parked worker if there is one, a new worker while
+// fewer than s.workers exist, and otherwise whichever worker returns
+// from its handler first. The last case is the in-flight bound.
+//
+//specrpc:hotpath
+func (c *streamConn) give(bp *[]byte) {
+	select {
+	case c.work <- bp:
+		return
+	default:
+	}
+	if c.spawned < c.s.workers {
+		c.spawned++
+		c.workers.Add(1)
+		go c.worker(bp)
+		return
+	}
+	c.work <- bp
+}
+
+func (c *streamConn) worker(bp *[]byte) {
+	defer c.workers.Done()
+	c.serve(bp)
+}
+
+// handle runs one call and writes its reply.
+//
+//specrpc:hotpath
+func (c *streamConn) handle(bp *[]byte) {
+	rp := xdr.GetBuf(c.s.bufSize)
+	// Reserve the record mark at the head of the reply buffer:
+	// handleCall marshals the reply behind it and the batcher patches
+	// the mark in place, so the fully-formed reply goes to the socket
+	// with no second copy.
+	out, err := c.s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
+	if out != nil {
+		*rp = out
+		// Ownership of rp transfers to the batcher, which releases it
+		// once the batch carrying it is written (or dropped on a poisoned
+		// stream). Write errors are handled by OnError.
+		_ = c.wb.Write(rp)
+	} else {
+		xdr.PutBuf(rp)
+		if err != nil {
+			// Undecodable call header: the stream is suspect and there is
+			// no XID to reply to; close the connection so the peer fails
+			// fast, as the original svc_tcp loop did.
+			_ = c.conn.Close()
+		} // else the handler asked for no reply (ErrNoReply)
+	}
+	xdr.PutBuf(bp)
+	c.completed.Add(1)
+	c.inFlight.Add(-1)
 }
 
 // readRecordIdle reads one request record, enforcing the idle timeout

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"unsafe"
 
 	"specrpc/internal/wire"
@@ -21,6 +22,17 @@ import (
 // plan reaches: an rpcgen-emitted compiled routine, else the plan
 // executor, else (Generic-mode plans, which have no flat program) the
 // interpretive walker. Every rung produces byte-identical replies.
+//
+// Arguments are valid until the handler returns; results may alias them.
+// The value h receives is the procedure's own, decoded over and handed
+// out again once the reply has been appended (svc_getargs into storage
+// the dispatcher owns, svc_freeargs after svc_sendreply), so its slices
+// keep their backing arrays from call to call and a steady procedure
+// decodes without allocating. A handler may return its argument, or
+// anything pointing into it, as the result — that is encoded before the
+// value is reused — but one that keeps an argument, or a slice or
+// pointer out of it, past its return must copy it: the next call of the
+// procedure overwrites it.
 func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 	args *wire.Plan[A], results *wire.Plan[R], h func(arg *A) (*R, error)) {
 	var argc, resc *wire.Codec
@@ -43,21 +55,27 @@ func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 	if decodeArg == nil && argc != nil {
 		decodeArg = argc.DecodeBody
 	}
+	argPool := sync.Pool{New: func() any { return new(A) }}
 	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
-		var arg A
+		arg := argPool.Get().(*A)
 		if decodeArg != nil {
-			if err := decodeArg(body, unsafe.Pointer(&arg)); err != nil {
+			if err := decodeArg(body, unsafe.Pointer(arg)); err != nil {
+				argPool.Put(arg)
 				return errors.Join(ErrGarbageArgs, err)
 			}
 		}
-		res, err := h(&arg)
-		if err != nil {
-			return err
+		res, err := h(arg)
+		if err == nil {
+			if resc == nil || res == nil {
+				err = rc.AppendHeader(bs, xid)
+			} else {
+				err = rc.Append(bs, xid, unsafe.Pointer(res))
+			}
 		}
-		if resc == nil || res == nil {
-			return rc.AppendHeader(bs, xid)
-		}
-		return rc.Append(bs, xid, unsafe.Pointer(res))
+		// Not deferred: a value a handler panicked over is left to the
+		// collector rather than handed to the next call.
+		argPool.Put(arg)
+		return err
 	})
 }
 

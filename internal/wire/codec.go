@@ -179,19 +179,22 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 	}
 }
 
-// ensureSlice makes the slice at dst hold exactly cnt elements, reusing
-// the existing backing array when the length already matches (as
-// xdr.Array does), and returns the data pointer. Allocation goes through
-// reflect so element types carrying pointers (strings, nested slices)
-// stay visible to the garbage collector.
+// ensureSlice makes the slice at dst hold exactly cnt elements and
+// returns the data pointer. A backing array with room for cnt is kept —
+// the elements are decoded over, so a destination that is decoded into
+// again and again (a server's per-procedure argument value) stops
+// allocating once it has seen its largest message — and only a larger
+// count allocates. A zero count therefore leaves a nil slice nil and a
+// non-nil one empty. Every decoder follows the same rule
+// (ensureSlicePtrFree, decodeProg's opOpaqueV, the emitted routines), so
+// the engines agree on reused destinations as they do on fresh ones.
+// Allocation goes through reflect so element types carrying pointers
+// (strings, nested slices) stay visible to the garbage collector.
 func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintptr) unsafe.Pointer {
 	h := (*sliceHeader)(dst)
-	if h.len == cnt {
+	if cnt <= h.cap {
+		h.len = cnt
 		return h.data
-	}
-	if cnt == 0 {
-		h.data, h.len, h.cap = nil, 0, 0
-		return nil
 	}
 	ms := reflect.MakeSlice(sliceT, cnt, cnt)
 	reflect.NewAt(sliceT, dst).Elem().Set(ms)
@@ -345,7 +348,9 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 				return err
 			}
 			dst := (*[]byte)(q)
-			if len(*dst) != cnt {
+			if cnt <= cap(*dst) {
+				*dst = (*dst)[:cnt]
+			} else {
 				*dst = make([]byte, cnt)
 			}
 			copy(*dst, b[:cnt])
@@ -442,12 +447,9 @@ func getRun(b []byte, o op, dst unsafe.Pointer, n int) {
 //specrpc:hotpath
 func ensureSlicePtrFree(dst unsafe.Pointer, cnt int, stride uintptr) unsafe.Pointer {
 	h := (*sliceHeader)(dst)
-	if h.len == cnt {
+	if cnt <= h.cap {
+		h.len = cnt
 		return h.data
-	}
-	if cnt == 0 {
-		h.data, h.len, h.cap = nil, 0, 0
-		return nil
 	}
 	words := (uintptr(cnt)*stride + 7) / 8
 	backing := make([]uint64, words)

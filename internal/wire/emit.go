@@ -33,8 +33,8 @@ import (
 // connection — so every emitted sequence mirrors the corresponding
 // encodeProg/decodeProg semantics: bound checks before counts, padding
 // written explicitly (Extend may return recycled dirty memory), hostile
-// counts rejected before allocation, and the exact slice reuse and
-// nil-on-zero rules of ensureSlice/ensureSlicePtrFree. The differential
+// counts rejected before allocation, and the exact slice reuse rule of
+// ensureSlice/ensureSlicePtrFree. The differential
 // fuzz test (FuzzCompiledCodec) pins all of it.
 
 // goIdent exports an IDL identifier exactly as rpcgen.GoName spells the
@@ -514,8 +514,8 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 // item materializes pos. Checks and error choices track decodeProg:
 // short bodies are ErrOverflow, counts above their bound ErrTooBig,
 // hostile counts rejected against the remaining bytes before any
-// allocation, and slice reuse follows ensureSlice exactly (reuse when
-// the length already matches, nil on a zero count).
+// allocation, and slice reuse follows ensureSlice exactly (keep a backing
+// array with room for the count, allocate only for a larger one).
 type decodeGen struct {
 	e        *emitter
 	pend     *lineBuf
@@ -655,34 +655,24 @@ func (g *decodeGen) emitCounted(t *Type, expr string) {
 	if t.Kind == String {
 		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
 	} else {
-		// Mirror decodeProg's opOpaqueV: reallocate only on a length
-		// change, so a zero count against a non-empty field leaves a
-		// non-nil empty slice, exactly like the plan.
-		e.pf("if len(%s) != %s {", expr, nv)
-		e.indent++
-		e.pf("%s = make(%s, %s)", expr, goSpelling(t), nv)
-		e.indent--
-		e.pf("}")
+		g.emitSliceAlloc(t, expr, nv)
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
 	}
 	e.pf("pos += %s + %s", nv, pv)
 }
 
-// emitSliceAlloc renders the ensureSlice-equivalent: reuse on matching
-// length, nil on zero, fresh allocation otherwise.
+// emitSliceAlloc renders the ensureSlice-equivalent: a backing array
+// with room for the count is kept (so a zero count leaves nil nil and
+// non-nil empty), only a larger count allocates.
 func (g *decodeGen) emitSliceAlloc(t *Type, expr, nv string) {
 	e := g.e
-	e.pf("if len(%s) != %s {", expr, nv)
+	e.pf("if %s <= cap(%s) {", nv, expr)
 	e.indent++
-	e.pf("if %s == 0 {", nv)
-	e.indent++
-	e.pf("%s = nil", expr)
+	e.pf("%s = %s[:%s]", expr, expr, nv)
 	e.indent--
 	e.pf("} else {")
 	e.indent++
 	e.pf("%s = make(%s, %s)", expr, goSpelling(t), nv)
-	e.indent--
-	e.pf("}")
 	e.indent--
 	e.pf("}")
 }
