@@ -9,11 +9,19 @@ all: build
 build:
 	$(GO) build ./...
 
-# Cross-compile check for the non-Linux build of the batched-I/O layer:
-# the sendmmsg/recvmmsg files are gated to linux/amd64+arm64, so a darwin
-# build proves the portable fallback actually compiles without them.
+# Cross-compile checks. Darwin is the non-Linux build of the batched-I/O
+# layer: the sendmmsg/recvmmsg files are gated to linux/amd64+arm64, so
+# it proves the portable fallback actually compiles without them. s390x
+# (big-endian) and mips (32-bit, strict alignment) are the targets the
+# run kernels and the codecs cannot be run on here: building and vetting
+# the two layers that touch raw memory for them catches an assumption
+# about the host's byte order or word size where it would bite.
 xcompile:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) vet ./internal/xdr ./internal/wire
+	GOOS=linux GOARCH=mips $(GO) build ./...
+	GOOS=linux GOARCH=mips $(GO) vet ./internal/xdr ./internal/wire
 
 test:
 	$(GO) test ./...
@@ -108,7 +116,9 @@ batch-smoke:
 # template differentials (template bytes == generic marshaler bytes),
 # the call-body accept-set differential (fixed-offset parse == header
 # walker), the whole-call fusion differentials (fused bytes ==
-# template-copy + plan bytes), the derivation differential
+# template-copy + plan bytes), the run kernels' differential (word-width
+# loop == one unit at a time at every count and alignment, nothing
+# outside the window touched), the derivation differential
 # (tempo-derived plan == hand-built plan, bytes and errors alike),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
@@ -125,6 +135,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='FuzzCallBody$$' -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz=FuzzCallPlanFused -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzReplyPlanFused -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzRunKernels -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDerivedPlan -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server

@@ -71,7 +71,8 @@ func RegisterRminProgV1(srv *rpcserver.Server, h RminProgV1Handler) {
 
 // compiledAppendPair is the rpcgen-emitted straight-line encoder for Pair:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendPair(bs *xdr.BufStream, hdr []byte, xid uint32, v *Pair) error {
@@ -102,7 +103,8 @@ func init() {
 
 // compiledAppendRminProgV1RminRes is the rpcgen-emitted straight-line encoder for int32:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendRminProgV1RminRes(bs *xdr.BufStream, hdr []byte, xid uint32, v *int32) error {

@@ -325,6 +325,21 @@ func BenchmarkLiveCompiledDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveCopyCeiling moves the same bytes with copy: what a
+// marshal stage would cost if the wire needed no byte order at all, the
+// ceiling the three series above are read against.
+func BenchmarkLiveCopyCeiling(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			src, dst := make([]byte, 4*n+4), make([]byte, 4*n+4)
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				copy(dst, src)
+			}
+		})
+	}
+}
+
 // TestLiveCompiledAllocFree pins the compiled series' acceptance
 // criterion: whole-call encode and whole-reply decode at zero
 // allocations per operation over the entire grid, same as fused.

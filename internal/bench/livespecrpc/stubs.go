@@ -27,7 +27,8 @@ func (v *Livearr) Marshal(x *xdr.XDR) error { return planLivearr.Marshal(x, v) }
 
 // compiledAppendLivearr is the rpcgen-emitted straight-line encoder for Livearr:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendLivearr(bs *xdr.BufStream, hdr []byte, xid uint32, v *Livearr) error {
@@ -38,11 +39,7 @@ func compiledAppendLivearr(bs *xdr.BufStream, hdr []byte, xid uint32, v *Livearr
 	n3 := len(s2)
 	w4 := bs.Extend(4 + n3*4)
 	binary.BigEndian.PutUint32(w4, uint32(n3))
-	o5 := w4[4:]
-	for i6 := range s2 {
-		binary.BigEndian.PutUint32(o5[0:], uint32(s2[i6]))
-		o5 = o5[4:]
-	}
+	wire.PutUnits32(w4[4:], s2)
 	return nil
 }
 
@@ -54,24 +51,19 @@ func compiledDecodeLivearr(body []byte, v *Livearr) error {
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u7 := binary.BigEndian.Uint32(body[pos:])
+	u5 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	n8 := int(u7)
-	if int64(n8)*4 > int64(len(body)-pos) {
+	n6 := int(u5)
+	if int64(n6)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if n8 <= cap((*v)) {
-		(*v) = (*v)[:n8]
+	if n6 <= cap((*v)) {
+		(*v) = (*v)[:n6]
 	} else {
-		(*v) = make(Livearr, n8)
+		(*v) = make(Livearr, n6)
 	}
-	s9 := (*v)
-	b10 := body[pos:]
-	for i11 := range s9 {
-		s9[i11] = int32(binary.BigEndian.Uint32(b10[0:]))
-		b10 = b10[4:]
-	}
-	pos += n8 * 4
+	wire.GetUnits32((*v), body[pos:])
+	pos += n6 * 4
 	return nil
 }
 

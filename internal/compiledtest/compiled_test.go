@@ -21,9 +21,14 @@ import (
 	"unsafe"
 
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/testutil"
 	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
+
+// genericSample is the interpretive tree-walker over the generated
+// description: the third decoder of the hostile-count leg.
+var genericSample = wire.MustPlan[Sample](wireTypeSample, wire.Generic)
 
 // fuzzSample derives a kitchen-sink Sample from the fuzzer's raw bytes,
 // clamping every variable-size field to its wire bound so the encoders
@@ -80,14 +85,18 @@ func fuzzSample(a int32, h int64, flag bool, name string, raw []byte) Sample {
 
 // FuzzCompiledCodec: the three marshaling engines — generic plan
 // walker, fused whole-message codec, compiled straight-line routine —
-// must be byte-identical on the wire for calls and replies, and the
+// must be byte-identical on the wire for calls and replies, the
 // compiled decoder must agree with the plan executor on arbitrary
-// bodies.
+// bodies, and no decoder may allocate on the word of a count alone.
 func FuzzCompiledCodec(f *testing.F) {
 	f.Add(uint32(1), uint32(0x20000100), uint32(2), uint32(4),
 		int32(rpcmsg.AuthNone), []byte{}, int32(5), int64(-9), true, "hello", []byte{1, 2, 3, 4, 5})
 	f.Add(uint32(0xffffffff), uint32(0), uint32(9), uint32(0),
 		int32(rpcmsg.AuthSys), []byte{1, 2, 3}, int32(-1), int64(1)<<40, false, "", make([]byte, 300))
+	// A body whose nums count is the full bound with one element behind it.
+	hostile := append(make([]byte, 108+4+4), 0, 0, 0x07, 0xd0, 0, 0, 0, 1)
+	f.Add(uint32(7), uint32(0x20000100), uint32(2), uint32(4),
+		int32(rpcmsg.AuthNone), []byte{}, int32(1), int64(2), true, "x", hostile)
 
 	f.Fuzz(func(t *testing.T, xid, prog, vers, proc uint32,
 		credFlavor int32, credBody []byte, a int32, h int64, flag bool, name string, raw []byte) {
@@ -178,14 +187,38 @@ func FuzzCompiledCodec(f *testing.F) {
 		if decode == nil {
 			t.Fatal("no compiled body decoder registered for planSample")
 		}
+		var perr error
 		for pass := 0; pass < 2; pass++ {
-			perr := planSample.Codec().DecodeBody(body, unsafe.Pointer(&pv))
+			perr = planSample.Codec().DecodeBody(body, unsafe.Pointer(&pv))
 			cerr := decode(body, unsafe.Pointer(&cv))
 			if (perr == nil) != (cerr == nil) {
 				t.Fatalf("pass %d: decode disagreement: plan=%v compiled=%v", pass, perr, cerr)
 			}
 			if perr == nil && !reflect.DeepEqual(pv, cv) {
 				t.Fatalf("pass %d: decoded values differ\nplan:     %+v\ncompiled: %+v", pass, pv, cv)
+			}
+		}
+
+		// Hostile counts: on a body every engine rejects, none allocated
+		// more than a constant times the body's length — a count is paid
+		// for only once the bytes behind it are known to be there (the
+		// allocation rule beside wire's ensureSlice).
+		engines := map[string]func(v *Sample) error{
+			"generic":  func(v *Sample) error { return genericSample.Codec().DecodeBody(body, unsafe.Pointer(v)) },
+			"plan":     func(v *Sample) error { return planSample.Codec().DecodeBody(body, unsafe.Pointer(v)) },
+			"compiled": func(v *Sample) error { return decode(body, unsafe.Pointer(v)) },
+		}
+		for name, dec := range engines {
+			var err error
+			got := testutil.AllocBytes(func() {
+				var fresh Sample
+				err = dec(&fresh)
+			})
+			if (err == nil) != (perr == nil) {
+				t.Fatalf("%s decode into a fresh value: %v; the plan executor into a used one: %v", name, err, perr)
+			}
+			if err != nil && got > 4096+8*uint64(len(body)) {
+				t.Fatalf("%s decode allocated %d bytes rejecting a %d-byte body", name, got, len(body))
 			}
 		}
 

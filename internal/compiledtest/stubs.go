@@ -325,7 +325,8 @@ func RegisterShapeProgV2(srv *rpcserver.Server, h ShapeProgV2Handler) {
 
 // compiledAppendNumbers is the rpcgen-emitted straight-line encoder for Numbers:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendNumbers(bs *xdr.BufStream, hdr []byte, xid uint32, v *Numbers) error {
@@ -339,11 +340,7 @@ func compiledAppendNumbers(bs *xdr.BufStream, hdr []byte, xid uint32, v *Numbers
 	n3 := len(s2)
 	w4 := bs.Extend(4 + n3*4)
 	binary.BigEndian.PutUint32(w4, uint32(n3))
-	o5 := w4[4:]
-	for i6 := range s2 {
-		binary.BigEndian.PutUint32(o5[0:], uint32(s2[i6]))
-		o5 = o5[4:]
-	}
+	wire.PutUnits32(w4[4:], s2)
 	return nil
 }
 
@@ -355,27 +352,22 @@ func compiledDecodeNumbers(body []byte, v *Numbers) error {
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u7 := binary.BigEndian.Uint32(body[pos:])
+	u5 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u7 > 2000 {
+	if u5 > 2000 {
 		return xdr.ErrTooBig
 	}
-	n8 := int(u7)
-	if int64(n8)*4 > int64(len(body)-pos) {
+	n6 := int(u5)
+	if int64(n6)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if n8 <= cap((*v)) {
-		(*v) = (*v)[:n8]
+	if n6 <= cap((*v)) {
+		(*v) = (*v)[:n6]
 	} else {
-		(*v) = make(Numbers, n8)
+		(*v) = make(Numbers, n6)
 	}
-	s9 := (*v)
-	b10 := body[pos:]
-	for i11 := range s9 {
-		s9[i11] = int32(binary.BigEndian.Uint32(b10[0:]))
-		b10 = b10[4:]
-	}
-	pos += n8 * 4
+	wire.GetUnits32((*v), body[pos:])
+	pos += n6 * 4
 	return nil
 }
 
@@ -385,7 +377,8 @@ func init() {
 
 // compiledAppendBlob is the rpcgen-emitted straight-line encoder for Blob:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendBlob(bs *xdr.BufStream, hdr []byte, xid uint32, v *Blob) error {
@@ -440,7 +433,8 @@ func init() {
 
 // compiledAppendWord is the rpcgen-emitted straight-line encoder for Word:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendWord(bs *xdr.BufStream, hdr []byte, xid uint32, v *Word) error {
@@ -490,7 +484,8 @@ func init() {
 
 // compiledAppendPoint is the rpcgen-emitted straight-line encoder for Point:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendPoint(bs *xdr.BufStream, hdr []byte, xid uint32, v *Point) error {
@@ -521,14 +516,15 @@ func init() {
 
 // compiledAppendSample is the rpcgen-emitted straight-line encoder for Sample:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendSample(bs *xdr.BufStream, hdr []byte, xid uint32, v *Sample) error {
-	w3 := bs.Extend(len(hdr) + 108)
-	copy(w3, hdr)
-	binary.BigEndian.PutUint32(w3, xid)
-	b1 := w3[len(hdr):]
+	w2 := bs.Extend(len(hdr) + 108)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
 	binary.BigEndian.PutUint32(b1[0:], uint32((*v).A))
 	binary.BigEndian.PutUint32(b1[4:], uint32((*v).B))
 	if (*v).Flag {
@@ -552,101 +548,95 @@ func compiledAppendSample(bs *xdr.BufStream, hdr []byte, xid uint32, v *Sample) 
 	binary.BigEndian.PutUint32(b1[76:], uint32((*v).Corners[1].Y))
 	binary.BigEndian.PutUint32(b1[80:], uint32((*v).Corners[2].X))
 	binary.BigEndian.PutUint32(b1[84:], uint32((*v).Corners[2].Y))
-	for i2 := 0; i2 < 5; i2++ {
-		binary.BigEndian.PutUint32(b1[88+i2*4:], uint32((*v).Window[i2]))
-	}
+	wire.PutUnits32(b1[88:108], (*v).Window[:])
 	if uint32(len((*v).Name)) > 32 {
 		return xdr.ErrTooBig
 	}
-	n4 := len((*v).Name)
-	p5 := xdr.Pad(n4)
-	w6 := bs.Extend(4 + n4 + p5)
-	binary.BigEndian.PutUint32(w6, uint32(n4))
-	copy(w6[4:], (*v).Name)
-	for z7 := 4 + n4; z7 < 4+n4+p5; z7++ {
-		w6[z7] = 0
+	n3 := len((*v).Name)
+	p4 := xdr.Pad(n3)
+	w5 := bs.Extend(4 + n3 + p4)
+	binary.BigEndian.PutUint32(w5, uint32(n3))
+	copy(w5[4:], (*v).Name)
+	for z6 := 4 + n3; z6 < 4+n3+p4; z6++ {
+		w5[z6] = 0
 	}
 	if uint32(len((*v).Data)) > 64 {
 		return xdr.ErrTooBig
 	}
-	n8 := len((*v).Data)
-	p9 := xdr.Pad(n8)
-	w10 := bs.Extend(4 + n8 + p9)
-	binary.BigEndian.PutUint32(w10, uint32(n8))
-	copy(w10[4:], (*v).Data)
-	for z11 := 4 + n8; z11 < 4+n8+p9; z11++ {
-		w10[z11] = 0
+	n7 := len((*v).Data)
+	p8 := xdr.Pad(n7)
+	w9 := bs.Extend(4 + n7 + p8)
+	binary.BigEndian.PutUint32(w9, uint32(n7))
+	copy(w9[4:], (*v).Data)
+	for z10 := 4 + n7; z10 < 4+n7+p8; z10++ {
+		w9[z10] = 0
 	}
-	s12 := (*v).Nums
-	if uint32(len(s12)) > 2000 {
+	s11 := (*v).Nums
+	if uint32(len(s11)) > 2000 {
 		return xdr.ErrTooBig
 	}
-	n13 := len(s12)
-	w14 := bs.Extend(4 + n13*4)
-	binary.BigEndian.PutUint32(w14, uint32(n13))
-	o15 := w14[4:]
-	for i16 := range s12 {
-		binary.BigEndian.PutUint32(o15[0:], uint32(s12[i16]))
-		o15 = o15[4:]
-	}
+	n12 := len(s11)
+	w13 := bs.Extend(4 + n12*4)
+	binary.BigEndian.PutUint32(w13, uint32(n12))
+	wire.PutUnits32(w13[4:], s11)
 	if uint32(len((*v).Payload)) > 1024 {
 		return xdr.ErrTooBig
 	}
-	n17 := len((*v).Payload)
-	p18 := xdr.Pad(n17)
-	w19 := bs.Extend(4 + n17 + p18)
-	binary.BigEndian.PutUint32(w19, uint32(n17))
-	copy(w19[4:], (*v).Payload)
-	for z20 := 4 + n17; z20 < 4+n17+p18; z20++ {
-		w19[z20] = 0
+	n14 := len((*v).Payload)
+	p15 := xdr.Pad(n14)
+	w16 := bs.Extend(4 + n14 + p15)
+	binary.BigEndian.PutUint32(w16, uint32(n14))
+	copy(w16[4:], (*v).Payload)
+	for z17 := 4 + n14; z17 < 4+n14+p15; z17++ {
+		w16[z17] = 0
 	}
-	s21 := (*v).Pts
-	if uint32(len(s21)) > 7 {
+	s18 := (*v).Pts
+	if uint32(len(s18)) > 7 {
 		return xdr.ErrTooBig
 	}
-	n22 := len(s21)
-	w23 := bs.Extend(4 + n22*8)
-	binary.BigEndian.PutUint32(w23, uint32(n22))
-	o24 := w23[4:]
-	for i25 := range s21 {
-		binary.BigEndian.PutUint32(o24[0:], uint32(s21[i25].X))
-		binary.BigEndian.PutUint32(o24[4:], uint32(s21[i25].Y))
-		o24 = o24[8:]
+	n19 := len(s18)
+	w20 := bs.Extend(4 + n19*8)
+	binary.BigEndian.PutUint32(w20, uint32(n19))
+	o21 := w20[4:]
+	for i22 := range s18 {
+		binary.BigEndian.PutUint32(o21[0:], uint32(s18[i22].X))
+		binary.BigEndian.PutUint32(o21[4:], uint32(s18[i22].Y))
+		o21 = o21[8:]
 	}
-	s26 := (*v).Words
-	if uint32(len(s26)) > 4 {
+	s23 := (*v).Words
+	if uint32(len(s23)) > 4 {
 		return xdr.ErrTooBig
 	}
-	n27 := len(s26)
-	binary.BigEndian.PutUint32(bs.Extend(4), uint32(n27))
-	for i28 := range s26 {
-		if uint32(len(s26[i28])) > 16 {
+	n24 := len(s23)
+	binary.BigEndian.PutUint32(bs.Extend(4), uint32(n24))
+	for i25 := range s23 {
+		if uint32(len(s23[i25])) > 16 {
 			return xdr.ErrTooBig
 		}
-		n29 := len(s26[i28])
-		p30 := xdr.Pad(n29)
-		w31 := bs.Extend(4 + n29 + p30)
-		binary.BigEndian.PutUint32(w31, uint32(n29))
-		copy(w31[4:], string(s26[i28]))
-		for z32 := 4 + n29; z32 < 4+n29+p30; z32++ {
-			w31[z32] = 0
+		n26 := len(s23[i25])
+		p27 := xdr.Pad(n26)
+		w28 := bs.Extend(4 + n26 + p27)
+		binary.BigEndian.PutUint32(w28, uint32(n26))
+		copy(w28[4:], string(s23[i25]))
+		for z29 := 4 + n26; z29 < 4+n26+p27; z29++ {
+			w28[z29] = 0
 		}
 	}
-	s33 := (*v).Bits
-	if uint32(len(s33)) > 8 {
+	s30 := (*v).Bits
+	if uint32(len(s30)) > 8 {
 		return xdr.ErrTooBig
 	}
-	n34 := len(s33)
-	w35 := bs.Extend(4 + n34*4)
-	binary.BigEndian.PutUint32(w35, uint32(n34))
-	o36 := w35[4:]
-	for i37 := range s33 {
-		if s33[i37] {
-			binary.BigEndian.PutUint32(o36[0:], 1)
+	n31 := len(s30)
+	w32 := bs.Extend(4 + n31*4)
+	binary.BigEndian.PutUint32(w32, uint32(n31))
+	o33 := w32[4:]
+	for i34 := range s30 {
+		if s30[i34] {
+			binary.BigEndian.PutUint32(o33[0:], 1)
 		} else {
-			binary.BigEndian.PutUint32(o36[0:], 0)
+			binary.BigEndian.PutUint32(o33[0:], 0)
 		}
-		o36 = o36[4:]
+		o33 = o33[4:]
 	}
 	return nil
 }
@@ -675,173 +665,166 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	(*v).Corners[1].Y = int32(binary.BigEndian.Uint32(body[76:]))
 	(*v).Corners[2].X = int32(binary.BigEndian.Uint32(body[80:]))
 	(*v).Corners[2].Y = int32(binary.BigEndian.Uint32(body[84:]))
-	for i38 := 0; i38 < 5; i38++ {
-		(*v).Window[i38] = int32(binary.BigEndian.Uint32(body[88+i38*4:]))
-	}
+	wire.GetUnits32((*v).Window[:], body[88:108])
 	pos := 108
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u39 := binary.BigEndian.Uint32(body[pos:])
+	u35 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u39 > 32 {
+	if u35 > 32 {
 		return xdr.ErrTooBig
 	}
-	n40 := int(u39)
-	p41 := xdr.Pad(n40)
-	if n40+p41 > len(body)-pos {
+	n36 := int(u35)
+	p37 := xdr.Pad(n36)
+	if n36+p37 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	(*v).Name = string(body[pos : pos+n40])
-	pos += n40 + p41
+	(*v).Name = string(body[pos : pos+n36])
+	pos += n36 + p37
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u42 := binary.BigEndian.Uint32(body[pos:])
+	u38 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u42 > 64 {
+	if u38 > 64 {
 		return xdr.ErrTooBig
 	}
-	n43 := int(u42)
-	p44 := xdr.Pad(n43)
-	if n43+p44 > len(body)-pos {
+	n39 := int(u38)
+	p40 := xdr.Pad(n39)
+	if n39+p40 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	if n43 <= cap((*v).Data) {
-		(*v).Data = (*v).Data[:n43]
+	if n39 <= cap((*v).Data) {
+		(*v).Data = (*v).Data[:n39]
 	} else {
-		(*v).Data = make([]byte, n43)
+		(*v).Data = make([]byte, n39)
 	}
-	copy((*v).Data, body[pos:pos+n43])
-	pos += n43 + p44
+	copy((*v).Data, body[pos:pos+n39])
+	pos += n39 + p40
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u45 := binary.BigEndian.Uint32(body[pos:])
+	u41 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u45 > 2000 {
+	if u41 > 2000 {
 		return xdr.ErrTooBig
 	}
-	n46 := int(u45)
-	if int64(n46)*4 > int64(len(body)-pos) {
+	n42 := int(u41)
+	if int64(n42)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if n46 <= cap((*v).Nums) {
-		(*v).Nums = (*v).Nums[:n46]
+	if n42 <= cap((*v).Nums) {
+		(*v).Nums = (*v).Nums[:n42]
 	} else {
-		(*v).Nums = make(Numbers, n46)
+		(*v).Nums = make(Numbers, n42)
 	}
-	s47 := (*v).Nums
-	b48 := body[pos:]
-	for i49 := range s47 {
-		s47[i49] = int32(binary.BigEndian.Uint32(b48[0:]))
-		b48 = b48[4:]
-	}
-	pos += n46 * 4
+	wire.GetUnits32((*v).Nums, body[pos:])
+	pos += n42 * 4
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u50 := binary.BigEndian.Uint32(body[pos:])
+	u43 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u50 > 1024 {
+	if u43 > 1024 {
 		return xdr.ErrTooBig
 	}
-	n51 := int(u50)
-	p52 := xdr.Pad(n51)
-	if n51+p52 > len(body)-pos {
+	n44 := int(u43)
+	p45 := xdr.Pad(n44)
+	if n44+p45 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	if n51 <= cap((*v).Payload) {
-		(*v).Payload = (*v).Payload[:n51]
+	if n44 <= cap((*v).Payload) {
+		(*v).Payload = (*v).Payload[:n44]
 	} else {
-		(*v).Payload = make(Blob, n51)
+		(*v).Payload = make(Blob, n44)
 	}
-	copy((*v).Payload, body[pos:pos+n51])
-	pos += n51 + p52
+	copy((*v).Payload, body[pos:pos+n44])
+	pos += n44 + p45
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
-	u53 := binary.BigEndian.Uint32(body[pos:])
+	u46 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u53 > 7 {
+	if u46 > 7 {
 		return xdr.ErrTooBig
 	}
-	n54 := int(u53)
-	if int64(n54)*8 > int64(len(body)-pos) {
+	n47 := int(u46)
+	if int64(n47)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if n54 <= cap((*v).Pts) {
-		(*v).Pts = (*v).Pts[:n54]
+	if n47 <= cap((*v).Pts) {
+		(*v).Pts = (*v).Pts[:n47]
 	} else {
-		(*v).Pts = make([]Point, n54)
+		(*v).Pts = make([]Point, n47)
 	}
-	s55 := (*v).Pts
-	b56 := body[pos:]
-	for i57 := range s55 {
-		s55[i57].X = int32(binary.BigEndian.Uint32(b56[0:]))
-		s55[i57].Y = int32(binary.BigEndian.Uint32(b56[4:]))
-		b56 = b56[8:]
+	s48 := (*v).Pts
+	b49 := body[pos:]
+	for i50 := range s48 {
+		s48[i50].X = int32(binary.BigEndian.Uint32(b49[0:]))
+		s48[i50].Y = int32(binary.BigEndian.Uint32(b49[4:]))
+		b49 = b49[8:]
 	}
-	pos += n54 * 8
+	pos += n47 * 8
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u51 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u51 > 4 {
+		return xdr.ErrTooBig
+	}
+	n52 := int(u51)
+	if int64(n52)*4 > int64(len(body)-pos) {
+		return xdr.ErrOverflow
+	}
+	if n52 <= cap((*v).Words) {
+		(*v).Words = (*v).Words[:n52]
+	} else {
+		(*v).Words = make([]Word, n52)
+	}
+	s53 := (*v).Words
+	for i54 := range s53 {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u55 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u55 > 16 {
+			return xdr.ErrTooBig
+		}
+		n56 := int(u55)
+		p57 := xdr.Pad(n56)
+		if n56+p57 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		s53[i54] = Word(body[pos : pos+n56])
+		pos += n56 + p57
+	}
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
 	}
 	u58 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
-	if u58 > 4 {
+	if u58 > 8 {
 		return xdr.ErrTooBig
 	}
 	n59 := int(u58)
 	if int64(n59)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
-	if n59 <= cap((*v).Words) {
-		(*v).Words = (*v).Words[:n59]
+	if n59 <= cap((*v).Bits) {
+		(*v).Bits = (*v).Bits[:n59]
 	} else {
-		(*v).Words = make([]Word, n59)
+		(*v).Bits = make([]bool, n59)
 	}
-	s60 := (*v).Words
-	for i61 := range s60 {
-		if pos+4 > len(body) {
-			return xdr.ErrOverflow
-		}
-		u62 := binary.BigEndian.Uint32(body[pos:])
-		pos += 4
-		if u62 > 16 {
-			return xdr.ErrTooBig
-		}
-		n63 := int(u62)
-		p64 := xdr.Pad(n63)
-		if n63+p64 > len(body)-pos {
-			return xdr.ErrOverflow
-		}
-		s60[i61] = Word(body[pos : pos+n63])
-		pos += n63 + p64
+	s60 := (*v).Bits
+	b61 := body[pos:]
+	for i62 := range s60 {
+		s60[i62] = binary.BigEndian.Uint32(b61[0:]) != 0
+		b61 = b61[4:]
 	}
-	if pos+4 > len(body) {
-		return xdr.ErrOverflow
-	}
-	u65 := binary.BigEndian.Uint32(body[pos:])
-	pos += 4
-	if u65 > 8 {
-		return xdr.ErrTooBig
-	}
-	n66 := int(u65)
-	if int64(n66)*4 > int64(len(body)-pos) {
-		return xdr.ErrOverflow
-	}
-	if n66 <= cap((*v).Bits) {
-		(*v).Bits = (*v).Bits[:n66]
-	} else {
-		(*v).Bits = make([]bool, n66)
-	}
-	s67 := (*v).Bits
-	b68 := body[pos:]
-	for i69 := range s67 {
-		s67[i69] = binary.BigEndian.Uint32(b68[0:]) != 0
-		b68 = b68[4:]
-	}
-	pos += n66 * 4
+	pos += n59 * 4
 	return nil
 }
 
@@ -851,7 +834,8 @@ func init() {
 
 // compiledAppendShapeProgV2SumRes is the rpcgen-emitted straight-line encoder for int32:
 // one reservation covers the header and the leading fixed-size fields,
-// stores land at constant offsets, and variable-length tails run as
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
 // explicit loops — no plan-executor dispatch. Byte-identical to the
 // interpretive plan by construction.
 func compiledAppendShapeProgV2SumRes(bs *xdr.BufStream, hdr []byte, xid uint32, v *int32) error {

@@ -159,8 +159,24 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 		if cnt > n.bound {
 			return xdr.ErrTooBig
 		}
-		data := ensureSlice(q, n.sliceT, int(cnt), n.stride)
-		for i := 0; i < int(cnt); i++ {
+		// The allocation rule (see ensureSlice). A memory stream knows what
+		// is left, so a count it cannot satisfy fails before anything is
+		// allocated; any other stream gets a bounded first allocation that
+		// doubles as elements actually decode.
+		total, have := int(cnt), int(cnt)
+		if ms, ok := x.Stream.(*xdr.MemStream); ok {
+			if int64(cnt)*int64(n.minWire) > int64(ms.Remaining()) {
+				return xdr.ErrOverflow
+			}
+		} else if total > h.cap && n.stride > 0 {
+			have = min(total, max(1, xdr.MaxBlindAlloc/int(n.stride)))
+		}
+		data := ensureSlice(q, n.sliceT, have, n.stride)
+		for i := 0; i < total; i++ {
+			if i == have {
+				have = min(total, 2*have)
+				data = growSlice(q, n.sliceT, have)
+			}
 			if err := walk(x, n.elem, unsafe.Add(data, uintptr(i)*n.stride)); err != nil {
 				return err
 			}
@@ -190,6 +206,21 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 // the engines agree on reused destinations as they do on fresh ones.
 // Allocation goes through reflect so element types carrying pointers
 // (strings, nested slices) stay visible to the garbage collector.
+//
+// The allocation rule, for every decoder in the tree that allocates from
+// a count read off the wire: a decoder never allocates more than the
+// bytes that can still arrive could fill. Where the stream knows what is
+// left (xdr.MemStream, through which every datagram, record and reply
+// the transports hand a decoder is read) the count times the element's
+// smallest wire size is checked against Remaining before the allocation
+// — decodeProg's opSliceRun and opSliceSub, the emitted routines,
+// walkVarArray, xdr.Array, xdr.Bytes and xdr.String all do. Where it
+// does not (a RecStream read unit by unit, a foreign Stream) the first
+// allocation is capped at xdr.MaxBlindAlloc bytes and later ones run no
+// further than that, or one doubling, ahead of what has actually decoded
+// (walkVarArray, the three xdr composites), so memory stays proportional
+// to data received. An element of zero wire size has zero Go size, so
+// no count of them is refused.
 func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintptr) unsafe.Pointer {
 	h := (*sliceHeader)(dst)
 	if cnt <= h.cap {
@@ -199,6 +230,17 @@ func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintpt
 	ms := reflect.MakeSlice(sliceT, cnt, cnt)
 	reflect.NewAt(sliceT, dst).Elem().Set(ms)
 	return h.data
+}
+
+// growSlice replaces the slice at dst with one of cnt elements that
+// starts with the elements decoded so far: the doubling step of a decode
+// whose stream could not vouch for the count.
+func growSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int) unsafe.Pointer {
+	old := reflect.NewAt(sliceT, dst).Elem()
+	ns := reflect.MakeSlice(sliceT, cnt, cnt)
+	reflect.Copy(ns, old)
+	old.Set(ns)
+	return (*sliceHeader)(dst).data
 }
 
 // ---------------------------------------------------------------------------
@@ -271,20 +313,17 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 // putRun stores n units of run class o from src into w, which the
 // caller reserved at runWire(o, n) bytes: the residual loop of the
 // specialized stub — no per-unit dispatch or check, just the byte-order
-// store — and, for fixed opaque data, one memcpy plus explicit padding
-// (the window may be recycled dirty memory).
+// store, which for unit runs is the kernel of units.go that the emitted
+// routines call too — and, for fixed opaque data, one memcpy plus
+// explicit padding (the window may be recycled dirty memory).
 //
 //specrpc:hotpath
 func putRun(w []byte, o op, src unsafe.Pointer, n int) {
 	switch o {
 	case opUnits:
-		for j := 0; j < n; j++ {
-			binary.BigEndian.PutUint32(w[4*j:], *(*uint32)(unsafe.Add(src, uintptr(j)*4)))
-		}
+		putUnits32(w, unsafe.Slice((*uint32)(src), n))
 	case opUnits8:
-		for j := 0; j < n; j++ {
-			binary.BigEndian.PutUint64(w[8*j:], *(*uint64)(unsafe.Add(src, uintptr(j)*8)))
-		}
+		putUnits64(w, unsafe.Slice((*uint64)(src), n))
 	case opBools:
 		for j := 0; j < n; j++ {
 			var u uint32
@@ -421,13 +460,9 @@ func decCount(ms *xdr.MemStream, bound uint32) (int, error) {
 func getRun(b []byte, o op, dst unsafe.Pointer, n int) {
 	switch o {
 	case opUnits:
-		for j := 0; j < n; j++ {
-			*(*uint32)(unsafe.Add(dst, uintptr(j)*4)) = binary.BigEndian.Uint32(b[4*j:])
-		}
+		getUnits32(unsafe.Slice((*uint32)(dst), n), b)
 	case opUnits8:
-		for j := 0; j < n; j++ {
-			*(*uint64)(unsafe.Add(dst, uintptr(j)*8)) = binary.BigEndian.Uint64(b[8*j:])
-		}
+		getUnits64(unsafe.Slice((*uint64)(dst), n), b)
 	case opBools:
 		for j := 0; j < n; j++ {
 			*(*bool)(unsafe.Add(dst, j)) = binary.BigEndian.Uint32(b[4*j:]) != 0

@@ -47,6 +47,9 @@ type node struct {
 	stride uintptr // element size in Go memory for arrays
 	sliceT reflect.Type
 	bound  uint32
+	// minWire is the fewest wire bytes one VarArray element can occupy:
+	// what a decoded count is checked against before it is allocated.
+	minWire int
 }
 
 // op is one compiled instruction class of the flat plan. The four run
@@ -256,6 +259,7 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		n.elem = &elem
 		n.stride = rt.Elem().Size()
 		n.sliceT = rt
+		n.minWire = t.Elem.minWireSize()
 	case Struct:
 		if rt.Kind() != reflect.Struct {
 			return mismatch()

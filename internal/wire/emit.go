@@ -15,8 +15,10 @@ import (
 // routines are the paper's compiled specialized stubs: one bounds
 // reservation covers the header image plus every leading fixed-size
 // field, scalar stores and loads land at offsets the Go compiler
-// resolves to constants, fixed opaque data is a copy, and
-// variable-length tails run as explicit loops — no Op dispatch at all.
+// resolves to constants, fixed opaque data is a copy, an array of scalar
+// units is one call to the run kernel the interpreter uses (units.go),
+// and other variable-length tails run as explicit loops — no Op
+// dispatch at all.
 //
 // The emitter is a second back end over the one Type tree the runtime
 // compiles, not over the flat program: generation happens in the rpcgen
@@ -105,7 +107,8 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 
 	e.pf("// compiledAppend%s is the rpcgen-emitted straight-line encoder for %s:", base, goType)
 	e.pf("// one reservation covers the header and the leading fixed-size fields,")
-	e.pf("// stores land at constant offsets, and variable-length tails run as")
+	e.pf("// stores land at constant offsets, arrays of scalar units go through the")
+	e.pf("// interpreter's own run kernel, and other variable-length tails run as")
 	e.pf("// explicit loops — no plan-executor dispatch. Byte-identical to the")
 	e.pf("// interpretive plan by construction.")
 	e.pf("func compiledAppend%s(bs *xdr.BufStream, hdr []byte, xid uint32, v *%s) error {", base, goType)
@@ -184,10 +187,25 @@ func offExpr(base string, k int) string {
 	return fmt.Sprintf("%s+%d", base, k)
 }
 
-// unrollLimit bounds full unrolling of fixed arrays; longer ones loop
-// with a compiler-strength-reduced index, which is what the plan
-// executor's run loop compiles to anyway.
+// unrollLimit bounds full unrolling of fixed arrays; longer ones are a
+// kernel call when the element is a scalar unit and otherwise loop with
+// a compiler-strength-reduced index.
 const unrollLimit = 4
+
+// unitKernel names the run kernel pair (wire.PutUnits<w>/GetUnits<w>)
+// that moves an array of t: the scalar kinds that are one big-endian
+// unit in memory and on the wire alike. A bool is not (one byte in
+// memory), and a struct element keeps its per-field stores — the
+// emitter does not know whether Go pads it.
+func unitKernel(t *Type) (width string, ok bool) {
+	switch t.Kind {
+	case Int32, Uint32, Float32:
+		return "32", true
+	case Hyper, Uhyper, Float64:
+		return "64", true
+	}
+	return "", false
+}
 
 // ---------------------------------------------------------------------------
 // Fixed-size stores and loads
@@ -251,6 +269,10 @@ func emitStores(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off in
 			}
 			return
 		}
+		if width, ok := unitKernel(t.Elem); ok {
+			lb.add("wire.PutUnits%s(%s[%s:%s], %s[:])", width, buf, offExpr(base, off), offExpr(base, off+t.Len*es), expr)
+			return
+		}
 		iv := e.name("i")
 		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, t.Len, iv)
 		lb.depth++
@@ -309,6 +331,10 @@ func emitLoads(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int
 			for j := 0; j < t.Len; j++ {
 				emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
 			}
+			return
+		}
+		if width, ok := unitKernel(t.Elem); ok {
+			lb.add("wire.GetUnits%s(%s[:], %s[%s:%s])", width, expr, buf, offExpr(base, off), offExpr(base, off+t.Len*es))
 			return
 		}
 		iv := e.name("i")
@@ -447,10 +473,10 @@ func (g *appendGen) emitCounted(t *Type, expr string) {
 func (g *appendGen) emitVarArray(t *Type, expr string) error {
 	e := g.e
 	// Hoist the slice into a local: indexing the original lvalue inside
-	// the loop would force the compiler to reload the slice header every
+	// a loop would force the compiler to reload the slice header every
 	// iteration (the []byte window it stores through might alias it) and
 	// bounds-check every element load; a local header plus a range loop
-	// keeps both out of the residual loop, matching putRun's cost.
+	// keeps both out of the residual loop.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
 	if t.Bound > 0 {
@@ -468,6 +494,11 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 		wv := e.name("w")
 		e.pf("%s := bs.Extend(4 + %s*%d)", wv, nv, es)
 		e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
+		if width, ok := unitKernel(t.Elem); ok {
+			// A run of scalar units: the kernel putRun stores through.
+			e.pf("wire.PutUnits%s(%s[4:], %s)", width, wv, sv)
+			return nil
+		}
 		if es > 0 {
 			// Store through an advancing window over the reservation:
 			// every offset inside the loop is a constant, so each bounds
@@ -690,6 +721,13 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 		e.indent--
 		e.pf("}")
 		g.emitSliceAlloc(t, expr, nv)
+		if width, ok := unitKernel(t.Elem); ok {
+			// A run of scalar units: the kernel getRun loads through,
+			// which takes the run's bytes off the front of the window.
+			e.pf("wire.GetUnits%s(%s, body[pos:])", width, expr)
+			e.pf("pos += %s * %d", nv, es)
+			return nil
+		}
 		if es > 0 {
 			// Hoist the destination into a local (indexing the lvalue
 			// would reload its header every iteration) and consume the

@@ -228,3 +228,24 @@ func (t *Type) wireSize() (int, bool) {
 		return 0, false
 	}
 }
+
+// minWireSize reports the fewest wire bytes a value of t can occupy: its
+// static size where it has one, and otherwise the sum of its parts with
+// every counted item at its empty encoding, the 4-byte count.
+func (t *Type) minWireSize() int {
+	switch t.Kind {
+	case String, OpaqueVar, VarArray:
+		return xdr.BytesPerUnit
+	case FixedArray:
+		return t.Len * t.Elem.minWireSize()
+	case Struct:
+		total := 0
+		for _, f := range t.Fields {
+			total += f.Type.minWireSize()
+		}
+		return total
+	default:
+		n, _ := t.wireSize()
+		return n
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -407,15 +408,65 @@ func TestDecodeBoundsAndTruncation(t *testing.T) {
 			}
 		}
 	}
-	// A hostile count with no data behind it must not allocate wildly; it
-	// fails on the remaining-bytes check.
+	// A hostile count with no data behind it fails without allocating for
+	// it — the allocation rule (ensureSlice): in every mode, for elements
+	// of fixed and of variable size, on a stream that knows what is left
+	// and on one that does not (a record stream read unit by unit, which
+	// every mode walks through the tree).
 	hostile := []byte{0x3f, 0xff, 0xff, 0xff}
+	var rec bytes.Buffer
+	if err := xdr.NewRecStream(&rec, 0).WriteRecord(append(make([]byte, xdr.RecordMarkLen), hostile...)); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range modes {
-		dec := MustPlan[[]int32](VarArrayT(0, Int32T()), m)
-		var out []int32
-		if err := dec.Marshal(xdr.NewDecoder(xdr.NewMemDecode(hostile)), &out); err == nil {
-			t.Errorf("%v: hostile count decoded", m)
+		ints := MustPlan[[]int32](VarArrayT(0, Int32T()), m)
+		words := MustPlan[[]string](VarArrayT(0, StringT(0)), m)
+		for name, stream := range map[string]func() xdr.Stream{
+			"MemStream": func() xdr.Stream { return xdr.NewMemDecode(hostile) },
+			"RecStream": func() xdr.Stream { return xdr.NewRecStream(bytes.NewBuffer(rec.Bytes()), 0) },
+		} {
+			for elem, decode := range map[string]func(x *xdr.XDR) error{
+				"int32":  func(x *xdr.XDR) error { var out []int32; return ints.Marshal(x, &out) },
+				"string": func(x *xdr.XDR) error { var out []string; return words.Marshal(x, &out) },
+			} {
+				var err error
+				got := testutil.AllocBytes(func() { err = decode(xdr.NewDecoder(stream())) })
+				if err == nil {
+					t.Errorf("%v, []%s on a %s: hostile count decoded", m, elem, name)
+				}
+				if got > 1<<20 {
+					t.Errorf("%v, []%s on a %s: allocated %d bytes for a count with nothing behind it", m, elem, name, got)
+				}
+			}
 		}
+	}
+	// What the rule must not refuse: elements of zero wire size, any
+	// count of which can follow; and on a stream that cannot vouch for
+	// the count, an array larger than the first capped allocation, which
+	// arrives whole as the allocation doubles behind the data.
+	type nothing struct{}
+	for _, m := range modes {
+		var out []nothing
+		dec := MustPlan[[]nothing](VarArrayT(0, StructT("nothing")), m)
+		if err := dec.Marshal(xdr.NewDecoder(xdr.NewMemDecode([]byte{0, 0, 0x27, 0x10})), &out); err != nil || len(out) != 10000 {
+			t.Errorf("%v: 10000 empty elements: %d decoded, err %v", m, len(out), err)
+		}
+	}
+	many := make([]int32, xdr.MaxBlindAlloc) // four times the first allocation
+	for i := range many {
+		many[i] = int32(i) * 3
+	}
+	rec.Reset()
+	rs := xdr.NewRecStream(&rec, 0)
+	if err := loose.Marshal(xdr.NewEncoder(rs), &many); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.EndRecord(); err != nil {
+		t.Fatal(err)
+	}
+	var out []int32
+	if err := loose.Marshal(xdr.NewDecoder(xdr.NewRecStream(&rec, 0)), &out); err != nil || !reflect.DeepEqual(out, many) {
+		t.Errorf("%d elements over a record stream: %d decoded, err %v", len(many), len(out), err)
 	}
 }
 

@@ -1,5 +1,7 @@
 package xdr
 
+import "unsafe"
+
 // This file carries the composite constructors of the original xdr.c:
 // counted arrays (xdr_array), fixed-length vectors (xdr_vector), optional
 // data (xdr_pointer/xdr_reference), and discriminated unions (xdr_union).
@@ -9,8 +11,12 @@ package xdr
 
 // Array marshals a variable-length counted array: a 4-byte element count
 // followed by each element marshaled with elem (xdr_array). maxLen bounds
-// the decoded count. On decode the slice is (re)allocated to the decoded
-// length.
+// the decoded count. On decode a slice with room for the count is kept
+// and decoded over; a larger count allocates under the allocation rule
+// (MaxBlindAlloc): no more elements up front than the stream's remaining
+// bytes could hold at one unit each, or than the cap where the stream
+// does not know, the rest appended as elements decode — which is also
+// how elements of zero wire size, of which any count can follow, arrive.
 func Array[T any](x *XDR, v *[]T, maxLen uint32, elem Proc[T]) error {
 	switch x.Op {
 	case Encode:
@@ -35,10 +41,24 @@ func Array[T any](x *XDR, v *[]T, maxLen uint32, elem Proc[T]) error {
 		if n > maxLen {
 			return ErrTooBig
 		}
-		if uint32(len(*v)) != n {
-			*v = make([]T, n)
+		total := int(n)
+		if total < 0 {
+			return ErrOverflow // a count no 32-bit host can hold
 		}
-		for i := range *v {
+		var zero T
+		if total <= cap(*v) {
+			*v = (*v)[:total]
+		} else {
+			first := MaxBlindAlloc / max(1, int(unsafe.Sizeof(zero)))
+			if left, ok := x.remaining(); ok {
+				first = left / BytesPerUnit
+			}
+			*v = make([]T, min(total, max(1, first)))
+		}
+		for i := 0; i < total; i++ {
+			if i == len(*v) {
+				*v = append(*v, zero) // amortized doubling, one decoded element at a time
+			}
 			if err := elem(x, &(*v)[i]); err != nil {
 				return err
 			}
