@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build xcompile test race allocs bench benchmark-check bench-json bench-diff batch-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
+.PHONY: all build xcompile test race handoff allocs bench benchmark-check bench-json bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
 
 all: build
 
@@ -28,6 +28,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The hand-offs of a stream connection's read side — on the client
+# free ↔ a call ↔ the pump, on the server the token given away, lent and
+# taken back — are a handful of atomics whose wrong interleavings are
+# rare: the tests that pin them run twenty times under the detector.
+handoff:
+	$(GO) test -race -count=20 -run 'LetGo|Reader|ReadSide|LoneCalls|IdleClosed|Unsolicited|TransportConformance' ./internal/client
+	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog' ./internal/server
 
 # The allocation pins are built `!race` (sync.Pool drops puts under the
 # detector), so the race pass above never runs them: whole-call counts
@@ -109,6 +117,14 @@ chaos-smoke:
 batch-smoke:
 	$(GO) run ./cmd/sunbench -batch -transport udp,tcp -clients 2 -depth 8 -calls 2000
 
+# The two modes of a stream link outside the tests: a lone caller (the
+# 1x1 row, which reads its own replies from a server that lends it the
+# read token) and pipelined ones (2 connections x 16 deep: pump, hand-off,
+# group commit). Any failed call fails the run; the rates are printed,
+# not judged.
+pipe-smoke:
+	$(GO) run ./cmd/sunbench -throughput -transport tcp -clients 2 -depth 16 -calls 40000
+
 # Short native-fuzz smoke over the decode boundary (the record-marking
 # reader and the RPC call-header decoder, fed raw bytes), the record
 # reader's read-ahead differential (whole delivery == seeded short
@@ -180,4 +196,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet analyze build xcompile race allocs bench benchmark-check genstubs bench-diff batch-smoke chaos chaos-smoke fuzz
+ci: fmt vet analyze build xcompile race handoff allocs bench benchmark-check genstubs bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"specrpc/internal/testutil"
+)
 
 // TestChaosSmoke runs a tiny chaos point per transport: the structural
 // assertions (machinery fired, most calls landed) mirror what benchdiff
@@ -8,6 +12,7 @@ import "testing"
 func TestChaosSmoke(t *testing.T) {
 	for _, tr := range []string{"sim", "udp", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
+			defer testutil.NoLeak(t)()
 			res, err := Chaos(ChaosOptions{
 				Transport: tr, Conns: 2, Calls: 80, Loss: 0.15, Seed: 7,
 			})

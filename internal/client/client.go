@@ -6,12 +6,16 @@
 // result stream to the caller's unmarshaler.
 //
 // Unlike the original one-call-at-a-time clients, both transports allow
-// many in-flight calls per connection: a single reader goroutine
+// many in-flight calls per connection: whoever is reading the connection
 // demultiplexes replies on their XID and routes each to the per-call
 // channel registered by the issuing goroutine. Call is therefore safe —
 // and useful — to invoke from many goroutines at once: over TCP the call
 // records are pipelined onto one record-marked stream, and over datagram
-// transports each call retransmits independently.
+// transports each call retransmits independently. The reader is a
+// goroutine of the link's (the pump) whenever several calls, a call that
+// can be cancelled, or nobody at all is waiting; a call that is alone on
+// a stream reads its own reply, as clnttcp_call did, and no goroutine is
+// woken to hand it over (see link).
 //
 // Argument and result marshalers are pluggable (the Marshal type), which
 // is what lets the benchmark harness swap the generic micro-layered stubs
@@ -25,7 +29,7 @@
 // and flush policy"): concurrent TCP calls coalesce their records into
 // shared vectored writes via the group-commit RecBatcher, and
 // CallBatched queues ONC fire-and-forget calls that leave with the next
-// terminal Call, Flush, or Close. On the way in, the reply pump reads
+// terminal Call, Flush, or Close. On the way in, replies are read
 // through the record layer's read-ahead window: one read per reply, or
 // per burst of replies.
 package client
@@ -153,8 +157,8 @@ func (c *Config) fill() {
 // ---------------------------------------------------------------------------
 // Reply demultiplexer
 
-// demux routes reply buffers from a link's reader goroutine to the
-// per-call channels registered by issuing goroutines, keyed on XID.
+// demux routes reply buffers from whoever reads a link to the per-call
+// channels registered by issuing goroutines, keyed on XID.
 type demux struct {
 	mu    sync.Mutex // guards calls, free, err
 	calls map[uint32]chan *[]byte
@@ -221,21 +225,46 @@ func (d *demux) unregister(xid uint32) {
 
 // deliver hands a pooled reply buffer to the call waiting on xid. It
 // reports false — and the caller keeps ownership of bp — when no call
-// waits on that xid or its channel is already full (a stale or duplicate
-// reply, dropped exactly as clntudp_call dropped mismatched XIDs).
-func (d *demux) deliver(xid uint32, bp *[]byte) bool {
+// waits on that xid (a stale reply, dropped exactly as clntudp_call
+// dropped mismatched XIDs). A slot holds one reply: one that arrives
+// before the call has taken the last replaces it. For a duplicate that
+// changes nothing, and a datagram call that is going to skip an
+// undecodable reply must not have lost the good copy behind it to a
+// full slot — clntudp_call found that one next in the socket buffer.
+// Only deliver sends, and under mu, so the slot it has just emptied (or
+// the call has) takes the send. last reports that the call delivered to
+// is the only one registered: what the pump lets go of the read side on.
+func (d *demux) deliver(xid uint32, bp *[]byte) (ok, last bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ch, ok := d.calls[xid]
 	if !ok {
-		return false
+		return false, false
 	}
 	select {
 	case ch <- bp:
-		return true
 	default:
-		return false
+		select {
+		case older := <-ch:
+			xdr.PutBuf(older)
+		default:
+		}
+		ch <- bp
 	}
+	return true, len(d.calls) == 1
+}
+
+// others reports how many calls besides xid's are registered — whether
+// or not xid's own still is — and whether the link has failed: what an
+// owner of the read side looks at after letting go of it.
+func (d *demux) others(xid uint32) (n int, dead bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n = len(d.calls)
+	if _, ok := d.calls[xid]; ok {
+		n--
+	}
+	return n, d.err != nil
 }
 
 // fail records the terminal transport error and wakes every waiter. Only
@@ -275,22 +304,86 @@ func (d *demux) inFlight() int {
 // record stream sits behind transport and traits.
 
 // link is one connection's worth of engine state: the demultiplexer and
-// the reader feeding it. A datagram client has one for life; a stream
+// the read side feeding it. A datagram client has one for life; a stream
 // client has one per connection generation, so a dead generation's
 // state never bleeds into its replacement.
+//
+// The read side has one owner at a time (owner), and only the owner
+// touches rbp and, on a stream, rrec. On a stream link a lone call reads
+// its own reply: a call whose context cannot be cancelled and that finds
+// the side free takes it (engine.await), reads records until its own
+// arrives — delivering any other to its slot, as the pump would — and
+// lets go. Whoever lets go looks again (engine.letGo): with other calls
+// registered the side goes to the pump, and otherwise it stays free with
+// the idle timer pushed idleWatch ahead. If that timer ever fires on a
+// side still free its goroutine becomes the pump — the reader of a quiet
+// link, there to notice the peer closing it and to drain what no call
+// asked for — until it has delivered the reply of the only call
+// registered, when it lets go in turn. Taking and letting go are a
+// Dekker pair with registration: a call registers and then looks at
+// owner, an owner frees the side and then looks at the registrations, so
+// one of the two always sees the other.
 type link struct {
-	dmx    *demux
-	reader sync.Once
+	dmx *demux
+
+	owner atomic.Int32 // readFree, readCaller or readPump
+	// pumped pins the read side to the pump for the link's life: a
+	// datagram link (its retransmit tick is no read deadline), a stream
+	// that carried CallBatched (replies to one-way calls are unsolicited)
+	// or whose conn refused a read deadline.
+	pumped atomic.Bool
+	rbp    *[]byte // the message being read, pooled; nil between deliveries
 
 	// Stream generations only; nil on a datagram link.
 	conn  net.Conn
 	batch *xdr.RecBatcher // owns the write side of the record stream
-	rrec  *xdr.RecStream  // the read side; only the pump touches it
+	rrec  *xdr.RecStream  // the read side
+	idle  *time.Timer     // fires engine.watch, idleWatch after the side was last let go
 }
 
-// start launches the link's read pump on first use.
+// Owners of a link's read side.
+const (
+	readFree   int32 = iota // nobody reads; the idle timer is pending
+	readCaller              // a call reads its own reply
+	readPump                // the pump goroutine
+)
+
+// idleWatch is how long a stream link's read side may stay free before
+// a goroutine is put on it. It bounds how stale the client's view of a
+// quiet connection gets — a peer that closed it (an idle timeout, a
+// restart) is noticed within idleWatch of the last reply, so the next
+// call redials instead of writing into a dead socket — and what it costs
+// a closed-loop caller is one Reset of a pending timer per call (51 ns,
+// no wake-up) as long as its think time is shorter. One millisecond is the runtime's timer resolution on an idle
+// process, so nothing shorter would fire sooner, and is two orders above
+// the 12 µs round trip the lone path exists for; a caller that thinks
+// longer pays, per call, the wake-up every call paid before.
+const idleWatch = time.Millisecond
+
+// start puts the pump on a read side nobody owns. A call that will wait
+// on its slot calls it after registering.
 func (l *link) start(e *engine) {
-	l.reader.Do(func() { go e.pump(l) })
+	if l.pumpTakes() {
+		go e.pump(l)
+	}
+}
+
+// take claims a free read side for who. The load spares the callers of
+// a busy link a read-modify-write of the line they all look at.
+func (l *link) take(who int32) bool {
+	return l.owner.Load() == readFree && l.owner.CompareAndSwap(readFree, who)
+}
+
+// pumpTakes claims a free read side for the pump, minus the read
+// deadline the last call to read there left armed.
+func (l *link) pumpTakes() bool {
+	if !l.take(readPump) {
+		return false
+	}
+	if l.conn != nil {
+		_ = l.conn.SetReadDeadline(time.Time{})
+	}
+	return true
 }
 
 // transport is what differs per transport at run time.
@@ -511,6 +604,11 @@ func (c *call) timedOut() error {
 		c.timer.Reset(left)
 		return nil
 	}
+	return c.deadlineErr()
+}
+
+// deadlineErr is the error of a call whose deadline has passed.
+func (c *call) deadlineErr() error {
 	switch {
 	case c.ctx.Err() != nil:
 		return c.ctx.Err()
@@ -649,8 +747,6 @@ func (e *engine) attempt(c *call) (verdict, error) {
 	if err != nil {
 		return final, acquireFailed(err)
 	}
-	l.start(e)
-
 	xid, ch, err := l.dmx.register(&e.xid)
 	if err != nil {
 		return e.linkFailed(notSent, err)
@@ -670,7 +766,7 @@ func (e *engine) attempt(c *call) (verdict, error) {
 	if err != nil {
 		return e.linkFailed(sendVerdict(err), err)
 	}
-	return e.await(c, l, ch, buf)
+	return e.await(c, l, xid, ch, buf)
 }
 
 // linkFor gets the link for c's next attempt, waiting out another
@@ -740,8 +836,22 @@ func (e *engine) linkFailed(v verdict, err error) (verdict, error) {
 // the deadline — not the attempt bound — ends the call: a stopped
 // schedule still waits for a straggling reply.
 //
+// A call that nothing but its deadline can end early, and that finds
+// the link's read side free, does not wait at all: it reads its reply
+// itself (readOwn), and no goroutine is woken to hand it over.
+//
 //specrpc:hotpath
-func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdict, error) {
+func (e *engine) await(c *call, l *link, xid uint32, ch chan *[]byte, resend *[]byte) (verdict, error) {
+	if c.ctx.Done() == nil && !l.pumped.Load() && l.take(readCaller) {
+		done, v, err := e.readOwn(c, l, xid, ch)
+		if e.letGo(l, xid) {
+			go e.pump(l)
+		}
+		if done {
+			return v, err
+		}
+	}
+	l.start(e)
 	var retrans *time.Timer
 	var tick <-chan time.Time
 	var due time.Time // when the next retransmission is scheduled
@@ -756,13 +866,10 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 		v, err := final, error(nil) // what this wake-up ends the attempt with
 		select {
 		case bp := <-ch:
-			err = c.sink.decode(*bp)
+			done, err := e.settle(c, *bp)
 			xdr.PutBuf(bp)
-			if err == errIllFormed {
-				if e.illFormed == nil {
-					continue
-				}
-				err = e.illFormed
+			if !done {
+				continue
 			}
 			return final, err
 		case <-tick:
@@ -810,6 +917,120 @@ func (e *engine) await(c *call, l *link, ch chan *[]byte, resend *[]byte) (verdi
 	}
 }
 
+// settle decodes raw as c's reply. done is false for an undecodable
+// reply on a transport that ignores those (traits.illFormed): the call
+// goes on waiting for a better copy.
+//
+//specrpc:hotpath
+func (e *engine) settle(c *call, raw []byte) (done bool, err error) {
+	err = c.sink.decode(raw)
+	if err == errIllFormed {
+		if e.illFormed == nil {
+			return false, nil
+		}
+		err = e.illFormed
+	}
+	return true, err
+}
+
+// readOwn is a call reading its own reply off a stream link whose read
+// side it has just taken: the connection's read deadline is the call's,
+// the records are read through the same seam and into the same buffer as
+// the pump's, the call's own reply is decoded where it lies and any
+// other goes to its slot. It returns when the call is over — reply,
+// deadline, link death — and the caller lets the side go. A read that
+// timed out inside a record leaves the rest of it to the next owner: the
+// record layer resumes, and the bytes that came are in the link's
+// buffer. done is false only when the connection takes no read deadline:
+// the link is pumped from then on and the call waits like any other.
+//
+//specrpc:hotpath
+func (e *engine) readOwn(c *call, l *link, xid uint32, ch chan *[]byte) (done bool, v verdict, err error) {
+	// The side's last owner may have read this call's reply before it let
+	// go: nobody delivers to the slot from here on, so one look is enough.
+	select {
+	case bp := <-ch:
+		done, err = e.settle(c, *bp)
+		xdr.PutBuf(bp)
+		if done {
+			return true, final, err
+		}
+	default:
+	}
+	if l.conn.SetReadDeadline(c.deadline) != nil {
+		l.pumped.Store(true)
+		return false, final, nil
+	}
+	for {
+		got, has, err := e.next(l)
+		if err != nil {
+			if again, v, err := e.readFailed(c, l, err); !again {
+				return true, v, err
+			}
+			continue
+		}
+		if !has || got != xid {
+			e.route(l, got, has)
+			continue
+		}
+		done, err = e.settle(c, *l.rbp)
+		*l.rbp = (*l.rbp)[:0]
+		if done {
+			return true, final, err
+		}
+	}
+}
+
+// readFailed is what a call reading its own reply does with a failed
+// read. A timeout is the call's own deadline, armed on the connection:
+// the call is over and the link is not (again is for a timeout that came
+// early). Anything else ends the link, and the call with the link's
+// error, as it would have ended waiting on its slot.
+func (e *engine) readFailed(c *call, l *link, err error) (again bool, v verdict, cerr error) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		if time.Until(c.deadline) <= 0 {
+			return false, final, c.deadlineErr()
+		}
+		if l.conn.SetReadDeadline(c.deadline) == nil {
+			return true, final, nil
+		}
+	}
+	e.readDied(l, err)
+	v, cerr = e.linkFailed(maybeSent, l.dmx.error())
+	return false, v, cerr
+}
+
+// letGo frees l's read side after its owner — the call registered as
+// xid, or the pump that has just delivered xid's reply — is done with
+// it, and looks again: if the link is pinned to the pump, or a call
+// other than xid's is registered (it may have looked at owner a moment
+// ago and gone to wait on its slot), the side is taken for the pump and
+// letGo reports true: a call starts one, the pump carries on. Otherwise
+// the side stays free with the idle timer pushed forward — before the
+// look at the link's health, so that a timer Close has stopped is never
+// left re-armed.
+//
+//specrpc:hotpath
+func (e *engine) letGo(l *link, xid uint32) (pump bool) {
+	l.owner.Store(readFree)
+	l.idle.Reset(idleWatch)
+	others, dead := l.dmx.others(xid)
+	if dead {
+		l.idle.Stop()
+		return false
+	}
+	return (others > 0 || l.pumped.Load()) && l.pumpTakes()
+}
+
+// watch is the idle timer firing: a read side still free gets the pump,
+// on the timer's own goroutine.
+func (e *engine) watch(l *link) {
+	if l.dmx.error() == nil && l.pumpTakes() {
+		e.pump(l)
+	}
+}
+
 // rearm sets t to fire after d and returns the time that is: what the
 // retransmit arm checks a tick against.
 //
@@ -843,32 +1064,68 @@ func drainReply(ch chan *[]byte, sink *replySink) (bool, error) {
 	}
 }
 
-// pump is the demultiplexer's feed: it owns l's read side, reads one
-// reply message at a time into a pooled buffer, peeks its XID, and hands
-// the buffer to the matching call. Messages no call waits on (a reply
-// arriving after its call timed out, a duplicate) are dropped. It exits
-// — failing only this link — on the transport's terminal read error.
+// pump is the demultiplexer's feed while it owns l's read side: it reads
+// one reply message at a time, peeks its XID, and hands the buffer to
+// the matching call. Messages no call waits on (a reply arriving after
+// its call timed out, a duplicate, the answer to a batched call) are
+// dropped. It exits — failing only this link — on the transport's
+// terminal read error, and, on a link not pinned to it, when it has
+// delivered the reply of the only call registered and nobody else has
+// turned up since: the next lone call reads for itself.
 //
 //specrpc:hotpath
 func (e *engine) pump(l *link) {
 	for {
-		bp := xdr.GetBuf(e.cfg.BufSize)
-		ok, err := e.tr.recv(l, bp)
+		xid, has, err := e.next(l)
 		if err != nil {
-			xdr.PutBuf(bp)
-			if e.isClosed() {
-				err = ErrClosed
-			}
-			l.dmx.fail(err)
+			e.readDied(l, err)
 			return
 		}
-		if ok {
-			if xid, has := rpcmsg.PeekXID(*bp); has && l.dmx.deliver(xid, bp) {
-				continue
-			}
+		if e.route(l, xid, has) && !l.pumped.Load() && !e.letGo(l, xid) {
+			return
 		}
-		xdr.PutBuf(bp)
 	}
+}
+
+// next reads the next reply message on l into the link's buffer and
+// peeks its XID. has is false for a message to discard. Owner only.
+//
+//specrpc:hotpath
+func (e *engine) next(l *link) (xid uint32, has bool, err error) {
+	if l.rbp == nil {
+		l.rbp = xdr.GetBuf(e.cfg.BufSize)
+	}
+	ok, err := e.tr.recv(l, l.rbp)
+	if err != nil || !ok {
+		return 0, false, err
+	}
+	xid, has = rpcmsg.PeekXID(*l.rbp)
+	return xid, has, nil
+}
+
+// route hands the message next read to the call registered as xid, or
+// drops it. last reports a delivery to the only call registered.
+//
+//specrpc:hotpath
+func (e *engine) route(l *link, xid uint32, has bool) (last bool) {
+	if has {
+		if ok, last := l.dmx.deliver(xid, l.rbp); ok {
+			l.rbp = nil // the call's now
+			return last
+		}
+	}
+	*l.rbp = (*l.rbp)[:0]
+	return false
+}
+
+// readDied fails l after a terminal read error. Owner only.
+func (e *engine) readDied(l *link, err error) {
+	xdr.PutBuf(l.rbp)
+	l.rbp = nil
+	if e.isClosed() {
+		err = ErrClosed
+	}
+	l.dmx.fail(err)
 }
 
 // ---------------------------------------------------------------------------
@@ -1125,6 +1382,7 @@ func NewUDP(conn net.PacketConn, server net.Addr, cfg Config) *UDP {
 	cfg.fill()
 	cfg.Redial = nil // a stream knob: a datagram client has its one link for life
 	c := &UDP{conn: conn, server: server, link: link{dmx: newDemux()}}
+	c.link.pumped.Store(true)
 	c.udp, _ = conn.(*net.UDPConn)
 	c.engine.init(cfg, c, traits{maxReq: cfg.BufSize}, cfg.Retransmit)
 	return c
@@ -1211,8 +1469,9 @@ func (c *UDP) Close() error {
 // TCP is a connection-oriented client (clnttcp_create): reliable
 // transport, record-marked stream, no retransmission. Calls from many
 // goroutines are pipelined onto the single connection: requests are
-// written back to back and a reader goroutine routes each reply record to
-// its call by XID, so replies may be consumed out of order.
+// written back to back and the connection's reader — the pump, or a call
+// reading its own reply — routes each reply record to its call by XID,
+// so replies may be consumed out of order.
 //
 // Record writes go through a group-commit batcher: when several calls
 // are in flight their request records coalesce into one vectored write,
@@ -1240,7 +1499,10 @@ var errIllFormedReply = fmt.Errorf("client: read reply: %w", errIllFormed)
 // NewTCP returns a client issuing calls over the established connection.
 // With cfg.Redial set the connection is only the first of possibly many:
 // when it breaks, the client redials under the retry policy and swaps in
-// a replacement generation transparently.
+// a replacement generation transparently. conn's SetReadDeadline must
+// work or say that it does not: a call that reads its own reply is timed
+// out by it, and a conn that returns an error from it is read by the
+// pump alone.
 func NewTCP(conn net.Conn, cfg Config) *TCP {
 	cfg.fill()
 	c := &TCP{}
@@ -1274,6 +1536,11 @@ func (c *TCP) newLink(conn net.Conn) *link {
 	l := &link{dmx: newDemux(), conn: conn,
 		batch: xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
 		rrec:  xdr.NewRecStream(conn, 0)}
+	// A reply is bounded like a request: the buffer it is read into lives
+	// as long as the link, and a peer must not be able to grow it without
+	// end by never finishing a record.
+	l.rrec.MaxRecord = xdr.DefaultMaxRecord
+	l.idle = time.AfterFunc(idleWatch, func() { c.watch(l) })
 	// The write deadline covers each vectored write: a peer that stopped
 	// reading must not wedge the writers sharing the stream past their
 	// call budget. earliest is the tightest per-call deadline among the
@@ -1306,6 +1573,14 @@ func (c *TCP) newLink(conn net.Conn) *link {
 		l.batch.MaxBatch = 1
 	}
 	return l
+}
+
+// retire closes a stream generation's connection — which ends whoever
+// is reading it — and stops its idle timer. A call letting go of a dead
+// link stops the timer again (letGo), so it is not left pending.
+func (l *link) retire() error {
+	l.idle.Stop()
+	return l.conn.Close()
 }
 
 func sendRecordFailed(err error) error { return fmt.Errorf("client: send record: %w", err) }
@@ -1359,7 +1634,7 @@ func (c *TCP) acquire() (*link, <-chan struct{}, error) {
 // installed as cur (unless Close won the race, in which case the fresh
 // connection is closed again).
 func (c *TCP) reconnect(old *link) error {
-	_ = old.conn.Close()
+	old.retire()
 	var lastErr error
 	for attempt := 1; attempt <= c.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -1386,7 +1661,7 @@ func (c *TCP) reconnect(old *link) error {
 		c.connMu.Lock()
 		if c.isClosed() {
 			c.connMu.Unlock()
-			_ = conn.Close()
+			l.retire()
 			return ErrClosed
 		}
 		c.cur = l
@@ -1410,8 +1685,9 @@ func (c *TCP) send(l *link, buf *[]byte, deadline time.Time) (bool, error) {
 }
 
 func (c *TCP) recv(l *link, bp *[]byte) (bool, error) {
-	rec, err := l.rrec.ReadRecord((*bp)[:0])
-	*bp = rec // keep any growth pooled
+	// *bp holds what a read that timed out inside this record left there.
+	rec, err := l.rrec.ReadRecord(*bp)
+	*bp = rec // keep any growth pooled, and the front of a record cut short
 	if err != nil {
 		return false, fmt.Errorf("client: read reply: %w", err)
 	}
@@ -1468,10 +1744,11 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if err := l.dmx.error(); err != nil {
 		return err
 	}
-	// Start the reader even though no reply is awaited: unless the
-	// handler returns server.ErrNoReply the server answers a batched call
-	// like any other, and someone must drain those records (and any error
-	// reply) off the connection.
+	// Pin the read side to the pump even though no reply is awaited:
+	// unless the handler returns server.ErrNoReply the server answers a
+	// batched call like any other, and someone must drain those records
+	// (and any error reply) off the connection with no call to do it.
+	l.pumped.Store(true)
 	l.start(&c.engine)
 	buf, err := c.marshalReq(callReq{args: args}, c.xid.Add(1), proc)
 	if err != nil {
@@ -1508,8 +1785,8 @@ func (c *TCP) Close() error {
 	}
 	l := c.current()
 	ferr := l.batch.Flush()
-	err := l.conn.Close()
 	l.dmx.fail(ErrClosed)
+	err := l.retire()
 	if err == nil && ferr != nil {
 		err = fmt.Errorf("client: flush batched calls: %w", ferr)
 	}

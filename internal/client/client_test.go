@@ -193,70 +193,6 @@ func TestOversizedCredFailsEveryCall(t *testing.T) {
 	}
 }
 
-// TestCallPathAllocFree pins the perf acceptance criterion: with the
-// header template and pooled buffers/handles, the transport layers —
-// header marshal, framing, reply header decode — allocate nothing, on
-// the closure path and on the codec path, behind either transport's
-// prefix. The closure body marshalers here use the stream bulk
-// primitives, as compiled wire plans do; the per-primitive escape of the
-// generic x.Uint32 path is the interpretive-layer cost the plans exist
-// to remove, and is measured separately by the header-path benchmarks.
-func TestCallPathAllocFree(t *testing.T) {
-	arg := []int32{1, 2, 3}
-	for _, prefix := range []int{0, xdr.RecordMarkLen} {
-		e := testEngine(Config{Prog: 0x20000099, Vers: 2}, prefix)
-		p := e.lookup(1, fusedArgPlan.Codec(), fusedArgPlan.Codec())
-		for _, tc := range []struct {
-			name string
-			req  callReq
-			want float64
-		}{
-			{"closure", callReq{args: func(x *xdr.XDR) error { return x.Stream.PutLong(7) }}, 0},
-			{"fused", callReq{cc: p.call, argp: unsafe.Pointer(&arg)}, 0},
-		} {
-			req := tc.req
-			if allocs := testing.AllocsPerRun(100, func() {
-				buf, err := e.marshalReq(req, 42, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				xdr.PutBuf(buf)
-			}); allocs > tc.want {
-				t.Errorf("%s marshalReq, prefix %d: %.1f allocs/op, want <= %.0f", tc.name, prefix, allocs, tc.want)
-			}
-		}
-	}
-
-	reply := rpcmsg.MustReplyTemplate(rpcmsg.None()).AppendReply(nil, 42)
-	reply = append(reply, 0, 0, 0, 9)
-	var got int32
-	for name, sink := range map[string]*replySink{
-		"closure": {fn: func(x *xdr.XDR) error { return x.Stream.GetLong(&got) }},
-		"fused":   {rc: testReplyCodec(t), resp: unsafe.Pointer(&got)},
-	} {
-		got = 0
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := sink.decode(reply); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("%s reply decode: %.1f allocs/op, want 0", name, allocs)
-		}
-		if got != 9 {
-			t.Fatalf("%s result = %d, want 9", name, got)
-		}
-	}
-}
-
-func testReplyCodec(t *testing.T) wire.ReplyDecoder {
-	t.Helper()
-	rc, err := wire.NewReplyCodec(nil, wire.MustPlan[int32](wire.Int32T(), wire.Specialized).Codec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rc
-}
-
 // ---------------------------------------------------------------------------
 // Error-path coverage: the demux guards
 

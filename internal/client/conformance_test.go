@@ -47,6 +47,20 @@ type conformer interface {
 	InFlight() int
 }
 
+// loneConformer is a stream client whose calls are made the way a lone
+// caller makes them — a context that cannot be cancelled, the read side
+// free — so the table's outcomes are pinned for a call that reads its
+// own reply as well as for one that waits on its slot. reads tells which
+// of the two a call did.
+type loneConformer struct {
+	*TCP
+	reads *readTap
+}
+
+func (c loneConformer) CallCtx(_ context.Context, proc uint32, args, reply Marshal) error {
+	return c.TCP.Call(proc, args, reply)
+}
+
 // peerPacketConn is the datagram rendering of a fakePeer.
 type peerPacketConn struct {
 	peer   *fakePeer
@@ -99,6 +113,25 @@ func dialPeerUDP(t *testing.T, p *fakePeer, cfg Config) conformer {
 // dialPeerTCP serves the fakePeer over one end of a pipe, as
 // record-marked messages.
 func dialPeerTCP(t *testing.T, p *fakePeer, cfg Config) conformer {
+	return servePeerTCP(t, p, cfg, func(c net.Conn) net.Conn { return c })
+}
+
+// dialPeerTCPLone is dialPeerTCP for a caller that reads its own reply.
+// The link's idle timer is stopped before it can put the pump on the
+// read side; should it have fired already (the test stalled a
+// millisecond inside NewTCP) the client is dialed again.
+func dialPeerTCPLone(t *testing.T, p *fakePeer, cfg Config) conformer {
+	for {
+		tap := &readTap{}
+		c := servePeerTCP(t, p, cfg, tap.wrap)
+		if c.current().idle.Stop() {
+			return loneConformer{c, tap}
+		}
+		_ = c.Close()
+	}
+}
+
+func servePeerTCP(t *testing.T, p *fakePeer, cfg Config, wrap func(net.Conn) net.Conn) *TCP {
 	p1, p2 := net.Pipe()
 	go func() {
 		defer p2.Close()
@@ -118,7 +151,7 @@ func dialPeerTCP(t *testing.T, p *fakePeer, cfg Config) conformer {
 			}
 		}
 	}()
-	c := NewTCP(p1, cfg)
+	c := NewTCP(wrap(p1), cfg)
 	t.Cleanup(func() { _ = c.Close() })
 	return c
 }
@@ -126,7 +159,7 @@ func dialPeerTCP(t *testing.T, p *fakePeer, cfg Config) conformer {
 var conformanceTransports = []struct {
 	name string
 	dial func(*testing.T, *fakePeer, Config) conformer
-}{{"udp", dialPeerUDP}, {"tcp", dialPeerTCP}}
+}{{"udp", dialPeerUDP}, {"tcp", dialPeerTCP}, {"tcp-lone", dialPeerTCPLone}}
 
 func errorReplyBytes(t *testing.T, xid uint32, stat rpcmsg.AcceptStat) []byte {
 	t.Helper()
@@ -159,6 +192,8 @@ func TestTransportConformance(t *testing.T) {
 		replies func(xid uint32) [][]byte
 		die     bool
 		budget  time.Duration // ctx deadline; 0 for none
+		timeout time.Duration // Config.Timeout; 0 for 10s
+		needCtx bool          // the scenario is its context: not for a lone caller
 		// during runs once the peer has the request, while the call waits.
 		during func(c conformer, cancel context.CancelFunc)
 		check  func(t *testing.T, transport string, got uint32, err error)
@@ -187,15 +222,19 @@ func TestTransportConformance(t *testing.T) {
 					t.Fatalf("err = %v, want the fatal ill-formed reply", err)
 				}
 			}},
-		{name: "ctx cancel",
+		{name: "ctx cancel", needCtx: true,
 			during: func(_ conformer, cancel context.CancelFunc) { cancel() },
 			check:  wantErr(context.Canceled)},
 		// The call's deadline is the context's own, so the engine's timer
 		// and the context's are due in the same instant; whichever fires
 		// first, the error is the context's. The 3s bound below is what
 		// shows the earlier deadline, not Timeout, ended it.
-		{name: "ctx deadline before Timeout", budget: 50 * time.Millisecond,
+		{name: "ctx deadline before Timeout", budget: 50 * time.Millisecond, needCtx: true,
 			check: wantErr(context.DeadlineExceeded)},
+		// With no context to end it the call ends at the client's Timeout:
+		// on its timer when it waits on its slot, on the connection's read
+		// deadline when it reads for itself.
+		{name: "Timeout expiry", timeout: 50 * time.Millisecond, check: wantErr(ErrTimeout)},
 		{name: "Close mid-call",
 			during: func(c conformer, _ context.CancelFunc) { _ = c.Close() },
 			check:  wantErr(ErrClosed)},
@@ -213,6 +252,9 @@ func TestTransportConformance(t *testing.T) {
 	}
 	for _, tr := range conformanceTransports {
 		for _, sc := range scenarios {
+			if sc.needCtx && tr.name == "tcp-lone" {
+				continue
+			}
 			t.Run(tr.name+"/"+sc.name, func(t *testing.T) {
 				// Registered first, so it runs after the clean-ups that
 				// close the clients: readers, pumps and pooled timers
@@ -220,7 +262,11 @@ func TestTransportConformance(t *testing.T) {
 				t.Cleanup(testutil.NoLeak(t))
 				for i := 0; i < max(sc.iters, 1); i++ {
 					p := &fakePeer{replies: sc.replies, die: sc.die, seen: make(chan struct{}, 1)}
-					c := tr.dial(t, p, Config{Prog: 1, Vers: 1, Timeout: 10 * time.Second})
+					timeout := 10 * time.Second
+					if sc.timeout > 0 {
+						timeout = sc.timeout
+					}
+					c := tr.dial(t, p, Config{Prog: 1, Vers: 1, Timeout: timeout})
 					ctx, cancel := context.WithCancel(context.Background())
 					if sc.budget > 0 {
 						ctx, cancel = context.WithTimeout(ctx, sc.budget)
@@ -247,6 +293,13 @@ func TestTransportConformance(t *testing.T) {
 					}
 					if q, ok := c.(interface{ QueuedRecords() int }); ok && q.QueuedRecords() != 0 {
 						t.Fatalf("%d records still queued", q.QueuedRecords())
+					}
+					// A pipe with either end closed refuses a read deadline,
+					// which sends the call to wait on its slot after all: where
+					// the peer dies or the client is closed under the call,
+					// which way the call went is the race's.
+					if lc, ok := c.(loneConformer); ok && !sc.die && sc.during == nil && lc.reads.own.Load() == 0 {
+						t.Fatal("the lone call did not read its own reply")
 					}
 				}
 			})

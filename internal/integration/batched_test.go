@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -34,6 +35,7 @@ func waitForExecs(t *testing.T, execs *atomic.Int32, want int32) {
 // queued calls reach a real server and run, the terminal call returns
 // the correct echo, and nothing is lost across several groups.
 func TestTCPBatchedCallsExecuteOnServer(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, execs := newEchoServer()
 	c := dialTCPServer(t, s)
 
@@ -64,6 +66,7 @@ func TestTCPBatchedCallsExecuteOnServer(t *testing.T) {
 // vice-versa arrangements of the same wire bytes) must behave exactly
 // like the plain path — batching changes syscall counts, never framing.
 func TestTCPBatchedClientAgainstUnbatchedServer(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, execs := newEchoServer(server.WithWriteBatching(false))
 	c := dialTCPServer(t, s)
 

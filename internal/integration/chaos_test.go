@@ -30,6 +30,7 @@ import (
 	"specrpc/internal/faultconn"
 	"specrpc/internal/netsim"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -104,6 +105,7 @@ func chaosPolicy() *client.RetryPolicy {
 // schedule must actually have injected faults, and the client must have
 // retransmitted through them.
 func TestChaosSimLossDupReorder(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithSeed(42))
 	n.SetLink("", "", netsim.LinkFaults{
 		Loss: 0.15, Dup: 0.2, Reorder: 0.2, JitterMax: 2 * time.Millisecond,
@@ -162,6 +164,7 @@ func TestChaosSimLossDupReorder(t *testing.T) {
 // server-side execution counter proving zero double executions and the
 // reply cache actually serving the duplicates.
 func TestChaosAtMostOnceDuplicateAllReorder(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithSeed(7), netsim.WithFaults(netsim.DuplicateAll()))
 	// Reply direction: lossy and reordered. Dropped replies force
 	// retransmissions of already-executed calls, which must be answered
@@ -204,6 +207,7 @@ func TestChaosAtMostOnceDuplicateAllReorder(t *testing.T) {
 // request direction mid-call; after it heals, the in-flight call's
 // retransmission schedule converges without re-execution.
 func TestChaosPartitionHeal(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithSeed(3))
 	s, log := newEffectServer(server.WithCacheSize(256))
 	ep := n.Attach("server")
@@ -269,6 +273,7 @@ func TestChaosPartitionHeal(t *testing.T) {
 // the assertion here is liveness (the client keeps making progress and
 // cleans up), not per-ID accounting.
 func TestChaosCorruptionLiveness(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithSeed(13))
 	n.SetLink("", "", netsim.LinkFaults{Loss: 0.1, Corrupt: 0.2, JitterMax: time.Millisecond})
 	s, _ := newEffectServer(server.WithCacheSize(256))
@@ -307,6 +312,7 @@ func TestChaosCorruptionLiveness(t *testing.T) {
 // return promptly with the context error and leave no demux slots
 // behind.
 func TestChaosCancelNoLeaksUDP(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	n.Partition("", "server") // permanent black hole
 	s, _ := newEffectServer()
@@ -357,6 +363,7 @@ func TestChaosCancelNoLeaksUDP(t *testing.T) {
 // to a server that never replies — cancelled calls release their reply
 // slots and strand nothing in the batcher queue.
 func TestChaosCancelNoLeaksTCP(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no loopback TCP: %v", err)
@@ -424,6 +431,7 @@ func TestChaosCancelNoLeaksTCP(t *testing.T) {
 // UDP, with loss and duplication injected at the client socket by
 // faultconn. Proves the retry machinery against actual kernel sockets.
 func TestChaosUDPLive(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, log := newEffectServer(server.WithCacheSize(1024))
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -477,6 +485,7 @@ func TestChaosUDPLive(t *testing.T) {
 // calls must have executed exactly once, and ambiguous failures must
 // surface as TransportError rather than being silently replayed.
 func TestChaosTCPReconnect(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, log := newEffectServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

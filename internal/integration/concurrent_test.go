@@ -15,6 +15,7 @@ import (
 	"specrpc/internal/client"
 	"specrpc/internal/netsim"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -42,6 +43,7 @@ func dialTCPServer(t *testing.T, s *server.Server) *client.TCP {
 // records) and verifies every echo, exercising XID demultiplexing of
 // interleaved replies.
 func TestTCPConcurrentInterleavedCalls(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, _ := newEchoServer()
 	c := dialTCPServer(t, s)
 
@@ -91,6 +93,7 @@ func TestTCPConcurrentInterleavedCalls(t *testing.T) {
 // issuing one call each over ONE connection, the test can only pass if
 // the transport truly keeps four calls in flight on that connection.
 func TestTCPBarrierRequiresFourInFlight(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	const want = 4
 	var (
 		mu      sync.Mutex
@@ -142,6 +145,7 @@ func TestTCPBarrierRequiresFourInFlight(t *testing.T) {
 // the fast call's completion, which would deadlock a transport that
 // serves one call at a time per connection.
 func TestTCPOutOfOrderReplies(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	const procGated = uint32(7)
 	fastDone := make(chan struct{})
 	s := server.New()
@@ -194,6 +198,7 @@ func TestTCPOutOfOrderReplies(t *testing.T) {
 // goroutines over a SINGLE netsim datagram client, exercising the
 // demultiplexer's XID routing on the datagram path.
 func TestSimConcurrentCallsOneClient(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	c := simClient(n, "client", client.Config{Timeout: 5 * time.Second})
@@ -232,6 +237,7 @@ func TestSimConcurrentCallsOneClient(t *testing.T) {
 // TestUDPLoopbackConcurrentCallsOneClient is the same interleaving over
 // one real UDP socket.
 func TestUDPLoopbackConcurrentCallsOneClient(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, _ := newEchoServer()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -282,6 +288,7 @@ func TestUDPLoopbackConcurrentCallsOneClient(t *testing.T) {
 // never-replying server; every call must fail with ErrClosed promptly
 // instead of hanging until the timeout.
 func TestCloseUnblocksInFlightCalls(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithFaults(func(_, _ net.Addr, _ int, _ []byte) netsim.Verdict {
 		return netsim.Drop // black hole
 	}))

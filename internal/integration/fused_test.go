@@ -15,6 +15,7 @@ import (
 	"specrpc/internal/netsim"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/wire"
 )
 
@@ -85,6 +86,7 @@ func typedRoundTrip(t *testing.T, c client.Caller) {
 }
 
 func TestFusedSimRoundTrip(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	s := newTypedServer()
 	sep := n.Attach("server")
@@ -97,6 +99,7 @@ func TestFusedSimRoundTrip(t *testing.T) {
 }
 
 func TestFusedUDPRoundTrip(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s := newTypedServer()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -115,6 +118,7 @@ func TestFusedUDPRoundTrip(t *testing.T) {
 }
 
 func TestFusedTCPRoundTrip(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s := newTypedServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

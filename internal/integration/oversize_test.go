@@ -15,10 +15,12 @@ import (
 	"specrpc/internal/netsim"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
 func TestSimOversizedDatagramReplyYieldsSystemErr(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	const procExpand = uint32(3)
 	var execs atomic.Int32
 	s := server.New()

@@ -15,6 +15,7 @@ import (
 	"specrpc/internal/netsim"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/server"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -79,6 +80,7 @@ func simClient(n *netsim.Network, name string, cfg client.Config) *client.UDP {
 }
 
 func TestSimEchoRoundTrip(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	c := simClient(n, "client", client.Config{Timeout: 2 * time.Second})
@@ -95,6 +97,7 @@ func TestSimEchoRoundTrip(t *testing.T) {
 }
 
 func TestSimSum(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	c := simClient(n, "client", client.Config{Timeout: 2 * time.Second})
@@ -112,6 +115,7 @@ func TestSimSum(t *testing.T) {
 }
 
 func TestSimRetransmitOnRequestLoss(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	// Drop the first request; the client must retransmit and succeed,
 	// and the handler must run exactly once.
 	n := netsim.New(netsim.WithFaults(netsim.DropFirst(1)))
@@ -135,6 +139,7 @@ func TestSimRetransmitOnRequestLoss(t *testing.T) {
 }
 
 func TestSimReplyLossServedFromCache(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	// Packet 0 = request (delivered), packet 1 = reply (dropped).
 	// The retransmitted request must be answered from the reply cache
 	// without re-executing the handler: at-most-once per XID.
@@ -159,6 +164,7 @@ func TestSimReplyLossServedFromCache(t *testing.T) {
 }
 
 func TestSimDuplicatedPackets(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	// Every packet duplicated: the duplicate request must not re-execute
 	// the handler, and the duplicate reply must be ignored by XID logic.
 	n := netsim.New(netsim.WithFaults(netsim.DuplicateAll()))
@@ -187,6 +193,7 @@ func TestSimDuplicatedPackets(t *testing.T) {
 }
 
 func TestSimTimeout(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New(netsim.WithFaults(func(_, _ net.Addr, _ int, _ []byte) netsim.Verdict {
 		return netsim.Drop // black hole
 	}))
@@ -204,6 +211,7 @@ func TestSimTimeout(t *testing.T) {
 }
 
 func TestSimProcUnavailSurfacesRPCError(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	c := simClient(n, "client", client.Config{Timeout: 2 * time.Second})
@@ -220,6 +228,7 @@ func TestSimProcUnavailSurfacesRPCError(t *testing.T) {
 }
 
 func TestSimConcurrentClients(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	const clients = 8
@@ -256,6 +265,7 @@ func TestSimConcurrentClients(t *testing.T) {
 }
 
 func TestRealUDPLoopback(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, _ := newEchoServer()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -287,6 +297,7 @@ func TestRealUDPLoopback(t *testing.T) {
 }
 
 func TestRealTCPLoopback(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, _ := newEchoServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -320,6 +331,7 @@ func TestRealTCPLoopback(t *testing.T) {
 }
 
 func TestTCPProcUnavail(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	s, _ := newEchoServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -349,6 +361,7 @@ func TestTCPProcUnavail(t *testing.T) {
 }
 
 func TestClosedClient(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	n := netsim.New()
 	startSimServer(t, n)
 	c := simClient(n, "client", client.Config{})
@@ -365,6 +378,7 @@ func TestClosedClient(t *testing.T) {
 }
 
 func TestAuthSysCredentialPassesThrough(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
 	// The server currently accepts any flavor; the credential must
 	// survive the trip intact for handlers that inspect it later.
 	cred, err := (&rpcmsg.SysCred{MachineName: "testhost", UID: 7, GID: 8}).Encode()

@@ -206,10 +206,9 @@ func WithIdleTimeout(d time.Duration) Option {
 	}
 }
 
-// DefaultMaxRecord is the default bound on one stream request record:
-// far above any call the stubs produce, and small enough that a peer
-// cannot pin more than this per connection by never finishing a record.
-const DefaultMaxRecord = 16 << 20
+// DefaultMaxRecord is the default bound on one stream request record
+// (the client bounds a reply record by the same constant).
+const DefaultMaxRecord = xdr.DefaultMaxRecord
 
 // WithMaxRecord bounds the size of one request record on stream
 // connections (default DefaultMaxRecord), summed over its fragments. A
@@ -479,8 +478,9 @@ type dgram struct {
 // clients retransmit, so shedding load visibly at the door beats
 // stalling the read loop until the kernel sheds it invisibly.
 func (s *Server) ServeUDP(conn net.PacketConn) error {
-	s.track(conn.Close)
-	s.wg.Add(1)
+	if _, ok := s.track(conn.Close); !ok {
+		return nil
+	}
 	defer s.wg.Done()
 
 	// Batched I/O wrapper: up to dgBatch messages per recvmmsg/sendmmsg
@@ -730,8 +730,9 @@ func (s *Server) sendCached(sd replySender, from net.Addr, rp *[]byte, cached []
 // or a permanent failure exits the loop. When WithMaxConns is set,
 // connections beyond the bound are closed at accept and counted.
 func (s *Server) ServeTCP(ln net.Listener) error {
-	s.track(ln.Close)
-	s.wg.Add(1)
+	if _, ok := s.track(ln.Close); !ok {
+		return nil
+	}
 	defer s.wg.Done()
 	var tempDelay time.Duration
 	for {
@@ -774,8 +775,11 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 			_ = conn.Close()
 			continue
 		}
-		id := s.track(conn.Close)
-		s.wg.Add(1)
+		id, ok := s.track(conn.Close)
+		if !ok {
+			s.conns.Add(-1)
+			continue // closed meanwhile: the next Accept says so
+		}
 		go func() {
 			defer s.wg.Done()
 			defer s.conns.Add(-1)
@@ -794,7 +798,8 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 // of three places: holding the read token (in read, the only code that
 // touches rrec and spawned), running a call (in handle), or parked on
 // work. The token exists exactly once, so the read side needs no lock;
-// it travels over work as a nil record.
+// it travels over work as a nil record — or stays where it is, lent to
+// the call its holder just read (lend).
 type streamConn struct {
 	s    *Server
 	conn net.Conn
@@ -808,6 +813,16 @@ type streamConn struct {
 	spawned int            // workers started so far, at most s.workers
 	workers sync.WaitGroup // the spawned workers
 
+	// lent is set while the token holder runs a call with the token in its
+	// pocket. Whoever clears it has the token: the lender, back from the
+	// call, or the watchdog, lendLimit after the newest lend. slow is what
+	// the last call read alone on the connection told the next: its
+	// handler took longer than lendUnder, so hand the token on first. It
+	// starts set — nothing is known about a connection's first call.
+	lent     atomic.Bool
+	slow     atomic.Bool
+	watchdog *time.Timer // nil until the first lend
+
 	// inFlight/completed drive the idle reaper: a timeout only reaps when
 	// no handler is running and none finished during the armed window.
 	// Handlers bump completed before dropping inFlight, so the reaper can
@@ -819,11 +834,42 @@ type streamConn struct {
 	inFlight, completed atomic.Int64
 }
 
+// lendLimit is how long a lent token may stay lent. Below it a handler
+// that blocks keeps the connection's next request unread; at it the
+// watchdog takes the token away and gives it to a worker, and the calls
+// after that are handed off at once (slow). One millisecond is the
+// runtime's own timer resolution on an otherwise idle process — a
+// shorter limit would not fire sooner — and is 80 round trips of the
+// closed-loop peer the lend exists for, so the watchdog's timer is
+// always pushed forward (a Reset of a pending timer: 51 ns, no wake-up)
+// and never fires there.
+const lendLimit = time.Millisecond
+
+// lendUnder is how fast a connection's previous handler must have run
+// for the next lone call to be lent the token. Handing the token on
+// costs a channel wake-up — a futex wake, a thread that spins up, reads
+// EAGAIN and parks again; this one and the client's twin cost a
+// tcp_echo20 call 13.8 µs of CPU between them on the reference host
+// (EXPERIMENTS.md, "Repo benchmark, PR 22") — and buys the next
+// request of the connection being read while this handler runs. A
+// handler that runs longer than the wake-up costs has something to
+// overlap and is handed off; a shorter one would finish before the
+// woken worker reached the socket. 20 µs sits above both (the echo
+// handlers of the benchmark run in 0.05–4 µs) and below any handler
+// that blocks. Only calls read alone are timed (69 ns).
+const lendUnder = 20 * time.Microsecond
+
 // serveConn serves one stream connection. Pipelined requests execute
 // concurrently — up to s.workers handlers, plus the goroutine holding
-// the read token — and nothing is started per request: the goroutine the
-// poller woke for a lone request hands the token to a parked worker and
-// runs the call to completion itself, read to reply write, while the
+// the read token — and nothing is started per request, nor, for a peer
+// that waits for each reply before it sends the next call, woken: the
+// goroutine the poller woke for a lone request runs the call to
+// completion itself, read to reply write, and goes back to reading. It
+// does so with the token lent to the call (lend) when the connection's
+// last handler was quick, and after handing the token to a parked worker
+// when it was not, so that a handler that takes its time never keeps the
+// connection's next request waiting; a lent token that is not back
+// within lendLimit is taken away and handed on all the same. The
 // requests of a burst that one read picked up go to the workers. When
 // s.workers handlers are running, the next request is read and then
 // waits, unexecuted, for one of them to return: backpressure through the
@@ -837,11 +883,14 @@ type streamConn struct {
 // read. A handler that is blocked is not runnable, so it delays nobody:
 // a slow call never holds the replies of faster calls (the client
 // demultiplexes them by XID).
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn net.Conn) { s.newStreamConn(conn).run() }
+
+func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 	c := &streamConn{s: s, conn: conn,
 		rrec: xdr.NewRecStream(conn, 0),
 		wb:   xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
 		work: make(chan *[]byte)}
+	c.slow.Store(true)
 	c.rrec.MaxRecord = s.maxRecord
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
@@ -851,16 +900,27 @@ func (s *Server) serveConn(conn net.Conn) {
 		c.wb.MaxBatch = 1
 	}
 	c.wb.MoreWriters = func() bool { return c.inFlight.Load() > 1 }
+	return c
+}
+
+// run serves the connection until its stream ends, on the calling
+// goroutine and the workers it starts, and returns when all are done.
+func (c *streamConn) run() {
 	// Flush invariant: every record handed to wb is flushed by some
 	// handler before it returns (the leader loops until the queue is
 	// empty, and a record queued after the leader exits makes its own
-	// writer the new leader), and the Wait below holds serveConn open
-	// until every worker has returned — so no reply is stranded by
-	// connection teardown. The token holder that saw the stream end has
-	// closed the connection by then: a worker blocked writing a reply to
-	// a peer that stopped reading is only unblocked by the close.
+	// writer the new leader), and the Wait below holds run open until
+	// every worker has returned — so no reply is stranded by connection
+	// teardown. The token holder that saw the stream end has closed the
+	// connection by then: a worker blocked writing a reply to a peer that
+	// stopped reading is only unblocked by the close.
 	c.serve(nil) // the accepting goroutine starts out holding the token
 	c.workers.Wait()
+	// The stream ended in the hands of a token holder, so nothing is lent
+	// and a watchdog still pending has nothing to take.
+	if c.watchdog != nil {
+		c.watchdog.Stop()
+	}
 }
 
 // serve is the loop every goroutine of the connection runs, entered with
@@ -869,28 +929,31 @@ func (s *Server) serveConn(conn net.Conn) {
 //specrpc:hotpath
 func (c *streamConn) serve(bp *[]byte) {
 	for open := true; open; bp, open = <-c.work {
-		if bp == nil {
-			if bp = c.read(); bp == nil {
-				return // stream over; work is closed
-			}
+		if bp != nil {
+			c.handle(bp, false)
+		} else {
+			c.read()
 		}
-		c.handle(bp)
 	}
 }
 
-// read is the token holder's turn: it reads request records and gives
-// away, each time, either the record or the token. While the read-ahead
-// window still holds bytes the rest of a burst is already here, so the
-// record goes to a worker and the reader keeps the token: the burst
-// fans out as fast as it can be parsed. When the window is empty the
-// next read would block in the kernel anyway, so the token goes instead
-// and the record is returned for the caller to run itself — the lone
+// read is the token holder's turn, and lasts as long as it holds the
+// token: it reads request records and, each time, gives away the record,
+// gives away the token, or lends the token to the record's call. While
+// the read-ahead window still holds bytes the rest of a burst is already
+// here, so the record goes to a worker and the reader keeps the token:
+// the burst fans out as fast as it can be parsed. When the window is
+// empty the next read would block in the kernel anyway, and the lone
 // request of a closed-loop peer is answered by the goroutine that read
-// it, with no switch between read and reply. A nil return means the
-// stream is over: the connection is closed and so is work.
+// it, with no switch between read and reply: under a lent token when
+// nothing else is in flight and the connection's last such handler was
+// quick — nobody is woken, and the next read is this goroutine's again —
+// and otherwise after the token went to a worker. read returns without
+// the token: given away, taken by the watchdog while it was lent, or
+// gone with the stream — the connection is closed then and so is work.
 //
 //specrpc:hotpath
-func (c *streamConn) read() *[]byte {
+func (c *streamConn) read() {
 	for {
 		// Unlike a datagram, a stream record may exceed the datagram
 		// buffer size, so the buffer grows as needed.
@@ -900,14 +963,50 @@ func (c *streamConn) read() *[]byte {
 		if err != nil {
 			xdr.PutBuf(bp)
 			c.hangUp(err)
-			return nil
+			return
 		}
-		c.inFlight.Add(1)
-		if c.rrec.AtBoundary() {
+		lone := c.inFlight.Add(1) == 1
+		switch {
+		case !c.rrec.AtBoundary():
+			c.give(bp)
+		case lone && !c.slow.Load():
+			if !c.lend(bp) {
+				return
+			}
+		default:
 			c.give(nil)
-			return bp
+			c.handle(bp, lone)
+			return
 		}
-		c.give(bp)
+	}
+}
+
+// lend runs bp's call on the token holder with the token lent to it, and
+// reports whether the token came back. The watchdog is pushed lendLimit
+// ahead first; should the call still be running then, it takes the token
+// (clearing lent is taking it) and gives it to a worker as read would
+// have, and the lender returns to find it gone. A watchdog that fires
+// between two lends finds nothing lent; one armed by an earlier lend
+// that fires into this one only hands the token on early.
+//
+//specrpc:hotpath
+func (c *streamConn) lend(bp *[]byte) (back bool) {
+	if c.watchdog == nil {
+		c.watchdog = time.AfterFunc(lendLimit, c.reclaim)
+	} else {
+		c.watchdog.Reset(lendLimit)
+	}
+	c.lent.Store(true)
+	c.handle(bp, true)
+	return c.lent.CompareAndSwap(true, false)
+}
+
+// reclaim is the watchdog: a token still lent is taken from its lender
+// and given away, so the connection's next request is read while the
+// call that outstayed lendLimit runs on.
+func (c *streamConn) reclaim() {
+	if c.lent.CompareAndSwap(true, false) {
+		c.give(nil)
 	}
 }
 
@@ -949,16 +1048,27 @@ func (c *streamConn) worker(bp *[]byte) {
 	c.serve(bp)
 }
 
-// handle runs one call and writes its reply.
+// handle runs one call and writes its reply. A call that was alone on
+// the connection when it was read (lone) leaves word for the next such
+// call whether its handler was quick (slow, lendUnder); the calls of a
+// burst or a pipeline are handed off whatever they take, and are not
+// timed.
 //
 //specrpc:hotpath
-func (c *streamConn) handle(bp *[]byte) {
+func (c *streamConn) handle(bp *[]byte, lone bool) {
 	rp := xdr.GetBuf(c.s.bufSize)
+	var start time.Time
+	if lone {
+		start = time.Now()
+	}
 	// Reserve the record mark at the head of the reply buffer:
 	// handleCall marshals the reply behind it and the batcher patches
 	// the mark in place, so the fully-formed reply goes to the socket
 	// with no second copy.
 	out, err := c.s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
+	if lone {
+		c.slow.Store(time.Since(start) > lendUnder)
+	}
 	if out != nil {
 		*rp = out
 		// Ownership of rp transfers to the batcher, which releases it
@@ -1014,33 +1124,34 @@ func (s *Server) readRecordIdle(conn net.Conn, rrec *xdr.RecStream, dst []byte,
 	}
 }
 
-// track registers a closer to be invoked by Close and returns a handle
-// for untrack. A closer registered after Close has begun is invoked
-// immediately (the transport must still shut down) and not retained.
-func (s *Server) track(close func() error) uint64 {
+// track registers a service loop about to start: its transport's closer,
+// to be invoked by Close, and the loop itself on wg — under the lock
+// Close marks the server closed under, so the Add can never race Close's
+// Wait. It returns a handle for untrack. Once Close has begun nothing is
+// registered: the closer is invoked at once (the transport must still
+// shut down) and ok is false — there is no loop to start.
+func (s *Server) track(close func() error) (id uint64, ok bool) {
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
 		_ = close()
-		return 0
+		return 0, false
 	}
 	if s.closers == nil {
 		s.closers = make(map[uint64]func() error)
 	}
 	s.closerSeq++
-	id := s.closerSeq
+	id = s.closerSeq
 	s.closers[id] = close
+	s.wg.Add(1)
 	s.closeMu.Unlock()
-	return id
+	return id, true
 }
 
 // untrack drops a closer whose transport has already shut down, so the
 // set tracks live transports instead of growing with every connection
 // ever accepted.
 func (s *Server) untrack(id uint64) {
-	if id == 0 {
-		return
-	}
 	s.closeMu.Lock()
 	delete(s.closers, id)
 	s.closeMu.Unlock()

@@ -267,6 +267,12 @@ func (r *RecStream) readErr(what string, err error) error {
 // more than the stream's MaxRecord.
 var ErrRecordTooLarge = errors.New("xdr: record exceeds the stream's size limit")
 
+// DefaultMaxRecord is the MaxRecord both transport endpoints put on the
+// streams they read unless told otherwise: far above any message the
+// stubs produce, and small enough that a peer cannot pin more than this
+// per connection by never finishing a record.
+const DefaultMaxRecord = 16 << 20
+
 // nextFragment parses the next fragment mark out of the window. The
 // mark is peeked and only then consumed, so a read that fails halfway
 // through it loses nothing.
