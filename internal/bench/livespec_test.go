@@ -197,6 +197,9 @@ func fusedBenchPlans(tb testing.TB) (*wire.CallPlan[[]int32], *wire.ReplyPlan[[]
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if cp.Codec().Rung() != wire.RungFused || rp.Codec().Rung() != wire.RungFused {
+		tb.Fatalf("hand-built plan's codecs on the %v and %v rungs, want fused", cp.Codec().Rung(), rp.Codec().Rung())
+	}
 	return cp, rp
 }
 
@@ -254,23 +257,26 @@ func BenchmarkLiveFusedDecode(b *testing.B) {
 // Compiled-stub series: the same whole-call messages produced by the
 // rpcgen-emitted straight-line routines, measured against the same grid.
 
-// compiledBenchCodecs builds the compiled whole-call codecs the live
-// compiled series runs on, failing if the generated registration is
-// missing (the silent fallback would quietly re-measure the fused path).
-func compiledBenchCodecs(tb testing.TB) (*wire.CompiledCallCodec, *wire.CompiledReplyCodec, *wire.CompiledReplyCodec) {
+// compiledBenchCodecs builds the whole-message codecs the live compiled
+// series runs on, failing unless the generated registration put them on
+// the compiled rung (on any other the series would quietly re-measure
+// the fused path).
+func compiledBenchCodecs(tb testing.TB) (*wire.CallCodec, *wire.ReplyCodec) {
 	tb.Helper()
 	tmpl, err := rpcmsg.NewCallTemplate(liveProg, liveVers, rpcmsg.None(), rpcmsg.None())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	codec := livespecrpc.PlanArr.Codec()
-	cc := wire.NewCompiledCallCodec(tmpl, liveProcCompiled, codec)
-	enc := wire.NewCompiledReplyCodec(rpcmsg.MustReplyTemplate(rpcmsg.None()), codec)
-	dec := wire.NewCompiledReplyCodec(nil, codec)
-	if cc == nil || enc == nil || dec == nil {
-		tb.Fatal("livespecrpc compiled codecs not registered")
+	cc, err := wire.NewCallCodec(tmpl, liveProcCompiled, codec)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return cc, enc, dec
+	rc := wire.NewReplyCodec(rpcmsg.MustReplyTemplate(rpcmsg.None()), codec)
+	if cc.Rung() != wire.RungCompiled || rc.Rung() != wire.RungCompiled {
+		tb.Fatalf("livespecrpc codecs on the %v and %v rungs, want compiled", cc.Rung(), rc.Rung())
+	}
+	return cc, rc
 }
 
 // BenchmarkLiveCompiledEncode measures the whole call message through
@@ -278,7 +284,7 @@ func compiledBenchCodecs(tb testing.TB) (*wire.CompiledCallCodec, *wire.Compiled
 // BenchmarkLiveFusedEncode, so the two are directly comparable without
 // loopback noise in the way.
 func BenchmarkLiveCompiledEncode(b *testing.B) {
-	cc, _, _ := compiledBenchCodecs(b)
+	cc, _ := compiledBenchCodecs(b)
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			args := make(livespecrpc.Livearr, n)
@@ -303,12 +309,12 @@ func BenchmarkLiveCompiledEncode(b *testing.B) {
 // BenchmarkLiveCompiledDecode measures result decode through the
 // emitted straight-line decoder out of a raw accepted-success reply.
 func BenchmarkLiveCompiledDecode(b *testing.B) {
-	_, enc, dec := compiledBenchCodecs(b)
+	_, rc := compiledBenchCodecs(b)
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			res := make(livespecrpc.Livearr, n)
 			bs := xdr.NewBufEncode(nil)
-			if err := enc.Append(bs, 7, unsafe.Pointer(&res)); err != nil {
+			if err := rc.Append(bs, 7, unsafe.Pointer(&res)); err != nil {
 				b.Fatal(err)
 			}
 			raw := append([]byte(nil), bs.Buffer()...)
@@ -317,7 +323,7 @@ func BenchmarkLiveCompiledDecode(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if handled, err := dec.DecodeReply(raw, unsafe.Pointer(&out)); !handled || err != nil {
+				if handled, err := rc.DecodeReply(raw, unsafe.Pointer(&out)); !handled || err != nil {
 					b.Fatal(handled, err)
 				}
 			}
@@ -344,7 +350,7 @@ func BenchmarkLiveCopyCeiling(b *testing.B) {
 // criterion: whole-call encode and whole-reply decode at zero
 // allocations per operation over the entire grid, same as fused.
 func TestLiveCompiledAllocFree(t *testing.T) {
-	cc, enc, dec := compiledBenchCodecs(t)
+	cc, rc := compiledBenchCodecs(t)
 	for _, n := range benchSizes {
 		args := make(livespecrpc.Livearr, n)
 		buf := make([]byte, 0, 4*n+128)
@@ -359,13 +365,13 @@ func TestLiveCompiledAllocFree(t *testing.T) {
 		}
 
 		bs.SetBuffer(buf[:0])
-		if err := enc.Append(bs, 9, unsafe.Pointer(&args)); err != nil {
+		if err := rc.Append(bs, 9, unsafe.Pointer(&args)); err != nil {
 			t.Fatal(err)
 		}
 		raw := append([]byte(nil), bs.Buffer()...)
 		out := make(livespecrpc.Livearr, n)
 		if allocs := testing.AllocsPerRun(50, func() {
-			if handled, err := dec.DecodeReply(raw, unsafe.Pointer(&out)); !handled || err != nil {
+			if handled, err := rc.DecodeReply(raw, unsafe.Pointer(&out)); !handled || err != nil {
 				t.Fatal(handled, err)
 			}
 		}); allocs != 0 {

@@ -123,7 +123,10 @@ func TestCallPathAllocFree(t *testing.T) {
 	arg := []int32{1, 2, 3}
 	for _, prefix := range []int{0, xdr.RecordMarkLen} {
 		e := testEngine(Config{Prog: 0x20000099, Vers: 2}, prefix)
-		p := e.lookup(1, fusedArgPlan.Codec(), fusedArgPlan.Codec())
+		p, err := e.lookup(1, fusedArgPlan.Codec(), fusedArgPlan.Codec())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			name string
 			req  callReq
@@ -150,7 +153,7 @@ func TestCallPathAllocFree(t *testing.T) {
 	var got int32
 	for name, sink := range map[string]*replySink{
 		"closure": {fn: func(x *xdr.XDR) error { return x.Stream.GetLong(&got) }},
-		"fused":   {rc: testReplyCodec(t), resp: unsafe.Pointer(&got)},
+		"fused":   {rc: wire.NewReplyCodec(nil, wire.MustPlan[int32](wire.Int32T(), wire.Specialized).Codec()), resp: unsafe.Pointer(&got)},
 	} {
 		got = 0
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -164,13 +167,4 @@ func TestCallPathAllocFree(t *testing.T) {
 			t.Fatalf("%s result = %d, want 9", name, got)
 		}
 	}
-}
-
-func testReplyCodec(t *testing.T) wire.ReplyDecoder {
-	t.Helper()
-	rc, err := wire.NewReplyCodec(nil, wire.MustPlan[int32](wire.Int32T(), wire.Specialized).Codec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rc
 }

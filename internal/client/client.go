@@ -547,7 +547,10 @@ type plannedCaller interface {
 // procedure's cached whole-call codec and the results decoded straight
 // from the reply.
 func (e *engine) callPlanned(ctx context.Context, proc uint32, argc *wire.Codec, arg unsafe.Pointer, resc *wire.Codec, res unsafe.Pointer) error {
-	p := e.lookup(proc, argc, resc)
+	p, err := e.lookup(proc, argc, resc)
+	if err != nil {
+		return err
+	}
 	return e.doCall(ctx, proc,
 		callReq{cc: p.call, argp: arg},
 		replySink{rc: p.rep, resc: resc, resp: res})
@@ -1136,7 +1139,7 @@ func (e *engine) readDied(l *link, err error) {
 // pass). Exactly one is set.
 type callReq struct {
 	args Marshal
-	cc   wire.CallAppender
+	cc   *wire.CallCodec
 	argp unsafe.Pointer
 }
 
@@ -1152,8 +1155,8 @@ func (e *engine) marshalReq(r callReq, xid, proc uint32) (*[]byte, error) {
 		return nil, e.tmplErr
 	}
 	bp := xdr.GetBuf(e.cfg.BufSize + e.prefix)
-	// One pooled handle serves both branches: its stream escapes through
-	// the CallAppender interface and its XDR handle into the closure.
+	// One pooled handle serves both branches: its stream escapes into the
+	// codec's emitted routine and its XDR handle into the closure.
 	enc := xdr.GetEnc((*bp)[:e.prefix])
 	var err error
 	if r.cc != nil {
@@ -1183,7 +1186,7 @@ func (e *engine) marshalReq(r callReq, xid, proc uint32) (*[]byte, error) {
 // failure detail is identical on both paths.
 type replySink struct {
 	fn   Marshal
-	rc   wire.ReplyDecoder
+	rc   *wire.ReplyCodec
 	resc *wire.Codec // fallback result codec; nil for void results
 	resp unsafe.Pointer
 }
@@ -1264,24 +1267,34 @@ func checkReply(rh *rpcmsg.ReplyHeader) error {
 // plannedProc is one entry of the engine's plan cache: the whole-call
 // codecs a client builds on first typed use of a (procedure, plan pair).
 // The call side joins the client's header template with the argument
-// plan, the reply side wraps the result plan for direct decode.
+// plan, the reply side wraps the result plan for direct decode; which
+// marshaling engine each runs on is the constructors' choice and the
+// codecs' to report (Rung).
 type plannedProc struct {
 	argc, resc *wire.Codec // identity of the plans the entry was built for
-	call       wire.CallAppender
-	rep        wire.ReplyDecoder
+	call       *wire.CallCodec
+	rep        *wire.ReplyCodec
 }
 
 // lookup resolves (building on first use, or when the plans changed) the
 // whole-call codecs for proc. The cache keys on the procedure and
 // re-resolves when the caller's plans differ from the cached pair, so
 // the codec always belongs to the plans in hand, never to whichever
-// caller happened to arrive first.
-func (e *engine) lookup(proc uint32, argc, resc *wire.Codec) *plannedProc {
+// caller happened to arrive first. It fails only where every call does:
+// the client has no header template to build on.
+func (e *engine) lookup(proc uint32, argc, resc *wire.Codec) (*plannedProc, error) {
+	if e.tmplErr != nil {
+		return nil, e.tmplErr
+	}
 	e.planMu.RLock()
 	p := e.plans[proc]
 	e.planMu.RUnlock()
 	if p == nil || p.argc != argc || p.resc != resc {
-		p = compilePlanned(e.tmpl, proc, argc, resc)
+		call, err := wire.NewCallCodec(e.tmpl, proc, argc)
+		if err != nil {
+			return nil, err
+		}
+		p = &plannedProc{argc: argc, resc: resc, call: call, rep: wire.NewReplyCodec(nil, resc)}
 		e.planMu.Lock()
 		if e.plans == nil {
 			e.plans = make(map[uint32]*plannedProc)
@@ -1293,68 +1306,7 @@ func (e *engine) lookup(proc uint32, argc, resc *wire.Codec) *plannedProc {
 		e.plans[proc] = p
 		e.planMu.Unlock()
 	}
-	return p
-}
-
-// compilePlanned builds the entry for one plan pair, on the best rung
-// the pair reaches: rpcgen-emitted compiled codecs, else the fused
-// interpreter, else — Generic-mode plans have no flat program to fuse,
-// and the constructors reject them — the header template plus the
-// plans' interpretive Marshal. The message bytes are identical on every
-// rung; only the marshaling engine changes.
-func compilePlanned(tmpl *rpcmsg.CallTemplate, proc uint32, argc, resc *wire.Codec) *plannedProc {
-	p := &plannedProc{argc: argc, resc: resc,
-		call: &planCall{tmpl: tmpl, proc: proc, argc: argc}, rep: planReply{resc}}
-	call, err := wire.NewCallCodec(tmpl, proc, argc)
-	if err != nil {
-		return p
-	}
-	rep, err := wire.NewReplyCodec(nil, resc)
-	if err != nil {
-		return p
-	}
-	p.call, p.rep = call, rep
-	// The concrete values are checked for nil before the interface
-	// assignment so a missing registration can never plant a typed-nil
-	// appender.
-	if cc := wire.NewCompiledCallCodec(tmpl, proc, argc); cc != nil {
-		p.call = cc
-	}
-	if rc := wire.NewCompiledReplyCodec(nil, resc); rc != nil {
-		p.rep = rc
-	}
-	return p
-}
-
-// planCall is the CallAppender of an unfusable plan pair: the header
-// template, then the argument plan through its interpretive Marshal.
-type planCall struct {
-	tmpl *rpcmsg.CallTemplate
-	proc uint32
-	argc *wire.Codec // nil for void arguments
-}
-
-func (c *planCall) Append(bs *xdr.BufStream, xid uint32, arg unsafe.Pointer) error {
-	bs.SetBuffer(c.tmpl.AppendCall(bs.Buffer(), xid, c.proc))
-	if c.argc == nil {
-		return nil
-	}
-	return c.argc.Marshal(&xdr.XDR{Op: xdr.Encode, Stream: bs}, arg)
-}
-
-// planReply is planCall's reply side: the fixed-offset success test,
-// then the result plan's DecodeBody (whose Generic-mode fallback is the
-// interpretive walker).
-type planReply struct {
-	resc *wire.Codec // nil for void results
-}
-
-func (r planReply) DecodeReply(raw []byte, res unsafe.Pointer) (bool, error) {
-	body, ok := rpcmsg.AcceptedSuccessBody(raw)
-	if !ok || r.resc == nil {
-		return ok, nil
-	}
-	return true, r.resc.DecodeBody(body, res)
+	return p, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -92,10 +92,10 @@ func testEngine(cfg Config, prefix int) *engine {
 
 // TestMarshalCallTemplateMatchesGeneric pins the tentpole property on
 // the client: every request encoder — the closure path over the header
-// template, the fused whole-call codec, and the template+Marshal codec
-// of an interpretive-mode plan — emits requests byte-identical to the
-// reference (rpcmsg.CallHeader.Marshal followed by the argument
-// marshaler), with and without a reserved record mark prefix.
+// template, and the whole-call codec on its fused and generic rungs —
+// emits requests byte-identical to the reference
+// (rpcmsg.CallHeader.Marshal followed by the argument marshaler), with
+// and without a reserved record mark prefix.
 func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 	sysCred, err := (&rpcmsg.SysCred{Stamp: 1, MachineName: "pc", UID: 2, GID: 3}).Encode()
 	if err != nil {
@@ -123,12 +123,12 @@ func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 				t.Fatalf("template compile failed for ordinary auth: %v", e.tmplErr)
 			}
 			reqs := map[string]callReq{"closure": {args: args}}
-			for name, plan := range map[string]*wire.Plan[[]int32]{"fused": fusedArgPlan, "generic-plan": fusedGenPlan} {
-				p := e.lookup(5, plan.Codec(), plan.Codec())
-				if _, generic := p.call.(*planCall); generic != (plan == fusedGenPlan) {
-					t.Fatalf("%s plan resolved to %T", name, p.call)
+			for plan, rung := range map[*wire.Plan[[]int32]]wire.Rung{fusedArgPlan: wire.RungFused, fusedGenPlan: wire.RungGeneric} {
+				if r := entryRung(t, e, 5, plan); r != rung {
+					t.Fatalf("%v-mode plan resolved to the %v rung", plan.Mode(), r)
 				}
-				reqs[name] = callReq{cc: p.call, argp: unsafe.Pointer(&arg)}
+				p, _ := e.lookup(5, plan.Codec(), plan.Codec())
+				reqs[rung.String()] = callReq{cc: p.call, argp: unsafe.Pointer(&arg)}
 			}
 			for name, r := range reqs {
 				got, err := e.marshalReq(r, 77, 5)

@@ -48,14 +48,18 @@ func newFusedSimPair(t *testing.T, cfg Config) (*UDP, *server.Server) {
 	return c, srv
 }
 
-// fusedEntry reports whether proc's cached whole-call codecs for the
-// plan pair are the fused (or compiled) ones rather than the
-// template+Marshal pair of an unfusable plan.
-func fusedEntry(e *engine, proc uint32, plan *wire.Plan[[]int32]) bool {
-	p := e.lookup(proc, plan.Codec(), plan.Codec())
-	_, genericCall := p.call.(*planCall)
-	_, genericRep := p.rep.(planReply)
-	return !genericCall && !genericRep
+// entryRung reports the rung proc's cached whole-call codecs for the
+// plan pair run on; the two sides of one plan always share one.
+func entryRung(t *testing.T, e *engine, proc uint32, plan *wire.Plan[[]int32]) wire.Rung {
+	t.Helper()
+	p, err := e.lookup(proc, plan.Codec(), plan.Codec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.call.Rung() != p.rep.Rung() {
+		t.Fatalf("call on %v, reply on %v", p.call.Rung(), p.rep.Rung())
+	}
+	return p.call.Rung()
 }
 
 // TestCallTypedFusedRoundTrip drives typed calls over netsim and checks
@@ -73,14 +77,14 @@ func TestCallTypedFusedRoundTrip(t *testing.T) {
 			t.Fatalf("bad echo: %v", out)
 		}
 	}
-	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
-		t.Fatal("typed call did not compile a fused whole-call codec")
+	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+		t.Fatalf("typed call over a hand-built specialized plan ran on the %v rung", r)
 	}
 }
 
 // TestCallTypedGenericPlanFallsBack: interpretive-mode plans have no
-// flat program to fuse, so CallTyped must fall back to the cached
-// template+Marshal codec — and still round-trip.
+// flat program to fuse, so CallTyped and RegisterTyped serve them on the
+// generic rung of the same whole-message codecs — and still round-trip.
 func TestCallTypedGenericPlanFallsBack(t *testing.T) {
 	c, srv := newFusedSimPair(t, Config{Timeout: 5 * time.Second})
 	server.RegisterTyped(srv, fusedProg, fusedVers, 2, fusedGenPlan, fusedGenPlan,
@@ -93,8 +97,8 @@ func TestCallTypedGenericPlanFallsBack(t *testing.T) {
 	if len(out) != 2 || out[1] != 8 {
 		t.Fatalf("bad echo: %v", out)
 	}
-	if fusedEntry(&c.engine, 2, fusedGenPlan) {
-		t.Fatal("generic plan unexpectedly fused")
+	if r := entryRung(t, &c.engine, 2, fusedGenPlan); r != wire.RungGeneric {
+		t.Fatalf("generic plan ran on the %v rung", r)
 	}
 }
 
@@ -107,19 +111,19 @@ func TestCallTypedPlanSwitchRecompiles(t *testing.T) {
 	c, _ := newFusedSimPair(t, Config{Timeout: 5 * time.Second})
 	in := []int32{1, 2, 3}
 	var out []int32
-	// First caller uses interpretive plans: an unfused entry.
+	// First caller uses interpretive plans: an entry on the generic rung.
 	if err := CallTyped(c, fusedProc, fusedGenPlan, &in, fusedGenPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if fusedEntry(&c.engine, fusedProc, fusedGenPlan) {
-		t.Fatal("generic pair unexpectedly fused")
+	if r := entryRung(t, &c.engine, fusedProc, fusedGenPlan); r != wire.RungGeneric {
+		t.Fatalf("generic pair ran on the %v rung", r)
 	}
 	// A later caller with specialized plans must still get fusion.
 	if err := CallTyped(c, fusedProc, fusedArgPlan, &in, fusedArgPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
-		t.Fatal("specialized pair did not fuse after a generic-plan call")
+	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+		t.Fatalf("specialized pair ran on the %v rung after a generic-plan call", r)
 	}
 	// And a distinct-but-equivalent specialized pair round-trips too.
 	other := wire.MustPlan[[]int32](wire.VarArrayT(0, wire.Int32T()), wire.Specialized)

@@ -19,6 +19,7 @@ import (
 	"specrpc/internal/netsim"
 	"specrpc/internal/server"
 	"specrpc/internal/testutil"
+	"specrpc/internal/wire"
 )
 
 // writeObserver reports the first Write error on a wrapped conn, so a
@@ -245,8 +246,8 @@ func TestFusedCallSurvivesReconnectByteIdentical(t *testing.T) {
 	if len(out) != len(in) || out[0] != 3 || out[7] != 6 {
 		t.Fatalf("bad echo after reconnect: %v", out)
 	}
-	if !fusedEntry(&c.engine, fusedProc, fusedArgPlan) {
-		t.Fatal("call did not take the fused path")
+	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+		t.Fatalf("call ran on the %v rung", r)
 	}
 	if rc := c.ReconnectStats(); rc.Reconnects != 1 {
 		t.Fatalf("reconnects = %d, want 1", rc.Reconnects)

@@ -13,14 +13,17 @@ import (
 // codec-based entry point generated stubs route through. A nil plan
 // marks a void side.
 //
-// On the package's own transports the call runs through a whole-call
-// codec cached per procedure on first use: for plans with a flat
-// program the header template and the argument plan execute as one
-// residual program over one buffer (rpcgen-compiled or fused), and the
-// results decode straight out of the accepted-success reply;
-// interpretive-mode plans get the template plus their generic Marshal.
-// The wire bytes are identical either way, so typed and closure calls
-// multiplex freely on one connection.
+// On the package's own transports the call runs through a pair of
+// whole-message codecs cached per procedure on first use: the header
+// template and the arguments go out as one pass over one buffer, and
+// the results decode straight out of the accepted-success reply. Which
+// marshaling engine does it — rpcgen's emitted routines where the
+// plan's package registered them, else the plan's flat program fused
+// with the header, else for an interpretive-mode plan its generic
+// walker behind the header image — is wire.NewCallCodec's and
+// wire.NewReplyCodec's choice, made once and reported by their Rung.
+// The wire bytes are identical on every rung, so typed and closure
+// calls multiplex freely on one connection.
 func CallTyped[A, R any](c Caller, proc uint32, args *wire.Plan[A], arg *A, results *wire.Plan[R], res *R) error {
 	return CallTypedCtx(context.Background(), c, proc, args, arg, results, res)
 }
@@ -32,15 +35,7 @@ func CallTyped[A, R any](c Caller, proc uint32, args *wire.Plan[A], arg *A, resu
 // implements CtxCaller).
 func CallTypedCtx[A, R any](ctx context.Context, c Caller, proc uint32, args *wire.Plan[A], arg *A, results *wire.Plan[R], res *R) error {
 	if pc, ok := c.(plannedCaller); ok {
-		var argc, resc *wire.Codec
-		var ap, rp unsafe.Pointer
-		if args != nil {
-			argc, ap = args.Codec(), unsafe.Pointer(arg)
-		}
-		if results != nil {
-			resc, rp = results.Codec(), unsafe.Pointer(res)
-		}
-		return pc.callPlanned(ctx, proc, argc, ap, resc, rp)
+		return pc.callPlanned(ctx, proc, args.Codec(), unsafe.Pointer(arg), results.Codec(), unsafe.Pointer(res))
 	}
 	am := Void
 	if args != nil {

@@ -27,8 +27,29 @@ import (
 )
 
 // genericSample is the interpretive tree-walker over the generated
-// description: the third decoder of the hostile-count leg.
-var genericSample = wire.MustPlan[Sample](wireTypeSample, wire.Generic)
+// description, the third decoder of the hostile-count leg; fusedSample
+// is a second specialized plan over it with nothing registered, which
+// is what puts the fused reference codecs on the fused rung.
+var (
+	genericSample = wire.MustPlan[Sample](wireTypeSample, wire.Generic)
+	fusedSample   = wire.MustPlan[Sample](wireTypeSample, wire.Specialized)
+)
+
+// sampleCodecs builds the whole-message codecs of one Sample plan and
+// fails unless the constructors put all three on the rung named.
+func sampleCodecs(t testing.TB, ctmpl *rpcmsg.CallTemplate, rtmpl *rpcmsg.ReplyTemplate, proc uint32,
+	p *wire.Plan[Sample], want wire.Rung) (*wire.CallCodec, *wire.ReplyCodec) {
+	t.Helper()
+	cc, err := wire.NewCallCodec(ctmpl, proc, p.Codec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := wire.NewReplyCodec(rtmpl, p.Codec())
+	if cc.Rung() != want || rc.Rung() != want {
+		t.Fatalf("call codec on the %v rung, reply codec on the %v rung; want %v", cc.Rung(), rc.Rung(), want)
+	}
+	return cc, rc
+}
 
 // fuzzSample derives a kitchen-sink Sample from the fuzzer's raw bytes,
 // clamping every variable-size field to its wire bound so the encoders
@@ -117,18 +138,12 @@ func FuzzCompiledCodec(f *testing.F) {
 		if err := planSample.Encode(xdr.NewEncoder(ref), &v); err != nil {
 			t.Fatalf("reference encode: %v", err)
 		}
-		cp, err := wire.NewCallPlan(ctmpl, proc, planSample)
-		if err != nil {
-			t.Fatalf("fuse call: %v", err)
-		}
+		fc, frc := sampleCodecs(t, ctmpl, rtmpl, proc, fusedSample, wire.RungFused)
 		fb := xdr.NewBufEncode(nil)
-		if err := cp.AppendCall(fb, xid, &v); err != nil {
+		if err := fc.Append(fb, xid, unsafe.Pointer(&v)); err != nil {
 			t.Fatalf("fused encode: %v", err)
 		}
-		cc := wire.NewCompiledCallCodec(ctmpl, proc, planSample.Codec())
-		if cc == nil {
-			t.Fatal("no compiled call codec registered for planSample")
-		}
+		cc, rc := sampleCodecs(t, ctmpl, rtmpl, proc, planSample, wire.RungCompiled)
 		cb := xdr.NewBufEncode(nil)
 		if err := cc.Append(cb, xid, unsafe.Pointer(&v)); err != nil {
 			t.Fatalf("compiled encode: %v", err)
@@ -146,25 +161,19 @@ func FuzzCompiledCodec(f *testing.F) {
 		if err := planSample.Encode(xdr.NewEncoder(rref), &v); err != nil {
 			t.Fatalf("reference reply encode: %v", err)
 		}
-		rc := wire.NewCompiledReplyCodec(rtmpl, planSample.Codec())
-		if rc == nil {
-			t.Fatal("no compiled reply codec registered for planSample")
-		}
-		rb := xdr.NewBufEncode(nil)
-		if err := rc.Append(rb, xid, unsafe.Pointer(&v)); err != nil {
-			t.Fatalf("compiled reply encode: %v", err)
-		}
-		if !bytes.Equal(rb.Buffer(), rref.Buffer()) {
-			t.Fatalf("compiled reply differs from walker\n got %x\nwant %x", rb.Buffer(), rref.Buffer())
+		for name, codec := range map[string]*wire.ReplyCodec{"fused": frc, "compiled": rc} {
+			rb := xdr.NewBufEncode(nil)
+			if err := codec.Append(rb, xid, unsafe.Pointer(&v)); err != nil {
+				t.Fatalf("%s reply encode: %v", name, err)
+			}
+			if !bytes.Equal(rb.Buffer(), rref.Buffer()) {
+				t.Fatalf("%s reply differs from walker\n got %x\nwant %x", name, rb.Buffer(), rref.Buffer())
+			}
 		}
 
 		// Compiled reply decode recovers the value the walker encoded.
 		var got Sample
-		dec := wire.NewCompiledReplyCodec(nil, planSample.Codec())
-		if dec == nil {
-			t.Fatal("no compiled reply decoder registered for planSample")
-		}
-		handled, err := dec.DecodeReply(rref.Buffer(), unsafe.Pointer(&got))
+		handled, err := rc.DecodeReply(rref.Buffer(), unsafe.Pointer(&got))
 		if !handled || err != nil {
 			t.Fatalf("compiled DecodeReply handled=%v err=%v", handled, err)
 		}
@@ -183,10 +192,7 @@ func FuzzCompiledCodec(f *testing.F) {
 		// why each decoder runs twice into the same target.
 		body := raw
 		var pv, cv Sample
-		decode := wire.CompiledBodyDecode(planSample.Codec())
-		if decode == nil {
-			t.Fatal("no compiled body decoder registered for planSample")
-		}
+		decode := planSample.Codec().BodyDecoder()
 		var perr error
 		for pass := 0; pass < 2; pass++ {
 			perr = planSample.Codec().DecodeBody(body, unsafe.Pointer(&pv))
@@ -278,9 +284,22 @@ func expectReused(prior, fresh Sample) Sample {
 }
 
 // TestCompiledRegistered pins that every plan the generator emitted a
-// compiled routine for actually has one in the registry — the silent
-// failure mode would be falling back to the interpreter forever.
+// compiled routine for actually carries one — the silent failure mode
+// would be running on the interpreter forever — and that the routines
+// belong to that plan alone: a second plan over the same description is
+// served by the fused interpreter.
 func TestCompiledRegistered(t *testing.T) {
+	tmpl, err := rpcmsg.NewCallTemplate(0x20000100, 2, rpcmsg.None(), rpcmsg.None())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rungs := func(c *wire.Codec) [2]wire.Rung {
+		cc, err := wire.NewCallCodec(tmpl, 4, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]wire.Rung{cc.Rung(), wire.NewReplyCodec(nil, c).Rung()}
+	}
 	for name, c := range map[string]*wire.Codec{
 		"planPoint":             planPoint.Codec(),
 		"planSample":            planSample.Codec(),
@@ -289,28 +308,12 @@ func TestCompiledRegistered(t *testing.T) {
 		"planWord":              planWord.Codec(),
 		"planShapeProgV2SumRes": planShapeProgV2SumRes.Codec(),
 	} {
-		if wire.CompiledBodyDecode(c) == nil {
-			t.Errorf("%s: no compiled decoder registered", name)
+		if got := rungs(c); got != [2]wire.Rung{wire.RungCompiled, wire.RungCompiled} {
+			t.Errorf("%s: call and reply codecs on the %v rungs, want compiled", name, got)
 		}
 	}
-	tmpl, err := rpcmsg.NewCallTemplate(0x20000100, 2, rpcmsg.None(), rpcmsg.None())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire.NewCompiledCallCodec(tmpl, 4, planSample.Codec()) == nil {
-		t.Error("planSample: no compiled call codec")
-	}
-	// A plan with no registration must yield nil codecs, never a panic
-	// or a typed-nil: that is the fallback the transports rely on.
-	other := wire.MustPlan[Point](wire.StructT("point",
-		wire.F("x", wire.Int32T()),
-		wire.F("y", wire.Int32T()),
-	), wire.Specialized)
-	if wire.NewCompiledCallCodec(tmpl, 4, other.Codec()) != nil {
-		t.Error("unregistered plan produced a compiled call codec")
-	}
-	if wire.CompiledBodyDecode(other.Codec()) != nil {
-		t.Error("unregistered plan produced a compiled decoder")
+	if got := rungs(fusedSample.Codec()); got != [2]wire.Rung{wire.RungFused, wire.RungFused} {
+		t.Errorf("a fresh plan over wireTypeSample: call and reply codecs on the %v rungs, want fused", got)
 	}
 }
 
@@ -325,11 +328,8 @@ func TestCompiledAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := wire.NewCompiledCallCodec(tmpl, 4, planSample.Codec())
-	decode := wire.CompiledBodyDecode(planSample.Codec())
-	if cc == nil || decode == nil {
-		t.Fatal("compiled codecs not registered")
-	}
+	cc, _ := sampleCodecs(t, tmpl, nil, 4, planSample, wire.RungCompiled)
+	decode := planSample.Codec().BodyDecoder()
 	v := fuzzSample(7, -12345, true, "", bytes.Repeat([]byte{0xa5}, 300))
 	v.Name = ""
 	for i := range v.Words {

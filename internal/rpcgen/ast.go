@@ -34,6 +34,7 @@ type TypeRef struct {
 	Kind  TypeKind
 	Name  string // for KindNamed
 	Bound int    // string/opaque bound or array length; 0 = unbounded
+	Line  int    // line of the declarator that shaped the type; 0 for a bare use
 
 	// Shape modifiers on the declaration that uses this type.
 	FixedArray int  // > 0: T name[n]

@@ -304,6 +304,11 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 		expr, typ = fmt.Sprintf("wire.FixedArrayT(%d, %s)", t.FixedArray, expr), wire.FixedArrayT(t.FixedArray, typ)
 	case t.VarArray:
 		expr, typ = fmt.Sprintf("wire.VarArrayT(%d, %s)", t.Bound, expr), wire.VarArrayT(uint32(t.Bound), typ)
+		// Refused here, against the declaration, and not by the MustPlan
+		// this would otherwise generate, at the importer's init.
+		if err := typ.Validate(); err != nil {
+			return "", nil, fmt.Errorf("line %d: %w", t.Line, err)
+		}
 	}
 	return expr, typ, nil
 }

@@ -292,6 +292,7 @@ func (p *parser) declarator(typ TypeRef) (string, TypeRef, error) {
 	if p.accept("*") {
 		typ.Optional = true
 	}
+	typ.Line = p.cur().line
 	name, err := p.ident()
 	if err != nil {
 		return "", typ, err

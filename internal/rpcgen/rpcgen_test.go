@@ -194,6 +194,30 @@ func TestGenerateGoWirePlans(t *testing.T) {
 	}
 }
 
+// TestGenerateGoRefusesZeroSizeElements: a counted array of elements
+// with no wire size — expressible in a .x file, and refused by
+// wire.Compile — fails generation against the line that declares it,
+// plan-only and compiled, instead of becoming a MustPlan that panics in
+// the importer's init.
+func TestGenerateGoRefusesZeroSizeElements(t *testing.T) {
+	spec, err := Parse(`struct holder { opaque pad[0]; };
+struct many {
+	int n;
+	holder hs<>;
+};
+program P { version V { many ECHO(many) = 1; } = 1; } = 0x20000001;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compiled := range []bool{false, true} {
+		_, err := GenerateGo(spec, GoOptions{Package: "stubs", Compiled: compiled})
+		const want = "struct many.hs: line 4: wire: counted array of elements with no wire size"
+		if err == nil || err.Error() != want {
+			t.Errorf("compiled=%v: err = %v, want %q", compiled, err, want)
+		}
+	}
+}
+
 func TestGenerateMiniC(t *testing.T) {
 	spec, err := Parse(richX)
 	if err != nil {

@@ -18,10 +18,13 @@ import (
 //
 // The one handler it installs decodes its arguments straight from the
 // datagram or record bytes and appends the success reply — precompiled
-// header plus results — in one pass, each side on the best rung its
-// plan reaches: an rpcgen-emitted compiled routine, else the plan
-// executor, else (Generic-mode plans, which have no flat program) the
-// interpretive walker. Every rung produces byte-identical replies.
+// header plus results — in one pass. Which marshaling engine each side
+// runs on is decided here, once, by the wire package: the argument
+// decoder is the plan's BodyDecoder and the reply goes through one
+// wire.ReplyCodec, each on the best rung its plan reaches (an
+// rpcgen-emitted routine, else the plan executor, else for a
+// Generic-mode plan the interpretive walker; ReplyCodec.Rung says
+// which). Every rung produces byte-identical replies.
 //
 // Arguments are valid until the handler returns; results may alias them.
 // The value h receives is the procedure's own, decoded over and handed
@@ -35,26 +38,8 @@ import (
 // procedure overwrites it.
 func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 	args *wire.Plan[A], results *wire.Plan[R], h func(arg *A) (*R, error)) {
-	var argc, resc *wire.Codec
-	if args != nil {
-		argc = args.Codec()
-	}
-	if results != nil {
-		resc = results.Codec()
-	}
-	// Nil checks happen on the concrete values so a missing compiled
-	// registration never plants a typed-nil appender in the interface.
-	var rc wire.ReplyAppender = planReply{resc}
-	if fused, err := wire.NewReplyCodec(successTemplate, resc); err == nil {
-		rc = fused
-	}
-	if crc := wire.NewCompiledReplyCodec(successTemplate, resc); crc != nil {
-		rc = crc
-	}
-	decodeArg := wire.CompiledBodyDecode(argc)
-	if decodeArg == nil && argc != nil {
-		decodeArg = argc.DecodeBody
-	}
+	decodeArg := args.Codec().BodyDecoder()
+	rc := wire.NewReplyCodec(successTemplate, results.Codec())
 	argPool := sync.Pool{New: func() any { return new(A) }}
 	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
 		arg := argPool.Get().(*A)
@@ -66,7 +51,7 @@ func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 		}
 		res, err := h(arg)
 		if err == nil {
-			if resc == nil || res == nil {
+			if res == nil {
 				err = rc.AppendHeader(bs, xid)
 			} else {
 				err = rc.Append(bs, xid, unsafe.Pointer(res))
@@ -77,21 +62,4 @@ func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 		argPool.Put(arg)
 		return err
 	})
-}
-
-// planReply is the ReplyAppender of a Generic-mode result plan, which
-// NewReplyCodec rejects: the success header, then the plan's
-// interpretive Marshal.
-type planReply struct {
-	resc *wire.Codec
-}
-
-func (r planReply) AppendHeader(bs *xdr.BufStream, xid uint32) error {
-	appendSuccess(bs, xid)
-	return nil
-}
-
-func (r planReply) Append(bs *xdr.BufStream, xid uint32, res unsafe.Pointer) error {
-	appendSuccess(bs, xid)
-	return r.resc.Marshal(&xdr.XDR{Op: xdr.Encode, Stream: bs}, res)
 }

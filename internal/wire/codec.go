@@ -78,6 +78,14 @@ func (c *Codec) decodeBodyGeneric(body []byte, p unsafe.Pointer) error {
 	return walk(&x, &c.root, p)
 }
 
+// encodeBodyGeneric is its encode twin: the walker appending one value
+// behind whatever bs already holds, the body of a whole-message codec
+// on the generic rung.
+func (c *Codec) encodeBodyGeneric(bs *xdr.BufStream, p unsafe.Pointer) error {
+	x := xdr.XDR{Op: xdr.Encode, Stream: bs}
+	return walk(&x, &c.root, p)
+}
+
 // ---------------------------------------------------------------------------
 // Generic codec: the interpretive tree-walker.
 //
@@ -168,7 +176,7 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 			if int64(cnt)*int64(n.minWire) > int64(ms.Remaining()) {
 				return xdr.ErrOverflow
 			}
-		} else if total > h.cap && n.stride > 0 {
+		} else if total > h.cap {
 			have = min(total, max(1, xdr.MaxBlindAlloc/int(n.stride)))
 		}
 		data := ensureSlice(q, n.sliceT, have, n.stride)
@@ -219,8 +227,9 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 // allocation is capped at xdr.MaxBlindAlloc bytes and later ones run no
 // further than that, or one doubling, ahead of what has actually decoded
 // (walkVarArray, the three xdr composites), so memory stays proportional
-// to data received. An element of zero wire size has zero Go size, so
-// no count of them is refused.
+// to data received. The rule has teeth only where an element costs wire
+// bytes, so a counted array whose element costs none is refused when it
+// is described (errZeroSizeElem), not here.
 func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintptr) unsafe.Pointer {
 	h := (*sliceHeader)(dst)
 	if cnt <= h.cap {
@@ -415,10 +424,10 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 			if err != nil {
 				return err
 			}
-			// Every non-degenerate element costs at least 4 wire bytes;
-			// use that conservative floor to reject hostile counts before
-			// allocating.
-			if len(in.sub) > 0 && int64(cnt)*4 > int64(ms.Remaining()) {
+			// Every element costs at least 4 wire bytes (Compile refuses
+			// the ones that cost none); use that conservative floor to
+			// reject hostile counts before allocating.
+			if int64(cnt)*4 > int64(ms.Remaining()) {
 				return xdr.ErrOverflow
 			}
 			data := ensureSlice(q, in.sliceT, cnt, in.stride)

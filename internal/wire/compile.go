@@ -135,14 +135,18 @@ func runWire(o op, n int) int {
 }
 
 // Codec is a compiled marshal plan for one (wire.Type, Go type) pair in
-// one mode. Codecs are immutable after compilation and safe for
-// concurrent use. Most callers want the typed Plan[T] façade.
+// one mode. A codec is immutable after compilation but for one thing:
+// the package rpcgen generated for its plan may hang emitted routines on
+// it (RegisterCompiled), which it does from init, before the codec is in
+// use. Past that it is safe for concurrent use. Most callers want the
+// typed Plan[T] façade.
 type Codec struct {
-	mode Mode
-	t    *Type
-	rt   reflect.Type
-	root node    // generic walker (also the fallback for foreign streams)
-	prog []instr // flat plan (Specialized)
+	mode    Mode
+	t       *Type
+	rt      reflect.Type
+	root    node         // generic walker (also the fallback for foreign streams)
+	prog    []instr      // flat plan (Specialized)
+	emitted *emittedPair // rpcgen's routines for this plan, if registered
 }
 
 // Mode reports the configuration the codec was compiled for.
@@ -259,7 +263,9 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		n.elem = &elem
 		n.stride = rt.Elem().Size()
 		n.sliceT = rt
-		n.minWire = t.Elem.minWireSize()
+		if n.minWire = t.Elem.minWireSize(); n.minWire == 0 {
+			return node{}, errZeroSizeElem
+		}
 	case Struct:
 		if rt.Kind() != reflect.Struct {
 			return mismatch()

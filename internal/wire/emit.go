@@ -102,6 +102,9 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	if root == nil {
 		return "", false, fmt.Errorf("wire: emit: nil root type")
 	}
+	if err := root.Validate(); err != nil {
+		return "", false, err
+	}
 	e := &emitter{}
 	goType := goSpelling(root)
 
@@ -355,7 +358,7 @@ func emitLoads(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int
 // and emit their own bounded blocks. The first flush also emits the
 // header: the reservation covers hdr plus the leading fixed run, the
 // XID is stamped at offset 0 (both message directions carry it there),
-// exactly as appendFused does.
+// exactly as msgBody.append does.
 type appendGen struct {
 	e          *emitter
 	pend       *lineBuf
@@ -499,25 +502,23 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 			e.pf("wire.PutUnits%s(%s[4:], %s)", width, wv, sv)
 			return nil
 		}
-		if es > 0 {
-			// Store through an advancing window over the reservation:
-			// every offset inside the loop is a constant, so each bounds
-			// check is a length-vs-constant compare instead of the
-			// re-derived w[4+i*es:] reslice the prove pass won't fold.
-			ov := e.name("o")
-			e.pf("%s := %s[4:]", ov, wv)
-			iv := e.name("i")
-			e.pf("for %s := range %s {", iv, sv)
-			e.indent++
-			lb := &lineBuf{}
-			emitStores(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
-			for _, ln := range lb.lines {
-				e.pf("%s", ln)
-			}
-			e.pf("%s = %s[%d:]", ov, ov, es)
-			e.indent--
-			e.pf("}")
+		// Store through an advancing window over the reservation: every
+		// offset inside the loop is a constant, so each bounds check is a
+		// length-vs-constant compare instead of the re-derived
+		// w[4+i*es:] reslice the prove pass won't fold.
+		ov := e.name("o")
+		e.pf("%s := %s[4:]", ov, wv)
+		iv := e.name("i")
+		e.pf("for %s := range %s {", iv, sv)
+		e.indent++
+		lb := &lineBuf{}
+		emitStores(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
+		for _, ln := range lb.lines {
+			e.pf("%s", ln)
 		}
+		e.pf("%s = %s[%d:]", ov, ov, es)
+		e.indent--
+		e.pf("}")
 		return nil
 	}
 	// Variable-size elements: count, then each element re-enters the
@@ -728,32 +729,29 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 			e.pf("pos += %s * %d", nv, es)
 			return nil
 		}
-		if es > 0 {
-			// Hoist the destination into a local (indexing the lvalue
-			// would reload its header every iteration) and consume the
-			// source through an advancing window: loads sit at constant
-			// offsets so each bounds check is a length-vs-constant
-			// compare, the one shape the compiler reliably keeps out of
-			// the loop-carried work. An indexed body[pos+i*es:] instead
-			// re-derives the window per element — multiplication the
-			// prove pass won't fold.
-			sv := e.name("s")
-			e.pf("%s := %s", sv, expr)
-			bv := e.name("b")
-			e.pf("%s := body[pos:]", bv)
-			iv := e.name("i")
-			e.pf("for %s := range %s {", iv, sv)
-			e.indent++
-			lb := &lineBuf{}
-			emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
-			for _, ln := range lb.lines {
-				e.pf("%s", ln)
-			}
-			e.pf("%s = %s[%d:]", bv, bv, es)
-			e.indent--
-			e.pf("}")
-			e.pf("pos += %s * %d", nv, es)
+		// Hoist the destination into a local (indexing the lvalue would
+		// reload its header every iteration) and consume the source
+		// through an advancing window: loads sit at constant offsets so
+		// each bounds check is a length-vs-constant compare, the one
+		// shape the compiler reliably keeps out of the loop-carried
+		// work. An indexed body[pos+i*es:] instead re-derives the window
+		// per element — multiplication the prove pass won't fold.
+		sv := e.name("s")
+		e.pf("%s := %s", sv, expr)
+		bv := e.name("b")
+		e.pf("%s := body[pos:]", bv)
+		iv := e.name("i")
+		e.pf("for %s := range %s {", iv, sv)
+		e.indent++
+		lb := &lineBuf{}
+		emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
+		for _, ln := range lb.lines {
+			e.pf("%s", ln)
 		}
+		e.pf("%s = %s[%d:]", bv, bv, es)
+		e.indent--
+		e.pf("}")
+		e.pf("pos += %s * %d", nv, es)
 		return nil
 	}
 	// Variable-size elements cost at least the 4-byte floor each (the

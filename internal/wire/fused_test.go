@@ -64,17 +64,6 @@ func TestCallPlanVoidArgs(t *testing.T) {
 	}
 }
 
-func TestFusedRejectsGeneric(t *testing.T) {
-	tmpl := testCallTemplate(t)
-	p := MustPlan[everything](everythingType(), Generic)
-	if _, err := NewCallPlan(tmpl, 1, p); err == nil {
-		t.Error("NewCallPlan accepted a generic plan")
-	}
-	if _, err := NewReplyPlan(rpcmsg.MustReplyTemplate(rpcmsg.None()), p); err == nil {
-		t.Error("NewReplyPlan accepted a generic plan")
-	}
-}
-
 func TestReplyPlanMatchesTemplatePlusPlan(t *testing.T) {
 	rtmpl := rpcmsg.MustReplyTemplate(rpcmsg.None())
 	v := sampleEverything()
@@ -109,10 +98,7 @@ func TestReplyPlanMatchesTemplatePlusPlan(t *testing.T) {
 
 func TestReplyPlanHeaderOnly(t *testing.T) {
 	rtmpl := rpcmsg.MustReplyTemplate(rpcmsg.None())
-	rc, err := NewReplyCodec(rtmpl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := NewReplyCodec(rtmpl, nil)
 	bs := xdr.NewBufEncode(nil)
 	if err := rc.AppendHeader(bs, 11); err != nil {
 		t.Fatal(err)

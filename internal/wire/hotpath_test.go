@@ -41,10 +41,7 @@ func TestBadInstructionSentinel(t *testing.T) {
 
 func TestDecodeOnlyReplyCodecSentinel(t *testing.T) {
 	p := MustPlan[uint32](Uint32T(), Specialized)
-	rc, err := NewReplyCodec(nil, p.Codec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := NewReplyCodec(nil, p.Codec())
 	var v uint32
 	bs := xdr.NewBufEncode(nil)
 	if err := rc.Append(bs, 1, unsafe.Pointer(&v)); !errors.Is(err, errDecodeOnly) {

@@ -9,9 +9,10 @@ import (
 )
 
 // Plan is the typed façade over a compiled Codec: a marshal plan for Go
-// values of type T. Plans are immutable and safe for concurrent use; the
-// intended pattern is one package-level plan per message type, compiled
-// once (generated stubs do exactly that).
+// values of type T. Plans are safe for concurrent use and, once their
+// package's init has run, immutable (see Codec on what init may add);
+// the intended pattern is one package-level plan per message type,
+// compiled once (generated stubs do exactly that).
 type Plan[T any] struct {
 	c *Codec
 }
@@ -56,5 +57,12 @@ func (p *Plan[T]) Decode(x *xdr.XDR, v *T) error {
 // Mode reports the configuration the plan was compiled for.
 func (p *Plan[T]) Mode() Mode { return p.c.Mode() }
 
-// Codec exposes the untyped compiled plan.
-func (p *Plan[T]) Codec() *Codec { return p.c }
+// Codec exposes the untyped compiled plan. A nil plan, which marks a
+// void side wherever plans are passed, has the nil codec that marks one
+// wherever codecs are.
+func (p *Plan[T]) Codec() *Codec {
+	if p == nil {
+		return nil
+	}
+	return p.c
+}

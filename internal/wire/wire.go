@@ -36,6 +36,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 
 	"specrpc/internal/xdr"
@@ -248,4 +249,37 @@ func (t *Type) minWireSize() int {
 		n, _ := t.wireSize()
 		return n
 	}
+}
+
+// errZeroSizeElem refuses the one shape no codec serves: a counted array
+// whose element can occupy no wire bytes (a struct of no fields,
+// opaque[0], arrays of either). Every decoder checks a count against the
+// bytes that can still arrive before it acts on it (the allocation rule
+// beside ensureSlice); zero-size elements make that check vacuous, so a
+// 4-byte body could buy up to 2³²−1 iterations of a loop that reads
+// nothing. Such an array carries no information but its count, which a
+// plain unsigned int carries honestly.
+var errZeroSizeElem = errors.New("wire: counted array of elements with no wire size")
+
+// Validate reports whether the codecs refuse t whatever Go type it is
+// bound to, naming the offending field: Compile and the emitter apply
+// the same rule, and rpcgen asks here so it can fail at the declaration
+// instead of generating a plan that fails at init.
+func (t *Type) Validate() error {
+	switch t.Kind {
+	case VarArray:
+		if t.Elem.minWireSize() == 0 {
+			return errZeroSizeElem
+		}
+		return t.Elem.Validate()
+	case FixedArray:
+		return t.Elem.Validate()
+	case Struct:
+		for _, f := range t.Fields {
+			if err := f.Type.Validate(); err != nil {
+				return fmt.Errorf("struct %s field %s: %w", t.Name, f.Name, err)
+			}
+		}
+	}
+	return nil
 }

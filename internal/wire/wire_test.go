@@ -440,18 +440,32 @@ func TestDecodeBoundsAndTruncation(t *testing.T) {
 			}
 		}
 	}
-	// What the rule must not refuse: elements of zero wire size, any
-	// count of which can follow; and on a stream that cannot vouch for
-	// the count, an array larger than the first capped allocation, which
-	// arrives whole as the allocation doubles behind the data.
+	// Where the rule would be vacuous it is not needed: a counted array
+	// whose element has no wire size — the one shape whose count nothing
+	// that arrives can vouch for, so that these four bytes would buy a
+	// billion iterations of a loop that reads nothing — is refused when
+	// it is described, in both modes, bare and nested.
 	type nothing struct{}
+	type holder struct{ Pad [0]byte }
+	type holders struct{ Hs []holder }
+	holderT := StructT("holder", F("pad", OpaqueFixedT(0)))
 	for _, m := range modes {
-		var out []nothing
-		dec := MustPlan[[]nothing](VarArrayT(0, StructT("nothing")), m)
-		if err := dec.Marshal(xdr.NewDecoder(xdr.NewMemDecode([]byte{0, 0, 0x27, 0x10})), &out); err != nil || len(out) != 10000 {
-			t.Errorf("%v: 10000 empty elements: %d decoded, err %v", m, len(out), err)
+		if _, err := NewPlan[[]nothing](VarArrayT(0, StructT("nothing")), m); !errors.Is(err, errZeroSizeElem) {
+			t.Errorf("%v: plan for a counted array of empty structs: %v", m, err)
+		}
+		if _, err := NewPlan[holders](StructT("holders", F("hs", VarArrayT(0, holderT))), m); !errors.Is(err, errZeroSizeElem) {
+			t.Errorf("%v: plan for a struct holding a counted array of opaque[0] holders: %v", m, err)
+		}
+		if _, err := NewPlan[[][0]int32](VarArrayT(0, FixedArrayT(0, Int32T())), m); !errors.Is(err, errZeroSizeElem) {
+			t.Errorf("%v: plan for a counted array of int[0]: %v", m, err)
 		}
 	}
+	if _, _, err := EmitCompiledFuncs("Holders", StructT("holders", F("hs", VarArrayT(0, holderT)))); !errors.Is(err, errZeroSizeElem) {
+		t.Errorf("emitter on a counted array of opaque[0] holders: %v", err)
+	}
+	// What the rule must not refuse: on a stream that cannot vouch for
+	// the count, an array larger than the first capped allocation, which
+	// arrives whole as the allocation doubles behind the data.
 	many := make([]int32, xdr.MaxBlindAlloc) // four times the first allocation
 	for i := range many {
 		many[i] = int32(i) * 3

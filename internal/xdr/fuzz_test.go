@@ -96,6 +96,7 @@ func errClass(err error) string {
 func refRecords(data []byte, maxRecord int) (recs [][]byte, class string) {
 	for len(data) > 0 {
 		var rec []byte
+		used := 0 // of maxRecord: payload, and 4 per empty non-final fragment
 		for last := false; !last; {
 			if len(data) < RecordMarkLen {
 				return recs, "unexpected-eof"
@@ -103,7 +104,11 @@ func refRecords(data []byte, maxRecord int) (recs [][]byte, class string) {
 			u := uint32(data[0])<<24 | uint32(data[1])<<16 | uint32(data[2])<<8 | uint32(data[3])
 			n := int(u &^ lastFragFlag)
 			last = u&lastFragFlag != 0
-			if len(rec)+n > maxRecord {
+			cost := n
+			if n == 0 && !last {
+				cost = RecordMarkLen
+			}
+			if used += cost; used > maxRecord {
 				return recs, "too-large"
 			}
 			if data = data[RecordMarkLen:]; n > len(data) {
@@ -167,6 +172,10 @@ func FuzzRecReadDiff(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 1, 2, 0x80, 0, 0, 1, 3}, int64(4), uint8(2), uint8(1))
 	f.Add([]byte{0x80, 0}, int64(5), uint8(1), uint8(0))
 	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 1, 2, 3}, int64(6), uint8(4), uint8(200))
+	// Empty non-final fragments: a few ahead of a payload, and enough of
+	// them alone to spend the whole bound.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 1, 7}, int64(7), uint8(2), uint8(0))
+	f.Add(make([]byte, 4*(1<<10+1)), int64(8), uint8(9), uint8(40))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, k, win uint8) {
 		const maxRecord = 1 << 12

@@ -28,8 +28,10 @@ type RecStream struct {
 
 	// MaxRecord, when positive, bounds the payload of one incoming record
 	// across all its fragments; a record announcing more fails with
-	// ErrRecordTooLarge before the excess is read or buffered. Set it
-	// before the first read.
+	// ErrRecordTooLarge before the excess is read or buffered. An empty
+	// fragment that is not the record's last counts as 4 bytes, so the
+	// bound also ends a record made of nothing else. Set it before the
+	// first read.
 	MaxRecord int
 
 	// Write (encode) state.
@@ -49,7 +51,7 @@ type RecStream struct {
 	rbuf  *bufio.Reader // read-ahead window over rw; nil until the first read
 	rfrag int           // bytes remaining in the current fragment
 	rlast bool          // current fragment is the record's last
-	rcons int           // bytes consumed of the current record
+	rcons int           // bytes consumed of the current record, plus 4 per empty non-final fragment
 	rinit bool          // a fragment header has been read for this record
 	rlong [BytesPerUnit]byte
 }
@@ -282,14 +284,26 @@ func (r *RecStream) nextFragment() error {
 		return r.readErr("read fragment header", err)
 	}
 	u := uint32(h[0])<<24 | uint32(h[1])<<16 | uint32(h[2])<<8 | uint32(h[3])
-	frag := int(u &^ lastFragFlag)
-	if r.MaxRecord > 0 && frag > r.MaxRecord-r.rcons {
+	frag, last := int(u&^lastFragFlag), u&lastFragFlag != 0
+	// A fragment costs the record's budget its payload, as that is read.
+	// One that is empty and does not end the record carries nothing and
+	// promises more, so it costs its own mark, here: a peer sending those
+	// for ever reaches the cap like any other that never finishes a record.
+	empty := frag == 0 && !last
+	cost := frag
+	if empty {
+		cost = RecordMarkLen
+	}
+	if r.MaxRecord > 0 && cost > r.MaxRecord-r.rcons {
 		// Left unconsumed: the stream is over, and every further read
 		// reports the same thing.
 		return fmt.Errorf("%w (%d bytes)", ErrRecordTooLarge, r.MaxRecord)
 	}
 	_, _ = r.rbuf.Discard(RecordMarkLen) // peeked: cannot fail
-	r.rlast = u&lastFragFlag != 0
+	if empty {
+		r.rcons += cost
+	}
+	r.rlast = last
 	r.rfrag = frag
 	r.rinit = true
 	return nil

@@ -264,6 +264,40 @@ func TestMaxRecord(t *testing.T) {
 			t.Fatal("refused mid-record, yet AtBoundary")
 		}
 	})
+	t.Run("endless empty fragments", func(t *testing.T) {
+		// Empty, never last: no payload ever counts against the bound, so
+		// each one costs its own mark and the record ends all the same —
+		// after limit/4 of them, and not for ever.
+		src := &loopReader{frame: nonFinal(0)}
+		r := NewRecStream(&rwPair{Reader: src}, 0)
+		r.MaxRecord = limit
+		if got, err := r.ReadRecord(nil); !errors.Is(err, ErrRecordTooLarge) || len(got) != 0 {
+			t.Fatalf("%d bytes, err = %v, want ErrRecordTooLarge", len(got), err)
+		}
+		if err := r.SkipRecord(); !errors.Is(err, ErrRecordTooLarge) {
+			t.Fatalf("second read = %v; the refusal must stick", err)
+		}
+		if want := limit + DefaultFragmentSize; src.n > want {
+			t.Fatalf("%d bytes read of a record of empty fragments bounded at %d; want at most the bound and one window", src.n, limit)
+		}
+	})
+	t.Run("empty fragments inside the bound", func(t *testing.T) {
+		// A record that does end is unaffected but for its budget: three
+		// empty fragments ahead of a payload cost 12 of it.
+		want := pattern(limit-12, 5)
+		raw := bytes.Repeat(nonFinal(0), 3)
+		raw = append(raw, frame(want)...)
+		raw = append(raw, bytes.Repeat(nonFinal(0), 3)...)
+		raw = append(raw, frame(pattern(limit-11, 6))...)
+		r := NewRecStream(&rwPair{Reader: bytes.NewReader(raw)}, 0)
+		r.MaxRecord = limit
+		if got, err := r.ReadRecord(nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("record at the bound: %d bytes, err %v", len(got), err)
+		}
+		if _, err := r.ReadRecord(nil); !errors.Is(err, ErrRecordTooLarge) {
+			t.Fatalf("record one byte past it: err %v, want ErrRecordTooLarge", err)
+		}
+	})
 	t.Run("one oversized fragment", func(t *testing.T) {
 		r := NewRecStream(&rwPair{Reader: bytes.NewReader([]byte{0x80, 0, 0x03, 0xe9})}, 0) // 1001, final
 		r.MaxRecord = limit
@@ -294,11 +328,13 @@ func TestMaxRecord(t *testing.T) {
 type loopReader struct {
 	frame []byte
 	off   int
+	n     int // bytes handed out
 }
 
 func (l *loopReader) Read(p []byte) (int, error) {
 	n := copy(p, l.frame[l.off:])
 	l.off = (l.off + n) % len(l.frame)
+	l.n += n
 	return n, nil
 }
 
