@@ -31,11 +31,16 @@ race:
 
 # The hand-offs of a stream connection's read side — on the client
 # free ↔ a call ↔ the pump, on the server the token given away, lent and
-# taken back — are a handful of atomics whose wrong interleavings are
-# rare: the tests that pin them run twenty times under the detector.
+# taken back, replies queued behind it and flushed — are a handful of
+# atomics whose wrong interleavings are rare: the tests that pin them run
+# twenty times under the detector. What a quick connection's burst costs
+# (one goroutine, one write) is a matter of lendUnder's twenty
+# microseconds, which nothing fits under the detector: those pins are
+# built `!race` and run twenty times without it.
 handoff:
-	$(GO) test -race -count=20 -run 'LetGo|Reader|ReadSide|LoneCalls|IdleClosed|Unsolicited|TransportConformance' ./internal/client
-	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog' ./internal/server
+	$(GO) test -race -count=20 -run 'LetGo|Reader|ReadSide|LoneCalls|BatchedOps|BatchedTerminal|IdleClosed|Unsolicited|TransportConformance' ./internal/client
+	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog|BurstBlocked|PartialRecord' ./internal/server
+	$(GO) test -count=20 -run 'ClosedLoopWakesNobody|QuickBurstOneWrite|BurstsAloneBecomeQuick|BadRecordBehindQueued' ./internal/server
 
 # The allocation pins are built `!race` (sync.Pool drops puts under the
 # detector), so the race pass above never runs them: whole-call counts
@@ -113,9 +118,12 @@ chaos-smoke:
 
 # Quick counted run of the batch-mode harness over both kernel
 # transports: exercises the writev/coalesce path, the ONC batched-call
-# path, and (where the kernel offers it) sendmmsg/recvmmsg.
+# path, and (where the kernel offers it) sendmmsg/recvmmsg — and, as the
+# 1x1 `calls` row of a second run, the closed-loop burst that stays on
+# one goroutine at each end (every column 0.125 to 0.13).
 batch-smoke:
 	$(GO) run ./cmd/sunbench -batch -transport udp,tcp -clients 2 -depth 8 -calls 2000
+	$(GO) run ./cmd/sunbench -batch -transport tcp -clients 1 -depth 1 -calls 8000
 
 # The two modes of a stream link outside the tests: a lone caller (the
 # 1x1 row, which reads its own replies from a server that lends it the

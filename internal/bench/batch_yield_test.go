@@ -4,24 +4,37 @@ package bench
 
 import "testing"
 
-// How many replies a yielding leader collects is the scheduler's to
-// decide, so these server-write bounds are loose: far from what the same
-// rows cost without the yield (0.84 and 0.98), not near what they cost
-// with it. They are calibrated without the race detector, whose slowdown
-// leaves fewer handlers finished when the leader comes back (0.38 and
-// 0.40 measured under it); the exact pins in batch_test.go run there.
+// What the reply half of a connection's traffic costs in writes. Both
+// bounds are loose, for different reasons: a closed-loop burst has one
+// writer and one write, but a burst that a stall stretches past
+// lendUnder fans out from there; and how many replies a yielding leader
+// collects from concurrent callers is the scheduler's to decide. They
+// are calibrated without the race detector, under which eight handlers
+// never fit lendUnder and fewer handlers have finished when a leader
+// comes back (0.38 and 0.40 measured under it); the pins in
+// batch_test.go run there.
 
-// TestBatchTCPCallsServerWrites: the reply half of the burst. The eight
-// handlers of a group are runnable together, so the first to finish
-// yields and its write carries most of the others' replies: 0.20 server
-// writes per call measured, 0.84 before the yield, 0.125 the floor.
+// TestBatchTCPCallsServerWrites: the reply half of the burst. A group's
+// eight records arrive in one read on a quick connection, so the
+// server's token holder runs all eight and writes their replies once,
+// and the client's terminal call reads all eight in one read: 0.125 of
+// each per call, which a hundred runs of a thousand groups read as
+// 0.1250 to 0.1269, median 0.1253 (0.146 and 0.130 when every burst
+// fanned out to a yielding leader, 0.84 before the yield). A thread
+// stalled for lendLimit under a lent token has the connection handed off
+// for lendAgain, which is longer than a run: the count is looked for on
+// three runs before it is missed.
 func TestBatchTCPCallsServerWrites(t *testing.T) {
-	res := runBatch(t, BatchOptions{Transport: "tcp", Mode: "calls",
-		Clients: 1, Depth: 1, Calls: 4000})
-	if res.ServerWritesPerOp > 0.4 {
-		t.Fatalf("calls-mode server writes/op = %v, want <= 0.4: replies of a burst are leaving one by one",
-			res.ServerWritesPerOp)
+	var res BatchResult
+	for try := 0; try < 3; try++ {
+		res = runBatch(t, BatchOptions{Transport: "tcp", Mode: "calls",
+			Clients: 1, Depth: 1, Calls: 8000})
+		if res.ServerWritesPerOp <= 0.13 && res.ClientReadsPerOp <= 0.13 {
+			return
+		}
 	}
+	t.Fatalf("calls-mode server writes/op = %v and client reads/op = %v, want <= 0.13: a closed-loop burst is not staying on one goroutine",
+		res.ServerWritesPerOp, res.ClientReadsPerOp)
 }
 
 // TestBatchTCPOnGroupCommits: at 2 connections x 8 callers the server's

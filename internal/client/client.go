@@ -328,9 +328,10 @@ type link struct {
 
 	owner atomic.Int32 // readFree, readCaller or readPump
 	// pumped pins the read side to the pump for the link's life: a
-	// datagram link (its retransmit tick is no read deadline), a stream
-	// that carried CallBatched (replies to one-way calls are unsolicited)
-	// or whose conn refused a read deadline.
+	// datagram link (its retransmit tick is no read deadline) or a stream
+	// whose conn refused a read deadline. Batched calls pin nothing: the
+	// replies nobody asked for are read past by the terminal call, or by
+	// the pump the idle timer starts when none follows.
 	pumped atomic.Bool
 	rbp    *[]byte // the message being read, pooled; nil between deliveries
 
@@ -1677,9 +1678,12 @@ func (c *TCP) QueuedRecords() int { return c.current().batch.Pending() }
 // (RFC 5531 §8.4.1; a procedure meant to be called only this way should),
 // and any other handler replies as it would to a Call — those replies
 // share the burst's reply write and are discarded here by the
-// demultiplexer, XID unknown. Not supported over UDP, exactly as in the
-// original: a datagram transport would need retransmission, which needs
-// a reply.
+// demultiplexer, XID unknown, by whoever reads the link next: the
+// terminal Call, which reads through them to its own reply on the
+// calling goroutine as any lone call does (the batch wakes nobody), or,
+// when no call follows within idleWatch, the pump the link's idle timer
+// starts. Not supported over UDP, exactly as in the original: a datagram
+// transport would need retransmission, which needs a reply.
 func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if c.isClosed() {
 		return ErrClosed
@@ -1696,12 +1700,6 @@ func (c *TCP) CallBatched(proc uint32, args Marshal) error {
 	if err := l.dmx.error(); err != nil {
 		return err
 	}
-	// Pin the read side to the pump even though no reply is awaited:
-	// unless the handler returns server.ErrNoReply the server answers a
-	// batched call like any other, and someone must drain those records
-	// (and any error reply) off the connection with no call to do it.
-	l.pumped.Store(true)
-	l.start(&c.engine)
 	buf, err := c.marshalReq(callReq{args: args}, c.xid.Add(1), proc)
 	if err != nil {
 		return err

@@ -275,6 +275,139 @@ func TestLoneCallsStartNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestBatchedOpsStartNoGoroutine: the same caller, batching. An op is
+// seven CallBatched and a terminal Call against a server that answers
+// all eight; the terminal call takes the read side, reads past the seven
+// replies nobody asked for to its own, and lets go. No link is pinned to
+// the pump for having carried a batched call.
+func TestBatchedOpsStartNoGoroutine(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	addr, stop := loopbackEcho(t)
+	defer stop()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &readTap{}
+	c := NewTCP(tap.wrap(conn), Config{Prog: fusedProg, Vers: fusedVers})
+	defer c.Close()
+
+	const ops = 1000
+	for i := uint32(0); i < ops; i++ {
+		arg, got := i, uint32(0)
+		args := func(x *xdr.XDR) error { return x.Uint32(&arg) }
+		for b := 0; b < 7; b++ {
+			if err := c.CallBatched(1, args); err != nil {
+				t.Fatalf("op %d: CallBatched: %v", i, err)
+			}
+		}
+		if err := c.Call(1, args, func(x *xdr.XDR) error { return x.Uint32(&got) }); err != nil || got != i+1 {
+			t.Fatalf("op %d: %d, %v", i, got, err)
+		}
+	}
+	if c.current().pumped.Load() {
+		t.Fatal("link pinned to the pump")
+	}
+	if own, pump := tap.own.Load(), tap.pump.Load(); own < ops*98/100 || pump > ops*2/100 {
+		t.Fatalf("%d reads by the terminal calls themselves, %d by the pump, of %d ops", own, pump, ops)
+	}
+}
+
+// TestBatchedTerminalCallWithContextWaitsOnPump: a terminal call that a
+// context can end does not read for itself, batch or no batch; the pump
+// it starts drops the batched calls' replies and delivers its own.
+func TestBatchedTerminalCallWithContextWaitsOnPump(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
+	tap := &readTap{}
+	c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second}, tap.wrap)
+	const batched = 3
+	for i := 0; i < batched; i++ {
+		if err := c.CallBatched(1, Void); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() {
+		for i := uint32(0); i <= batched; i++ {
+			p.reply(t, p.nextXID(t), 10+i) // the terminal call's is the last: 13
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if got, err := callUint32(ctx, c); err != nil || got != 10+batched {
+		t.Fatalf("terminal call: %d, %v; want %d", got, err, 10+batched)
+	}
+	if own := tap.own.Load(); own != 0 || tap.pump.Load() == 0 {
+		t.Fatalf("%d reads by the call, %d by the pump; want none and some", own, tap.pump.Load())
+	}
+}
+
+// TestBatchingReaderDeliversOthersReply: the terminal call of a batch
+// reads for itself while another caller, with a context to watch, waits
+// on its slot. Behind the batched calls' replies comes the other
+// caller's, then its own: it drops the first kind, delivers the second
+// and returns with the third.
+func TestBatchingReaderDeliversOthersReply(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
+	tap := &readTap{}
+	c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second}, tap.wrap)
+	if !c.current().idle.Stop() {
+		t.Skip("idle timer fired during setup")
+	}
+	const batched = 3
+	for i := 0; i < batched; i++ {
+		if err := c.CallBatched(1, Void); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		got uint32
+		err error
+	}
+	aDone, bDone := make(chan result, 1), make(chan result, 1)
+	go func() {
+		got, err := callUint32(context.Background(), c)
+		aDone <- result{got, err}
+	}()
+	var unasked [batched]uint32
+	for i := range unasked {
+		unasked[i] = p.nextXID(t)
+	}
+	a := p.nextXID(t)
+	for l := c.current(); l.owner.Load() != readCaller; { // sent; about to read
+		runtime.Gosched()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		got, err := callUint32(ctx, c)
+		bDone <- result{got, err}
+	}()
+	b := p.nextXID(t)
+	for _, xid := range unasked {
+		p.reply(t, xid, 1)
+	}
+	p.reply(t, b, 200)
+	// The pipe's write returns once it has been read, and with the idle
+	// timer stopped and A not yet answered nobody but A can have read it.
+	if tap.pump.Load() != 0 || tap.own.Load() == 0 {
+		t.Fatalf("%d reads by the pump, %d by the terminal call; want none and some", tap.pump.Load(), tap.own.Load())
+	}
+	p.reply(t, a, 100)
+	for _, o := range []struct {
+		want uint32
+		done chan result
+	}{{200, bDone}, {100, aDone}} {
+		select {
+		case r := <-o.done:
+			if r.err != nil || r.got != o.want {
+				t.Fatalf("call got %d, %v; want %d", r.got, r.err, o.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reply %d never reached its call", o.want)
+		}
+	}
+}
+
 // TestReadSideStress: eight callers with think times around idleWatch
 // share one link for two seconds, half of them with a context to watch,
 // so the read side keeps going from free to a caller to the pump and
@@ -401,13 +534,14 @@ func TestIdleClosedLinkRedialsTransparently(t *testing.T) {
 }
 
 // TestUnsolicitedRecordsAreDrained: records no call is waiting for leave
-// the socket without a caller's help — the replies to a run of batched
-// calls with no terminal call behind it, and the reply that arrives
-// after its call has timed out. The peer is a pipe, so each of its
-// writes returns only when the client has read it.
+// the socket without a caller's help, within idleWatch — the replies to
+// a run of batched calls with no terminal call behind it, and the reply
+// that arrives after its call has timed out. The peer is a pipe, so each
+// of its writes returns only when the client has read it.
 func TestUnsolicitedRecordsAreDrained(t *testing.T) {
 	t.Cleanup(testutil.NoLeak(t))
-	c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 40 * time.Millisecond}, nil)
+	tap := &readTap{}
+	c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 40 * time.Millisecond}, tap.wrap)
 	written := func(what string, write func()) {
 		t.Helper()
 		done := make(chan struct{})
@@ -433,9 +567,16 @@ func TestUnsolicitedRecordsAreDrained(t *testing.T) {
 			p.reply(t, p.nextXID(t), 1)
 		}
 	})
+	// No call was there to read them and nothing pins the link to the
+	// pump: the idle timer found the side free and its goroutine, now the
+	// pump, is what read every byte.
+	if l := c.current(); l.pumped.Load() || l.owner.Load() != readPump || tap.own.Load() != 0 || tap.pump.Load() == 0 {
+		t.Fatalf("pinned=%v owner=%d, %d reads by calls and %d by the pump; want the watch pump alone",
+			l.pumped.Load(), l.owner.Load(), tap.own.Load(), tap.pump.Load())
+	}
 
-	// A link that never carried a batched call: its read side is nobody's
-	// once the call has timed out.
+	// The same after a call: the read side is nobody's once it has timed
+	// out.
 	c, p = newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 40 * time.Millisecond}, nil)
 	if _, err := callUint32(context.Background(), c); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("unanswered call: %v, want ErrTimeout", err)

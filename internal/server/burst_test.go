@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"specrpc/internal/client"
+	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
@@ -83,17 +84,21 @@ func serveTapped(t *testing.T, s *Server) (net.Conn, *writeTap) {
 	return conn, tap
 }
 
+// frame returns the calls as record-marked wire bytes, one record each.
+func frame(calls ...[]byte) (wire []byte) {
+	for _, c := range calls {
+		mark := uint32(len(c)) | 1<<31
+		wire = append(wire, byte(mark>>24), byte(mark>>16), byte(mark>>8), byte(mark))
+		wire = append(wire, c...)
+	}
+	return wire
+}
+
 // writeBurst sends the calls as one write: every record of the burst is
 // in the server's read-ahead window before the first handler starts.
 func writeBurst(t *testing.T, conn net.Conn, calls [][]byte) {
 	t.Helper()
-	w := xdr.NewRecStream(conn, 0)
-	for _, c := range calls {
-		if err := w.QueueRecord(append(make([]byte, xdr.RecordMarkLen), c...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := conn.Write(frame(calls...)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -153,6 +158,54 @@ func TestServeTCPBurstBlockedHandlerHoldsNoReply(t *testing.T) {
 	if xid := readXID(t, conn, r); xid != blockedXID {
 		t.Fatalf("last reply has xid %d, want the released call's %d", xid, blockedXID)
 	}
+}
+
+// TestServeTCPBurstBlockedOnQuickConnection is the same burst on a
+// connection that has been found quick, where the first call runs under
+// a lent token with the other seven unread behind it: their replies
+// still arrive while it is blocked — lendLimit late, by the watchdog's
+// doing — and the connection is not lent to again for lendAgain, however
+// quick its handlers look once they are handed off: the next such burst
+// fans out at once.
+func TestServeTCPBurstBlockedOnQuickConnection(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	s, g := New(), newGate()
+	s.Register(testProg, testVers, procEcho, echoProc)
+	s.Register(testProg, testVers, procGate, g.proc)
+	defer s.Close()
+	defer g.open()
+	peer, c, stop := lentConn(t, s)
+	defer stop()
+	defer g.open()
+	r := xdr.NewRecStream(peer, 0)
+
+	burst := func(first uint32) {
+		t.Helper()
+		calls := [][]byte{buildCall(t, first, testVers, procGate, nil)}
+		for xid := first + 1; xid < first+8; xid++ {
+			calls = append(calls, echoCall(t, xid))
+		}
+		writeBurst(t, peer, calls)
+		awaitEntry(t, g)
+	}
+	makeQuick(t, peer, r, c, 1)
+	burst(500)
+	if !c.lent.Load() {
+		t.Fatal("the blocked call is not running under a lent token")
+	}
+	wantOnce(t, readXIDs(t, peer, r, 7, 50*time.Millisecond), 501, 507)
+	g.release <- struct{}{}
+	wantOnce(t, readXIDs(t, peer, r, 1, time.Second), 500, 500)
+	waitFor(t, "the blocked call to finish", func() bool { return c.inFlight.Load() == 0 })
+
+	makeQuick(t, peer, r, c, 100) // handed off, and quick by the clock again
+	burst(600)
+	if c.lent.Load() {
+		t.Fatal("token lent again within lendAgain of the watchdog taking it")
+	}
+	wantOnce(t, readXIDs(t, peer, r, 7, 50*time.Millisecond), 601, 607)
+	g.open()
+	wantOnce(t, readXIDs(t, peer, r, 1, time.Second), 600, 600)
 }
 
 // TestServeTCPLoneCallOneWrite: with one call in flight per connection

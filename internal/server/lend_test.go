@@ -19,6 +19,13 @@ import (
 // can look at. stop hangs up and waits for the connection's goroutines.
 func lentConn(t *testing.T, s *Server) (peer net.Conn, c *streamConn, stop func()) {
 	t.Helper()
+	peer, c, _, stop = tappedLentConn(t, s)
+	return peer, c, stop
+}
+
+// tappedLentConn is lentConn with the server's writes counted and kept.
+func tappedLentConn(t *testing.T, s *Server) (peer net.Conn, c *streamConn, tap *writeTap, stop func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no loopback TCP: %v", err)
@@ -32,10 +39,27 @@ func lentConn(t *testing.T, s *Server) (peer net.Conn, c *streamConn, stop func(
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = s.newStreamConn(conn)
+	tap = &writeTap{}
+	c = s.newStreamConn(tapConn{conn, tap})
 	done := make(chan struct{})
 	go func() { c.run(); close(done) }()
-	return peer, c, func() { _ = peer.Close(); <-done }
+	return peer, c, tap, func() { _ = peer.Close(); <-done }
+}
+
+// makeQuick makes closed-loop echo calls, XIDs from first, until one has
+// left the connection marked quick: the next record read with nothing
+// else in flight is run under a lent token. One quick handler is enough;
+// a busy machine may need a few tries.
+func makeQuick(t *testing.T, peer net.Conn, r *xdr.RecStream, c *streamConn, first uint32) {
+	t.Helper()
+	for xid := first; xid < first+50; xid++ {
+		if echoRoundTrips(t, peer, r, xid, 1); !c.slow.Load() {
+			// A handed-off call is still in flight when its reply is read.
+			waitFor(t, "the call to finish", func() bool { return c.inFlight.Load() == 0 })
+			return
+		}
+	}
+	t.Fatal("connection still marked slow after fifty echo calls")
 }
 
 // echoRoundTrips makes n closed-loop echo calls with XIDs from first.
@@ -68,17 +92,7 @@ func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 	defer g.open()
 	r := xdr.NewRecStream(peer, 0)
 
-	quick := func(first uint32) {
-		t.Helper()
-		// One quick handler is enough; a busy machine may need a few tries.
-		for xid := first; xid < first+50; xid++ {
-			if echoRoundTrips(t, peer, r, xid, 1); !c.slow.Load() {
-				return
-			}
-		}
-		t.Fatal("connection still marked slow after fifty echo calls")
-	}
-	quick(1)
+	makeQuick(t, peer, r, c, 1)
 	writeBurst(t, peer, [][]byte{buildCall(t, 100, testVers, procGate, nil)})
 	awaitEntry(t, g)
 	if !c.lent.Load() {
@@ -105,7 +119,107 @@ func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 	if !c.slow.Load() {
 		t.Fatal("a handler that outstayed lendLimit did not mark the connection slow")
 	}
-	quick(200) // handed off, found quick: the call after it is lent the token again
+	makeQuick(t, peer, r, c, 200) // handed off and found quick
+}
+
+// readXIDs reads n reply records, each of which must arrive within
+// limit, and returns how often each XID was seen.
+func readXIDs(t *testing.T, peer net.Conn, r *xdr.RecStream, n int, limit time.Duration) map[uint32]int {
+	t.Helper()
+	seen := map[uint32]int{}
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		seen[readXID(t, peer, r)]++
+		if d := time.Since(start); d > limit {
+			t.Fatalf("reply %d of %d took %v, want under %v", i+1, n, d, limit)
+		}
+	}
+	return seen
+}
+
+// wantOnce fails unless seen holds exactly the XIDs first..last, once
+// each.
+func wantOnce(t *testing.T, seen map[uint32]int, first, last uint32) {
+	t.Helper()
+	for xid := first; xid <= last; xid++ {
+		if seen[xid] != 1 {
+			t.Fatalf("reply %d arrived %d times; replies seen: %v", xid, seen[xid], seen)
+		}
+	}
+	if len(seen) != int(last-first+1) {
+		t.Fatalf("replies seen: %v, want %d..%d", seen, first, last)
+	}
+}
+
+// TestServeTCPPartialRecordHoldsNoReply: the token holder writes what it
+// has queued before any read that can wait for the peer, and a window
+// that ends inside a record is such a read. Three whole calls and half a
+// fourth arrive in one write on a quick connection; the three replies
+// are read before the other half is sent.
+func TestServeTCPPartialRecordHoldsNoReply(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	s := newTestServer()
+	defer s.Close()
+	peer, c, stop := lentConn(t, s)
+	defer stop()
+	r := xdr.NewRecStream(peer, 0)
+	makeQuick(t, peer, r, c, 1)
+
+	wire := frame(echoCall(t, 101), echoCall(t, 102), echoCall(t, 103), echoCall(t, 104))
+	cut := len(wire) - len(echoCall(t, 104))/2
+	if _, err := peer.Write(wire[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	wantOnce(t, readXIDs(t, peer, r, 3, time.Second), 101, 103)
+	if _, err := peer.Write(wire[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	wantOnce(t, readXIDs(t, peer, r, 1, time.Second), 104, 104)
+}
+
+// TestServeTCPWatchdogMidBurstDeliversEachReplyOnce: the fourth call of
+// an eight-call burst blocks under a lent token with the replies of the
+// first three queued behind no writer. The watchdog's worker runs the
+// other four and the three leave with them; the lender, back from the
+// blocked call without the token, writes its reply itself. Every reply
+// arrives, once — the seven while the fourth is still blocked.
+func TestServeTCPWatchdogMidBurstDeliversEachReplyOnce(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	s := New()
+	g := newGate()
+	s.Register(testProg, testVers, procEcho, echoProc)
+	s.Register(testProg, testVers, procGate, g.proc)
+	defer s.Close()
+	defer g.open()
+	peer, c, stop := lentConn(t, s)
+	defer stop()
+	defer g.open()
+	r := xdr.NewRecStream(peer, 0)
+	makeQuick(t, peer, r, c, 1)
+
+	var calls [][]byte
+	for xid := uint32(101); xid <= 108; xid++ {
+		if xid == 104 {
+			calls = append(calls, buildCall(t, xid, testVers, procGate, nil))
+		} else {
+			calls = append(calls, echoCall(t, xid))
+		}
+	}
+	writeBurst(t, peer, calls)
+	awaitEntry(t, g)
+	seen := readXIDs(t, peer, r, 7, time.Second)
+	if seen[104] != 0 {
+		t.Fatalf("the blocked call was answered: %v", seen)
+	}
+	g.open()
+	seen[readXID(t, peer, r)]++
+	wantOnce(t, seen, 101, 108)
+	// Nothing is left behind: the next reply on the wire is the next call's.
+	echoRoundTrips(t, peer, r, 200, 1)
+	waitFor(t, "the burst to finish", func() bool { return c.inFlight.Load() == 0 })
+	if n := c.wb.Pending(); n != 0 {
+		t.Fatalf("%d replies left queued", n)
+	}
 }
 
 // BenchmarkServeTCPTwoCallersSlowHandler is the regime lendUnder exists

@@ -796,14 +796,15 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 // streamConn is one stream connection being served. Every goroutine of
 // the connection runs the same loop (serve) and is, at any moment, in one
 // of three places: holding the read token (in read, the only code that
-// touches rrec and spawned), running a call (in handle), or parked on
-// work. The token exists exactly once, so the read side needs no lock;
-// it travels over work as a nil record — or stays where it is, lent to
-// the call its holder just read (lend).
+// touches rrec, spawned, noLend, began and queued), running a call (in
+// handle), or parked on work. The token exists exactly once, so the read
+// side needs no lock; it travels over work as a nil record — or stays
+// where it is, lent to the call its holder just read (lend), one call of
+// a burst after the other.
 type streamConn struct {
 	s    *Server
 	conn net.Conn
-	rrec *xdr.RecStream  // read side: the token holder's
+	rrec *xdr.RecStream  // read side: the token holder's, over tokenReader
 	wb   *xdr.RecBatcher // write side: group commit, any handler
 
 	// work carries a request record to run or, as nil, the read token.
@@ -816,80 +817,113 @@ type streamConn struct {
 	// lent is set while the token holder runs a call with the token in its
 	// pocket. Whoever clears it has the token: the lender, back from the
 	// call, or the watchdog, lendLimit after the newest lend. slow is what
-	// the last call read alone on the connection told the next: its
-	// handler took longer than lendUnder, so hand the token on first. It
-	// starts set — nothing is known about a connection's first call.
+	// the last call to finish told the next: its handler took longer than
+	// lendUnder or, under a lent token, the token holder had by then
+	// spent longer than that on what its last read of the connection
+	// brought — so hand the token on first. It starts set: nothing is
+	// known about a connection's first call. noLend is the watchdog's
+	// verdict, and the token holder's to read: nothing is lent before it
+	// (lendAgain).
 	lent     atomic.Bool
 	slow     atomic.Bool
 	watchdog *time.Timer // nil until the first lend
+	noLend   time.Time
+
+	// began is when the token holder's last read of the connection
+	// returned: the start of the burst it is working through. queued says
+	// that replies of that burst sit on wb without a writer behind them
+	// (lend); the token holder writes them before it reads the connection
+	// again (tokenReader), so none waits on the peer.
+	began  time.Time
+	queued bool
 
 	// inFlight/completed drive the idle reaper: a timeout only reaps when
 	// no handler is running and none finished during the armed window.
 	// Handlers bump completed before dropping inFlight, so the reaper can
 	// never observe "nothing running, nothing finished" mid-handoff. The
 	// same count tells the batcher when to hold a write: a call stays in
-	// flight from the moment it was read until its Write returns, so
-	// anything above one is another call of this connection, about to
-	// reply.
+	// flight from the moment it was read until its reply is handed to the
+	// batcher, so anything above one is another call of this connection,
+	// about to reply.
 	inFlight, completed atomic.Int64
 }
 
 // lendLimit is how long a lent token may stay lent. Below it a handler
-// that blocks keeps the connection's next request unread; at it the
-// watchdog takes the token away and gives it to a worker, and the calls
-// after that are handed off at once (slow). One millisecond is the
-// runtime's own timer resolution on an otherwise idle process — a
-// shorter limit would not fire sooner — and is 80 round trips of the
-// closed-loop peer the lend exists for, so the watchdog's timer is
-// always pushed forward (a Reset of a pending timer: 51 ns, no wake-up)
-// and never fires there.
+// that blocks keeps the connection's next request unread, and the rest
+// of its burst unrun; at it the watchdog takes the token away and gives
+// it to a worker, and the calls after that are handed off at once (slow).
+// One millisecond is the runtime's own timer resolution on an otherwise
+// idle process — a shorter limit would not fire sooner — and is 80 round
+// trips of the closed-loop peer the lend exists for, so the watchdog's
+// timer is always pushed forward (a Reset of a pending timer: 51 ns, no
+// wake-up) and never fires there.
 const lendLimit = time.Millisecond
 
-// lendUnder is how fast a connection's previous handler must have run
-// for the next lone call to be lent the token. Handing the token on
-// costs a channel wake-up — a futex wake, a thread that spins up, reads
-// EAGAIN and parks again; this one and the client's twin cost a
-// tcp_echo20 call 13.8 µs of CPU between them on the reference host
-// (EXPERIMENTS.md, "Repo benchmark, PR 22") — and buys the next
-// request of the connection being read while this handler runs. A
-// handler that runs longer than the wake-up costs has something to
-// overlap and is handed off; a shorter one would finish before the
-// woken worker reached the socket. 20 µs sits above both (the echo
-// handlers of the benchmark run in 0.05–4 µs) and below any handler
-// that blocks. Only calls read alone are timed (69 ns).
+// lendAgain is how long a connection whose lent token had to be taken
+// away is not lent to. A handler that blocks is not found out by timing
+// it once it is handed off: what it waits for may be the very calls a
+// lend keeps behind it (BenchmarkServeTCPBurst8/oneBlocked: the first of
+// eight waits for the replies of the other seven — 20 µs handed off,
+// lendLimit when lent), so a connection that looks quick again a burst
+// later would pay lendLimit every other burst (36 µs → 410 µs a burst).
+// A hundred lendLimits bounds what lending to the wrong connection can
+// cost it at one part in a hundred of its time, and what a quick
+// connection loses to one stalled thread at a tenth of a second of
+// handing the token on as every connection did before it was lent.
+const lendAgain = 100 * lendLimit
+
+// lendUnder is the token holder's budget for one read of the connection:
+// while what that read brought — a lone call, or the calls of a burst so
+// far — has kept it no longer than this, the next call is lent the token
+// too. Handing the token on costs a channel wake-up — a futex wake, a
+// thread that spins up, reads EAGAIN and parks again; this one and the
+// client's twin cost a tcp_echo20 call 13.8 µs of CPU between them on
+// the reference host (EXPERIMENTS.md, "Repo benchmark, PR 22"), and a
+// burst of eight handed-off calls pays it up to eight times (11.3 µs of
+// burst for 2 µs of handlers, "Repo benchmark, PR 24") — and buys the
+// rest of the connection's requests being read and run while this
+// handler runs. Handlers that together run longer than the wake-ups cost
+// have something to overlap, and the calls behind them are handed off;
+// shorter ones would be over before a woken worker reached its record.
+// 20 µs sits above both (the handlers of the benchmark run in 0.05–4 µs,
+// eight to a burst at most) and below any handler that blocks.
+// BenchmarkServeTCPBurst8 is the measurement behind it.
 const lendUnder = 20 * time.Microsecond
 
 // serveConn serves one stream connection. Pipelined requests execute
 // concurrently — up to s.workers handlers, plus the goroutine holding
 // the read token — and nothing is started per request, nor, for a peer
-// that waits for each reply before it sends the next call, woken: the
-// goroutine the poller woke for a lone request runs the call to
-// completion itself, read to reply write, and goes back to reading. It
-// does so with the token lent to the call (lend) when the connection's
-// last handler was quick, and after handing the token to a parked worker
-// when it was not, so that a handler that takes its time never keeps the
-// connection's next request waiting; a lent token that is not back
-// within lendLimit is taken away and handed on all the same. The
-// requests of a burst that one read picked up go to the workers. When
-// s.workers handlers are running, the next request is read and then
-// waits, unexecuted, for one of them to return: backpressure through the
-// peer's send window, not a drop.
+// that waits for its replies before it sends again, woken: the goroutine
+// the poller woke runs what it read to completion itself — a lone call,
+// or every call of a burst, one after the other — and goes back to
+// reading. It does so with the token lent to each call (lend) while the
+// connection is quick, and after handing the token to a parked worker
+// when it is not, so that handlers that take their time never keep the
+// connection's next request waiting: the calls behind them in the read
+// window then go to the workers, as fast as they can be parsed. A lent
+// token that is not back within lendLimit is taken away and handed on
+// all the same. When s.workers handlers are running, the next request is
+// read and then waits, unexecuted, for one of them to return:
+// backpressure through the peer's send window, not a drop.
 //
-// Reply records leave through a group-commit batcher: a finishing
-// handler that is alone on the connection writes immediately; one that
-// is not claims the flush, yields the processor once so the handlers
-// that are ready to run finish and queue behind it, and its one vectored
-// write carries them all — the reply half of a burst that arrived in one
-// read. A handler that is blocked is not runnable, so it delays nobody:
-// a slow call never holds the replies of faster calls (the client
+// Reply records leave through a group-commit batcher. The replies of
+// calls run under a lent token are queued and leave in one vectored
+// write when the token holder next has to ask the connection for bytes —
+// the reply half of a burst that arrived in one read, and for a lone
+// call the write it always was. A handler finishing anywhere else that
+// is alone on the connection writes immediately; one that is not claims
+// the flush, yields the processor once so the handlers that are ready to
+// run finish and queue behind it, and its one write carries them all. A
+// handler that is blocked is not runnable, so it delays nobody: a slow
+// call never holds the replies of faster calls (the client
 // demultiplexes them by XID).
 func (s *Server) serveConn(conn net.Conn) { s.newStreamConn(conn).run() }
 
 func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 	c := &streamConn{s: s, conn: conn,
-		rrec: xdr.NewRecStream(conn, 0),
 		wb:   xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
 		work: make(chan *[]byte)}
+	c.rrec = xdr.NewRecStream((*tokenReader)(c), 0)
 	c.slow.Store(true)
 	c.rrec.MaxRecord = s.maxRecord
 	// A failed reply write leaves the record stream unusable; close the
@@ -903,17 +937,54 @@ func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 	return c
 }
 
+// tokenReader is the connection as rrec reads it: the one place a read
+// of the token holder's can reach the kernel, and so block on the peer.
+// The replies the holder has queued are written first — no reply is ever
+// held across a read that may wait for the peer's next request, whether
+// the window ran dry between two records or inside one — and what the
+// read brings starts a new burst. It is the streamConn under another
+// method set: a wrapper value around the conn costs a lone call 0.1 µs
+// (an interface inside an interface), a pointer conversion nothing.
+type tokenReader streamConn
+
+//specrpc:hotpath
+func (r *tokenReader) Read(p []byte) (int, error) {
+	c := (*streamConn)(r)
+	c.flush()
+	n, err := c.conn.Read(p)
+	c.began = time.Now()
+	return n, err
+}
+
+// Write is there because a RecStream is built over a ReadWriter; rrec
+// only reads.
+func (r *tokenReader) Write(p []byte) (int, error) { return r.conn.Write(p) }
+
+// flush writes the replies the token holder has queued. Token holder
+// only.
+//
+//specrpc:hotpath
+func (c *streamConn) flush() {
+	if c.queued {
+		c.queued = false
+		_ = c.wb.Flush() // a failure closes the connection (OnError)
+	}
+}
+
 // run serves the connection until its stream ends, on the calling
 // goroutine and the workers it starts, and returns when all are done.
 func (c *streamConn) run() {
-	// Flush invariant: every record handed to wb is flushed by some
+	// Flush invariant: every record handed to wb is flushed before the
+	// goroutine that handed it in can block on the peer — a Write by its
 	// handler before it returns (the leader loops until the queue is
 	// empty, and a record queued after the leader exits makes its own
-	// writer the new leader), and the Wait below holds run open until
-	// every worker has returned — so no reply is stranded by connection
-	// teardown. The token holder that saw the stream end has closed the
-	// connection by then: a worker blocked writing a reply to a peer that
-	// stopped reading is only unblocked by the close.
+	// writer the new leader), a Queue by the token holder before its next
+	// read of the connection, or before it hangs up — and the Wait below
+	// holds run open until every worker has returned, so no reply is
+	// stranded by connection teardown. The token holder that saw the
+	// stream end has closed the connection by then: a worker blocked
+	// writing a reply to a peer that stopped reading is only unblocked by
+	// the close.
 	c.serve(nil) // the accepting goroutine starts out holding the token
 	c.workers.Wait()
 	// The stream ended in the hands of a token holder, so nothing is lent
@@ -930,7 +1001,7 @@ func (c *streamConn) run() {
 func (c *streamConn) serve(bp *[]byte) {
 	for open := true; open; bp, open = <-c.work {
 		if bp != nil {
-			c.handle(bp, false)
+			c.handle(bp)
 		} else {
 			c.read()
 		}
@@ -938,19 +1009,27 @@ func (c *streamConn) serve(bp *[]byte) {
 }
 
 // read is the token holder's turn, and lasts as long as it holds the
-// token: it reads request records and, each time, gives away the record,
-// gives away the token, or lends the token to the record's call. While
-// the read-ahead window still holds bytes the rest of a burst is already
-// here, so the record goes to a worker and the reader keeps the token:
-// the burst fans out as fast as it can be parsed. When the window is
-// empty the next read would block in the kernel anyway, and the lone
-// request of a closed-loop peer is answered by the goroutine that read
-// it, with no switch between read and reply: under a lent token when
-// nothing else is in flight and the connection's last such handler was
-// quick — nobody is woken, and the next read is this goroutine's again —
-// and otherwise after the token went to a worker. read returns without
-// the token: given away, taken by the watchdog while it was lent, or
-// gone with the stream — the connection is closed then and so is work.
+// token: it reads request records and, each time, lends the token to the
+// record's call, gives away the record, or gives away the token. On a
+// quick connection a record is run where it was read, under a lent
+// token, whether it came alone or with a burst behind it in the
+// read-ahead window: the goroutine the poller woke parses, runs and
+// answers all of it, nobody is woken, and the next read is this
+// goroutine's again. Other calls of the connection still in flight do
+// not change that — they are the handed-off stragglers of a burst that
+// ran over its budget as often as a pipeline, and a rule that fanned the
+// next burst out because of them would keep itself true (measured: one
+// stall, and the four hundred bursts behind it fanned out). On a
+// connection that is not quick — its first call, handlers that take
+// their time, what is left of a burst that has used up lendUnder, a
+// lend the watchdog had to end — while the window still holds bytes the
+// rest of a burst is already here, so the record goes to a worker and
+// the reader keeps the token: it fans out as fast as it can be parsed.
+// When the window is empty the next read would block in the kernel
+// anyway: the token goes to a worker and the record is run here. read
+// returns without the token: given away, taken by the watchdog while it
+// was lent, or gone with the stream — the connection is closed then and
+// so is work.
 //
 //specrpc:hotpath
 func (c *streamConn) read() {
@@ -965,17 +1044,17 @@ func (c *streamConn) read() {
 			c.hangUp(err)
 			return
 		}
-		lone := c.inFlight.Add(1) == 1
+		c.inFlight.Add(1)
 		switch {
-		case !c.rrec.AtBoundary():
-			c.give(bp)
-		case lone && !c.slow.Load():
+		case !c.slow.Load() && c.began.After(c.noLend):
 			if !c.lend(bp) {
 				return
 			}
+		case !c.rrec.AtBoundary():
+			c.give(bp)
 		default:
 			c.give(nil)
-			c.handle(bp, lone)
+			c.handle(bp)
 			return
 		}
 	}
@@ -989,6 +1068,17 @@ func (c *streamConn) read() {
 // between two lends finds nothing lent; one armed by an earlier lend
 // that fires into this one only hands the token on early.
 //
+// The reply is queued, not written, when the token is back and the
+// window holds more: its holder is the one goroutine that knows the rest
+// of a burst is waiting there, and it flushes before it next reads the
+// connection (tokenReader). With the window empty that read comes next,
+// so the reply is written here — a lone call's at the point it always
+// was, ahead of the bookkeeping for the next read, and a burst's last
+// with the rest of the burst's behind it. The token is taken back first
+// and the reply queued second, so nobody queues who cannot promise that
+// flush: a lender whose token was taken writes, like any other handler,
+// and its write carries whatever it had queued before.
+//
 //specrpc:hotpath
 func (c *streamConn) lend(bp *[]byte) (back bool) {
 	if c.watchdog == nil {
@@ -996,16 +1086,22 @@ func (c *streamConn) lend(bp *[]byte) (back bool) {
 	} else {
 		c.watchdog.Reset(lendLimit)
 	}
+	began := c.began // the next holder's from the moment the token is lent
 	c.lent.Store(true)
-	c.handle(bp, true)
-	return c.lent.CompareAndSwap(true, false)
+	rp := c.call(bp)
+	c.slow.Store(time.Since(began) > lendUnder)
+	back = c.lent.CompareAndSwap(true, false)
+	c.reply(bp, rp, back && !c.rrec.AtBoundary())
+	return back
 }
 
 // reclaim is the watchdog: a token still lent is taken from its lender
-// and given away, so the connection's next request is read while the
-// call that outstayed lendLimit runs on.
+// and given away, so the connection's next request is read — and the
+// rest of the lender's burst run — while the call that outstayed
+// lendLimit runs on.
 func (c *streamConn) reclaim() {
 	if c.lent.CompareAndSwap(true, false) {
+		c.noLend = time.Now().Add(lendAgain)
 		c.give(nil)
 	}
 }
@@ -1013,11 +1109,15 @@ func (c *streamConn) reclaim() {
 // hangUp ends the stream after a failed read — connection closed, broken
 // framing, over-limit record, or idle-reaped — and releases the parked
 // workers. Only the token holder calls it, so nobody is left to send on
-// work.
+// work. The replies it had queued are owed to calls that were well
+// formed; a read that failed on what was already in the window (an
+// over-limit mark behind them in a burst) never reached tokenReader, so
+// they leave here.
 func (c *streamConn) hangUp(err error) {
 	if errors.Is(err, xdr.ErrRecordTooLarge) {
 		c.s.recDrops.Add(1)
 	}
+	c.flush()
 	_ = c.conn.Close()
 	close(c.work)
 }
@@ -1048,41 +1148,66 @@ func (c *streamConn) worker(bp *[]byte) {
 	c.serve(bp)
 }
 
-// handle runs one call and writes its reply. A call that was alone on
-// the connection when it was read (lone) leaves word for the next such
-// call whether its handler was quick (slow, lendUnder); the calls of a
-// burst or a pipeline are handed off whatever they take, and are not
-// timed.
+// handle runs one call without the token and writes its reply. Like
+// every call it leaves word whether its handler was quick (slow,
+// lendUnder) for the next one read: that is how a connection starts
+// being lent to — one that only ever sends bursts included — and how one
+// whose bursts hold a handler that blocks stays handed off, since the
+// call that blocked is the last of its burst to finish.
 //
 //specrpc:hotpath
-func (c *streamConn) handle(bp *[]byte, lone bool) {
-	rp := xdr.GetBuf(c.s.bufSize)
-	var start time.Time
-	if lone {
-		start = time.Now()
-	}
+func (c *streamConn) handle(bp *[]byte) {
+	start := time.Now()
+	rp := c.call(bp)
+	c.slow.Store(time.Since(start) > lendUnder)
+	c.reply(bp, rp, false)
+}
+
+// call runs the handler of bp's call and returns the reply record, nil
+// when there is none to send.
+//
+//specrpc:hotpath
+func (c *streamConn) call(bp *[]byte) (rp *[]byte) {
+	rp = xdr.GetBuf(c.s.bufSize)
 	// Reserve the record mark at the head of the reply buffer:
 	// handleCall marshals the reply behind it and the batcher patches
 	// the mark in place, so the fully-formed reply goes to the socket
 	// with no second copy.
 	out, err := c.s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
-	if lone {
-		c.slow.Store(time.Since(start) > lendUnder)
-	}
 	if out != nil {
 		*rp = out
-		// Ownership of rp transfers to the batcher, which releases it
-		// once the batch carrying it is written (or dropped on a poisoned
-		// stream). Write errors are handled by OnError.
+		return rp
+	}
+	xdr.PutBuf(rp)
+	if err != nil {
+		// Undecodable call header: the stream is suspect and there is
+		// no XID to reply to; close the connection so the peer fails
+		// fast, as the original svc_tcp loop did — behind the replies
+		// of the well-formed calls that came before it.
+		_ = c.wb.Flush()
+		_ = c.conn.Close()
+	} // else the handler asked for no reply (ErrNoReply)
+	return nil
+}
+
+// reply hands a call's reply record, if it has one, to the batcher,
+// releases its request record and takes the call out of flight. queue is
+// the token holder's (lend): it leaves the writing to its own flush.
+// Otherwise the record is written before reply returns, by this
+// goroutine or by a leader already writing.
+//
+//specrpc:hotpath
+func (c *streamConn) reply(bp, rp *[]byte, queue bool) {
+	// Ownership of rp transfers to the batcher, which releases it once
+	// the batch carrying it is written (or dropped on a poisoned stream).
+	// Write errors are handled by OnError.
+	switch {
+	case rp == nil:
+	case queue:
+		c.queued = true
+		_ = c.wb.Queue(rp)
+	default:
 		_ = c.wb.Write(rp)
-	} else {
-		xdr.PutBuf(rp)
-		if err != nil {
-			// Undecodable call header: the stream is suspect and there is
-			// no XID to reply to; close the connection so the peer fails
-			// fast, as the original svc_tcp loop did.
-			_ = c.conn.Close()
-		} // else the handler asked for no reply (ErrNoReply)
 	}
 	xdr.PutBuf(bp)
 	c.completed.Add(1)

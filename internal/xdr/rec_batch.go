@@ -212,10 +212,13 @@ func (b *RecBatcher) WriteDeadline(bp *[]byte, deadline time.Time) error {
 	return b.add(bp, true, deadline)
 }
 
-// Queue queues bp's record without forcing a flush — the ONC
-// fire-and-forget path: the record leaves with the next Write or Flush
-// on this batcher, or immediately once the queued bytes reach the
-// watermark. Ownership of bp transfers to the batcher.
+// Queue queues bp's record without forcing a flush: the record leaves
+// with the next Write or Flush on this batcher, or immediately once the
+// queued bytes reach the watermark. It is for a caller that knows a
+// flush is coming and will see to it — the client's ONC fire-and-forget
+// calls, flushed by the terminal call, and the replies of a burst the
+// server's read-token holder is working through, flushed before it next
+// waits for the peer. Ownership of bp transfers to the batcher.
 func (b *RecBatcher) Queue(bp *[]byte) error { return b.add(bp, false, time.Time{}) }
 
 // Pending reports the records queued and not yet handed to a write —
