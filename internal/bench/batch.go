@@ -42,9 +42,9 @@ type BatchOptions struct {
 	//   "off"   — batching disabled everywhere: one syscall per record on
 	//             TCP (client NoBatch + server WithWriteBatching(false)),
 	//             one datagram per syscall on UDP. The baseline.
-	//   "on"    — write coalescing on (TCP group commit, UDP mmsg batch):
-	//             amortization comes from concurrency, so the win grows
-	//             with Depth.
+	//   "on"    — batching on (TCP group commit, UDP recvmmsg reads; UDP
+	//             replies stay one write each): amortization comes from
+	//             concurrency, so the win grows with Depth.
 	//   "calls" — ONC batched calls (TCP only): groups of batchGroup-1
 	//             CallBatched flushed by a terminal Call, the protocol-
 	//             level batching of the Sun RPC lineage. A group is
@@ -119,7 +119,8 @@ type BatchResult struct {
 	// coalescing and to 1/batchGroup in "calls" mode.
 	ClientWritesPerOp float64 `json:"client_writes_per_op"`
 	// ServerWritesPerOp / ServerReadsPerOp are the server-side reply and
-	// request syscalls per call (UDP: sendmmsg/recvmmsg calls per call).
+	// request syscalls per call (UDP: WriteTo and recvmmsg calls per
+	// call, so ServerWritesPerOp is 1.0 on every UDP row).
 	ServerWritesPerOp float64 `json:"server_writes_per_op"`
 	ServerReadsPerOp  float64 `json:"server_reads_per_op"`
 	// ClientReadsPerOp is reply-receive syscalls per call on the client

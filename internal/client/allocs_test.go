@@ -77,11 +77,11 @@ func TestTCPCallAllocs(t *testing.T) {
 }
 
 // TestUDPCallAllocs is the same pin for the datagram transport over
-// kernel sockets, where the server moves datagrams with
-// recvmmsg/sendmmsg: the deadline and retransmit timers are pooled, the
-// mmsg callbacks are bound once instead of built per batch, the reply
-// sender swaps two queue arrays, the server interns the peer's address
-// and the client reads replies without boxing theirs.
+// kernel sockets, where the server reads datagrams with recvmmsg and
+// answers each with one WriteTo: the deadline and retransmit timers are
+// pooled, the recvmmsg callback is bound once instead of built per
+// batch, the server interns the peer's address and the client reads
+// replies without boxing theirs.
 func TestUDPCallAllocs(t *testing.T) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -108,8 +108,9 @@ type Config struct {
 	// wait argument). Default 500ms. Ignored over TCP.
 	Retransmit time.Duration
 	// BufSize is the marshaling buffer size. Default 8900 bytes (UDPMSGSIZE
-	// was 8800 in the original; we round up for headers). Over TCP it is
-	// only the initial buffer size: records grow as needed.
+	// was 8800 in the original; we round up for headers); <= 0 takes the
+	// default. Over TCP it is only the initial buffer size: records grow
+	// as needed.
 	BufSize int
 	// FirstXID seeds the transaction-id sequence; 0 derives one from the
 	// clock, as gettimeofday did in clntudp_create.
@@ -143,7 +144,7 @@ func (c *Config) fill() {
 	if c.Retransmit == 0 {
 		c.Retransmit = 500 * time.Millisecond
 	}
-	if c.BufSize == 0 {
+	if c.BufSize <= 0 {
 		c.BufSize = 8900
 	}
 	if c.FirstXID == 0 {

@@ -13,6 +13,7 @@ import (
 
 	"specrpc/internal/netsim"
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/server"
 	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
@@ -44,6 +45,42 @@ func TestConfigExplicitValuesKept(t *testing.T) {
 	if c.Timeout != time.Second || c.Retransmit != time.Millisecond ||
 		c.BufSize != 128 || c.FirstXID != 7 {
 		t.Fatalf("explicit config overridden: %+v", c)
+	}
+}
+
+// TestNegativeBufSizeUDPCall: a negative BufSize takes the default like
+// zero does, instead of panicking in the UDP reader when it slices the
+// receive buffer.
+func TestNegativeBufSizeUDPCall(t *testing.T) {
+	spc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback UDP: %v", err)
+	}
+	s := server.New()
+	defer s.Close()
+	s.Register(1, 1, 1, func(dec *xdr.XDR) (server.Marshal, error) {
+		var v uint32
+		if err := dec.Uint32(&v); err != nil {
+			return nil, server.ErrGarbageArgs
+		}
+		return func(x *xdr.XDR) error { v++; return x.Uint32(&v) }, nil
+	})
+	go func() { _ = s.ServeUDP(spc) }()
+
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewUDP(conn, spc.LocalAddr(), Config{Prog: 1, Vers: 1, BufSize: -1, Timeout: 5 * time.Second})
+	defer c.Close()
+	arg, got := uint32(41), uint32(0)
+	if err := c.Call(1,
+		func(x *xdr.XDR) error { return x.Uint32(&arg) },
+		func(x *xdr.XDR) error { return x.Uint32(&got) }); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if got != 42 {
+		t.Fatalf("result = %d, want 42", got)
 	}
 }
 

@@ -21,9 +21,10 @@ func udpPair(t *testing.T) (a, b net.PacketConn) {
 	return mk(), mk()
 }
 
-// TestRoundTrip pushes a burst through WriteBatch and reads it back with
-// ReadBatch on whichever path the platform engages, checking payloads
-// and source addresses survive and the counters stay consistent.
+// TestRoundTrip sends a burst with one WriteTo per datagram and reads it
+// back with ReadBatch on whichever path the platform engages, checking
+// payloads and the interned source address survive and the counters
+// stay consistent: every write is one call moving one message.
 func TestRoundTrip(t *testing.T) {
 	for _, batch := range []int{1, 8} {
 		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
@@ -32,23 +33,16 @@ func TestRoundTrip(t *testing.T) {
 			t.Logf("batched: a=%v b=%v", ca.Batched(), cb.Batched())
 
 			const total = 16
-			out := make([]Message, total)
-			for i := range out {
-				out[i].Buf = []byte(fmt.Sprintf("datagram-%02d", i))
-				out[i].Addr = b.LocalAddr()
+			for i := 0; i < total; i++ {
+				ca.WriteTo([]byte(fmt.Sprintf("datagram-%02d", i)), b.LocalAddr())
 			}
-			if err := ca.WriteBatch(out); err != nil {
-				t.Fatalf("WriteBatch: %v", err)
-			}
-			if got := ca.Stats().WriteMsgs.Load(); got != total {
-				t.Fatalf("WriteMsgs = %d, want %d", got, total)
-			}
-			if batch == 1 && ca.Stats().WriteCalls.Load() != total {
-				t.Fatalf("portable path: WriteCalls = %d, want %d", ca.Stats().WriteCalls.Load(), total)
+			if calls, msgs := ca.Stats().WriteCalls.Load(), ca.Stats().WriteMsgs.Load(); calls != total || msgs != total {
+				t.Fatalf("WriteCalls, WriteMsgs = %d, %d, want %d each", calls, msgs, total)
 			}
 
 			b.SetReadDeadline(time.Now().Add(5 * time.Second))
 			seen := make(map[string]bool)
+			var from net.Addr
 			in := make([]Message, batch)
 			for len(seen) < total {
 				for i := range in {
@@ -64,6 +58,10 @@ func TestRoundTrip(t *testing.T) {
 					if !ok || ua.Port != a.LocalAddr().(*net.UDPAddr).Port {
 						t.Fatalf("message %d: source addr %v, want %v", i, in[i].Addr, a.LocalAddr())
 					}
+					if cb.Batched() && from != nil && in[i].Addr != from {
+						t.Fatalf("message %d: the peer's address was not interned: %p, then %p", i, from, in[i].Addr)
+					}
+					from = in[i].Addr
 				}
 			}
 			if got := cb.Stats().ReadMsgs.Load(); got != total {
@@ -73,30 +71,6 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("ReadCalls %d exceeds ReadMsgs %d", cb.Stats().ReadCalls.Load(), cb.Stats().ReadMsgs.Load())
 			}
 		})
-	}
-}
-
-// TestSenderCoalesces drives the group-commit sender from one goroutine
-// (the degenerate case: every Send flushes immediately) and checks all
-// datagrams arrive intact.
-func TestSenderCoalesces(t *testing.T) {
-	a, b := udpPair(t)
-	ca := New(a, 8)
-	pool := func(n int) *[]byte { buf := make([]byte, 0, n); return &buf }
-	s := NewSender(ca, pool, func(*[]byte) {})
-	const total = 12
-	for i := 0; i < total; i++ {
-		s.Send(b.LocalAddr(), []byte(fmt.Sprintf("reply-%02d", i)))
-	}
-	b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 64)
-	seen := make(map[string]bool)
-	for len(seen) < total {
-		n, _, err := b.ReadFrom(buf)
-		if err != nil {
-			t.Fatalf("after %d: %v", len(seen), err)
-		}
-		seen[string(buf[:n])] = true
 	}
 }
 

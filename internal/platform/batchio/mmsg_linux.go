@@ -2,14 +2,14 @@
 
 package batchio
 
-// The recvmmsg/sendmmsg fast path. golang.org/x/net wraps these
-// syscalls as ipv4.PacketConn.ReadBatch/WriteBatch, but this module is
-// deliberately dependency-free, so the same two syscalls are issued
-// directly through syscall.RawConn: the runtime's network poller still
-// owns readiness (MSG_DONTWAIT plus RawConn's wait-for-ready loop), so
-// blocking behavior, deadline handling on close, and goroutine
-// scheduling are unchanged — only the number of messages moved per
-// kernel crossing grows.
+// The recvmmsg fast path. golang.org/x/net wraps this syscall as
+// ipv4.PacketConn.ReadBatch, but this module is deliberately
+// dependency-free, so it is issued directly through syscall.RawConn: the
+// runtime's network poller still owns readiness (MSG_DONTWAIT plus
+// RawConn's wait-for-ready loop), so blocking behavior, deadline handling
+// on close, and goroutine scheduling are unchanged — only the number of
+// messages moved per kernel crossing grows. The build tag is the set of
+// 64-bit targets whose mmsghdr layout below has been checked.
 
 import (
 	"net"
@@ -27,16 +27,13 @@ type mmsghdr struct {
 }
 
 type mmsgConn struct {
-	pc    net.PacketConn
 	rc    syscall.RawConn
 	stats *Stats
-	v6    bool // socket family: chooses the sockaddr written for sends
 
-	// recv and send are the RawConn callbacks, bound once: a closure
-	// built per batch would carry its in and out values in a heap
-	// environment. Those values live in the fields beside them instead,
-	// each set under the mutex that serializes its side.
-	recv, send func(fd uintptr) bool
+	// recv is the RawConn callback, bound once: a closure built per
+	// batch would carry its in and out values in a heap environment.
+	// Those values live in the fields below instead, set under rmu.
+	recv func(fd uintptr) bool
 
 	rmu   sync.Mutex
 	rhs   []mmsghdr
@@ -46,16 +43,6 @@ type mmsgConn struct {
 	rgot  int           // out: messages received
 	rerr  syscall.Errno // out: recvmmsg's failure, 0 for none
 	peers [peerSlots]*peer
-
-	wmu    sync.Mutex
-	whs    []mmsghdr
-	wiov   []syscall.Iovec
-	wsa4   []syscall.RawSockaddrInet4
-	wsa6   []syscall.RawSockaddrInet6
-	wfrom  int           // in: first header to send
-	wto    int           // in: one past the last
-	wwrote int           // out: messages sent
-	werr   syscall.Errno // out: sendmmsg's failure, 0 for none
 }
 
 // newMMsg probes pc for the multi-message path: a kernel UDP socket
@@ -72,19 +59,12 @@ func newMMsg(pc net.PacketConn, batch int, stats *Stats) *mmsgConn {
 		return nil
 	}
 	m := &mmsgConn{
-		pc: pc, rc: rc, stats: stats,
+		rc: rc, stats: stats,
 		rhs:  make([]mmsghdr, batch),
 		riov: make([]syscall.Iovec, batch),
 		rsa:  make([]syscall.RawSockaddrAny, batch),
-		whs:  make([]mmsghdr, batch),
-		wiov: make([]syscall.Iovec, batch),
-		wsa4: make([]syscall.RawSockaddrInet4, batch),
-		wsa6: make([]syscall.RawSockaddrInet6, batch),
 	}
-	m.recv, m.send = m.recvmmsg, m.sendmmsg
-	if la, ok := u.LocalAddr().(*net.UDPAddr); ok && la.IP.To4() == nil {
-		m.v6 = true
-	}
+	m.recv = m.recvmmsg
 	return m
 }
 
@@ -122,7 +102,7 @@ func (m *mmsgConn) readBatch(msgs []Message) (int, error) {
 //
 //specrpc:hotpath
 func (m *mmsgConn) recvmmsg(fd uintptr) bool {
-	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+	r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 		uintptr(unsafe.Pointer(&m.rhs[0])), uintptr(m.rn),
 		uintptr(syscall.MSG_DONTWAIT), 0, 0)
 	switch errno {
@@ -135,115 +115,6 @@ func (m *mmsgConn) recvmmsg(fd uintptr) bool {
 	default:
 		m.rerr = errno
 	}
-	return true
-}
-
-func (m *mmsgConn) writeBatch(msgs []Message) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	for off := 0; off < len(msgs); {
-		n := len(msgs) - off
-		if n > len(m.whs) {
-			n = len(m.whs)
-		}
-		batch := msgs[off : off+n]
-		k := 0
-		for i := range batch {
-			if !m.setName(k, batch[i].Addr) {
-				// An address the raw path cannot encode: send this one
-				// message through the conn's own WriteTo instead. Reads on
-				// this socket never produce such an address, so this is a
-				// defensive path, not a hot one.
-				m.mu2one(&batch[i])
-				continue
-			}
-			m.wiov[k].Base = &batch[i].Buf[0]
-			m.wiov[k].Len = uint64(len(batch[i].Buf))
-			m.whs[k].hdr.Iov = &m.wiov[k]
-			m.whs[k].hdr.Iovlen = 1
-			m.whs[k].nlen = 0
-			k++
-		}
-		for m.wfrom, m.wto = 0, k; m.wfrom < m.wto; m.wfrom += m.wwrote {
-			m.wwrote, m.werr = 0, 0
-			if err := m.rc.Write(m.send); err != nil {
-				return err
-			}
-			if m.werr != 0 {
-				return m.werr
-			}
-			if m.wwrote == 0 {
-				break // defensive: a zero-progress success cannot loop forever
-			}
-		}
-		off += n
-	}
-	return nil
-}
-
-// sendmmsg is writeBatch's RawConn callback; wmu is held.
-//
-//specrpc:hotpath
-func (m *mmsgConn) sendmmsg(fd uintptr) bool {
-	r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-		uintptr(unsafe.Pointer(&m.whs[m.wfrom])), uintptr(m.wto-m.wfrom),
-		uintptr(syscall.MSG_DONTWAIT), 0, 0)
-	switch errno {
-	case syscall.EAGAIN, syscall.EINTR:
-		return false // let the poller wait for writability
-	case 0:
-		m.wwrote = int(r1)
-		m.stats.WriteCalls.Add(1)
-		m.stats.WriteMsgs.Add(uint64(m.wwrote))
-	default:
-		m.werr = errno
-	}
-	return true
-}
-
-// mu2one sends one message through the portable path (used only for
-// addresses the raw sockaddr encoding rejects, which reads on this
-// socket never produce).
-func (m *mmsgConn) mu2one(msg *Message) {
-	if _, err := m.pc.WriteTo(msg.Buf, msg.Addr); err != nil {
-		return
-	}
-	m.stats.WriteCalls.Add(1)
-	m.stats.WriteMsgs.Add(1)
-}
-
-// setName encodes batch destination i into the preallocated sockaddr
-// matching the socket's family.
-func (m *mmsgConn) setName(i int, a net.Addr) bool {
-	u, ok := a.(*net.UDPAddr)
-	if !ok {
-		return false
-	}
-	if m.v6 {
-		ip := u.IP.To16()
-		if ip == nil {
-			return false
-		}
-		sa := &m.wsa6[i]
-		*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6}
-		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		p[0], p[1] = byte(u.Port>>8), byte(u.Port)
-		copy(sa.Addr[:], ip)
-		m.whs[i].hdr.Name = (*byte)(unsafe.Pointer(sa))
-		m.whs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-		return true
-	}
-	ip := u.IP.To4()
-	if ip == nil {
-		return false
-	}
-	sa := &m.wsa4[i]
-	*sa = syscall.RawSockaddrInet4{Family: syscall.AF_INET}
-	p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-	p[0], p[1] = byte(u.Port>>8), byte(u.Port)
-	copy(sa.Addr[:], ip)
-	m.whs[i].hdr.Name = (*byte)(unsafe.Pointer(sa))
-	m.whs[i].hdr.Namelen = syscall.SizeofSockaddrInet4
 	return true
 }
 

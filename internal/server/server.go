@@ -17,12 +17,13 @@
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 4, the transport endpoint: the service-side twin of internal/client,
 // executing internal/wire plans over internal/xdr streams. Its syscalls
-// are batched on both transports (DESIGN.md, "Batching and flush
-// policy"): concurrent stream handlers group-commit their reply records
-// into shared coalesced writes, a stream connection's pipelined requests
-// are picked up through the record layer's read-ahead window (one read
-// per burst), and ServeUDP moves datagrams in recvmmsg/sendmmsg batches
-// through internal/platform/batchio where the kernel supports it.
+// are batched where a series shows it pays (DESIGN.md, "Batching and
+// flush policy"): concurrent stream handlers group-commit their reply
+// records into shared coalesced writes, a stream connection's pipelined
+// requests are picked up through the record layer's read-ahead window
+// (one read per burst), and ServeUDP reads datagrams in recvmmsg batches
+// through internal/platform/batchio where the kernel supports it. Each
+// datagram reply is one write, as svc_udp's sendto was.
 package server
 
 import (
@@ -224,8 +225,15 @@ func WithMaxRecord(n int) Option {
 	}
 }
 
-// WithBufSize sets the datagram receive/reply buffer size (default 8900).
-func WithBufSize(n int) Option { return func(s *Server) { s.bufSize = n } }
+// WithBufSize sets the datagram receive/reply buffer size (default
+// 8900). n <= 0 keeps the default.
+func WithBufSize(n int) Option {
+	return func(s *Server) {
+		if n > 0 {
+			s.bufSize = n
+		}
+	}
+}
 
 // WithWriteBatching toggles reply-record coalescing on stream
 // connections (default on). When on, a handler that finishes while
@@ -238,17 +246,18 @@ func WithWriteBatching(on bool) Option {
 	return func(s *Server) { s.noWBatch = !on }
 }
 
-// DefaultDatagramBatch is the default messages-per-syscall bound for
+// DefaultDatagramBatch is the default datagrams-per-read bound for
 // ServeUDP: big enough to amortize a kernel crossing across a bursty
 // queue, small enough that the per-loop buffer set stays modest.
 const DefaultDatagramBatch = 32
 
-// WithDatagramBatch bounds how many datagrams ServeUDP may move per
+// WithDatagramBatch bounds how many datagrams ServeUDP may read per
 // syscall (default DefaultDatagramBatch). n == 1 is the
-// one-datagram-per-syscall baseline. Values above 1 engage
-// recvmmsg/sendmmsg only where the platform and socket support them
-// (Linux kernel UDP sockets); everywhere else the portable path runs
-// the baseline code regardless of n, byte-identical on the wire.
+// one-datagram-per-read baseline. Values above 1 engage recvmmsg only
+// where the platform and socket support it (Linux kernel UDP sockets);
+// everywhere else the portable path runs the baseline code regardless
+// of n. Replies are one WriteTo each whatever n is, so the bytes on the
+// wire never depend on it.
 func WithDatagramBatch(n int) Option {
 	return func(s *Server) {
 		if n < 1 {
@@ -471,6 +480,8 @@ type dgram struct {
 // at-most-once guarantee holds without pinning calls to workers —
 // pinning (e.g. sharding on XID) would serialize unrelated calls that
 // collide on a shard and cap the useful concurrency below the pool size.
+// The read loop takes datagrams in recvmmsg batches (WithDatagramBatch);
+// a worker writes its reply itself, one WriteTo per datagram.
 //
 // Admission control: the queue between the read loop and the pool is
 // bounded (WithQueueDepth). When every worker is busy and the queue is
@@ -483,18 +494,13 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 	}
 	defer s.wg.Done()
 
-	// Batched I/O wrapper: up to dgBatch messages per recvmmsg/sendmmsg
-	// where the platform supports it; with dgBatch == 1 (or anywhere the
-	// mmsg path is unavailable) every operation is the exact
-	// one-datagram-per-syscall code this loop always ran. Replies from
-	// concurrent workers coalesce through a group-commit sender on the
-	// batched path and go straight to WriteTo on the baseline.
+	// Batched-read wrapper: up to dgBatch datagrams per recvmmsg where
+	// the platform supports it; with dgBatch == 1 (or anywhere the mmsg
+	// path is unavailable) every read is the exact one-datagram recvfrom
+	// this loop always ran. Each reply leaves from the worker that ran
+	// it, with one counted WriteTo.
 	bc := batchio.New(conn, s.dgBatch)
 	s.dgio.Store(bc)
-	var sd replySender = directSender{bc}
-	if bc.Batch() > 1 {
-		sd = batchio.NewSender(bc, xdr.GetBuf, xdr.PutBuf)
-	}
 
 	jobs := make(chan dgram, s.queue)
 	var workers sync.WaitGroup
@@ -503,7 +509,7 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 		go func() {
 			defer workers.Done()
 			for d := range jobs {
-				s.answerDatagram(sd, d.from, *d.req)
+				s.answerDatagram(bc, d.from, *d.req)
 				xdr.PutBuf(d.req)
 			}
 		}()
@@ -565,25 +571,11 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 	}
 }
 
-// replySender is where a datagram reply leaves the server: the direct
-// WriteTo baseline or the group-commit batched sender. The caller keeps
-// ownership of msg either way — the batched sender copies the reply into
-// its own pooled buffer before queueing it.
-type replySender interface {
-	Send(to net.Addr, msg []byte)
-}
-
-// directSender is the unbatched reply path: one counted WriteTo per
-// reply, errors dropped as they always were (datagram clients
-// retransmit).
-type directSender struct{ c *batchio.Conn }
-
-func (d directSender) Send(to net.Addr, msg []byte) { d.c.WriteTo(msg, to) }
-
 // DatagramIOStats reports the cumulative syscall and message counters of
 // the most recently started ServeUDP loop: reads then writes, calls then
-// messages. Calls == messages on the unbatched path; messages/calls is
-// the realized batch factor.
+// messages. Writes are one reply per call, so writeCalls == writeMsgs;
+// readMsgs/readCalls is the realized recvmmsg batch factor (1 on the
+// unbatched path).
 func (s *Server) DatagramIOStats() (readCalls, readMsgs, writeCalls, writeMsgs uint64) {
 	bc := s.dgio.Load()
 	if bc == nil {
@@ -626,7 +618,7 @@ func (s *Server) HandlerPanics() uint64 { return s.panics.Load() }
 // Conns reports the number of stream connections currently being served.
 func (s *Server) Conns() int { return int(s.conns.Load()) }
 
-func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
+func (s *Server) answerDatagram(bc *batchio.Conn, from net.Addr, req []byte) {
 	// The pooled reply buffer doubles as the destination for cache hits:
 	// get copies the cached bytes into it under the shard lock (the
 	// cache's own buffers are recycled by concurrent evictions, so they
@@ -642,7 +634,7 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 		peer = makePeerKey(from)
 		if s.cache != nil {
 			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.sendCached(sd, from, rp, cached)
+				s.sendCached(bc, from, rp, cached)
 				return
 			}
 		}
@@ -661,7 +653,7 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 		// at-most-once for non-idempotent procedures.
 		if s.cache != nil {
 			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.sendCached(sd, from, rp, cached)
+				s.sendCached(bc, from, rp, cached)
 				return
 			}
 		}
@@ -704,19 +696,19 @@ func (s *Server) answerDatagram(sd replySender, from net.Addr, req []byte) {
 	if hasXID && s.cache != nil {
 		s.cache.put(peer, xid, out)
 	}
-	sd.Send(from, out)
+	bc.WriteTo(out, from)
 }
 
 // sendCached answers a duplicate call from the reply cache. cached is
 // the entry copied into rp's storage; an empty one is the record of a
 // call that got no reply (ErrNoReply), and gets none again.
-func (s *Server) sendCached(sd replySender, from net.Addr, rp *[]byte, cached []byte) {
+func (s *Server) sendCached(bc *batchio.Conn, from net.Addr, rp *[]byte, cached []byte) {
 	s.cacheHits.Add(1)
 	if len(cached) == 0 {
 		return
 	}
 	*rp = cached
-	sd.Send(from, cached)
+	bc.WriteTo(cached, from)
 }
 
 // ServeTCP accepts stream connections and answers record-marked calls on
