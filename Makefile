@@ -68,8 +68,8 @@ benchmark-check:
 # Machine-readable live benchmark: the generic/specialized codec
 # comparison (plus the fused and compiled whole-call series) over
 # netsim, UDP, and TCP, the header-path series, the
-# open-loop tail-latency grid (sharded call tracking vs the single-lock
-# shards=1 baseline), and the batched-vs-unbatched syscalls/op series,
+# open-loop tail-latency grid (one row per transport), and the
+# batched-vs-unbatched syscalls/op series,
 # written to BENCH_live.json so the perf trajectory is tracked from PR
 # to PR. Each refresh is also archived under bench/history/ keyed by
 # date and commit, so the trajectory is a series of snapshots instead of
@@ -151,9 +151,12 @@ pipe-smoke:
 # (tempo-derived plan == hand-built plan, bytes and errors alike),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
-# only a one-way handler's call goes unanswered), and
-# the .x front end fed arbitrary text (Parse never panics; what it
-# accepts generates Go that parses, plan-only and compiled).
+# only a one-way handler's call goes unanswered), the datagram path fed
+# hostile sequences from several peers (every reply echoes its request's
+# XID, a non-call gets nothing, a call the table holds is never run
+# again), the .x front end fed arbitrary text (Parse never panics; what
+# it accepts generates Go that parses, plan-only and compiled), and the
+# mini-C front end fed arbitrary text (Parse and Check never panic).
 fuzz:
 	$(GO) test -run=NONE -fuzz='FuzzRecRead$$' -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzRecReadDiff -fuzztime=10s ./internal/xdr
@@ -168,7 +171,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDerivedPlan -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server
+	$(GO) test -run=NONE -fuzz=FuzzServeDatagram -fuzztime=10s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rpcgen
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/minic
 
 # Build the rpcgen-generated stubs as part of the pipeline: generate
 # from the richest testdata spec into a temp package — once plan-only,

@@ -112,7 +112,6 @@ type report struct {
 		Transport   string  `json:"transport"`
 		Conns       int     `json:"conns"`
 		Depth       int     `json:"depth"`
-		Shards      int     `json:"shards"`
 		OfferedRate float64 `json:"offered_rate"`
 		P99Us       float64 `json:"p99_us"`
 	} `json:"open_loop"`
@@ -191,8 +190,8 @@ func (r *report) series() map[string]float64 {
 	}
 	for _, o := range r.OpenLoop {
 		if o.P99Us > 0 {
-			out[fmt.Sprintf("open-loop/%s/c%d_d%d/r%.0f/shards=%d/p99",
-				o.Transport, o.Conns, o.Depth, o.OfferedRate, o.Shards)] = o.P99Us * 1e3
+			out[fmt.Sprintf("open-loop/%s/c%d_d%d/r%.0f/p99",
+				o.Transport, o.Conns, o.Depth, o.OfferedRate)] = o.P99Us * 1e3
 		}
 	}
 	for _, b := range r.Batch {

@@ -12,8 +12,7 @@
 //	sunbench -figure 6        # the Figure 6 panels
 //	sunbench -throughput      # live throughput over sim, udp, and tcp
 //	sunbench -throughput -transport tcp -clients 4 -depth 16 -calls 50000
-//	sunbench -openloop        # open-loop Poisson tail latency (p50/p99/p999),
-//	                          # sharded vs single-lock baseline
+//	sunbench -openloop        # open-loop Poisson tail latency (p50/p99/p999), one row per transport
 //	sunbench -openloop -transport udp -clients 8 -depth 16 -rate 8000 -openloop-dur 2s
 //	sunbench -batch           # counted syscalls/op: batched vs unbatched I/O
 //	sunbench -batch -transport tcp -clients 4 -depth 8 -calls 20000
@@ -54,7 +53,6 @@ func realMain() int {
 	openloop := flag.Bool("openloop", false, "measure open-loop tail latency (Poisson arrivals) over the live transports")
 	rate := flag.Float64("rate", 4000, "offered arrival rate in calls/sec for -openloop")
 	openloopDur := flag.Duration("openloop-dur", time.Second, "arrival window per -openloop grid point")
-	baseline := flag.Bool("baseline", true, "also run each -openloop point against the single-lock (shards=1) baseline")
 	reps := flag.Int("openloop-reps", 3, "repetitions per -openloop point; the median-p99 run is reported")
 	batch := flag.Bool("batch", false, "count syscalls/op for batched vs unbatched I/O over the live transports")
 	chaos := flag.Bool("chaos", false, "measure goodput and retry/reconnect counters under a seeded fault schedule")
@@ -130,7 +128,7 @@ func realMain() int {
 	}
 	if err == nil && *openloop {
 		live = true
-		err = runOpenLoop(*transports, *clients, *depth, *rate, *openloopDur, *baseline, *reps, out)
+		err = runOpenLoop(*transports, *clients, *depth, *rate, *openloopDur, *reps, out)
 	}
 	if err == nil && *batch {
 		live = true
@@ -257,28 +255,18 @@ func runThroughput(transports string, clients, depth, calls, size int, out *json
 	return nil
 }
 
-// runOpenLoop drives the open-loop tail-latency grid: for each
-// transport, each point runs against the sharded server and (with
-// -baseline) against the single-lock shards=1 layout, so the JSON series
-// carries its own before/after comparison. The whole grid is measured
-// reps times with the configurations interleaved within each round, and
-// the median-p99 run per point reported: a single open-loop run on a
-// shared host is one scheduling outlier away from nonsense, and
-// back-to-back blocks per configuration would let slow host drift bias
-// the baseline comparison.
-func runOpenLoop(transports string, conns, depth int, rate float64, dur time.Duration, baseline bool, reps int, out *jsonReport) error {
-	shardCfgs := []int{0}
-	if baseline {
-		shardCfgs = []int{1, 0}
-	}
+// runOpenLoop drives the open-loop tail-latency grid, one point per
+// transport. The whole grid is measured reps times with the transports
+// interleaved within each round, and the median-p99 run per point
+// reported: a single open-loop run on a shared host is one scheduling
+// outlier away from nonsense, and back-to-back blocks per transport
+// would let slow host drift bias one of them.
+func runOpenLoop(transports string, conns, depth int, rate float64, dur time.Duration, reps int, out *jsonReport) error {
 	var grid []bench.OpenLoopOptions
 	for _, tr := range splitTransports(transports) {
-		for _, shards := range shardCfgs {
-			grid = append(grid, bench.OpenLoopOptions{
-				Transport: tr, Conns: conns, Depth: depth,
-				Rate: rate, Duration: dur, Shards: shards,
-			})
-		}
+		grid = append(grid, bench.OpenLoopOptions{
+			Transport: tr, Conns: conns, Depth: depth, Rate: rate, Duration: dur,
+		})
 	}
 	rows, err := bench.OpenLoopGrid(grid, reps)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // The check is syntactic and intraprocedural by design: it cannot prove
 // the lock is held at the access, but it catches the real historical
 // failure — a new method (often a cold-path accessor or String/debug
-// dump) reading sharded state with no locking at all.
+// dump) reading shared state with no locking at all.
 var LockGuard = &analysis.Analyzer{
 	Name: "lockguard",
 	Doc:  "fields commented as lock-guarded are only touched by methods that take the lock",

@@ -9,9 +9,9 @@ package bench
 // queueing delay (and scheduler overshoot) is charged to the server the
 // way a real user would experience it — the coordinated-omission-free
 // measurement. Sustained p50/p99/p999 under a rate grid is the metric
-// that decides whether the sharded call-tracking state actually helps:
-// a single contended lock shows up as a fat tail long before it shows
-// up in mean throughput.
+// that decides whether shared server state costs anything: a contended
+// lock shows up as a fat tail long before it shows up in mean
+// throughput.
 
 import (
 	"fmt"
@@ -49,9 +49,6 @@ type OpenLoopOptions struct {
 	ArraySize int
 	// Workers overrides the server worker bound (0 = server default).
 	Workers int
-	// Shards overrides the server's call-tracking shard count: 0 keeps
-	// the server default, 1 is the single-lock pre-sharding baseline.
-	Shards int
 	// Seed fixes the arrival process (0 = seed 1, for reproducibility).
 	Seed int64
 }
@@ -87,7 +84,6 @@ type OpenLoopResult struct {
 	Conns        int     `json:"conns"`
 	Depth        int     `json:"depth"`
 	ArraySize    int     `json:"n"`
-	Shards       int     `json:"shards"` // 0 = server default
 	OfferedRate  float64 `json:"offered_rate"`
 	AchievedRate float64 `json:"achieved_rate"`
 	Offered      int64   `json:"offered"`
@@ -185,9 +181,6 @@ func OpenLoop(o OpenLoopOptions) (OpenLoopResult, error) {
 	if o.Workers > 0 {
 		srvOpts = append(srvOpts, server.WithWorkers(o.Workers))
 	}
-	if o.Shards > 0 {
-		srvOpts = append(srvOpts, server.WithShards(o.Shards))
-	}
 	rig, err := newLoadRig(o.Transport, o.Conns, newGauge(0), srvOpts...)
 	if err != nil {
 		return OpenLoopResult{}, err
@@ -284,7 +277,6 @@ func OpenLoop(o OpenLoopOptions) (OpenLoopResult, error) {
 		Conns:       o.Conns,
 		Depth:       o.Depth,
 		ArraySize:   o.ArraySize,
-		Shards:      o.Shards,
 		OfferedRate: o.Rate,
 		Offered:     offered,
 		Completed:   completed.Load(),
@@ -345,12 +337,12 @@ func OpenLoopMedian(o OpenLoopOptions, reps int) (OpenLoopResult, error) {
 // FormatOpenLoop renders the open-loop grid with its latency tail.
 func FormatOpenLoop(rows []OpenLoopResult) string {
 	var sb strings.Builder
-	sb.WriteString("Open loop: Poisson arrivals, latency from scheduled arrival (shards=0 means server default)\n")
-	fmt.Fprintf(&sb, "%-9s %6s %6s %7s %10s %10s %6s %5s %10s %10s %10s %10s\n",
-		"Transport", "Conns", "Depth", "Shards", "Offer/s", "Achieved/s", "Drop", "Err", "p50(us)", "p99(us)", "p999(us)", "max(us)")
+	sb.WriteString("Open loop: Poisson arrivals, latency from scheduled arrival\n")
+	fmt.Fprintf(&sb, "%-9s %6s %6s %10s %10s %6s %5s %10s %10s %10s %10s\n",
+		"Transport", "Conns", "Depth", "Offer/s", "Achieved/s", "Drop", "Err", "p50(us)", "p99(us)", "p999(us)", "max(us)")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-9s %6d %6d %7d %10.0f %10.0f %6d %5d %10.1f %10.1f %10.1f %10.1f\n",
-			r.Transport, r.Conns, r.Depth, r.Shards, r.OfferedRate, r.AchievedRate,
+		fmt.Fprintf(&sb, "%-9s %6d %6d %10.0f %10.0f %6d %5d %10.1f %10.1f %10.1f %10.1f\n",
+			r.Transport, r.Conns, r.Depth, r.OfferedRate, r.AchievedRate,
 			r.Dropped, r.Errors, r.P50Us, r.P99Us, r.P999Us, r.MaxUs)
 	}
 	return sb.String()

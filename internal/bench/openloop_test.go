@@ -93,26 +93,27 @@ func TestOpenLoopSmokeSim(t *testing.T) {
 	}
 }
 
-// TestOpenLoopShardBaseline runs the same grid point against the
-// single-lock baseline (shards=1) and the sharded default, pinning that
-// both configurations serve the load correctly — the perf comparison
-// itself lives in sunbench -openloop.
-func TestOpenLoopShardBaseline(t *testing.T) {
-	for _, shards := range []int{1, 0} {
-		res, err := OpenLoop(OpenLoopOptions{
-			Transport: "sim",
-			Conns:     4,
-			Depth:     8,
-			Rate:      1500,
-			Duration:  150 * time.Millisecond,
-			Shards:    shards,
-			Seed:      7,
+// TestOpenLoopGrid runs a two-transport grid through OpenLoopGrid, the
+// path sunbench -openloop takes: one row per transport, in order, each
+// serving the load without errors.
+func TestOpenLoopGrid(t *testing.T) {
+	var grid []OpenLoopOptions
+	for _, tr := range []string{"sim", "udp"} {
+		grid = append(grid, OpenLoopOptions{
+			Transport: tr, Conns: 4, Depth: 8, Rate: 1500,
+			Duration: 150 * time.Millisecond, Seed: 7,
 		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Errors != 0 || res.Completed == 0 {
-			t.Fatalf("shards=%d: %+v", shards, res)
+	}
+	rows, err := OpenLoopGrid(grid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(grid) {
+		t.Fatalf("%d rows for %d transports", len(rows), len(grid))
+	}
+	for i, res := range rows {
+		if res.Transport != grid[i].Transport || res.Errors != 0 || res.Completed == 0 {
+			t.Fatalf("row %d: %+v", i, res)
 		}
 	}
 }

@@ -35,6 +35,15 @@ func MustParse(src string) *Program {
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
+// peek returns the token n places ahead, or the closing EOF token when
+// the input ends sooner.
+func (p *Parser) peek(n int) Token {
+	if p.pos+n >= len(p.toks) {
+		return p.toks[len(p.toks)-1]
+	}
+	return p.toks[p.pos+n]
+}
+
 func (p *Parser) at(kind TokKind, text string) bool {
 	t := p.cur()
 	return t.Kind == kind && (text == "" || t.Text == text)
@@ -117,7 +126,7 @@ func (p *Parser) parseType() (Type, error) {
 
 func (p *Parser) topDecl() error {
 	switch {
-	case p.at(TokKeyword, "struct") && p.toks[p.pos+2].Text == "{":
+	case p.at(TokKeyword, "struct") && p.peek(2).Text == "{":
 		return p.structDef()
 	case p.accept(TokKeyword, "extern"):
 		return p.externDecl()
@@ -188,7 +197,7 @@ func (p *Parser) paramList() ([]Param, error) {
 		return params, nil
 	}
 	// "(void)" means no parameters.
-	if p.at(TokKeyword, "void") && p.toks[p.pos+1].Text == ")" {
+	if p.at(TokKeyword, "void") && p.peek(1).Text == ")" {
 		p.next()
 		p.next()
 		return params, nil

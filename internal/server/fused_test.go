@@ -309,30 +309,31 @@ func TestPeerKeySemantics(t *testing.T) {
 }
 
 // TestPeerKeyAllocFree pins the per-datagram key construction and the
-// in-flight claim/release cycle at zero allocations — the hot-path cost
-// the peer+xid string key used to pay on every datagram.
+// call table's claim/finish cycle at zero allocations — the hot-path
+// cost the peer+xid string key used to pay on every datagram.
 func TestPeerKeyAllocFree(t *testing.T) {
 	udp := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1).To4(), Port: 2049}
 	sim := netsim.Addr("client")
-	fs := newInflightSet(4)
-	fs.begin(makePeerKey(udp), 0) // warm the shard maps
-	fs.end(makePeerKey(udp), 0)
-	cache := newReplyCache(4, 4)
+	c := newCallTable(4)
+	reply := make([]byte, 40)
 	for _, tc := range []struct {
 		name string
 		addr net.Addr
 	}{{"udp", udp}, {"sim", sim}} {
 		addr := tc.addr
-		if n := testing.AllocsPerRun(200, func() {
-			k := makePeerKey(addr)
-			if !fs.begin(k, 7) {
+		xid := uint32(0)
+		cycle := func() {
+			k := cacheKey{makePeerKey(addr), xid}
+			if _, st := c.begin(k, echoKey, nil); st != callClaimed {
 				t.Fatal("claim refused")
 			}
-			if _, ok := cache.get(k, 7, nil); ok {
-				t.Fatal("phantom cache hit")
-			}
-			fs.end(k, 7)
-		}); n != 0 {
+			c.finish(k, reply)
+			xid++
+		}
+		for i := 0; i < 8; i++ {
+			cycle() // fill the ring: every measured finish evicts
+		}
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
 			t.Errorf("%s: %v allocs per datagram key cycle, want 0", tc.name, n)
 		}
 	}

@@ -7,11 +7,13 @@
 // from memory instead of re-executed (svcudp_enablecache).
 //
 // Unlike the original single-threaded svc_run loop, dispatch is
-// concurrent: datagrams fan out to a bounded worker pool (an in-flight
-// set keeps retransmissions of an executing call from running twice),
-// and each stream connection serves its pipelined requests with a
-// bounded number of in-flight handlers whose reply records are serialized
-// back onto the stream. Request and reply buffers come from the shared
+// concurrent. Datagrams fan out to a bounded worker pool, and the
+// duplicate-request cache doubles as the in-flight set: one (peer, xid)
+// table behind one lock, in which a call is executing or done, so a
+// retransmission of an executing call does not run twice. Each stream
+// connection serves its pipelined requests with a bounded number of
+// in-flight handlers whose reply records are serialized back onto the
+// stream. Request and reply buffers come from the shared
 // XDR buffer pool, keeping the hot path allocation-free.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
@@ -88,11 +90,9 @@ type TypedProc func(body []byte, xid uint32, bs *xdr.BufStream) error
 type Server struct {
 	mu       sync.RWMutex // guards procs
 	procs    map[procKey]TypedProc
-	cache    *replyCache
-	inflight *inflightSet
+	calls    *callTable // ServeUDP's in-flight calls and cached replies
 	bufSize  int
 	workers  int
-	shards   int  // shard count for the call-tracking state
 	cacheCap int  // duplicate-reply cache capacity (0 disables)
 	queue    int  // datagram admission queue depth
 	maxConns int  // stream connection limit (0 = unlimited)
@@ -128,34 +128,17 @@ type Server struct {
 type Option func(*Server)
 
 // WithCacheSize sets the duplicate-request cache capacity in entries
-// (default 128; 0 disables the cache). The capacity divides across the
-// server's shards, and all of one peer's calls hash to one shard, so a
-// single peer's effective duplicate-reply window is only about
-// n/WithShards entries (16 of the default 128 at 8 shards): size n as
-// the per-peer retransmission depth you want to absorb multiplied by
-// the shard count, not as a global total. When n is smaller than the
-// shard count the cache uses fewer shards rather than inflating its
-// capacity.
+// (default 128; 0 disables the cache). The entries are shared by every
+// peer and evicted oldest first, so one peer alone can have n replies
+// remembered: size n as the number of calls a retransmission may lag
+// behind across all clients. With the cache disabled a retransmission
+// that arrives while its call executes is still dropped, not run twice.
 func WithCacheSize(n int) Option {
 	return func(s *Server) {
 		if n < 0 {
 			n = 0
 		}
 		s.cacheCap = n
-	}
-}
-
-// WithShards sets the shard count for the server's call-tracking state
-// (the in-flight set and the duplicate-reply cache), rounded up to a
-// power of two. The default scales with GOMAXPROCS; WithShards(1) keeps
-// everything behind one lock — the pre-sharding layout, kept as the
-// measurable baseline for the open-loop harness.
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n < 1 {
-			n = 1
-		}
-		s.shards = n
 	}
 }
 
@@ -298,15 +281,7 @@ func New(opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	// The sharded state is built after the options so the shard count,
-	// cache capacity, and worker bound are all settled.
-	if s.shards == 0 {
-		s.shards = defaultShards()
-	}
-	s.inflight = newInflightSet(s.shards)
-	if s.cacheCap > 0 {
-		s.cache = newReplyCache(s.cacheCap, s.shards)
-	}
+	s.calls = newCallTable(s.cacheCap)
 	if s.queue == 0 {
 		s.queue = max(4*s.workers, 64)
 	}
@@ -363,21 +338,21 @@ func (s *Server) register(prog, vers, proc uint32, h TypedProc) {
 // versions the program is registered under. Refusals are the cold path,
 // so the range is read off the table itself rather than kept in step
 // beside it.
-func (s *Server) lookup(prog, vers, proc uint32) (TypedProc, rpcmsg.AcceptStat, rpcmsg.MismatchInfo) {
+func (s *Server) lookup(p procKey) (TypedProc, rpcmsg.AcceptStat, rpcmsg.MismatchInfo) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if h, ok := s.procs[procKey{prog, vers, proc}]; ok {
+	if h, ok := s.procs[p]; ok {
 		return h, rpcmsg.Success, rpcmsg.MismatchInfo{}
 	}
 	stat := rpcmsg.ProgUnavail
 	vr := rpcmsg.MismatchInfo{Low: ^uint32(0)}
 	for k := range s.procs {
-		if k.prog == prog {
+		if k.prog == p.prog {
 			stat = rpcmsg.ProcUnavail
 			vr.Low, vr.High = min(vr.Low, k.vers), max(vr.High, k.vers)
 		}
 	}
-	if stat == rpcmsg.ProcUnavail && (vers < vr.Low || vers > vr.High) {
+	if stat == rpcmsg.ProcUnavail && (p.vers < vr.Low || p.vers > vr.High) {
 		stat = rpcmsg.ProgMismatch
 	}
 	return nil, stat, vr
@@ -404,11 +379,7 @@ var errBadCallHeader = errors.New("server: bad call header")
 // appending after replyBuf's existing contents (the TCP path reserves
 // the record mark there) and growing the backing array when the reply
 // is larger. The routing triple and argument bytes are located at fixed
-// offsets; the handler appends the whole success reply itself, and every
-// refusal or handler failure rewinds to the reserved prefix and marshals
-// the RFC 1057 error reply. A handler that returned ErrNoReply produces
-// no reply: nil bytes, nil error. It is shared by the UDP and TCP paths
-// and safe to run from many workers at once.
+// offsets; the rest is dispatch's.
 //
 //specrpc:hotpath
 func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
@@ -416,9 +387,21 @@ func (s *Server) handleCall(req []byte, replyBuf []byte) ([]byte, error) {
 	if !ok {
 		return nil, errBadCallHeader
 	}
+	return s.dispatch(xid, procKey{prog, vers, proc}, body, replyBuf)
+}
+
+// dispatch runs one parsed call: the handler appends the whole success
+// reply itself, and every refusal or handler failure rewinds to the
+// reserved prefix and marshals the RFC 1057 error reply. A handler that
+// returned ErrNoReply produces no reply: nil bytes, nil error. It is
+// shared by the UDP and TCP paths and safe to run from many workers at
+// once.
+//
+//specrpc:hotpath
+func (s *Server) dispatch(xid uint32, p procKey, body, replyBuf []byte) ([]byte, error) {
 	e := xdr.GetEnc(replyBuf)
 	defer xdr.PutEnc(e)
-	h, stat, vr := s.lookup(prog, vers, proc)
+	h, stat, vr := s.lookup(p)
 	if h != nil {
 		switch stat = s.invoke(h, body, xid, &e.BS); stat {
 		case rpcmsg.Success:
@@ -473,15 +456,18 @@ type dgram struct {
 // ServeUDP answers datagram calls on conn until the connection or server
 // is closed. It blocks; run it on its own goroutine when serving multiple
 // transports. Datagrams fan out to a bounded pool of workers, any of
-// which may take any datagram: a retransmission that arrives while the
-// original is still executing is detected via the in-flight set and
-// dropped (the client retransmits again and is answered from the
-// duplicate-request cache once the first execution lands), so the
-// at-most-once guarantee holds without pinning calls to workers —
-// pinning (e.g. sharding on XID) would serialize unrelated calls that
-// collide on a shard and cap the useful concurrency below the pool size.
-// The read loop takes datagrams in recvmmsg batches (WithDatagramBatch);
-// a worker writes its reply itself, one WriteTo per datagram.
+// which may take any datagram. Each well-formed call passes through the
+// server's call table twice: once to claim (peer, xid) or be answered
+// from it, once to store the reply. A retransmission that arrives while
+// the original is still executing finds it claimed and is dropped (the
+// client retransmits again and is answered from the duplicate-request
+// cache once the first execution lands), so the at-most-once guarantee
+// holds without pinning calls to workers — pinning (e.g. on XID) would
+// serialize unrelated calls that collide and cap the useful concurrency
+// below the pool size. A datagram that is not a well-formed call has no
+// XID to answer and is dropped, as svc_udp dropped it. The read loop
+// takes datagrams in recvmmsg batches (WithDatagramBatch); a worker
+// writes its reply itself, one WriteTo per datagram.
 //
 // Admission control: the queue between the read loop and the pool is
 // bounded (WithQueueDepth). When every worker is busy and the queue is
@@ -619,60 +605,36 @@ func (s *Server) HandlerPanics() uint64 { return s.panics.Load() }
 func (s *Server) Conns() int { return int(s.conns.Load()) }
 
 func (s *Server) answerDatagram(bc *batchio.Conn, from net.Addr, req []byte) {
+	xid, prog, vers, proc, body, ok := rpcmsg.CallBody(req)
+	if !ok {
+		return // not a call: nothing to answer
+	}
 	// The pooled reply buffer doubles as the destination for cache hits:
-	// get copies the cached bytes into it under the shard lock (the
-	// cache's own buffers are recycled by concurrent evictions, so they
+	// begin copies the cached bytes into it under the table lock (the
+	// table's own buffers are recycled by concurrent evictions, so they
 	// must never be written to the socket after the lock is released).
 	rp := xdr.GetBuf(s.bufSize)
 	defer xdr.PutBuf(rp)
-	// Duplicate-request cache: a retransmission of a call we already
-	// executed is answered with the cached bytes, preserving the
-	// "execute at most once per XID while cached" behaviour.
-	xid, hasXID := rpcmsg.PeekXID(req)
-	var peer peerKey
-	if hasXID {
-		peer = makePeerKey(from)
-		if s.cache != nil {
-			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.sendCached(bc, from, rp, cached)
-				return
-			}
-		}
-		// A retransmission of a call currently executing on another
-		// worker must not execute a second time — even with the reply
-		// cache disabled; drop it and let a later retransmission be
-		// answered (from the cache, or by re-execution once the first
-		// finishes).
-		if !s.inflight.begin(peer, xid) {
-			return
-		}
-		defer s.inflight.end(peer, xid)
-		// Double-check the cache now that the claim is held: the original
-		// execution may have finished — and cached its reply — between the
-		// miss above and the claim, and executing again would break
-		// at-most-once for non-idempotent procedures.
-		if s.cache != nil {
-			if cached, ok := s.cache.get(peer, xid, (*rp)[:0]); ok {
-				s.sendCached(bc, from, rp, cached)
-				return
-			}
-		}
-	}
-	out, err := s.handleCall(req, *rp)
-	if err != nil {
-		return // undecodable datagram: drop silently
-	}
-	if out == nil {
-		// ErrNoReply: nothing to send, but the call ran. An empty cache
-		// entry makes a retransmission of it a hit answered with the same
-		// silence, not a second execution.
-		if hasXID && s.cache != nil {
-			s.cache.put(peer, xid, nil)
+	k, p := cacheKey{makePeerKey(from), xid}, procKey{prog, vers, proc}
+	cached, st := s.calls.begin(k, p, (*rp)[:0])
+	switch st {
+	case callBusy:
+		// A retransmission of a call executing on another worker: drop it
+		// and let a later retransmission be answered from the cache.
+		return
+	case callCached:
+		// A retransmission of a call already executed. An empty entry is
+		// the record of a call that got no reply (ErrNoReply), and gets
+		// none again.
+		s.cacheHits.Add(1)
+		if len(cached) > 0 {
+			*rp = cached
+			bc.WriteTo(cached, from)
 		}
 		return
 	}
-	*rp = out // keep any growth pooled
-	if len(out) >= s.bufSize {
+	out, err := s.dispatch(xid, p, body, *rp)
+	if err == nil && len(out) >= s.bufSize {
 		// The growable reply buffer fits any results, but a datagram
 		// cannot carry them: replace the reply with SYSTEM_ERR — which
 		// always fits, and is sent and cached like any reply so the
@@ -682,33 +644,21 @@ func (s *Server) answerDatagram(bc *batchio.Conn, from net.Addr, req []byte) {
 		// the peer's receive buffer is dropped there as possibly
 		// truncated, so it must stay strictly below. Stream replies
 		// grow freely.
-		if !hasXID {
-			return
-		}
-		buf := xdr.NewBufEncode((*rp)[:0])
+		buf := xdr.NewBufEncode(out[:0])
 		se := rpcmsg.ErrorReply(xid, rpcmsg.SystemErr)
-		if err := se.Marshal(xdr.NewEncoder(buf)); err != nil {
-			return
-		}
+		err = se.Marshal(xdr.NewEncoder(buf))
 		out = buf.Buffer()
-		*rp = out
 	}
-	if hasXID && s.cache != nil {
-		s.cache.put(peer, xid, out)
+	if err != nil {
+		out = nil // no reply could be built: the call answers nothing
 	}
-	bc.WriteTo(out, from)
-}
-
-// sendCached answers a duplicate call from the reply cache. cached is
-// the entry copied into rp's storage; an empty one is the record of a
-// call that got no reply (ErrNoReply), and gets none again.
-func (s *Server) sendCached(bc *batchio.Conn, from net.Addr, rp *[]byte, cached []byte) {
-	s.cacheHits.Add(1)
-	if len(cached) == 0 {
-		return
+	// ErrNoReply leaves out nil too: nothing is sent, but the call ran, and
+	// its empty entry answers a retransmission with the same silence.
+	s.calls.finish(k, out)
+	if out != nil {
+		*rp = out // keep any growth pooled
+		bc.WriteTo(out, from)
 	}
-	*rp = cached
-	bc.WriteTo(cached, from)
 }
 
 // ServeTCP accepts stream connections and answers record-marked calls on
@@ -1318,11 +1268,10 @@ func (s *Server) Close() error {
 // as addresses.
 const peerKeyBytes = 24
 
-// peerKey identifies a datagram sender without allocating: the
-// in-flight set and the duplicate-request cache key every datagram on
-// (peer, xid), so a heap key — the peer+xid string the first
-// implementation built — costs one allocation per received datagram on
-// the hot path. The key is a comparable value type instead: address
+// peerKey identifies a datagram sender without allocating: the call
+// table keys every datagram on (peer, xid), so a heap key — the
+// peer+xid string the first implementation built — costs one
+// allocation per received datagram on the hot path. The key is a comparable value type instead: address
 // bytes (or a short textual address) inline in a fixed array, with a
 // string spill only for exotic address types whose rendering does not
 // fit.
@@ -1353,8 +1302,8 @@ func makePeerKey(a net.Addr) peerKey {
 	return k
 }
 
-// cacheKey is the (peer, xid) identity of one datagram call, shared by
-// the in-flight set and the duplicate-reply cache (both in shard.go).
+// cacheKey is the (peer, xid) identity of one datagram call in the call
+// table (calltable.go).
 type cacheKey struct {
 	peer peerKey
 	xid  uint32

@@ -197,26 +197,33 @@ func TestRegisterVersionRange(t *testing.T) {
 func TestReplyCache(t *testing.T) {
 	peer := makePeerKey(netsim.Addr("peer"))
 	other := makePeerKey(netsim.Addr("other"))
-	c := newReplyCache(2, 1)
-	c.put(peer, 1, []byte{1})
-	c.put(peer, 2, []byte{2})
-	if _, ok := c.get(peer, 1, nil); !ok {
+	c := newCallTable(2)
+	k := func(p peerKey, xid uint32) cacheKey { return cacheKey{p, xid} }
+	store(t, c, k(peer, 1), echoKey, []byte{1})
+	store(t, c, k(peer, 2), echoKey, []byte{2})
+	if _, st := c.begin(k(peer, 1), echoKey, nil); st != callCached {
 		t.Fatal("entry 1 missing")
 	}
-	c.put(peer, 3, []byte{3}) // evicts xid 1 (FIFO)
-	if _, ok := c.get(peer, 1, nil); ok {
+	store(t, c, k(peer, 3), echoKey, []byte{3}) // evicts xid 1 (FIFO)
+	if _, st := c.begin(k(peer, 1), echoKey, nil); st != callClaimed {
 		t.Fatal("entry 1 should be evicted")
 	}
-	if got, ok := c.get(peer, 3, nil); !ok || got[0] != 3 {
-		t.Fatalf("entry 3: %v %v", got, ok)
+	c.finish(k(peer, 1), []byte{1}) // evicts xid 2
+	if got, st := c.begin(k(peer, 3), echoKey, nil); st != callCached || got[0] != 3 {
+		t.Fatalf("entry 3: %v %v", got, st)
 	}
-	// Same key updates in place without eviction.
-	c.put(peer, 3, []byte{9})
-	if got, _ := c.get(peer, 3, nil); got[0] != 9 {
-		t.Fatalf("update failed: %v", got)
+	// Another call under the same key takes it over in place, without
+	// eviction.
+	fail := procKey{testProg, testVers, procFail}
+	store(t, c, k(peer, 3), fail, []byte{9})
+	if got, st := c.begin(k(peer, 3), fail, nil); st != callCached || got[0] != 9 {
+		t.Fatalf("takeover failed: %v %v", got, st)
+	}
+	if _, st := c.begin(k(peer, 1), echoKey, nil); st != callCached {
+		t.Fatal("takeover evicted entry 1")
 	}
 	// Keys are per-peer.
-	if _, ok := c.get(other, 3, nil); ok {
+	if _, st := c.begin(k(other, 3), fail, nil); st != callClaimed {
 		t.Fatal("cache leaked across peers")
 	}
 }
