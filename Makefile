@@ -170,6 +170,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRunKernels -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDerivedPlan -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
+	$(GO) test -run=NONE -fuzz=FuzzLayoutCodec -fuzztime=10s ./internal/compiledtest/layout
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzServeDatagram -fuzztime=10s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rpcgen

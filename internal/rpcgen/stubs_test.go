@@ -14,6 +14,7 @@ var committedStubs = []struct {
 	opts        GoOptions
 }{
 	{"testdata/rich.x", "../compiledtest/stubs.go", GoOptions{Package: "compiledtest", Compiled: true}},
+	{"testdata/layout.x", "../compiledtest/layout/stubs.go", GoOptions{Package: "layout", Compiled: true}},
 	{"../bench/livespecrpc/livespec.x", "../bench/livespecrpc/stubs.go", GoOptions{Package: "livespecrpc", Compiled: true}},
 	{"../../examples/rmin/rmin.x", "../../examples/rmin/rminrpc/rmin_stubs.go", GoOptions{Package: "rminrpc", Compiled: true}},
 }
