@@ -10,6 +10,7 @@ package layout
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -110,7 +111,8 @@ func (e engines[T]) checkEncode(t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl 
 
 // checkDecode runs the three decoders over body twice, into fresh
 // values and then again into the same ones, and fails unless they agree
-// on accept or reject and, on accept, on the value. On a body they all
+// on accept or reject — on reject, on the error too — and, on accept, on
+// the value. On a body they all
 // reject, none may allocate more than a constant times its length. It
 // returns the walker's error.
 func (e engines[T]) checkDecode(t *testing.T, body []byte) error {
@@ -124,7 +126,7 @@ func (e engines[T]) checkDecode(t *testing.T, body []byte) error {
 			errs = append(errs, dec(body, &vals[i]))
 		}
 		for i := 1; i < len(decs); i++ {
-			if (errs[i] == nil) != (errs[0] == nil) {
+			if (errs[i] == nil) != (errs[0] == nil) || !errors.Is(errs[i], errs[0]) {
 				t.Fatalf("pass %d: %s decode %v, generic %v", pass, e.rungs()[i].name, errs[i], errs[0])
 			}
 			if errs[0] == nil && !same(vals[i], vals[0]) {
@@ -303,4 +305,40 @@ func FuzzLayoutCodec(f *testing.F) {
 		namesEngines.checkDecode(t, raw)
 		nestedEngines.checkDecode(t, raw)
 	})
+}
+
+// TestCountedCompositeMinWire: a counted array's count is checked against
+// the element's smallest wire size, not the 4-byte floor, by every
+// engine. A many body claiming 2²⁰ nested elements (16 wire bytes each)
+// with 4 MiB behind it fails before anything is allocated; at the floor
+// the count passes and the decoder allocates the whole slice first.
+func TestCountedCompositeMinWire(t *testing.T) {
+	body := make([]byte, 4+4<<20)
+	binary.BigEndian.PutUint32(body, 1<<20)
+	for i, dec := range manyEngines.decoders() {
+		var err error
+		got := testutil.AllocBytes(func() {
+			var v Many
+			err = dec(body, &v)
+		})
+		if !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("%s: %v, want %v", manyEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		}
+		if got > 4096 {
+			t.Errorf("%s allocated %d bytes rejecting a %d-byte body", manyEngines.rungs()[i].name, got, len(body))
+		}
+	}
+}
+
+// TestCountedCompositeError: a names body claiming two named elements (8
+// wire bytes each at their smallest) with 8 bytes behind it is short,
+// and every engine says so — not that the first string is too long.
+func TestCountedCompositeError(t *testing.T) {
+	body := []byte{0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0}
+	for i, dec := range namesEngines.decoders() {
+		var v Names
+		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("%s: %v, want %v", namesEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		}
+	}
 }

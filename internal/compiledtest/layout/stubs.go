@@ -513,7 +513,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 		return xdr.ErrTooBig
 	}
 	n43 := int(u42)
-	if int64(n43)*4 > int64(len(body)-pos) {
+	if int64(n43)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
 	if n43 <= cap((*v).Ns) {
@@ -688,7 +688,7 @@ func compiledDecodeNames(body []byte, v *Names) error {
 	u10 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
 	n11 := int(u10)
-	if int64(n11)*4 > int64(len(body)-pos) {
+	if int64(n11)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
 	if n11 <= cap((*v).V) {

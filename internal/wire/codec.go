@@ -424,10 +424,10 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 			if err != nil {
 				return err
 			}
-			// Every element costs at least 4 wire bytes (Compile refuses
-			// the ones that cost none); use that conservative floor to
-			// reject hostile counts before allocating.
-			if int64(cnt)*4 > int64(ms.Remaining()) {
+			// Every element costs at least in.wire bytes (Compile refuses
+			// elements that cost none): reject hostile counts against
+			// that before allocating.
+			if int64(cnt)*int64(in.wire) > int64(ms.Remaining()) {
 				return xdr.ErrOverflow
 			}
 			data := ensureSlice(q, in.sliceT, cnt, in.stride)

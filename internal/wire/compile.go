@@ -94,7 +94,7 @@ type instr struct {
 	op       op
 	off      uintptr
 	n        int     // unit/byte count (run classes, opVecSub)
-	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun)
+	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun), one element at its smallest (opSliceSub)
 	bound    uint32  // decode limit for counted ops
 	stride   uintptr // Go element size for slice/vector ops
 	run      op      // run class of the fused element (opSliceRun)
@@ -389,7 +389,7 @@ func flattenInto(prog *[]instr, n node, base uintptr) error {
 			return nil
 		}
 		*prog = append(*prog, instr{
-			op: opSliceSub, off: off, bound: n.bound,
+			op: opSliceSub, off: off, bound: n.bound, wire: n.minWire,
 			stride: n.stride, sub: sub, sliceT: n.sliceT,
 		})
 	default:

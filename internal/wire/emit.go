@@ -754,9 +754,9 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 		e.pf("pos += %s * %d", nv, es)
 		return nil
 	}
-	// Variable-size elements cost at least the 4-byte floor each (the
-	// opSliceSub pre-check); per-element checks do the rest.
-	e.pf("if int64(%s)*4 > int64(len(body)-pos) {", nv)
+	// Variable-size elements cost at least their smallest wire size each
+	// (the opSliceSub pre-check); per-element checks do the rest.
+	e.pf("if int64(%s)*%d > int64(len(body)-pos) {", nv, t.Elem.minWireSize())
 	e.indent++
 	e.pf("return xdr.ErrOverflow")
 	e.indent--
