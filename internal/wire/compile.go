@@ -119,10 +119,10 @@ func (o op) memWidth() uintptr {
 }
 
 // runWire reports the wire bytes n units of run class o occupy. It is the
-// flat program's one answer to "what is the static wire size": every
-// instr.wire is computed here, when the instruction is built, and the
-// executors and the fused view only ever read the field. (The Type
-// tree's answer is Type.wireSize.)
+// one answer to "what is the static wire size": every step.wire of the
+// layout-free program and every instr.wire of the fused one is computed
+// here or summed from it when built, and the executors, the fused view
+// and the emitter only ever read the fields.
 func runWire(o op, n int) int {
 	switch o {
 	case opUnits8:
@@ -185,11 +185,11 @@ func Compile(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 	}
 	c.root = root
 	if mode != Generic {
-		prog, err := flatten(root, 0)
+		steps, err := lower(t)
 		if err != nil {
 			return nil, err
 		}
-		c.prog = prog
+		c.prog = fuse(steps, &root)
 	}
 	return c, nil
 }
@@ -305,15 +305,160 @@ func nameMatches(wireName, goName string) bool {
 	return canon(wireName) == canon(goName)
 }
 
-// flatten compiles a bound node into the linear instruction array,
-// fusing adjacent fixed-size runs. base is the offset of the node within
-// the pointer the program will run against.
-func flatten(n node, base uintptr) ([]instr, error) {
-	var prog []instr
-	if err := flattenInto(&prog, n, base); err != nil {
+// step is one instruction of the layout-free program lower builds from
+// a Type: the shape's one walk, shared by both back ends. It holds what
+// the shape alone decides — which field, its class, unit count, static
+// wire size, bound — and no Go offset, since offsets and the run fusion
+// that follows from them belong to the GOARCH the program runs on. fuse
+// resolves a program against a bound node into the interpreter's flat
+// instructions; the emitter (emit.go) prints it as Go source that names
+// fields by selector and leaves the offsets to the compiler.
+type step struct {
+	// op is a run class (a scalar, n = 1, or fixed opaque, n bytes),
+	// opString, opOpaqueV, opVecSub (a fixed array of n elements) or
+	// opSliceSub (a counted array); fuse decides which arrays become runs.
+	op op
+	// path holds the field indices from the value the program runs
+	// against down to the step's field; empty for the value itself.
+	path []int
+	// n is a run class's unit count (bytes, for fixed opaque) or an
+	// opVecSub's element count.
+	n int
+	// wire is the step's static wire size, or varWire when it depends
+	// on the value.
+	wire int
+	// bound is the declared limit of a counted step; 0 means none.
+	bound uint32
+	// elemMin is the fewest wire bytes one element of an array step can
+	// occupy: what a decoded count is checked against before allocating.
+	elemMin int
+	// sub is an array step's element program.
+	sub []step
+}
+
+// varWire marks a step whose wire size depends on the value.
+const varWire = -1
+
+// lower builds the layout-free program of t: structs dissolve into
+// their fields' steps, each named by path, and arrays carry their
+// element's program.
+func lower(t *Type) ([]step, error) {
+	var steps []step
+	if err := lowerInto(&steps, t, nil); err != nil {
 		return nil, err
 	}
-	return prog, nil
+	return steps, nil
+}
+
+func lowerInto(steps *[]step, t *Type, path []int) error {
+	s := step{path: path, n: 1, wire: varWire, bound: t.Bound}
+	switch t.Kind {
+	case Int32, Uint32, Float32:
+		s.op = opUnits
+	case Hyper, Uhyper, Float64:
+		s.op = opUnits8
+	case Bool:
+		s.op = opBools
+	case OpaqueFixed:
+		s.op, s.n = opBytes, t.Len
+	case String:
+		s.op = opString
+	case OpaqueVar:
+		s.op = opOpaqueV
+	case Struct:
+		for i, f := range t.Fields {
+			if err := lowerInto(steps, f.Type, append(path[:len(path):len(path)], i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	case FixedArray, VarArray:
+		sub, err := lower(t.Elem)
+		if err != nil {
+			return err
+		}
+		var elemWire int
+		elemWire, s.elemMin = sizes(sub)
+		s.sub = sub
+		if t.Kind == VarArray {
+			s.op = opSliceSub
+			break
+		}
+		s.op, s.n = opVecSub, t.Len
+		if elemWire != varWire {
+			s.wire = t.Len * elemWire
+		}
+	default:
+		return fmt.Errorf("wire: cannot lower kind %s", t.Kind)
+	}
+	if s.op.fixed() {
+		s.wire = runWire(s.op, s.n)
+	}
+	*steps = append(*steps, s)
+	return nil
+}
+
+// sizes reports a program's static wire size (varWire when it depends
+// on the value) and the fewest wire bytes it can occupy, every counted
+// item at its empty encoding, the 4-byte count.
+func sizes(steps []step) (wire, least int) {
+	for _, s := range steps {
+		switch {
+		case s.wire != varWire:
+			least += s.wire
+		case s.op == opVecSub:
+			least += s.n * s.elemMin
+		default:
+			least += xdr.BytesPerUnit
+		}
+		if wire == varWire || s.wire == varWire {
+			wire = varWire
+		} else {
+			wire += s.wire
+		}
+	}
+	return wire, least
+}
+
+// fuse resolves a layout-free program against n, the bound node of the
+// value it runs against, into the flat instruction array: each path
+// becomes a Go offset on this GOARCH, and adjacent runs fuse by Go-memory
+// contiguity.
+func fuse(steps []step, n *node) []instr {
+	var prog []instr
+	for _, s := range steps {
+		f := n
+		for _, i := range s.path {
+			f = &f.fields[i]
+		}
+		switch s.op {
+		case opString, opOpaqueV:
+			prog = append(prog, instr{op: s.op, off: f.off, bound: f.bound})
+		case opVecSub:
+			sub := fuse(s.sub, f.elem)
+			if units, run, ok := fullyFused(sub, f.stride); ok {
+				// The element fuses to contiguous units covering its whole
+				// stride, so the array is one big run: loop bounds
+				// resolved at compile time.
+				appendRun(&prog, run, f.off, s.n*units)
+				break
+			}
+			prog = append(prog, instr{op: opVecSub, off: f.off, n: s.n, stride: f.stride, sub: sub})
+		case opSliceSub:
+			sub := fuse(s.sub, f.elem)
+			if units, run, ok := fullyFused(sub, f.stride); ok && run != opBytes {
+				prog = append(prog, sliceRun(f.off, f.bound, run, units, f.sliceT))
+				break
+			}
+			prog = append(prog, instr{
+				op: opSliceSub, off: f.off, bound: f.bound, wire: s.elemMin,
+				stride: f.stride, sub: sub, sliceT: f.sliceT,
+			})
+		default: // a run class
+			appendRun(&prog, s.op, f.off, s.n)
+		}
+	}
+	return prog
 }
 
 // appendRun appends a fixed-size run, fusing with the previous
@@ -343,59 +488,6 @@ func sliceRun(off uintptr, bound uint32, run op, unitsPer int, sliceT reflect.Ty
 		op: opSliceRun, off: off, bound: bound, run: run, unitsPer: unitsPer,
 		wire: runWire(run, unitsPer), stride: sliceT.Elem().Size(), sliceT: sliceT,
 	}
-}
-
-func flattenInto(prog *[]instr, n node, base uintptr) error {
-	off := base + n.off
-	switch n.t.Kind {
-	case Int32, Uint32, Float32:
-		appendRun(prog, opUnits, off, 1)
-	case Hyper, Uhyper, Float64:
-		appendRun(prog, opUnits8, off, 1)
-	case Bool:
-		appendRun(prog, opBools, off, 1)
-	case String:
-		*prog = append(*prog, instr{op: opString, off: off, bound: n.bound})
-	case OpaqueFixed:
-		appendRun(prog, opBytes, off, n.t.Len)
-	case OpaqueVar:
-		*prog = append(*prog, instr{op: opOpaqueV, off: off, bound: n.bound})
-	case Struct:
-		for _, f := range n.fields {
-			if err := flattenInto(prog, f, base); err != nil {
-				return err
-			}
-		}
-	case FixedArray:
-		sub, err := flatten(*n.elem, 0)
-		if err != nil {
-			return err
-		}
-		if units, run, ok := fullyFused(sub, n.stride); ok {
-			// The element flattens to contiguous units covering its whole
-			// stride, so the array is one big run: loop bounds resolved at
-			// compile time.
-			appendRun(prog, run, off, n.t.Len*units)
-			return nil
-		}
-		*prog = append(*prog, instr{op: opVecSub, off: off, n: n.t.Len, stride: n.stride, sub: sub})
-	case VarArray:
-		sub, err := flatten(*n.elem, 0)
-		if err != nil {
-			return err
-		}
-		if units, run, ok := fullyFused(sub, n.stride); ok && run != opBytes {
-			*prog = append(*prog, sliceRun(off, n.bound, run, units, n.sliceT))
-			return nil
-		}
-		*prog = append(*prog, instr{
-			op: opSliceSub, off: off, bound: n.bound, wire: n.minWire,
-			stride: n.stride, sub: sub, sliceT: n.sliceT,
-		})
-	default:
-		return fmt.Errorf("wire: cannot flatten kind %s", n.t.Kind)
-	}
-	return nil
 }
 
 // fullyFused reports whether a compiled element program is a single run

@@ -10,8 +10,8 @@ import (
 
 // This file is the codegen backend of the top specialization rung:
 // where fused.go still *interprets* a flat instruction array at run
-// time, the emitter below lowers the same wire shape into straight-line
-// Go source that rpcgen writes next to the generated stubs. The emitted
+// time, the emitter below prints the same program as straight-line Go
+// source that rpcgen writes next to the generated stubs. The emitted
 // routines are the paper's compiled specialized stubs: one bounds
 // reservation covers the header image plus every leading fixed-size
 // field, scalar stores and loads land at offsets the Go compiler
@@ -20,24 +20,28 @@ import (
 // and other variable-length tails run as explicit loops — no Op
 // dispatch at all.
 //
-// The emitter is a second back end over the one Type tree the runtime
-// compiles, not over the flat program: generation happens in the rpcgen
-// process, where the Go types being described do not exist yet, so
-// there is no reflect.Type to take offsets from and the emitted code
-// addresses fields by selector (derived from Field.Name) and lets the
-// compiler do the offset arithmetic. A program's runs are fused by
-// Go-memory contiguity and have lost those selectors. What the tree
-// cannot imply — the declared name an enum field casts through or a
-// typedef'd slice allocates as — rides on Type.Go.
+// Both back ends start from one lowering: lower (compile.go) walks the
+// Type once into a layout-free program, which Compile fuses against the
+// running GOARCH's offsets and the emitter prints step by step. The
+// emitter takes the program before fusion because generation happens in
+// the rpcgen process, where the Go types being described do not exist
+// yet, and because the source it writes must be right on every GOARCH:
+// it addresses fields by selector (a step's path, spelled through the
+// field names) and lets the compiler do the offset arithmetic, and its
+// segments are runs of fixed-size steps in wire order, not runs fused by
+// one host's memory layout. What the tree cannot imply — the declared
+// name an enum field casts through or a typedef'd slice allocates as —
+// rides on Type.Go.
 //
 // Byte and error equivalence with the interpretive plans is a hard
 // requirement — compiled, fused, and generic codecs multiplex on one
-// connection — so every emitted sequence mirrors the corresponding
+// connection — so every printed sequence mirrors the corresponding
 // encodeProg/decodeProg semantics: bound checks before counts, padding
 // written explicitly (Extend may return recycled dirty memory), hostile
-// counts rejected before allocation, and the exact slice reuse rule of
-// ensureSlice/ensureSlicePtrFree. The differential
-// fuzz test (FuzzCompiledCodec) pins all of it.
+// counts rejected against the element's smallest wire size before
+// allocation, and the exact slice reuse rule of
+// ensureSlice/ensureSlicePtrFree. The differential fuzz tests
+// (FuzzCompiledCodec, FuzzLayoutCodec) pin all of it.
 
 // goIdent exports an IDL identifier exactly as rpcgen.GoName spells the
 // declarations the emitted code refers to (lower_snake -> CamelCase).
@@ -56,39 +60,53 @@ func goIdent(name string) string {
 
 // goSpelling is the Go type the generated package declares for t: the
 // explicit Type.Go where one was recorded, otherwise what the shape
-// implies.
+// implies — array prefixes down to the first element that names itself.
 func goSpelling(t *Type) string {
+	var prefix string
+	for ; t.Go == "" && (t.Kind == FixedArray || t.Kind == VarArray); t = t.Elem {
+		if t.Kind == FixedArray {
+			prefix += fmt.Sprintf("[%d]", t.Len)
+		} else {
+			prefix += "[]"
+		}
+	}
 	if t.Go != "" {
-		return t.Go
+		return prefix + t.Go
 	}
 	switch t.Kind {
 	case Int32:
-		return "int32"
+		return prefix + "int32"
 	case Uint32:
-		return "uint32"
+		return prefix + "uint32"
 	case Bool:
-		return "bool"
+		return prefix + "bool"
 	case Float32:
-		return "float32"
+		return prefix + "float32"
 	case Hyper:
-		return "int64"
+		return prefix + "int64"
 	case Uhyper:
-		return "uint64"
+		return prefix + "uint64"
 	case Float64:
-		return "float64"
+		return prefix + "float64"
 	case String:
-		return "string"
+		return prefix + "string"
 	case OpaqueFixed:
-		return fmt.Sprintf("[%d]byte", t.Len)
+		return fmt.Sprintf("%s[%d]byte", prefix, t.Len)
 	case OpaqueVar:
-		return "[]byte"
-	case FixedArray:
-		return fmt.Sprintf("[%d]%s", t.Len, goSpelling(t.Elem))
-	case VarArray:
-		return "[]" + goSpelling(t.Elem)
+		return prefix + "[]byte"
 	default: // Struct
-		return goIdent(t.Name)
+		return prefix + goIdent(t.Name)
 	}
+}
+
+// field resolves a step's path under t, the type its program runs
+// against, to the field's type and its Go expression under expr.
+func field(t *Type, expr string, path []int) (*Type, string) {
+	for _, i := range path {
+		f := t.Fields[i]
+		t, expr = f.Type, expr+"."+goIdent(f.Name)
+	}
+	return t, expr
 }
 
 // EmitCompiledFuncs renders the compiled encoder/decoder pair for one
@@ -105,6 +123,10 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	if err := root.Validate(); err != nil {
 		return "", false, err
 	}
+	steps, err := lower(root)
+	if err != nil {
+		return "", false, err
+	}
 	e := &emitter{}
 	goType := goSpelling(root)
 
@@ -117,9 +139,7 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	e.pf("func compiledAppend%s(bs *xdr.BufStream, hdr []byte, xid uint32, v *%s) error {", base, goType)
 	e.indent++
 	ag := &appendGen{e: e}
-	if err := ag.walk(root, "(*v)"); err != nil {
-		return "", false, err
-	}
+	ag.print(steps, root, "(*v)")
 	ag.flush()
 	e.pf("return nil")
 	e.indent--
@@ -132,9 +152,7 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	e.pf("func compiledDecode%s(body []byte, v *%s) error {", base, goType)
 	e.indent++
 	dg := &decodeGen{e: e}
-	if err := dg.walk(root, "(*v)"); err != nil {
-		return "", false, err
-	}
+	dg.print(steps, root, "(*v)")
 	dg.flush()
 	e.pf("return nil")
 	e.indent--
@@ -195,166 +213,164 @@ func offExpr(base string, k int) string {
 // a compiler-strength-reduced index.
 const unrollLimit = 4
 
-// unitKernel names the run kernel pair (wire.PutUnits<w>/GetUnits<w>)
-// that moves an array of t: the scalar kinds that are one big-endian
-// unit in memory and on the wire alike. A bool is not (one byte in
-// memory), and a struct element keeps its per-field stores — the
-// emitter does not know whether Go pads it.
-func unitKernel(t *Type) (width string, ok bool) {
-	switch t.Kind {
-	case Int32, Uint32, Float32:
-		return "32", true
-	case Hyper, Uhyper, Float64:
-		return "64", true
+// unitKernel reports the width of the run kernel pair
+// (wire.PutUnits<w>/GetUnits<w>) that moves an array whose element
+// program is sub: an element that is itself one 4- or 8-byte unit, the
+// same in memory and on the wire. A bool is not (one byte in memory),
+// and a struct element keeps its per-field stores — the emitter does not
+// know whether Go pads it.
+func unitKernel(sub []step) (width uintptr, ok bool) {
+	if len(sub) != 1 || len(sub[0].path) != 0 || (sub[0].op != opUnits && sub[0].op != opUnits8) {
+		return 0, false
 	}
-	return "", false
+	return 8 * sub[0].op.memWidth(), true
 }
+
+// isFloat reports whether a unit step's field is an IEEE-754 value,
+// stored through its bits.
+func isFloat(t *Type) bool { return t.Kind == Float32 || t.Kind == Float64 }
 
 // ---------------------------------------------------------------------------
 // Fixed-size stores and loads
 //
 // These render the body of one fixed segment: every statement addresses
 // buf[base+const] where buf was carved out by a single Extend (encode)
-// or covered by a single length check (decode).
+// or covered by a single length check (decode). A fixed-size step is a
+// scalar, fixed opaque data, or a fixed array of fixed-size elements.
 
-func emitStores(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int) {
-	switch t.Kind {
-	case Int32, Uint32:
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], uint32(%s))", buf, offExpr(base, off), expr)
-	case Bool:
+func emitStores(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+	at := offExpr(base, off)
+	switch s.op {
+	case opUnits, opUnits8:
+		w := 8 * s.op.memWidth()
+		val := fmt.Sprintf("uint%d(%s)", w, expr)
+		if isFloat(t) {
+			e.math = true
+			if goSpelling(t) != fmt.Sprintf("float%d", w) {
+				expr = fmt.Sprintf("float%d(%s)", w, expr)
+			}
+			val = fmt.Sprintf("math.Float%dbits(%s)", w, expr)
+		}
+		lb.add("binary.BigEndian.PutUint%d(%s[%s:], %s)", w, buf, at, val)
+	case opBools:
 		lb.add("if %s {", expr)
 		lb.depth++
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], 1)", buf, offExpr(base, off))
+		lb.add("binary.BigEndian.PutUint32(%s[%s:], 1)", buf, at)
 		lb.depth--
 		lb.add("} else {")
 		lb.depth++
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], 0)", buf, offExpr(base, off))
+		lb.add("binary.BigEndian.PutUint32(%s[%s:], 0)", buf, at)
 		lb.depth--
 		lb.add("}")
-	case Float32:
-		e.math = true
-		inner := expr
-		if goSpelling(t) != "float32" {
-			inner = fmt.Sprintf("float32(%s)", expr)
-		}
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], math.Float32bits(%s))", buf, offExpr(base, off), inner)
-	case Hyper, Uhyper:
-		lb.add("binary.BigEndian.PutUint64(%s[%s:], uint64(%s))", buf, offExpr(base, off), expr)
-	case Float64:
-		e.math = true
-		inner := expr
-		if goSpelling(t) != "float64" {
-			inner = fmt.Sprintf("float64(%s)", expr)
-		}
-		lb.add("binary.BigEndian.PutUint64(%s[%s:], math.Float64bits(%s))", buf, offExpr(base, off), inner)
-	case OpaqueFixed:
-		if t.Len == 0 {
+	case opBytes:
+		if s.n == 0 {
 			return
 		}
-		lb.add("copy(%s[%s:%s], %s[:])", buf, offExpr(base, off), offExpr(base, off+t.Len), expr)
-		for j := 0; j < xdr.Pad(t.Len); j++ {
-			lb.add("%s[%s] = 0", buf, offExpr(base, off+t.Len+j))
+		lb.add("copy(%s[%s:%s], %s[:])", buf, at, offExpr(base, off+s.n), expr)
+		for j := 0; j < xdr.Pad(s.n); j++ {
+			lb.add("%s[%s] = 0", buf, offExpr(base, off+s.n+j))
 		}
-	case Struct:
-		for _, f := range t.Fields {
-			emitStores(e, lb, f.Type, expr+"."+goIdent(f.Name), buf, base, off)
-			n, _ := f.Type.wireSize()
-			off += n
-		}
-	case FixedArray:
-		es, _ := t.Elem.wireSize()
-		if es == 0 || t.Len == 0 {
+	case opVecSub:
+		if s.wire == 0 {
 			return
 		}
-		if t.Len <= unrollLimit {
-			for j := 0; j < t.Len; j++ {
-				emitStores(e, lb, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
+		es := s.wire / s.n
+		if s.n <= unrollLimit {
+			for j := 0; j < s.n; j++ {
+				emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
 			}
 			return
 		}
-		if width, ok := unitKernel(t.Elem); ok {
-			lb.add("wire.PutUnits%s(%s[%s:%s], %s[:])", width, buf, offExpr(base, off), offExpr(base, off+t.Len*es), expr)
+		if width, ok := unitKernel(s.sub); ok {
+			lb.add("wire.PutUnits%d(%s[%s:%s], %s[:])", width, buf, at, offExpr(base, off+s.wire), expr)
 			return
 		}
 		iv := e.name("i")
-		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, t.Len, iv)
+		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
 		lb.depth++
-		emitStores(e, lb, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
-			buf, fmt.Sprintf("%s+%s*%d", offExpr(base, off), iv, es), 0)
+		emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
+			buf, fmt.Sprintf("%s+%s*%d", at, iv, es), 0)
 		lb.depth--
 		lb.add("}")
 	}
 }
 
-func emitLoads(e *emitter, lb *lineBuf, t *Type, expr, buf, base string, off int) {
-	load32 := fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:])", buf, offExpr(base, off))
-	load64 := fmt.Sprintf("binary.BigEndian.Uint64(%s[%s:])", buf, offExpr(base, off))
-	switch t.Kind {
-	case Int32, Uint32:
-		lb.add("%s = %s(%s)", expr, goSpelling(t), load32)
-	case Bool:
+// emitAllStores renders a program of fixed-size steps, run against the
+// value expr of type t, at consecutive wire offsets from base+off.
+func emitAllStores(e *emitter, lb *lineBuf, steps []step, t *Type, expr, buf, base string, off int) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		emitStores(e, lb, s, ft, x, buf, base, off)
+		off += s.wire
+	}
+}
+
+func emitLoads(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+	at := offExpr(base, off)
+	switch s.op {
+	case opUnits, opUnits8:
+		w := 8 * s.op.memWidth()
+		val := fmt.Sprintf("binary.BigEndian.Uint%d(%s[%s:])", w, buf, at)
+		if isFloat(t) {
+			e.math = true
+			val = fmt.Sprintf("math.Float%dfrombits(%s)", w, val)
+			if goSpelling(t) == fmt.Sprintf("float%d", w) {
+				lb.add("%s = %s", expr, val)
+				return
+			}
+		}
+		lb.add("%s = %s(%s)", expr, goSpelling(t), val)
+	case opBools:
+		val := fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:]) != 0", buf, at)
 		if goSpelling(t) == "bool" {
-			lb.add("%s = %s != 0", expr, load32)
+			lb.add("%s = %s", expr, val)
 		} else {
-			lb.add("%s = %s(%s != 0)", expr, goSpelling(t), load32)
+			lb.add("%s = %s(%s)", expr, goSpelling(t), val)
 		}
-	case Float32:
-		e.math = true
-		inner := fmt.Sprintf("math.Float32frombits(%s)", load32)
-		if goSpelling(t) != "float32" {
-			inner = fmt.Sprintf("%s(%s)", goSpelling(t), inner)
-		}
-		lb.add("%s = %s", expr, inner)
-	case Hyper, Uhyper:
-		lb.add("%s = %s(%s)", expr, goSpelling(t), load64)
-	case Float64:
-		e.math = true
-		inner := fmt.Sprintf("math.Float64frombits(%s)", load64)
-		if goSpelling(t) != "float64" {
-			inner = fmt.Sprintf("%s(%s)", goSpelling(t), inner)
-		}
-		lb.add("%s = %s", expr, inner)
-	case OpaqueFixed:
-		if t.Len == 0 {
+	case opBytes:
+		if s.n == 0 {
 			return
 		}
-		lb.add("copy(%s[:], %s[%s:%s])", expr, buf, offExpr(base, off), offExpr(base, off+t.Len))
-	case Struct:
-		for _, f := range t.Fields {
-			emitLoads(e, lb, f.Type, expr+"."+goIdent(f.Name), buf, base, off)
-			n, _ := f.Type.wireSize()
-			off += n
-		}
-	case FixedArray:
-		es, _ := t.Elem.wireSize()
-		if es == 0 || t.Len == 0 {
+		lb.add("copy(%s[:], %s[%s:%s])", expr, buf, at, offExpr(base, off+s.n))
+	case opVecSub:
+		if s.wire == 0 {
 			return
 		}
-		if t.Len <= unrollLimit {
-			for j := 0; j < t.Len; j++ {
-				emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
+		es := s.wire / s.n
+		if s.n <= unrollLimit {
+			for j := 0; j < s.n; j++ {
+				emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
 			}
 			return
 		}
-		if width, ok := unitKernel(t.Elem); ok {
-			lb.add("wire.GetUnits%s(%s[:], %s[%s:%s])", width, expr, buf, offExpr(base, off), offExpr(base, off+t.Len*es))
+		if width, ok := unitKernel(s.sub); ok {
+			lb.add("wire.GetUnits%d(%s[:], %s[%s:%s])", width, expr, buf, at, offExpr(base, off+s.wire))
 			return
 		}
 		iv := e.name("i")
-		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, t.Len, iv)
+		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
 		lb.depth++
-		emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
-			buf, fmt.Sprintf("%s+%s*%d", offExpr(base, off), iv, es), 0)
+		emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
+			buf, fmt.Sprintf("%s+%s*%d", at, iv, es), 0)
 		lb.depth--
 		lb.add("}")
+	}
+}
+
+// emitAllLoads is emitAllStores for the read side.
+func emitAllLoads(e *emitter, lb *lineBuf, steps []step, t *Type, expr, buf, base string, off int) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		emitLoads(e, lb, s, ft, x, buf, base, off)
+		off += s.wire
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Append generation
 
-// appendGen walks the tree accumulating fixed-size stores into one
-// pending segment; variable-size items flush the segment (one Extend)
+// appendGen prints a program accumulating fixed-size steps into one
+// pending segment; variable-size steps flush the segment (one Extend)
 // and emit their own bounded blocks. The first flush also emits the
 // header: the reservation covers hdr plus the leading fixed run, the
 // XID is stamped at offset 0 (both message directions carry it there),
@@ -367,49 +383,38 @@ type appendGen struct {
 	headerDone bool
 }
 
-func (g *appendGen) walk(t *Type, expr string) error {
-	if sz, ok := t.wireSize(); ok {
-		if sz == 0 {
-			return nil
-		}
-		if g.seg == "" {
-			g.seg = g.e.name("b")
-			g.pend = &lineBuf{}
-		}
-		emitStores(g.e, g.pend, t, expr, g.seg, "", g.pendSize)
-		g.pendSize += sz
-		return nil
-	}
-	switch t.Kind {
-	case Struct:
-		for _, f := range t.Fields {
-			if err := g.walk(f.Type, expr+"."+goIdent(f.Name)); err != nil {
-				return err
+// print renders steps run against expr, a value of type t.
+func (g *appendGen) print(steps []step, t *Type, expr string) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		if s.wire != varWire {
+			if s.wire == 0 {
+				continue
 			}
+			if g.seg == "" {
+				g.seg = g.e.name("b")
+				g.pend = &lineBuf{}
+			}
+			emitStores(g.e, g.pend, s, ft, x, g.seg, "", g.pendSize)
+			g.pendSize += s.wire
+			continue
 		}
-		return nil
-	case FixedArray: // variable-size elements
 		g.flush()
-		iv := g.e.name("i")
-		g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, t.Len, iv)
-		g.e.indent++
-		sub := &appendGen{e: g.e, headerDone: true}
-		if err := sub.walk(t.Elem, fmt.Sprintf("%s[%s]", expr, iv)); err != nil {
-			return err
+		switch s.op {
+		case opVecSub: // variable-size elements
+			iv := g.e.name("i")
+			g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+			g.e.indent++
+			sub := &appendGen{e: g.e, headerDone: true}
+			sub.print(s.sub, ft.Elem, fmt.Sprintf("%s[%s]", x, iv))
+			sub.flush()
+			g.e.indent--
+			g.e.pf("}")
+		case opString, opOpaqueV:
+			g.emitCounted(s, ft, x)
+		case opSliceSub:
+			g.emitVarArray(s, ft, x)
 		}
-		sub.flush()
-		g.e.indent--
-		g.e.pf("}")
-		return nil
-	case String, OpaqueVar:
-		g.flush()
-		g.emitCounted(t, expr)
-		return nil
-	case VarArray:
-		g.flush()
-		return g.emitVarArray(t, expr)
-	default:
-		return fmt.Errorf("wire: emit: cannot compile kind %s", t.Kind)
 	}
 }
 
@@ -443,13 +448,13 @@ func (g *appendGen) emitPend() {
 	}
 }
 
-// emitCounted renders a string or variable-opaque item: bound check
+// emitCounted renders a string or variable-opaque step: bound check
 // before the count (as encodeProg does), one reservation for count +
 // bytes + padding, padding zeroed explicitly.
-func (g *appendGen) emitCounted(t *Type, expr string) {
+func (g *appendGen) emitCounted(s step, t *Type, expr string) {
 	e := g.e
-	if t.Bound > 0 {
-		e.pf("if uint32(len(%s)) > %d {", expr, t.Bound)
+	if s.bound > 0 {
+		e.pf("if uint32(len(%s)) > %d {", expr, s.bound)
 		e.indent++
 		e.pf("return xdr.ErrTooBig")
 		e.indent--
@@ -461,7 +466,7 @@ func (g *appendGen) emitCounted(t *Type, expr string) {
 	e.pf("%s := bs.Extend(4 + %s + %s)", wv, nv, pv)
 	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
 	src := expr
-	if t.Kind == String && goSpelling(t) != "string" {
+	if s.op == opString && goSpelling(t) != "string" {
 		src = fmt.Sprintf("string(%s)", expr)
 	}
 	e.pf("copy(%s[4:], %s)", wv, src)
@@ -473,7 +478,7 @@ func (g *appendGen) emitCounted(t *Type, expr string) {
 	e.pf("}")
 }
 
-func (g *appendGen) emitVarArray(t *Type, expr string) error {
+func (g *appendGen) emitVarArray(s step, t *Type, expr string) {
 	e := g.e
 	// Hoist the slice into a local: indexing the original lvalue inside
 	// a loop would force the compiler to reload the slice header every
@@ -482,8 +487,8 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 	// keeps both out of the residual loop.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
-	if t.Bound > 0 {
-		e.pf("if uint32(len(%s)) > %d {", sv, t.Bound)
+	if s.bound > 0 {
+		e.pf("if uint32(len(%s)) > %d {", sv, s.bound)
 		e.indent++
 		e.pf("return xdr.ErrTooBig")
 		e.indent--
@@ -491,16 +496,16 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 	}
 	nv := e.name("n")
 	e.pf("%s := len(%s)", nv, sv)
-	if es, ok := t.Elem.wireSize(); ok {
+	if es, _ := sizes(s.sub); es != varWire {
 		// Fixed-size elements: count and every element share one
 		// reservation, stores strength-reduce to constant strides.
 		wv := e.name("w")
 		e.pf("%s := bs.Extend(4 + %s*%d)", wv, nv, es)
 		e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
-		if width, ok := unitKernel(t.Elem); ok {
+		if width, ok := unitKernel(s.sub); ok {
 			// A run of scalar units: the kernel putRun stores through.
-			e.pf("wire.PutUnits%s(%s[4:], %s)", width, wv, sv)
-			return nil
+			e.pf("wire.PutUnits%d(%s[4:], %s)", width, wv, sv)
+			return
 		}
 		// Store through an advancing window over the reservation: every
 		// offset inside the loop is a constant, so each bounds check is a
@@ -512,14 +517,14 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 		e.pf("for %s := range %s {", iv, sv)
 		e.indent++
 		lb := &lineBuf{}
-		emitStores(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
+		emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
 		for _, ln := range lb.lines {
 			e.pf("%s", ln)
 		}
 		e.pf("%s = %s[%d:]", ov, ov, es)
 		e.indent--
 		e.pf("}")
-		return nil
+		return
 	}
 	// Variable-size elements: count, then each element re-enters the
 	// segment machinery inside the loop.
@@ -528,22 +533,19 @@ func (g *appendGen) emitVarArray(t *Type, expr string) error {
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
 	sub := &appendGen{e: e, headerDone: true}
-	if err := sub.walk(t.Elem, fmt.Sprintf("%s[%s]", sv, iv)); err != nil {
-		return err
-	}
+	sub.print(s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv))
 	sub.flush()
 	e.indent--
 	e.pf("}")
-	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Decode generation
 
 // decodeGen mirrors appendGen for the read side. While the cursor is
-// still statically known (before the first variable-size item) offsets
+// still statically known (before the first variable-size step) offsets
 // are literals and no cursor variable exists at all; the first variable
-// item materializes pos. Checks and error choices track decodeProg:
+// step materializes pos. Checks and error choices track decodeProg:
 // short bodies are ErrOverflow, counts above their bound ErrTooBig,
 // hostile counts rejected against the remaining bytes before any
 // allocation, and slice reuse follows ensureSlice exactly (keep a backing
@@ -556,55 +558,42 @@ type decodeGen struct {
 	static   int
 }
 
-func (g *decodeGen) walk(t *Type, expr string) error {
-	if sz, ok := t.wireSize(); ok {
-		if sz == 0 {
-			return nil
-		}
-		if g.pend == nil {
-			g.pend = &lineBuf{}
-		}
-		base, off := "", g.static+g.pendSize
-		if g.dynamic {
-			base, off = "pos", g.pendSize
-		}
-		emitLoads(g.e, g.pend, t, expr, "body", base, off)
-		g.pendSize += sz
-		return nil
-	}
-	switch t.Kind {
-	case Struct:
-		for _, f := range t.Fields {
-			if err := g.walk(f.Type, expr+"."+goIdent(f.Name)); err != nil {
-				return err
+// print renders steps run against expr, a value of type t.
+func (g *decodeGen) print(steps []step, t *Type, expr string) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		if s.wire != varWire {
+			if s.wire == 0 {
+				continue
 			}
+			if g.pend == nil {
+				g.pend = &lineBuf{}
+			}
+			base, off := "", g.static+g.pendSize
+			if g.dynamic {
+				base, off = "pos", g.pendSize
+			}
+			emitLoads(g.e, g.pend, s, ft, x, "body", base, off)
+			g.pendSize += s.wire
+			continue
 		}
-		return nil
-	case FixedArray: // variable-size elements
 		g.flush()
 		g.toDynamic()
-		iv := g.e.name("i")
-		g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, t.Len, iv)
-		g.e.indent++
-		sub := &decodeGen{e: g.e, dynamic: true}
-		if err := sub.walk(t.Elem, fmt.Sprintf("%s[%s]", expr, iv)); err != nil {
-			return err
+		switch s.op {
+		case opVecSub: // variable-size elements
+			iv := g.e.name("i")
+			g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+			g.e.indent++
+			sub := &decodeGen{e: g.e, dynamic: true}
+			sub.print(s.sub, ft.Elem, fmt.Sprintf("%s[%s]", x, iv))
+			sub.flush()
+			g.e.indent--
+			g.e.pf("}")
+		case opString, opOpaqueV:
+			g.emitCounted(s, ft, x)
+		case opSliceSub:
+			g.emitVarArray(s, ft, x)
 		}
-		sub.flush()
-		g.e.indent--
-		g.e.pf("}")
-		return nil
-	case String, OpaqueVar:
-		g.flush()
-		g.toDynamic()
-		g.emitCounted(t, expr)
-		return nil
-	case VarArray:
-		g.flush()
-		g.toDynamic()
-		return g.emitVarArray(t, expr)
-	default:
-		return fmt.Errorf("wire: emit: cannot compile kind %s", t.Kind)
 	}
 }
 
@@ -674,9 +663,9 @@ func (g *decodeGen) emitCount(bound uint32) string {
 	return nv
 }
 
-func (g *decodeGen) emitCounted(t *Type, expr string) {
+func (g *decodeGen) emitCounted(s step, t *Type, expr string) {
 	e := g.e
-	nv := g.emitCount(t.Bound)
+	nv := g.emitCount(s.bound)
 	pv := e.name("p")
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
 	e.pf("if %s+%s > len(body)-pos {", nv, pv)
@@ -684,7 +673,7 @@ func (g *decodeGen) emitCounted(t *Type, expr string) {
 	e.pf("return xdr.ErrOverflow")
 	e.indent--
 	e.pf("}")
-	if t.Kind == String {
+	if s.op == opString {
 		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
 	} else {
 		g.emitSliceAlloc(t, expr, nv)
@@ -709,10 +698,10 @@ func (g *decodeGen) emitSliceAlloc(t *Type, expr, nv string) {
 	e.pf("}")
 }
 
-func (g *decodeGen) emitVarArray(t *Type, expr string) error {
+func (g *decodeGen) emitVarArray(s step, t *Type, expr string) {
 	e := g.e
-	nv := g.emitCount(t.Bound)
-	if es, ok := t.Elem.wireSize(); ok {
+	nv := g.emitCount(s.bound)
+	if es, _ := sizes(s.sub); es != varWire {
 		// Fixed-size elements: the exact byte requirement is known up
 		// front, so one check rejects hostile counts before allocation
 		// and the element loop runs unchecked.
@@ -722,12 +711,12 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 		e.indent--
 		e.pf("}")
 		g.emitSliceAlloc(t, expr, nv)
-		if width, ok := unitKernel(t.Elem); ok {
+		if width, ok := unitKernel(s.sub); ok {
 			// A run of scalar units: the kernel getRun loads through,
 			// which takes the run's bytes off the front of the window.
-			e.pf("wire.GetUnits%s(%s, body[pos:])", width, expr)
+			e.pf("wire.GetUnits%d(%s, body[pos:])", width, expr)
 			e.pf("pos += %s * %d", nv, es)
-			return nil
+			return
 		}
 		// Hoist the destination into a local (indexing the lvalue would
 		// reload its header every iteration) and consume the source
@@ -744,7 +733,7 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 		e.pf("for %s := range %s {", iv, sv)
 		e.indent++
 		lb := &lineBuf{}
-		emitLoads(e, lb, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
+		emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
 		for _, ln := range lb.lines {
 			e.pf("%s", ln)
 		}
@@ -752,11 +741,11 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 		e.indent--
 		e.pf("}")
 		e.pf("pos += %s * %d", nv, es)
-		return nil
+		return
 	}
 	// Variable-size elements cost at least their smallest wire size each
 	// (the opSliceSub pre-check); per-element checks do the rest.
-	e.pf("if int64(%s)*%d > int64(len(body)-pos) {", nv, t.Elem.minWireSize())
+	e.pf("if int64(%s)*%d > int64(len(body)-pos) {", nv, s.elemMin)
 	e.indent++
 	e.pf("return xdr.ErrOverflow")
 	e.indent--
@@ -768,11 +757,8 @@ func (g *decodeGen) emitVarArray(t *Type, expr string) error {
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
 	sub := &decodeGen{e: e, dynamic: true}
-	if err := sub.walk(t.Elem, fmt.Sprintf("%s[%s]", sv, iv)); err != nil {
-		return err
-	}
+	sub.print(s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv))
 	sub.flush()
 	e.indent--
 	e.pf("}")
-	return nil
 }

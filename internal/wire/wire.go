@@ -200,43 +200,16 @@ func effBound(b uint32) uint32 {
 	return b
 }
 
-// wireSize reports the static wire size of t when it has one — every
-// shape built without a String, OpaqueVar, or VarArray, whose sizes
-// depend on the value. It is the one such answer on the Type tree; the
-// flat program's is runWire.
-func (t *Type) wireSize() (int, bool) {
-	switch t.Kind {
-	case Int32, Uint32, Bool, Float32:
-		return 4, true
-	case Hyper, Uhyper, Float64:
-		return 8, true
-	case OpaqueFixed:
-		return t.Len + xdr.Pad(t.Len), true
-	case FixedArray:
-		es, ok := t.Elem.wireSize()
-		return t.Len * es, ok
-	case Struct:
-		total := 0
-		for _, f := range t.Fields {
-			n, ok := f.Type.wireSize()
-			if !ok {
-				return 0, false
-			}
-			total += n
-		}
-		return total, true
-	default:
-		return 0, false
-	}
-}
-
-// minWireSize reports the fewest wire bytes a value of t can occupy: its
-// static size where it has one, and otherwise the sum of its parts with
-// every counted item at its empty encoding, the 4-byte count.
+// minWireSize reports the fewest wire bytes a value of t can occupy: the
+// generic walker's own answer, kept apart from lower's (step.elemMin) so
+// the fuzzers compare two derivations, not one. A counted item counts at
+// its empty encoding, the 4-byte count.
 func (t *Type) minWireSize() int {
 	switch t.Kind {
-	case String, OpaqueVar, VarArray:
-		return xdr.BytesPerUnit
+	case Hyper, Uhyper, Float64:
+		return 8
+	case OpaqueFixed:
+		return t.Len + xdr.Pad(t.Len)
 	case FixedArray:
 		return t.Len * t.Elem.minWireSize()
 	case Struct:
@@ -245,9 +218,8 @@ func (t *Type) minWireSize() int {
 			total += f.Type.minWireSize()
 		}
 		return total
-	default:
-		n, _ := t.wireSize()
-		return n
+	default: // the 4-byte scalars, and String, OpaqueVar, VarArray
+		return xdr.BytesPerUnit
 	}
 }
 

@@ -216,11 +216,23 @@ func staticWire(t *testing.T, prog []instr) int {
 	return total
 }
 
-// TestStaticWireSize checks the two static-size answers — Type.wireSize
-// on the tree, instr.wire (runWire) on the flat program — against each
-// other and against the length every codec actually encodes, for each
-// static-size shape of the corpus; and that every counted kind, or
-// anything containing one, reports "not static".
+// staticSize is the static wire size lower's steps give t, summed by
+// sizes; ok is false when the size depends on the value.
+func staticSize(t *testing.T, ty *Type) (int, bool) {
+	t.Helper()
+	steps, err := lower(ty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := sizes(steps)
+	return n, n != varWire
+}
+
+// TestStaticWireSize checks the two static-size answers — step.wire on
+// the layout-free program, instr.wire (runWire) on the fused one —
+// against each other and against the length every codec actually
+// encodes, for each static-size shape of the corpus; and that every
+// counted kind, or anything containing one, reports "not static".
 func TestStaticWireSize(t *testing.T) {
 	pt := StructT("point", F("x", Int32T()), F("y", Int32T()))
 	type padded struct {
@@ -255,9 +267,9 @@ func TestStaticWireSize(t *testing.T) {
 		{FixedArrayT(2, paddedT), [2]padded{}, 2 * 60},
 	}
 	for _, tc := range static {
-		got, ok := tc.ty.wireSize()
+		got, ok := staticSize(t, tc.ty)
 		if !ok || got != tc.want {
-			t.Errorf("%s %T: wireSize = %d, %v, want %d, true", tc.ty.Kind, tc.v, got, ok, tc.want)
+			t.Errorf("%s %T: static size = %d, %v, want %d, true", tc.ty.Kind, tc.v, got, ok, tc.want)
 		}
 		pv := reflect.New(reflect.TypeOf(tc.v))
 		for _, m := range modes {
@@ -288,8 +300,8 @@ func TestStaticWireSize(t *testing.T) {
 		everythingType(),
 	}
 	for _, ty := range counted {
-		if n, ok := ty.wireSize(); ok {
-			t.Errorf("%s: wireSize = %d, true, want not static", ty.Kind, n)
+		if n, ok := staticSize(t, ty); ok {
+			t.Errorf("%s: static size = %d, true, want not static", ty.Kind, n)
 		}
 	}
 }
