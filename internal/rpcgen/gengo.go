@@ -92,20 +92,10 @@ func (g *goGen) pf(format string, args ...any) {
 	fmt.Fprintf(&g.sb, format, args...)
 }
 
-// GoName exports an IDL identifier (lower_snake -> CamelCase).
-func GoName(name string) string {
-	parts := strings.Split(name, "_")
-	var sb strings.Builder
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		r := []rune(p)
-		r[0] = unicode.ToUpper(r[0])
-		sb.WriteString(string(r))
-	}
-	return sb.String()
-}
+// GoName exports an IDL identifier (lower_snake -> CamelCase). It is
+// wire.GoName, the spelling the compiled-codec emitter uses for the
+// field selectors it prints, so declarations and selectors cannot drift.
+func GoName(name string) string { return wire.GoName(name) }
 
 // wireVar and planVar name the generated description and plan variables
 // for a declared type.

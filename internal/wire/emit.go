@@ -43,9 +43,10 @@ import (
 // ensureSlice/ensureSlicePtrFree. The differential fuzz tests
 // (FuzzCompiledCodec, FuzzLayoutCodec) pin all of it.
 
-// goIdent exports an IDL identifier exactly as rpcgen.GoName spells the
-// declarations the emitted code refers to (lower_snake -> CamelCase).
-func goIdent(name string) string {
+// GoName exports an IDL identifier (lower_snake -> CamelCase): the one
+// spelling of the declarations rpcgen writes and of the selectors the
+// emitted code refers to them by.
+func GoName(name string) string {
 	var sb strings.Builder
 	for _, p := range strings.Split(name, "_") {
 		if p == "" {
@@ -95,7 +96,7 @@ func goSpelling(t *Type) string {
 	case OpaqueVar:
 		return prefix + "[]byte"
 	default: // Struct
-		return prefix + goIdent(t.Name)
+		return prefix + GoName(t.Name)
 	}
 }
 
@@ -104,7 +105,7 @@ func goSpelling(t *Type) string {
 func field(t *Type, expr string, path []int) (*Type, string) {
 	for _, i := range path {
 		f := t.Fields[i]
-		t, expr = f.Type, expr+"."+goIdent(f.Name)
+		t, expr = f.Type, expr+"."+GoName(f.Name)
 	}
 	return t, expr
 }
