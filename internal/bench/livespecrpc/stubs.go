@@ -54,6 +54,9 @@ func compiledDecodeLivearr(body []byte, v *Livearr) error {
 	u5 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
 	n6 := int(u5)
+	if n6 < 0 {
+		return xdr.ErrOverflow
+	}
 	if int64(n6)*4 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}

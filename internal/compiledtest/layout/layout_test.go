@@ -342,3 +342,23 @@ func TestCountedCompositeError(t *testing.T) {
 		}
 	}
 }
+
+// TestCountBeyondInt: a count of 2³¹ in an unbounded field is short of
+// data on every host, and every engine, the emitted decoders included,
+// says so. On a 32-bit host it reads negative as an int, which the
+// emitted decoder once sliced by.
+func TestCountBeyondInt(t *testing.T) {
+	body := append([]byte{0x80, 0, 0, 0}, make([]byte, 16)...)
+	for i, dec := range manyEngines.decoders() {
+		var v Many
+		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("many, %s: %v, want %v", manyEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		}
+	}
+	for i, dec := range namesEngines.decoders() {
+		var v Names
+		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("names, %s: %v, want %v", namesEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		}
+	}
+}

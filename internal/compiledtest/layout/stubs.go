@@ -466,6 +466,9 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 	u34 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
 	n35 := int(u34)
+	if n35 < 0 {
+		return xdr.ErrOverflow
+	}
 	if int64(n35)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
@@ -622,6 +625,9 @@ func compiledDecodeMany(body []byte, v *Many) error {
 	u7 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
 	n8 := int(u7)
+	if n8 < 0 {
+		return xdr.ErrOverflow
+	}
 	if int64(n8)*16 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}
@@ -688,6 +694,9 @@ func compiledDecodeNames(body []byte, v *Names) error {
 	u10 := binary.BigEndian.Uint32(body[pos:])
 	pos += 4
 	n11 := int(u10)
+	if n11 < 0 {
+		return xdr.ErrOverflow
+	}
 	if int64(n11)*8 > int64(len(body)-pos) {
 		return xdr.ErrOverflow
 	}

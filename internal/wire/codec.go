@@ -459,7 +459,11 @@ func decCount(ms *xdr.MemStream, bound uint32) (int, error) {
 	if cnt > bound {
 		return 0, xdr.ErrTooBig
 	}
-	return int(cnt), nil
+	n := int(cnt)
+	if n < 0 {
+		return 0, xdr.ErrOverflow // a count no 32-bit host can hold
+	}
+	return n, nil
 }
 
 // getRun is putRun's inverse: it loads n units of run class o out of b —

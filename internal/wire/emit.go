@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 
@@ -661,6 +662,15 @@ func (g *decodeGen) emitCount(bound uint32) string {
 	}
 	nv := e.name("n")
 	e.pf("%s := int(%s)", nv, uv)
+	if bound == 0 || bound > math.MaxInt32 {
+		// A count no 32-bit host can hold reads negative there; a 64-bit
+		// compiler proves the test false and drops it.
+		e.pf("if %s < 0 {", nv)
+		e.indent++
+		e.pf("return xdr.ErrOverflow")
+		e.indent--
+		e.pf("}")
+	}
 	return nv
 }
 

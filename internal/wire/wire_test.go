@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -574,5 +575,44 @@ func TestDecodeReusesBacking(t *testing.T) {
 	}
 	if &out[0] != first {
 		t.Fatal("matching-length decode reallocated the slice")
+	}
+}
+
+// TestCountBeyondInt: a count of 2³¹ or more in an unbounded field is
+// short of data on every host, and every engine says so. On a 32-bit
+// host such a count reads negative as an int, which a decoder must
+// refuse rather than slice or allocate by.
+func TestCountBeyondInt(t *testing.T) {
+	pt := StructT("point", F("x", Int32T()), F("y", Int32T()))
+	named := StructT("named", F("nm", StringT(0)), F("k", Int32T()))
+	type namedV struct {
+		Nm string
+		K  int32
+	}
+	cases := []struct {
+		ty *Type
+		v  any
+	}{
+		{StringT(0), ""},
+		{OpaqueVarT(0), []byte(nil)},
+		{VarArrayT(0, Int32T()), []int32(nil)},
+		{VarArrayT(0, HyperT()), []int64(nil)},
+		{VarArrayT(0, pt), []point(nil)},
+		{VarArrayT(0, named), []namedV(nil)},
+	}
+	for _, count := range []uint32{1 << 31, 0xa5030080, ^uint32(0)} {
+		body := append(binary.BigEndian.AppendUint32(nil, count), make([]byte, 16)...)
+		for _, tc := range cases {
+			for _, m := range modes {
+				c, err := Compile(tc.ty, reflect.TypeOf(tc.v), m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pv := reflect.New(reflect.TypeOf(tc.v))
+				if err := c.DecodeBody(body, pv.UnsafePointer()); !errors.Is(err, xdr.ErrOverflow) {
+					t.Errorf("%T %v, count %#x: %v, want %v", tc.v, m, count, err, xdr.ErrOverflow)
+				}
+			}
+		}
 	}
 }
