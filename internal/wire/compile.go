@@ -307,33 +307,20 @@ func nameMatches(wireName, goName string) bool {
 
 // step is one instruction of the layout-free program lower builds from
 // a Type: the shape's one walk, shared by both back ends. It holds what
-// the shape alone decides — which field, its class, unit count, static
-// wire size, bound — and no Go offset, since offsets and the run fusion
-// that follows from them belong to the GOARCH the program runs on. fuse
-// resolves a program against a bound node into the interpreter's flat
-// instructions; the emitter (emit.go) prints it as Go source that names
-// fields by selector and leaves the offsets to the compiler.
+// the shape alone decides and no Go offset, since offsets and the run
+// fusion that follows from them belong to the GOARCH the program runs
+// on. fuse resolves a program against a bound node into the
+// interpreter's flat instructions; the emitter (emit.go) prints it as Go
+// source that names fields by selector and leaves offsets to the
+// compiler.
 type step struct {
-	// op is a run class (a scalar, n = 1, or fixed opaque, n bytes),
-	// opString, opOpaqueV, opVecSub (a fixed array of n elements) or
-	// opSliceSub (a counted array); fuse decides which arrays become runs.
-	op op
-	// path holds the field indices from the value the program runs
-	// against down to the step's field; empty for the value itself.
-	path []int
-	// n is a run class's unit count (bytes, for fixed opaque) or an
-	// opVecSub's element count.
-	n int
-	// wire is the step's static wire size, or varWire when it depends
-	// on the value.
-	wire int
-	// bound is the declared limit of a counted step; 0 means none.
-	bound uint32
-	// elemMin is the fewest wire bytes one element of an array step can
-	// occupy: what a decoded count is checked against before allocating.
-	elemMin int
-	// sub is an array step's element program.
-	sub []step
+	op      op     // a run class (a scalar, or fixed opaque), opString, opOpaqueV, opVecSub (fixed array) or opSliceSub (counted array)
+	path    []int  // field indices from the value the program runs against down to the step's field
+	n       int    // units (run classes; bytes for fixed opaque) or elements (opVecSub)
+	wire    int    // static wire bytes, or varWire when the value decides them
+	bound   uint32 // declared limit of a counted step; 0 means none
+	elemMin int    // array steps: the fewest wire bytes one element occupies
+	sub     []step // array steps: the element's program
 }
 
 // varWire marks a step whose wire size depends on the value.
@@ -341,17 +328,10 @@ const varWire = -1
 
 // lower builds the layout-free program of t: structs dissolve into
 // their fields' steps, each named by path, and arrays carry their
-// element's program.
+// element's program. Which arrays become runs is fuse's to decide. It
+// refuses what Validate refuses.
 func lower(t *Type) ([]step, error) {
-	var steps []step
-	if err := lowerInto(&steps, t, nil); err != nil {
-		return nil, err
-	}
-	return steps, nil
-}
-
-func lowerInto(steps *[]step, t *Type, path []int) error {
-	s := step{path: path, n: 1, wire: varWire, bound: t.Bound}
+	s := step{n: 1, wire: varWire, bound: t.Bound}
 	switch t.Kind {
 	case Int32, Uint32, Float32:
 		s.op = opUnits
@@ -366,36 +346,43 @@ func lowerInto(steps *[]step, t *Type, path []int) error {
 	case OpaqueVar:
 		s.op = opOpaqueV
 	case Struct:
+		var steps []step
 		for i, f := range t.Fields {
-			if err := lowerInto(steps, f.Type, append(path[:len(path):len(path)], i)); err != nil {
-				return err
+			sub, err := lower(f.Type)
+			if err != nil {
+				return nil, fmt.Errorf("struct %s field %s: %w", t.Name, f.Name, err)
+			}
+			for _, fs := range sub {
+				fs.path = append([]int{i}, fs.path...)
+				steps = append(steps, fs)
 			}
 		}
-		return nil
+		return steps, nil
 	case FixedArray, VarArray:
 		sub, err := lower(t.Elem)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var elemWire int
-		elemWire, s.elemMin = sizes(sub)
-		s.sub = sub
-		if t.Kind == VarArray {
+		elemWire, elemMin := sizes(sub)
+		s.sub, s.elemMin = sub, elemMin
+		switch {
+		case t.Kind == FixedArray:
+			s.op, s.n = opVecSub, t.Len
+			if elemWire != varWire {
+				s.wire = t.Len * elemWire
+			}
+		case elemMin == 0:
+			return nil, errZeroSizeElem
+		default:
 			s.op = opSliceSub
-			break
-		}
-		s.op, s.n = opVecSub, t.Len
-		if elemWire != varWire {
-			s.wire = t.Len * elemWire
 		}
 	default:
-		return fmt.Errorf("wire: cannot lower kind %s", t.Kind)
+		return nil, fmt.Errorf("wire: cannot lower kind %s", t.Kind)
 	}
 	if s.op.fixed() {
 		s.wire = runWire(s.op, s.n)
 	}
-	*steps = append(*steps, s)
-	return nil
+	return []step{s}, nil
 }
 
 // sizes reports a program's static wire size (varWire when it depends

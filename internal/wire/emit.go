@@ -60,6 +60,12 @@ func GoName(name string) string {
 	return sb.String()
 }
 
+// goScalars spells the kinds whose Go type the shape implies outright.
+var goScalars = map[Kind]string{
+	Int32: "int32", Uint32: "uint32", Bool: "bool", Float32: "float32",
+	Hyper: "int64", Uhyper: "uint64", Float64: "float64", String: "string", OpaqueVar: "[]byte",
+}
+
 // goSpelling is the Go type the generated package declares for t: the
 // explicit Type.Go where one was recorded, otherwise what the shape
 // implies — array prefixes down to the first element that names itself.
@@ -72,33 +78,15 @@ func goSpelling(t *Type) string {
 			prefix += "[]"
 		}
 	}
-	if t.Go != "" {
+	switch {
+	case t.Go != "":
 		return prefix + t.Go
-	}
-	switch t.Kind {
-	case Int32:
-		return prefix + "int32"
-	case Uint32:
-		return prefix + "uint32"
-	case Bool:
-		return prefix + "bool"
-	case Float32:
-		return prefix + "float32"
-	case Hyper:
-		return prefix + "int64"
-	case Uhyper:
-		return prefix + "uint64"
-	case Float64:
-		return prefix + "float64"
-	case String:
-		return prefix + "string"
-	case OpaqueFixed:
+	case t.Kind == OpaqueFixed:
 		return fmt.Sprintf("%s[%d]byte", prefix, t.Len)
-	case OpaqueVar:
-		return prefix + "[]byte"
-	default: // Struct
+	case t.Kind == Struct:
 		return prefix + GoName(t.Name)
 	}
+	return prefix + goScalars[t.Kind]
 }
 
 // field resolves a step's path under t, the type its program runs
@@ -122,9 +110,6 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	if root == nil {
 		return "", false, fmt.Errorf("wire: emit: nil root type")
 	}
-	if err := root.Validate(); err != nil {
-		return "", false, err
-	}
 	steps, err := lower(root)
 	if err != nil {
 		return "", false, err
@@ -141,7 +126,7 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	e.pf("func compiledAppend%s(bs *xdr.BufStream, hdr []byte, xid uint32, v *%s) error {", base, goType)
 	e.indent++
 	ag := &appendGen{e: e}
-	ag.print(steps, root, "(*v)")
+	printSteps(ag, e, steps, root, "(*v)")
 	ag.flush()
 	e.pf("return nil")
 	e.indent--
@@ -154,7 +139,7 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	e.pf("func compiledDecode%s(body []byte, v *%s) error {", base, goType)
 	e.indent++
 	dg := &decodeGen{e: e}
-	dg.print(steps, root, "(*v)")
+	printSteps(dg, e, steps, root, "(*v)")
 	dg.flush()
 	e.pf("return nil")
 	e.indent--
@@ -179,6 +164,13 @@ func (e *emitter) pf(format string, args ...any) {
 	}
 	fmt.Fprintf(&e.sb, format, args...)
 	e.sb.WriteByte('\n')
+}
+
+// lines prints the statements lb collected at the current indent.
+func (e *emitter) lines(lb *lineBuf) {
+	for _, ln := range lb.lines {
+		e.pf("%s", ln)
+	}
 }
 
 // name mints a fresh local variable name; the counter is per emitted
@@ -240,7 +232,51 @@ func isFloat(t *Type) bool { return t.Kind == Float32 || t.Kind == Float64 }
 // or covered by a single length check (decode). A fixed-size step is a
 // scalar, fixed opaque data, or a fixed array of fixed-size elements.
 
-func emitStores(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+// emitFixed renders one fixed-size step at buf[base+off]: its stores
+// when enc, its loads otherwise.
+func emitFixed(e *emitter, lb *lineBuf, enc bool, s step, t *Type, expr, buf, base string, off int) {
+	switch {
+	case s.op != opVecSub && enc:
+		emitStore(e, lb, s, t, expr, buf, base, off)
+	case s.op != opVecSub:
+		emitLoad(e, lb, s, t, expr, buf, base, off)
+	case s.wire == 0: // nothing on the wire
+	case s.n <= unrollLimit:
+		for j := 0; j < s.n; j++ {
+			emitAllFixed(e, lb, enc, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*s.wire/s.n)
+		}
+	default:
+		win := fmt.Sprintf("%s[%s:%s]", buf, offExpr(base, off), offExpr(base, off+s.wire))
+		if width, ok := unitKernel(s.sub); ok {
+			if enc {
+				lb.add("wire.PutUnits%d(%s, %s[:])", width, win, expr)
+			} else {
+				lb.add("wire.GetUnits%d(%s[:], %s)", width, expr, win)
+			}
+			return
+		}
+		iv := e.name("i")
+		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+		lb.depth++
+		emitAllFixed(e, lb, enc, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
+			buf, fmt.Sprintf("%s+%s*%d", offExpr(base, off), iv, s.wire/s.n), 0)
+		lb.depth--
+		lb.add("}")
+	}
+}
+
+// emitAllFixed renders a program of fixed-size steps, run against the
+// value expr of type t, at consecutive wire offsets from base+off.
+func emitAllFixed(e *emitter, lb *lineBuf, enc bool, steps []step, t *Type, expr, buf, base string, off int) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		emitFixed(e, lb, enc, s, ft, x, buf, base, off)
+		off += s.wire
+	}
+}
+
+// emitStore renders the store of one scalar or fixed opaque step.
+func emitStore(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
 	at := offExpr(base, off)
 	switch s.op {
 	case opUnits, opUnits8:
@@ -256,13 +292,9 @@ func emitStores(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string
 		lb.add("binary.BigEndian.PutUint%d(%s[%s:], %s)", w, buf, at, val)
 	case opBools:
 		lb.add("if %s {", expr)
-		lb.depth++
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], 1)", buf, at)
-		lb.depth--
+		lb.add("\tbinary.BigEndian.PutUint32(%s[%s:], 1)", buf, at)
 		lb.add("} else {")
-		lb.depth++
-		lb.add("binary.BigEndian.PutUint32(%s[%s:], 0)", buf, at)
-		lb.depth--
+		lb.add("\tbinary.BigEndian.PutUint32(%s[%s:], 0)", buf, at)
 		lb.add("}")
 	case opBytes:
 		if s.n == 0 {
@@ -272,47 +304,17 @@ func emitStores(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string
 		for j := 0; j < xdr.Pad(s.n); j++ {
 			lb.add("%s[%s] = 0", buf, offExpr(base, off+s.n+j))
 		}
-	case opVecSub:
-		if s.wire == 0 {
-			return
-		}
-		es := s.wire / s.n
-		if s.n <= unrollLimit {
-			for j := 0; j < s.n; j++ {
-				emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
-			}
-			return
-		}
-		if width, ok := unitKernel(s.sub); ok {
-			lb.add("wire.PutUnits%d(%s[%s:%s], %s[:])", width, buf, at, offExpr(base, off+s.wire), expr)
-			return
-		}
-		iv := e.name("i")
-		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
-		lb.depth++
-		emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
-			buf, fmt.Sprintf("%s+%s*%d", at, iv, es), 0)
-		lb.depth--
-		lb.add("}")
 	}
 }
 
-// emitAllStores renders a program of fixed-size steps, run against the
-// value expr of type t, at consecutive wire offsets from base+off.
-func emitAllStores(e *emitter, lb *lineBuf, steps []step, t *Type, expr, buf, base string, off int) {
-	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
-		emitStores(e, lb, s, ft, x, buf, base, off)
-		off += s.wire
-	}
-}
-
-func emitLoads(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+// emitLoad renders the load of one scalar or fixed opaque step.
+func emitLoad(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
 	at := offExpr(base, off)
+	var val string
 	switch s.op {
 	case opUnits, opUnits8:
 		w := 8 * s.op.memWidth()
-		val := fmt.Sprintf("binary.BigEndian.Uint%d(%s[%s:])", w, buf, at)
+		val = fmt.Sprintf("binary.BigEndian.Uint%d(%s[%s:])", w, buf, at)
 		if isFloat(t) {
 			e.math = true
 			val = fmt.Sprintf("math.Float%dfrombits(%s)", w, val)
@@ -321,62 +323,84 @@ func emitLoads(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string,
 				return
 			}
 		}
-		lb.add("%s = %s(%s)", expr, goSpelling(t), val)
 	case opBools:
-		val := fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:]) != 0", buf, at)
+		val = fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:]) != 0", buf, at)
 		if goSpelling(t) == "bool" {
 			lb.add("%s = %s", expr, val)
-		} else {
-			lb.add("%s = %s(%s)", expr, goSpelling(t), val)
+			return
 		}
 	case opBytes:
-		if s.n == 0 {
-			return
+		if s.n > 0 {
+			lb.add("copy(%s[:], %s[%s:%s])", expr, buf, at, offExpr(base, off+s.n))
 		}
-		lb.add("copy(%s[:], %s[%s:%s])", expr, buf, at, offExpr(base, off+s.n))
-	case opVecSub:
-		if s.wire == 0 {
-			return
+		return
+	}
+	lb.add("%s = %s(%s)", expr, goSpelling(t), val)
+}
+
+// ---------------------------------------------------------------------------
+// The printer
+//
+// printSteps walks a program once for either side: fixed-size steps collect
+// into the side's pending segment, and every variable-size step closes
+// the segment and prints its own block — a loop over a fixed array of
+// variable-size elements here, counted items and counted arrays by the
+// side.
+
+type gen interface {
+	// fixed adds a fixed-size step to the pending segment.
+	fixed(s step, t *Type, expr string)
+	// beginVar closes the pending segment before a variable-size step.
+	beginVar()
+	// flush closes the pending segment at the end of a program.
+	flush()
+	counted(s step, t *Type, expr string)
+	slice(s step, t *Type, expr string)
+	// elems starts the side's generator for an element loop's body.
+	elems() gen
+}
+
+// printSteps renders steps run against expr, a value of type t.
+func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
+	for _, s := range steps {
+		ft, x := field(t, expr, s.path)
+		switch {
+		case s.wire == 0: // nothing on the wire
+		case s.wire != varWire:
+			g.fixed(s, ft, x)
+		case s.op == opVecSub: // variable-size elements
+			g.beginVar()
+			iv := e.name("i")
+			e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+			printElems(g, e, s, ft, fmt.Sprintf("%s[%s]", x, iv))
+		case s.op == opSliceSub:
+			g.beginVar()
+			g.slice(s, ft, x)
+		default:
+			g.beginVar()
+			g.counted(s, ft, x)
 		}
-		es := s.wire / s.n
-		if s.n <= unrollLimit {
-			for j := 0; j < s.n; j++ {
-				emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*es)
-			}
-			return
-		}
-		if width, ok := unitKernel(s.sub); ok {
-			lb.add("wire.GetUnits%d(%s[:], %s[%s:%s])", width, expr, buf, at, offExpr(base, off+s.wire))
-			return
-		}
-		iv := e.name("i")
-		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
-		lb.depth++
-		emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
-			buf, fmt.Sprintf("%s+%s*%d", at, iv, es), 0)
-		lb.depth--
-		lb.add("}")
 	}
 }
 
-// emitAllLoads is emitAllStores for the read side.
-func emitAllLoads(e *emitter, lb *lineBuf, steps []step, t *Type, expr, buf, base string, off int) {
-	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
-		emitLoads(e, lb, s, ft, x, buf, base, off)
-		off += s.wire
-	}
+// printElems prints the body of an element loop over the array step s
+// of type t, whose header the caller printed, and closes it.
+func printElems(g gen, e *emitter, s step, t *Type, elem string) {
+	e.indent++
+	sub := g.elems()
+	printSteps(sub, e, s.sub, t.Elem, elem)
+	sub.flush()
+	e.indent--
+	e.pf("}")
 }
 
 // ---------------------------------------------------------------------------
 // Append generation
 
-// appendGen prints a program accumulating fixed-size steps into one
-// pending segment; variable-size steps flush the segment (one Extend)
-// and emit their own bounded blocks. The first flush also emits the
-// header: the reservation covers hdr plus the leading fixed run, the
-// XID is stamped at offset 0 (both message directions carry it there),
-// exactly as msgBody.append does.
+// appendGen is the write side: one Extend per segment. The first flush
+// also emits the header: the reservation covers hdr plus the leading
+// fixed run, the XID is stamped at offset 0 (both message directions
+// carry it there), exactly as msgBody.append does.
 type appendGen struct {
 	e          *emitter
 	pend       *lineBuf
@@ -385,40 +409,18 @@ type appendGen struct {
 	headerDone bool
 }
 
-// print renders steps run against expr, a value of type t.
-func (g *appendGen) print(steps []step, t *Type, expr string) {
-	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
-		if s.wire != varWire {
-			if s.wire == 0 {
-				continue
-			}
-			if g.seg == "" {
-				g.seg = g.e.name("b")
-				g.pend = &lineBuf{}
-			}
-			emitStores(g.e, g.pend, s, ft, x, g.seg, "", g.pendSize)
-			g.pendSize += s.wire
-			continue
-		}
-		g.flush()
-		switch s.op {
-		case opVecSub: // variable-size elements
-			iv := g.e.name("i")
-			g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
-			g.e.indent++
-			sub := &appendGen{e: g.e, headerDone: true}
-			sub.print(s.sub, ft.Elem, fmt.Sprintf("%s[%s]", x, iv))
-			sub.flush()
-			g.e.indent--
-			g.e.pf("}")
-		case opString, opOpaqueV:
-			g.emitCounted(s, ft, x)
-		case opSliceSub:
-			g.emitVarArray(s, ft, x)
-		}
+func (g *appendGen) fixed(s step, t *Type, expr string) {
+	if g.seg == "" {
+		g.seg = g.e.name("b")
+		g.pend = &lineBuf{}
 	}
+	emitFixed(g.e, g.pend, true, s, t, expr, g.seg, "", g.pendSize)
+	g.pendSize += s.wire
 }
+
+func (g *appendGen) beginVar() { g.flush() }
+
+func (g *appendGen) elems() gen { return &appendGen{e: g.e, headerDone: true} }
 
 func (g *appendGen) flush() {
 	e := g.e
@@ -434,34 +436,22 @@ func (g *appendGen) flush() {
 		e.pf("binary.BigEndian.PutUint32(%s, xid)", w)
 		if g.pendSize > 0 {
 			e.pf("%s := %s[len(hdr):]", g.seg, w)
-			g.emitPend()
+			e.lines(g.pend)
 		}
 		g.headerDone = true
 	case g.pendSize > 0:
 		e.pf("%s := bs.Extend(%d)", g.seg, g.pendSize)
-		g.emitPend()
+		e.lines(g.pend)
 	}
 	g.pend, g.pendSize, g.seg = nil, 0, ""
 }
 
-func (g *appendGen) emitPend() {
-	for _, ln := range g.pend.lines {
-		g.e.pf("%s", ln)
-	}
-}
-
-// emitCounted renders a string or variable-opaque step: bound check
-// before the count (as encodeProg does), one reservation for count +
-// bytes + padding, padding zeroed explicitly.
-func (g *appendGen) emitCounted(s step, t *Type, expr string) {
+// counted renders a string or variable-opaque step: bound check before
+// the count (as encodeProg does), one reservation for count + bytes +
+// padding, padding zeroed explicitly.
+func (g *appendGen) counted(s step, t *Type, expr string) {
 	e := g.e
-	if s.bound > 0 {
-		e.pf("if uint32(len(%s)) > %d {", expr, s.bound)
-		e.indent++
-		e.pf("return xdr.ErrTooBig")
-		e.indent--
-		e.pf("}")
-	}
+	g.tooBig(expr, s.bound)
 	nv, pv, wv := e.name("n"), e.name("p"), e.name("w")
 	e.pf("%s := len(%s)", nv, expr)
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
@@ -474,13 +464,20 @@ func (g *appendGen) emitCounted(s step, t *Type, expr string) {
 	e.pf("copy(%s[4:], %s)", wv, src)
 	zv := e.name("z")
 	e.pf("for %s := 4 + %s; %s < 4+%s+%s; %s++ {", zv, nv, zv, nv, pv, zv)
-	e.indent++
-	e.pf("%s[%s] = 0", wv, zv)
-	e.indent--
+	e.pf("\t%s[%s] = 0", wv, zv)
 	e.pf("}")
 }
 
-func (g *appendGen) emitVarArray(s step, t *Type, expr string) {
+// tooBig renders the encode-side bound check of a counted item.
+func (g *appendGen) tooBig(expr string, bound uint32) {
+	if bound > 0 {
+		g.e.pf("if uint32(len(%s)) > %d {", expr, bound)
+		g.e.pf("\treturn xdr.ErrTooBig")
+		g.e.pf("}")
+	}
+}
+
+func (g *appendGen) slice(s step, t *Type, expr string) {
 	e := g.e
 	// Hoist the slice into a local: indexing the original lvalue inside
 	// a loop would force the compiler to reload the slice header every
@@ -489,54 +486,42 @@ func (g *appendGen) emitVarArray(s step, t *Type, expr string) {
 	// keeps both out of the residual loop.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
-	if s.bound > 0 {
-		e.pf("if uint32(len(%s)) > %d {", sv, s.bound)
-		e.indent++
-		e.pf("return xdr.ErrTooBig")
-		e.indent--
-		e.pf("}")
-	}
+	g.tooBig(sv, s.bound)
 	nv := e.name("n")
 	e.pf("%s := len(%s)", nv, sv)
-	if es, _ := sizes(s.sub); es != varWire {
-		// Fixed-size elements: count and every element share one
-		// reservation, stores strength-reduce to constant strides.
-		wv := e.name("w")
-		e.pf("%s := bs.Extend(4 + %s*%d)", wv, nv, es)
-		e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
-		if width, ok := unitKernel(s.sub); ok {
-			// A run of scalar units: the kernel putRun stores through.
-			e.pf("wire.PutUnits%d(%s[4:], %s)", width, wv, sv)
-			return
-		}
-		// Store through an advancing window over the reservation: every
-		// offset inside the loop is a constant, so each bounds check is a
-		// length-vs-constant compare instead of the re-derived
-		// w[4+i*es:] reslice the prove pass won't fold.
-		ov := e.name("o")
-		e.pf("%s := %s[4:]", ov, wv)
+	es, _ := sizes(s.sub)
+	if es == varWire {
+		// Variable-size elements: count, then each element re-enters the
+		// segment machinery inside the loop.
+		e.pf("binary.BigEndian.PutUint32(bs.Extend(4), uint32(%s))", nv)
 		iv := e.name("i")
 		e.pf("for %s := range %s {", iv, sv)
-		e.indent++
-		lb := &lineBuf{}
-		emitAllStores(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
-		for _, ln := range lb.lines {
-			e.pf("%s", ln)
-		}
-		e.pf("%s = %s[%d:]", ov, ov, es)
-		e.indent--
-		e.pf("}")
+		printElems(g, e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
 		return
 	}
-	// Variable-size elements: count, then each element re-enters the
-	// segment machinery inside the loop.
-	e.pf("binary.BigEndian.PutUint32(bs.Extend(4), uint32(%s))", nv)
+	// Fixed-size elements: count and every element share one
+	// reservation, stores strength-reduce to constant strides.
+	wv := e.name("w")
+	e.pf("%s := bs.Extend(4 + %s*%d)", wv, nv, es)
+	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
+	if width, ok := unitKernel(s.sub); ok {
+		// A run of scalar units: the kernel putRun stores through.
+		e.pf("wire.PutUnits%d(%s[4:], %s)", width, wv, sv)
+		return
+	}
+	// Store through an advancing window over the reservation: every
+	// offset inside the loop is a constant, so each bounds check is a
+	// length-vs-constant compare instead of the re-derived w[4+i*es:]
+	// reslice the prove pass won't fold.
+	ov := e.name("o")
+	e.pf("%s := %s[4:]", ov, wv)
 	iv := e.name("i")
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
-	sub := &appendGen{e: e, headerDone: true}
-	sub.print(s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv))
-	sub.flush()
+	lb := &lineBuf{}
+	emitAllFixed(e, lb, true, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
+	e.lines(lb)
+	e.pf("%s = %s[%d:]", ov, ov, es)
 	e.indent--
 	e.pf("}")
 }
@@ -544,14 +529,14 @@ func (g *appendGen) emitVarArray(s step, t *Type, expr string) {
 // ---------------------------------------------------------------------------
 // Decode generation
 
-// decodeGen mirrors appendGen for the read side. While the cursor is
-// still statically known (before the first variable-size step) offsets
-// are literals and no cursor variable exists at all; the first variable
-// step materializes pos. Checks and error choices track decodeProg:
-// short bodies are ErrOverflow, counts above their bound ErrTooBig,
-// hostile counts rejected against the remaining bytes before any
-// allocation, and slice reuse follows ensureSlice exactly (keep a backing
-// array with room for the count, allocate only for a larger one).
+// decodeGen is the read side. While the cursor is still statically
+// known (before the first variable-size step) offsets are literals and
+// no cursor variable exists at all; the first variable step
+// materializes pos. Checks and error choices track decodeProg: short
+// bodies are ErrOverflow, counts above their bound ErrTooBig, hostile
+// counts rejected against the remaining bytes before any allocation,
+// and slice reuse follows ensureSlice exactly (keep a backing array with
+// room for the count, allocate only for a larger one).
 type decodeGen struct {
 	e        *emitter
 	pend     *lineBuf
@@ -560,44 +545,30 @@ type decodeGen struct {
 	static   int
 }
 
-// print renders steps run against expr, a value of type t.
-func (g *decodeGen) print(steps []step, t *Type, expr string) {
-	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
-		if s.wire != varWire {
-			if s.wire == 0 {
-				continue
-			}
-			if g.pend == nil {
-				g.pend = &lineBuf{}
-			}
-			base, off := "", g.static+g.pendSize
-			if g.dynamic {
-				base, off = "pos", g.pendSize
-			}
-			emitLoads(g.e, g.pend, s, ft, x, "body", base, off)
-			g.pendSize += s.wire
-			continue
-		}
-		g.flush()
-		g.toDynamic()
-		switch s.op {
-		case opVecSub: // variable-size elements
-			iv := g.e.name("i")
-			g.e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
-			g.e.indent++
-			sub := &decodeGen{e: g.e, dynamic: true}
-			sub.print(s.sub, ft.Elem, fmt.Sprintf("%s[%s]", x, iv))
-			sub.flush()
-			g.e.indent--
-			g.e.pf("}")
-		case opString, opOpaqueV:
-			g.emitCounted(s, ft, x)
-		case opSliceSub:
-			g.emitVarArray(s, ft, x)
-		}
+func (g *decodeGen) fixed(s step, t *Type, expr string) {
+	if g.pend == nil {
+		g.pend = &lineBuf{}
+	}
+	base, off := "", g.static+g.pendSize
+	if g.dynamic {
+		base, off = "pos", g.pendSize
+	}
+	emitFixed(g.e, g.pend, false, s, t, expr, "body", base, off)
+	g.pendSize += s.wire
+}
+
+// beginVar also materializes the cursor variable at the current static
+// offset. It runs before any loop opens, so pos is declared in the
+// function's own scope.
+func (g *decodeGen) beginVar() {
+	g.flush()
+	if !g.dynamic {
+		g.e.pf("pos := %d", g.static)
+		g.dynamic = true
 	}
 }
+
+func (g *decodeGen) elems() gen { return &decodeGen{e: g.e, dynamic: true} }
 
 func (g *decodeGen) flush() {
 	if g.pendSize == 0 {
@@ -606,58 +577,35 @@ func (g *decodeGen) flush() {
 	}
 	e := g.e
 	if !g.dynamic {
-		e.pf("if len(body) < %d {", g.static+g.pendSize)
-		e.indent++
-		e.pf("return xdr.ErrOverflow")
-		e.indent--
-		e.pf("}")
-		g.emitPend()
+		g.overflow("len(body) < %d", g.static+g.pendSize)
+		e.lines(g.pend)
 		g.static += g.pendSize
 	} else {
-		e.pf("if pos+%d > len(body) {", g.pendSize)
-		e.indent++
-		e.pf("return xdr.ErrOverflow")
-		e.indent--
-		e.pf("}")
-		g.emitPend()
+		g.overflow("pos+%d > len(body)", g.pendSize)
+		e.lines(g.pend)
 		e.pf("pos += %d", g.pendSize)
 	}
 	g.pend, g.pendSize = nil, 0
 }
 
-func (g *decodeGen) emitPend() {
-	for _, ln := range g.pend.lines {
-		g.e.pf("%s", ln)
-	}
+// overflow renders a check that returns ErrOverflow when cond holds.
+func (g *decodeGen) overflow(cond string, args ...any) {
+	g.e.pf("if "+cond+" {", args...)
+	g.e.pf("\treturn xdr.ErrOverflow")
+	g.e.pf("}")
 }
 
-// toDynamic materializes the cursor variable at the current static
-// offset. It must run before any loop opens so pos is declared in the
-// function's own scope.
-func (g *decodeGen) toDynamic() {
-	if !g.dynamic {
-		g.e.pf("pos := %d", g.static)
-		g.dynamic = true
-	}
-}
-
-// emitCount renders the shared count-read prologue: availability check,
+// count renders the shared count-read prologue: availability check,
 // load, bound check. Returns the int count variable name.
-func (g *decodeGen) emitCount(bound uint32) string {
+func (g *decodeGen) count(bound uint32) string {
 	e := g.e
 	uv := e.name("u")
-	e.pf("if pos+4 > len(body) {")
-	e.indent++
-	e.pf("return xdr.ErrOverflow")
-	e.indent--
-	e.pf("}")
+	g.overflow("pos+4 > len(body)")
 	e.pf("%s := binary.BigEndian.Uint32(body[pos:])", uv)
 	e.pf("pos += 4")
 	if bound > 0 {
 		e.pf("if %s > %d {", uv, bound)
-		e.indent++
-		e.pf("return xdr.ErrTooBig")
-		e.indent--
+		e.pf("\treturn xdr.ErrTooBig")
 		e.pf("}")
 	}
 	nv := e.name("n")
@@ -665,111 +613,85 @@ func (g *decodeGen) emitCount(bound uint32) string {
 	if bound == 0 || bound > math.MaxInt32 {
 		// A count no 32-bit host can hold reads negative there; a 64-bit
 		// compiler proves the test false and drops it.
-		e.pf("if %s < 0 {", nv)
-		e.indent++
-		e.pf("return xdr.ErrOverflow")
-		e.indent--
-		e.pf("}")
+		g.overflow("%s < 0", nv)
 	}
 	return nv
 }
 
-func (g *decodeGen) emitCounted(s step, t *Type, expr string) {
+func (g *decodeGen) counted(s step, t *Type, expr string) {
 	e := g.e
-	nv := g.emitCount(s.bound)
+	nv := g.count(s.bound)
 	pv := e.name("p")
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
-	e.pf("if %s+%s > len(body)-pos {", nv, pv)
-	e.indent++
-	e.pf("return xdr.ErrOverflow")
-	e.indent--
-	e.pf("}")
+	g.overflow("%s+%s > len(body)-pos", nv, pv)
 	if s.op == opString {
 		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
 	} else {
-		g.emitSliceAlloc(t, expr, nv)
+		g.alloc(t, expr, nv)
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
 	}
 	e.pf("pos += %s + %s", nv, pv)
 }
 
-// emitSliceAlloc renders the ensureSlice-equivalent: a backing array
-// with room for the count is kept (so a zero count leaves nil nil and
-// non-nil empty), only a larger count allocates.
-func (g *decodeGen) emitSliceAlloc(t *Type, expr, nv string) {
+// alloc renders the ensureSlice-equivalent: a backing array with room
+// for the count is kept (so a zero count leaves nil nil and non-nil
+// empty), only a larger count allocates.
+func (g *decodeGen) alloc(t *Type, expr, nv string) {
 	e := g.e
 	e.pf("if %s <= cap(%s) {", nv, expr)
-	e.indent++
-	e.pf("%s = %s[:%s]", expr, expr, nv)
-	e.indent--
+	e.pf("\t%s = %s[:%s]", expr, expr, nv)
 	e.pf("} else {")
-	e.indent++
-	e.pf("%s = make(%s, %s)", expr, goSpelling(t), nv)
-	e.indent--
+	e.pf("\t%s = make(%s, %s)", expr, goSpelling(t), nv)
 	e.pf("}")
 }
 
-func (g *decodeGen) emitVarArray(s step, t *Type, expr string) {
+func (g *decodeGen) slice(s step, t *Type, expr string) {
 	e := g.e
-	nv := g.emitCount(s.bound)
-	if es, _ := sizes(s.sub); es != varWire {
-		// Fixed-size elements: the exact byte requirement is known up
-		// front, so one check rejects hostile counts before allocation
-		// and the element loop runs unchecked.
-		e.pf("if int64(%s)*%d > int64(len(body)-pos) {", nv, es)
-		e.indent++
-		e.pf("return xdr.ErrOverflow")
-		e.indent--
-		e.pf("}")
-		g.emitSliceAlloc(t, expr, nv)
-		if width, ok := unitKernel(s.sub); ok {
-			// A run of scalar units: the kernel getRun loads through,
-			// which takes the run's bytes off the front of the window.
-			e.pf("wire.GetUnits%d(%s, body[pos:])", width, expr)
-			e.pf("pos += %s * %d", nv, es)
-			return
-		}
-		// Hoist the destination into a local (indexing the lvalue would
-		// reload its header every iteration) and consume the source
-		// through an advancing window: loads sit at constant offsets so
-		// each bounds check is a length-vs-constant compare, the one
-		// shape the compiler reliably keeps out of the loop-carried
-		// work. An indexed body[pos+i*es:] instead re-derives the window
-		// per element — multiplication the prove pass won't fold.
+	nv := g.count(s.bound)
+	es, _ := sizes(s.sub)
+	if es == varWire {
+		// Variable-size elements cost at least their smallest wire size
+		// each (the opSliceSub pre-check); per-element checks do the rest.
+		g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.elemMin)
+		g.alloc(t, expr, nv)
 		sv := e.name("s")
 		e.pf("%s := %s", sv, expr)
-		bv := e.name("b")
-		e.pf("%s := body[pos:]", bv)
 		iv := e.name("i")
 		e.pf("for %s := range %s {", iv, sv)
-		e.indent++
-		lb := &lineBuf{}
-		emitAllLoads(e, lb, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
-		for _, ln := range lb.lines {
-			e.pf("%s", ln)
-		}
-		e.pf("%s = %s[%d:]", bv, bv, es)
-		e.indent--
-		e.pf("}")
+		printElems(g, e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
+		return
+	}
+	// Fixed-size elements: the exact byte requirement is known up front,
+	// so one check rejects hostile counts before allocation and the
+	// element loop runs unchecked.
+	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, es)
+	g.alloc(t, expr, nv)
+	if width, ok := unitKernel(s.sub); ok {
+		// A run of scalar units: the kernel getRun loads through, which
+		// takes the run's bytes off the front of the window.
+		e.pf("wire.GetUnits%d(%s, body[pos:])", width, expr)
 		e.pf("pos += %s * %d", nv, es)
 		return
 	}
-	// Variable-size elements cost at least their smallest wire size each
-	// (the opSliceSub pre-check); per-element checks do the rest.
-	e.pf("if int64(%s)*%d > int64(len(body)-pos) {", nv, s.elemMin)
-	e.indent++
-	e.pf("return xdr.ErrOverflow")
-	e.indent--
-	e.pf("}")
-	g.emitSliceAlloc(t, expr, nv)
+	// Hoist the destination into a local (indexing the lvalue would
+	// reload its header every iteration) and consume the source through
+	// an advancing window: loads sit at constant offsets so each bounds
+	// check is a length-vs-constant compare, the one shape the compiler
+	// reliably keeps out of the loop-carried work. An indexed
+	// body[pos+i*es:] instead re-derives the window per element —
+	// multiplication the prove pass won't fold.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
+	bv := e.name("b")
+	e.pf("%s := body[pos:]", bv)
 	iv := e.name("i")
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
-	sub := &decodeGen{e: e, dynamic: true}
-	sub.print(s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv))
-	sub.flush()
+	lb := &lineBuf{}
+	emitAllFixed(e, lb, false, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
+	e.lines(lb)
+	e.pf("%s = %s[%d:]", bv, bv, es)
 	e.indent--
 	e.pf("}")
+	e.pf("pos += %s * %d", nv, es)
 }

@@ -234,24 +234,10 @@ func (t *Type) minWireSize() int {
 var errZeroSizeElem = errors.New("wire: counted array of elements with no wire size")
 
 // Validate reports whether the codecs refuse t whatever Go type it is
-// bound to, naming the offending field: Compile and the emitter apply
-// the same rule, and rpcgen asks here so it can fail at the declaration
-// instead of generating a plan that fails at init.
+// bound to, naming the offending field: it is lower's verdict, which
+// Compile and the emitter act on, and rpcgen asks here so it can fail at
+// the declaration instead of generating a plan that fails at init.
 func (t *Type) Validate() error {
-	switch t.Kind {
-	case VarArray:
-		if t.Elem.minWireSize() == 0 {
-			return errZeroSizeElem
-		}
-		return t.Elem.Validate()
-	case FixedArray:
-		return t.Elem.Validate()
-	case Struct:
-		for _, f := range t.Fields {
-			if err := f.Type.Validate(); err != nil {
-				return fmt.Errorf("struct %s field %s: %w", t.Name, f.Name, err)
-			}
-		}
-	}
-	return nil
+	_, err := lower(t)
+	return err
 }
