@@ -23,19 +23,30 @@ import (
 	"specrpc/internal/xdr"
 )
 
-// engines are one root type's three rungs: the interpretive walker, a
-// second specialized plan with nothing registered (the fused
-// interpreter), and the package plan rpcgen registered its emitted
-// routines on.
-type engines[T any] struct {
-	generic, fused, compiled *wire.Plan[T]
+// engine is one rung over a root type: the plan it runs and the rung its
+// whole-message codecs must land on.
+type engine[T any] struct {
+	name string
+	plan *wire.Plan[T]
+	rung wire.Rung
 }
+
+// decode runs the engine's body decoder.
+func (en engine[T]) decode(body []byte, v *T) error {
+	return en.plan.Codec().BodyDecoder()(body, unsafe.Pointer(v))
+}
+
+// engines are one root type's three rungs, the walker first: the
+// interpretive walker, a second specialized plan with nothing registered
+// (the fused interpreter), and the package plan rpcgen registered its
+// emitted routines on.
+type engines[T any] []engine[T]
 
 func newEngines[T any](t *wire.Type, compiled *wire.Plan[T]) engines[T] {
 	return engines[T]{
-		generic:  wire.MustPlan[T](t, wire.Generic),
-		fused:    wire.MustPlan[T](t, wire.Specialized),
-		compiled: compiled,
+		{"generic", wire.MustPlan[T](t, wire.Generic), wire.RungGeneric},
+		{"fused", wire.MustPlan[T](t, wire.Specialized), wire.RungFused},
+		{"compiled", compiled, wire.RungCompiled},
 	}
 }
 
@@ -46,40 +57,12 @@ var (
 	nestedEngines = newEngines(wireTypeNested, planNested)
 )
 
-// rungs names the three engines in a fixed order, each with the rung its
-// whole-message codecs must land on.
-func (e engines[T]) rungs() []struct {
-	name string
-	plan *wire.Plan[T]
-	rung wire.Rung
-} {
-	return []struct {
-		name string
-		plan *wire.Plan[T]
-		rung wire.Rung
-	}{
-		{"generic", e.generic, wire.RungGeneric},
-		{"fused", e.fused, wire.RungFused},
-		{"compiled", e.compiled, wire.RungCompiled},
-	}
-}
-
-// decoders are the three engines' body decoders, in rungs order.
-func (e engines[T]) decoders() []func(body []byte, v *T) error {
-	var out []func(body []byte, v *T) error
-	for _, r := range e.rungs() {
-		dec := r.plan.Codec().BodyDecoder()
-		out = append(out, func(body []byte, v *T) error { return dec(body, unsafe.Pointer(v)) })
-	}
-	return out
-}
-
 // checkEncode encodes v as a call and as a reply on every rung and
 // fails unless the three messages are byte-identical.
 func (e engines[T]) checkEncode(t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl *rpcmsg.ReplyTemplate, xid uint32, v *T) []byte {
 	t.Helper()
 	var call, reply []byte
-	for _, r := range e.rungs() {
+	for _, r := range e {
 		cc, err := wire.NewCallCodec(ctmpl, 1, r.plan.Codec())
 		if err != nil {
 			t.Fatal(err)
@@ -112,40 +95,37 @@ func (e engines[T]) checkEncode(t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl 
 // checkDecode runs the three decoders over body twice, into fresh
 // values and then again into the same ones, and fails unless they agree
 // on accept or reject — on reject, on the error too — and, on accept, on
-// the value. On a body they all
-// reject, none may allocate more than a constant times its length. It
-// returns the walker's error.
-func (e engines[T]) checkDecode(t *testing.T, body []byte) error {
+// the value. On a body they all reject, none may allocate more than a
+// constant times its length.
+func (e engines[T]) checkDecode(t *testing.T, body []byte) {
 	t.Helper()
-	decs := e.decoders()
-	vals := make([]T, len(decs))
-	var errs []error
+	vals := make([]T, len(e))
+	errs := make([]error, len(e))
 	for pass := 0; pass < 2; pass++ {
-		errs = errs[:0]
-		for i, dec := range decs {
-			errs = append(errs, dec(body, &vals[i]))
+		for i, en := range e {
+			errs[i] = en.decode(body, &vals[i])
 		}
-		for i := 1; i < len(decs); i++ {
+		for i := 1; i < len(e); i++ {
 			if (errs[i] == nil) != (errs[0] == nil) || !errors.Is(errs[i], errs[0]) {
-				t.Fatalf("pass %d: %s decode %v, generic %v", pass, e.rungs()[i].name, errs[i], errs[0])
+				t.Fatalf("pass %d: %s decode %v, generic %v", pass, e[i].name, errs[i], errs[0])
 			}
 			if errs[0] == nil && !same(vals[i], vals[0]) {
-				t.Fatalf("pass %d: %s decoded %+v, generic %+v", pass, e.rungs()[i].name, vals[i], vals[0])
+				t.Fatalf("pass %d: %s decoded %+v, generic %+v", pass, e[i].name, vals[i], vals[0])
 			}
 		}
 	}
-	if errs[0] != nil {
-		for i, dec := range decs {
-			got := testutil.AllocBytes(func() {
-				var fresh T
-				_ = dec(body, &fresh)
-			})
-			if got > 4096+8*uint64(len(body)) {
-				t.Fatalf("%s decode allocated %d bytes rejecting a %d-byte body", e.rungs()[i].name, got, len(body))
-			}
+	if errs[0] == nil {
+		return
+	}
+	for _, en := range e {
+		got := testutil.AllocBytes(func() {
+			var fresh T
+			_ = en.decode(body, &fresh)
+		})
+		if got > 4096+8*uint64(len(body)) {
+			t.Fatalf("%s decode allocated %d bytes rejecting a %d-byte body", en.name, got, len(body))
 		}
 	}
-	return errs[0]
 }
 
 // checkReuse decodes two messages into one destination, in both orders,
@@ -157,21 +137,21 @@ func (e engines[T]) checkReuse(t *testing.T, msgs [2][]byte) {
 	t.Helper()
 	var fresh [2]T
 	for i, m := range msgs {
-		if err := e.generic.Codec().DecodeBody(m, unsafe.Pointer(&fresh[i])); err != nil {
+		if err := e[0].decode(m, &fresh[i]); err != nil {
 			t.Fatalf("decode message %d: %v", i, err)
 		}
 	}
 	for _, order := range [][2]int{{0, 1}, {1, 0}} {
 		want := expectReused(fresh[order[0]], fresh[order[1]])
-		for i, dec := range e.decoders() {
+		for _, en := range e {
 			var v T
 			for _, m := range order {
-				if err := dec(msgs[m], &v); err != nil {
-					t.Fatalf("%s decode of message %d into a used value: %v", e.rungs()[i].name, m, err)
+				if err := en.decode(msgs[m], &v); err != nil {
+					t.Fatalf("%s decode of message %d into a used value: %v", en.name, m, err)
 				}
 			}
 			if !same(v, want) {
-				t.Fatalf("%s decode into a used value\n got %+v\nwant %+v", e.rungs()[i].name, v, want)
+				t.Fatalf("%s decode into a used value\n got %+v\nwant %+v", en.name, v, want)
 			}
 		}
 	}
@@ -285,7 +265,7 @@ func FuzzLayoutCodec(f *testing.F) {
 		v := fuzzArrays(raw)
 		body := arraysEngines.checkEncode(t, ctmpl, rtmpl, xid, &v)
 		var got Arrays
-		if err := planArrays.Codec().BodyDecoder()(body, unsafe.Pointer(&got)); err != nil {
+		if err := arraysEngines[2].decode(body, &got); err != nil {
 			t.Fatalf("compiled decode of an encoded value: %v", err)
 		}
 		if !same(got, v) {
@@ -315,17 +295,17 @@ func FuzzLayoutCodec(f *testing.F) {
 func TestCountedCompositeMinWire(t *testing.T) {
 	body := make([]byte, 4+4<<20)
 	binary.BigEndian.PutUint32(body, 1<<20)
-	for i, dec := range manyEngines.decoders() {
+	for _, en := range manyEngines {
 		var err error
 		got := testutil.AllocBytes(func() {
 			var v Many
-			err = dec(body, &v)
+			err = en.decode(body, &v)
 		})
 		if !errors.Is(err, xdr.ErrOverflow) {
-			t.Errorf("%s: %v, want %v", manyEngines.rungs()[i].name, err, xdr.ErrOverflow)
+			t.Errorf("%s: %v, want %v", en.name, err, xdr.ErrOverflow)
 		}
 		if got > 4096 {
-			t.Errorf("%s allocated %d bytes rejecting a %d-byte body", manyEngines.rungs()[i].name, got, len(body))
+			t.Errorf("%s allocated %d bytes rejecting a %d-byte body", en.name, got, len(body))
 		}
 	}
 }
@@ -335,10 +315,10 @@ func TestCountedCompositeMinWire(t *testing.T) {
 // and every engine says so — not that the first string is too long.
 func TestCountedCompositeError(t *testing.T) {
 	body := []byte{0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0}
-	for i, dec := range namesEngines.decoders() {
+	for _, en := range namesEngines {
 		var v Names
-		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
-			t.Errorf("%s: %v, want %v", namesEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		if err := en.decode(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("%s: %v, want %v", en.name, err, xdr.ErrOverflow)
 		}
 	}
 }
@@ -349,16 +329,16 @@ func TestCountedCompositeError(t *testing.T) {
 // emitted decoder once sliced by.
 func TestCountBeyondInt(t *testing.T) {
 	body := append([]byte{0x80, 0, 0, 0}, make([]byte, 16)...)
-	for i, dec := range manyEngines.decoders() {
+	for _, en := range manyEngines {
 		var v Many
-		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
-			t.Errorf("many, %s: %v, want %v", manyEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		if err := en.decode(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("many, %s: %v, want %v", en.name, err, xdr.ErrOverflow)
 		}
 	}
-	for i, dec := range namesEngines.decoders() {
+	for _, en := range namesEngines {
 		var v Names
-		if err := dec(body, &v); !errors.Is(err, xdr.ErrOverflow) {
-			t.Errorf("names, %s: %v, want %v", namesEngines.rungs()[i].name, err, xdr.ErrOverflow)
+		if err := en.decode(body, &v); !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("names, %s: %v, want %v", en.name, err, xdr.ErrOverflow)
 		}
 	}
 }

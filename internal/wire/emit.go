@@ -341,12 +341,14 @@ func emitLoad(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, 
 // ---------------------------------------------------------------------------
 // The printer
 //
-// printSteps walks a program once for either side: fixed-size steps collect
-// into the side's pending segment, and every variable-size step closes
-// the segment and prints its own block — a loop over a fixed array of
-// variable-size elements here, counted items and counted arrays by the
-// side.
+// printSteps walks a program once for either side: fixed-size steps
+// collect into the side's pending segment, and every variable-size step
+// closes the segment and prints its own block — a loop over a fixed
+// array of variable-size elements here, counted items and counted arrays
+// by the side.
 
+// gen is one side of the printer: appendGen writes a message, decodeGen
+// reads one.
 type gen interface {
 	// fixed adds a fixed-size step to the pending segment.
 	fixed(s step, t *Type, expr string)
@@ -648,12 +650,14 @@ func (g *decodeGen) alloc(t *Type, expr, nv string) {
 func (g *decodeGen) slice(s step, t *Type, expr string) {
 	e := g.e
 	nv := g.count(s.bound)
+	// Every element costs at least elemMin wire bytes, exactly that when
+	// its size is static: one check rejects hostile counts before
+	// allocation, as decodeProg's opSliceRun/opSliceSub pre-check does.
+	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.elemMin)
+	g.alloc(t, expr, nv)
 	es, _ := sizes(s.sub)
 	if es == varWire {
-		// Variable-size elements cost at least their smallest wire size
-		// each (the opSliceSub pre-check); per-element checks do the rest.
-		g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.elemMin)
-		g.alloc(t, expr, nv)
+		// Variable-size elements: per-element checks do the rest.
 		sv := e.name("s")
 		e.pf("%s := %s", sv, expr)
 		iv := e.name("i")
@@ -661,11 +665,8 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 		printElems(g, e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
 		return
 	}
-	// Fixed-size elements: the exact byte requirement is known up front,
-	// so one check rejects hostile counts before allocation and the
-	// element loop runs unchecked.
-	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, es)
-	g.alloc(t, expr, nv)
+	// Fixed-size elements: the check above was exact, so the element
+	// loop runs unchecked.
 	if width, ok := unitKernel(s.sub); ok {
 		// A run of scalar units: the kernel getRun loads through, which
 		// takes the run's bytes off the front of the window.

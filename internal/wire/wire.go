@@ -26,7 +26,9 @@
 // Specialized and was retired.)
 //
 // The same Type tree is also what rpcgen hands the compiled-stub emitter
-// (emit.go), so a shape is described once however it ends up executed.
+// (emit.go), and both specialized back ends start from one lowering of
+// it (lower, in compile.go), so a shape is described and walked once
+// however it ends up executed.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 3, the stub layer: it compiles type descriptions down onto the
