@@ -1,4 +1,6 @@
 # Mirrors .github/workflows/ci.yml: `make ci` runs exactly what CI runs.
+# CI calls the xcompile and fuzz targets below, so their command lists
+# live here only.
 
 GO ?= go
 
@@ -153,7 +155,9 @@ pipe-smoke:
 # template-copy + plan bytes), the run kernels' differential (word-width
 # loop == one unit at a time at every count and alignment, nothing
 # outside the window touched), the derivation differential
-# (tempo-derived plan == hand-built plan, bytes and errors alike),
+# (tempo-derived plan == hand-built plan, bytes and errors alike), the
+# derivation's steps on random word-subset shapes (the regrouped
+# residual == lower's steps, or an explicit refusal),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
 # only a one-way handler's call goes unanswered), the datagram path fed
@@ -174,6 +178,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplyPlanFused -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzRunKernels -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDerivedPlan -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzDerivedSteps -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
 	$(GO) test -run=NONE -fuzz=FuzzLayoutCodec -fuzztime=10s ./internal/compiledtest/layout
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server

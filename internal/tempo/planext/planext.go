@@ -18,9 +18,11 @@
 //     specialized stub performs, with every interpretation layer gone.
 //
 // The schedule is the analysis-derived analog of a compiled wire plan.
-// internal/wire's DeriveCodec lowers it onto the Go struct layout and
-// proves it equivalent to the hand-built compiler's output — the
-// differential reproduction result of ROADMAP item 3, front (a).
+// internal/wire's DeriveCodec regroups it into the same layout-free
+// steps the hand-built compiler lowers a type to, and places them on
+// the Go struct layout with the compiler's own pass; the tests prove
+// the steps equal — the reproduction result of ROADMAP item 3,
+// front (a).
 //
 // Shapes outside the word subset (strings, opaque data, 8-byte scalars,
 // floats, arrays of records, unions, optional data) are rejected with an

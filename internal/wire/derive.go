@@ -8,24 +8,27 @@ package wire
 // the wire shape, specializes it against the library with the paper's
 // division (mode, ops table, and buffer geometry static; buffer pointer
 // and user data dynamic), and extracts the residual store/load schedule.
-// This file lowers that schedule onto the concrete Go struct layout:
-// every 4-byte access becomes an instruction, adjacent accesses fuse
-// through the same appendRun used by the hand compiler, and the probe
-// unrolling of counted arrays re-generalizes to the counted slice ops.
+// This file reads that schedule back into lower's layout-free program:
+// every scalar access becomes a step named by its field path, a fixed
+// array's element accesses regroup into one array step, and the probe
+// unrolling of a counted array re-generalizes to one counted step. fuse
+// then places the steps on the Go layout exactly as it does Compile's,
+// so the residual reaches the executors through the same program.
 //
 // Derivation covers the word-shaped subset the mini-C library marshals
 // (ints, uints, bools, fixed and counted arrays of them, nested
 // structs). Everything else — strings, opaque bytes, 8-byte scalars,
 // floats, arrays of composites — is out of the probe subset and returns
 // planext.UnsupportedError, so callers fall back to Compile explicitly;
-// derivation never silently mis-lowers. Within the subset the derived
-// program is structurally identical to Compile's output and the codecs
-// are byte-identical on the wire (see derive_test.go and
-// FuzzDerivedPlan).
+// derivation never silently mis-lowers. Within the subset the regrouped
+// steps equal lower's (TestDerivedStepsMatchLower, FuzzDerivedSteps),
+// so the derived program is Compile's and the codecs are byte-identical
+// on the wire (see derive_test.go and FuzzDerivedPlan).
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 
 	"specrpc/internal/tempo/planext"
@@ -44,18 +47,20 @@ func DeriveShape(t *Type) (*planext.Shape, error) {
 		return &planext.Shape{Kind: planext.UWord}, nil
 	case Bool:
 		return &planext.Shape{Kind: planext.Flag}, nil
-	case FixedArray:
-		elem, err := deriveElem(t.Elem)
-		if err != nil {
-			return nil, err
+	case FixedArray, VarArray:
+		if t.Elem == nil {
+			return nil, &planext.UnsupportedError{Reason: "array with nil element type"}
+		}
+		elem, err := DeriveShape(t.Elem)
+		if err != nil || leafStep(elem) == nil {
+			return nil, &planext.UnsupportedError{
+				Reason: fmt.Sprintf("array of %s elements is outside the mini-C probe subset", t.Elem.Kind),
+			}
+		}
+		if t.Kind == VarArray {
+			return &planext.Shape{Kind: planext.Counted, Bound: t.Bound, Elem: elem}, nil
 		}
 		return &planext.Shape{Kind: planext.Fixed, Len: t.Len, Elem: elem}, nil
-	case VarArray:
-		elem, err := deriveElem(t.Elem)
-		if err != nil {
-			return nil, err
-		}
-		return &planext.Shape{Kind: planext.Counted, Bound: t.Bound, Elem: elem}, nil
 	case Struct:
 		sh := &planext.Shape{Kind: planext.Record, Fields: make([]*planext.Shape, len(t.Fields))}
 		for i, f := range t.Fields {
@@ -75,27 +80,10 @@ func DeriveShape(t *Type) (*planext.Shape, error) {
 	}
 }
 
-func deriveElem(t *Type) (*planext.Shape, error) {
-	if t == nil {
-		return nil, &planext.UnsupportedError{Reason: "array with nil element type"}
-	}
-	switch t.Kind {
-	case Int32:
-		return &planext.Shape{Kind: planext.Word}, nil
-	case Uint32:
-		return &planext.Shape{Kind: planext.UWord}, nil
-	case Bool:
-		return &planext.Shape{Kind: planext.Flag}, nil
-	default:
-		return nil, &planext.UnsupportedError{
-			Reason: fmt.Sprintf("array of %s elements is outside the mini-C probe subset", t.Kind),
-		}
-	}
-}
-
 // DeriveCodec builds the codec for (t, rt) from the specializer instead
 // of the hand compiler: probe stubs are specialized in both directions,
-// the residual schedules are cross-checked and lowered onto rt's layout.
+// the residual schedules are cross-checked, regrouped into lower's
+// steps, and placed on rt's layout by fuse, as Compile places its own.
 // The mode must be Specialized (a derived plan is by construction not
 // the generic walker).
 func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
@@ -108,8 +96,8 @@ func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("wire: nil Go type")
 	}
-	// bind validates the (wire, Go) pairing and provides the generic
-	// fallback tree, exactly as Compile does.
+	// bind validates the (wire, Go) pairing and resolves the offsets
+	// fuse places the steps at, exactly as Compile does.
 	root, err := bind(t, rt, 0)
 	if err != nil {
 		return nil, err
@@ -118,6 +106,16 @@ func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 	if err != nil {
 		return nil, err
 	}
+	steps, err := deriveSteps(shape)
+	if err != nil {
+		return nil, err
+	}
+	return &Codec{mode: mode, t: t, rt: rt, root: root, prog: fuse(steps, &root)}, nil
+}
+
+// deriveSteps specializes shape's probe stub in both directions and
+// regroups the residual into the layout-free program.
+func deriveSteps(shape *planext.Shape) ([]step, error) {
 	enc, err := planext.Derive(shape, planext.Encode)
 	if err != nil {
 		return nil, err
@@ -132,11 +130,7 @@ func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 	if err := schedulesAgree(enc.Schedule, dec.Schedule); err != nil {
 		return nil, err
 	}
-	prog, err := lowerSchedule(enc.Schedule, t, rt)
-	if err != nil {
-		return nil, err
-	}
-	return &Codec{mode: mode, t: t, rt: rt, root: root, prog: prog}, nil
+	return regroup(enc.Schedule, shape)
 }
 
 // DerivePlan is the typed façade over DeriveCodec, mirroring NewPlan.
@@ -165,145 +159,131 @@ func schedulesAgree(enc, dec *planext.Schedule) error {
 	return nil
 }
 
-// lowerSchedule maps the residual access sequence onto rt's memory
-// layout, producing the flat instruction program. Scalar and
-// fixed-array accesses lower to runs fused by appendRun — the same
-// fusion the hand compiler applies — and each counted field's probe
-// group (count word + unrolled probe elements) re-generalizes to one
-// counted slice instruction.
-func lowerSchedule(sched *planext.Schedule, t *Type, rt reflect.Type) ([]instr, error) {
+// regroup reads a residual schedule of shape back into lower's
+// layout-free program. A scalar access becomes one step named by its
+// field path; a fixed array's element accesses become one opVecSub
+// step; a counted field's probe group — the count word, then its
+// ProbeCount elements — becomes one opSliceSub step, the way back from
+// the paper's §6.2 guarded specialization to a program for any runtime
+// length. It reads planext's types only: placing the steps on a Go
+// layout is fuse's job. Any access it cannot place in the shape is an
+// error, never a guess.
+func regroup(sched *planext.Schedule, shape *planext.Shape) ([]step, error) {
 	// The probe stream is strictly linear: access i moves bytes [4i,4i+4).
 	for i, a := range sched.Accesses {
 		if a.WireOff != 4*i {
 			return nil, fmt.Errorf("wire: derive: access %d at wire offset %d, want %d (non-linear residual)", i, a.WireOff, 4*i)
 		}
 	}
-	var prog []instr
-	i := 0
-	for i < len(sched.Accesses) {
-		n, err := lowerAccess(&prog, sched, i, t, rt)
+	var steps []step
+	for i := 0; i < len(sched.Accesses); {
+		s, n, err := regroupAt(sched.Accesses, i, shape)
 		if err != nil {
 			return nil, err
 		}
+		steps = append(steps, s)
 		i += n
 	}
-	return prog, nil
+	return steps, nil
 }
 
-// lowerAccess lowers the access at index i (plus, for a counted field,
-// its probe elements) and reports how many accesses it consumed.
-func lowerAccess(prog *[]instr, sched *planext.Schedule, i int, t *Type, rt reflect.Type) (int, error) {
-	a := sched.Accesses[i]
-	cur, crt := t, rt
-	off := uintptr(0)
+// regroupAt regroups the access at index i — with, for an array, the
+// rest of its element group — into one step, and reports how many
+// accesses it consumed.
+func regroupAt(acc []planext.Access, i int, shape *planext.Shape) (step, int, error) {
+	a := acc[i]
+	cur := shape
+	var path []int
 	for si, st := range a.Path {
+		if st.Field >= 0 {
+			if cur.Kind != planext.Record || st.Field >= len(cur.Fields) {
+				return step{}, 0, fmt.Errorf("wire: derive: access %s: field step %d into %s of %d fields", a, st.Field, cur.Kind, len(cur.Fields))
+			}
+			cur = cur.Fields[st.Field]
+			path = append(path, st.Field)
+		}
 		switch {
 		case st.Count:
 			if si != len(a.Path)-1 {
-				return 0, fmt.Errorf("wire: derive: access %s: count step mid-path", a)
+				return step{}, 0, fmt.Errorf("wire: derive: access %s: count step mid-path", a)
 			}
-			ft, frt, fOff := cur, crt, off
+			if cur.Kind != planext.Counted {
+				return step{}, 0, fmt.Errorf("wire: derive: count word of non-counted %s", cur.Kind)
+			}
+			elems := a.Path[:si:si]
 			if st.Field >= 0 {
-				var err error
-				ft, frt, fOff, err = fieldAt(cur, crt, st.Field, off)
-				if err != nil {
-					return 0, fmt.Errorf("wire: derive: access %s: %w", a, err)
-				}
+				elems = append(elems, planext.Step{Field: st.Field, Index: -1})
 			}
-			return lowerCounted(prog, sched, i, ft, frt, fOff)
-		case st.Field >= 0:
-			var err error
-			cur, crt, off, err = fieldAt(cur, crt, st.Field, off)
-			if err != nil {
-				return 0, fmt.Errorf("wire: derive: access %s: %w", a, err)
+			k := planext.ProbeCount(cur.Bound)
+			if err := elementGroup(acc, i+1, elems, k, a); err != nil {
+				return step{}, 0, err
 			}
+			s, err := arrayStep(opSliceSub, path, cur, a)
+			return s, 1 + k, err
 		case st.Index >= 0:
-			if cur.Kind != FixedArray || crt.Kind() != reflect.Array {
-				return 0, fmt.Errorf("wire: derive: access %s: index step into %s", a, cur.Kind)
+			if cur.Kind != planext.Fixed || st.Index >= cur.Len {
+				return step{}, 0, fmt.Errorf("wire: derive: access %s: index step %d into %s of %d elements", a, st.Index, cur.Kind, cur.Len)
 			}
-			if st.Index >= cur.Len {
-				return 0, fmt.Errorf("wire: derive: access %s: index %d out of [0,%d)", a, st.Index, cur.Len)
+			if err := elementGroup(acc, i, a.Path[:si], cur.Len, a); err != nil {
+				return step{}, 0, err
 			}
-			off += uintptr(st.Index) * crt.Elem().Size()
-			cur, crt = cur.Elem, crt.Elem()
-		default:
-			return 0, fmt.Errorf("wire: derive: access %s: malformed step", a)
+			s, err := arrayStep(opVecSub, path, cur, a)
+			return s, cur.Len, err
+		case st.Field < 0:
+			return step{}, 0, fmt.Errorf("wire: derive: access %s: malformed step", a)
 		}
 	}
-	switch cur.Kind {
-	case Int32, Uint32:
-		appendRun(prog, opUnits, off, 1)
-	case Bool:
-		appendRun(prog, opBools, off, 1)
-	default:
-		return 0, fmt.Errorf("wire: derive: access %s resolves to non-scalar %s", a, cur.Kind)
+	s := leafStep(cur)
+	if s == nil {
+		return step{}, 0, fmt.Errorf("wire: derive: access %s resolves to non-scalar %s", a, cur.Kind)
 	}
-	return 1, nil
+	s.path = path
+	return *s, 1, nil
 }
 
-func fieldAt(t *Type, rt reflect.Type, idx int, off uintptr) (*Type, reflect.Type, uintptr, error) {
-	if t.Kind != Struct || rt.Kind() != reflect.Struct {
-		return nil, nil, 0, fmt.Errorf("field step into %s", t.Kind)
-	}
-	if idx >= len(t.Fields) || idx >= rt.NumField() {
-		return nil, nil, 0, fmt.Errorf("field %d out of range", idx)
-	}
-	gf := rt.Field(idx)
-	return t.Fields[idx].Type, gf.Type, off + gf.Offset, nil
-}
-
-// lowerCounted re-generalizes a counted field's probe group. The
-// residual unrolled the field at its probe count; the count word access
-// at index i must be followed by exactly the probe elements in order,
-// and the whole group lowers to one counted slice instruction — the
-// step from the paper's §6.2 guarded specialization back to a plan that
-// handles any runtime length.
-func lowerCounted(prog *[]instr, sched *planext.Schedule, i int, ft *Type, frt reflect.Type, off uintptr) (int, error) {
-	if ft.Kind != VarArray || frt.Kind() != reflect.Slice {
-		return 0, fmt.Errorf("wire: derive: count word of non-counted %s", ft.Kind)
-	}
-	k := planext.ProbeCount(ft.Bound)
-	count := sched.Accesses[i]
-	base := count.Path[:len(count.Path)-1]
-	last := count.Path[len(count.Path)-1]
+// elementGroup checks that acc[from:from+k] move elements 0..k-1 of the
+// array at prefix, in order; first names the access that opened the
+// group. An element access must end at its index, so an index step
+// mid-path fails here too.
+func elementGroup(acc []planext.Access, from int, prefix []planext.Step, k int, first planext.Access) error {
 	for j := 0; j < k; j++ {
-		if i+1+j >= len(sched.Accesses) {
-			return 0, fmt.Errorf("wire: derive: probe group for %s truncated at %d of %d elements", count, j, k)
+		if from+j >= len(acc) {
+			return fmt.Errorf("wire: derive: element group for %s truncated at %d of %d elements", first, j, k)
 		}
-		got := sched.Accesses[i+1+j]
-		want := make([]planext.Step, 0, len(base)+2)
-		want = append(want, base...)
-		if last.Field >= 0 {
-			want = append(want, planext.Step{Field: last.Field, Index: -1})
-		}
-		want = append(want, planext.Step{Field: -1, Index: j})
-		if !stepsEqual(got.Path, want) {
-			return 0, fmt.Errorf("wire: derive: probe group for %s: access %d is %s, want element %d", count, i+1+j, got, j)
+		want := append(slices.Clip(prefix), planext.Step{Field: -1, Index: j})
+		if got := acc[from+j]; !slices.Equal(got.Path, want) {
+			return fmt.Errorf("wire: derive: element group for %s: access %d is %s, want element %d", first, from+j, got, j)
 		}
 	}
-	var run op
-	switch ft.Elem.Kind {
-	case Int32, Uint32:
-		run = opUnits
-	case Bool:
-		run = opBools
-	default:
-		return 0, fmt.Errorf("wire: derive: counted %s elements", ft.Elem.Kind)
-	}
-	*prog = append(*prog, sliceRun(off, effBound(ft.Bound), run, 1, frt))
-	return 1 + k, nil
+	return nil
 }
 
-func stepsEqual(a, b []planext.Step) bool {
-	if len(a) != len(b) {
-		return false
+// arrayStep builds the array step o (opVecSub or opSliceSub) at path
+// for arr, whose elements must be word-shaped scalars.
+func arrayStep(o op, path []int, arr *planext.Shape, a planext.Access) (step, error) {
+	elem := leafStep(arr.Elem)
+	if elem == nil {
+		return step{}, fmt.Errorf("wire: derive: access %s: array of non-scalar elements", a)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	s := step{op: o, path: path, n: 1, wire: varWire, bound: arr.Bound, elemMin: elem.wire, sub: []step{*elem}}
+	if o == opVecSub {
+		s.n, s.wire = arr.Len, arr.Len*elem.wire
 	}
-	return true
+	return s, nil
+}
+
+// leafStep is the step lower builds for a word-shaped scalar, or nil
+// when s is not one.
+func leafStep(s *planext.Shape) *step {
+	o := opUnits
+	switch s.Kind {
+	case planext.Word, planext.UWord:
+	case planext.Flag:
+		o = opBools
+	default:
+		return nil
+	}
+	return &step{op: o, n: 1, wire: runWire(o, 1)}
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -363,4 +364,192 @@ func FuzzDerivedPlan(f *testing.F) {
 			t.Fatalf("decoded values differ on %x\nhand:    %+v\nderived: %+v", raw, hv, dv)
 		}
 	})
+}
+
+// TestDerivedStepsMatchLower pins derivation before any Go layout
+// enters: the steps regrouped from the specializer's residual are the
+// layout-free program lower builds from the same type. Neither side
+// holds an offset, so the comparison is the same on every GOARCH.
+func TestDerivedStepsMatchLower(t *testing.T) {
+	for _, tc := range derivedCorpus {
+		want, err := lower(tc.t)
+		if err != nil {
+			t.Fatalf("%s: lower: %v", tc.name, err)
+		}
+		shape, err := DeriveShape(tc.t)
+		if err != nil {
+			t.Fatalf("%s: DeriveShape: %v", tc.name, err)
+		}
+		got, err := deriveSteps(shape)
+		if err != nil {
+			t.Fatalf("%s: deriveSteps: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: derived steps differ from lower's\nlower:   %+v\nderived: %+v", tc.name, want, got)
+		}
+	}
+}
+
+// wordSubsetType builds a word-subset Type from b: int, unsigned int
+// and bool scalars, fixed arrays of 0–5 and counted arrays bounded by
+// 0, 1, 2, 8 or 2000 of them, and records of 0–3 fields nested up to
+// three deep. It reports whether planext can probe the shape: a
+// zero-length fixed array or an empty record anywhere in it cannot be.
+func wordSubsetType(b []byte) (t *Type, derivable bool) {
+	derivable = true
+	next := func() byte {
+		if len(b) == 0 {
+			return 0
+		}
+		c := b[0]
+		b = b[1:]
+		return c
+	}
+	scalar := func() *Type { return []*Type{Int32T(), Uint32T(), BoolT()}[next()%3] }
+	var gen func(depth int) *Type
+	gen = func(depth int) *Type {
+		switch next() % 4 {
+		case 1:
+			n := int(next() % 6)
+			derivable = derivable && n > 0
+			return FixedArrayT(n, scalar())
+		case 2:
+			return VarArrayT([]uint32{0, 1, 2, 8, 2000}[next()%5], scalar())
+		case 3:
+			if depth < 3 {
+				n := int(next() % 4)
+				derivable = derivable && n > 0
+				fields := make([]Field, n)
+				for i := range fields {
+					fields[i] = F(fmt.Sprintf("f%d", i), gen(depth+1))
+				}
+				return StructT(fmt.Sprintf("r%d", depth), fields...)
+			}
+		}
+		return scalar()
+	}
+	return gen(0), derivable
+}
+
+// FuzzDerivedSteps is TestDerivedStepsMatchLower over random word-subset
+// shapes: every derivable one regroups to lower's steps, and every
+// other one is refused with *planext.UnsupportedError.
+func FuzzDerivedSteps(f *testing.F) {
+	f.Add([]byte{3, 3, 0, 0, 1, 1, 3, 2, 4, 1})
+	f.Add([]byte{3, 2, 3, 2, 3, 1, 1, 5, 2, 2, 1, 0, 1, 2})
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{3, 0})
+	f.Add([]byte{2, 1, 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		wt, derivable := wordSubsetType(b)
+		shape, err := DeriveShape(wt)
+		if err != nil {
+			t.Fatalf("shape from %x: DeriveShape: %v", b, err)
+		}
+		got, err := deriveSteps(shape)
+		if !derivable {
+			var ue *planext.UnsupportedError
+			if !errors.As(err, &ue) {
+				t.Fatalf("shape from %x: got steps %+v, error %v; want *planext.UnsupportedError", b, got, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("shape from %x: deriveSteps: %v", b, err)
+		}
+		want, err := lower(wt)
+		if err != nil {
+			t.Fatalf("shape from %x: lower: %v", b, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shape from %x: derived steps differ from lower's\nlower:   %+v\nderived: %+v", b, want, got)
+		}
+	})
+}
+
+// TestRegroupRejects feeds regroup and schedulesAgree malformed
+// residuals, one for each check they make. Each must be refused with
+// an error, never turned into a program.
+func TestRegroupRejects(t *testing.T) {
+	word := &planext.Shape{Kind: planext.Word}
+	fixed2 := &planext.Shape{Kind: planext.Fixed, Len: 2, Elem: word}
+	counted := &planext.Shape{Kind: planext.Counted, Elem: word}
+	rec := func(fields ...*planext.Shape) *planext.Shape {
+		return &planext.Shape{Kind: planext.Record, Fields: fields}
+	}
+	fld := func(i int) planext.Step { return planext.Step{Field: i, Index: -1} }
+	idx := func(j int) planext.Step { return planext.Step{Field: -1, Index: j} }
+	cnt := func(i int) planext.Step { return planext.Step{Field: i, Index: -1, Count: true} }
+	// linear lays the paths out as the probe stream does, 4 bytes apart.
+	linear := func(paths ...[]planext.Step) *planext.Schedule {
+		s := &planext.Schedule{Dir: planext.Encode, WireBytes: 4 * len(paths)}
+		for i, p := range paths {
+			s.Accesses = append(s.Accesses, planext.Access{Path: p, WireOff: 4 * i})
+		}
+		return s
+	}
+	nonLinear := linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})
+	nonLinear.Accesses[1].WireOff = 8
+
+	cases := []struct {
+		name  string
+		shape *planext.Shape
+		sched *planext.Schedule
+	}{
+		{"non-linear wire offsets", rec(word, word), nonLinear},
+		{"count step mid-path", rec(counted),
+			linear([]planext.Step{cnt(0), idx(0)}, []planext.Step{fld(0), idx(0)}, []planext.Step{fld(0), idx(1)})},
+		{"index step mid-path", rec(fixed2),
+			linear([]planext.Step{fld(0), idx(0), fld(0)}, []planext.Step{fld(0), idx(1)})},
+		{"field step into a scalar", word, linear([]planext.Step{fld(0)})},
+		{"field step into an array", rec(fixed2), linear([]planext.Step{fld(0), fld(0)}, []planext.Step{fld(0), idx(1)})},
+		{"field out of range", rec(word), linear([]planext.Step{fld(1)})},
+		{"malformed step", word, linear([]planext.Step{{Field: -1, Index: -1}})},
+		{"index step into a scalar", rec(word), linear([]planext.Step{fld(0), idx(0)})},
+		{"count word of a fixed array", rec(fixed2),
+			linear([]planext.Step{cnt(0)}, []planext.Step{fld(0), idx(0)}, []planext.Step{fld(0), idx(1)})},
+		{"probe group truncated", rec(counted),
+			linear([]planext.Step{cnt(0)}, []planext.Step{fld(0), idx(0)})},
+		{"probe group out of order", rec(counted),
+			linear([]planext.Step{cnt(0)}, []planext.Step{fld(0), idx(1)}, []planext.Step{fld(0), idx(0)})},
+		{"probe group not from element 0", rec(counted),
+			linear([]planext.Step{cnt(0)}, []planext.Step{fld(0), idx(1)}, []planext.Step{fld(0), idx(2)})},
+		{"root probe group truncated", counted, linear([]planext.Step{{Field: -1, Index: -1, Count: true}})},
+		{"index into an empty fixed array", &planext.Shape{Kind: planext.Fixed, Elem: word},
+			linear([]planext.Step{idx(0)})},
+		{"fixed group not from element 0", fixed2, linear([]planext.Step{idx(1)}, []planext.Step{idx(0)})},
+		{"fixed group out of order", &planext.Shape{Kind: planext.Fixed, Len: 3, Elem: word},
+			linear([]planext.Step{idx(0)}, []planext.Step{idx(2)}, []planext.Step{idx(1)})},
+		{"fixed group cut short", rec(fixed2), linear([]planext.Step{fld(0), idx(0)})},
+		{"fixed group cut by a field", rec(fixed2, word),
+			linear([]planext.Step{fld(0), idx(0)}, []planext.Step{fld(1)})},
+		{"access resolves to a record", rec(rec(word)), linear([]planext.Step{fld(0)})},
+		{"element resolves to a record", &planext.Shape{Kind: planext.Fixed, Len: 1, Elem: rec(word)},
+			linear([]planext.Step{idx(0)})},
+		{"access resolves to an array", rec(fixed2), linear([]planext.Step{fld(0)}, []planext.Step{fld(0)})},
+	}
+	for _, tc := range cases {
+		steps, err := regroup(tc.sched, tc.shape)
+		if err == nil || steps != nil {
+			t.Errorf("%s: regroup = %+v, %v; want no steps and an error", tc.name, steps, err)
+		}
+	}
+
+	// schedulesAgree: the two directions must move the same bytes
+	// through the same accesses.
+	enc := linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})
+	short := linear([]planext.Step{fld(0)})
+	longer := linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})
+	longer.WireBytes = 12
+	swapped := linear([]planext.Step{fld(1)}, []planext.Step{fld(0)})
+	for name, dec := range map[string]*planext.Schedule{
+		"fewer accesses": short, "more wire bytes": longer, "different access": swapped,
+	} {
+		if err := schedulesAgree(enc, dec); err == nil {
+			t.Errorf("schedulesAgree(%s): no error", name)
+		}
+	}
+	if err := schedulesAgree(enc, linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})); err != nil {
+		t.Errorf("schedulesAgree on equal schedules: %v", err)
+	}
 }
