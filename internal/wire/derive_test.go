@@ -539,6 +539,7 @@ func TestRegroupRejects(t *testing.T) {
 	// through the same accesses.
 	enc := linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})
 	short := linear([]planext.Step{fld(0)})
+	short.WireBytes = enc.WireBytes
 	longer := linear([]planext.Step{fld(0)}, []planext.Step{fld(1)})
 	longer.WireBytes = 12
 	swapped := linear([]planext.Step{fld(1)}, []planext.Step{fld(0)})
