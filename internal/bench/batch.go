@@ -265,14 +265,14 @@ func batchUDP(o BatchOptions) (BatchResult, error) {
 	if err != nil {
 		return BatchResult{}, err
 	}
-	readCalls, readMsgs, writeCalls, _ := s.DatagramIOStats()
+	st := s.Snapshot()
 	res := newBatchResult(o, elapsed)
-	res.ServerReadsPerOp = perOp(readCalls, o.Calls)
-	res.ServerWritesPerOp = perOp(writeCalls, o.Calls)
+	res.ServerReadsPerOp = perOp(st.DatagramReadCalls, o.Calls)
+	res.ServerWritesPerOp = perOp(st.DatagramWrites, o.Calls)
 	// One sendto per client call, by construction (retransmissions would
 	// add to it, but a loopback run has none to speak of).
 	res.ClientWritesPerOp = 1
-	res.Batched = readMsgs > readCalls
+	res.Batched = st.DatagramReadMsgs > st.DatagramReadCalls
 	return res, nil
 }
 

@@ -98,11 +98,6 @@ func chaosPolicy() *client.RetryPolicy {
 	}
 }
 
-// retryStatser is the accessor both transports share.
-type retryStatser interface {
-	RetryStats() client.RetryStats
-}
-
 // Chaos runs one configuration and reports goodput plus the fault and
 // recovery counters.
 func Chaos(o ChaosOptions) (ChaosResult, error) {
@@ -242,17 +237,19 @@ func Chaos(o ChaosOptions) (ChaosResult, error) {
 		res.GoodputPS = float64(res.Acked) / elapsed.Seconds()
 	}
 	for _, c := range callers {
-		if rs, ok := c.(retryStatser); ok {
-			st := rs.RetryStats()
-			res.Retransmits += st.Retransmits
-			res.Retries += st.Retries
-			res.BudgetDeny += st.BudgetDenied
+		var st client.Snapshot
+		switch c := c.(type) {
+		case *client.UDP:
+			st = c.Snapshot()
+		case *client.TCP:
+			st = c.Snapshot()
 		}
-		if tc, ok := c.(*client.TCP); ok {
-			res.Reconnects += tc.ReconnectStats().Reconnects
-		}
+		res.Retransmits += st.Retransmits
+		res.Retries += st.Retries
+		res.BudgetDeny += st.BudgetDenied
+		res.Reconnects += st.Reconnects
 	}
-	res.CacheHits = s.CacheHits()
+	res.CacheHits = s.Snapshot().CacheHits
 	res.Injected = injected()
 	return res, nil
 }

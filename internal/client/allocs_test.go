@@ -103,7 +103,7 @@ func TestUDPCallAllocs(t *testing.T) {
 	c := NewUDP(conn, pc.LocalAddr(), Config{Prog: fusedProg, Vers: fusedVers})
 	defer c.Close()
 	allocs := callAllocs(t, c)
-	if _, readMsgs, _, _ := s.DatagramIOStats(); readMsgs == 0 {
+	if s.Snapshot().DatagramReadMsgs == 0 {
 		t.Fatal("the server counted no datagrams")
 	}
 	if allocs > 0 {

@@ -35,10 +35,12 @@
 package client
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -503,7 +505,56 @@ func (e *engine) beginClose() bool {
 	return true
 }
 
-// RetryStats reports the client's retransmission and retry counters.
+// Snapshot is a client's counters since it was made, its gauges, and its
+// plan cache, read in one call (UDP.Snapshot, TCP.Snapshot). Counters
+// only grow; each field is read on its own, so a call may land between
+// two of them.
+type Snapshot struct {
+	RetryStats
+
+	Reconnects     uint64 // replacement stream connections installed
+	RedialFailures uint64 // dial attempts that failed, each backing off under the retry policy
+	TruncatedDrops uint64 // reply datagrams that filled Config.BufSize, dropped as possibly truncated
+
+	// InFlight is the calls holding a reply slot now (on a stream, the
+	// live connection's), and QueuedRecords the records unflushed in the
+	// live stream connection's batcher. Both return to zero once every
+	// outstanding call finishes, times out, or is cancelled: no slot or
+	// queue entry leaks.
+	InFlight, QueuedRecords int
+
+	// Procs is the plan cache in procedure order: each procedure a typed
+	// call has reached, and the rung its call and reply codecs run on.
+	Procs []ProcInfo
+}
+
+// ProcInfo is one procedure of a client's plan cache and the marshaling
+// engine each half of it runs on: compiled for an rpcgen-emitted stub,
+// fused for a plan with none, generic for a Generic-mode plan.
+type ProcInfo struct {
+	Proc          uint32
+	Args, Results wire.Rung
+}
+
+// snapshot reads what the engine counts for both transports.
+func (e *engine) snapshot() Snapshot {
+	st := Snapshot{
+		RetryStats: RetryStats{Retransmits: e.retransmits.Load(), Retries: e.retries.Load(),
+			BudgetDenied: e.budgetDenied.Load()},
+		Reconnects: e.reconnects.Load(), RedialFailures: e.redialFailures.Load(),
+	}
+	e.planMu.RLock()
+	st.Procs = make([]ProcInfo, 0, len(e.plans))
+	for proc, p := range e.plans {
+		st.Procs = append(st.Procs, ProcInfo{proc, p.call.Rung(), p.rep.Rung()})
+	}
+	e.planMu.RUnlock()
+	slices.SortFunc(st.Procs, func(a, b ProcInfo) int { return cmp.Compare(a.Proc, b.Proc) })
+	return st
+}
+
+// RetryStats is Snapshot.RetryStats, kept for benchmark/ until ROADMAP
+// item 2a/2b moves it onto Snapshot.
 func (e *engine) RetryStats() RetryStats {
 	return RetryStats{
 		Retransmits:  e.retransmits.Load(),
@@ -1397,14 +1448,17 @@ func (c *UDP) recv(_ *link, bp *[]byte) (bool, error) {
 	return true, nil
 }
 
-// TruncatedDrops reports how many possibly-truncated reply datagrams
-// (received length == BufSize) the reader has discarded.
-func (c *UDP) TruncatedDrops() uint64 { return c.truncated.Load() }
+// Snapshot reads the client's counters, gauges and plan cache.
+func (c *UDP) Snapshot() Snapshot {
+	st := c.snapshot()
+	st.TruncatedDrops = c.truncated.Load()
+	st.InFlight = c.link.dmx.inFlight()
+	return st
+}
 
-// InFlight reports how many calls currently hold a reply slot; it
-// returns to zero once every outstanding call finishes, times out, or
-// is cancelled (no slot leaks).
-func (c *UDP) InFlight() int { return c.link.dmx.inFlight() }
+// TruncatedDrops is Snapshot.TruncatedDrops, kept for benchmark/ until
+// ROADMAP item 2a/2b moves it onto Snapshot.
+func (c *UDP) TruncatedDrops() uint64 { return c.truncated.Load() }
 
 // Close releases the client and its socket. In-flight calls fail with
 // ErrClosed. Repeat closes are no-ops.
@@ -1648,19 +1702,14 @@ func (c *TCP) recv(l *link, bp *[]byte) (bool, error) {
 	return true, nil
 }
 
-// ReconnectStats reports the client's transparent-reconnect counters.
-func (c *TCP) ReconnectStats() ReconnectStats {
-	return ReconnectStats{Reconnects: c.reconnects.Load(), RedialFailures: c.redialFailures.Load()}
+// Snapshot reads the client's counters, gauges and plan cache; the
+// gauges are the live connection generation's.
+func (c *TCP) Snapshot() Snapshot {
+	st, l := c.snapshot(), c.current()
+	st.InFlight = l.dmx.inFlight()
+	st.QueuedRecords = l.batch.Pending()
+	return st
 }
-
-// InFlight reports how many calls currently hold a reply slot on the
-// live connection generation; see (*UDP).InFlight.
-func (c *TCP) InFlight() int { return c.current().dmx.inFlight() }
-
-// QueuedRecords reports how many records sit unflushed in the live
-// generation's batcher queue (leak gauge: cancelled and failed calls
-// must not strand entries there).
-func (c *TCP) QueuedRecords() int { return c.current().batch.Pending() }
 
 // CallBatched issues one ONC batched (fire-and-forget) call: the request
 // is marshaled and queued on the connection's record writer, and no

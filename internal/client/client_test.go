@@ -161,10 +161,13 @@ func TestMarshalCallTemplateMatchesGeneric(t *testing.T) {
 			}
 			reqs := map[string]callReq{"closure": {args: args}}
 			for plan, rung := range map[*wire.Plan[[]int32]]wire.Rung{fusedArgPlan: wire.RungFused, fusedGenPlan: wire.RungGeneric} {
-				if r := entryRung(t, e, 5, plan); r != rung {
+				p, err := e.lookup(5, plan.Codec(), plan.Codec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := procRung(t, e.snapshot(), 5); r != rung {
 					t.Fatalf("%v-mode plan resolved to the %v rung", plan.Mode(), r)
 				}
-				p, _ := e.lookup(5, plan.Codec(), plan.Codec())
 				reqs[rung.String()] = callReq{cc: p.call, argp: unsafe.Pointer(&arg)}
 			}
 			for name, r := range reqs {
@@ -219,11 +222,12 @@ func TestOversizedCredFailsEveryCall(t *testing.T) {
 				if err := tc.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if q := tc.QueuedRecords(); q != 0 {
-					t.Fatalf("%d records queued", q)
-				}
 			}
-			if n, r := c.InFlight(), p.requests.Load(); n != 0 || r != 0 {
+			st := c.Snapshot()
+			if st.QueuedRecords != 0 {
+				t.Fatalf("%d records queued", st.QueuedRecords)
+			}
+			if n, r := st.InFlight, p.requests.Load(); n != 0 || r != 0 {
 				t.Fatalf("in flight %d, requests on the wire %d; want 0, 0", n, r)
 			}
 		})

@@ -44,7 +44,7 @@ func (p *fakePeer) request(msg []byte) [][]byte {
 // conformer is what both transports offer the conformance table.
 type conformer interface {
 	CtxCaller
-	InFlight() int
+	Snapshot() Snapshot
 }
 
 // loneConformer is a stream client whose calls are made the way a lone
@@ -288,11 +288,8 @@ func TestTransportConformance(t *testing.T) {
 					if n := p.requests.Load(); n != 1 {
 						t.Fatalf("peer saw %d requests, want 1", n)
 					}
-					if n := c.InFlight(); n != 0 {
-						t.Fatalf("%d calls still in flight", n)
-					}
-					if q, ok := c.(interface{ QueuedRecords() int }); ok && q.QueuedRecords() != 0 {
-						t.Fatalf("%d records still queued", q.QueuedRecords())
+					if st := c.Snapshot(); st.InFlight != 0 || st.QueuedRecords != 0 {
+						t.Fatalf("%d calls still in flight, %d records still queued", st.InFlight, st.QueuedRecords)
 					}
 					// A pipe with either end closed refuses a read deadline,
 					// which sends the call to wait on its slot after all: where

@@ -48,18 +48,21 @@ func newFusedSimPair(t *testing.T, cfg Config) (*UDP, *server.Server) {
 	return c, srv
 }
 
-// entryRung reports the rung proc's cached whole-call codecs for the
-// plan pair run on; the two sides of one plan always share one.
-func entryRung(t *testing.T, e *engine, proc uint32, plan *wire.Plan[[]int32]) wire.Rung {
+// procRung reports the rung st lists for proc's cached whole-call
+// codecs; the two sides of one plan always share one. It only reads: a
+// procedure no typed call has reached is not there.
+func procRung(t *testing.T, st Snapshot, proc uint32) wire.Rung {
 	t.Helper()
-	p, err := e.lookup(proc, plan.Codec(), plan.Codec())
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range st.Procs {
+		if p.Proc == proc {
+			if p.Args != p.Results {
+				t.Fatalf("procedure %d: call on %v, reply on %v", proc, p.Args, p.Results)
+			}
+			return p.Args
+		}
 	}
-	if p.call.Rung() != p.rep.Rung() {
-		t.Fatalf("call on %v, reply on %v", p.call.Rung(), p.rep.Rung())
-	}
-	return p.call.Rung()
+	t.Fatalf("procedure %d is not in the plan cache", proc)
+	return 0
 }
 
 // TestCallTypedFusedRoundTrip drives typed calls over netsim and checks
@@ -77,7 +80,7 @@ func TestCallTypedFusedRoundTrip(t *testing.T) {
 			t.Fatalf("bad echo: %v", out)
 		}
 	}
-	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+	if r := procRung(t, c.Snapshot(), fusedProc); r != wire.RungFused {
 		t.Fatalf("typed call over a hand-built specialized plan ran on the %v rung", r)
 	}
 }
@@ -97,7 +100,7 @@ func TestCallTypedGenericPlanFallsBack(t *testing.T) {
 	if len(out) != 2 || out[1] != 8 {
 		t.Fatalf("bad echo: %v", out)
 	}
-	if r := entryRung(t, &c.engine, 2, fusedGenPlan); r != wire.RungGeneric {
+	if r := procRung(t, c.Snapshot(), 2); r != wire.RungGeneric {
 		t.Fatalf("generic plan ran on the %v rung", r)
 	}
 }
@@ -115,14 +118,14 @@ func TestCallTypedPlanSwitchRecompiles(t *testing.T) {
 	if err := CallTyped(c, fusedProc, fusedGenPlan, &in, fusedGenPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if r := entryRung(t, &c.engine, fusedProc, fusedGenPlan); r != wire.RungGeneric {
+	if r := procRung(t, c.Snapshot(), fusedProc); r != wire.RungGeneric {
 		t.Fatalf("generic pair ran on the %v rung", r)
 	}
 	// A later caller with specialized plans must still get fusion.
 	if err := CallTyped(c, fusedProc, fusedArgPlan, &in, fusedArgPlan, &out); err != nil {
 		t.Fatal(err)
 	}
-	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+	if r := procRung(t, c.Snapshot(), fusedProc); r != wire.RungFused {
 		t.Fatalf("specialized pair ran on the %v rung after a generic-plan call", r)
 	}
 	// And a distinct-but-equivalent specialized pair round-trips too.
@@ -286,7 +289,7 @@ func TestTruncatedReplyDropped(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout (truncated replies must be dropped, not parsed)", err)
 	}
-	if c.TruncatedDrops() == 0 {
+	if c.Snapshot().TruncatedDrops == 0 {
 		t.Fatal("truncation drop counter did not advance")
 	}
 }

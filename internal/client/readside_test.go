@@ -465,7 +465,7 @@ func TestReadSideStress(t *testing.T) {
 	if w := time.Duration(worst.Load()); w > time.Second {
 		t.Fatalf("a call waited %v", w)
 	}
-	if n := c.InFlight(); n != 0 {
+	if n := c.Snapshot().InFlight; n != 0 {
 		t.Fatalf("%d calls still registered", n)
 	}
 }
@@ -525,9 +525,9 @@ func TestIdleClosedLinkRedialsTransparently(t *testing.T) {
 				}
 				time.Sleep(20 * time.Millisecond) // the peer has hung up; the watcher has seen it
 			}
-			if st := c.ReconnectStats(); st.Reconnects != 1 || c.RetryStats().Retries != 0 {
+			if st := c.Snapshot(); st.Reconnects != 1 || st.Retries != 0 {
 				t.Fatalf("ambiguous=%v: %d reconnects, %d retries; want one redial before the send and no retry",
-					ambiguous, st.Reconnects, c.RetryStats().Retries)
+					ambiguous, st.Reconnects, st.Retries)
 			}
 		}()
 	}

@@ -156,15 +156,6 @@ type RetryStats struct {
 	BudgetDenied uint64
 }
 
-// ReconnectStats counts a stream client's transparent-reconnect events.
-type ReconnectStats struct {
-	// Reconnects is the replacement connections successfully installed.
-	Reconnects uint64
-	// RedialFailures is the dial attempts that failed (each backs off
-	// under the retry policy before the next).
-	RedialFailures uint64
-}
-
 // TransportError reports a transport-level call failure on a stream
 // client with reconnect enabled, carrying the execution ambiguity the
 // retry layer decided on: MaybeSent == false means the request

@@ -136,7 +136,7 @@ func TestRetryBudgetSuppressesRetransmits(t *testing.T) {
 	if err := c.Call(1, Void, Void); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	st := c.RetryStats()
+	st := c.Snapshot()
 	if st.Retransmits == 0 {
 		t.Fatal("no retransmits before the budget drained")
 	}
@@ -246,14 +246,15 @@ func TestFusedCallSurvivesReconnectByteIdentical(t *testing.T) {
 	if len(out) != len(in) || out[0] != 3 || out[7] != 6 {
 		t.Fatalf("bad echo after reconnect: %v", out)
 	}
-	if r := entryRung(t, &c.engine, fusedProc, fusedArgPlan); r != wire.RungFused {
+	st := c.Snapshot()
+	if r := procRung(t, st, fusedProc); r != wire.RungFused {
 		t.Fatalf("call ran on the %v rung", r)
 	}
-	if rc := c.ReconnectStats(); rc.Reconnects != 1 {
-		t.Fatalf("reconnects = %d, want 1", rc.Reconnects)
+	if st.Reconnects != 1 {
+		t.Fatalf("reconnects = %d, want 1", st.Reconnects)
 	}
-	if rs := c.RetryStats(); rs.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", rs.Retries)
+	if st.Retries != 1 {
+		t.Fatalf("retries = %d, want 1", st.Retries)
 	}
 
 	first := <-firstRec

@@ -148,13 +148,13 @@ func TestChaosSimLossDupReorder(t *testing.T) {
 	if fs.Dropped == 0 || fs.Duplicated == 0 || fs.Reordered == 0 {
 		t.Fatalf("fault schedule did not fire: %+v", fs)
 	}
-	if rs := c.RetryStats(); rs.Retransmits == 0 {
+	if rs := c.Snapshot().RetryStats; rs.Retransmits == 0 {
 		t.Fatalf("no retransmissions under 15%% loss: %+v", rs)
 	}
-	if s.CacheHits() == 0 {
+	if s.Snapshot().CacheHits == 0 {
 		t.Fatal("no reply-cache hits: duplicates/retransmits were never absorbed from cache")
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.Snapshot().InFlight; got != 0 {
 		t.Fatalf("%d reply slots leaked", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestChaosAtMostOnceDuplicateAllReorder(t *testing.T) {
 	if got := log.maxCount(); got != 1 {
 		t.Fatalf("max executions per call = %d, want 1", got)
 	}
-	if s.CacheHits() == 0 {
+	if s.Snapshot().CacheHits == 0 {
 		t.Fatal("no reply-cache hits under duplicated requests and 30%% reply loss")
 	}
 }
@@ -303,7 +303,7 @@ func TestChaosCorruptionLiveness(t *testing.T) {
 	if fs := n.FaultStats(); fs.Corrupted == 0 {
 		t.Fatalf("corruption never fired: %+v", fs)
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.Snapshot().InFlight; got != 0 {
 		t.Fatalf("%d reply slots leaked", got)
 	}
 }
@@ -340,7 +340,7 @@ func TestChaosCancelNoLeaksUDP(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if got := c.InFlight(); got != inflight {
+	if got := c.Snapshot().InFlight; got != inflight {
 		t.Fatalf("in-flight = %d before cancel, want %d", got, inflight)
 	}
 	start := time.Now()
@@ -354,7 +354,7 @@ func TestChaosCancelNoLeaksUDP(t *testing.T) {
 			t.Fatalf("call %d: err = %v, want context.Canceled", k, err)
 		}
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.Snapshot().InFlight; got != 0 {
 		t.Fatalf("%d reply slots leaked after cancel", got)
 	}
 }
@@ -409,7 +409,7 @@ func TestChaosCancelNoLeaksTCP(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(100 * time.Millisecond)
-	if got := c.InFlight(); got != inflight {
+	if got := c.Snapshot().InFlight; got != inflight {
 		t.Fatalf("in-flight = %d before cancel, want %d", got, inflight)
 	}
 	cancel()
@@ -419,10 +419,10 @@ func TestChaosCancelNoLeaksTCP(t *testing.T) {
 			t.Fatalf("call %d: err = %v, want context.Canceled", k, err)
 		}
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := c.Snapshot().InFlight; got != 0 {
 		t.Fatalf("%d reply slots leaked after cancel", got)
 	}
-	if got := c.QueuedRecords(); got != 0 {
+	if got := c.Snapshot().QueuedRecords; got != 0 {
 		t.Fatalf("%d records stranded in the batcher queue", got)
 	}
 }
@@ -541,7 +541,7 @@ func TestChaosTCPReconnect(t *testing.T) {
 	if acked < calls/2 {
 		t.Fatalf("only %d/%d calls acknowledged (%d ambiguous)", acked, calls, ambiguous)
 	}
-	rc := c.ReconnectStats()
+	rc := c.Snapshot()
 	if rc.Reconnects == 0 {
 		t.Fatalf("no reconnects despite %d injected resets", stats.Resets.Load())
 	}

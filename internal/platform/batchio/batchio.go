@@ -26,12 +26,13 @@ type Message struct {
 	Addr net.Addr
 }
 
-// Stats counts syscalls and the messages they moved. Calls==Msgs means
-// no amortization (the portable path, and every write); Msgs/Calls is
-// the measured batch factor.
+// Stats counts syscalls and, for reads, the messages they moved.
+// ReadCalls==ReadMsgs means no amortization (the portable path);
+// ReadMsgs/ReadCalls is the measured batch factor. A write is one
+// message.
 type Stats struct {
-	ReadCalls, ReadMsgs   atomic.Uint64
-	WriteCalls, WriteMsgs atomic.Uint64
+	ReadCalls, ReadMsgs atomic.Uint64
+	WriteCalls          atomic.Uint64
 }
 
 // Conn wraps a PacketConn for batched datagram reads, moving at most
@@ -92,13 +93,11 @@ func (c *Conn) ReadBatch(msgs []Message) (int, error) {
 	return 1, nil
 }
 
-// WriteTo sends one datagram, counted as one write call moving one
-// message. Send errors are dropped, as svc_udp dropped them: datagram
-// clients retransmit.
+// WriteTo sends one datagram, counted as one write call. Send errors
+// are dropped, as svc_udp dropped them: datagram clients retransmit.
 func (c *Conn) WriteTo(b []byte, to net.Addr) {
 	if _, err := c.pc.WriteTo(b, to); err != nil {
 		return
 	}
 	c.stats.WriteCalls.Add(1)
-	c.stats.WriteMsgs.Add(1)
 }

@@ -329,7 +329,7 @@ func TestServeUDPDuplicateWindowIsCacheSize(t *testing.T) {
 	if rh := p.call(first); rh.XID != 1 || rh.AcceptStat != rpcmsg.Success {
 		t.Fatalf("retransmission answered %+v", rh)
 	}
-	if n, hits := execs.Load(), s.CacheHits(); n != size || hits != 1 {
+	if n, hits := execs.Load(), s.Snapshot().CacheHits; n != size || hits != 1 {
 		t.Fatalf("%d executions and %d cache hits for %d calls and one retransmission, want %d and 1", n, hits, size, size)
 	}
 }
@@ -353,7 +353,7 @@ func TestServeUDPCacheIgnoresNonCalls(t *testing.T) {
 	if rh, ok := p.reply(50 * time.Millisecond); ok {
 		t.Fatalf("stray reply %+v", rh)
 	}
-	if hits := s.CacheHits(); hits != 0 {
+	if hits := s.Snapshot().CacheHits; hits != 0 {
 		t.Fatalf("CacheHits = %d, want 0", hits)
 	}
 }
@@ -378,7 +378,7 @@ func TestServeUDPCacheMatchesProc(t *testing.T) {
 	if rh := p.call(echo); rh.AcceptStat != rpcmsg.Success {
 		t.Fatalf("echo answered %v", rh.AcceptStat)
 	}
-	if n, hits := execs.Load(), s.CacheHits(); n != 2 || hits != 0 {
+	if n, hits := execs.Load(), s.Snapshot().CacheHits; n != 2 || hits != 0 {
 		t.Fatalf("echo executions %d, CacheHits %d, want 2 and 0", n, hits)
 	}
 }

@@ -272,7 +272,7 @@ func TestServeUDPTruncatedRequestDropped(t *testing.T) {
 	if _, _, err := cep.ReadFrom(buf); err == nil {
 		t.Fatal("truncated request was answered")
 	}
-	if s.TruncatedDrops() == 0 {
+	if s.Snapshot().TruncatedDrops == 0 {
 		t.Fatal("truncation drop counter did not advance")
 	}
 }

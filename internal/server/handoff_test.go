@@ -182,7 +182,7 @@ func TestServeTCPParkedWorkersExit(t *testing.T) {
 	}
 	echoBurst(t, conn, 8)
 	conn.Close()
-	waitFor(t, "conn to untrack", func() bool { return s.Conns() == 0 })
+	waitFor(t, "conn to untrack", func() bool { return s.Snapshot().Conns == 0 })
 	settled()
 }
 
@@ -207,8 +207,8 @@ func TestServeTCPIdleReapsParkedWorkers(t *testing.T) {
 	}
 	defer conn.Close()
 	echoBurst(t, conn, 8)
-	waitFor(t, "idle reap", func() bool { return s.IdleDrops() == 1 })
-	waitFor(t, "reaped conn to untrack", func() bool { return s.Conns() == 0 })
+	waitFor(t, "idle reap", func() bool { return s.Snapshot().IdleDrops == 1 })
+	waitFor(t, "reaped conn to untrack", func() bool { return s.Snapshot().Conns == 0 })
 	settled()
 }
 

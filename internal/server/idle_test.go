@@ -60,8 +60,8 @@ func TestServeTCPIdleTimeout(t *testing.T) {
 	if err := call(quiet, procEcho); err != nil {
 		t.Fatalf("call before going idle: %v", err)
 	}
-	waitFor(t, "idle reap", func() bool { return s.IdleDrops() == 1 })
-	waitFor(t, "reaped conn to untrack", func() bool { return s.Conns() == 0 })
+	waitFor(t, "idle reap", func() bool { return s.Snapshot().IdleDrops == 1 })
+	waitFor(t, "reaped conn to untrack", func() bool { return s.Snapshot().Conns == 0 })
 
 	// A connection waiting out a slow handler spans several idle windows
 	// with nothing on the wire, yet the in-flight call protects it: the
@@ -74,7 +74,7 @@ func TestServeTCPIdleTimeout(t *testing.T) {
 	if err := call(busy, procEcho); err != nil {
 		t.Fatalf("call after the slow reply: %v", err)
 	}
-	if got := s.IdleDrops(); got != 1 {
+	if got := s.Snapshot().IdleDrops; got != 1 {
 		t.Fatalf("busy connection counted as idle: IdleDrops = %d, want 1", got)
 	}
 }
@@ -147,8 +147,8 @@ func TestServeTCPIdleStalledStream(t *testing.T) {
 				t.Fatalf("%s: reply %+v", tc.name, rh)
 			}
 		}
-		waitFor(t, "stalled conn to untrack", func() bool { return s.Conns() == 0 })
-		if got := s.IdleDrops(); got != 0 {
+		waitFor(t, "stalled conn to untrack", func() bool { return s.Snapshot().Conns == 0 })
+		if got := s.Snapshot().IdleDrops; got != 0 {
 			t.Fatalf("%s: stalled stream counted as idle: IdleDrops = %d", tc.name, got)
 		}
 	}

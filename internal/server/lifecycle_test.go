@@ -262,13 +262,13 @@ func TestServeUDPAdmissionControl(t *testing.T) {
 	// At most queue+workers datagrams can be admitted while the pool is
 	// wedged; everything else must surface in the drop counter.
 	const minDrops = burst - queue - workers
-	waitFor(t, "admission drops", func() bool { return s.QueueDrops() >= minDrops })
+	waitFor(t, "admission drops", func() bool { return s.Snapshot().QueueDrops >= minDrops })
 	close(release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	<-done
-	if exec, drops := executed.Load(), s.QueueDrops(); int(exec)+int(drops) != burst {
+	if exec, drops := executed.Load(), s.Snapshot().QueueDrops; int(exec)+int(drops) != burst {
 		t.Fatalf("executed %d + dropped %d != burst %d", exec, drops, burst)
 	}
 }
@@ -315,11 +315,11 @@ func TestServeTCPConnLimit(t *testing.T) {
 	if _, err := over.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("over-limit conn read = %v, want EOF", err)
 	}
-	waitFor(t, "conn-limit drop count", func() bool { return s.ConnLimitDrops() == 1 })
+	waitFor(t, "conn-limit drop count", func() bool { return s.Snapshot().ConnLimitDrops == 1 })
 
 	// Departure frees a slot: a new connection is admitted and served.
 	_ = clients[0].Close()
-	waitFor(t, "slot to free", func() bool { return s.Conns() < 2 })
+	waitFor(t, "slot to free", func() bool { return s.Snapshot().Conns < 2 })
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -367,8 +367,8 @@ func TestServeTCPMaxRecord(t *testing.T) {
 	if sent >= 100*limit {
 		t.Fatalf("server swallowed %d bytes of one unfinished record (bound %d)", sent, limit)
 	}
-	waitFor(t, "over-limit drop to be counted", func() bool { return s.RecordLimitDrops() == 1 })
-	waitFor(t, "over-limit conn to untrack", func() bool { return s.Conns() == 0 })
+	waitFor(t, "over-limit drop to be counted", func() bool { return s.Snapshot().RecordLimitDrops == 1 })
+	waitFor(t, "over-limit conn to untrack", func() bool { return s.Snapshot().Conns == 0 })
 
 	// A record at the bound is still served, on a fresh connection.
 	ok, err := net.Dial("tcp", ln.Addr().String())
@@ -384,7 +384,7 @@ func TestServeTCPMaxRecord(t *testing.T) {
 		func(x *xdr.XDR) error { return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long) }); err != nil || len(out) != len(big) {
 		t.Fatalf("record under the bound: %d words back, err %v", len(out), err)
 	}
-	if got := s.RecordLimitDrops(); got != 1 {
+	if got := s.Snapshot().RecordLimitDrops; got != 1 {
 		t.Fatalf("RecordLimitDrops = %d, want 1", got)
 	}
 }

@@ -160,7 +160,7 @@ func TestOneWayFailureStillAnswers(t *testing.T) {
 		}
 		echoOnce(t, c)
 	}
-	if runs, panics := runs.Load(), s.HandlerPanics(); runs != 8 || panics != 4 {
+	if runs, panics := runs.Load(), s.Snapshot().HandlerPanics; runs != 8 || panics != 4 {
 		t.Fatalf("handler runs %d, panics counted %d; want 8, 4", runs, panics)
 	}
 }
@@ -201,7 +201,7 @@ func TestOneWayUDP(t *testing.T) {
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("one-way handler ran %d times for a call and its retransmission, want 1", got)
 	}
-	if hits := s.CacheHits(); hits != 1 {
+	if hits := s.Snapshot().CacheHits; hits != 1 {
 		t.Fatalf("cache hits %d, want 1 (the retransmission)", hits)
 	}
 }

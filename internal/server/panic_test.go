@@ -103,8 +103,8 @@ func TestHandlerPanicContainedUDP(t *testing.T) {
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("panicking handlers ran %d times, want once each", got)
 	}
-	if hits, panics := s.CacheHits(), s.HandlerPanics(); hits != 2 || panics != 2 {
-		t.Fatalf("cache hits %d, handler panics %d; want 2, 2", hits, panics)
+	if st := s.Snapshot(); st.CacheHits != 2 || st.HandlerPanics != 2 {
+		t.Fatalf("cache hits %d, handler panics %d; want 2, 2", st.CacheHits, st.HandlerPanics)
 	}
 	c := client.NewUDP(cep, netsim.Addr("server"), client.Config{Prog: testProg, Vers: testVers, Timeout: 5 * time.Second})
 	defer c.Close()
@@ -135,7 +135,7 @@ func TestHandlerPanicContainedTCP(t *testing.T) {
 		client.CallTyped(c, procPanicTyped, fusedTestPlan, &arg, fusedTestPlan, &res))
 	// The same connection (the client has no Redial) serves the next call.
 	echoOnce(t, c)
-	if runs, panics := runs.Load(), s.HandlerPanics(); runs != 2 || panics != 2 {
+	if runs, panics := runs.Load(), s.Snapshot().HandlerPanics; runs != 2 || panics != 2 {
 		t.Fatalf("handler runs %d, panics counted %d; want 2, 2", runs, panics)
 	}
 }

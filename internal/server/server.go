@@ -29,16 +29,19 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"specrpc/internal/platform/batchio"
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
 
@@ -71,6 +74,14 @@ type procKey struct {
 	prog, vers, proc uint32
 }
 
+// procEntry is one row of the dispatch table: the handler, and the rungs
+// its argument and result bodies are marshaled on (zero for a closure
+// registered through Register).
+type procEntry struct {
+	h             TypedProc
+	args, results wire.Rung
+}
+
 // TypedProc is the one handler shape the dispatch table holds: body is
 // the raw argument bytes located at fixed offsets by rpcmsg.CallBody,
 // and the handler appends its complete success reply (header + results)
@@ -88,8 +99,8 @@ type TypedProc func(body []byte, xid uint32, bs *xdr.BufStream) error
 
 // Server dispatches RPC calls to registered procedures.
 type Server struct {
-	mu       sync.RWMutex // guards procs
-	procs    map[procKey]TypedProc
+	mu       sync.RWMutex // guards procs and dgio
+	procs    map[procKey]procEntry
 	calls    *callTable // ServeUDP's in-flight calls and cached replies
 	bufSize  int
 	workers  int
@@ -103,9 +114,9 @@ type Server struct {
 
 	idleTimeout time.Duration // stream idle-connection reap (0 = never)
 
-	// dgio points at the batched-I/O wrapper of the most recently started
-	// ServeUDP loop, for the DatagramIOStats counters.
-	dgio atomic.Pointer[batchio.Conn]
+	// dgio holds the batched-I/O wrapper of every ServeUDP loop started,
+	// whose counters Snapshot sums.
+	dgio []*batchio.Conn
 
 	truncated atomic.Uint64
 	cacheHits atomic.Uint64 // duplicate calls answered from the reply cache
@@ -145,9 +156,9 @@ func WithCacheSize(n int) Option {
 // WithQueueDepth sets how many received datagrams may wait for a free
 // worker before admission control sheds new arrivals (default
 // max(4*workers, 64)). The queue is the overload buffer: once it fills,
-// further datagrams are counted (QueueDrops) and dropped — clients
-// retransmit — instead of backpressuring the read loop into the kernel's
-// invisible socket-buffer drops.
+// further datagrams are counted (Snapshot.QueueDrops) and dropped —
+// clients retransmit — instead of backpressuring the read loop into the
+// kernel's invisible socket-buffer drops.
 func WithQueueDepth(n int) Option {
 	return func(s *Server) {
 		if n < 1 {
@@ -159,9 +170,9 @@ func WithQueueDepth(n int) Option {
 
 // WithMaxConns bounds the number of concurrently served stream
 // connections (default 0 = unlimited). Connections accepted beyond the
-// bound are closed immediately and counted (ConnLimitDrops): shedding a
-// connection at accept time is cheaper than collapsing under tens of
-// thousands of half-serviced ones.
+// bound are closed immediately and counted (Snapshot.ConnLimitDrops):
+// shedding a connection at accept time is cheaper than collapsing under
+// tens of thousands of half-serviced ones.
 func WithMaxConns(n int) Option {
 	return func(s *Server) {
 		if n < 0 {
@@ -174,8 +185,9 @@ func WithMaxConns(n int) Option {
 // WithIdleTimeout reaps stream connections that stay silent for d
 // (default 0 = never): a connection with no bytes arriving, no handler
 // running, and no reply finishing for a full window is closed and
-// counted (IdleDrops), freeing its goroutine and descriptor — the svc
-// answer to clients that dial, go quiet, and hold resources forever.
+// counted (Snapshot.IdleDrops), freeing its goroutine and descriptor —
+// the svc answer to clients that dial, go quiet, and hold resources
+// forever.
 // A connection busy serving calls is never reaped, however slow the
 // calls: silence while a handler runs is the client waiting on the
 // server. The window also bounds how long one record may trickle in:
@@ -197,9 +209,9 @@ const DefaultMaxRecord = xdr.DefaultMaxRecord
 // WithMaxRecord bounds the size of one request record on stream
 // connections (default DefaultMaxRecord), summed over its fragments. A
 // record announcing more closes the connection before the excess is
-// buffered and is counted (RecordLimitDrops): without the bound a peer
-// streaming fragments that never set the last-fragment bit grows the
-// request buffer until the process dies. n <= 0 keeps the default.
+// buffered and is counted (Snapshot.RecordLimitDrops): without the bound
+// a peer streaming fragments that never set the last-fragment bit grows
+// the request buffer until the process dies. n <= 0 keeps the default.
 func WithMaxRecord(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -271,7 +283,7 @@ func New(opts ...Option) *Server {
 		workers = 8
 	}
 	s := &Server{
-		procs:     make(map[procKey]TypedProc),
+		procs:     make(map[procKey]procEntry),
 		bufSize:   8900,
 		workers:   workers,
 		cacheCap:  128,
@@ -297,7 +309,7 @@ func New(opts ...Option) *Server {
 // decoder over the argument bytes, the precompiled success header, then
 // the results closure on a pooled encode handle.
 func (s *Server) Register(prog, vers, proc uint32, h Proc) {
-	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
+	s.register(procKey{prog, vers, proc}, procEntry{h: func(body []byte, xid uint32, bs *xdr.BufStream) error {
 		d := xdr.GetDec(body)
 		results, err := h(&d.X)
 		xdr.PutDec(d)
@@ -318,7 +330,7 @@ func (s *Server) Register(prog, vers, proc uint32, h Proc) {
 			return errEncodeResults
 		}
 		return nil
-	})
+	}})
 }
 
 // errEncodeResults reports a results closure that failed mid-encode. It
@@ -326,11 +338,11 @@ func (s *Server) Register(prog, vers, proc uint32, h Proc) {
 // is SYSTEM_ERR.
 var errEncodeResults = errors.New("server: results failed to encode")
 
-// register installs h for the triple, replacing any earlier handler.
-func (s *Server) register(prog, vers, proc uint32, h TypedProc) {
+// register installs e for p, replacing any earlier entry.
+func (s *Server) register(p procKey, e procEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.procs[procKey{prog, vers, proc}] = h
+	s.procs[p] = e
 }
 
 // lookup resolves a routing triple to its handler, or to the RFC 1057
@@ -341,8 +353,8 @@ func (s *Server) register(prog, vers, proc uint32, h TypedProc) {
 func (s *Server) lookup(p procKey) (TypedProc, rpcmsg.AcceptStat, rpcmsg.MismatchInfo) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if h, ok := s.procs[p]; ok {
-		return h, rpcmsg.Success, rpcmsg.MismatchInfo{}
+	if e, ok := s.procs[p]; ok {
+		return e.h, rpcmsg.Success, rpcmsg.MismatchInfo{}
 	}
 	stat := rpcmsg.ProgUnavail
 	vr := rpcmsg.MismatchInfo{Low: ^uint32(0)}
@@ -471,9 +483,12 @@ type dgram struct {
 //
 // Admission control: the queue between the read loop and the pool is
 // bounded (WithQueueDepth). When every worker is busy and the queue is
-// full the datagram is dropped and counted (QueueDrops) — datagram
-// clients retransmit, so shedding load visibly at the door beats
-// stalling the read loop until the kernel sheds it invisibly.
+// full the datagram is dropped and counted (Snapshot.QueueDrops) —
+// datagram clients retransmit, so shedding load visibly at the door
+// beats stalling the read loop until the kernel sheds it invisibly.
+//
+// A server may serve several datagram sockets at once (IPv4 and IPv6,
+// say), one ServeUDP each; Snapshot's datagram counters sum them all.
 func (s *Server) ServeUDP(conn net.PacketConn) error {
 	if _, ok := s.track(conn.Close); !ok {
 		return nil
@@ -486,7 +501,9 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 	// this loop always ran. Each reply leaves from the worker that ran
 	// it, with one counted WriteTo.
 	bc := batchio.New(conn, s.dgBatch)
-	s.dgio.Store(bc)
+	s.mu.Lock()
+	s.dgio = append(s.dgio, bc)
+	s.mu.Unlock()
 
 	jobs := make(chan dgram, s.queue)
 	var workers sync.WaitGroup
@@ -557,52 +574,96 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 	}
 }
 
-// DatagramIOStats reports the cumulative syscall and message counters of
-// the most recently started ServeUDP loop: reads then writes, calls then
-// messages. Writes are one reply per call, so writeCalls == writeMsgs;
-// readMsgs/readCalls is the realized recvmmsg batch factor (1 on the
-// unbatched path).
-func (s *Server) DatagramIOStats() (readCalls, readMsgs, writeCalls, writeMsgs uint64) {
-	bc := s.dgio.Load()
-	if bc == nil {
-		return 0, 0, 0, 0
-	}
-	st := bc.Stats()
-	return st.ReadCalls.Load(), st.ReadMsgs.Load(), st.WriteCalls.Load(), st.WriteMsgs.Load()
+// Snapshot is a server's counters since New, its gauges, and its
+// dispatch table, read in one call — the PMAPPROC_DUMP idiom of RFC 1833
+// for the server's own state. Counters only grow; each field is read on
+// its own, so a call may land between two of them.
+type Snapshot struct {
+	// The datagram syscalls of every ServeUDP loop started: reads, the
+	// datagrams they moved (the ratio is the realized recvmmsg batch
+	// factor, 1 on the unbatched path), and reply writes, one a datagram.
+	DatagramReadCalls, DatagramReadMsgs, DatagramWrites uint64
+
+	TruncatedDrops   uint64 // request datagrams that filled the buffer (WithBufSize), dropped as possibly truncated
+	QueueDrops       uint64 // datagrams shed by admission control (WithQueueDepth)
+	CacheHits        uint64 // duplicate datagram calls answered from the reply cache, not re-executed
+	ConnLimitDrops   uint64 // stream connections refused by WithMaxConns
+	IdleDrops        uint64 // stream connections reaped by WithIdleTimeout
+	RecordLimitDrops uint64 // stream connections closed for a record over WithMaxRecord
+	HandlerPanics    uint64 // handler panics contained and answered with SYSTEM_ERR
+	Conns            int    // stream connections being served now
+
+	Procs []ProcInfo // every registered procedure, in (Prog, Vers, Proc) order
 }
 
-// TruncatedDrops reports how many possibly-truncated request datagrams
-// (received length == the datagram buffer size) the server has
-// discarded.
+// ProcInfo is one registered procedure and the marshaling engine each
+// half of it is served on: the rung RegisterTyped's codecs chose for the
+// argument decode and the reply encode (compiled for an rpcgen-emitted
+// stub, fused for a plan with none, generic for a Generic-mode plan), or
+// the zero Rung for a closure registered through Register, whose
+// handler marshals its own values.
+type ProcInfo struct {
+	Prog, Vers, Proc uint32
+	Args, Results    wire.Rung
+}
+
+// Snapshot reads the server's counters, gauges and dispatch table.
+func (s *Server) Snapshot() Snapshot {
+	st := Snapshot{
+		TruncatedDrops:   s.truncated.Load(),
+		QueueDrops:       s.qdrops.Load(),
+		CacheHits:        s.cacheHits.Load(),
+		ConnLimitDrops:   s.connDrops.Load(),
+		IdleDrops:        s.idleDrops.Load(),
+		RecordLimitDrops: s.recDrops.Load(),
+		HandlerPanics:    s.panics.Load(),
+		Conns:            int(s.conns.Load()),
+	}
+	st.DatagramReadCalls, st.DatagramReadMsgs, st.DatagramWrites = s.datagramIO()
+	s.mu.RLock()
+	st.Procs = make([]ProcInfo, 0, len(s.procs))
+	for k, e := range s.procs {
+		st.Procs = append(st.Procs, ProcInfo{k.prog, k.vers, k.proc, e.args, e.results})
+	}
+	s.mu.RUnlock()
+	slices.SortFunc(st.Procs, func(a, b ProcInfo) int {
+		return cmp.Or(cmp.Compare(a.Prog, b.Prog), cmp.Compare(a.Vers, b.Vers), cmp.Compare(a.Proc, b.Proc))
+	})
+	return st
+}
+
+// datagramIO sums the syscall counters of every ServeUDP loop started.
+func (s *Server) datagramIO() (readCalls, readMsgs, writes uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, bc := range s.dgio {
+		st := bc.Stats()
+		readCalls += st.ReadCalls.Load()
+		readMsgs += st.ReadMsgs.Load()
+		writes += st.WriteCalls.Load()
+	}
+	return readCalls, readMsgs, writes
+}
+
+// DatagramIOStats is Snapshot's datagram counters, kept for benchmark/
+// until ROADMAP item 2a/2b moves it onto Snapshot. Each reply is one
+// write, so writeMsgs repeats writeCalls.
+func (s *Server) DatagramIOStats() (readCalls, readMsgs, writeCalls, writeMsgs uint64) {
+	readCalls, readMsgs, writeCalls = s.datagramIO()
+	return readCalls, readMsgs, writeCalls, writeCalls
+}
+
+// TruncatedDrops is Snapshot.TruncatedDrops, kept for benchmark/ until
+// ROADMAP item 2a/2b moves it onto Snapshot.
 func (s *Server) TruncatedDrops() uint64 { return s.truncated.Load() }
 
-// QueueDrops reports how many datagrams admission control has shed
-// because the worker pool and its queue were both full.
+// QueueDrops is Snapshot.QueueDrops, kept for benchmark/ until ROADMAP
+// item 2a/2b moves it onto Snapshot.
 func (s *Server) QueueDrops() uint64 { return s.qdrops.Load() }
 
-// CacheHits reports how many duplicate datagram calls were answered
-// from the reply cache instead of re-executed — the observable half of
-// the at-most-once guarantee under retransmission.
+// CacheHits is Snapshot.CacheHits, kept for benchmark/ until ROADMAP
+// item 2a/2b moves it onto Snapshot.
 func (s *Server) CacheHits() uint64 { return s.cacheHits.Load() }
-
-// ConnLimitDrops reports how many stream connections were refused by
-// the WithMaxConns bound.
-func (s *Server) ConnLimitDrops() uint64 { return s.connDrops.Load() }
-
-// IdleDrops reports how many stream connections the WithIdleTimeout
-// reaper has closed for staying silent a full window.
-func (s *Server) IdleDrops() uint64 { return s.idleDrops.Load() }
-
-// RecordLimitDrops reports how many stream connections were closed
-// because a request record exceeded the WithMaxRecord bound.
-func (s *Server) RecordLimitDrops() uint64 { return s.recDrops.Load() }
-
-// HandlerPanics reports how many handler panics were contained and
-// answered with SYSTEM_ERR.
-func (s *Server) HandlerPanics() uint64 { return s.panics.Load() }
-
-// Conns reports the number of stream connections currently being served.
-func (s *Server) Conns() int { return int(s.conns.Load()) }
 
 func (s *Server) answerDatagram(bc *batchio.Conn, from net.Addr, req []byte) {
 	xid, prog, vers, proc, body, ok := rpcmsg.CallBody(req)

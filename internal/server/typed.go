@@ -23,8 +23,8 @@ import (
 // decoder is the plan's BodyDecoder and the reply goes through one
 // wire.ReplyCodec, each on the best rung its plan reaches (an
 // rpcgen-emitted routine, else the plan executor, else for a
-// Generic-mode plan the interpretive walker; ReplyCodec.Rung says
-// which). Every rung produces byte-identical replies.
+// Generic-mode plan the interpretive walker; Snapshot lists which).
+// Every rung produces byte-identical replies.
 //
 // Arguments are valid until the handler returns; results may alias them.
 // The value h receives is the procedure's own, decoded over and handed
@@ -41,7 +41,8 @@ func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 	decodeArg := args.Codec().BodyDecoder()
 	rc := wire.NewReplyCodec(successTemplate, results.Codec())
 	argPool := sync.Pool{New: func() any { return new(A) }}
-	s.register(prog, vers, proc, func(body []byte, xid uint32, bs *xdr.BufStream) error {
+	e := procEntry{args: args.Codec().Rung(), results: rc.Rung()}
+	e.h = func(body []byte, xid uint32, bs *xdr.BufStream) error {
 		arg := argPool.Get().(*A)
 		if decodeArg != nil {
 			if err := decodeArg(body, unsafe.Pointer(arg)); err != nil {
@@ -61,5 +62,6 @@ func RegisterTyped[A, R any](s *Server, prog, vers, proc uint32,
 		// collector rather than handed to the next call.
 		argPool.Put(arg)
 		return err
-	})
+	}
+	s.register(procKey{prog, vers, proc}, e)
 }

@@ -93,23 +93,21 @@ func TestServeUDPOneWritePerReply(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if hits := s.CacheHits(); hits != 1 {
+	if hits := s.Snapshot().CacheHits; hits != 1 {
 		t.Fatalf("CacheHits = %d, want 1", hits)
 	}
 
 	const replies = callers*calls + 2
 	// A reply can reach its caller before the worker that wrote it
 	// counts the write.
-	waitFor(t, "write counters", func() bool {
-		_, _, writeCalls, _ := s.DatagramIOStats()
-		return writeCalls >= replies
-	})
-	readCalls, readMsgs, writeCalls, writeMsgs := s.DatagramIOStats()
-	if writeCalls != replies || writeMsgs != replies {
-		t.Fatalf("writeCalls, writeMsgs = %d, %d, want %d each", writeCalls, writeMsgs, replies)
+	waitFor(t, "write counters", func() bool { return s.Snapshot().DatagramWrites >= replies })
+	st := s.Snapshot()
+	if st.DatagramWrites != replies {
+		t.Fatalf("DatagramWrites = %d, want %d", st.DatagramWrites, replies)
 	}
-	if readMsgs != replies || readCalls > readMsgs {
-		t.Fatalf("readCalls, readMsgs = %d, %d, want %d messages in at most as many calls", readCalls, readMsgs, replies)
+	if st.DatagramReadMsgs != replies || st.DatagramReadCalls > st.DatagramReadMsgs {
+		t.Fatalf("DatagramReadCalls, DatagramReadMsgs = %d, %d, want %d messages in at most as many calls",
+			st.DatagramReadCalls, st.DatagramReadMsgs, replies)
 	}
 }
 

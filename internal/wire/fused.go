@@ -163,6 +163,10 @@ func bodyOf(c *Codec) msgBody {
 	return b
 }
 
+// Rung reports the rung a whole-message codec built over c runs on,
+// either direction. A nil codec, a void side, is on the fused rung.
+func (c *Codec) Rung() Rung { return bodyOf(c).rung }
+
 // encodeFixed executes fixed-size instructions into an already-reserved
 // window: no growth checks, no dispatch through the stream — the
 // residual loop of the whole-call specialization.
