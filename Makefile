@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build xcompile test race handoff allocs bench benchmark-check bench-json bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz genstubs fmt vet analyze ci
+.PHONY: all build xcompile test race handoff allocs bench benchmark-check bench-json bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz genstubs interop fmt vet analyze ci
 
 all: build
 
@@ -211,6 +211,17 @@ genstubs:
 	$(GO) test ./ci_genstubs
 	rm -rf ci_genstubs
 
+# The libtirpc differential (internal/interop): the system rpcgen turns
+# rich.x and layout.x into C, gcc links a small peer over its xdr_*
+# routines with -ltirpc, and every union and optional type is exchanged
+# both ways — Go bytes from each rung decode in C and encode back
+# unchanged, C-encoded values decode in Go to the same value, and hostile
+# discriminants, flags and truncations are refused alike. It skips
+# where gcc, rpcgen or the tirpc headers are missing; CI installs them
+# and sets SPECRPC_INTEROP=require, which makes a skip a failure.
+interop:
+	$(GO) test -count=1 -run Interop -v ./internal/interop
+
 # Repo-invariant analyzers (cmd/specvet) over the whole tree via the
 # go vet vettool protocol, so test files are covered too. Any finding
 # fails; justified exceptions carry a //specvet:ok <analyzer> line.
@@ -228,4 +239,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: fmt vet analyze build xcompile race handoff allocs bench benchmark-check genstubs bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz
+ci: fmt vet analyze build xcompile race handoff allocs bench benchmark-check genstubs interop bench-diff batch-smoke pipe-smoke chaos chaos-smoke fuzz

@@ -16,6 +16,7 @@ package compiledtest
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -118,6 +119,16 @@ func FuzzCompiledCodec(f *testing.F) {
 	hostile := append(make([]byte, 108+4+4), 0, 0, 0x07, 0xd0, 0, 0, 0, 1)
 	f.Add(uint32(7), uint32(0x20000100), uint32(2), uint32(4),
 		int32(rpcmsg.AuthNone), []byte{}, int32(1), int64(2), true, "x", hostile)
+	// lookup_result bodies: a shape whose Next flag is 2 (any nonzero
+	// flag means "follows"), and a discriminant only the default arm
+	// takes.
+	shape := binary.BigEndian.AppendUint32(make([]byte, 4+36), 3)
+	shape = append(shape, 't', 'r', 'i', 0, 0, 0, 0, 2, 0, 0, 0, 7, 0xff, 0xff, 0xff, 0xf8)
+	shape = append(shape, make([]byte, 20)...)
+	f.Add(uint32(8), uint32(0x20000100), uint32(2), uint32(1),
+		int32(rpcmsg.AuthNone), []byte{}, int32(4), int64(-3), true, "tri", shape)
+	f.Add(uint32(9), uint32(0x20000100), uint32(2), uint32(1),
+		int32(rpcmsg.AuthNone), []byte{}, int32(-5), int64(3), false, "", []byte{0x80, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, xid, prog, vers, proc uint32,
 		credFlavor int32, credBody []byte, a int32, h int64, flag bool, name string, raw []byte) {
@@ -204,6 +215,13 @@ func FuzzCompiledCodec(f *testing.F) {
 				t.Fatalf("pass %d: decoded values differ\nplan:     %+v\ncompiled: %+v", pass, pv, cv)
 			}
 		}
+
+		// Unions and optional data: shape and lookup_result against the
+		// closures rpcgen generated for them before they had plans.
+		lr := fuzzLookup(a, h, flag, name)
+		other := fuzzLookup(^a, -h, !flag, name[len(name)/2:])
+		checkAgainstClosure(t, ctmpl, rtmpl, xid, lookupEngines(), closureLookupResult, &lr, &other, body)
+		checkAgainstClosure(t, ctmpl, rtmpl, xid, shapeEngines(), closureShape, &lr.S, &other.S, body)
 
 		// Hostile counts: on a body every engine rejects, none allocated
 		// more than a constant times the body's length — a count is paid
@@ -361,5 +379,185 @@ func TestCompiledAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("compiled decode: %v allocs/op, want 0", n)
+	}
+}
+
+// closureShape and closureLookupResult are the marshalers rpcgen
+// generated for shape and lookup_result while unions and optional data
+// had no plan: the xdr closures every rung must accept, reject and
+// produce exactly as.
+func closureShape(x *xdr.XDR, v *Shape) error {
+	if err := v.Kind.Marshal(x); err != nil {
+		return err
+	}
+	if err := xdr.Vector(x, v.Corners[:], func(x *xdr.XDR, v *Point) error { return v.Marshal(x) }); err != nil {
+		return err
+	}
+	if err := x.String(&v.Label, 255); err != nil {
+		return err
+	}
+	if err := xdr.Optional(x, &v.Next, func(x *xdr.XDR, v *Point) error { return v.Marshal(x) }); err != nil {
+		return err
+	}
+	if err := x.Uint64(&v.Stamp); err != nil {
+		return err
+	}
+	if err := x.Float64(&v.Weight); err != nil {
+		return err
+	}
+	return x.Bool(&v.Visible)
+}
+
+func closureLookupResult(x *xdr.XDR, v *LookupResult) error {
+	d := int32(v.Status)
+	if err := x.Enum(&d); err != nil {
+		return err
+	}
+	v.Status = int32(d)
+	switch d {
+	case 0:
+		return closureShape(x, &v.S)
+	case 1, 2:
+		return x.Long(&v.ErrnoVal)
+	default:
+		return nil
+	}
+}
+
+// rungPlan is one engine over a root type: a plan and the rung its
+// whole-message codecs must land on.
+type rungPlan[T any] struct {
+	name string
+	plan *wire.Plan[T]
+	rung wire.Rung
+}
+
+// lookupEngines and shapeEngines are the three rungs over the two
+// types: the walker, a second specialized plan with nothing registered,
+// and the package plan carrying the emitted routines.
+func lookupEngines() []rungPlan[LookupResult] {
+	return []rungPlan[LookupResult]{
+		{"generic", wire.MustPlan[LookupResult](wireTypeLookupResult, wire.Generic), wire.RungGeneric},
+		{"fused", wire.MustPlan[LookupResult](wireTypeLookupResult, wire.Specialized), wire.RungFused},
+		{"compiled", planLookupResult, wire.RungCompiled},
+	}
+}
+
+func shapeEngines() []rungPlan[Shape] {
+	return []rungPlan[Shape]{
+		{"generic", wire.MustPlan[Shape](wireTypeShape, wire.Generic), wire.RungGeneric},
+		{"fused", wire.MustPlan[Shape](wireTypeShape, wire.Specialized), wire.RungFused},
+		{"compiled", planShape, wire.RungCompiled},
+	}
+}
+
+// fuzzLookup derives a lookup_result on any arm: a%4 is 0 (a shape,
+// with Next set when flag is), 1 or 2 (an errno), or negative or 3, a
+// discriminant only the void default arm takes.
+func fuzzLookup(a int32, h int64, flag bool, name string) LookupResult {
+	lr := LookupResult{Status: a % 4}
+	switch lr.Status {
+	case 0:
+		if len(name) > 255 {
+			name = name[:255]
+		}
+		lr.S = Shape{Kind: Color(a >> 2), Label: name, Stamp: uint64(h), Weight: float64(h) / 7, Visible: flag}
+		for i := range lr.S.Corners {
+			lr.S.Corners[i] = Point{X: a + int32(i), Y: int32(h) - int32(i)}
+		}
+		if flag {
+			lr.S.Next = &Point{X: a, Y: int32(h >> 32)}
+		}
+	case 1, 2:
+		lr.ErrnoVal = int32(h)
+	}
+	return lr
+}
+
+// checkAgainstClosure holds every rung of a type to its closure: the
+// same call and reply bytes for v, the same verdict and value decoding
+// body into a fresh destination and into one that held v, and on two
+// messages decoded into one destination, in both orders, the same value
+// — arms and pointees the later message leaves alone included.
+func checkAgainstClosure[T any](t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl *rpcmsg.ReplyTemplate, xid uint32,
+	engines []rungPlan[T], closure func(*xdr.XDR, *T) error, v, other *T, body []byte) {
+	t.Helper()
+	encode := func(v *T) []byte {
+		b := xdr.NewBufEncode(nil)
+		if err := closure(xdr.NewEncoder(b), v); err != nil {
+			t.Fatalf("closure encode: %v", err)
+		}
+		return b.Buffer()
+	}
+	decode := func(body []byte, v *T) error {
+		return closure(xdr.NewDecoder(xdr.NewMemDecode(body)), v)
+	}
+	want := encode(v)
+	for _, en := range engines {
+		cc, err := wire.NewCallCodec(ctmpl, 1, en.plan.Codec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := wire.NewReplyCodec(rtmpl, en.plan.Codec())
+		if cc.Rung() != en.rung || rc.Rung() != en.rung {
+			t.Fatalf("%s: call codec on the %v rung, reply codec on the %v rung", en.name, cc.Rung(), rc.Rung())
+		}
+		cb, rb := xdr.NewBufEncode(nil), xdr.NewBufEncode(nil)
+		if err := cc.Append(cb, xid, unsafe.Pointer(v)); err != nil {
+			t.Fatalf("%s call encode: %v", en.name, err)
+		}
+		if err := rc.Append(rb, xid, unsafe.Pointer(v)); err != nil {
+			t.Fatalf("%s reply encode: %v", en.name, err)
+		}
+		if !bytes.Equal(cb.Buffer()[ctmpl.Len():], want) || !bytes.Equal(rb.Buffer()[rtmpl.Len():], want) {
+			t.Fatalf("%s bytes differ from the closure's\ncall  %x\nreply %x\nwant  %x",
+				en.name, cb.Buffer()[ctmpl.Len():], rb.Buffer()[rtmpl.Len():], want)
+		}
+	}
+	msgs := [2][]byte{want, encode(other)}
+	for _, used := range []bool{false, true} {
+		// Into a fresh destination, then into one the first message
+		// filled.
+		var ref T
+		if used {
+			if err := decode(msgs[0], &ref); err != nil {
+				t.Fatalf("closure decode of a good message: %v", err)
+			}
+		}
+		werr := decode(body, &ref)
+		for _, en := range engines {
+			var got T
+			if used {
+				if err := en.plan.Codec().BodyDecoder()(msgs[0], unsafe.Pointer(&got)); err != nil {
+					t.Fatalf("%s decode of a good message: %v", en.name, err)
+				}
+			}
+			err := en.plan.Codec().BodyDecoder()(body, unsafe.Pointer(&got))
+			if (err == nil) != (werr == nil) || !errors.Is(err, werr) {
+				t.Fatalf("%s decode: %v, closure %v", en.name, err, werr)
+			}
+			if err == nil && !testutil.Same(got, ref) {
+				t.Fatalf("%s decoded %s, closure %s", en.name, testutil.Show(got), testutil.Show(ref))
+			}
+		}
+	}
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		var ref T
+		for _, m := range order {
+			if err := decode(msgs[m], &ref); err != nil {
+				t.Fatalf("closure decode of message %d: %v", m, err)
+			}
+		}
+		for _, en := range engines {
+			var got T
+			for _, m := range order {
+				if err := en.plan.Codec().BodyDecoder()(msgs[m], unsafe.Pointer(&got)); err != nil {
+					t.Fatalf("%s decode of message %d into a used value: %v", en.name, m, err)
+				}
+			}
+			if !testutil.Same(got, ref) {
+				t.Fatalf("%s decode into a used value\n got %s\nwant %s", en.name, testutil.Show(got), testutil.Show(ref))
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -105,18 +106,23 @@ func TestDerivedPlanMatchesGenerated(t *testing.T) {
 }
 
 // TestDeriveFallbackExplicit: generated types outside the probe subset
-// (strings, opaque bytes, and the kitchen-sink record containing them)
-// must fail derivation with the typed unsupported error — the explicit
-// signal the caller needs to fall back to the hand compiler.
+// (strings, opaque bytes, the kitchen-sink record containing them, and
+// the struct with optional data and the union, listed here so neither
+// is refused silently) must fail derivation with the typed unsupported
+// error — the explicit signal the caller needs to fall back to the hand
+// compiler — naming the kind that is out.
 func TestDeriveFallbackExplicit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		wt   *wire.Type
 		rt   reflect.Type
+		kind wire.Kind
 	}{
-		{"blob", wireTypeBlob, reflect.TypeOf(Blob(nil))},
-		{"word", wireTypeWord, reflect.TypeOf(Word(""))},
-		{"sample", wireTypeSample, reflect.TypeOf(Sample{})},
+		{"blob", wireTypeBlob, reflect.TypeOf(Blob(nil)), wire.OpaqueVar},
+		{"word", wireTypeWord, reflect.TypeOf(Word("")), wire.String},
+		{"sample", wireTypeSample, reflect.TypeOf(Sample{}), wire.Float32},
+		{"shape", wireTypeShape, reflect.TypeOf(Shape{}), wire.Struct},
+		{"lookup_result", wireTypeLookupResult, reflect.TypeOf(LookupResult{}), wire.Union},
 	} {
 		_, err := wire.DeriveCodec(tc.wt, tc.rt, wire.Specialized)
 		if err == nil {
@@ -126,6 +132,15 @@ func TestDeriveFallbackExplicit(t *testing.T) {
 		var ue *planext.UnsupportedError
 		if !errors.As(err, &ue) {
 			t.Errorf("%s: error %v is not an UnsupportedError", tc.name, err)
+		} else if !strings.Contains(ue.Reason, tc.kind.String()) {
+			t.Errorf("%s: reason %q does not name %s", tc.name, ue.Reason, tc.kind)
 		}
+	}
+	// shape is refused at its corners, an array of structs, before its
+	// optional field is reached; the field alone is refused as what it is.
+	_, err := wire.DeriveShape(wireTypeShape.Fields[3].Type)
+	var ue *planext.UnsupportedError
+	if !errors.As(err, &ue) || !strings.Contains(ue.Reason, wire.Optional.String()) {
+		t.Errorf("shape.next: %v, want an UnsupportedError naming %s", err, wire.Optional)
 	}
 }

@@ -5,13 +5,15 @@ package layout
 // bodies the generic walker, the fused interpreter and the emitted
 // routines must write the same bytes, make the same accept/reject
 // decision, decode the same value into fresh and reused destinations,
-// and never allocate on the word of a count alone.
+// and never allocate on the word of a count alone. On unions and
+// optional data they also agree on what a reused destination is left
+// holding: the arms a message does not select are left as they were,
+// and a set pointer's pointee is decoded over.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -51,10 +53,14 @@ func newEngines[T any](t *wire.Type, compiled *wire.Plan[T]) engines[T] {
 }
 
 var (
-	arraysEngines = newEngines(wireTypeArrays, planArrays)
-	manyEngines   = newEngines(wireTypeMany, planMany)
-	namesEngines  = newEngines(wireTypeNames, planNames)
-	nestedEngines = newEngines(wireTypeNested, planNested)
+	arraysEngines   = newEngines(wireTypeArrays, planArrays)
+	manyEngines     = newEngines(wireTypeMany, planMany)
+	namesEngines    = newEngines(wireTypeNames, planNames)
+	nestedEngines   = newEngines(wireTypeNested, planNested)
+	unionsEngines   = newEngines(wireTypeUnions, planUnions)
+	choiceEngines   = newEngines(wireTypeChoice, planChoice)
+	tintedEngines   = newEngines(wireTypeTinted, planTinted)
+	optinnerEngines = newEngines(wireTypeOptinner, planOptinner)
 )
 
 // checkEncode encodes v as a call and as a reply on every rung and
@@ -109,7 +115,7 @@ func (e engines[T]) checkDecode(t *testing.T, body []byte) {
 			if (errs[i] == nil) != (errs[0] == nil) || !errors.Is(errs[i], errs[0]) {
 				t.Fatalf("pass %d: %s decode %v, generic %v", pass, e[i].name, errs[i], errs[0])
 			}
-			if errs[0] == nil && !same(vals[i], vals[0]) {
+			if errs[0] == nil && !testutil.Same(vals[i], vals[0]) {
 				t.Fatalf("pass %d: %s decoded %+v, generic %+v", pass, e[i].name, vals[i], vals[0])
 			}
 		}
@@ -150,17 +156,35 @@ func (e engines[T]) checkReuse(t *testing.T, msgs [2][]byte) {
 					t.Fatalf("%s decode of message %d into a used value: %v", en.name, m, err)
 				}
 			}
-			if !same(v, want) {
+			if !testutil.Same(v, want) {
 				t.Fatalf("%s decode into a used value\n got %+v\nwant %+v", en.name, v, want)
 			}
 		}
 	}
 }
 
-// same compares decoded values by their Go syntax, which tells a nil
-// slice from an empty one and, unlike reflect.DeepEqual, holds a NaN
-// equal to itself.
-func same(a, b any) bool { return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b) }
+// checkReuseAgree decodes two messages into one destination, in both
+// orders, on every rung, and fails unless each leaves what the walker
+// leaves. It is checkReuse for values with unions or optional data,
+// where a reused destination is not a fresh one plus kept backing
+// arrays: an arm the later message does not select keeps what the
+// earlier one decoded into it, as the xdr closures leave it.
+func (e engines[T]) checkReuseAgree(t *testing.T, msgs [2][]byte) {
+	t.Helper()
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		vals := make([]T, len(e))
+		for i, en := range e {
+			for _, m := range order {
+				if err := en.decode(msgs[m], &vals[i]); err != nil {
+					t.Fatalf("%s decode of message %d into a used value: %v", en.name, m, err)
+				}
+			}
+			if !testutil.Same(vals[i], vals[0]) {
+				t.Fatalf("%s decode into a used value\n got %s\nwant %s", en.name, testutil.Show(vals[i]), testutil.Show(vals[0]))
+			}
+		}
+	}
+}
 
 // expectReused is fresh with every top-level slice field that fresh
 // leaves empty and prior filled made non-nil and empty.
@@ -201,6 +225,67 @@ func (s *source) nested() Nested {
 }
 
 func (s *source) named() Named { return Named{Nm: s.str(8), K: int32(s.u64())} }
+
+// choice draws a choice on one of its arms, the default's included.
+func (s *source) choice() Choice {
+	u := s.u64()
+	c := Choice{Sel: []uint32{0, 1, 4000000000, 2, uint32(u >> 32)}[u%5]}
+	switch c.Sel {
+	case 0:
+	case 1, 4000000000:
+		c.H = int64(s.u64())
+	case 2:
+		c.Nm = s.named()
+	default:
+		c.Other = int32(u >> 8)
+	}
+	return c
+}
+
+// tinted draws a tinted on one of its three arms.
+func (s *source) tinted() Tinted {
+	t := Tinted{T: []Tint{TRED, TGREEN, TBLUE}[s.u64()%3]}
+	switch t.T {
+	case TRED:
+		t.S = s.str(8)
+	case TBLUE:
+		u := s.u64()
+		t.Inr = Inner{P: int32(u), Q: int64(u) >> 3}
+	}
+	return t
+}
+
+func (s *source) optinner() Optinner {
+	if u := s.u64(); u&1 == 1 {
+		return &Inner{P: int32(u >> 1), Q: -int64(u)}
+	}
+	return nil
+}
+
+// fuzzUnions derives a Unions value from raw, every count inside its
+// bound and every discriminant one its union accepts.
+func fuzzUnions(raw []byte) Unions {
+	s := &source{raw}
+	v := Unions{C: s.choice()}
+	for range s.count(6) {
+		v.Tv = append(v.Tv, s.tinted())
+	}
+	for i := range v.Cf {
+		v.Cf[i] = s.choice()
+	}
+	for range s.count(5) {
+		v.Ov = append(v.Ov, s.optinner())
+	}
+	for i := range v.Of {
+		v.Of[i] = s.optinner()
+	}
+	if s.u64()&1 == 1 {
+		nm := s.named()
+		v.On = &nm
+	}
+	v.Tail = int32(s.u64())
+	return v
+}
 
 // fuzzArrays derives an Arrays value from raw, every count inside its
 // bound. Deterministic, so a crash reproduces from its corpus entry.
@@ -252,6 +337,12 @@ func FuzzLayoutCodec(f *testing.F) {
 	// A many body whose count the bytes behind it cannot hold, and a
 	// names one whose count fits the 4-byte floor but not the element.
 	f.Add(uint32(2), []byte{0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 0})
+	// Hostile discriminants and flags: a tinted no arm lists (3), a
+	// choice past 2^31 on its default arm, and optional flags of 2 and
+	// 0xffffffff, which mean "follows" as any nonzero xdr_bool does.
+	f.Add(uint32(3), []byte{0, 0, 0, 3, 0, 0, 0, 1})
+	f.Add(uint32(4), []byte{0xf0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 2,
+		0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, xid uint32, raw []byte) {
 		ctmpl, err := rpcmsg.NewCallTemplate(0x20000200, 1, rpcmsg.None(), rpcmsg.None())
 		if err != nil {
@@ -268,7 +359,7 @@ func FuzzLayoutCodec(f *testing.F) {
 		if err := arraysEngines[2].decode(body, &got); err != nil {
 			t.Fatalf("compiled decode of an encoded value: %v", err)
 		}
-		if !same(got, v) {
+		if !testutil.Same(got, v) {
 			t.Fatalf("compiled decode\n got %+v\nwant %+v", got, v)
 		}
 		w := fuzzArrays(raw[len(raw)/2:])
@@ -284,7 +375,135 @@ func FuzzLayoutCodec(f *testing.F) {
 		manyEngines.checkDecode(t, raw)
 		namesEngines.checkDecode(t, raw)
 		nestedEngines.checkDecode(t, raw)
+
+		u := fuzzUnions(raw)
+		ub := unionsEngines.checkEncode(t, ctmpl, rtmpl, xid, &u)
+		var gotU Unions
+		if err := unionsEngines[2].decode(ub, &gotU); err != nil {
+			t.Fatalf("compiled decode of an encoded unions: %v", err)
+		}
+		if !testutil.Same(gotU, u) {
+			t.Fatalf("compiled decode\n got %s\nwant %s", testutil.Show(gotU), testutil.Show(u))
+		}
+		u2 := fuzzUnions(raw[len(raw)/3:])
+		unionsEngines.checkReuseAgree(t, [2][]byte{ub, unionsEngines.checkEncode(t, ctmpl, rtmpl, xid, &u2)})
+		choiceEngines.checkEncode(t, ctmpl, rtmpl, xid, &u.C)
+		if len(u.Tv) > 0 {
+			tintedEngines.checkEncode(t, ctmpl, rtmpl, xid, &u.Tv[0])
+		}
+		optinnerEngines.checkEncode(t, ctmpl, rtmpl, xid, &u.Of[0])
+
+		unionsEngines.checkDecode(t, raw)
+		choiceEngines.checkDecode(t, raw)
+		tintedEngines.checkDecode(t, raw)
+		optinnerEngines.checkDecode(t, raw)
+		// The raw bytes decoded over the value before and after.
+		unionsEngines.checkReuseAgreeOn(t, ub, raw)
 	})
+}
+
+// checkReuseAgreeOn decodes a good message and then body, which may be
+// anything, into one destination on every rung, and fails unless they
+// agree on the verdict and, on accept, on what the destination holds.
+func (e engines[T]) checkReuseAgreeOn(t *testing.T, good, body []byte) {
+	t.Helper()
+	vals := make([]T, len(e))
+	errs := make([]error, len(e))
+	for i, en := range e {
+		if err := en.decode(good, &vals[i]); err != nil {
+			t.Fatalf("%s decode of a good message: %v", en.name, err)
+		}
+		errs[i] = en.decode(body, &vals[i])
+		if !errors.Is(errs[i], errs[0]) || (errs[i] == nil) != (errs[0] == nil) {
+			t.Fatalf("%s decode over a used value: %v, generic %v", en.name, errs[i], errs[0])
+		}
+		if errs[0] == nil && !testutil.Same(vals[i], vals[0]) {
+			t.Fatalf("%s decode over a used value\n got %s\nwant %s", en.name, testutil.Show(vals[i]), testutil.Show(vals[0]))
+		}
+	}
+}
+
+// TestUnionRefusals: a discriminant no arm lists and no default covers
+// is xdr.ErrBadUnion on every rung, encoding and decoding alike; a
+// union with a default arm takes any value.
+func TestUnionRefusals(t *testing.T) {
+	ctmpl, err := rpcmsg.NewCallTemplate(0x20000200, 1, rpcmsg.None(), rpcmsg.None())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Tinted{T: 3, S: "kept"}
+	for _, en := range tintedEngines {
+		cc, err := wire.NewCallCodec(ctmpl, 1, en.plan.Codec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cc.Append(xdr.NewBufEncode(nil), 1, unsafe.Pointer(&bad)); !errors.Is(err, xdr.ErrBadUnion) {
+			t.Errorf("%s encode of discriminant 3: %v, want %v", en.name, err, xdr.ErrBadUnion)
+		}
+		v := Tinted{S: "kept"}
+		if err := en.decode([]byte{0, 0, 0, 3, 0, 0, 0, 1, 'x', 0, 0, 0}, &v); !errors.Is(err, xdr.ErrBadUnion) {
+			t.Errorf("%s decode of discriminant 3: %v, want %v", en.name, err, xdr.ErrBadUnion)
+		}
+		// As the closures did: the discriminant is stored, no arm is.
+		if v.T != 3 || v.S != "kept" {
+			t.Errorf("%s decode of discriminant 3 left %+v", en.name, v)
+		}
+	}
+	for _, en := range choiceEngines {
+		var v Choice
+		if err := en.decode([]byte{0xf0, 0, 0, 0, 0xff, 0xff, 0xff, 0xfe}, &v); err != nil || v.Other != -2 || v.Sel != 0xf0000000 {
+			t.Errorf("%s decode onto the default arm: %+v, %v", en.name, v, err)
+		}
+	}
+}
+
+// TestOptionalFlags: any nonzero flag means the data follows, as
+// xdr_bool reads it; a set destination pointer keeps its pointee and is
+// decoded over, and a zero flag clears it, on every rung.
+func TestOptionalFlags(t *testing.T) {
+	for _, flag := range []byte{1, 2, 0xff} {
+		body := []byte{0, 0, 0, flag, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 6}
+		for _, en := range optinnerEngines {
+			kept := &Inner{P: 9}
+			v := Optinner(kept)
+			if err := en.decode(body, &v); err != nil {
+				t.Fatalf("%s flag %d: %v", en.name, flag, err)
+			}
+			if (*Inner)(v) != kept || kept.P != 5 || kept.Q != 6 {
+				t.Errorf("%s flag %d: pointer %p (kept %p) holding %+v", en.name, flag, v, kept, *kept)
+			}
+			var fresh Optinner
+			if err := en.decode(body, &fresh); err != nil || fresh == nil || fresh.P != 5 {
+				t.Errorf("%s flag %d into nil: %v, %v", en.name, flag, fresh, err)
+			}
+			if err := en.decode([]byte{0, 0, 0, 0}, &v); err != nil || v != nil {
+				t.Errorf("%s zero flag: %v, %v", en.name, v, err)
+			}
+		}
+	}
+}
+
+// TestCountedUnionMinWire: a counted array of unions or optional data
+// checks its count against the element's smallest wire size — 4 bytes
+// plus the smallest arm, 4 for the flag — before it allocates: a tv
+// count of 2^20 with 4 MiB less 4 bytes behind it fails on every rung
+// having allocated nothing proportional to the count.
+func TestCountedUnionMinWire(t *testing.T) {
+	body := make([]byte, 8+4<<20-4)
+	binary.BigEndian.PutUint32(body[4:], 1<<20)
+	for _, en := range unionsEngines {
+		var err error
+		got := testutil.AllocBytes(func() {
+			var v Unions
+			err = en.decode(body, &v)
+		})
+		if !errors.Is(err, xdr.ErrOverflow) {
+			t.Errorf("%s: %v, want %v", en.name, err, xdr.ErrOverflow)
+		}
+		if got > 4096 {
+			t.Errorf("%s allocated %d bytes rejecting a %d-byte body", en.name, got, len(body))
+		}
+	}
 }
 
 // TestCountedCompositeMinWire: a counted array's count is checked against

@@ -12,6 +12,26 @@ import (
 
 var _ = fmt.Errorf // referenced by generated validation paths
 
+// Tint is the IDL enum tint.
+type Tint int32
+
+// Tint values.
+const (
+	TRED   Tint = 1
+	TGREEN Tint = 2
+	TBLUE  Tint = 7
+)
+
+// Marshal encodes or decodes the enum.
+func (v *Tint) Marshal(x *xdr.XDR) error {
+	e := int32(*v)
+	if err := x.Enum(&e); err != nil {
+		return err
+	}
+	*v = Tint(e)
+	return nil
+}
+
 // W5 is the IDL typedef w5.
 type W5 string
 
@@ -24,6 +44,16 @@ var (
 
 // Marshal encodes or decodes the value through its compiled wire plan.
 func (v *W5) Marshal(x *xdr.XDR) error { return planW5.Marshal(x, v) }
+
+// Optinner is the IDL typedef optinner.
+type Optinner *Inner
+
+// wireTypeOptinner describes optinner on the wire; planOptinner is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeOptinner = wire.OptionalT(wireTypeInner)
+	planOptinner     = wire.MustPlan[Optinner](wireTypeOptinner, wire.Specialized)
+)
 
 // Inner is the IDL struct inner.
 type Inner struct {
@@ -151,6 +181,81 @@ var (
 // Marshal encodes or decodes the struct through its compiled wire plan.
 func (v *Names) Marshal(x *xdr.XDR) error { return planNames.Marshal(x, v) }
 
+// Unions is the IDL struct unions.
+type Unions struct {
+	C    Choice
+	Tv   []Tinted
+	Cf   [2]Choice
+	Ov   []Optinner
+	Of   [3]Optinner
+	On   *Named
+	Tail int32
+}
+
+// wireTypeUnions describes unions on the wire; planUnions is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeUnions = wire.StructT("unions",
+		wire.F("c", wireTypeChoice),
+		wire.F("tv", wire.VarArrayT(0, wireTypeTinted)),
+		wire.F("cf", wire.FixedArrayT(2, wireTypeChoice)),
+		wire.F("ov", wire.VarArrayT(5, wireTypeOptinner)),
+		wire.F("of", wire.FixedArrayT(3, wireTypeOptinner)),
+		wire.F("on", wire.OptionalT(wireTypeNamed)),
+		wire.F("tail", wire.Int32T()),
+	)
+	planUnions = wire.MustPlan[Unions](wireTypeUnions, wire.Specialized)
+)
+
+// Marshal encodes or decodes the struct through its compiled wire plan.
+func (v *Unions) Marshal(x *xdr.XDR) error { return planUnions.Marshal(x, v) }
+
+// Choice is the IDL union choice; exactly the arm selected by Sel is valid.
+type Choice struct {
+	Sel   uint32
+	H     int64
+	Nm    Named
+	Other int32
+}
+
+// wireTypeChoice describes choice on the wire; planChoice is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeChoice = wire.UnionT("choice",
+		wire.F("sel", wire.Uint32T()),
+		wire.Case("", nil, 0),
+		wire.Case("h", wire.HyperT(), 1, 4000000000),
+		wire.Case("nm", wireTypeNamed, 2),
+		wire.Default("other", wire.Int32T()),
+	)
+	planChoice = wire.MustPlan[Choice](wireTypeChoice, wire.Specialized)
+)
+
+// Marshal encodes or decodes the union through its compiled wire plan.
+func (v *Choice) Marshal(x *xdr.XDR) error { return planChoice.Marshal(x, v) }
+
+// Tinted is the IDL union tinted; exactly the arm selected by T is valid.
+type Tinted struct {
+	T   Tint
+	S   string
+	Inr Inner
+}
+
+// wireTypeTinted describes tinted on the wire; planTinted is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeTinted = wire.UnionT("tinted",
+		wire.F("t", wire.Int32T()),
+		wire.Case("s", wire.StringT(8), 1),
+		wire.Case("", nil, 2),
+		wire.Case("inr", wireTypeInner, 7),
+	)
+	planTinted = wire.MustPlan[Tinted](wireTypeTinted, wire.Specialized)
+)
+
+// Marshal encodes or decodes the union through its compiled wire plan.
+func (v *Tinted) Marshal(x *xdr.XDR) error { return planTinted.Marshal(x, v) }
+
 // compiledAppendW5 is the rpcgen-emitted straight-line encoder for W5:
 // one reservation covers the header and the leading fixed-size fields,
 // stores land at constant offsets, arrays of scalar units go through the
@@ -200,6 +305,59 @@ func compiledDecodeW5(body []byte, v *W5) error {
 
 func init() {
 	wire.RegisterCompiled(planW5, wire.Compiled[W5]{Append: compiledAppendW5, Decode: compiledDecodeW5})
+}
+
+// compiledAppendOptinner is the rpcgen-emitted straight-line encoder for Optinner:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendOptinner(bs *xdr.BufStream, hdr []byte, xid uint32, v *Optinner) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	if p2 := (*v); p2 != nil {
+		b3 := bs.Extend(16)
+		binary.BigEndian.PutUint32(b3, 1)
+		binary.BigEndian.PutUint32(b3[4:], uint32((*p2).P))
+		binary.BigEndian.PutUint64(b3[8:], uint64((*p2).Q))
+	} else {
+		binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	}
+	return nil
+}
+
+// compiledDecodeOptinner is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeOptinner(body []byte, v *Optinner) error {
+	pos := 0
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	f4 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if f4 == 0 {
+		(*v) = nil
+	} else {
+		p5 := (*v)
+		if p5 == nil {
+			p5 = new(Inner)
+			(*v) = p5
+		}
+		if pos+12 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*p5).P = int32(binary.BigEndian.Uint32(body[pos:]))
+		(*p5).Q = int64(binary.BigEndian.Uint64(body[pos+4:]))
+		pos += 12
+	}
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planOptinner, wire.Compiled[Optinner]{Append: compiledAppendOptinner, Decode: compiledDecodeOptinner})
 }
 
 // compiledAppendInner is the rpcgen-emitted straight-line encoder for Inner:
@@ -733,4 +891,563 @@ func compiledDecodeNames(body []byte, v *Names) error {
 
 func init() {
 	wire.RegisterCompiled(planNames, wire.Compiled[Names]{Append: compiledAppendNames, Decode: compiledDecodeNames})
+}
+
+// compiledAppendUnions is the rpcgen-emitted straight-line encoder for Unions:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendUnions(bs *xdr.BufStream, hdr []byte, xid uint32, v *Unions) error {
+	w2 := bs.Extend(len(hdr) + 4)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).C.Sel))
+	switch (*v).C.Sel {
+	case 0:
+	case 1, 4000000000:
+		b3 := bs.Extend(8)
+		binary.BigEndian.PutUint64(b3[0:], uint64((*v).C.H))
+	case 2:
+		if uint32(len((*v).C.Nm.Nm)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n4 := len((*v).C.Nm.Nm)
+		p5 := xdr.Pad(n4)
+		w6 := bs.Extend(4 + n4 + p5)
+		binary.BigEndian.PutUint32(w6, uint32(n4))
+		copy(w6[4:], (*v).C.Nm.Nm)
+		for z7 := 4 + n4; z7 < 4+n4+p5; z7++ {
+			w6[z7] = 0
+		}
+		b8 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b8[0:], uint32((*v).C.Nm.K))
+	default:
+		b9 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b9[0:], uint32((*v).C.Other))
+	}
+	s10 := (*v).Tv
+	n11 := len(s10)
+	binary.BigEndian.PutUint32(bs.Extend(4), uint32(n11))
+	for i12 := range s10 {
+		b13 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b13[0:], uint32(s10[i12].T))
+		switch s10[i12].T {
+		case 1:
+			if uint32(len(s10[i12].S)) > 8 {
+				return xdr.ErrTooBig
+			}
+			n14 := len(s10[i12].S)
+			p15 := xdr.Pad(n14)
+			w16 := bs.Extend(4 + n14 + p15)
+			binary.BigEndian.PutUint32(w16, uint32(n14))
+			copy(w16[4:], s10[i12].S)
+			for z17 := 4 + n14; z17 < 4+n14+p15; z17++ {
+				w16[z17] = 0
+			}
+		case 2:
+		case 7:
+			b18 := bs.Extend(12)
+			binary.BigEndian.PutUint32(b18[0:], uint32(s10[i12].Inr.P))
+			binary.BigEndian.PutUint64(b18[4:], uint64(s10[i12].Inr.Q))
+		default:
+			return xdr.ErrBadUnion
+		}
+	}
+	for i19 := 0; i19 < 2; i19++ {
+		b20 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b20[0:], uint32((*v).Cf[i19].Sel))
+		switch (*v).Cf[i19].Sel {
+		case 0:
+		case 1, 4000000000:
+			b21 := bs.Extend(8)
+			binary.BigEndian.PutUint64(b21[0:], uint64((*v).Cf[i19].H))
+		case 2:
+			if uint32(len((*v).Cf[i19].Nm.Nm)) > 8 {
+				return xdr.ErrTooBig
+			}
+			n22 := len((*v).Cf[i19].Nm.Nm)
+			p23 := xdr.Pad(n22)
+			w24 := bs.Extend(4 + n22 + p23)
+			binary.BigEndian.PutUint32(w24, uint32(n22))
+			copy(w24[4:], (*v).Cf[i19].Nm.Nm)
+			for z25 := 4 + n22; z25 < 4+n22+p23; z25++ {
+				w24[z25] = 0
+			}
+			b26 := bs.Extend(4)
+			binary.BigEndian.PutUint32(b26[0:], uint32((*v).Cf[i19].Nm.K))
+		default:
+			b27 := bs.Extend(4)
+			binary.BigEndian.PutUint32(b27[0:], uint32((*v).Cf[i19].Other))
+		}
+	}
+	s28 := (*v).Ov
+	if uint32(len(s28)) > 5 {
+		return xdr.ErrTooBig
+	}
+	n29 := len(s28)
+	binary.BigEndian.PutUint32(bs.Extend(4), uint32(n29))
+	for i30 := range s28 {
+		if p31 := s28[i30]; p31 != nil {
+			b32 := bs.Extend(16)
+			binary.BigEndian.PutUint32(b32, 1)
+			binary.BigEndian.PutUint32(b32[4:], uint32((*p31).P))
+			binary.BigEndian.PutUint64(b32[8:], uint64((*p31).Q))
+		} else {
+			binary.BigEndian.PutUint32(bs.Extend(4), 0)
+		}
+	}
+	for i33 := 0; i33 < 3; i33++ {
+		if p34 := (*v).Of[i33]; p34 != nil {
+			b35 := bs.Extend(16)
+			binary.BigEndian.PutUint32(b35, 1)
+			binary.BigEndian.PutUint32(b35[4:], uint32((*p34).P))
+			binary.BigEndian.PutUint64(b35[8:], uint64((*p34).Q))
+		} else {
+			binary.BigEndian.PutUint32(bs.Extend(4), 0)
+		}
+	}
+	if p36 := (*v).On; p36 != nil {
+		b37 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b37, 1)
+		if uint32(len((*p36).Nm)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n38 := len((*p36).Nm)
+		p39 := xdr.Pad(n38)
+		w40 := bs.Extend(4 + n38 + p39)
+		binary.BigEndian.PutUint32(w40, uint32(n38))
+		copy(w40[4:], (*p36).Nm)
+		for z41 := 4 + n38; z41 < 4+n38+p39; z41++ {
+			w40[z41] = 0
+		}
+		b42 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b42[0:], uint32((*p36).K))
+	} else {
+		binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	}
+	b43 := bs.Extend(4)
+	binary.BigEndian.PutUint32(b43[0:], uint32((*v).Tail))
+	return nil
+}
+
+// compiledDecodeUnions is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeUnions(body []byte, v *Unions) error {
+	if len(body) < 4 {
+		return xdr.ErrOverflow
+	}
+	(*v).C.Sel = uint32(binary.BigEndian.Uint32(body[0:]))
+	pos := 4
+	switch (*v).C.Sel {
+	case 0:
+	case 1, 4000000000:
+		if pos+8 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).C.H = int64(binary.BigEndian.Uint64(body[pos:]))
+		pos += 8
+	case 2:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u44 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u44 > 8 {
+			return xdr.ErrTooBig
+		}
+		n45 := int(u44)
+		p46 := xdr.Pad(n45)
+		if n45+p46 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*v).C.Nm.Nm = string(body[pos : pos+n45])
+		pos += n45 + p46
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).C.Nm.K = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	default:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).C.Other = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	}
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u47 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	n48 := int(u47)
+	if n48 < 0 {
+		return xdr.ErrOverflow
+	}
+	if int64(n48)*4 > int64(len(body)-pos) {
+		return xdr.ErrOverflow
+	}
+	if n48 <= cap((*v).Tv) {
+		(*v).Tv = (*v).Tv[:n48]
+	} else {
+		(*v).Tv = make([]Tinted, n48)
+	}
+	s49 := (*v).Tv
+	for i50 := range s49 {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		s49[i50].T = Tint(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+		switch s49[i50].T {
+		case 1:
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			u51 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u51 > 8 {
+				return xdr.ErrTooBig
+			}
+			n52 := int(u51)
+			p53 := xdr.Pad(n52)
+			if n52+p53 > len(body)-pos {
+				return xdr.ErrOverflow
+			}
+			s49[i50].S = string(body[pos : pos+n52])
+			pos += n52 + p53
+		case 2:
+		case 7:
+			if pos+12 > len(body) {
+				return xdr.ErrOverflow
+			}
+			s49[i50].Inr.P = int32(binary.BigEndian.Uint32(body[pos:]))
+			s49[i50].Inr.Q = int64(binary.BigEndian.Uint64(body[pos+4:]))
+			pos += 12
+		default:
+			return xdr.ErrBadUnion
+		}
+	}
+	for i54 := 0; i54 < 2; i54++ {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).Cf[i54].Sel = uint32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+		switch (*v).Cf[i54].Sel {
+		case 0:
+		case 1, 4000000000:
+			if pos+8 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*v).Cf[i54].H = int64(binary.BigEndian.Uint64(body[pos:]))
+			pos += 8
+		case 2:
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			u55 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u55 > 8 {
+				return xdr.ErrTooBig
+			}
+			n56 := int(u55)
+			p57 := xdr.Pad(n56)
+			if n56+p57 > len(body)-pos {
+				return xdr.ErrOverflow
+			}
+			(*v).Cf[i54].Nm.Nm = string(body[pos : pos+n56])
+			pos += n56 + p57
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*v).Cf[i54].Nm.K = int32(binary.BigEndian.Uint32(body[pos:]))
+			pos += 4
+		default:
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*v).Cf[i54].Other = int32(binary.BigEndian.Uint32(body[pos:]))
+			pos += 4
+		}
+	}
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u58 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u58 > 5 {
+		return xdr.ErrTooBig
+	}
+	n59 := int(u58)
+	if int64(n59)*4 > int64(len(body)-pos) {
+		return xdr.ErrOverflow
+	}
+	if n59 <= cap((*v).Ov) {
+		(*v).Ov = (*v).Ov[:n59]
+	} else {
+		(*v).Ov = make([]Optinner, n59)
+	}
+	s60 := (*v).Ov
+	for i61 := range s60 {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f62 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f62 == 0 {
+			s60[i61] = nil
+		} else {
+			p63 := s60[i61]
+			if p63 == nil {
+				p63 = new(Inner)
+				s60[i61] = p63
+			}
+			if pos+12 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*p63).P = int32(binary.BigEndian.Uint32(body[pos:]))
+			(*p63).Q = int64(binary.BigEndian.Uint64(body[pos+4:]))
+			pos += 12
+		}
+	}
+	for i64 := 0; i64 < 3; i64++ {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f65 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f65 == 0 {
+			(*v).Of[i64] = nil
+		} else {
+			p66 := (*v).Of[i64]
+			if p66 == nil {
+				p66 = new(Inner)
+				(*v).Of[i64] = p66
+			}
+			if pos+12 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*p66).P = int32(binary.BigEndian.Uint32(body[pos:]))
+			(*p66).Q = int64(binary.BigEndian.Uint64(body[pos+4:]))
+			pos += 12
+		}
+	}
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	f67 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if f67 == 0 {
+		(*v).On = nil
+	} else {
+		p68 := (*v).On
+		if p68 == nil {
+			p68 = new(Named)
+			(*v).On = p68
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u69 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u69 > 8 {
+			return xdr.ErrTooBig
+		}
+		n70 := int(u69)
+		p71 := xdr.Pad(n70)
+		if n70+p71 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p68).Nm = string(body[pos : pos+n70])
+		pos += n70 + p71
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*p68).K = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	}
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	(*v).Tail = int32(binary.BigEndian.Uint32(body[pos:]))
+	pos += 4
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planUnions, wire.Compiled[Unions]{Append: compiledAppendUnions, Decode: compiledDecodeUnions})
+}
+
+// compiledAppendChoice is the rpcgen-emitted straight-line encoder for Choice:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendChoice(bs *xdr.BufStream, hdr []byte, xid uint32, v *Choice) error {
+	w2 := bs.Extend(len(hdr) + 4)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).Sel))
+	switch (*v).Sel {
+	case 0:
+	case 1, 4000000000:
+		b3 := bs.Extend(8)
+		binary.BigEndian.PutUint64(b3[0:], uint64((*v).H))
+	case 2:
+		if uint32(len((*v).Nm.Nm)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n4 := len((*v).Nm.Nm)
+		p5 := xdr.Pad(n4)
+		w6 := bs.Extend(4 + n4 + p5)
+		binary.BigEndian.PutUint32(w6, uint32(n4))
+		copy(w6[4:], (*v).Nm.Nm)
+		for z7 := 4 + n4; z7 < 4+n4+p5; z7++ {
+			w6[z7] = 0
+		}
+		b8 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b8[0:], uint32((*v).Nm.K))
+	default:
+		b9 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b9[0:], uint32((*v).Other))
+	}
+	return nil
+}
+
+// compiledDecodeChoice is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeChoice(body []byte, v *Choice) error {
+	if len(body) < 4 {
+		return xdr.ErrOverflow
+	}
+	(*v).Sel = uint32(binary.BigEndian.Uint32(body[0:]))
+	pos := 4
+	switch (*v).Sel {
+	case 0:
+	case 1, 4000000000:
+		if pos+8 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).H = int64(binary.BigEndian.Uint64(body[pos:]))
+		pos += 8
+	case 2:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u10 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u10 > 8 {
+			return xdr.ErrTooBig
+		}
+		n11 := int(u10)
+		p12 := xdr.Pad(n11)
+		if n11+p12 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*v).Nm.Nm = string(body[pos : pos+n11])
+		pos += n11 + p12
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).Nm.K = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	default:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).Other = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	}
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planChoice, wire.Compiled[Choice]{Append: compiledAppendChoice, Decode: compiledDecodeChoice})
+}
+
+// compiledAppendTinted is the rpcgen-emitted straight-line encoder for Tinted:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendTinted(bs *xdr.BufStream, hdr []byte, xid uint32, v *Tinted) error {
+	w2 := bs.Extend(len(hdr) + 4)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).T))
+	switch (*v).T {
+	case 1:
+		if uint32(len((*v).S)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n3 := len((*v).S)
+		p4 := xdr.Pad(n3)
+		w5 := bs.Extend(4 + n3 + p4)
+		binary.BigEndian.PutUint32(w5, uint32(n3))
+		copy(w5[4:], (*v).S)
+		for z6 := 4 + n3; z6 < 4+n3+p4; z6++ {
+			w5[z6] = 0
+		}
+	case 2:
+	case 7:
+		b7 := bs.Extend(12)
+		binary.BigEndian.PutUint32(b7[0:], uint32((*v).Inr.P))
+		binary.BigEndian.PutUint64(b7[4:], uint64((*v).Inr.Q))
+	default:
+		return xdr.ErrBadUnion
+	}
+	return nil
+}
+
+// compiledDecodeTinted is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeTinted(body []byte, v *Tinted) error {
+	if len(body) < 4 {
+		return xdr.ErrOverflow
+	}
+	(*v).T = Tint(binary.BigEndian.Uint32(body[0:]))
+	pos := 4
+	switch (*v).T {
+	case 1:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u8 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u8 > 8 {
+			return xdr.ErrTooBig
+		}
+		n9 := int(u8)
+		p10 := xdr.Pad(n9)
+		if n9+p10 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*v).S = string(body[pos : pos+n9])
+		pos += n9 + p10
+	case 2:
+	case 7:
+		if pos+12 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).Inr.P = int32(binary.BigEndian.Uint32(body[pos:]))
+		(*v).Inr.Q = int64(binary.BigEndian.Uint64(body[pos+4:]))
+		pos += 12
+	default:
+		return xdr.ErrBadUnion
+	}
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planTinted, wire.Compiled[Tinted]{Append: compiledAppendTinted, Decode: compiledDecodeTinted})
 }

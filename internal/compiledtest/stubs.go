@@ -110,31 +110,23 @@ type Shape struct {
 	Visible bool
 }
 
-// Marshal encodes or decodes the struct field by field.
-func (v *Shape) Marshal(x *xdr.XDR) error {
-	if err := v.Kind.Marshal(x); err != nil {
-		return err
-	}
-	if err := xdr.Vector(x, v.Corners[:], func(x *xdr.XDR, v *Point) error { return v.Marshal(x) }); err != nil {
-		return err
-	}
-	if err := x.String(&v.Label, 255); err != nil {
-		return err
-	}
-	if err := xdr.Optional(x, &v.Next, func(x *xdr.XDR, v *Point) error { return v.Marshal(x) }); err != nil {
-		return err
-	}
-	if err := x.Uint64(&v.Stamp); err != nil {
-		return err
-	}
-	if err := x.Float64(&v.Weight); err != nil {
-		return err
-	}
-	if err := x.Bool(&v.Visible); err != nil {
-		return err
-	}
-	return nil
-}
+// wireTypeShape describes shape on the wire; planShape is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeShape = wire.StructT("shape",
+		wire.F("kind", wire.Int32T()),
+		wire.F("corners", wire.FixedArrayT(4, wireTypePoint)),
+		wire.F("label", wire.StringT(255)),
+		wire.F("next", wire.OptionalT(wireTypePoint)),
+		wire.F("stamp", wire.UhyperT()),
+		wire.F("weight", wire.Float64T()),
+		wire.F("visible", wire.BoolT()),
+	)
+	planShape = wire.MustPlan[Shape](wireTypeShape, wire.Specialized)
+)
+
+// Marshal encodes or decodes the struct through its compiled wire plan.
+func (v *Shape) Marshal(x *xdr.XDR) error { return planShape.Marshal(x, v) }
 
 // Sample is the IDL struct sample.
 type Sample struct {
@@ -196,27 +188,20 @@ type LookupResult struct {
 	ErrnoVal int32
 }
 
-// Marshal encodes or decodes the union: discriminant, then the arm.
-func (v *LookupResult) Marshal(x *xdr.XDR) error {
-	d := int32(v.Status)
-	if err := x.Enum(&d); err != nil {
-		return err
-	}
-	v.Status = int32(d)
-	switch d {
-	case 0:
-		if err := v.S.Marshal(x); err != nil {
-			return err
-		}
-	case 1, 2:
-		if err := x.Long(&v.ErrnoVal); err != nil {
-			return err
-		}
-	default:
-		// void arm
-	}
-	return nil
-}
+// wireTypeLookupResult describes lookup_result on the wire; planLookupResult is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeLookupResult = wire.UnionT("lookup_result",
+		wire.F("status", wire.Int32T()),
+		wire.Case("s", wireTypeShape, 0),
+		wire.Case("errno_val", wire.Int32T(), 1, 2),
+		wire.Default("", nil),
+	)
+	planLookupResult = wire.MustPlan[LookupResult](wireTypeLookupResult, wire.Specialized)
+)
+
+// Marshal encodes or decodes the union through its compiled wire plan.
+func (v *LookupResult) Marshal(x *xdr.XDR) error { return planLookupResult.Marshal(x, v) }
 
 // ShapeProgV2 identifies the RPC program SHAPE_PROG (version 2).
 const (
@@ -229,6 +214,9 @@ const (
 	ShapeProgV2ProcSum    = uint32(5)
 )
 
+// planVoid is the empty program, the plan of a void argument or result.
+var planVoid = wire.MustPlan[struct{}](wire.VoidT(), wire.Specialized)
+
 var planShapeProgV2SumRes = wire.MustPlan[int32](wire.Int32T(), wire.Specialized)
 
 // ShapeProgV2Client is a typed client for SHAPE_PROG version 2.
@@ -236,25 +224,17 @@ type ShapeProgV2Client struct {
 	C rpcclient.Caller
 }
 
-// Lookup calls procedure 1.
+// Lookup calls procedure 1 through compiled wire plans, fused
+// with the call header into a whole-call codec on supporting transports.
 func (c *ShapeProgV2Client) Lookup(arg *Point) (*LookupResult, error) {
 	res := new(LookupResult)
-	return res, c.C.Call(ShapeProgV2ProcLookup, func(x *xdr.XDR) error {
-		if err := (*arg).Marshal(x); err != nil {
-			return err
-		}
-		return nil
-	}, func(x *xdr.XDR) error {
-		if err := (*res).Marshal(x); err != nil {
-			return err
-		}
-		return nil
-	})
+	return res, rpcclient.CallTyped(c.C, ShapeProgV2ProcLookup, planPoint, arg, planLookupResult, res)
 }
 
-// Ping calls procedure 2.
+// Ping calls procedure 2 through compiled wire plans, fused
+// with the call header into a whole-call codec on supporting transports.
 func (c *ShapeProgV2Client) Ping() error {
-	return c.C.Call(ShapeProgV2ProcPing, rpcclient.Void, rpcclient.Void)
+	return rpcclient.CallTyped(c.C, ShapeProgV2ProcPing, planVoid, &struct{}{}, planVoid, &struct{}{})
 }
 
 // Scale calls procedure 3 through compiled wire plans, fused
@@ -291,33 +271,8 @@ type ShapeProgV2Handler interface {
 
 // RegisterShapeProgV2 installs h's procedures on srv.
 func RegisterShapeProgV2(srv *rpcserver.Server, h ShapeProgV2Handler) {
-	srv.Register(ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcLookup, func(dec *xdr.XDR) (rpcserver.Marshal, error) {
-		var arg Point
-		if err := func(x *xdr.XDR) error {
-			if err := arg.Marshal(x); err != nil {
-				return err
-			}
-			return nil
-		}(dec); err != nil {
-			return nil, fmt.Errorf("%w: %v", rpcserver.ErrGarbageArgs, err)
-		}
-		res, err := h.Lookup(&arg)
-		if err != nil {
-			return nil, err
-		}
-		return func(x *xdr.XDR) error {
-			if err := (*res).Marshal(x); err != nil {
-				return err
-			}
-			return nil
-		}, nil
-	})
-	srv.Register(ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcPing, func(dec *xdr.XDR) (rpcserver.Marshal, error) {
-		if err := h.Ping(); err != nil {
-			return nil, err
-		}
-		return func(x *xdr.XDR) error { return nil }, nil
-	})
+	rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcLookup, planPoint, planLookupResult, h.Lookup)
+	rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcPing, planVoid, planVoid, func(*struct{}) (*struct{}, error) { return nil, h.Ping() })
 	rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcScale, planNumbers, planNumbers, h.Scale)
 	rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcMix, planSample, planSample, h.Mix)
 	rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcSum, planNumbers, planShapeProgV2SumRes, h.Sum)
@@ -512,6 +467,122 @@ func compiledDecodePoint(body []byte, v *Point) error {
 
 func init() {
 	wire.RegisterCompiled(planPoint, wire.Compiled[Point]{Append: compiledAppendPoint, Decode: compiledDecodePoint})
+}
+
+// compiledAppendShape is the rpcgen-emitted straight-line encoder for Shape:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendShape(bs *xdr.BufStream, hdr []byte, xid uint32, v *Shape) error {
+	w2 := bs.Extend(len(hdr) + 36)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).Kind))
+	binary.BigEndian.PutUint32(b1[4:], uint32((*v).Corners[0].X))
+	binary.BigEndian.PutUint32(b1[8:], uint32((*v).Corners[0].Y))
+	binary.BigEndian.PutUint32(b1[12:], uint32((*v).Corners[1].X))
+	binary.BigEndian.PutUint32(b1[16:], uint32((*v).Corners[1].Y))
+	binary.BigEndian.PutUint32(b1[20:], uint32((*v).Corners[2].X))
+	binary.BigEndian.PutUint32(b1[24:], uint32((*v).Corners[2].Y))
+	binary.BigEndian.PutUint32(b1[28:], uint32((*v).Corners[3].X))
+	binary.BigEndian.PutUint32(b1[32:], uint32((*v).Corners[3].Y))
+	if uint32(len((*v).Label)) > 255 {
+		return xdr.ErrTooBig
+	}
+	n3 := len((*v).Label)
+	p4 := xdr.Pad(n3)
+	w5 := bs.Extend(4 + n3 + p4)
+	binary.BigEndian.PutUint32(w5, uint32(n3))
+	copy(w5[4:], (*v).Label)
+	for z6 := 4 + n3; z6 < 4+n3+p4; z6++ {
+		w5[z6] = 0
+	}
+	if p7 := (*v).Next; p7 != nil {
+		b8 := bs.Extend(12)
+		binary.BigEndian.PutUint32(b8, 1)
+		binary.BigEndian.PutUint32(b8[4:], uint32((*p7).X))
+		binary.BigEndian.PutUint32(b8[8:], uint32((*p7).Y))
+	} else {
+		binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	}
+	b9 := bs.Extend(20)
+	binary.BigEndian.PutUint64(b9[0:], uint64((*v).Stamp))
+	binary.BigEndian.PutUint64(b9[8:], math.Float64bits((*v).Weight))
+	if (*v).Visible {
+		binary.BigEndian.PutUint32(b9[16:], 1)
+	} else {
+		binary.BigEndian.PutUint32(b9[16:], 0)
+	}
+	return nil
+}
+
+// compiledDecodeShape is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeShape(body []byte, v *Shape) error {
+	if len(body) < 36 {
+		return xdr.ErrOverflow
+	}
+	(*v).Kind = Color(binary.BigEndian.Uint32(body[0:]))
+	(*v).Corners[0].X = int32(binary.BigEndian.Uint32(body[4:]))
+	(*v).Corners[0].Y = int32(binary.BigEndian.Uint32(body[8:]))
+	(*v).Corners[1].X = int32(binary.BigEndian.Uint32(body[12:]))
+	(*v).Corners[1].Y = int32(binary.BigEndian.Uint32(body[16:]))
+	(*v).Corners[2].X = int32(binary.BigEndian.Uint32(body[20:]))
+	(*v).Corners[2].Y = int32(binary.BigEndian.Uint32(body[24:]))
+	(*v).Corners[3].X = int32(binary.BigEndian.Uint32(body[28:]))
+	(*v).Corners[3].Y = int32(binary.BigEndian.Uint32(body[32:]))
+	pos := 36
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u10 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u10 > 255 {
+		return xdr.ErrTooBig
+	}
+	n11 := int(u10)
+	p12 := xdr.Pad(n11)
+	if n11+p12 > len(body)-pos {
+		return xdr.ErrOverflow
+	}
+	(*v).Label = string(body[pos : pos+n11])
+	pos += n11 + p12
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	f13 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if f13 == 0 {
+		(*v).Next = nil
+	} else {
+		p14 := (*v).Next
+		if p14 == nil {
+			p14 = new(Point)
+			(*v).Next = p14
+		}
+		if pos+8 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*p14).X = int32(binary.BigEndian.Uint32(body[pos:]))
+		(*p14).Y = int32(binary.BigEndian.Uint32(body[pos+4:]))
+		pos += 8
+	}
+	if pos+20 > len(body) {
+		return xdr.ErrOverflow
+	}
+	(*v).Stamp = uint64(binary.BigEndian.Uint64(body[pos:]))
+	(*v).Weight = math.Float64frombits(binary.BigEndian.Uint64(body[pos+8:]))
+	(*v).Visible = binary.BigEndian.Uint32(body[pos+16:]) != 0
+	pos += 20
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planShape, wire.Compiled[Shape]{Append: compiledAppendShape, Decode: compiledDecodeShape})
 }
 
 // compiledAppendSample is the rpcgen-emitted straight-line encoder for Sample:
@@ -830,6 +901,170 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 
 func init() {
 	wire.RegisterCompiled(planSample, wire.Compiled[Sample]{Append: compiledAppendSample, Decode: compiledDecodeSample})
+}
+
+// compiledAppendLookupResult is the rpcgen-emitted straight-line encoder for LookupResult:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendLookupResult(bs *xdr.BufStream, hdr []byte, xid uint32, v *LookupResult) error {
+	w2 := bs.Extend(len(hdr) + 4)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).Status))
+	switch (*v).Status {
+	case 0:
+		b3 := bs.Extend(36)
+		binary.BigEndian.PutUint32(b3[0:], uint32((*v).S.Kind))
+		binary.BigEndian.PutUint32(b3[4:], uint32((*v).S.Corners[0].X))
+		binary.BigEndian.PutUint32(b3[8:], uint32((*v).S.Corners[0].Y))
+		binary.BigEndian.PutUint32(b3[12:], uint32((*v).S.Corners[1].X))
+		binary.BigEndian.PutUint32(b3[16:], uint32((*v).S.Corners[1].Y))
+		binary.BigEndian.PutUint32(b3[20:], uint32((*v).S.Corners[2].X))
+		binary.BigEndian.PutUint32(b3[24:], uint32((*v).S.Corners[2].Y))
+		binary.BigEndian.PutUint32(b3[28:], uint32((*v).S.Corners[3].X))
+		binary.BigEndian.PutUint32(b3[32:], uint32((*v).S.Corners[3].Y))
+		if uint32(len((*v).S.Label)) > 255 {
+			return xdr.ErrTooBig
+		}
+		n4 := len((*v).S.Label)
+		p5 := xdr.Pad(n4)
+		w6 := bs.Extend(4 + n4 + p5)
+		binary.BigEndian.PutUint32(w6, uint32(n4))
+		copy(w6[4:], (*v).S.Label)
+		for z7 := 4 + n4; z7 < 4+n4+p5; z7++ {
+			w6[z7] = 0
+		}
+		if p8 := (*v).S.Next; p8 != nil {
+			b9 := bs.Extend(12)
+			binary.BigEndian.PutUint32(b9, 1)
+			binary.BigEndian.PutUint32(b9[4:], uint32((*p8).X))
+			binary.BigEndian.PutUint32(b9[8:], uint32((*p8).Y))
+		} else {
+			binary.BigEndian.PutUint32(bs.Extend(4), 0)
+		}
+		b10 := bs.Extend(20)
+		binary.BigEndian.PutUint64(b10[0:], uint64((*v).S.Stamp))
+		binary.BigEndian.PutUint64(b10[8:], math.Float64bits((*v).S.Weight))
+		if (*v).S.Visible {
+			binary.BigEndian.PutUint32(b10[16:], 1)
+		} else {
+			binary.BigEndian.PutUint32(b10[16:], 0)
+		}
+	case 1, 2:
+		b11 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b11[0:], uint32((*v).ErrnoVal))
+	default:
+	}
+	return nil
+}
+
+// compiledDecodeLookupResult is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeLookupResult(body []byte, v *LookupResult) error {
+	if len(body) < 4 {
+		return xdr.ErrOverflow
+	}
+	(*v).Status = int32(binary.BigEndian.Uint32(body[0:]))
+	pos := 4
+	switch (*v).Status {
+	case 0:
+		if pos+36 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).S.Kind = Color(binary.BigEndian.Uint32(body[pos:]))
+		(*v).S.Corners[0].X = int32(binary.BigEndian.Uint32(body[pos+4:]))
+		(*v).S.Corners[0].Y = int32(binary.BigEndian.Uint32(body[pos+8:]))
+		(*v).S.Corners[1].X = int32(binary.BigEndian.Uint32(body[pos+12:]))
+		(*v).S.Corners[1].Y = int32(binary.BigEndian.Uint32(body[pos+16:]))
+		(*v).S.Corners[2].X = int32(binary.BigEndian.Uint32(body[pos+20:]))
+		(*v).S.Corners[2].Y = int32(binary.BigEndian.Uint32(body[pos+24:]))
+		(*v).S.Corners[3].X = int32(binary.BigEndian.Uint32(body[pos+28:]))
+		(*v).S.Corners[3].Y = int32(binary.BigEndian.Uint32(body[pos+32:]))
+		pos += 36
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u12 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u12 > 255 {
+			return xdr.ErrTooBig
+		}
+		n13 := int(u12)
+		p14 := xdr.Pad(n13)
+		if n13+p14 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*v).S.Label = string(body[pos : pos+n13])
+		pos += n13 + p14
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f15 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f15 == 0 {
+			(*v).S.Next = nil
+		} else {
+			p16 := (*v).S.Next
+			if p16 == nil {
+				p16 = new(Point)
+				(*v).S.Next = p16
+			}
+			if pos+8 > len(body) {
+				return xdr.ErrOverflow
+			}
+			(*p16).X = int32(binary.BigEndian.Uint32(body[pos:]))
+			(*p16).Y = int32(binary.BigEndian.Uint32(body[pos+4:]))
+			pos += 8
+		}
+		if pos+20 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).S.Stamp = uint64(binary.BigEndian.Uint64(body[pos:]))
+		(*v).S.Weight = math.Float64frombits(binary.BigEndian.Uint64(body[pos+8:]))
+		(*v).S.Visible = binary.BigEndian.Uint32(body[pos+16:]) != 0
+		pos += 20
+	case 1, 2:
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*v).ErrnoVal = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+	default:
+	}
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planLookupResult, wire.Compiled[LookupResult]{Append: compiledAppendLookupResult, Decode: compiledDecodeLookupResult})
+}
+
+// compiledAppendVoid is the rpcgen-emitted straight-line encoder for struct{}:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendVoid(bs *xdr.BufStream, hdr []byte, xid uint32, v *struct{}) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	return nil
+}
+
+// compiledDecodeVoid is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeVoid(body []byte, v *struct{}) error {
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planVoid, wire.Compiled[struct{}]{Append: compiledAppendVoid, Decode: compiledDecodeVoid})
 }
 
 // compiledAppendShapeProgV2SumRes is the rpcgen-emitted straight-line encoder for int32:

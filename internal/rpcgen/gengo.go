@@ -3,6 +3,7 @@ package rpcgen
 import (
 	"fmt"
 	"go/format"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -48,14 +49,16 @@ func (o *GoOptions) fill() {
 
 // GenerateGo emits a complete Go source file for the spec: constants,
 // types, marshaling routines, client stubs, and server registration
-// helpers. Types within the wire codec subset (everything but unions and
-// optional data) get a wire.Type description and a compiled marshal plan,
-// and their stubs route through the codec-based CallTyped/RegisterTyped
-// entry points — which, on the package's own transports, fuse the
-// per-connection header template and the procedure's plan into one
-// whole-call codec, so typed procedures get the fully specialized
-// message path without any stub-side code. The rest keep hand-shaped
-// closures over the generic XDR layer. The output is gofmt-formatted.
+// helpers. Types within the wire codec subset (every type but those that
+// reach themselves, such as a linked list) get a wire.Type description
+// and a compiled marshal plan, and their procedures' stubs — a void side
+// is the empty plan, planVoid — route through the codec-based
+// CallTyped/RegisterTyped entry points — which, on the package's own
+// transports, fuse the per-connection header template and the
+// procedure's plan into one whole-call codec, so typed procedures get
+// the fully specialized message path without any stub-side code. The
+// rest keep hand-shaped closures over the generic XDR layer. The output
+// is gofmt-formatted.
 func GenerateGo(spec *Spec, opts GoOptions) (string, error) {
 	opts.fill()
 	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool), types: make(map[string]*wire.Type)}
@@ -86,6 +89,7 @@ type goGen struct {
 	needMath bool                  // an emitted codec uses the math package
 	compat   map[string]bool       // declared type name -> in wire subset
 	types    map[string]*wire.Type // declared type name -> its description
+	voidDone bool                  // planVoid is declared
 }
 
 func (g *goGen) pf(format string, args ...any) {
@@ -173,6 +177,11 @@ func (g *goGen) specUsesWire() bool {
 			return true
 		}
 	}
+	for _, u := range g.spec.Unions {
+		if g.declCompat("union", u.Name) {
+			return true
+		}
+	}
 	for _, p := range g.spec.Programs {
 		for _, v := range p.Versions {
 			for _, proc := range v.Procs {
@@ -185,10 +194,11 @@ func (g *goGen) specUsesWire() bool {
 	return false
 }
 
-// refCompat reports whether a type use lies in the wire codec subset:
-// everything rpcgen parses except unions, optional data, and void.
+// refCompat reports whether a value's type lies in the wire codec
+// subset: everything rpcgen parses but void, which is no value, and the
+// types that reach themselves.
 func (g *goGen) refCompat(t TypeRef) bool {
-	if t.Optional || t.Kind == KindVoid {
+	if t.Kind == KindVoid {
 		return false
 	}
 	if t.Kind != KindNamed {
@@ -198,19 +208,17 @@ func (g *goGen) refCompat(t TypeRef) bool {
 	if !ok {
 		return false
 	}
-	switch kind {
-	case "enum":
+	if kind == "enum" {
 		return true
-	case "struct", "typedef":
-		return g.declCompat(kind, t.Name)
-	default:
-		return false
 	}
+	return g.declCompat(kind, t.Name)
 }
 
 // declCompat memoizes subset membership for declared types. The
-// conservative false pre-seed keeps a (malformed) self-referential
-// declaration from recursing.
+// conservative false pre-seed is the cycle guard: a declaration that
+// reaches itself (a linked list through optional data) meets its own
+// false and stays on the closure path, as does every type that contains
+// it.
 func (g *goGen) declCompat(kind, name string) bool {
 	if v, ok := g.compat[name]; ok {
 		return v
@@ -237,15 +245,70 @@ func (g *goGen) declCompat(kind, name string) bool {
 				v = g.refCompat(td.Type)
 			}
 		}
+	case "union":
+		for _, u := range g.spec.Unions {
+			if u.Name == name {
+				v = g.unionCompat(u)
+			}
+		}
 	}
 	g.compat[name] = v
 	return v
 }
 
+// unionCompat reports whether a union lies in the subset: a discriminant
+// that is an int, an unsigned int or an enum, case values that resolve,
+// and every arm's member in the subset.
+func (g *goGen) unionCompat(u UnionDef) bool {
+	d := u.Discriminant.Type
+	if d.FixedArray > 0 || d.VarArray || d.Optional {
+		return false
+	}
+	if kind, _ := g.spec.declKind(d.Name); d.Kind != KindInt && d.Kind != KindUint && (d.Kind != KindNamed || kind != "enum") {
+		return false
+	}
+	for _, arm := range u.Arms {
+		for _, cv := range arm.CaseValues {
+			if _, err := g.spec.resolve(cv); err != nil {
+				return false
+			}
+		}
+		if arm.Field != nil && !g.refCompat(arm.Field.Type) {
+			return false
+		}
+	}
+	return true
+}
+
 // procTyped reports whether a procedure routes through the codec-based
-// typed entry points: both sides must be non-void and in the subset.
+// typed entry points: each side void or in the subset.
 func (g *goGen) procTyped(p ProcDef) bool {
-	return g.refCompat(p.Arg) && g.refCompat(p.Result)
+	side := func(t TypeRef) bool { return t.Kind == KindVoid || g.refCompat(t) }
+	return side(p.Arg) && side(p.Result)
+}
+
+// pointerTypedef reports the pointee of a typedef of optional data (a
+// Go pointer type, which can carry no Marshal method), so closures can
+// marshal one as the optional data it is.
+func (g *goGen) pointerTypedef(name string) (elem TypeRef, ok bool) {
+	for _, td := range g.spec.Typedefs {
+		if td.Name == name && td.Type.Optional {
+			elem = td.Type
+			elem.Optional = false
+			return elem, true
+		}
+	}
+	return TypeRef{}, false
+}
+
+// optionalStmt marshals the optional data at ptr, a **T or an
+// expression convertible to one, whose pointee is elem.
+func (g *goGen) optionalStmt(ptr string, elem TypeRef) (string, error) {
+	proc, err := g.elemProc(elem)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("if err := xdr.Optional(x, %s, %s); err != nil { return err }", ptr, proc), nil
 }
 
 // wireRef resolves a type use already known to be in the subset, twice
@@ -300,6 +363,49 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 			return "", nil, fmt.Errorf("line %d: %w", t.Line, err)
 		}
 	}
+	if t.Optional {
+		expr, typ = fmt.Sprintf("wire.OptionalT(%s)", expr), wire.OptionalT(typ)
+	}
+	return expr, typ, nil
+}
+
+// unionRef is wireRef for a union declaration: the UnionT expression and
+// the tree, discriminant and arms, validated here against the
+// declaration as wireRef validates a counted array.
+func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
+	de, dt, err := g.wireRef(u.Discriminant.Type)
+	if err != nil {
+		return "", nil, fmt.Errorf("union %s: %w", u.Name, err)
+	}
+	exprs := []string{fmt.Sprintf("wire.F(%q, %s)", u.Discriminant.Name, de)}
+	arms := make([]wire.Arm, len(u.Arms))
+	for i, arm := range u.Arms {
+		name, fe, ft := "", "nil", (*wire.Type)(nil)
+		if arm.Field != nil {
+			name = arm.Field.Name
+			if fe, ft, err = g.wireRef(arm.Field.Type); err != nil {
+				return "", nil, fmt.Errorf("union %s.%s: %w", u.Name, name, err)
+			}
+		}
+		if len(arm.CaseValues) == 0 {
+			exprs = append(exprs, fmt.Sprintf("wire.Default(%q, %s)", name, fe))
+			arms[i] = wire.Default(name, ft)
+			continue
+		}
+		vals := make([]int64, len(arm.CaseValues))
+		lits := make([]string, len(arm.CaseValues))
+		for j, cv := range arm.CaseValues {
+			vals[j], _ = g.spec.resolve(cv)
+			lits[j] = strconv.FormatInt(vals[j], 10)
+		}
+		exprs = append(exprs, fmt.Sprintf("wire.Case(%q, %s, %s)", name, fe, strings.Join(lits, ", ")))
+		arms[i] = wire.Case(name, ft, vals...)
+	}
+	typ = wire.UnionT(u.Name, wire.F(u.Discriminant.Name, dt), arms...)
+	if err := typ.Validate(); err != nil {
+		return "", nil, fmt.Errorf("union %s: %w", u.Name, err)
+	}
+	expr = fmt.Sprintf("wire.UnionT(%q,\n\t\t%s,\n\t)", u.Name, strings.Join(exprs, ",\n\t\t"))
 	return expr, typ, nil
 }
 
@@ -349,6 +455,11 @@ func (g *goGen) declType(name string) (t *wire.Type, err error) {
 			_, t, err = g.typedefRef(td)
 		}
 	}
+	for _, u := range g.spec.Unions {
+		if u.Name == name {
+			_, t, err = g.unionRef(u)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -360,13 +471,17 @@ func (g *goGen) declType(name string) (t *wire.Type, err error) {
 }
 
 // planRef resolves the plan expression for a proc argument or result: a
-// declared struct/typedef reuses its package plan; anything else gets a
-// dedicated variable, declared here (with its compiled codec pair),
-// compiled over the same wire description.
+// declared struct, union or typedef reuses its package plan, void the
+// package's empty one; anything else gets a dedicated variable, declared
+// here (with its compiled codec pair), compiled over the same wire
+// description.
 func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
+	if t.Kind == KindVoid {
+		return g.voidPlan()
+	}
 	plain := t.FixedArray == 0 && !t.VarArray && !t.Optional
 	if t.Kind == KindNamed && plain {
-		if kind, _ := g.spec.declKind(t.Name); kind == "struct" || kind == "typedef" {
+		if kind, _ := g.spec.declKind(t.Name); kind != "enum" {
 			return planVar(t.Name), nil
 		}
 	}
@@ -383,6 +498,21 @@ func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 	r := []rune(strings.TrimPrefix(dedicated, "plan"))
 	r[0] = unicode.ToUpper(r[0])
 	return dedicated, g.genCompiled(string(r), goT, dedicated, root)
+}
+
+// voidPlan declares, once, planVoid: the empty program, the plan of
+// every void argument and result.
+func (g *goGen) voidPlan() (string, error) {
+	ref := planVar("void")
+	if !g.voidDone {
+		g.voidDone = true
+		g.pf("// %s is the empty program, the plan of a void argument or result.\n", ref)
+		g.pf("var %s = wire.MustPlan[struct{}](wire.VoidT(), wire.Specialized)\n\n", ref)
+		if err := g.genCompiled("Void", "struct{}", ref, wire.VoidT()); err != nil {
+			return "", err
+		}
+	}
+	return ref, nil
 }
 
 // genCompiled emits, when opts.Compiled asks for it, the straight-line
@@ -485,7 +615,7 @@ func (g *goGen) marshalStmt(target string, t TypeRef) (string, error) {
 		if elemErr != nil {
 			return "", elemErr
 		}
-		return fmt.Sprintf("if err := xdr.Optional(x, &%s, %s); err != nil { return err }", target, elemProc), nil
+		return g.optionalStmt("&"+target, elem)
 	case t.FixedArray > 0:
 		if elemErr != nil {
 			return "", elemErr
@@ -519,6 +649,13 @@ func (g *goGen) marshalStmt(target string, t TypeRef) (string, error) {
 	case KindOpaqueV:
 		return fmt.Sprintf("if err := x.Bytes(&%s, %s); err != nil { return err }", target, bound(t.Bound)), nil
 	case KindNamed:
+		if pe, ok := g.pointerTypedef(t.Name); ok {
+			goT, err := g.goType(pe)
+			if err != nil {
+				return "", err
+			}
+			return g.optionalStmt(fmt.Sprintf("(**%s)(&%s)", goT, target), pe)
+		}
 		return fmt.Sprintf("if err := %s.Marshal(x); err != nil { return err }", target), nil
 	default:
 		return "", fmt.Errorf("rpcgen: cannot marshal type kind %d", t.Kind)
@@ -544,6 +681,17 @@ func (g *goGen) elemProc(t TypeRef) (string, error) {
 		return "(*xdr.XDR).Float64", nil
 	case KindNamed:
 		n := GoName(t.Name)
+		if pe, ok := g.pointerTypedef(t.Name); ok {
+			goT, err := g.goType(pe)
+			if err != nil {
+				return "", err
+			}
+			stmt, err := g.optionalStmt(fmt.Sprintf("(**%s)(v)", goT), pe)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("func(x *xdr.XDR, v *%s) error { %s; return nil }", n, stmt), nil
+		}
 		return fmt.Sprintf("func(x *xdr.XDR, v *%s) error { return v.Marshal(x) }", n), nil
 	default:
 		return "", fmt.Errorf("rpcgen: unsupported array element kind %d", t.Kind)
@@ -573,11 +721,17 @@ func (g *goGen) genTypedef(td TypedefDef) error {
 			return err
 		}
 		g.genPlanDecl(td.Name, name, expr)
-		g.pf("// Marshal encodes or decodes the value through its compiled wire plan.\n")
-		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(td.Name))
+		if !td.Type.Optional {
+			g.pf("// Marshal encodes or decodes the value through its compiled wire plan.\n")
+			g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(td.Name))
+		}
 		if err := g.genCompiled(name, name, planVar(td.Name), root); err != nil {
 			return fmt.Errorf("typedef %s: %w", td.Name, err)
 		}
+		return nil
+	}
+	if td.Type.Optional {
+		// A pointer type has no methods: closures marshal it in place.
 		return nil
 	}
 
@@ -656,6 +810,20 @@ func (g *goGen) genUnion(u UnionDef) error {
 		g.pf("\t%s %s\n", GoName(arm.Field.Name), typ)
 	}
 	g.pf("}\n\n")
+
+	if g.declCompat("union", u.Name) {
+		expr, root, err := g.unionRef(u)
+		if err != nil {
+			return err
+		}
+		g.genPlanDecl(u.Name, name, expr)
+		g.pf("// Marshal encodes or decodes the union through its compiled wire plan.\n")
+		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(u.Name))
+		if err := g.genCompiled(name, name, planVar(u.Name), root); err != nil {
+			return fmt.Errorf("union %s: %w", u.Name, err)
+		}
+		return nil
+	}
 
 	g.pf("// Marshal encodes or decodes the union: discriminant, then the arm.\n")
 	g.pf("func (v *%s) Marshal(x *xdr.XDR) error {\n", name)
@@ -760,16 +928,26 @@ func (g *goGen) genProgram(p ProgramDef) error {
 				}
 			}
 			if tp, ok := typed[proc.Name]; ok {
+				// A void side passes the empty plan a zero-size value.
+				params, arg := "", "&struct{}{}"
+				if argT != "" {
+					params, arg = "arg *"+argT, "arg"
+				}
 				g.pf("// %s calls procedure %d through compiled wire plans, fused\n// with the call header into a whole-call codec on supporting transports.\n", mname, proc.Num)
-				g.pf("func (c *%s) %s(arg *%s) (*%s, error) {\n", cname, mname, argT, resT)
-				g.pf("\tres := new(%s)\n\treturn res, rpcclient.CallTyped(c.C, %sProc%s, %s, arg, %s, res)\n}\n\n",
-					resT, base, mname, tp.argPlan, tp.resPlan)
+				if resT == "" {
+					g.pf("func (c *%s) %s(%s) error {\n", cname, mname, params)
+					g.pf("\treturn rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, &struct{}{})\n}\n\n",
+						base, mname, tp.argPlan, arg, tp.resPlan)
+					continue
+				}
+				g.pf("func (c *%s) %s(%s) (*%s, error) {\n", cname, mname, params, resT)
+				g.pf("\tres := new(%s)\n\treturn res, rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, res)\n}\n\n",
+					resT, base, mname, tp.argPlan, arg, tp.resPlan)
 				continue
 			}
+			// A closure stub has one side outside the subset, which a
+			// void side is not.
 			switch {
-			case argT == "" && resT == "":
-				g.pf("// %s calls procedure %d.\nfunc (c *%s) %s() error {\n", mname, proc.Num, cname, mname)
-				g.pf("\treturn c.C.Call(%sProc%s, rpcclient.Void, rpcclient.Void)\n}\n\n", base, mname)
 			case resT == "":
 				am, err := g.marshalFuncFor(proc.Arg, "arg")
 				if err != nil {
@@ -836,8 +1014,26 @@ func (g *goGen) genProgram(p ProgramDef) error {
 		for _, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
 			if tp, ok := typed[proc.Name]; ok {
-				g.pf("\trpcserver.RegisterTyped(srv, %sProg, %sVers, %sProc%s, %s, %s, h.%s)\n",
-					base, base, base, mname, tp.argPlan, tp.resPlan, mname)
+				// A void side is a *struct{} the handler neither takes nor
+				// returns: a nil result replies with the empty body.
+				argT, resT := "", ""
+				if proc.Arg.Kind != KindVoid {
+					argT, _ = g.goType(proc.Arg)
+				}
+				if proc.Result.Kind != KindVoid {
+					resT, _ = g.goType(proc.Result)
+				}
+				hf := "h." + mname
+				switch {
+				case argT == "" && resT == "":
+					hf = fmt.Sprintf("func(*struct{}) (*struct{}, error) { return nil, h.%s() }", mname)
+				case argT == "":
+					hf = fmt.Sprintf("func(*struct{}) (*%s, error) { return h.%s() }", resT, mname)
+				case resT == "":
+					hf = fmt.Sprintf("func(arg *%s) (*struct{}, error) { return nil, h.%s(arg) }", argT, mname)
+				}
+				g.pf("\trpcserver.RegisterTyped(srv, %sProg, %sVers, %sProc%s, %s, %s, %s)\n",
+					base, base, base, mname, tp.argPlan, tp.resPlan, hf)
 				continue
 			}
 			g.pf("\tsrv.Register(%sProg, %sVers, %sProc%s, func(dec *xdr.XDR) (rpcserver.Marshal, error) {\n",

@@ -139,25 +139,35 @@ func isIdentStartRune(s string) bool {
 func (p *parser) value() (int64, error) {
 	neg := p.accept("-")
 	t := p.next()
-	var v int64
-	var err error
-	switch {
-	case strings.HasPrefix(t.text, "0x") || strings.HasPrefix(t.text, "0X"):
-		v, err = strconv.ParseInt(t.text[2:], 16, 64)
-	case t.text != "" && t.text[0] >= '0' && t.text[0] <= '9':
-		v, err = strconv.ParseInt(t.text, 10, 64)
-	default:
-		c, ok := p.spec.LookupConst(t.text)
-		if !ok {
-			return 0, fmt.Errorf("rpcgen: line %d: unknown constant %q", t.line, t.text)
-		}
-		v = c
-	}
+	v, err := p.spec.resolve(t.text)
 	if err != nil {
-		return 0, fmt.Errorf("rpcgen: line %d: bad number %q: %v", t.line, t.text, err)
+		return 0, fmt.Errorf("rpcgen: line %d: %w", t.line, err)
 	}
 	if neg {
 		v = -v
+	}
+	return v, nil
+}
+
+// resolve reads an integer literal (decimal, or hexadecimal after 0x) or
+// a constant or enumerator declared so far.
+func (s *Spec) resolve(text string) (int64, error) {
+	var v int64
+	var err error
+	switch {
+	case strings.HasPrefix(text, "0x") || strings.HasPrefix(text, "0X"):
+		v, err = strconv.ParseInt(text[2:], 16, 64)
+	case text != "" && text[0] >= '0' && text[0] <= '9':
+		v, err = strconv.ParseInt(text, 10, 64)
+	default:
+		c, ok := s.LookupConst(text)
+		if !ok {
+			return 0, fmt.Errorf("unknown constant %q", text)
+		}
+		return c, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q: %v", text, err)
 	}
 	return v, nil
 }

@@ -4,6 +4,9 @@ import (
 	_ "embed"
 	goparser "go/parser"
 	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -150,9 +153,10 @@ func TestGenerateGoClientAndServerShapes(t *testing.T) {
 	}
 }
 
-// TestGenerateGoWirePlans checks that subset types compile to wire
-// descriptions with plan-backed stubs, while unions, optional data, and
-// void procedures keep the closure path.
+// TestGenerateGoWirePlans checks that every type of rich.x compiles to
+// a wire description with plan-backed stubs — the struct with optional
+// data and the union included — and that every procedure, the void PING
+// too, routes through the typed entry points.
 func TestGenerateGoWirePlans(t *testing.T) {
 	spec, err := Parse(richX)
 	if err != nil {
@@ -169,28 +173,89 @@ func TestGenerateGoWirePlans(t *testing.T) {
 		"func (v *Point) Marshal(x *xdr.XDR) error { return planPoint.Marshal(x, v) }",
 		"wireTypeNumbers = wire.VarArrayT(2000, wire.Int32T())",
 		"wireTypeBlob = wire.OpaqueVarT(1024)",
+		// shape holds optional data, lookup_result is a union.
+		`wireTypeShape = wire.StructT("shape",`,
+		`wire.F("next", wire.OptionalT(wireTypePoint)),`,
+		`wireTypeLookupResult = wire.UnionT("lookup_result",`,
+		`wire.Case("errno_val", wire.Int32T(), 1, 2),`,
+		`wire.Default("", nil),`,
+		"func (v *LookupResult) Marshal(x *xdr.XDR) error { return planLookupResult.Marshal(x, v) }",
 		// SCALE(numbers) = numbers routes through the typed entry points.
 		"rpcclient.CallTyped(c.C, ShapeProgV2ProcScale, planNumbers, arg, planNumbers, res)",
 		"rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcScale, planNumbers, planNumbers, h.Scale)",
+		// So do LOOKUP and the void PING, over the empty plan.
+		"rpcclient.CallTyped(c.C, ShapeProgV2ProcLookup, planPoint, arg, planLookupResult, res)",
+		"var planVoid = wire.MustPlan[struct{}](wire.VoidT(), wire.Specialized)",
+		"func (c *ShapeProgV2Client) Ping() error {\n\treturn rpcclient.CallTyped(c.C, ShapeProgV2ProcPing, planVoid, &struct{}{}, planVoid, &struct{}{})",
+		"rpcserver.RegisterTyped(srv, ShapeProgV2Prog, ShapeProgV2Vers, ShapeProgV2ProcPing, planVoid, planVoid, func(*struct{}) (*struct{}, error) { return nil, h.Ping() })",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	for _, reject := range []string{
-		// shape has an optional field, lookup_result is a union: neither
-		// may get a wire description.
-		"wireTypeShape",
-		"wireTypeLookupResult",
-		// PING is void/void and stays on the closure path.
-		"CallTyped(c.C, ShapeProgV2ProcPing",
-	} {
+	for _, reject := range []string{"c.C.Call(", "srv.Register("} {
 		if strings.Contains(out, reject) {
-			t.Errorf("output wrongly contains %q", reject)
+			t.Errorf("output still has a closure stub: %q", reject)
 		}
 	}
-	if !strings.Contains(out, "func (c *ShapeProgV2Client) Ping() error") {
-		t.Error("void proc lost its closure stub")
+}
+
+// TestGenerateGoLinkedList: a type that reaches itself through optional
+// data — RFC 1833's pmaplist is one, directly or through a pointer
+// typedef — has no plan: rpcgen's cycle guard keeps it, and every type
+// and procedure holding it, on the closure path, and the generated
+// package still builds.
+func TestGenerateGoLinkedList(t *testing.T) {
+	spec, err := Parse(`struct node {
+	int   v;
+	node *next;
+};
+typedef struct link *chain;
+struct link {
+	int   v;
+	chain next;
+	chain more<2>;
+};
+struct holder {
+	int  n;
+	node head;
+};
+struct flat {
+	int *maybe;
+};
+program LIST { version V {
+	holder ECHO(holder) = 1;
+	flat FLAT(flat) = 2;
+} = 1; } = 0x20000002;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compiled := range []bool{false, true} {
+		out, err := GenerateGo(spec, GoOptions{Package: "list", Compiled: compiled})
+		if err != nil {
+			t.Fatalf("compiled=%v: %v", compiled, err)
+		}
+		for _, reject := range []string{"wireTypeNode", "wireTypeHolder", "wireTypeChain", "wireTypeLink", "ProcEcho, plan"} {
+			if strings.Contains(out, reject) {
+				t.Errorf("compiled=%v: output has %q", compiled, reject)
+			}
+		}
+		for _, want := range []string{
+			"if err := xdr.Optional(x, &v.Next, func(x *xdr.XDR, v *Node) error { return v.Marshal(x) }); err != nil {",
+			"return res, c.C.Call(ListV1ProcEcho,",
+			// The typedef'd form (RFC 1833 spells pmaplist so): a pointer
+			// type has no methods, so closures marshal it in place.
+			"type Chain *Link",
+			"if err := xdr.Optional(x, (**Link)(&v.Next), func(x *xdr.XDR, v *Link) error { return v.Marshal(x) }); err != nil {",
+			// The type beside it that does not reach itself is typed.
+			"wireTypeFlat = wire.StructT(\"flat\",",
+			"rpcclient.CallTyped(c.C, ListV1ProcFlat, planFlat, arg, planFlat, res)",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("compiled=%v: output missing %q", compiled, want)
+			}
+		}
+		buildGenerated(t, "list", out)
 	}
 }
 
@@ -199,6 +264,28 @@ func TestGenerateGoWirePlans(t *testing.T) {
 // wire.Compile — fails generation against the line that declares it,
 // plan-only and compiled, instead of becoming a MustPlan that panics in
 // the importer's init.
+// buildGenerated compiles generated source as package pkg inside this
+// module, where it may import the internal runtime; it skips when no go
+// command is at hand.
+func buildGenerated(t *testing.T, pkg, src string) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build the generated package with")
+	}
+	dir, err := os.MkdirTemp("testdata", pkg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	if err := os.WriteFile(filepath.Join(dir, pkg+".go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(goBin, "build", "./"+dir).CombinedOutput(); err != nil {
+		t.Fatalf("generated package does not build: %v\n%s\n%s", err, out, src)
+	}
+}
+
 func TestGenerateGoRefusesZeroSizeElements(t *testing.T) {
 	spec, err := Parse(`struct holder { opaque pad[0]; };
 struct many {

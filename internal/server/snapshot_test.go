@@ -29,7 +29,8 @@ func void(*xdr.XDR) (server.Marshal, error) { return nil, nil }
 
 // TestSnapshotRungs pins which engine every registration path serves a
 // procedure on, as Snapshot reports it: the emitted routines of an
-// rpcgen -compiled stub, the fused program of a hand-built specialized
+// rpcgen -compiled stub (every procedure of one, the union result and
+// the void sides included), the fused program of a hand-built specialized
 // plan, the walker of a Generic-mode one, and no rung at all for a
 // closure registered through Register — including the portmapper's,
 // whose typed procedures run on fused plans and whose NULL and DUMP are
@@ -57,8 +58,8 @@ func TestSnapshotRungs(t *testing.T) {
 		row(pmap.Prog, pmap.Vers, pmap.ProcUnset, wire.RungFused),
 		row(pmap.Prog, pmap.Vers, pmap.ProcGetPort, wire.RungFused),
 		row(pmap.Prog, pmap.Vers, pmap.ProcDump, closure),
-		row(sp, sv, compiledtest.ShapeProgV2ProcLookup, closure),
-		row(sp, sv, compiledtest.ShapeProgV2ProcPing, closure),
+		row(sp, sv, compiledtest.ShapeProgV2ProcLookup, wire.RungCompiled),
+		row(sp, sv, compiledtest.ShapeProgV2ProcPing, wire.RungCompiled),
 		row(sp, sv, compiledtest.ShapeProgV2ProcScale, wire.RungCompiled),
 		row(sp, sv, compiledtest.ShapeProgV2ProcMix, wire.RungCompiled),
 		row(sp, sv, compiledtest.ShapeProgV2ProcSum, wire.RungCompiled),

@@ -1,4 +1,5 @@
-// Package testutil holds assertions shared by the transport tests.
+// Package testutil holds assertions shared by the transport and codec
+// tests.
 package testutil
 
 import (

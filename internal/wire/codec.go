@@ -137,9 +137,74 @@ func walk(x *xdr.XDR, n *node, p unsafe.Pointer) error {
 		return nil
 	case VarArray:
 		return walkVarArray(x, n, q)
+	case Union:
+		// The discriminant first, in every handle mode, then the arm its
+		// value (now in memory, on decode too) selects.
+		if err := walk(x, &n.fields[0], p); err != nil {
+			return err
+		}
+		d := *(*uint32)(unsafe.Add(p, n.fields[0].off))
+		k, ok := armOf(n.t.Arms, d)
+		if !ok {
+			return xdr.ErrBadUnion
+		}
+		if m := n.arms[k]; m >= 0 {
+			return walk(x, &n.fields[m], p)
+		}
+		return nil
+	case Optional:
+		return walkOptional(x, n, (*unsafe.Pointer)(q))
 	default:
 		return fmt.Errorf("wire: cannot marshal kind %s", n.t.Kind)
 	}
+}
+
+// armOf reports which of arms the discriminant d selects: the arm that
+// lists it, else the default.
+func armOf(arms []Arm, d uint32) (int, bool) {
+	def := -1
+	for k, a := range arms {
+		if a.Default {
+			def = k
+		}
+		for _, c := range a.Cases {
+			if uint32(c) == d {
+				return k, true
+			}
+		}
+	}
+	return def, def >= 0
+}
+
+// walkOptional is xdr.Optional over a bound pointer: the flag as an
+// xdr.Bool (any nonzero value on the wire means the data follows), a
+// decode that reuses a non-nil pointee and clears the pointer on a zero
+// flag, and a free that clears it.
+func walkOptional(x *xdr.XDR, n *node, pp *unsafe.Pointer) error {
+	follows := *pp != nil
+	switch x.Op {
+	case xdr.Encode, xdr.Decode:
+		if err := x.Bool(&follows); err != nil {
+			return err
+		}
+	case xdr.Free:
+	default:
+		return xdr.ErrBadOp
+	}
+	if !follows {
+		*pp = nil
+		return nil
+	}
+	if *pp == nil {
+		*pp = reflect.New(n.ptrT).UnsafePointer()
+	}
+	if err := walk(x, n.elem, *pp); err != nil {
+		return err
+	}
+	if x.Op == xdr.Free {
+		*pp = nil
+	}
+	return nil
 }
 
 func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
@@ -312,11 +377,53 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 					return err
 				}
 			}
+		case opUnion:
+			sub, err := selectArm(in.arms, *(*uint32)(q))
+			if err != nil {
+				return err
+			}
+			if err := encodeProg(bs, sub, p); err != nil {
+				return err
+			}
+		case opOptional:
+			elem := *(*unsafe.Pointer)(q)
+			w := bs.Extend(4)
+			if elem == nil {
+				binary.BigEndian.PutUint32(w, 0)
+				break
+			}
+			binary.BigEndian.PutUint32(w, 1)
+			if err := encodeProg(bs, in.sub, elem); err != nil {
+				return err
+			}
 		default:
 			return errBadInstruction
 		}
 	}
 	return nil
+}
+
+// selectArm returns the program of the arm the discriminant d selects:
+// the arm that lists it, else the default, else xdr.ErrBadUnion.
+//
+//specrpc:hotpath
+func selectArm(arms []armInstr, d uint32) ([]instr, error) {
+	def := -1
+	for k := range arms {
+		a := &arms[k]
+		if a.def {
+			def = k
+		}
+		for _, c := range a.cases {
+			if c == d {
+				return a.sub, nil
+			}
+		}
+	}
+	if def < 0 {
+		return nil, xdr.ErrBadUnion
+	}
+	return arms[def].sub, nil
 }
 
 // putRun stores n units of run class o from src into w, which the
@@ -441,6 +548,31 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 				if err := decodeProg(ms, in.sub, unsafe.Add(q, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
+			}
+		case opUnion:
+			// An earlier run decoded the discriminant into the value.
+			sub, err := selectArm(in.arms, *(*uint32)(q))
+			if err != nil {
+				return err
+			}
+			if err := decodeProg(ms, sub, p); err != nil {
+				return err
+			}
+		case opOptional:
+			b, err := ms.Take(4)
+			if err != nil {
+				return err
+			}
+			pp := (*unsafe.Pointer)(q)
+			if binary.BigEndian.Uint32(b) == 0 {
+				*pp = nil
+				break
+			}
+			if *pp == nil {
+				*pp = reflect.New(in.ptrT).UnsafePointer()
+			}
+			if err := decodeProg(ms, in.sub, *pp); err != nil {
+				return err
 			}
 		default:
 			return errBadInstruction

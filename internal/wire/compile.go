@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"unsafe"
@@ -46,10 +47,14 @@ type node struct {
 	elem   *node   // FixedArray / VarArray element (off 0 within element)
 	stride uintptr // element size in Go memory for arrays
 	sliceT reflect.Type
+	ptrT   reflect.Type // Optional: the pointee type a decode allocates
 	bound  uint32
 	// minWire is the fewest wire bytes one VarArray element can occupy:
 	// what a decoded count is checked against before it is allocated.
 	minWire int
+	// arms holds, for each of a Union's arms, the index of its member in
+	// fields, or -1 for a void arm.
+	arms []int
 }
 
 // op is one compiled instruction class of the flat plan. The four run
@@ -84,6 +89,14 @@ const (
 	// opVecSub runs the sub-program n times advancing by stride (fixed
 	// array of composite elements that did not fuse).
 	opVecSub
+	// opUnion runs the program of the arm selected by the 4-byte
+	// discriminant at off, which an earlier run has already moved: the
+	// dynamic test left in the residual code, over per-arm static
+	// programs.
+	opUnion
+	// opOptional moves the 4-byte flag of the pointer at off, then, when
+	// it is set, the sub-program against the pointee.
+	opOptional
 )
 
 // instr is one step of a compiled plan. The offsets and counts are the
@@ -101,6 +114,17 @@ type instr struct {
 	unitsPer int     // fused units per element (opSliceRun)
 	sub      []instr
 	sliceT   reflect.Type // concrete slice type for decode allocation
+	ptrT     reflect.Type // opOptional: the pointee type for decode allocation
+	arms     []armInstr   // opUnion
+}
+
+// armInstr is one arm of an opUnion instruction: the discriminant values
+// that select it, whether it is the default, and its member's program,
+// which runs against the union's own base pointer.
+type armInstr struct {
+	cases []uint32
+	def   bool
+	sub   []instr
 }
 
 // fixed reports whether o is a run class: a fixed-size instruction.
@@ -184,11 +208,13 @@ func Compile(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 		return nil, err
 	}
 	c.root = root
+	// lower is also the one verdict on the shape, so the walker refuses
+	// what the plans refuse.
+	steps, err := lower(t)
+	if err != nil {
+		return nil, err
+	}
 	if mode != Generic {
-		steps, err := lower(t)
-		if err != nil {
-			return nil, err
-		}
 		c.prog = fuse(steps, &root)
 	}
 	return c, nil
@@ -266,26 +292,40 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		if n.minWire = t.Elem.minWireSize(); n.minWire == 0 {
 			return node{}, errZeroSizeElem
 		}
-	case Struct:
+	case Optional:
+		if rt.Kind() != reflect.Pointer {
+			return mismatch()
+		}
+		elem, err := bind(t.Elem, rt.Elem(), 0)
+		if err != nil {
+			return node{}, fmt.Errorf("wire: optional: %w", err)
+		}
+		n.elem = &elem
+		n.ptrT = rt.Elem()
+	case Struct, Union:
 		if rt.Kind() != reflect.Struct {
 			return mismatch()
 		}
-		if rt.NumField() != len(t.Fields) {
-			return node{}, fmt.Errorf("wire: struct %s has %d fields, Go type %s has %d",
-				t.Name, len(t.Fields), rt, rt.NumField())
+		ms := t.members()
+		if rt.NumField() != len(ms) {
+			return node{}, fmt.Errorf("wire: %s %s has %d fields, Go type %s has %d",
+				t.Kind, t.Name, len(ms), rt, rt.NumField())
 		}
-		n.fields = make([]node, len(t.Fields))
-		for i, f := range t.Fields {
+		n.fields = make([]node, len(ms))
+		for i, f := range ms {
 			gf := rt.Field(i)
 			if !nameMatches(f.Name, gf.Name) {
-				return node{}, fmt.Errorf("wire: struct %s field %d: wire name %q does not match Go field %q",
-					t.Name, i, f.Name, gf.Name)
+				return node{}, fmt.Errorf("wire: %s %s field %d: wire name %q does not match Go field %q",
+					t.Kind, t.Name, i, f.Name, gf.Name)
 			}
 			fn, err := bind(f.Type, gf.Type, off+gf.Offset)
 			if err != nil {
-				return node{}, fmt.Errorf("wire: struct %s field %s: %w", t.Name, f.Name, err)
+				return node{}, fmt.Errorf("wire: %s %s field %s: %w", t.Kind, t.Name, f.Name, err)
 			}
 			n.fields[i] = fn
+		}
+		if t.Kind == Union {
+			n.arms = t.armMember()
 		}
 	default:
 		return node{}, fmt.Errorf("wire: unknown kind %d", uint8(t.Kind))
@@ -314,13 +354,23 @@ func nameMatches(wireName, goName string) bool {
 // source that names fields by selector and leaves offsets to the
 // compiler.
 type step struct {
-	op      op     // a run class (a scalar, or fixed opaque), opString, opOpaqueV, opVecSub (fixed array) or opSliceSub (counted array)
-	path    []int  // field indices from the value the program runs against down to the step's field
-	n       int    // units (run classes; bytes for fixed opaque) or elements (opVecSub)
-	wire    int    // static wire bytes, or varWire when the value decides them
-	bound   uint32 // declared limit of a counted step; 0 means none
-	elemMin int    // array steps: the fewest wire bytes one element occupies
-	sub     []step // array steps: the element's program
+	op      op        // a run class (a scalar, or fixed opaque), opString, opOpaqueV, opVecSub (fixed array), opSliceSub (counted array), opUnion or opOptional
+	path    []int     // member indices (Type.members) from the value the program runs against down to the step's field
+	n       int       // units (run classes; bytes for fixed opaque) or elements (opVecSub)
+	wire    int       // static wire bytes, or varWire when the value decides them
+	bound   uint32    // declared limit of a counted step; 0 means none
+	elemMin int       // array steps: the fewest wire bytes one element occupies; opUnion: the smallest arm
+	sub     []step    // array steps: the element's program; opOptional: the pointee's
+	arms    []armStep // opUnion
+}
+
+// armStep is one arm of a union step: its case values, whether it is the
+// default, and its member's program, run against the union value (so
+// its paths start at the union's members, like a struct's fields).
+type armStep struct {
+	cases []int64
+	def   bool
+	sub   []step
 }
 
 // varWire marks a step whose wire size depends on the value.
@@ -328,8 +378,10 @@ const varWire = -1
 
 // lower builds the layout-free program of t: structs dissolve into
 // their fields' steps, each named by path, and arrays carry their
-// element's program. Which arrays become runs is fuse's to decide. It
-// refuses what Validate refuses.
+// element's program. A union is its discriminant's step followed by a
+// union step holding one program per arm; optional data is one step
+// holding the pointee's program. Which arrays become runs is fuse's to
+// decide. It refuses what Validate refuses.
 func lower(t *Type) ([]step, error) {
 	s := step{n: 1, wire: varWire, bound: t.Bound}
 	switch t.Kind {
@@ -358,6 +410,14 @@ func lower(t *Type) ([]step, error) {
 			}
 		}
 		return steps, nil
+	case Union:
+		return lowerUnion(t)
+	case Optional:
+		sub, err := lower(t.Elem)
+		if err != nil {
+			return nil, fmt.Errorf("optional: %w", err)
+		}
+		s.op, s.sub = opOptional, sub
 	case FixedArray, VarArray:
 		sub, err := lower(t.Elem)
 		if err != nil {
@@ -385,9 +445,72 @@ func lower(t *Type) ([]step, error) {
 	return []step{s}, nil
 }
 
+// lowerUnion lowers a union: the discriminant's run step, named by path
+// [0], then the union step, whose arm programs name their member by its
+// index in t.members(). It refuses a discriminant that is not a 4-byte
+// integer, a case value the discriminant cannot hold, a value two arms
+// list, and more than one default.
+func lowerUnion(t *Type) ([]step, error) {
+	if len(t.Fields) != 1 || t.Fields[0].Type == nil {
+		return nil, fmt.Errorf("wire: union %s: want one discriminant", t.Name)
+	}
+	lo, hi := int64(math.MinInt32), int64(math.MaxInt32)
+	switch t.Fields[0].Type.Kind {
+	case Int32:
+	case Uint32:
+		lo, hi = 0, math.MaxUint32
+	default:
+		return nil, fmt.Errorf("wire: union %s: discriminant is %s, want int32 or uint32", t.Name, t.Fields[0].Type.Kind)
+	}
+	if len(t.Arms) == 0 {
+		return nil, fmt.Errorf("wire: union %s has no arms", t.Name)
+	}
+	disc := step{op: opUnits, path: []int{0}, n: 1, wire: runWire(opUnits, 1)}
+	u := step{op: opUnion, n: 1, wire: varWire, elemMin: -1}
+	seen, defaults := make(map[int64]bool), 0
+	member := t.armMember()
+	for k, a := range t.Arms {
+		switch {
+		case a.Default && len(a.Cases) > 0:
+			return nil, fmt.Errorf("wire: union %s: the default arm lists cases", t.Name)
+		case a.Default:
+			defaults++
+		case len(a.Cases) == 0:
+			return nil, fmt.Errorf("wire: union %s: arm %d lists no case", t.Name, k)
+		}
+		for _, c := range a.Cases {
+			if c < lo || c > hi || seen[c] {
+				return nil, fmt.Errorf("wire: union %s: case %d repeated or out of the discriminant's range", t.Name, c)
+			}
+			seen[c] = true
+		}
+		arm := armStep{cases: a.Cases, def: a.Default}
+		if member[k] >= 0 {
+			sub, err := lower(a.Field.Type)
+			if err != nil {
+				return nil, fmt.Errorf("union %s arm %s: %w", t.Name, a.Field.Name, err)
+			}
+			for _, fs := range sub {
+				fs.path = append([]int{member[k]}, fs.path...)
+				arm.sub = append(arm.sub, fs)
+			}
+		}
+		if _, least := sizes(arm.sub); u.elemMin < 0 || least < u.elemMin {
+			u.elemMin = least
+		}
+		u.arms = append(u.arms, arm)
+	}
+	if defaults > 1 {
+		return nil, fmt.Errorf("wire: union %s has %d default arms", t.Name, defaults)
+	}
+	return []step{disc, u}, nil
+}
+
 // sizes reports a program's static wire size (varWire when it depends
-// on the value) and the fewest wire bytes it can occupy, every counted
-// item at its empty encoding, the 4-byte count.
+// on the value) and the fewest wire bytes it can occupy: every counted
+// item at its empty encoding, the 4-byte count, an optional at its
+// 4-byte flag, and a union at its smallest arm (its discriminant is a
+// step of its own).
 func sizes(steps []step) (wire, least int) {
 	for _, s := range steps {
 		switch {
@@ -395,6 +518,8 @@ func sizes(steps []step) (wire, least int) {
 			least += s.wire
 		case s.op == opVecSub:
 			least += s.n * s.elemMin
+		case s.op == opUnion:
+			least += s.elemMin
 		default:
 			least += xdr.BytesPerUnit
 		}
@@ -441,6 +566,19 @@ func fuse(steps []step, n *node) []instr {
 				op: opSliceSub, off: f.off, bound: f.bound, wire: s.elemMin,
 				stride: f.stride, sub: sub, sliceT: f.sliceT,
 			})
+		case opUnion:
+			// The arms' paths start at the union's members, whose offsets
+			// bind already resolved against the same base pointer.
+			arms := make([]armInstr, len(s.arms))
+			for k, a := range s.arms {
+				arms[k] = armInstr{def: a.def, sub: fuse(a.sub, f)}
+				for _, c := range a.cases {
+					arms[k].cases = append(arms[k].cases, uint32(c))
+				}
+			}
+			prog = append(prog, instr{op: opUnion, off: f.fields[0].off, arms: arms})
+		case opOptional:
+			prog = append(prog, instr{op: opOptional, off: f.off, sub: fuse(s.sub, f.elem), ptrT: f.ptrT})
 		default: // a run class
 			appendRun(&prog, s.op, f.off, s.n)
 		}

@@ -18,7 +18,8 @@ package wire
 // Derivation covers the word-shaped subset the mini-C library marshals
 // (ints, uints, bools, fixed and counted arrays of them, nested
 // structs). Everything else — strings, opaque bytes, 8-byte scalars,
-// floats, arrays of composites — is out of the probe subset and returns
+// floats, arrays of composites, unions, optional data — is out of the
+// probe subset and returns
 // planext.UnsupportedError, so callers fall back to Compile explicitly;
 // derivation never silently mis-lowers. Within the subset the regrouped
 // steps equal lower's (TestDerivedStepsMatchLower, FuzzDerivedSteps),
@@ -72,8 +73,8 @@ func DeriveShape(t *Type) (*planext.Shape, error) {
 		}
 		return sh, nil
 	default:
-		// String, opaque, and 8-byte/float scalars are outside the mini-C
-		// library's word-shaped marshaling subset.
+		// String, opaque, 8-byte/float scalars, unions and optional data
+		// are outside the mini-C library's word-shaped marshaling subset.
 		return nil, &planext.UnsupportedError{
 			Reason: fmt.Sprintf("wire kind %s is outside the mini-C probe subset", t.Kind),
 		}
@@ -310,6 +311,14 @@ func writeProg(sb *strings.Builder, prog []instr, indent string) {
 		if len(in.sub) > 0 {
 			writeProg(sb, in.sub, indent+"  ")
 		}
+		for _, a := range in.arms {
+			if a.def {
+				fmt.Fprintf(sb, "%s  default:\n", indent)
+			} else {
+				fmt.Fprintf(sb, "%s  case %v:\n", indent, a.cases)
+			}
+			writeProg(sb, a.sub, indent+"    ")
+		}
 	}
 }
 
@@ -328,6 +337,8 @@ func (in instr) String() string {
 		fmt.Fprintf(&sb, " bound=%#x stride=%d %s", in.bound, in.stride, in.sliceT)
 	case opVecSub:
 		fmt.Fprintf(&sb, " n=%d stride=%d", in.n, in.stride)
+	case opOptional:
+		fmt.Fprintf(&sb, " %s", in.ptrT)
 	}
 	return sb.String()
 }
@@ -353,6 +364,10 @@ func (o op) String() string {
 		return "slice-sub"
 	case opVecSub:
 		return "vec-sub"
+	case opUnion:
+		return "union"
+	case opOptional:
+		return "optional"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -260,6 +261,8 @@ func TestDeriveUnsupportedFallsBack(t *testing.T) {
 				Name string
 			}{}),
 		},
+		{"union", UnionT("u", F("d", Int32T()), Case("a", Int32T(), 1)), reflect.TypeOf(struct{ D, A int32 }{})},
+		{"optional", OptionalT(Int32T()), reflect.TypeOf((*int32)(nil))},
 	}
 	for _, tc := range cases {
 		_, err := DeriveCodec(tc.t, tc.rt, Specialized)
@@ -270,6 +273,8 @@ func TestDeriveUnsupportedFallsBack(t *testing.T) {
 		var ue *planext.UnsupportedError
 		if !errors.As(err, &ue) {
 			t.Errorf("%s: error %v is not *planext.UnsupportedError", tc.name, err)
+		} else if k := tc.t.Kind; (k == Union || k == Optional) && !strings.Contains(ue.Reason, k.String()) {
+			t.Errorf("%s: reason %q does not name the kind", tc.name, ue.Reason)
 		}
 		// The hand compiler must still take the type — fallback works.
 		if _, cerr := Compile(tc.t, tc.rt, Specialized); cerr != nil {

@@ -83,8 +83,10 @@ func goSpelling(t *Type) string {
 		return prefix + t.Go
 	case t.Kind == OpaqueFixed:
 		return fmt.Sprintf("%s[%d]byte", prefix, t.Len)
-	case t.Kind == Struct:
+	case t.Kind == Struct || t.Kind == Union:
 		return prefix + GoName(t.Name)
+	case t.Kind == Optional:
+		return prefix + "*" + goSpelling(t.Elem)
 	}
 	return prefix + goScalars[t.Kind]
 }
@@ -93,7 +95,7 @@ func goSpelling(t *Type) string {
 // against, to the field's type and its Go expression under expr.
 func field(t *Type, expr string, path []int) (*Type, string) {
 	for _, i := range path {
-		f := t.Fields[i]
+		f := t.members()[i]
 		t, expr = f.Type, expr+"."+GoName(f.Name)
 	}
 	return t, expr
@@ -344,8 +346,8 @@ func emitLoad(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, 
 // printSteps walks a program once for either side: fixed-size steps
 // collect into the side's pending segment, and every variable-size step
 // closes the segment and prints its own block — a loop over a fixed
-// array of variable-size elements here, counted items and counted arrays
-// by the side.
+// array of variable-size elements and a union's switch here, counted
+// items, counted arrays and optional data by the side.
 
 // gen is one side of the printer: appendGen writes a message, decodeGen
 // reads one.
@@ -358,7 +360,9 @@ type gen interface {
 	flush()
 	counted(s step, t *Type, expr string)
 	slice(s step, t *Type, expr string)
-	// elems starts the side's generator for an element loop's body.
+	optional(s step, t *Type, expr string)
+	// elems starts the side's generator for an element loop's body, or
+	// a union arm's.
 	elems() gen
 }
 
@@ -378,6 +382,12 @@ func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
 		case s.op == opSliceSub:
 			g.beginVar()
 			g.slice(s, ft, x)
+		case s.op == opUnion:
+			g.beginVar()
+			printUnion(g, e, s, ft, x)
+		case s.op == opOptional:
+			g.beginVar()
+			g.optional(s, ft, x)
 		default:
 			g.beginVar()
 			g.counted(s, ft, x)
@@ -393,6 +403,38 @@ func printElems(g gen, e *emitter, s step, t *Type, elem string) {
 	printSteps(sub, e, s.sub, t.Elem, elem)
 	sub.flush()
 	e.indent--
+	e.pf("}")
+}
+
+// printUnion prints a union step over expr, a value of union type t
+// whose discriminant the pending segment before it already moved: a
+// switch on the discriminant with one case per arm, each printing the
+// arm's program against expr, and ErrBadUnion for a value no arm
+// covers.
+func printUnion(g gen, e *emitter, s step, t *Type, expr string) {
+	e.pf("switch %s.%s {", expr, GoName(t.Fields[0].Name))
+	def := false
+	for _, a := range s.arms {
+		if a.def {
+			def = true
+			e.pf("default:")
+		} else {
+			vals := make([]string, len(a.cases))
+			for i, c := range a.cases {
+				vals[i] = fmt.Sprint(c)
+			}
+			e.pf("case %s:", strings.Join(vals, ", "))
+		}
+		e.indent++
+		sub := g.elems()
+		printSteps(sub, e, a.sub, t, expr)
+		sub.flush()
+		e.indent--
+	}
+	if !def {
+		e.pf("default:")
+		e.pf("\treturn xdr.ErrBadUnion")
+	}
 	e.pf("}")
 }
 
@@ -467,6 +509,23 @@ func (g *appendGen) counted(s step, t *Type, expr string) {
 	zv := e.name("z")
 	e.pf("for %s := 4 + %s; %s < 4+%s+%s; %s++ {", zv, nv, zv, nv, pv, zv)
 	e.pf("\t%s[%s] = 0", wv, zv)
+	e.pf("}")
+}
+
+// optional renders optional data: a set pointer's flag opens the first
+// segment of its pointee's program, a nil one is a lone 0 unit.
+func (g *appendGen) optional(s step, t *Type, expr string) {
+	e := g.e
+	pv := e.name("p")
+	e.pf("if %s := %s; %s != nil {", pv, expr, pv)
+	e.indent++
+	sub := &appendGen{e: e, headerDone: true, seg: e.name("b"), pend: &lineBuf{}, pendSize: 4}
+	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
+	printSteps(sub, e, s.sub, t.Elem, "(*"+pv+")")
+	sub.flush()
+	e.indent--
+	e.pf("} else {")
+	e.pf("\tbinary.BigEndian.PutUint32(bs.Extend(4), 0)")
 	e.pf("}")
 }
 
@@ -633,6 +692,32 @@ func (g *decodeGen) counted(s step, t *Type, expr string) {
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
 	}
 	e.pf("pos += %s + %s", nv, pv)
+}
+
+// optional renders optional data as xdr.Optional decodes it: any nonzero
+// flag means the pointee follows, a nil pointer gets a fresh pointee and
+// a set one is decoded over, and a zero flag clears the pointer.
+func (g *decodeGen) optional(s step, t *Type, expr string) {
+	e := g.e
+	g.overflow("pos+4 > len(body)")
+	fv := e.name("f")
+	e.pf("%s := binary.BigEndian.Uint32(body[pos:])", fv)
+	e.pf("pos += 4")
+	e.pf("if %s == 0 {", fv)
+	e.pf("\t%s = nil", expr)
+	e.pf("} else {")
+	e.indent++
+	pv := e.name("p")
+	e.pf("%s := %s", pv, expr)
+	e.pf("if %s == nil {", pv)
+	e.pf("\t%s = new(%s)", pv, goSpelling(t.Elem))
+	e.pf("\t%s = %s", expr, pv)
+	e.pf("}")
+	sub := g.elems()
+	printSteps(sub, e, s.sub, t.Elem, "(*"+pv+")")
+	sub.flush()
+	e.indent--
+	e.pf("}")
 }
 
 // alloc renders the ensureSlice-equivalent: a backing array with room

@@ -1,8 +1,9 @@
 // Package wire is the codec layer between type descriptions and the live
-// transport: a wire.Type — the XDR subset rpcgen parses (ints, fixed and
-// counted arrays, strings, opaque data, structs) — compiles into a
-// marshal plan that encodes and decodes real Go values against the
-// internal/xdr streams.
+// transport: a wire.Type — the XDR rpcgen parses (ints, fixed and
+// counted arrays, strings, opaque data, structs, discriminated unions,
+// optional data; void is the empty struct), all but types that reach
+// themselves — compiles into a marshal plan that encodes and decodes
+// real Go values against the internal/xdr streams.
 //
 // The package transplants the paper's §5 comparison (Muller et al.,
 // ICDCS'98) onto the production hot path. One description compiles into
@@ -63,6 +64,8 @@ const (
 	FixedArray  // Len elements of Elem, length not on the wire
 	VarArray    // 4-byte count + elements of Elem; Bound limits the count
 	Struct      // Fields in order
+	Union       // 4-byte discriminant (Fields[0]), then the arm it selects
+	Optional    // 4-byte flag, then Elem when the flag is nonzero; a Go *T
 )
 
 // String names the kind.
@@ -94,6 +97,10 @@ func (k Kind) String() string {
 		return "array<>"
 	case Struct:
 		return "struct"
+	case Union:
+		return "union"
+	case Optional:
+		return "optional"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -112,10 +119,13 @@ type Type struct {
 	// Bound limits the decoded count for String, OpaqueVar, and VarArray;
 	// 0 means unbounded.
 	Bound uint32
-	// Elem is the element type for FixedArray and VarArray.
+	// Elem is the element type for FixedArray, VarArray and Optional.
 	Elem *Type
-	// Fields are the struct members, in wire order.
+	// Fields are the struct members, in wire order; a union's one field
+	// is its discriminant.
 	Fields []Field
+	// Arms are a union's cases, in declaration order.
+	Arms []Arm
 	// Go is the Go type spelling the compiled-stub emitter casts and
 	// allocates with, set where the shape alone does not imply it (an
 	// enum's or typedef's declared name); the codecs ignore it.
@@ -131,6 +141,17 @@ type Field struct {
 	Type *Type
 }
 
+// Arm is one case of a union: the discriminant values that select it,
+// or the default that every value no other arm lists selects, and its
+// member (a Field with a nil Type for a void arm). A union is bound to a
+// Go struct holding the discriminant and then each non-void arm's
+// member, in declaration order.
+type Arm struct {
+	Cases   []int64
+	Default bool
+	Field   Field
+}
+
 // Shared scalar singletons: scalars carry no per-use state, so every
 // constructor below returns the same description.
 var (
@@ -141,6 +162,7 @@ var (
 	hyperT   = &Type{Kind: Hyper}
 	uhyperT  = &Type{Kind: Uhyper}
 	float64T = &Type{Kind: Float64}
+	voidT    = &Type{Kind: Struct, Name: "void", Go: "struct{}"}
 )
 
 // Int32T describes a 32-bit signed integer (also XDR enums: they are
@@ -194,6 +216,64 @@ func StructT(name string, fields ...Field) *Type {
 // F builds one struct field.
 func F(name string, t *Type) Field { return Field{Name: name, Type: t} }
 
+// VoidT describes void, the empty program: a struct of no fields, bound
+// to struct{}. It is a procedure's argument or result side that carries
+// nothing; a union's void arm is an Arm without a member instead.
+func VoidT() *Type { return voidT }
+
+// OptionalT describes optional data (elem *name): a 4-byte flag, then
+// elem when the flag is nonzero, bound to a Go *T.
+func OptionalT(elem *Type) *Type { return &Type{Kind: Optional, Elem: elem} }
+
+// UnionT describes a discriminated union: disc, a 4-byte int or
+// unsigned (an enum is an int), then the member of the arm its value
+// selects. A value no arm lists and no default covers is
+// xdr.ErrBadUnion.
+func UnionT(name string, disc Field, arms ...Arm) *Type {
+	return &Type{Kind: Union, Name: name, Fields: []Field{disc}, Arms: arms}
+}
+
+// Case builds the arm the values select, whose member is name of type
+// t; a nil t makes it a void arm.
+func Case(name string, t *Type, values ...int64) Arm {
+	return Arm{Cases: values, Field: Field{Name: name, Type: t}}
+}
+
+// Default builds a union's default arm, whose member is name of type
+// t; a nil t makes it a void arm.
+func Default(name string, t *Type) Arm {
+	return Arm{Default: true, Field: Field{Name: name, Type: t}}
+}
+
+// members lists the Go fields a Struct or Union is bound to, in order: a
+// struct's fields, or a union's discriminant followed by the member of
+// each non-void arm. A step's path indexes this list.
+func (t *Type) members() []Field {
+	if t.Kind != Union {
+		return t.Fields
+	}
+	out := append([]Field(nil), t.Fields...)
+	for _, a := range t.Arms {
+		if a.Field.Type != nil {
+			out = append(out, a.Field)
+		}
+	}
+	return out
+}
+
+// armMember reports, for each of a union's arms, the index of its member
+// in members(), or -1 for a void arm.
+func (t *Type) armMember() []int {
+	idx, next := make([]int, len(t.Arms)), len(t.Fields)
+	for k, a := range t.Arms {
+		idx[k] = -1
+		if a.Field.Type != nil {
+			idx[k], next = next, next+1
+		}
+	}
+	return idx
+}
+
 // effBound resolves a Type bound to the limit the codecs enforce.
 func effBound(b uint32) uint32 {
 	if b == 0 {
@@ -220,7 +300,19 @@ func (t *Type) minWireSize() int {
 			total += f.Type.minWireSize()
 		}
 		return total
-	default: // the 4-byte scalars, and String, OpaqueVar, VarArray
+	case Union:
+		least := -1
+		for _, a := range t.Arms {
+			n := 0
+			if a.Field.Type != nil {
+				n = a.Field.Type.minWireSize()
+			}
+			if least < 0 || n < least {
+				least = n
+			}
+		}
+		return xdr.BytesPerUnit + max(least, 0)
+	default: // the 4-byte scalars, String, OpaqueVar, VarArray, and Optional's flag
 		return xdr.BytesPerUnit
 	}
 }
