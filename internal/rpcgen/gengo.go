@@ -877,6 +877,22 @@ func (g *goGen) marshalFuncFor(t TypeRef, varName string) (string, error) {
 	return fmt.Sprintf("func(x *xdr.XDR) error { %s; return nil }", stmt), nil
 }
 
+// sideTypes renders a procedure's argument and result Go types, "" for
+// a void side.
+func (g *goGen) sideTypes(proc ProcDef) (argT, resT string, err error) {
+	if proc.Arg.Kind != KindVoid {
+		if argT, err = g.goType(proc.Arg); err != nil {
+			return "", "", fmt.Errorf("proc %s arg: %w", proc.Name, err)
+		}
+	}
+	if proc.Result.Kind != KindVoid {
+		if resT, err = g.goType(proc.Result); err != nil {
+			return "", "", fmt.Errorf("proc %s result: %w", proc.Name, err)
+		}
+	}
+	return argT, resT, nil
+}
+
 func (g *goGen) genProgram(p ProgramDef) error {
 	for _, v := range p.Versions {
 		base := GoName(strings.ToLower(p.Name)) + "V" + fmt.Sprint(v.Num)
@@ -915,17 +931,9 @@ func (g *goGen) genProgram(p ProgramDef) error {
 			cname, p.Name, v.Num, cname)
 		for _, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
-			argT, resT := "", ""
-			var err error
-			if proc.Arg.Kind != KindVoid {
-				if argT, err = g.goType(proc.Arg); err != nil {
-					return fmt.Errorf("proc %s arg: %w", proc.Name, err)
-				}
-			}
-			if proc.Result.Kind != KindVoid {
-				if resT, err = g.goType(proc.Result); err != nil {
-					return fmt.Errorf("proc %s result: %w", proc.Name, err)
-				}
+			argT, resT, err := g.sideTypes(proc)
+			if err != nil {
+				return err
 			}
 			if tp, ok := typed[proc.Name]; ok {
 				// A void side passes the empty plan a zero-size value.
@@ -984,17 +992,9 @@ func (g *goGen) genProgram(p ProgramDef) error {
 			"// over it — and a result may alias it.\ntype %s interface {\n", iname, p.Name, v.Num, iname)
 		for _, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
-			argT, resT := "", ""
-			var err error
-			if proc.Arg.Kind != KindVoid {
-				if argT, err = g.goType(proc.Arg); err != nil {
-					return err
-				}
-			}
-			if proc.Result.Kind != KindVoid {
-				if resT, err = g.goType(proc.Result); err != nil {
-					return err
-				}
+			argT, resT, err := g.sideTypes(proc)
+			if err != nil {
+				return err
 			}
 			switch {
 			case argT == "" && resT == "":
@@ -1016,13 +1016,7 @@ func (g *goGen) genProgram(p ProgramDef) error {
 			if tp, ok := typed[proc.Name]; ok {
 				// A void side is a *struct{} the handler neither takes nor
 				// returns: a nil result replies with the empty body.
-				argT, resT := "", ""
-				if proc.Arg.Kind != KindVoid {
-					argT, _ = g.goType(proc.Arg)
-				}
-				if proc.Result.Kind != KindVoid {
-					resT, _ = g.goType(proc.Result)
-				}
+				argT, resT, _ := g.sideTypes(proc) // the stubs above checked the error
 				hf := "h." + mname
 				switch {
 				case argT == "" && resT == "":
