@@ -58,11 +58,12 @@ handoff:
 
 # The allocation pins are built `!race` (sync.Pool drops puts under the
 # detector), so the race pass above never runs them: whole-call counts
-# on both transports, the record and datagram batch layers, and a typed
-# round trip through the committed stubs.
+# on both transports, the record and datagram batch layers, a typed
+# round trip through the committed stubs, and the one slab a compiled
+# decode carves its parts from.
 allocs:
 	$(GO) test -run 'Allocs|AllocFree|ArraysRecycle' ./internal/client ./internal/xdr \
-		./internal/platform/batchio ./internal/compiledtest
+		./internal/platform/batchio ./internal/compiledtest ./internal/compiledtest/layout
 
 # Benchmark smoke run: one iteration of every benchmark, with allocation
 # counts, matching the CI step. For real numbers drop -benchtime=1x.
@@ -213,7 +214,8 @@ genstubs:
 
 # The libtirpc differential (internal/interop): the system rpcgen turns
 # rich.x and layout.x into C, gcc links a small peer over its xdr_*
-# routines with -ltirpc, and every union and optional type is exchanged
+# routines with -ltirpc, and every union and optional type, and the
+# types whose compiled decoders carve one slab, are exchanged
 # both ways — Go bytes from each rung decode in C and encode back
 # unchanged, C-encoded values decode in Go to the same value, and hostile
 # discriminants, flags and truncations are refused alike. It skips

@@ -60,6 +60,9 @@ func (c *RminProgV1Client) Rmin(arg *Pair) (*int32, error) {
 // RminProgV1Handler is the service interface for RMIN_PROG version 1. An argument is
 // valid until the method returns — the server decodes the next call
 // over it — and a result may alias it.
+// A string or slice kept from a decoded value keeps the memory of
+// that whole decode alive: the compiled decoders carve a value's
+// strings, opaques and pointer-free arrays out of one allocation.
 type RminProgV1Handler interface {
 	Rmin(arg *Pair) (*int32, error)
 }

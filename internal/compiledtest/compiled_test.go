@@ -195,6 +195,8 @@ func FuzzCompiledCodec(f *testing.F) {
 		if !bytes.Equal(re.Buffer(), rref.Buffer()[rtmpl.Len():]) {
 			t.Fatalf("compiled-decoded value re-encodes differently")
 		}
+		checkCarved[Sample](t, planSample.Codec().BodyDecoder(), rref.Buffer()[rtmpl.Len():])
+		checkCarved[Sample](t, planSample.Codec().BodyDecoder(), raw)
 
 		// Decode differential on arbitrary body bytes: the plan executor
 		// and the compiled decoder must make the same accept/reject
@@ -287,6 +289,21 @@ func FuzzCompiledCodec(f *testing.F) {
 	})
 }
 
+// checkCarved decodes body into a fresh value, when the decoder
+// accepts it, and holds the value to testutil.CheckCarved: the parts
+// the compiled decoder carves from one slab have cap == len, are
+// aligned, and do not overlap each other or a string.
+func checkCarved[T any](t *testing.T, decode func([]byte, unsafe.Pointer) error, body []byte) {
+	t.Helper()
+	var fresh T
+	if decode(body, unsafe.Pointer(&fresh)) != nil {
+		return
+	}
+	if err := testutil.CheckCarved(&fresh); err != nil {
+		t.Fatalf("decode of %x: %v", body, err)
+	}
+}
+
 // expectReused is what decoding a message over prior must leave, given
 // what it leaves in a fresh value: the same, except that a slice field
 // the message leaves empty keeps prior's backing array — non-nil where
@@ -299,6 +316,88 @@ func expectReused(prior, fresh Sample) Sample {
 		}
 	}
 	return fresh
+}
+
+// mixArg is a Mix argument with every variable-length field filled, the
+// shape of the repo benchmark's Mix op.
+func mixArg() *Sample {
+	v := fuzzSample(7, -12345, true, "a name of some length", bytes.Repeat([]byte{0xa5, 3, 9}, 100))
+	v.Words = []Word{"w", "two", "three", "four4"}
+	v.Bits = []bool{true, false, true}
+	return &v
+}
+
+// TestSlabHostileBodies feeds the decoders of sample and lookup_result
+// bodies whose counts pass their bounds but overrun the body: every
+// truncation of a full message — among them a words count whose
+// elements are cut short — and the message with one 4-byte unit
+// replaced by a count at a declared bound. On each body the walker
+// refuses with ErrOverflow, the fused interpreter and the compiled
+// decoder refuse with the same error, the compiled decoder's pre-pass
+// sizes no slab, and its decode allocates no more than the body could
+// fill: an array header of four strings (64 bytes) and each part at
+// twice its wire size, for the allocator's rounding.
+func TestSlabHostileBodies(t *testing.T) {
+	lr := fuzzLookup(0, 5, true, "a label")
+	checkHostile(t, []rungPlan[Sample]{
+		{"generic", genericSample, wire.RungGeneric},
+		{"fused", fusedSample, wire.RungFused},
+		{"compiled", planSample, wire.RungCompiled},
+	}, mixArg(), compiledSlabSample, []uint32{32, 64, 2000, 1024, 7, 4, 16, 8})
+	checkHostile(t, lookupEngines(), &lr, compiledSlabLookupResult, []uint32{255, 1})
+}
+
+func checkHostile[T any](t *testing.T, engines []rungPlan[T], v *T, slab func([]byte, *T) int, bounds []uint32) {
+	t.Helper()
+	e := xdr.NewBufEncode(nil)
+	if err := engines[0].plan.Encode(xdr.NewEncoder(e), v); err != nil {
+		t.Fatal(err)
+	}
+	full := e.Buffer()
+	var bodies [][]byte
+	for k := range full {
+		bodies = append(bodies, full[:k])
+	}
+	for at := 0; at+4 <= len(full); at += 4 {
+		for _, n := range bounds {
+			b := bytes.Clone(full)
+			binary.BigEndian.PutUint32(b[at:], n)
+			bodies = append(bodies, b)
+		}
+	}
+	tested := 0
+	for _, body := range bodies {
+		var ref T
+		if err := engines[0].plan.Codec().DecodeBody(body, unsafe.Pointer(&ref)); !errors.Is(err, xdr.ErrOverflow) {
+			continue // not an overrun: the count landed on no count, or fits
+		}
+		tested++
+		for _, en := range engines[1:] {
+			var got T
+			if err := en.plan.Codec().BodyDecoder()(body, unsafe.Pointer(&got)); !errors.Is(err, xdr.ErrOverflow) {
+				t.Fatalf("%s decode of %x: %v, want %v as the walker", en.name, body, err, xdr.ErrOverflow)
+			}
+		}
+		var fresh T
+		if n := slab(body, &fresh); n != 0 {
+			t.Fatalf("pre-pass of %x sizes a slab of %d bytes", body, n)
+		}
+		if n := slab(body, v); n != 0 {
+			t.Fatalf("pre-pass of %x over a used value sizes a slab of %d bytes", body, n)
+		}
+		decode := engines[2].plan.Codec().BodyDecoder()
+		into := new(T)
+		got := testutil.AllocBytes(func() {
+			*into = fresh
+			_ = decode(body, unsafe.Pointer(into))
+		})
+		if limit := 64 + 2*uint64(len(body)); got > limit {
+			t.Fatalf("compiled decode of a %d-byte body it refuses allocated %d bytes, more than %d", len(body), got, limit)
+		}
+	}
+	if tested < len(full) {
+		t.Fatalf("only %d overrunning bodies out of %d", tested, len(bodies))
+	}
 }
 
 // TestCompiledRegistered pins that every plan the generator emitted a
@@ -338,9 +437,9 @@ func TestCompiledRegistered(t *testing.T) {
 // TestCompiledAllocs pins the hot-path allocation story: once the
 // output buffer has grown to size and the target's slices match the
 // incoming counts, a compiled append and a compiled decode run
-// allocation-free. (A value with non-empty strings must allocate on
-// decode — strings are immutable — so the pin uses empty ones, exactly
-// the shape the live benchmark measures.)
+// allocation-free. A value with non-empty strings must allocate on
+// decode — strings are immutable — but only once: its name and every
+// word share one slab.
 func TestCompiledAllocs(t *testing.T) {
 	tmpl, err := rpcmsg.NewCallTemplate(0x20000100, 2, rpcmsg.None(), rpcmsg.None())
 	if err != nil {
@@ -379,6 +478,24 @@ func TestCompiledAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("compiled decode: %v allocs/op, want 0", n)
+	}
+
+	v.Name = "a name"
+	v.Words = []Word{"one", "", "three"}
+	bs.SetBuffer(buf[:0])
+	if err := cc.Append(bs, 99, unsafe.Pointer(&v)); err != nil {
+		t.Fatal(err)
+	}
+	body = bs.Buffer()[tmpl.Len():]
+	if err := decode(body, unsafe.Pointer(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := decode(body, unsafe.Pointer(&got)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 || got.Name != v.Name || len(got.Words) != 3 || got.Words[2] != "three" {
+		t.Errorf("compiled decode over a value, non-empty strings: %v allocs/op, want 1", n)
 	}
 }
 
@@ -539,6 +656,10 @@ func checkAgainstClosure[T any](t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl 
 			if err == nil && !testutil.Same(got, ref) {
 				t.Fatalf("%s decoded %s, closure %s", en.name, testutil.Show(got), testutil.Show(ref))
 			}
+			if !used {
+				checkCarved[T](t, en.plan.Codec().BodyDecoder(), body)
+				checkCarved[T](t, en.plan.Codec().BodyDecoder(), want)
+			}
 		}
 	}
 	for _, order := range [][2]int{{0, 1}, {1, 0}} {
@@ -559,5 +680,31 @@ func checkAgainstClosure[T any](t *testing.T, ctmpl *rpcmsg.CallTemplate, rtmpl 
 				t.Fatalf("%s decode into a used value\n got %s\nwant %s", en.name, testutil.Show(got), testutil.Show(ref))
 			}
 		}
+	}
+}
+
+// BenchmarkSampleDecode times the compiled decode of the repo
+// benchmark's Mix argument into a fresh value, as a client decodes its
+// result, and over a used one, as a server decodes its argument.
+func BenchmarkSampleDecode(b *testing.B) {
+	w := xdr.NewBufEncode(nil)
+	if err := planSample.Encode(xdr.NewEncoder(w), mixArg()); err != nil {
+		b.Fatal(err)
+	}
+	body := w.Buffer()
+	decode := planSample.Codec().BodyDecoder()
+	for _, fresh := range []bool{true, false} {
+		b.Run(map[bool]string{true: "fresh", false: "over"}[fresh], func(b *testing.B) {
+			b.ReportAllocs()
+			into := new(Sample)
+			for i := 0; i < b.N; i++ {
+				if fresh {
+					*into = Sample{}
+				}
+				if err := decode(body, unsafe.Pointer(into)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

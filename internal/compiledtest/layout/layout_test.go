@@ -121,6 +121,7 @@ func (e engines[T]) checkDecode(t *testing.T, body []byte) {
 		}
 	}
 	if errs[0] == nil {
+		e.checkCarved(t, body)
 		return
 	}
 	for _, en := range e {
@@ -130,6 +131,23 @@ func (e engines[T]) checkDecode(t *testing.T, body []byte) {
 		})
 		if got > 4096+8*uint64(len(body)) {
 			t.Fatalf("%s decode allocated %d bytes rejecting a %d-byte body", en.name, got, len(body))
+		}
+	}
+}
+
+// checkCarved decodes body, which every rung accepts, into a fresh
+// value on each and holds the value to testutil.CheckCarved: the parts
+// the compiled decoder carves from one slab have cap == len, are
+// aligned, and do not overlap each other or a string.
+func (e engines[T]) checkCarved(t *testing.T, body []byte) {
+	t.Helper()
+	for _, en := range e {
+		var fresh T
+		if err := en.decode(body, &fresh); err != nil {
+			t.Fatalf("%s decode: %v", en.name, err)
+		}
+		if err := testutil.CheckCarved(&fresh); err != nil {
+			t.Fatalf("%s decode of %x: %v", en.name, body, err)
 		}
 	}
 }
@@ -362,13 +380,14 @@ func FuzzLayoutCodec(f *testing.F) {
 		if !testutil.Same(got, v) {
 			t.Fatalf("compiled decode\n got %+v\nwant %+v", got, v)
 		}
+		arraysEngines.checkCarved(t, body)
 		w := fuzzArrays(raw[len(raw)/2:])
 		arraysEngines.checkReuse(t, [2][]byte{body, arraysEngines.checkEncode(t, ctmpl, rtmpl, xid, &w)})
 
 		many := Many{Ns: append(v.Nv, v.Nf[:]...)}
 		names := Names{V: v.Ns}
 		manyEngines.checkEncode(t, ctmpl, rtmpl, xid, &many)
-		namesEngines.checkEncode(t, ctmpl, rtmpl, xid, &names)
+		namesEngines.checkCarved(t, namesEngines.checkEncode(t, ctmpl, rtmpl, xid, &names))
 		nestedEngines.checkEncode(t, ctmpl, rtmpl, xid, &v.Nf[0])
 
 		arraysEngines.checkDecode(t, raw)
@@ -385,6 +404,7 @@ func FuzzLayoutCodec(f *testing.F) {
 		if !testutil.Same(gotU, u) {
 			t.Fatalf("compiled decode\n got %s\nwant %s", testutil.Show(gotU), testutil.Show(u))
 		}
+		unionsEngines.checkCarved(t, ub)
 		u2 := fuzzUnions(raw[len(raw)/3:])
 		unionsEngines.checkReuseAgree(t, [2][]byte{ub, unionsEngines.checkEncode(t, ctmpl, rtmpl, xid, &u2)})
 		choiceEngines.checkEncode(t, ctmpl, rtmpl, xid, &u.C)

@@ -586,7 +586,10 @@ func compiledAppendArrays(bs *xdr.BufStream, hdr []byte, xid uint32, v *Arrays) 
 // compiledDecodeArrays is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabArrays computes.
 func compiledDecodeArrays(body []byte, v *Arrays) error {
+	slab := wire.NewSlab(compiledSlabArrays(body, v))
 	if len(body) < 48 {
 		return xdr.ErrOverflow
 	}
@@ -607,7 +610,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 	if n33 <= cap((*v).Ds) {
 		(*v).Ds = (*v).Ds[:n33]
 	} else {
-		(*v).Ds = make([]float64, n33)
+		(*v).Ds = wire.Carve[float64](&slab, n33)
 	}
 	wire.GetUnits64((*v).Ds, body[pos:])
 	pos += n33 * 8
@@ -633,7 +636,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 	if n35 <= cap((*v).Hv) {
 		(*v).Hv = (*v).Hv[:n35]
 	} else {
-		(*v).Hv = make([]int64, n35)
+		(*v).Hv = wire.Carve[int64](&slab, n35)
 	}
 	wire.GetUnits64((*v).Hv, body[pos:])
 	pos += n35 * 8
@@ -662,7 +665,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 		if n40+p41 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		(*v).Sw[i38] = W5(body[pos : pos+n40])
+		(*v).Sw[i38] = W5(slab.String(body[pos : pos+n40]))
 		pos += n40 + p41
 	}
 	if pos+4 > len(body) {
@@ -697,7 +700,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 		if n47+p48 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		s44[i45].Nm = string(body[pos : pos+n47])
+		s44[i45].Nm = slab.String(body[pos : pos+n47])
 		pos += n47 + p48
 		if pos+4 > len(body) {
 			return xdr.ErrOverflow
@@ -730,7 +733,7 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 	if n50 <= cap((*v).Nv) {
 		(*v).Nv = (*v).Nv[:n50]
 	} else {
-		(*v).Nv = make([]Nested, n50)
+		(*v).Nv = wire.Carve[Nested](&slab, n50)
 	}
 	s51 := (*v).Nv
 	b52 := body[pos:]
@@ -742,6 +745,130 @@ func compiledDecodeArrays(body []byte, v *Arrays) error {
 	}
 	pos += n50 * 16
 	return nil
+}
+
+// compiledSlabArrays is compiledDecodeArrays's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabArrays(body []byte, v *Arrays) int {
+	size := 0
+	if len(body) < 48 {
+		return 0
+	}
+	pos := 48
+	if pos+4 > len(body) {
+		return 0
+	}
+	u54 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u54 > 8 {
+		return 0
+	}
+	n55 := int(u54)
+	if int64(n55)*8 > int64(len(body)-pos) {
+		return 0
+	}
+	if n55 > cap((*v).Ds) {
+		size = wire.SlabRoom[float64](size, n55)
+	}
+	pos += n55 * 8
+	if pos+24 > len(body) {
+		return 0
+	}
+	pos += 24
+	if pos+4 > len(body) {
+		return 0
+	}
+	u56 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	n57 := int(u56)
+	if n57 < 0 {
+		return 0
+	}
+	if int64(n57)*8 > int64(len(body)-pos) {
+		return 0
+	}
+	if n57 > cap((*v).Hv) {
+		size = wire.SlabRoom[int64](size, n57)
+	}
+	pos += n57 * 8
+	if pos+84 > len(body) {
+		return 0
+	}
+	pos += 84
+	for i58 := 0; i58 < 2; i58++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		u59 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u59 > 5 {
+			return 0
+		}
+		n60 := int(u59)
+		p61 := xdr.Pad(n60)
+		if n60+p61 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n60)
+		pos += n60 + p61
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	u62 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u62 > 4 {
+		return 0
+	}
+	n63 := int(u62)
+	if int64(n63)*8 > int64(len(body)-pos) {
+		return 0
+	}
+	for i64 := 0; i64 < n63; i64++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		u65 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u65 > 8 {
+			return 0
+		}
+		n66 := int(u65)
+		p67 := xdr.Pad(n66)
+		if n66+p67 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n66)
+		pos += n66 + p67
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	}
+	if pos+32 > len(body) {
+		return 0
+	}
+	pos += 32
+	if pos+4 > len(body) {
+		return 0
+	}
+	u68 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u68 > 3 {
+		return 0
+	}
+	n69 := int(u68)
+	if int64(n69)*16 > int64(len(body)-pos) {
+		return 0
+	}
+	if n69 > cap((*v).Nv) {
+		size = wire.SlabRoom[Nested](size, n69)
+	}
+	pos += n69 * 16
+	return size
 }
 
 func init() {
@@ -844,7 +971,10 @@ func compiledAppendNames(bs *xdr.BufStream, hdr []byte, xid uint32, v *Names) er
 // compiledDecodeNames is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabNames computes.
 func compiledDecodeNames(body []byte, v *Names) error {
+	slab := wire.NewSlab(compiledSlabNames(body, v))
 	pos := 0
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
@@ -878,7 +1008,7 @@ func compiledDecodeNames(body []byte, v *Names) error {
 		if n15+p16 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		s12[i13].Nm = string(body[pos : pos+n15])
+		s12[i13].Nm = slab.String(body[pos : pos+n15])
 		pos += n15 + p16
 		if pos+4 > len(body) {
 			return xdr.ErrOverflow
@@ -887,6 +1017,50 @@ func compiledDecodeNames(body []byte, v *Names) error {
 		pos += 4
 	}
 	return nil
+}
+
+// compiledSlabNames is compiledDecodeNames's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabNames(body []byte, v *Names) int {
+	size := 0
+	pos := 0
+	if pos+4 > len(body) {
+		return 0
+	}
+	u17 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	n18 := int(u17)
+	if n18 < 0 {
+		return 0
+	}
+	if int64(n18)*8 > int64(len(body)-pos) {
+		return 0
+	}
+	for i19 := 0; i19 < n18; i19++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		u20 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u20 > 8 {
+			return 0
+		}
+		n21 := int(u20)
+		p22 := xdr.Pad(n21)
+		if n21+p22 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n21)
+		pos += n21 + p22
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	}
+	return size
 }
 
 func init() {
@@ -1036,7 +1210,10 @@ func compiledAppendUnions(bs *xdr.BufStream, hdr []byte, xid uint32, v *Unions) 
 // compiledDecodeUnions is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabUnions computes.
 func compiledDecodeUnions(body []byte, v *Unions) error {
+	slab := wire.NewSlab(compiledSlabUnions(body, v))
 	if len(body) < 4 {
 		return xdr.ErrOverflow
 	}
@@ -1064,7 +1241,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 		if n45+p46 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		(*v).C.Nm.Nm = string(body[pos : pos+n45])
+		(*v).C.Nm.Nm = slab.String(body[pos : pos+n45])
 		pos += n45 + p46
 		if pos+4 > len(body) {
 			return xdr.ErrOverflow
@@ -1117,7 +1294,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 			if n52+p53 > len(body)-pos {
 				return xdr.ErrOverflow
 			}
-			s49[i50].S = string(body[pos : pos+n52])
+			s49[i50].S = slab.String(body[pos : pos+n52])
 			pos += n52 + p53
 		case 2:
 		case 7:
@@ -1159,7 +1336,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 			if n56+p57 > len(body)-pos {
 				return xdr.ErrOverflow
 			}
-			(*v).Cf[i54].Nm.Nm = string(body[pos : pos+n56])
+			(*v).Cf[i54].Nm.Nm = slab.String(body[pos : pos+n56])
 			pos += n56 + p57
 			if pos+4 > len(body) {
 				return xdr.ErrOverflow
@@ -1203,7 +1380,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 		} else {
 			p63 := s60[i61]
 			if p63 == nil {
-				p63 = new(Inner)
+				p63 = wire.CarveNew[Inner](&slab)
 				s60[i61] = p63
 			}
 			if pos+12 > len(body) {
@@ -1225,7 +1402,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 		} else {
 			p66 := (*v).Of[i64]
 			if p66 == nil {
-				p66 = new(Inner)
+				p66 = wire.CarveNew[Inner](&slab)
 				(*v).Of[i64] = p66
 			}
 			if pos+12 > len(body) {
@@ -1262,7 +1439,7 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 		if n70+p71 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		(*p68).Nm = string(body[pos : pos+n70])
+		(*p68).Nm = slab.String(body[pos : pos+n70])
 		pos += n70 + p71
 		if pos+4 > len(body) {
 			return xdr.ErrOverflow
@@ -1276,6 +1453,220 @@ func compiledDecodeUnions(body []byte, v *Unions) error {
 	(*v).Tail = int32(binary.BigEndian.Uint32(body[pos:]))
 	pos += 4
 	return nil
+}
+
+// compiledSlabUnions is compiledDecodeUnions's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabUnions(body []byte, v *Unions) int {
+	size := 0
+	if len(body) < 4 {
+		return 0
+	}
+	pos := 4
+	switch binary.BigEndian.Uint32(body[pos-4:]) {
+	case 0:
+	case 1, 4000000000:
+		if pos+8 > len(body) {
+			return 0
+		}
+		pos += 8
+	case 2:
+		if pos+4 > len(body) {
+			return 0
+		}
+		u72 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u72 > 8 {
+			return 0
+		}
+		n73 := int(u72)
+		p74 := xdr.Pad(n73)
+		if n73+p74 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n73)
+		pos += n73 + p74
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	default:
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	u75 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	n76 := int(u75)
+	if n76 < 0 {
+		return 0
+	}
+	if int64(n76)*4 > int64(len(body)-pos) {
+		return 0
+	}
+	for i77 := 0; i77 < n76; i77++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+		switch int32(binary.BigEndian.Uint32(body[pos-4:])) {
+		case 1:
+			if pos+4 > len(body) {
+				return 0
+			}
+			u78 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u78 > 8 {
+				return 0
+			}
+			n79 := int(u78)
+			p80 := xdr.Pad(n79)
+			if n79+p80 > len(body)-pos {
+				return 0
+			}
+			size = wire.SlabRoom[byte](size, n79)
+			pos += n79 + p80
+		case 2:
+		case 7:
+			if pos+12 > len(body) {
+				return 0
+			}
+			pos += 12
+		default:
+			return 0
+		}
+	}
+	for i81 := 0; i81 < 2; i81++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+		switch binary.BigEndian.Uint32(body[pos-4:]) {
+		case 0:
+		case 1, 4000000000:
+			if pos+8 > len(body) {
+				return 0
+			}
+			pos += 8
+		case 2:
+			if pos+4 > len(body) {
+				return 0
+			}
+			u82 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u82 > 8 {
+				return 0
+			}
+			n83 := int(u82)
+			p84 := xdr.Pad(n83)
+			if n83+p84 > len(body)-pos {
+				return 0
+			}
+			size = wire.SlabRoom[byte](size, n83)
+			pos += n83 + p84
+			if pos+4 > len(body) {
+				return 0
+			}
+			pos += 4
+		default:
+			if pos+4 > len(body) {
+				return 0
+			}
+			pos += 4
+		}
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	u85 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u85 > 5 {
+		return 0
+	}
+	n86 := int(u85)
+	if int64(n86)*4 > int64(len(body)-pos) {
+		return 0
+	}
+	s87 := (*v).Ov
+	if n86 > cap(s87) {
+		s87 = nil
+	} else {
+		s87 = s87[:n86]
+	}
+	for i88 := 0; i88 < n86; i88++ {
+		var r89 *Optinner
+		if s87 != nil {
+			r89 = &s87[i88]
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		f90 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f90 != 0 {
+			if r89 == nil || (*r89) == nil {
+				size = wire.SlabRoom[Inner](size, 1)
+			}
+			if pos+12 > len(body) {
+				return 0
+			}
+			pos += 12
+		}
+	}
+	for i91 := 0; i91 < 3; i91++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f92 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f92 != 0 {
+			if (*v).Of[i91] == nil {
+				size = wire.SlabRoom[Inner](size, 1)
+			}
+			if pos+12 > len(body) {
+				return 0
+			}
+			pos += 12
+		}
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	f93 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if f93 != 0 {
+		if pos+4 > len(body) {
+			return 0
+		}
+		u94 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u94 > 8 {
+			return 0
+		}
+		n95 := int(u94)
+		p96 := xdr.Pad(n95)
+		if n95+p96 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n95)
+		pos += n95 + p96
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	pos += 4
+	return size
 }
 
 func init() {

@@ -261,6 +261,9 @@ func (c *ShapeProgV2Client) Sum(arg *Numbers) (*int32, error) {
 // ShapeProgV2Handler is the service interface for SHAPE_PROG version 2. An argument is
 // valid until the method returns — the server decodes the next call
 // over it — and a result may alias it.
+// A string or slice kept from a decoded value keeps the memory of
+// that whole decode alive: the compiled decoders carve a value's
+// strings, opaques and pointer-free arrays out of one allocation.
 type ShapeProgV2Handler interface {
 	Lookup(arg *Point) (*LookupResult, error)
 	Ping() error
@@ -522,7 +525,10 @@ func compiledAppendShape(bs *xdr.BufStream, hdr []byte, xid uint32, v *Shape) er
 // compiledDecodeShape is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabShape computes.
 func compiledDecodeShape(body []byte, v *Shape) error {
+	slab := wire.NewSlab(compiledSlabShape(body, v))
 	if len(body) < 36 {
 		return xdr.ErrOverflow
 	}
@@ -549,7 +555,7 @@ func compiledDecodeShape(body []byte, v *Shape) error {
 	if n11+p12 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	(*v).Label = string(body[pos : pos+n11])
+	(*v).Label = slab.String(body[pos : pos+n11])
 	pos += n11 + p12
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
@@ -561,7 +567,7 @@ func compiledDecodeShape(body []byte, v *Shape) error {
 	} else {
 		p14 := (*v).Next
 		if p14 == nil {
-			p14 = new(Point)
+			p14 = wire.CarveNew[Point](&slab)
 			(*v).Next = p14
 		}
 		if pos+8 > len(body) {
@@ -579,6 +585,53 @@ func compiledDecodeShape(body []byte, v *Shape) error {
 	(*v).Visible = binary.BigEndian.Uint32(body[pos+16:]) != 0
 	pos += 20
 	return nil
+}
+
+// compiledSlabShape is compiledDecodeShape's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabShape(body []byte, v *Shape) int {
+	size := 0
+	if len(body) < 36 {
+		return 0
+	}
+	pos := 36
+	if pos+4 > len(body) {
+		return 0
+	}
+	u15 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u15 > 255 {
+		return 0
+	}
+	n16 := int(u15)
+	p17 := xdr.Pad(n16)
+	if n16+p17 > len(body)-pos {
+		return 0
+	}
+	size = wire.SlabRoom[byte](size, n16)
+	pos += n16 + p17
+	if pos+4 > len(body) {
+		return 0
+	}
+	f18 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if f18 != 0 {
+		if (*v).Next == nil {
+			size = wire.SlabRoom[Point](size, 1)
+		}
+		if pos+8 > len(body) {
+			return 0
+		}
+		pos += 8
+	}
+	if pos+20 > len(body) {
+		return 0
+	}
+	pos += 20
+	return size
 }
 
 func init() {
@@ -715,7 +768,10 @@ func compiledAppendSample(bs *xdr.BufStream, hdr []byte, xid uint32, v *Sample) 
 // compiledDecodeSample is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabSample computes.
 func compiledDecodeSample(body []byte, v *Sample) error {
+	slab := wire.NewSlab(compiledSlabSample(body, v))
 	if len(body) < 108 {
 		return xdr.ErrOverflow
 	}
@@ -751,7 +807,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n36+p37 > len(body)-pos {
 		return xdr.ErrOverflow
 	}
-	(*v).Name = string(body[pos : pos+n36])
+	(*v).Name = slab.String(body[pos : pos+n36])
 	pos += n36 + p37
 	if pos+4 > len(body) {
 		return xdr.ErrOverflow
@@ -769,7 +825,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n39 <= cap((*v).Data) {
 		(*v).Data = (*v).Data[:n39]
 	} else {
-		(*v).Data = make([]byte, n39)
+		(*v).Data = wire.Carve[byte](&slab, n39)
 	}
 	copy((*v).Data, body[pos:pos+n39])
 	pos += n39 + p40
@@ -788,7 +844,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n42 <= cap((*v).Nums) {
 		(*v).Nums = (*v).Nums[:n42]
 	} else {
-		(*v).Nums = make(Numbers, n42)
+		(*v).Nums = wire.Carve[int32](&slab, n42)
 	}
 	wire.GetUnits32((*v).Nums, body[pos:])
 	pos += n42 * 4
@@ -808,7 +864,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n44 <= cap((*v).Payload) {
 		(*v).Payload = (*v).Payload[:n44]
 	} else {
-		(*v).Payload = make(Blob, n44)
+		(*v).Payload = wire.Carve[byte](&slab, n44)
 	}
 	copy((*v).Payload, body[pos:pos+n44])
 	pos += n44 + p45
@@ -827,7 +883,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n47 <= cap((*v).Pts) {
 		(*v).Pts = (*v).Pts[:n47]
 	} else {
-		(*v).Pts = make([]Point, n47)
+		(*v).Pts = wire.Carve[Point](&slab, n47)
 	}
 	s48 := (*v).Pts
 	b49 := body[pos:]
@@ -869,7 +925,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 		if n56+p57 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		s53[i54] = Word(body[pos : pos+n56])
+		s53[i54] = Word(slab.String(body[pos : pos+n56]))
 		pos += n56 + p57
 	}
 	if pos+4 > len(body) {
@@ -887,7 +943,7 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	if n59 <= cap((*v).Bits) {
 		(*v).Bits = (*v).Bits[:n59]
 	} else {
-		(*v).Bits = make([]bool, n59)
+		(*v).Bits = wire.Carve[bool](&slab, n59)
 	}
 	s60 := (*v).Bits
 	b61 := body[pos:]
@@ -897,6 +953,146 @@ func compiledDecodeSample(body []byte, v *Sample) error {
 	}
 	pos += n59 * 4
 	return nil
+}
+
+// compiledSlabSample is compiledDecodeSample's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabSample(body []byte, v *Sample) int {
+	size := 0
+	if len(body) < 108 {
+		return 0
+	}
+	pos := 108
+	if pos+4 > len(body) {
+		return 0
+	}
+	u63 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u63 > 32 {
+		return 0
+	}
+	n64 := int(u63)
+	p65 := xdr.Pad(n64)
+	if n64+p65 > len(body)-pos {
+		return 0
+	}
+	size = wire.SlabRoom[byte](size, n64)
+	pos += n64 + p65
+	if pos+4 > len(body) {
+		return 0
+	}
+	u66 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u66 > 64 {
+		return 0
+	}
+	n67 := int(u66)
+	p68 := xdr.Pad(n67)
+	if n67+p68 > len(body)-pos {
+		return 0
+	}
+	if n67 > cap((*v).Data) {
+		size = wire.SlabRoom[byte](size, n67)
+	}
+	pos += n67 + p68
+	if pos+4 > len(body) {
+		return 0
+	}
+	u69 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u69 > 2000 {
+		return 0
+	}
+	n70 := int(u69)
+	if int64(n70)*4 > int64(len(body)-pos) {
+		return 0
+	}
+	if n70 > cap((*v).Nums) {
+		size = wire.SlabRoom[int32](size, n70)
+	}
+	pos += n70 * 4
+	if pos+4 > len(body) {
+		return 0
+	}
+	u71 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u71 > 1024 {
+		return 0
+	}
+	n72 := int(u71)
+	p73 := xdr.Pad(n72)
+	if n72+p73 > len(body)-pos {
+		return 0
+	}
+	if n72 > cap((*v).Payload) {
+		size = wire.SlabRoom[byte](size, n72)
+	}
+	pos += n72 + p73
+	if pos+4 > len(body) {
+		return 0
+	}
+	u74 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u74 > 7 {
+		return 0
+	}
+	n75 := int(u74)
+	if int64(n75)*8 > int64(len(body)-pos) {
+		return 0
+	}
+	if n75 > cap((*v).Pts) {
+		size = wire.SlabRoom[Point](size, n75)
+	}
+	pos += n75 * 8
+	if pos+4 > len(body) {
+		return 0
+	}
+	u76 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u76 > 4 {
+		return 0
+	}
+	n77 := int(u76)
+	if int64(n77)*4 > int64(len(body)-pos) {
+		return 0
+	}
+	for i78 := 0; i78 < n77; i78++ {
+		if pos+4 > len(body) {
+			return 0
+		}
+		u79 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u79 > 16 {
+			return 0
+		}
+		n80 := int(u79)
+		p81 := xdr.Pad(n80)
+		if n80+p81 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n80)
+		pos += n80 + p81
+	}
+	if pos+4 > len(body) {
+		return 0
+	}
+	u82 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u82 > 8 {
+		return 0
+	}
+	n83 := int(u82)
+	if int64(n83)*4 > int64(len(body)-pos) {
+		return 0
+	}
+	if n83 > cap((*v).Bits) {
+		size = wire.SlabRoom[bool](size, n83)
+	}
+	pos += n83 * 4
+	return size
 }
 
 func init() {
@@ -965,7 +1161,10 @@ func compiledAppendLookupResult(bs *xdr.BufStream, hdr []byte, xid uint32, v *Lo
 // compiledDecodeLookupResult is the matching straight-line decoder: one length
 // check per fixed-size run, loads at constant offsets, counts validated
 // before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabLookupResult computes.
 func compiledDecodeLookupResult(body []byte, v *LookupResult) error {
+	slab := wire.NewSlab(compiledSlabLookupResult(body, v))
 	if len(body) < 4 {
 		return xdr.ErrOverflow
 	}
@@ -999,7 +1198,7 @@ func compiledDecodeLookupResult(body []byte, v *LookupResult) error {
 		if n13+p14 > len(body)-pos {
 			return xdr.ErrOverflow
 		}
-		(*v).S.Label = string(body[pos : pos+n13])
+		(*v).S.Label = slab.String(body[pos : pos+n13])
 		pos += n13 + p14
 		if pos+4 > len(body) {
 			return xdr.ErrOverflow
@@ -1011,7 +1210,7 @@ func compiledDecodeLookupResult(body []byte, v *LookupResult) error {
 		} else {
 			p16 := (*v).S.Next
 			if p16 == nil {
-				p16 = new(Point)
+				p16 = wire.CarveNew[Point](&slab)
 				(*v).S.Next = p16
 			}
 			if pos+8 > len(body) {
@@ -1037,6 +1236,66 @@ func compiledDecodeLookupResult(body []byte, v *LookupResult) error {
 	default:
 	}
 	return nil
+}
+
+// compiledSlabLookupResult is compiledDecodeLookupResult's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabLookupResult(body []byte, v *LookupResult) int {
+	size := 0
+	if len(body) < 4 {
+		return 0
+	}
+	pos := 4
+	switch int32(binary.BigEndian.Uint32(body[pos-4:])) {
+	case 0:
+		if pos+36 > len(body) {
+			return 0
+		}
+		pos += 36
+		if pos+4 > len(body) {
+			return 0
+		}
+		u17 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u17 > 255 {
+			return 0
+		}
+		n18 := int(u17)
+		p19 := xdr.Pad(n18)
+		if n18+p19 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n18)
+		pos += n18 + p19
+		if pos+4 > len(body) {
+			return 0
+		}
+		f20 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f20 != 0 {
+			if (*v).S.Next == nil {
+				size = wire.SlabRoom[Point](size, 1)
+			}
+			if pos+8 > len(body) {
+				return 0
+			}
+			pos += 8
+		}
+		if pos+20 > len(body) {
+			return 0
+		}
+		pos += 20
+	case 1, 2:
+		if pos+4 > len(body) {
+			return 0
+		}
+		pos += 4
+	default:
+	}
+	return size
 }
 
 func init() {

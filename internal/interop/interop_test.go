@@ -344,8 +344,8 @@ func listed(t *wire.Type, d int64) bool {
 	return false
 }
 
-// TestInteropBytes: the Go rungs and libtirpc agree on every union and
-// optional type of rich.x and layout.x — Go's bytes decode in C and
+// TestInteropBytes: the Go rungs and libtirpc agree on every type of
+// rich.x and layout.x that Codecs lists — Go's bytes decode in C and
 // encode back unchanged, and what C encodes decodes in Go to the value
 // it encoded.
 func TestInteropBytes(t *testing.T) {

@@ -989,7 +989,13 @@ func (g *goGen) genProgram(p ProgramDef) error {
 		iname := base + "Handler"
 		g.pf("// %s is the service interface for %s version %d. An argument is\n"+
 			"// valid until the method returns — the server decodes the next call\n"+
-			"// over it — and a result may alias it.\ntype %s interface {\n", iname, p.Name, v.Num, iname)
+			"// over it — and a result may alias it.\n", iname, p.Name, v.Num)
+		if g.opts.Compiled {
+			g.pf("// A string or slice kept from a decoded value keeps the memory of\n" +
+				"// that whole decode alive: the compiled decoders carve a value's\n" +
+				"// strings, opaques and pointer-free arrays out of one allocation.\n")
+		}
+		g.pf("type %s interface {\n", iname)
 		for _, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
 			argT, resT, err := g.sideTypes(proc)

@@ -138,16 +138,123 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 	e.pf("// compiledDecode%s is the matching straight-line decoder: one length", base)
 	e.pf("// check per fixed-size run, loads at constant offsets, counts validated")
 	e.pf("// before any allocation.")
+	dg := &decodeGen{e: e, slab: slabParts(steps) > 1}
+	if dg.slab {
+		e.pf("// Strings, opaques and pointer-free arrays are carved from one slab")
+		e.pf("// of the size compiledSlab%s computes.", base)
+	}
 	e.pf("func compiledDecode%s(body []byte, v *%s) error {", base, goType)
 	e.indent++
-	dg := &decodeGen{e: e}
+	if dg.slab {
+		e.pf("slab := wire.NewSlab(compiledSlab%s(body, v))", base)
+	}
 	printSteps(dg, e, steps, root, "(*v)")
 	dg.flush()
 	e.pf("return nil")
 	e.indent--
 	e.pf("}")
 
+	if dg.slab {
+		e.pf("")
+		e.pf("// compiledSlab%s is compiledDecode%s's pre-pass: the Go bytes of", base, base)
+		e.pf("// every string, opaque and pointer-free array a decode of body into v")
+		e.pf("// allocates, aligned as wire.Carve aligns them, or 0 where the decode")
+		e.pf("// fails. It reads the counts with the decoder's own checks and leaves")
+		e.pf("// out the slices the decode reuses.")
+		e.pf("func compiledSlab%s(body []byte, v *%s) int {", base, goType)
+		e.indent++
+		e.pf("size := 0")
+		sg := &decodeGen{e: e, sizing: true, ref: "v"}
+		printSteps(sg, e, steps, root, "(*v)")
+		sg.flush()
+		e.pf("return size")
+		e.indent--
+		e.pf("}")
+	}
+
 	return e.sb.String(), e.math, nil
+}
+
+// pointerFree reports whether the Go value a program runs against holds
+// no pointers: no string, variable opaque, counted array or optional
+// anywhere in it. Its memory can then be carved from a slab.
+func pointerFree(steps []step) bool {
+	for _, s := range steps {
+		switch s.op {
+		case opString, opOpaqueV, opSliceSub, opOptional:
+			return false
+		case opVecSub:
+			if !pointerFree(s.sub) {
+				return false
+			}
+		case opUnion:
+			for _, a := range s.arms {
+				if !pointerFree(a.sub) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// slabParts counts the slab parts one decode of a program allocates —
+// strings, variable opaques, counted arrays and optional pointees of
+// pointer-free elements — up to 2, which stands for "more than one": a
+// part inside a loop counts as many, a union as its largest arm. A
+// program with at most one part gets no slab; its decoder allocates that
+// part as it always has.
+func slabParts(steps []step) int {
+	n := 0
+	for _, s := range steps {
+		switch s.op {
+		case opString, opOpaqueV:
+			n++
+		case opSliceSub, opOptional:
+			switch sub := slabParts(s.sub); {
+			case pointerFree(s.sub):
+				n++
+			case s.op == opSliceSub:
+				n += 2 * sub
+			default:
+				n += sub
+			}
+		case opVecSub:
+			n += min(s.n, 2) * slabParts(s.sub)
+		case opUnion:
+			most := 0
+			for _, a := range s.arms {
+				most = max(most, slabParts(a.sub))
+			}
+			n += most
+		}
+	}
+	return min(n, 2)
+}
+
+// usesOld reports whether the pre-pass of a program reads the value it
+// decodes over: whether a slice it decodes may be reused or a pointer
+// decoded through.
+func usesOld(steps []step) bool {
+	for _, s := range steps {
+		switch {
+		case s.op == opOpaqueV:
+			return true
+		case s.op == opSliceSub || s.op == opOptional:
+			if pointerFree(s.sub) || usesOld(s.sub) {
+				return true
+			}
+		case s.op == opVecSub && usesOld(s.sub):
+			return true
+		case s.op == opUnion:
+			for _, a := range s.arms {
+				if usesOld(a.sub) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -364,6 +471,10 @@ type gen interface {
 	// elems starts the side's generator for an element loop's body, or
 	// a union arm's.
 	elems() gen
+	// tag is the expression a union over expr switches on.
+	tag(t *Type, expr string) string
+	// fail is the statement that gives up with err.
+	fail(err string) string
 }
 
 // printSteps renders steps run against expr, a value of type t.
@@ -378,7 +489,7 @@ func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
 			g.beginVar()
 			iv := e.name("i")
 			e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
-			printElems(g, e, s, ft, fmt.Sprintf("%s[%s]", x, iv))
+			printElems(g.elems(), e, s, ft, fmt.Sprintf("%s[%s]", x, iv))
 		case s.op == opSliceSub:
 			g.beginVar()
 			g.slice(s, ft, x)
@@ -395,11 +506,11 @@ func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
 	}
 }
 
-// printElems prints the body of an element loop over the array step s
-// of type t, whose header the caller printed, and closes it.
-func printElems(g gen, e *emitter, s step, t *Type, elem string) {
+// printElems prints, with sub, the body of an element loop over the
+// array step s of type t, whose header the caller printed, and closes
+// it.
+func printElems(sub gen, e *emitter, s step, t *Type, elem string) {
 	e.indent++
-	sub := g.elems()
 	printSteps(sub, e, s.sub, t.Elem, elem)
 	sub.flush()
 	e.indent--
@@ -412,7 +523,7 @@ func printElems(g gen, e *emitter, s step, t *Type, elem string) {
 // arm's program against expr, and ErrBadUnion for a value no arm
 // covers.
 func printUnion(g gen, e *emitter, s step, t *Type, expr string) {
-	e.pf("switch %s.%s {", expr, GoName(t.Fields[0].Name))
+	e.pf("switch %s {", g.tag(t, expr))
 	def := false
 	for _, a := range s.arms {
 		if a.def {
@@ -433,7 +544,7 @@ func printUnion(g gen, e *emitter, s step, t *Type, expr string) {
 	}
 	if !def {
 		e.pf("default:")
-		e.pf("\treturn xdr.ErrBadUnion")
+		e.pf("\t%s", g.fail("xdr.ErrBadUnion"))
 	}
 	e.pf("}")
 }
@@ -465,6 +576,10 @@ func (g *appendGen) fixed(s step, t *Type, expr string) {
 func (g *appendGen) beginVar() { g.flush() }
 
 func (g *appendGen) elems() gen { return &appendGen{e: g.e, headerDone: true} }
+
+func (g *appendGen) tag(t *Type, expr string) string { return expr + "." + GoName(t.Fields[0].Name) }
+
+func (g *appendGen) fail(err string) string { return "return " + err }
 
 func (g *appendGen) flush() {
 	e := g.e
@@ -557,7 +672,7 @@ func (g *appendGen) slice(s step, t *Type, expr string) {
 		e.pf("binary.BigEndian.PutUint32(bs.Extend(4), uint32(%s))", nv)
 		iv := e.name("i")
 		e.pf("for %s := range %s {", iv, sv)
-		printElems(g, e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
+		printElems(g.elems(), e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
 		return
 	}
 	// Fixed-size elements: count and every element share one
@@ -598,23 +713,39 @@ func (g *appendGen) slice(s step, t *Type, expr string) {
 // counts rejected against the remaining bytes before any allocation,
 // and slice reuse follows ensureSlice exactly (keep a backing array with
 // room for the count, allocate only for a larger one).
+//
+// The same printer writes a slab type's pre-pass (sizing): the
+// decoder's checks and cursor, giving up with 0 where the decoder
+// returns an error, loading only counts, flags and union tags, and in
+// place of each part the decoder carves, the room it takes in the slab.
+// A part is fresh unless the decode reuses what the value already holds,
+// which the pre-pass reads through ref: a pointer to the value the
+// current program runs against, nil when nilable holds and the decode
+// makes that value afresh, and "" where nothing below reads it
+// (usesOld).
 type decodeGen struct {
 	e        *emitter
 	pend     *lineBuf
 	pendSize int
 	dynamic  bool
 	static   int
+	slab     bool   // carve the parts from the decoder's slab
+	sizing   bool   // print the pre-pass instead of the decoder
+	ref      string // sizing: the pointer the value decoded over is read through
+	nilable  bool   // sizing: ref may be nil
 }
 
 func (g *decodeGen) fixed(s step, t *Type, expr string) {
 	if g.pend == nil {
 		g.pend = &lineBuf{}
 	}
-	base, off := "", g.static+g.pendSize
-	if g.dynamic {
-		base, off = "pos", g.pendSize
+	if !g.sizing {
+		base, off := "", g.static+g.pendSize
+		if g.dynamic {
+			base, off = "pos", g.pendSize
+		}
+		emitFixed(g.e, g.pend, false, s, t, expr, "body", base, off)
 	}
-	emitFixed(g.e, g.pend, false, s, t, expr, "body", base, off)
 	g.pendSize += s.wire
 }
 
@@ -629,7 +760,33 @@ func (g *decodeGen) beginVar() {
 	}
 }
 
-func (g *decodeGen) elems() gen { return &decodeGen{e: g.e, dynamic: true} }
+func (g *decodeGen) elems() gen { return g.scope(g.ref, g.nilable) }
+
+// scope starts the generator for a nested program whose old value the
+// pre-pass reads through ref.
+func (g *decodeGen) scope(ref string, nilable bool) gen {
+	return &decodeGen{e: g.e, dynamic: true, slab: g.slab, sizing: g.sizing, ref: ref, nilable: nilable}
+}
+
+// tag is the union's discriminant field; the pre-pass, which stores
+// nothing, reads it off the end of the segment just checked instead.
+func (g *decodeGen) tag(t *Type, expr string) string {
+	switch {
+	case !g.sizing:
+		return expr + "." + GoName(t.Fields[0].Name)
+	case t.Fields[0].Type.Kind == Uint32:
+		return "binary.BigEndian.Uint32(body[pos-4:])"
+	default:
+		return "int32(binary.BigEndian.Uint32(body[pos-4:]))"
+	}
+}
+
+func (g *decodeGen) fail(err string) string {
+	if g.sizing {
+		return "return 0"
+	}
+	return "return " + err
+}
 
 func (g *decodeGen) flush() {
 	if g.pendSize == 0 {
@@ -649,10 +806,11 @@ func (g *decodeGen) flush() {
 	g.pend, g.pendSize = nil, 0
 }
 
-// overflow renders a check that returns ErrOverflow when cond holds.
+// overflow renders a check that gives up with ErrOverflow when cond
+// holds.
 func (g *decodeGen) overflow(cond string, args ...any) {
 	g.e.pf("if "+cond+" {", args...)
-	g.e.pf("\treturn xdr.ErrOverflow")
+	g.e.pf("\t%s", g.fail("xdr.ErrOverflow"))
 	g.e.pf("}")
 }
 
@@ -666,7 +824,7 @@ func (g *decodeGen) count(bound uint32) string {
 	e.pf("pos += 4")
 	if bound > 0 {
 		e.pf("if %s > %d {", uv, bound)
-		e.pf("\treturn xdr.ErrTooBig")
+		e.pf("\t%s", g.fail("xdr.ErrTooBig"))
 		e.pf("}")
 	}
 	nv := e.name("n")
@@ -679,16 +837,42 @@ func (g *decodeGen) count(bound uint32) string {
 	return nv
 }
 
+// room renders the pre-pass's sizing of a part of n elements of elem,
+// which the decode carves when fresh holds of the value it decodes over
+// ("" for always), or when there is no such value.
+func (g *decodeGen) room(fresh, elem, n string) {
+	grow := fmt.Sprintf("size = wire.SlabRoom[%s](size, %s)", elem, n)
+	if fresh == "" {
+		g.e.pf("%s", grow)
+		return
+	}
+	if g.nilable {
+		fresh = g.ref + " == nil || " + fresh
+	}
+	g.e.pf("if %s {", fresh)
+	g.e.pf("\t%s", grow)
+	g.e.pf("}")
+}
+
 func (g *decodeGen) counted(s step, t *Type, expr string) {
 	e := g.e
 	nv := g.count(s.bound)
 	pv := e.name("p")
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
 	g.overflow("%s+%s > len(body)-pos", nv, pv)
-	if s.op == opString {
+	switch {
+	case g.sizing && s.op == opString:
+		g.room("", "byte", nv)
+	case g.sizing:
+		g.room(nv+" > cap("+expr+")", "byte", nv)
+	case s.op == opString && g.slab && goSpelling(t) == "string":
+		e.pf("%s = slab.String(body[pos : pos+%s])", expr, nv)
+	case s.op == opString && g.slab:
+		e.pf("%s = %s(slab.String(body[pos : pos+%s]))", expr, goSpelling(t), nv)
+	case s.op == opString:
 		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
-	} else {
-		g.alloc(t, expr, nv)
+	default:
+		g.alloc(t, expr, nv, "byte")
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
 	}
 	e.pf("pos += %s + %s", nv, pv)
@@ -696,13 +880,18 @@ func (g *decodeGen) counted(s step, t *Type, expr string) {
 
 // optional renders optional data as xdr.Optional decodes it: any nonzero
 // flag means the pointee follows, a nil pointer gets a fresh pointee and
-// a set one is decoded over, and a zero flag clears the pointer.
+// a set one is decoded over, and a zero flag clears the pointer. A
+// pointer-free pointee is a slab part.
 func (g *decodeGen) optional(s step, t *Type, expr string) {
 	e := g.e
 	g.overflow("pos+4 > len(body)")
 	fv := e.name("f")
 	e.pf("%s := binary.BigEndian.Uint32(body[pos:])", fv)
 	e.pf("pos += 4")
+	if g.sizing {
+		g.sizeOptional(s, t, expr, fv)
+		return
+	}
 	e.pf("if %s == 0 {", fv)
 	e.pf("\t%s = nil", expr)
 	e.pf("} else {")
@@ -710,7 +899,11 @@ func (g *decodeGen) optional(s step, t *Type, expr string) {
 	pv := e.name("p")
 	e.pf("%s := %s", pv, expr)
 	e.pf("if %s == nil {", pv)
-	e.pf("\t%s = new(%s)", pv, goSpelling(t.Elem))
+	if elem := goSpelling(t.Elem); g.slab && pointerFree(s.sub) {
+		e.pf("\t%s = wire.CarveNew[%s](&slab)", pv, elem)
+	} else {
+		e.pf("\t%s = new(%s)", pv, elem)
+	}
 	e.pf("\t%s = %s", expr, pv)
 	e.pf("}")
 	sub := g.elems()
@@ -720,15 +913,55 @@ func (g *decodeGen) optional(s step, t *Type, expr string) {
 	e.pf("}")
 }
 
+// sizeOptional is optional's pre-pass, past the flag fv: a fresh
+// pointer-free pointee takes room, and a pointee with parts of its own
+// is read through for the pre-pass of its program.
+func (g *decodeGen) sizeOptional(s step, t *Type, expr, fv string) {
+	e := g.e
+	e.pf("if %s != 0 {", fv)
+	e.indent++
+	sub, pexpr := g.scope("", false), ""
+	switch {
+	case pointerFree(s.sub):
+		g.room(expr+" == nil", goSpelling(t.Elem), "1")
+	case usesOld(s.sub):
+		pv := e.name("p")
+		g.readOld(pv, "*"+goSpelling(t.Elem), expr)
+		sub, pexpr = g.scope(pv, true), "(*"+pv+")"
+	}
+	printSteps(sub, e, s.sub, t.Elem, pexpr)
+	sub.flush()
+	e.indent--
+	e.pf("}")
+}
+
+// readOld declares the pre-pass local lv, of type typ, holding the old
+// value expr, or its zero value where the value decoded over is fresh.
+func (g *decodeGen) readOld(lv, typ, expr string) {
+	if !g.nilable {
+		g.e.pf("%s := %s", lv, expr)
+		return
+	}
+	g.e.pf("var %s %s", lv, typ)
+	g.e.pf("if %s != nil {", g.ref)
+	g.e.pf("\t%s = %s", lv, expr)
+	g.e.pf("}")
+}
+
 // alloc renders the ensureSlice-equivalent: a backing array with room
 // for the count is kept (so a zero count leaves nil nil and non-nil
-// empty), only a larger count allocates.
-func (g *decodeGen) alloc(t *Type, expr, nv string) {
+// empty), only a larger count allocates — from the slab, as n elements
+// of elem, in a slab decoder.
+func (g *decodeGen) alloc(t *Type, expr, nv, elem string) {
 	e := g.e
 	e.pf("if %s <= cap(%s) {", nv, expr)
 	e.pf("\t%s = %s[:%s]", expr, expr, nv)
 	e.pf("} else {")
-	e.pf("\t%s = make(%s, %s)", expr, goSpelling(t), nv)
+	if elem != "" && g.slab {
+		e.pf("\t%s = wire.Carve[%s](&slab, %s)", expr, elem, nv)
+	} else {
+		e.pf("\t%s = make(%s, %s)", expr, goSpelling(t), nv)
+	}
 	e.pf("}")
 }
 
@@ -739,15 +972,23 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 	// its size is static: one check rejects hostile counts before
 	// allocation, as decodeProg's opSliceRun/opSliceSub pre-check does.
 	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.elemMin)
-	g.alloc(t, expr, nv)
+	var elem string
+	if pointerFree(s.sub) {
+		elem = goSpelling(t.Elem)
+	}
 	es, _ := sizes(s.sub)
+	if g.sizing {
+		g.sizeSlice(s, t, expr, nv, elem, es)
+		return
+	}
+	g.alloc(t, expr, nv, elem)
 	if es == varWire {
 		// Variable-size elements: per-element checks do the rest.
 		sv := e.name("s")
 		e.pf("%s := %s", sv, expr)
 		iv := e.name("i")
 		e.pf("for %s := range %s {", iv, sv)
-		printElems(g, e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
+		printElems(g.elems(), e, s, t, fmt.Sprintf("%s[%s]", sv, iv))
 		return
 	}
 	// Fixed-size elements: the check above was exact, so the element
@@ -780,4 +1021,37 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 	e.indent--
 	e.pf("}")
 	e.pf("pos += %s * %d", nv, es)
+}
+
+// sizeSlice is slice's pre-pass, past the count nv: an array of
+// pointer-free elements (elem) is a part; the elements of any other are
+// walked for theirs, read through the old backing array where the
+// decode reuses it.
+func (g *decodeGen) sizeSlice(s step, t *Type, expr, nv, elem string, es int) {
+	e := g.e
+	if elem != "" {
+		g.room(nv+" > cap("+expr+")", elem, nv)
+	}
+	switch {
+	case es != varWire:
+		e.pf("pos += %s * %d", nv, es)
+	case elem != "" || !usesOld(s.sub):
+		iv := e.name("i")
+		e.pf("for %s := 0; %s < %s; %s++ {", iv, iv, nv, iv)
+		printElems(g.scope("", false), e, s, t, "")
+	default:
+		sv, iv, rv := e.name("s"), e.name("i"), e.name("r")
+		g.readOld(sv, goSpelling(t), expr)
+		e.pf("if %s > cap(%s) {", nv, sv)
+		e.pf("\t%s = nil", sv)
+		e.pf("} else {")
+		e.pf("\t%s = %s[:%s]", sv, sv, nv)
+		e.pf("}")
+		e.pf("for %s := 0; %s < %s; %s++ {", iv, iv, nv, iv)
+		e.pf("\tvar %s *%s", rv, goSpelling(t.Elem))
+		e.pf("\tif %s != nil {", sv)
+		e.pf("\t\t%s = &%s[%s]", rv, sv, iv)
+		e.pf("\t}")
+		printElems(g.scope(rv, true), e, s, t, "(*"+rv+")")
+	}
 }
