@@ -80,7 +80,7 @@ benchmark-check:
 # comparison (plus the fused and compiled whole-call series) over
 # netsim, UDP, and TCP, the header-path series, the
 # open-loop tail-latency grid (one row per transport), and the
-# batched-vs-unbatched syscalls/op series,
+# syscalls/op series of plain, batched-call and one-way traffic,
 # written to BENCH_live.json so the perf trajectory is tracked from PR
 # to PR. Each refresh is also archived under bench/history/ keyed by
 # date and commit, so the trajectory is a series of snapshots instead of
@@ -134,7 +134,8 @@ chaos-smoke:
 # Quick counted run of the batch-mode harness over both kernel
 # transports: exercises the writev/coalesce path, the ONC batched-call
 # path, and (where the kernel offers it) recvmmsg, with the udp rows'
-# srvW/op at exactly 1.000 (one write per reply) — and, as the
+# srvW/op at exactly 1.000 (one write per reply) and the 1x1 tcp `on`
+# row's cliW/op and srvW/op at 1.000 (a lone caller) — and, as the
 # 1x1 `calls` row of a second run, the closed-loop burst that stays on
 # one goroutine at each end (every column 0.125 to 0.13).
 batch-smoke:

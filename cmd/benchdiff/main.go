@@ -72,9 +72,9 @@ import (
 //	header-path-abs  the generic marshaler's raw ns/op
 //	throughput       loopback calls/sec under full pipelining
 //	open-loop        p99 tails, one scheduling hiccup from an outlier
-//	batch            counted syscalls/op — deterministic in modes off
-//	                 and oneway and for the client half of calls,
-//	                 scheduling-dependent elsewhere
+//	batch            counted syscalls/op — deterministic in mode
+//	                 oneway, for the client half of calls and for a
+//	                 1x1 tcp on row, scheduling-dependent elsewhere
 var defaultThresholds = map[string]float64{
 	"live-spec":       0.50,
 	"live-spec-abs":   1.00,

@@ -14,7 +14,7 @@
 //	sunbench -throughput -transport tcp -clients 4 -depth 16 -calls 50000
 //	sunbench -openloop        # open-loop Poisson tail latency (p50/p99/p999), one row per transport
 //	sunbench -openloop -transport udp -clients 8 -depth 16 -rate 8000 -openloop-dur 2s
-//	sunbench -batch           # counted syscalls/op: batched vs unbatched I/O
+//	sunbench -batch           # counted syscalls/op of the batched I/O
 //	sunbench -batch -transport tcp -clients 4 -depth 8 -calls 20000
 //	sunbench -chaos           # goodput + retry/reconnect counters under seeded faults
 //	sunbench -chaos -transport tcp -chaos-loss 0.2 -chaos-calls 1000 -seed 42
@@ -54,7 +54,7 @@ func realMain() int {
 	rate := flag.Float64("rate", 4000, "offered arrival rate in calls/sec for -openloop")
 	openloopDur := flag.Duration("openloop-dur", time.Second, "arrival window per -openloop grid point")
 	reps := flag.Int("openloop-reps", 3, "repetitions per -openloop point; the median-p99 run is reported")
-	batch := flag.Bool("batch", false, "count syscalls/op for batched vs unbatched I/O over the live transports")
+	batch := flag.Bool("batch", false, "count syscalls/op of plain, batched-call and one-way traffic over the live transports")
 	chaos := flag.Bool("chaos", false, "measure goodput and retry/reconnect counters under a seeded fault schedule")
 	chaosLoss := flag.Float64("chaos-loss", 0.15, "headline fault intensity for -chaos (loss rate on datagrams, scaled reset/split rates on tcp)")
 	chaosCalls := flag.Int("chaos-calls", 400, "total calls per -chaos point")
@@ -277,12 +277,11 @@ func runOpenLoop(transports string, conns, depth int, rate float64, dur time.Dur
 	return nil
 }
 
-// runBatch counts kernel crossings per call for the three batching
-// variants against the same clients x depth grid: each transport runs a
-// 1x1 baseline point and the requested concurrent point, in modes off
-// and on (plus the deterministic ONC batched-calls modes on stream
-// transports: replied-to and one-way). Counters, not timers: the series
-// is stable across hosts.
+// runBatch counts kernel crossings per call against the same clients x
+// depth grid: each transport runs a 1x1 point (a lone caller, one write
+// per record at each end) and the requested concurrent point, in mode on
+// and, on stream transports, the ONC batched-calls modes (replied-to and
+// one-way). Counters, not timers: the series is stable across hosts.
 func runBatch(transports string, clients, depth, calls, size int, out *jsonReport) error {
 	if calls <= 0 {
 		calls = 20000
@@ -296,7 +295,7 @@ func runBatch(transports string, clients, depth, calls, size int, out *jsonRepor
 		if clients == 1 && depth == 1 {
 			configs = configs[:1]
 		}
-		modes := []string{"off", "on"}
+		modes := []string{"on"}
 		if tr == "tcp" {
 			modes = append(modes, "calls", "oneway")
 		}

@@ -39,12 +39,9 @@ type BatchOptions struct {
 	// Transport is "tcp" or "udp".
 	Transport string
 	// Mode selects the batching variant measured against the same grid:
-	//   "off"   — batching disabled everywhere: one syscall per record on
-	//             TCP (client NoBatch + server WithWriteBatching(false)),
-	//             one datagram per syscall on UDP. The baseline.
-	//   "on"    — batching on (TCP group commit, UDP recvmmsg reads; UDP
+	//   "on"    — plain calls (TCP group commit, UDP recvmmsg reads; UDP
 	//             replies stay one write each): amortization comes from
-	//             concurrency, so the win grows with Depth.
+	//             concurrency, so it grows with Depth.
 	//   "calls" — ONC batched calls (TCP only): groups of batchGroup-1
 	//             CallBatched flushed by a terminal Call, the protocol-
 	//             level batching of the Sun RPC lineage. A group is
@@ -68,7 +65,7 @@ func (o *BatchOptions) fill() error {
 		o.Mode = "on"
 	}
 	switch o.Mode {
-	case "off", "on":
+	case "on":
 	case "calls", "oneway":
 		if o.Transport != "tcp" {
 			return fmt.Errorf("bench: batched calls need a stream transport (got %q)", o.Transport)
@@ -115,8 +112,8 @@ type BatchResult struct {
 	Elapsed     time.Duration `json:"elapsed_ns"`
 	CallsPerSec float64       `json:"calls_per_sec"`
 	// ClientWritesPerOp is request-send syscalls per call on the client —
-	// the headline number: 1.0 unbatched, shrinking toward 1/Depth under
-	// coalescing and to 1/batchGroup in "calls" mode.
+	// the headline number: 1.0 for a lone caller, shrinking toward
+	// 1/Depth under coalescing and to 1/batchGroup in "calls" mode.
 	ClientWritesPerOp float64 `json:"client_writes_per_op"`
 	// ServerWritesPerOp / ServerReadsPerOp are the server-side reply and
 	// request syscalls per call (UDP: WriteTo and recvmmsg calls per
@@ -187,7 +184,7 @@ func Batch(o BatchOptions) (BatchResult, error) {
 }
 
 func batchTCP(o BatchOptions) (BatchResult, error) {
-	s := newLoadServer(newGauge(0), server.WithWriteBatching(o.Mode != "off"))
+	s := newLoadServer(newGauge(0))
 	defer s.Close()
 	// The echo's request half and nothing else: the one-way procedure.
 	s.Register(loadProg, loadVers, loadSink, func(dec *xdr.XDR) (server.Marshal, error) {
@@ -211,9 +208,7 @@ func batchTCP(o BatchOptions) (BatchResult, error) {
 		if err != nil {
 			return BatchResult{}, fmt.Errorf("bench: dial: %w", err)
 		}
-		cfg := loadConfig(i)
-		cfg.NoBatch = o.Mode == "off"
-		callers[i] = client.NewTCP(countConn{Conn: conn, writes: &cliWrites, reads: &cliReads}, cfg)
+		callers[i] = client.NewTCP(countConn{Conn: conn, writes: &cliWrites, reads: &cliReads}, loadConfig(i))
 	}
 	defer func() {
 		for _, c := range callers {
@@ -234,11 +229,7 @@ func batchTCP(o BatchOptions) (BatchResult, error) {
 }
 
 func batchUDP(o BatchOptions) (BatchResult, error) {
-	batch := server.DefaultDatagramBatch
-	if o.Mode == "off" {
-		batch = 1
-	}
-	s := newLoadServer(newGauge(0), server.WithDatagramBatch(batch))
+	s := newLoadServer(newGauge(0))
 	defer s.Close()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -382,7 +373,8 @@ func driveBatch(o BatchOptions, callerFor func(i int) client.Caller) (time.Durat
 	return elapsed, nil
 }
 
-// FormatBatch renders the batched-vs-unbatched table.
+// FormatBatch renders the syscalls-per-call table, one row per mode and
+// grid point.
 func FormatBatch(rows []BatchResult) string {
 	var sb strings.Builder
 	sb.WriteString("Batch: syscalls per call, counted via conn shims (tcp) / batch-I/O layer (udp)\n")

@@ -17,16 +17,18 @@ import (
 // Call, with Flush, and with Close, and a dead peer surfaces on the
 // flushing call instead of a timeout.
 
-// batchedCfg returns a config with a deterministic XID seed so two
-// clients produce comparable wire bytes.
-func batchedCfg(noBatch bool) Config {
-	return Config{Prog: 0x20000999, Vers: 1, FirstXID: 700,
-		Timeout: 5 * time.Second, NoBatch: noBatch}
+// batchedCfg returns a config with a deterministic XID seed so the
+// wire bytes of its calls are known in advance.
+func batchedCfg() Config {
+	return Config{Prog: 0x20000999, Vers: 1, FirstXID: 700, Timeout: 5 * time.Second}
 }
+
+// batchedArg is the argument every batchedWire call carries.
+const batchedArg = uint32(0xDEADBEEF)
 
 // batchedWire runs n CallBatched + Flush against a pipe and returns
 // every byte the peer saw.
-func batchedWire(t *testing.T, noBatch bool, n int) []byte {
+func batchedWire(t *testing.T, n int) []byte {
 	t.Helper()
 	p1, p2 := net.Pipe()
 	var mu sync.Mutex
@@ -45,8 +47,8 @@ func batchedWire(t *testing.T, noBatch bool, n int) []byte {
 			}
 		}
 	}()
-	c := NewTCP(p1, batchedCfg(noBatch))
-	v := uint32(0xDEADBEEF)
+	c := NewTCP(p1, batchedCfg())
+	v := batchedArg
 	args := func(x *xdr.XDR) error { return x.Uint32(&v) }
 	for i := 0; i < n; i++ {
 		if err := c.CallBatched(5, args); err != nil {
@@ -67,15 +69,34 @@ func batchedWire(t *testing.T, noBatch bool, n int) []byte {
 
 // TestBatchedWireIdentical is the differential pin of the acceptance
 // criteria: batched-and-flushed calls put byte-identical records on the
-// wire as the same calls written unbatched one record at a time, and
-// the stream parses back into exactly the queued record count.
+// wire as the same calls marshaled by CallHeader and framed one record
+// at a time by RecStream.WriteRecord, and the stream parses back into
+// exactly the queued record count.
 func TestBatchedWireIdentical(t *testing.T) {
 	const calls = 3
-	batched := batchedWire(t, false, calls)
-	unbatched := batchedWire(t, true, calls)
-	if !bytes.Equal(batched, unbatched) {
-		t.Fatalf("wire bytes diverge: batched %d bytes, unbatched %d bytes",
-			len(batched), len(unbatched))
+	batched := batchedWire(t, calls)
+	var unbatched bytes.Buffer
+	wrec := xdr.NewRecStream(&unbatched, 0)
+	cfg := batchedCfg()
+	for i := 0; i < calls; i++ {
+		var bs xdr.BufStream
+		bs.SetBuffer(make([]byte, xdr.RecordMarkLen)) // keep room for the record mark
+		enc := xdr.NewEncoder(&bs)
+		hdr := rpcmsg.CallHeader{XID: cfg.FirstXID + 1 + uint32(i), Prog: cfg.Prog, Vers: cfg.Vers, Proc: 5}
+		v := batchedArg
+		if err := hdr.Marshal(enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Uint32(&v); err != nil {
+			t.Fatal(err)
+		}
+		if err := wrec.WriteRecord(bs.Buffer()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(batched, unbatched.Bytes()) {
+		t.Fatalf("wire bytes diverge: batched %d bytes, framed one at a time %d bytes",
+			len(batched), unbatched.Len())
 	}
 	r := xdr.NewRecStream(readOnly{bytes.NewReader(batched)}, 0)
 	for i := 0; i < calls; i++ {
@@ -115,7 +136,7 @@ func replyTo(wrec *xdr.RecStream, xid, result uint32) error {
 func TestCallBatchedFlushedByTerminalCall(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	c := NewTCP(p1, batchedCfg(false))
+	c := NewTCP(p1, batchedCfg())
 	defer c.Close()
 
 	const batchedCalls = 3
@@ -161,7 +182,7 @@ func TestCallBatchedFlushedByTerminalCall(t *testing.T) {
 func TestCallBatchedFlushedByClose(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p2.Close()
-	c := NewTCP(p1, batchedCfg(false))
+	c := NewTCP(p1, batchedCfg())
 
 	const batchedCalls = 3
 	records := make(chan int, 1)
@@ -200,7 +221,7 @@ func TestCallBatchedFlushedByClose(t *testing.T) {
 // not a timeout — and the failure must stick for later batched calls.
 func TestBatchedFailingTerminalCall(t *testing.T) {
 	p1, p2 := net.Pipe()
-	c := NewTCP(p1, batchedCfg(false))
+	c := NewTCP(p1, batchedCfg())
 	defer c.Close()
 
 	v := uint32(1)

@@ -117,12 +117,6 @@ type Config struct {
 	// FirstXID seeds the transaction-id sequence; 0 derives one from the
 	// clock, as gettimeofday did in clntudp_create.
 	FirstXID uint32
-	// NoBatch disables write coalescing on stream transports: every call
-	// record is written with its own syscall, the pre-batching behavior.
-	// Kept as the measurable baseline for the batch benchmarks; queued
-	// batched calls (CallBatched) still queue, they just flush one record
-	// per Write.
-	NoBatch bool
 	// Retry selects policy-driven retransmission and retry: over UDP the
 	// fixed Retransmit tick becomes exponential backoff with full jitter
 	// under a token-bucket budget; over TCP (with Redial set) calls that
@@ -449,13 +443,13 @@ type engine struct {
 	retransmits, retries, budgetDenied atomic.Uint64
 	reconnects, redialFailures         atomic.Uint64
 
-	// closed is set, and done closed, the moment Close begins, so backoff
-	// and redial sleeps select on done and unblock immediately instead of
-	// finishing their timer (the client-side mirror of the server's
-	// accept-backoff fix).
-	closeMu sync.Mutex // guards closed
-	closed  bool
-	done    chan struct{}
+	// closed is set, and then done closed, the moment Close begins, so
+	// backoff and redial sleeps select on done and unblock immediately
+	// instead of finishing their timer (the client-side mirror of the
+	// server's accept-backoff fix). isClosed, asked on every call, is one
+	// atomic load.
+	closed atomic.Bool
+	done   chan struct{}
 }
 
 // init fills the engine in place from a filled Config. baseDelay seeds
@@ -485,22 +479,15 @@ func (e *engine) init(cfg Config, tr transport, t traits, baseDelay time.Duratio
 	}
 }
 
-func (e *engine) isClosed() bool {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	return e.closed
-}
+func (e *engine) isClosed() bool { return e.closed.Load() }
 
 // beginClose marks the client closed and wakes every sleeper selecting
 // on done. It reports whether this call was the one that performed the
 // transition (repeat closes are no-ops).
 func (e *engine) beginClose() bool {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if e.closed {
+	if !e.closed.CompareAndSwap(false, true) {
 		return false
 	}
-	e.closed = true
 	close(e.done)
 	return true
 }
@@ -1483,9 +1470,8 @@ func (c *UDP) Close() error {
 //
 // Record writes go through a group-commit batcher: when several calls
 // are in flight their request records coalesce into one vectored write,
-// so syscalls amortize across the pipeline depth (Config.NoBatch keeps
-// the one-write-per-record baseline). CallBatched queues fire-and-forget
-// requests on the same writer.
+// so syscalls amortize across the pipeline depth. CallBatched queues
+// fire-and-forget requests on the same writer.
 type TCP struct {
 	engine
 
@@ -1576,9 +1562,6 @@ func (c *TCP) newLink(conn net.Conn) *link {
 			l.dmx.fail(sendRecordFailed(err))
 		}
 		_ = conn.Close()
-	}
-	if c.cfg.NoBatch {
-		l.batch.MaxBatch = 1
 	}
 	return l
 }
@@ -1716,8 +1699,8 @@ func (c *TCP) Snapshot() Snapshot {
 // reply is awaited — the original batching protocol of clnt_tcp, where a
 // sequence of batched calls is terminated by a normal Call whose write
 // flushes the queue and whose reply confirms the connection is alive.
-// Queued calls also leave when the queued bytes reach the batcher's
-// watermark, on an explicit Flush, or on Close.
+// Queued calls also leave when the queued bytes reach
+// xdr.DefaultBatchWatermark, on an explicit Flush, or on Close.
 //
 // The semantics are strictly weaker than Call: no reply means no
 // at-most-once confirmation and no error report from the server, and a

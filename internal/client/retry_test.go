@@ -368,3 +368,45 @@ func TestRedialWaitEndsAsTheCallEnds(t *testing.T) {
 		t.Fatal("the redialing call succeeded against a dial that always fails")
 	}
 }
+
+// TestConcurrentCloseClosesOnce: Close from many goroutines at once,
+// with calls starting meanwhile, marks the client closed and closes the
+// lifecycle's done channel exactly once (a second close would panic);
+// no call succeeds with nobody answering, and a call made after Close
+// fails with ErrClosed.
+func TestConcurrentCloseClosesOnce(t *testing.T) {
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	c := NewTCP(p1, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second})
+	const n = 8
+	var wg sync.WaitGroup
+	callErrs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_ = c.Close()
+		}()
+		go func(i int) {
+			defer wg.Done()
+			callErrs[i] = c.Call(1, Void, Void)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range callErrs {
+		if err == nil {
+			t.Errorf("call %d succeeded with nobody answering", i)
+		}
+	}
+	if !c.isClosed() {
+		t.Fatal("client not marked closed")
+	}
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("done not closed")
+	}
+	if err := c.Call(1, Void, Void); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close = %v, want ErrClosed", err)
+	}
+}

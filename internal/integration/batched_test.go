@@ -1,20 +1,18 @@
 package integration
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"specrpc/internal/server"
 	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
 
-// Batched-call and write-coalescing coverage over the real stack: the
-// fire-and-forget calls must execute on a live server once the terminal
-// call flushes them, and the batched write path must interoperate with
-// an unbatched peer on the same wire.
+// Batched-call coverage over the real stack: the fire-and-forget calls
+// must execute on a live server once the terminal call flushes them.
+// That batching changes syscall counts and never framing is pinned by
+// the client's TestBatchedWireIdentical.
 
 // waitForExecs polls until the server-side execution counter reaches
 // want: batched calls carry no reply, so the terminal call's return
@@ -59,42 +57,4 @@ func TestTCPBatchedCallsExecuteOnServer(t *testing.T) {
 		}
 	}
 	waitForExecs(t, execs, groups*(perGroup+1))
-}
-
-// TestTCPBatchedClientAgainstUnbatchedServer pins interoperability: a
-// coalescing client against a server with write batching disabled (and
-// vice-versa arrangements of the same wire bytes) must behave exactly
-// like the plain path — batching changes syscall counts, never framing.
-func TestTCPBatchedClientAgainstUnbatchedServer(t *testing.T) {
-	t.Cleanup(testutil.NoLeak(t))
-	s, execs := newEchoServer(server.WithWriteBatching(false))
-	c := dialTCPServer(t, s)
-
-	const callers, callsEach = 4, 25
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for g := 0; g < callers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			arr := []int32{int32(g), int32(g + 1)}
-			for i := 0; i < callsEach; i++ {
-				var out []int32
-				err := c.Call(procEcho, echoArgs(&arr), func(x *xdr.XDR) error {
-					return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long)
-				})
-				if err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", g, err)
-		}
-	}
-	waitForExecs(t, execs, callers*callsEach)
 }

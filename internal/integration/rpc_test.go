@@ -28,9 +28,9 @@ const (
 
 // newEchoServer registers an int32-array echo and a sum procedure and
 // returns the server plus a counter of echo executions.
-func newEchoServer(opts ...server.Option) (*server.Server, *atomic.Int32) {
+func newEchoServer() (*server.Server, *atomic.Int32) {
 	var execs atomic.Int32
-	s := server.New(opts...)
+	s := server.New()
 	s.Register(prog, vers, procEcho, func(dec *xdr.XDR) (server.Marshal, error) {
 		execs.Add(1)
 		var arr []int32

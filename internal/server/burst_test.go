@@ -209,23 +209,19 @@ func TestServeTCPBurstBlockedOnQuickConnection(t *testing.T) {
 }
 
 // TestServeTCPLoneCallOneWrite: with one call in flight per connection
-// nobody is coming, so each reply is exactly one write — with reply
-// batching on as with the one-write-per-record baseline.
+// nobody is coming, so each reply is exactly one write.
 func TestServeTCPLoneCallOneWrite(t *testing.T) {
-	for _, batching := range []bool{true, false} {
-		s := newTestServer()
-		WithWriteBatching(batching)(s)
-		conn, tap := serveTapped(t, s)
-		c := client.NewTCP(conn, client.Config{Prog: testProg, Vers: testVers, Timeout: 5 * time.Second})
-		const calls = 32
-		for i := 0; i < calls; i++ {
-			echoOnce(t, c)
-		}
-		_ = c.Close()
-		_ = s.Close()
-		if writes, records := tap.snapshot(t); writes != calls || len(records) != calls {
-			t.Fatalf("batching=%v: %d lone calls answered with %d records in %d writes, want %d and %d",
-				batching, calls, len(records), writes, calls, calls)
-		}
+	s := newTestServer()
+	conn, tap := serveTapped(t, s)
+	c := client.NewTCP(conn, client.Config{Prog: testProg, Vers: testVers, Timeout: 5 * time.Second})
+	const calls = 32
+	for i := 0; i < calls; i++ {
+		echoOnce(t, c)
+	}
+	_ = c.Close()
+	_ = s.Close()
+	if writes, records := tap.snapshot(t); writes != calls || len(records) != calls {
+		t.Fatalf("%d lone calls answered with %d records in %d writes, want %d and %d",
+			calls, len(records), writes, calls, calls)
 	}
 }

@@ -83,8 +83,7 @@ func burstWrites(t *testing.T, peer net.Conn, r *xdr.RecStream, c *streamConn, t
 // are eight records in one write; seven one-way calls and a terminal
 // call are one record in one write; eight one-way calls write nothing
 // and leave nothing queued; one answered call with seven one-way calls
-// behind it is still answered. With reply batching off every record is
-// its own write, as before. Every answered call runs where it was read,
+// behind it is still answered. Every answered call runs where it was read,
 // under a lent token. A machine busy enough to stretch a burst past
 // lendUnder makes the rest of it fan out, which may cost a second write:
 // each count is looked for on three bursts before it is missed.
@@ -105,20 +104,17 @@ func TestServeTCPQuickBurstOneWrite(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name             string
-		batching         bool
 		calls            [][]byte
 		replies          int // echo calls, all of them
 		writes           int
 		nothingLeftAfter bool
 	}{
-		{"eight answered", true, echoes(100, 8), 8, 1, false},
-		{"seven one-way and a terminal call", true, append(oneWays(200, 7), echoCall(t, 207)), 1, 1, false},
-		{"eight one-way", true, oneWays(300, 8), 0, 0, true},
-		{"one answered, seven one-way behind it", true, append(echoes(400, 1), oneWays(401, 7)...), 1, 1, true},
-		{"eight answered, batching off", false, echoes(500, 8), 8, 8, false},
+		{"eight answered", echoes(100, 8), 8, 1, false},
+		{"seven one-way and a terminal call", append(oneWays(200, 7), echoCall(t, 207)), 1, 1, false},
+		{"eight one-way", oneWays(300, 8), 0, 0, true},
+		{"one answered, seven one-way behind it", append(echoes(400, 1), oneWays(401, 7)...), 1, 1, true},
 	} {
 		s := newOneWayServer(&runs)
-		WithWriteBatching(tc.batching)(s)
 		var echo lentEcho
 		s.Register(testProg, testVers, procEcho, echo.proc)
 		peer, c, tap, stop := tappedLentConn(t, s)

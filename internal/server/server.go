@@ -13,8 +13,10 @@
 // retransmission of an executing call does not run twice. Each stream
 // connection serves its pipelined requests with a bounded number of
 // in-flight handlers whose reply records are serialized back onto the
-// stream. Request and reply buffers come from the shared
-// XDR buffer pool, keeping the hot path allocation-free.
+// stream. Request and reply buffers come from the shared XDR buffer
+// pool, keeping the hot path allocation-free between garbage
+// collections; each collection empties the pools, and the calls after
+// it allocate their buffers, pool slots and argument values again.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 4, the transport endpoint: the service-side twin of internal/client,
@@ -104,11 +106,9 @@ type Server struct {
 	calls    *callTable // ServeUDP's in-flight calls and cached replies
 	bufSize  int
 	workers  int
-	cacheCap int  // duplicate-reply cache capacity (0 disables)
-	queue    int  // datagram admission queue depth
-	maxConns int  // stream connection limit (0 = unlimited)
-	noWBatch bool // stream reply batching disabled (baseline)
-	dgBatch  int  // datagrams per syscall bound for ServeUDP
+	cacheCap int // duplicate-reply cache capacity (0 disables)
+	queue    int // datagram admission queue depth
+	maxConns int // stream connection limit (0 = unlimited)
 
 	maxRecord int // stream request-record size limit
 
@@ -230,37 +230,14 @@ func WithBufSize(n int) Option {
 	}
 }
 
-// WithWriteBatching toggles reply-record coalescing on stream
-// connections (default on). When on, a handler that finishes while
-// others are still in flight on its connection yields once before
-// writing, and replies that finish meanwhile — or while another handler
-// is inside the write syscall — leave together in one vectored write;
-// off keeps the one-Write-per-record baseline, the pre-batching
-// behavior kept measurable for the batch benchmarks.
-func WithWriteBatching(on bool) Option {
-	return func(s *Server) { s.noWBatch = !on }
-}
-
-// DefaultDatagramBatch is the default datagrams-per-read bound for
-// ServeUDP: big enough to amortize a kernel crossing across a bursty
-// queue, small enough that the per-loop buffer set stays modest.
+// DefaultDatagramBatch is how many datagrams ServeUDP may read per
+// syscall: big enough to amortize a kernel crossing across a bursty
+// queue, small enough that the per-loop buffer set stays modest. It
+// engages recvmmsg only where the platform and socket support it (Linux
+// kernel UDP sockets); everywhere else each read is one recvfrom.
+// Replies are one WriteTo each, so the bytes on the wire never depend
+// on it.
 const DefaultDatagramBatch = 32
-
-// WithDatagramBatch bounds how many datagrams ServeUDP may read per
-// syscall (default DefaultDatagramBatch). n == 1 is the
-// one-datagram-per-read baseline. Values above 1 engage recvmmsg only
-// where the platform and socket support it (Linux kernel UDP sockets);
-// everywhere else the portable path runs the baseline code regardless
-// of n. Replies are one WriteTo each whatever n is, so the bytes on the
-// wire never depend on it.
-func WithDatagramBatch(n int) Option {
-	return func(s *Server) {
-		if n < 1 {
-			n = 1
-		}
-		s.dgBatch = n
-	}
-}
 
 // WithWorkers bounds the number of concurrently executing handlers per
 // transport: the size of the datagram worker pool and the in-flight cap
@@ -296,9 +273,6 @@ func New(opts ...Option) *Server {
 	s.calls = newCallTable(s.cacheCap)
 	if s.queue == 0 {
 		s.queue = max(4*s.workers, 64)
-	}
-	if s.dgBatch == 0 {
-		s.dgBatch = DefaultDatagramBatch
 	}
 	return s
 }
@@ -478,7 +452,7 @@ type dgram struct {
 // serialize unrelated calls that collide and cap the useful concurrency
 // below the pool size. A datagram that is not a well-formed call has no
 // XID to answer and is dropped, as svc_udp dropped it. The read loop
-// takes datagrams in recvmmsg batches (WithDatagramBatch); a worker
+// takes datagrams in recvmmsg batches (DefaultDatagramBatch); a worker
 // writes its reply itself, one WriteTo per datagram.
 //
 // Admission control: the queue between the read loop and the pool is
@@ -495,12 +469,11 @@ func (s *Server) ServeUDP(conn net.PacketConn) error {
 	}
 	defer s.wg.Done()
 
-	// Batched-read wrapper: up to dgBatch datagrams per recvmmsg where
-	// the platform supports it; with dgBatch == 1 (or anywhere the mmsg
-	// path is unavailable) every read is the exact one-datagram recvfrom
-	// this loop always ran. Each reply leaves from the worker that ran
-	// it, with one counted WriteTo.
-	bc := batchio.New(conn, s.dgBatch)
+	// Batched-read wrapper: up to DefaultDatagramBatch datagrams per
+	// recvmmsg where the platform supports it; anywhere the mmsg path is
+	// unavailable every read is one recvfrom. Each reply leaves from the
+	// worker that ran it, with one counted WriteTo.
+	bc := batchio.New(conn, DefaultDatagramBatch)
 	s.mu.Lock()
 	s.dgio = append(s.dgio, bc)
 	s.mu.Unlock()
@@ -933,9 +906,6 @@ func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 	// connection so the read loop exits and the peer fails fast instead
 	// of waiting out its call timeouts.
 	c.wb.OnError = func(error) { _ = conn.Close() }
-	if s.noWBatch {
-		c.wb.MaxBatch = 1
-	}
 	c.wb.MoreWriters = func() bool { return c.inFlight.Load() > 1 }
 	return c
 }

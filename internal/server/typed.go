@@ -31,7 +31,9 @@ import (
 // out again once the reply has been appended (svc_getargs into storage
 // the dispatcher owns, svc_freeargs after svc_sendreply), so its slices
 // keep their backing arrays from call to call and a steady procedure
-// decodes without allocating. A handler may return its argument, or
+// decodes without allocating between garbage collections (a collection
+// empties the pool of values, and the next calls decode into fresh
+// ones). A handler may return its argument, or
 // anything pointing into it, as the result — that is encoded before the
 // value is reused — but one that keeps an argument, or a slice or
 // pointer out of it, past its return must copy it: the next call of the

@@ -36,34 +36,30 @@ func TestReadRecordAllocFree(t *testing.T) {
 
 // TestRecBatcherQueueArraysRecycle: the batcher swaps two queue arrays
 // between flushes instead of regrowing one from nil after each (an
-// allocation per record on both ends of every connection), at any
-// MaxBatch, and neither array keeps a pointer to a buffer that went
-// back to the pool.
+// allocation per record on both ends of every connection), and neither
+// array keeps a pointer to a buffer that went back to the pool.
 func TestRecBatcherQueueArraysRecycle(t *testing.T) {
-	for _, maxBatch := range []int{0, 1, 2} {
-		b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.Discard}, 0))
-		b.MaxBatch = maxBatch
-		payload := []byte("12345678")
-		round := func() {
-			for i := 0; i < 3; i++ {
-				if err := b.Queue(pooled(payload)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := b.Write(pooled(payload)); err != nil {
+	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.Discard}, 0))
+	payload := []byte("12345678")
+	round := func() {
+		for i := 0; i < 3; i++ {
+			if err := b.Queue(pooled(payload)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		round()
-		round()
-		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-			t.Errorf("MaxBatch %d: %.1f allocs per 4-record flush, want 0", maxBatch, allocs)
+		if err := b.Write(pooled(payload)); err != nil {
+			t.Fatal(err)
 		}
-		for _, q := range [][]*[]byte{b.pend, b.spare} {
-			for i, bp := range q[:cap(q)] {
-				if bp != nil {
-					t.Errorf("MaxBatch %d: queue slot %d still references a written buffer", maxBatch, i)
-				}
+	}
+	round()
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%.1f allocs per 4-record flush, want 0", allocs)
+	}
+	for _, q := range [][]*[]byte{b.pend, b.spare} {
+		for i, bp := range q[:cap(q)] {
+			if bp != nil {
+				t.Errorf("queue slot %d still references a written buffer", i)
 			}
 		}
 	}

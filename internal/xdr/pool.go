@@ -4,13 +4,18 @@ import "sync"
 
 // DefaultPoolBuf is the capacity of freshly minted pool buffers. It covers
 // a default-size datagram (8900 bytes) plus record headers without growth,
-// so the steady state of a busy transport allocates nothing per call.
+// so between two garbage collections a busy transport allocates nothing
+// per call for its buffers. Each collection empties the pools, and the
+// calls after it make buffers, per-P pool slots and argument values
+// afresh: the repository benchmark's
+// tcp_echo2000 workload reads 2.044 allocations a call, 0.044 above the
+// two of the client stub's result (go1.24, 2 vCPUs, GOGC=100).
 const DefaultPoolBuf = 9 << 10
 
 // bufPool recycles marshaling and reply buffers across concurrent calls.
 // The multiplexed transports borrow one buffer per in-flight call instead
 // of owning a single buffer behind a mutex, so pooling is what keeps the
-// concurrent hot path allocation-free.
+// concurrent hot path allocation-free between collections.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, DefaultPoolBuf)

@@ -149,13 +149,6 @@ type RecBatcher struct {
 	// the hook a transport uses to fail its demultiplexer and close the
 	// connection so every sharer unblocks promptly.
 	OnError func(error)
-	// Watermark overrides DefaultBatchWatermark for Queue's self-flush
-	// threshold.
-	Watermark int
-	// MaxBatch bounds the records per vectored write; 0 is unlimited.
-	// MaxBatch == 1 degenerates to one Write per record — the
-	// pre-batching behavior, kept as the measurable baseline.
-	MaxBatch int
 	// MoreWriters, when non-nil, reports whether other goroutines are
 	// about to Write on this batcher — the one fact group commit lacks.
 	// A Write that finds it true and becomes the leader yields the
@@ -167,7 +160,7 @@ type RecBatcher struct {
 	// once and nothing waits for it: no timer, no delay bound to tune. It
 	// is called on every Write, outside the queue lock, so it must be
 	// cheap (the server's is one atomic load). nil (the client's
-	// batchers), a false answer, MaxBatch == 1, an explicit Flush and a
+	// batchers), a false answer, an explicit Flush and a
 	// watermark-triggered flush all write immediately.
 	MoreWriters func() bool
 
@@ -214,7 +207,7 @@ func (b *RecBatcher) WriteDeadline(bp *[]byte, deadline time.Time) error {
 
 // Queue queues bp's record without forcing a flush: the record leaves
 // with the next Write or Flush on this batcher, or immediately once the
-// queued bytes reach the watermark. It is for a caller that knows a
+// queued bytes reach DefaultBatchWatermark. It is for a caller that knows a
 // flush is coming and will see to it — the client's ONC fire-and-forget
 // calls, flushed by the terminal call, and the replies of a burst the
 // server's read-token holder is working through, flushed before it next
@@ -231,7 +224,7 @@ func (b *RecBatcher) Pending() int {
 
 func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
 	// Asked before the lock: MoreWriters is the owner's code.
-	yield := flush && b.MaxBatch != 1 && b.MoreWriters != nil && b.MoreWriters()
+	yield := flush && b.MoreWriters != nil && b.MoreWriters()
 	b.mu.Lock()
 	if b.err != nil {
 		err := b.err
@@ -244,11 +237,7 @@ func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
 	if !dl.IsZero() && (b.pendDL.IsZero() || dl.Before(b.pendDL)) {
 		b.pendDL = dl
 	}
-	wm := b.Watermark
-	if wm <= 0 {
-		wm = DefaultBatchWatermark
-	}
-	if !flush && b.pendBytes < wm {
+	if !flush && b.pendBytes < DefaultBatchWatermark {
 		b.mu.Unlock()
 		return nil
 	}
@@ -327,22 +316,12 @@ func (b *RecBatcher) flushLocked(yield bool) error {
 	return err
 }
 
-// writeTaken writes the records a leader took off the queue, at most
-// MaxBatch per vectored write, and releases every buffer — written, or
-// stranded behind a failed write. earliest is the tightest per-record
-// deadline among them (zero when none was attached); every write of the
-// generation is armed with it, which for the later ones only errs on
-// the strict side.
+// writeTaken writes the records a leader took off the queue in one
+// vectored write and releases every buffer — written, or stranded
+// behind a failed write. earliest is the tightest per-record deadline
+// among them (zero when none was attached).
 func (b *RecBatcher) writeTaken(taken []*[]byte, earliest time.Time) error {
-	var err error
-	for rest := taken; len(rest) > 0 && err == nil; {
-		n := len(rest)
-		if b.MaxBatch > 0 && n > b.MaxBatch {
-			n = b.MaxBatch
-		}
-		err = b.writeBatch(rest[:n], earliest)
-		rest = rest[n:]
-	}
+	err := b.writeBatch(taken, earliest)
 	for _, bp := range taken {
 		PutBuf(bp)
 	}

@@ -176,42 +176,29 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestRecBatcherQueueWatermark: Queue alone does not write; crossing
-// the watermark flushes without an explicit Write/Flush.
+// TestRecBatcherQueueWatermark: Queue alone does not write, up to one
+// byte short of DefaultBatchWatermark queued; the record that reaches
+// it flushes everything queued without an explicit Write/Flush.
 func TestRecBatcherQueueWatermark(t *testing.T) {
 	var cw countingWriter
 	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &cw}, 0))
-	b.Watermark = 64
-	if err := b.Queue(pooled(bytes.Repeat([]byte{1}, 16))); err != nil {
+	first := pooled(bytes.Repeat([]byte{1}, 16))
+	queued := len(*first)
+	if err := b.Queue(first); err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes != 0 {
-		t.Fatalf("Queue under watermark wrote %d times", cw.writes)
-	}
-	if err := b.Queue(pooled(bytes.Repeat([]byte{2}, 64))); err != nil {
+	short := DefaultBatchWatermark - 1 - queued - RecordMarkLen
+	if err := b.Queue(pooled(bytes.Repeat([]byte{2}, short))); err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes == 0 {
-		t.Fatal("Queue past watermark did not flush")
+	if cw.writes != 0 || b.Pending() != 2 {
+		t.Fatalf("Queue under watermark: %d writes, %d pending, want 0 and 2", cw.writes, b.Pending())
 	}
-}
-
-// TestRecBatcherMaxBatchOne: the unbatched baseline issues one Write
-// per record even when everything is queued up front.
-func TestRecBatcherMaxBatchOne(t *testing.T) {
-	var cw countingWriter
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &cw}, 0))
-	b.MaxBatch = 1
-	for i := 0; i < 5; i++ {
-		if err := b.Queue(pooled([]byte("rec"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Flush(); err != nil {
+	if err := b.Queue(pooled(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if cw.writes != 5 {
-		t.Fatalf("MaxBatch=1 flush issued %d writes for 5 records", cw.writes)
+	if cw.writes == 0 || b.Pending() != 0 {
+		t.Fatalf("Queue past watermark: %d writes, %d pending, want some and 0", cw.writes, b.Pending())
 	}
 }
 
@@ -244,8 +231,8 @@ func TestRecBatcherErrorPropagates(t *testing.T) {
 
 // TestRecBatcherLoneWriterOneWrite: a writer nobody is about to join
 // pays exactly one write per record and the wire bytes match the
-// per-record WriteRecord stream — with no MoreWriters, with one that
-// answers false, and with MaxBatch == 1, where it is not even asked.
+// per-record WriteRecord stream — with no MoreWriters and with one that
+// answers false.
 func TestRecBatcherLoneWriterOneWrite(t *testing.T) {
 	payloads := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
 	var want bytes.Buffer
@@ -264,10 +251,6 @@ func TestRecBatcherLoneWriterOneWrite(t *testing.T) {
 		{"predicate false", func(b *RecBatcher, asked *int) {
 			b.MoreWriters = func() bool { *asked++; return false }
 		}, len(payloads)},
-		{"MaxBatch 1", func(b *RecBatcher, asked *int) {
-			b.MaxBatch = 1
-			b.MoreWriters = func() bool { *asked++; return true }
-		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var cw countingWriter
