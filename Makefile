@@ -153,7 +153,9 @@ pipe-smoke:
 # Short native-fuzz smoke over the decode boundary (the record-marking
 # reader and the RPC call-header decoder, fed raw bytes), the record
 # reader's read-ahead differential (whole delivery == seeded short
-# reads == a walk over the marks, records and error class alike), the header
+# reads == a walk over the marks, records and error class alike), the
+# record batcher under interleaved Write/Queue/Flush calls (every record
+# read back intact and in order, nothing left pending), the header
 # template differentials (template bytes == generic marshaler bytes),
 # the call-body accept-set differential (fixed-offset parse == header
 # walker), the whole-call fusion differentials (fused bytes ==
@@ -165,7 +167,10 @@ pipe-smoke:
 # residual == lower's steps, or an explicit refusal),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
-# only a one-way handler's call goes unanswered), the datagram path fed
+# only a one-way handler's call goes unanswered), the stream server loop
+# fed raw byte streams over pipes (never panics, every reply parses and
+# answers a call of the input at most once, every call of an unbroken
+# stream is answered, no goroutine outlives the stream), the datagram path fed
 # hostile sequences from several peers (every reply echoes its request's
 # XID, a non-call gets nothing, a call the table holds is never run
 # again), the .x front end fed arbitrary text (Parse never panics; what
@@ -174,6 +179,7 @@ pipe-smoke:
 fuzz:
 	$(GO) test -run=NONE -fuzz='FuzzRecRead$$' -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzRecReadDiff -fuzztime=10s ./internal/xdr
+	$(GO) test -run=NONE -fuzz=FuzzRecBatcher -fuzztime=10s ./internal/xdr
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCallHeader -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz=FuzzCallTemplate -fuzztime=10s ./internal/rpcmsg
 	$(GO) test -run=NONE -fuzz='FuzzReplyTemplate$$' -fuzztime=10s ./internal/rpcmsg
@@ -187,6 +193,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCompiledCodec -fuzztime=10s ./internal/compiledtest
 	$(GO) test -run=NONE -fuzz=FuzzLayoutCodec -fuzztime=10s ./internal/compiledtest/layout
 	$(GO) test -run=NONE -fuzz=FuzzHandleCall -fuzztime=10s ./internal/server
+	$(GO) test -run=NONE -fuzz=FuzzServeConn -fuzztime=10s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzServeDatagram -fuzztime=10s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/rpcgen
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/minic

@@ -334,7 +334,7 @@ type link struct {
 
 	// Stream generations only; nil on a datagram link.
 	conn  net.Conn
-	batch *xdr.RecBatcher // owns the write side of the record stream
+	batch *xdr.RecBatcher // owns the write side of conn: frames and writes every record
 	rrec  *xdr.RecStream  // the read side
 	idle  *time.Timer     // fires engine.watch, idleWatch after the side was last let go
 }
@@ -1528,7 +1528,7 @@ const minWriteGrace = 5 * time.Millisecond
 // batcher's deadline and failure hooks to this generation only.
 func (c *TCP) newLink(conn net.Conn) *link {
 	l := &link{dmx: newDemux(), conn: conn,
-		batch: xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
+		batch: xdr.NewRecBatcher(conn),
 		rrec:  xdr.NewRecStream(conn, 0)}
 	// A reply is bounded like a request: the buffer it is read into lives
 	// as long as the link, and a peer must not be able to grow it without

@@ -29,7 +29,8 @@ type Message struct {
 // Stats counts syscalls and, for reads, the messages they moved.
 // ReadCalls==ReadMsgs means no amortization (the portable path);
 // ReadMsgs/ReadCalls is the measured batch factor. A write is one
-// message.
+// message, counted as it is made: a failed write is still a syscall,
+// and a peer that has its reply has seen it counted.
 type Stats struct {
 	ReadCalls, ReadMsgs atomic.Uint64
 	WriteCalls          atomic.Uint64
@@ -93,11 +94,10 @@ func (c *Conn) ReadBatch(msgs []Message) (int, error) {
 	return 1, nil
 }
 
-// WriteTo sends one datagram, counted as one write call. Send errors
-// are dropped, as svc_udp dropped them: datagram clients retransmit.
+// WriteTo sends one datagram, counted as one write call before it is
+// made. Send errors are dropped, as svc_udp dropped them: datagram
+// clients retransmit.
 func (c *Conn) WriteTo(b []byte, to net.Addr) {
-	if _, err := c.pc.WriteTo(b, to); err != nil {
-		return
-	}
 	c.stats.WriteCalls.Add(1)
+	_, _ = c.pc.WriteTo(b, to)
 }

@@ -86,3 +86,29 @@ func TestPortableFallbackShim(t *testing.T) {
 }
 
 type shimConn struct{ net.PacketConn }
+
+// peekConn is a PacketConn whose WriteTo reads the Conn's write count
+// from inside the send: what a peer that already has the datagram can
+// observe.
+type peekConn struct {
+	net.PacketConn
+	c    *Conn
+	seen uint64
+}
+
+func (p *peekConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	p.seen = p.c.Stats().WriteCalls.Load()
+	return len(b), nil
+}
+
+// TestWriteCountedBeforeSend: a datagram is counted before it is sent,
+// so a client holding its reply never reads a count that lacks it.
+func TestWriteCountedBeforeSend(t *testing.T) {
+	a, b := udpPair(t)
+	pc := &peekConn{PacketConn: a}
+	pc.c = New(pc, 1)
+	pc.c.WriteTo([]byte("reply"), b.LocalAddr())
+	if pc.seen != 1 {
+		t.Fatalf("WriteCalls seen from inside the send = %d, want 1", pc.seen)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"specrpc/internal/netsim"
 	"specrpc/internal/platform/batchio"
 	"specrpc/internal/rpcmsg"
+	"specrpc/internal/testutil"
 	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
@@ -268,5 +271,185 @@ func FuzzServeDatagram(f *testing.F) {
 			}
 			table[k] = held{p, reply}
 		}
+	})
+}
+
+// splitConn is a stream connection made of two pipes: requests arrive on
+// the embedded one, replies leave on out. The peer can end its half of
+// the stream and still read every reply the server writes until it
+// hangs up, which one net.Pipe, with no half-close, cannot offer.
+type splitConn struct {
+	net.Conn
+	out net.Conn
+}
+
+func (c splitConn) Write(p []byte) (int, error) { return c.out.Write(p) }
+
+func (c splitConn) Close() error {
+	_ = c.out.Close()
+	return c.Conn.Close()
+}
+
+// FuzzServeConn feeds arbitrary byte streams to serveConn, the stream
+// server loop — read token, lending, hand-off, and the batcher that
+// frames and writes the replies — over in-process pipes, with a
+// registered echo and a 64 KiB record bound. The loop must never panic;
+// every record it writes must parse with ReplyHeader.Marshal and answer
+// a call of the input, each call at most once; and once the peer's
+// half of the stream has ended, the loop must return and leave no
+// goroutine behind. An input the server has no reason to hang up on —
+// every record a call, the last perhaps cut short — must have every
+// call answered before the peer ends its half.
+//
+// The peer sends the first cut bytes, and then the rest in one write.
+// On such an input it waits, in between, for the replies to the calls
+// the first part holds whole, as a closed-loop caller does: the rest
+// then arrives at a server that has found the connection quick.
+func FuzzServeConn(f *testing.F) {
+	const maxRecord = 64 << 10
+	ints := func(n int) func(x *xdr.XDR) error {
+		arr := make([]int32, n)
+		return func(x *xdr.XDR) error { return xdr.Array(x, &arr, xdr.NoSizeLimit, (*xdr.XDR).Long) }
+	}
+	echo := func(xid uint32, n int) []byte { return buildCall(f, xid, testVers, procEcho, ints(n)) }
+	f.Add(byte(0), frame(echo(1, 3)))
+	f.Add(byte(0), frame(echo(1, 0), echo(2, 40), buildCall(f, 3, testVers, 99, nil), echo(1, 5)))
+	f.Add(byte(0), frame(echo(4, 2), buildCall(f, 5, testVers+1, procEcho, nil), []byte{0, 0, 0, 9, 0, 0, 0, 1}, echo(6, 1)))
+	var big [][]byte
+	for xid := uint32(20); xid < 30; xid++ {
+		big = append(big, echo(xid, 1000))
+	}
+	f.Add(byte(0), frame(big...)) // a burst of replies past the coalesce limit
+	split := echo(10, 4)
+	f.Add(byte(0), append(append([]byte{0, 0, 0, 8}, split[:8]...), frame(split[8:])...)) // two fragments
+	f.Add(byte(0), append(frame(echo(11, 1)), 0x80, 0x01, 0x00, 0x01, 1, 2, 3))           // past the bound
+	f.Add(byte(0), append(frame(echo(12, 1)), 0, 0, 0, 0, 0, 0, 0, 0))                    // empty non-final fragments
+	f.Add(byte(7), frame(echo(13, 1))[:20])                                               // cut short
+	// A lone call, then a burst whose last call is still arriving when
+	// the others are answered: their replies wait on the batcher for
+	// the read that finds the window empty.
+	lone, burst := frame(echo(14, 1)), frame(echo(15, 2), echo(16, 3), echo(17, 4))
+	f.Add(byte(len(lone)), append(lone, burst[:len(burst)-5]...))
+
+	// scan returns the XIDs of the calls in stream that the server may
+	// answer — every record whose call header parses, up to the end of
+	// the stream or a record past the bound, which the server does not
+	// read beyond; it may have read past a record that is not a call and
+	// handed the calls after it to workers before it hangs up — their
+	// number, and whether no record breaks the stream: it ends at or
+	// inside a record, and every record before that end is a call.
+	scan := func(stream []byte) (xids map[uint32]int, n int, whole bool) {
+		xids, whole = map[uint32]int{}, true
+		in := xdr.NewRecStream(struct {
+			io.Reader
+			io.Writer
+		}{Reader: bytes.NewReader(stream)}, 0)
+		in.MaxRecord = maxRecord
+		for {
+			rec, err := in.ReadRecord(nil)
+			if err != nil {
+				return xids, n, whole && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF))
+			}
+			var h rpcmsg.CallHeader
+			if h.Marshal(xdr.NewDecoder(xdr.NewMemDecode(rec))) != nil {
+				whole = false
+				continue
+			}
+			xids[h.XID]++
+			n++
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, cut byte, data []byte) {
+		first, rest := data[:min(int(cut), len(data))], data[min(int(cut), len(data)):]
+		calls, ncalls, whole := scan(data)
+		_, nfirst, _ := scan(first)
+
+		defer testutil.NoLeak(t)()
+		s := New(WithMaxRecord(maxRecord))
+		s.Register(testProg, testVers, procEcho, echoProc)
+		reqPeer, reqSrv := net.Pipe()
+		repSrv, repPeer := net.Pipe()
+		defer repPeer.Close()
+		defer reqPeer.Close()
+		served, wrote, more := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		released := false
+		release := func() {
+			if !released {
+				released = true
+				close(more)
+			}
+		}
+		defer release()
+		go func() {
+			defer close(served)
+			s.serveConn(splitConn{Conn: reqSrv, out: repSrv})
+		}()
+		go func() {
+			defer close(wrote)
+			for i, part := range [][]byte{first, rest} {
+				if i == 1 {
+					<-more
+				}
+				if len(part) == 0 {
+					continue
+				}
+				if _, err := reqPeer.Write(part); err != nil {
+					return // the server hung up
+				}
+			}
+		}()
+		replies, stop := make(chan []byte), make(chan struct{})
+		defer close(stop) // a failed check stops taking replies
+		go func() {
+			defer close(replies)
+			r := xdr.NewRecStream(repPeer, 0)
+			for {
+				rec, err := r.ReadRecord(nil)
+				if err != nil {
+					return
+				}
+				select {
+				case replies <- rec:
+				case <-stop:
+					return
+				}
+			}
+		}()
+		n := 0
+		check := func(rec []byte) {
+			var rh rpcmsg.ReplyHeader
+			if err := rh.Marshal(xdr.NewDecoder(xdr.NewMemDecode(rec))); err != nil {
+				t.Fatalf("reply %d does not parse: %v (%x)", n, err, rec)
+			}
+			if calls[rh.XID]--; calls[rh.XID] < 0 {
+				t.Fatalf("reply %d: xid %d answers no call of the input left unanswered", n, rh.XID)
+			}
+			n++
+		}
+		if !whole {
+			release()
+		}
+		for whole && n < ncalls {
+			if n >= nfirst {
+				release()
+			}
+			select {
+			case rec, ok := <-replies:
+				if !ok {
+					t.Fatalf("the server hung up after %d replies to %d calls", n, ncalls)
+				}
+				check(rec)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d replies to %d calls, and no more coming", n, ncalls)
+			}
+		}
+		release()
+		_ = reqPeer.Close()
+		for rec := range replies {
+			check(rec)
+		}
+		<-wrote
+		<-served
 	})
 }

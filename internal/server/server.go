@@ -897,7 +897,7 @@ func (s *Server) serveConn(conn net.Conn) { s.newStreamConn(conn).run() }
 
 func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 	c := &streamConn{s: s, conn: conn,
-		wb:   xdr.NewRecBatcher(xdr.NewRecStream(conn, 0)),
+		wb:   xdr.NewRecBatcher(conn),
 		work: make(chan *[]byte)}
 	c.rrec = xdr.NewRecStream((*tokenReader)(c), 0)
 	c.slow.Store(true)

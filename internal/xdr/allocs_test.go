@@ -36,10 +36,11 @@ func TestReadRecordAllocFree(t *testing.T) {
 
 // TestRecBatcherQueueArraysRecycle: the batcher swaps two queue arrays
 // between flushes instead of regrowing one from nil after each (an
-// allocation per record on both ends of every connection), and neither
-// array keeps a pointer to a buffer that went back to the pool.
+// allocation per record on both ends of every connection), frames into
+// write scratch it keeps, and neither the arrays nor the scratch keep a
+// pointer to a buffer that went back to the pool.
 func TestRecBatcherQueueArraysRecycle(t *testing.T) {
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.Discard}, 0))
+	b := NewRecBatcher(io.Discard)
 	payload := []byte("12345678")
 	round := func() {
 		for i := 0; i < 3; i++ {
@@ -56,11 +57,7 @@ func TestRecBatcherQueueArraysRecycle(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("%.1f allocs per 4-record flush, want 0", allocs)
 	}
-	for _, q := range [][]*[]byte{b.pend, b.spare} {
-		for i, bp := range q[:cap(q)] {
-			if bp != nil {
-				t.Errorf("queue slot %d still references a written buffer", i)
-			}
-		}
+	if n := retained(b); n != 0 {
+		t.Errorf("%d queue or write-vector slots still reference a written buffer", n)
 	}
 }

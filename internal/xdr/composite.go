@@ -3,8 +3,10 @@ package xdr
 import "unsafe"
 
 // This file carries the composite constructors of the original xdr.c:
-// counted arrays (xdr_array), fixed-length vectors (xdr_vector), optional
-// data (xdr_pointer/xdr_reference), and discriminated unions (xdr_union).
+// counted arrays (xdr_array), fixed-length vectors (xdr_vector) and
+// optional data (xdr_pointer/xdr_reference). Discriminated unions
+// (xdr_union) have no constructor here: they are a plan shape of
+// internal/wire, and rpcgen's closure fallback prints its own switch.
 // Each is generic over an element routine exactly as the C versions were
 // generic over an xdrproc_t — the interpretive layer the paper's §2 calls
 // out as a specialization opportunity.
@@ -130,34 +132,4 @@ func Optional[T any](x *XDR, v **T, elem Proc[T]) error {
 	default:
 		return ErrBadOp
 	}
-}
-
-// UnionArm is one (discriminant, marshaler) pair of a discriminated union.
-type UnionArm struct {
-	// Value is the discriminant selecting this arm.
-	Value int32
-	// Marshal handles the arm body; nil means a void arm.
-	Marshal func(x *XDR) error
-}
-
-// Union marshals a discriminated union (xdr_union): the discriminant is
-// marshaled first, then the matching arm's body. defaultArm, if non-nil,
-// handles unlisted discriminants; with no default an unknown discriminant
-// yields ErrBadUnion, as the NULL-terminated choice table did in C.
-func Union(x *XDR, discriminant *int32, arms []UnionArm, defaultArm func(x *XDR) error) error {
-	if err := x.Enum(discriminant); err != nil {
-		return err
-	}
-	for _, a := range arms {
-		if a.Value == *discriminant {
-			if a.Marshal == nil {
-				return nil
-			}
-			return a.Marshal(x)
-		}
-	}
-	if defaultArm != nil {
-		return defaultArm(x)
-	}
-	return ErrBadUnion
 }

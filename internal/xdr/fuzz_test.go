@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // FuzzRecRead feeds arbitrary bytes to the record-marking reader: the
@@ -212,6 +213,85 @@ func FuzzRecReadDiff(f *testing.F) {
 		whole, short = streams()
 		if a, b := readScript(whole, seed), readScript(short, seed); a != b {
 			t.Fatalf("interleaved reads diverge.\nwhole:\n%s\nshort:\n%s", a, b)
+		}
+	})
+}
+
+// FuzzRecBatcher drives one RecBatcher with an interleaving of Write,
+// Queue and Flush calls over records of fuzzed lengths — empty, small,
+// about a fragment, and straddling coalesceLimit, so single writes,
+// coalesced batches, vectored batches and watermark flushes all occur —
+// and reads the wire back with ReadRecord: every record must arrive,
+// intact and in the order it was handed in, nothing may follow them,
+// and after each Write or Flush nothing may be left pending.
+//
+// Each step is two bytes: the low two bits of the first pick the call
+// (Write, Queue, Flush, or Write with a deadline), the next two the
+// length class, and the second byte the offset within the class.
+func FuzzRecBatcher(f *testing.F) {
+	f.Add([]byte{0, 3})
+	f.Add([]byte{1, 0, 1 | 1<<2, 40, 1 | 3<<2, 200, 2, 0})
+	f.Add([]byte{1 | 2<<2, 100, 1 | 2<<2, 160, 0 | 1<<2, 7})
+	f.Add([]byte{1 | 2<<2, 255, 1 | 2<<2, 255, 3 | 2<<2, 0, 1, 1, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxSteps = 16
+		var wire bytes.Buffer
+		b := NewRecBatcher(&wire)
+		var want [][]byte
+		for step := 0; step < maxSteps && len(data) >= 2; step++ {
+			op, off := data[0], int(data[1])
+			data = data[2:]
+			if op&3 == 2 {
+				if err := b.Flush(); err != nil {
+					t.Fatalf("step %d: Flush: %v", step, err)
+				}
+				if n := b.Pending(); n != 0 {
+					t.Fatalf("step %d: %d records pending after Flush", step, n)
+				}
+				continue
+			}
+			var n int
+			switch op >> 2 & 3 {
+			case 1:
+				n = off
+			case 2:
+				n = DefaultFragmentSize - 128 + off
+			case 3:
+				n = coalesceLimit - RecordMarkLen - 128 + off
+			}
+			p := bytes.Repeat([]byte{byte(len(want))}, n) // the order shows
+			want = append(want, p)
+			var err error
+			switch op & 3 {
+			case 0:
+				err = b.Write(pooled(p))
+			case 1:
+				err = b.Queue(pooled(p))
+			case 3:
+				err = b.WriteDeadline(pooled(p), time.Now().Add(time.Hour))
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if n := b.Pending(); op&3 != 1 && n != 0 {
+				t.Fatalf("step %d: %d records pending after a Write", step, n)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRecStream(&rwPair{Reader: &wire}, 0)
+		for i, p := range want {
+			got, err := r.ReadRecord(nil)
+			if err != nil {
+				t.Fatalf("record %d of %d: %v", i, len(want), err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("record %d of %d: %d bytes read, %d handed in, or out of order", i, len(want), len(got), len(p))
+			}
+		}
+		if wire.Len() != 0 {
+			t.Fatalf("%d bytes follow the %d records", wire.Len(), len(want))
 		}
 	})
 }

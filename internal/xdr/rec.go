@@ -20,8 +20,9 @@ import (
 // connection takes whatever has arrived, up to one fragment size, and
 // marks and payload are then served out of the window, so a burst of
 // small records costs one kernel crossing, not two per record. Both
-// buffers are allocated on first use — a connection's read-only and
-// write-only streams each pay for one.
+// buffers are allocated on first use, so a stream that is only read —
+// a transport's, whose records leave through a RecBatcher — pays for
+// the window alone.
 type RecStream struct {
 	rw       io.ReadWriter
 	fragSize int
@@ -35,17 +36,10 @@ type RecStream struct {
 	MaxRecord int
 
 	// Write (encode) state.
-	wbuf  []byte // pending fragment payload; fragSize bytes once written to
-	wpos  int    // bytes of wbuf filled
-	sent  int    // bytes already flushed in the current record
-	werr  error  // sticky write error
-	wseal bool   // record has been completed and not yet restarted
-
-	// Queued-record state (QueueRecord/Flush): complete framed records
-	// awaiting one vectored write.
-	wq      [][]byte
-	wqBytes int
-	wcoal   []byte // scratch for the coalesced single-Write path
+	wbuf []byte // pending fragment payload; fragSize bytes once written to
+	wpos int    // bytes of wbuf filled
+	sent int    // bytes already flushed in the current record
+	werr error  // sticky write error
 
 	// Read (decode) state.
 	rbuf  *bufio.Reader // read-ahead window over rw; nil until the first read
@@ -90,7 +84,6 @@ func (r *RecStream) PutBytes(p []byte) error {
 	if r.werr != nil {
 		return r.werr
 	}
-	r.wseal = false
 	if r.wbuf == nil {
 		r.wbuf = make([]byte, r.fragSize)
 	}
@@ -118,7 +111,6 @@ func (r *RecStream) EndRecord() error {
 		return err
 	}
 	r.sent = 0
-	r.wseal = true
 	return nil
 }
 
@@ -126,6 +118,15 @@ func (r *RecStream) EndRecord() error {
 // WriteRecord reserve this many bytes at the head of their message
 // buffer for the mark to be patched into.
 const RecordMarkLen = BytesPerUnit
+
+// putMark writes a fragment's record mark into m.
+func putMark(m []byte, payload int, last bool) {
+	u := uint32(payload)
+	if last {
+		u |= lastFragFlag
+	}
+	m[0], m[1], m[2], m[3] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
+}
 
 // maxFragPayload is the largest payload one fragment can carry: the low
 // 31 bits of the record mark.
@@ -163,24 +164,18 @@ func (r *RecStream) WriteRecord(buf []byte) error {
 		}
 		return r.EndRecord()
 	}
-	u := uint32(payload) | lastFragFlag
-	buf[0], buf[1], buf[2], buf[3] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
+	putMark(buf, payload, true)
 	if _, err := r.rw.Write(buf); err != nil {
 		r.werr = fmt.Errorf("xdr: write record: %w", err)
 		return r.werr
 	}
 	r.sent = 0
-	r.wseal = true
 	return nil
 }
 
 func (r *RecStream) flushFragment(last bool) error {
-	header := uint32(r.wpos)
-	if last {
-		header |= lastFragFlag
-	}
-	var h [BytesPerUnit]byte
-	h[0], h[1], h[2], h[3] = byte(header>>24), byte(header>>16), byte(header>>8), byte(header)
+	var h [RecordMarkLen]byte
+	putMark(h[:], r.wpos, last)
 	if _, err := r.rw.Write(h[:]); err != nil {
 		r.werr = fmt.Errorf("xdr: write fragment header: %w", err)
 		return r.werr

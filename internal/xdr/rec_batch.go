@@ -1,19 +1,21 @@
 package xdr
 
-// Queued-record mode and the group-commit record batcher: the syscall
-// amortization layer for stream transports. WriteRecord (rec.go) made
-// one message cost one Write; at pipeline depth the next measurable
-// overhead is that *each* message still costs its own Write. Here
-// complete framed records queue on the stream and leave together —
-// one writev (net.Buffers) or one coalesced Write — and RecBatcher
-// wraps that queue in a leader/follower protocol so concurrent
+// The group-commit record batcher: the write side of a stream
+// transport and its syscall amortization layer. WriteRecord (rec.go)
+// made one message cost one Write; at pipeline depth the next
+// measurable overhead is that *each* message still costs its own Write.
+// Here complete messages queue on the batcher, which frames them and
+// writes them together — one coalesced Write or one writev
+// (net.Buffers) — under a leader/follower protocol, so concurrent
 // handlers or callers sharing a connection amortize syscalls without
-// adding latency. The bytes on the wire are identical either way;
-// only the syscall boundaries move.
+// adding latency. It is the stream's one write buffer and one flush
+// decision, as xdr_rec.c's were; the bytes on the wire are those
+// WriteRecord writes record by record, only the syscall boundaries move.
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -28,91 +30,28 @@ import (
 // out via net.Buffers, which uses writev on kernel-socket writers.
 const coalesceLimit = 32 << 10
 
-// QueueRecord frames buf as one complete record — patching the record
-// mark into its reserved head exactly as WriteRecord does — and queues
-// it for the next Flush instead of writing it. The caller must keep buf
-// untouched until Flush returns; the wire bytes are identical to
-// WriteRecord's, only the syscall boundary moves.
-//
-// A record left open by PutBytes must be completed (EndRecord) before
-// queueing: its fragments may already be on the wire, and a queued
-// record injected after them would corrupt the stream framing. A
-// payload too large for a single fragment flushes the queue (keeping
-// FIFO order) and then writes through the generic fragmenting path
-// immediately.
-func (r *RecStream) QueueRecord(buf []byte) error {
-	if r.werr != nil {
-		return r.werr
+// appendFramed frames rec — a message after RecordMarkLen reserved
+// bytes, as WriteRecord takes it — and appends its wire form to vec. A
+// payload of at most limit bytes is one final fragment, its mark patched
+// into the reserved head: the bytes WriteRecord writes. A longer one
+// leaves in fragments of limit bytes, the first behind the reserved head
+// and each of the others behind a mark of its own.
+func appendFramed(vec [][]byte, rec []byte, limit int) [][]byte {
+	payload := rec[RecordMarkLen:]
+	if len(payload) <= limit {
+		putMark(rec, len(payload), true)
+		return append(vec, rec)
 	}
-	if len(buf) < RecordMarkLen {
-		return fmt.Errorf("xdr: QueueRecord: buffer shorter than the %d-byte record mark", RecordMarkLen)
+	putMark(rec, limit, false)
+	vec = append(vec, rec[:RecordMarkLen+limit])
+	for payload = payload[limit:]; len(payload) > 0; {
+		n := min(len(payload), limit)
+		m := make([]byte, RecordMarkLen)
+		putMark(m, n, n == len(payload))
+		vec = append(vec, m, payload[:n])
+		payload = payload[n:]
 	}
-	if r.wpos != 0 || r.sent != 0 {
-		return fmt.Errorf("xdr: QueueRecord: record open (mixing queued and incremental writes)")
-	}
-	payload := len(buf) - RecordMarkLen
-	if payload > maxFragPayload {
-		if err := r.Flush(); err != nil {
-			return err
-		}
-		if err := r.PutBytes(buf[RecordMarkLen:]); err != nil {
-			return err
-		}
-		return r.EndRecord()
-	}
-	u := uint32(payload) | lastFragFlag
-	buf[0], buf[1], buf[2], buf[3] = byte(u>>24), byte(u>>16), byte(u>>8), byte(u)
-	r.wq = append(r.wq, buf)
-	r.wqBytes += len(buf)
-	return nil
-}
-
-// Queued reports the records and bytes waiting for Flush.
-func (r *RecStream) Queued() (records, bytes int) { return len(r.wq), r.wqBytes }
-
-// Flush writes every queued record in one vectored write: small batches
-// coalesce into a single contiguous Write, larger ones leave via
-// net.Buffers (writev on kernel sockets). On a stream whose write side
-// has already failed the queue is discarded and the sticky error
-// returned — the records' delivery state is unknowable anyway.
-func (r *RecStream) Flush() error {
-	if r.werr != nil {
-		r.dropQueue()
-		return r.werr
-	}
-	var err error
-	switch {
-	case len(r.wq) == 0:
-		return nil
-	case len(r.wq) == 1:
-		_, err = r.rw.Write(r.wq[0])
-	case r.wqBytes <= coalesceLimit:
-		r.wcoal = r.wcoal[:0]
-		for _, b := range r.wq {
-			r.wcoal = append(r.wcoal, b...)
-		}
-		_, err = r.rw.Write(r.wcoal)
-	default:
-		bufs := net.Buffers(r.wq)
-		_, err = bufs.WriteTo(r.rw)
-	}
-	r.dropQueue()
-	if err != nil {
-		r.werr = fmt.Errorf("xdr: write record batch: %w", err)
-		return r.werr
-	}
-	r.wseal = true
-	return nil
-}
-
-// dropQueue forgets the queued records without retaining references to
-// their (caller-owned, typically pooled) buffers.
-func (r *RecStream) dropQueue() {
-	for i := range r.wq {
-		r.wq[i] = nil
-	}
-	r.wq = r.wq[:0]
-	r.wqBytes = 0
+	return vec
 }
 
 // DefaultBatchWatermark is the queued-bytes threshold at which
@@ -120,7 +59,7 @@ func (r *RecStream) dropQueue() {
 // fire-and-forget caller can pin before a terminal flush arrives.
 const DefaultBatchWatermark = coalesceLimit
 
-// RecBatcher serializes concurrent record writes onto one RecStream and
+// RecBatcher serializes concurrent record writes onto one connection and
 // coalesces them by group commit: the first writer to find no flush in
 // progress becomes the leader and writes the queued batch outside the
 // lock; records queued by other goroutines while the leader is inside
@@ -164,8 +103,8 @@ type RecBatcher struct {
 	// watermark-triggered flush all write immediately.
 	MoreWriters func() bool
 
+	w         io.Writer
 	mu        sync.Mutex // guards pend, spare, pendBytes, pendDL, flushing, err, errFired
-	rec       *RecStream
 	pend      []*[]byte
 	spare     []*[]byte // the emptied backing array pend swaps with at the next flush
 	pendBytes int
@@ -173,6 +112,11 @@ type RecBatcher struct {
 	flushing  bool
 	err       error
 	errFired  bool
+
+	// The leader's scratch, touched only under the flush claim: the
+	// framed batch as a write vector, and its coalesced copy.
+	vec  [][]byte
+	coal []byte
 }
 
 // ErrRejected wraps the sticky error when a record is refused before
@@ -183,18 +127,19 @@ type RecBatcher struct {
 // other write failure leaves the record's delivery state unknowable.
 var ErrRejected = errors.New("xdr: record rejected by failed batcher")
 
-// NewRecBatcher returns a batcher owning the write side of rec. The
-// stream must not be written through directly while the batcher is in
-// use.
-func NewRecBatcher(rec *RecStream) *RecBatcher {
-	return &RecBatcher{rec: rec}
+// NewRecBatcher returns a batcher owning the write side of w, which
+// must not be written through directly while the batcher is in use.
+func NewRecBatcher(w io.Writer) *RecBatcher {
+	return &RecBatcher{w: w}
 }
 
 // Write queues bp's record and ensures a flush is running: the caller
 // becomes the leader if no flush is in progress, otherwise the current
 // leader writes the record on its next iteration and Write returns
 // without waiting (a later failure then surfaces through OnError, not
-// this call). Ownership of bp transfers to the batcher.
+// this call). *bp is a message after RecordMarkLen reserved bytes, as
+// WriteRecord takes it; a buffer too short to hold the mark is refused
+// with an error. Ownership of bp transfers to the batcher.
 func (b *RecBatcher) Write(bp *[]byte) error { return b.add(bp, true, time.Time{}) }
 
 // WriteDeadline is Write with the issuing call's absolute deadline
@@ -223,6 +168,10 @@ func (b *RecBatcher) Pending() int {
 }
 
 func (b *RecBatcher) add(bp *[]byte, flush bool, dl time.Time) error {
+	if len(*bp) < RecordMarkLen {
+		PutBuf(bp)
+		return fmt.Errorf("xdr: RecBatcher: buffer shorter than the %d-byte record mark", RecordMarkLen)
+	}
 	// Asked before the lock: MoreWriters is the owner's code.
 	yield := flush && b.MoreWriters != nil && b.MoreWriters()
 	b.mu.Lock()
@@ -285,7 +234,7 @@ func (b *RecBatcher) flushLocked(yield bool) error {
 		b.pendBytes = 0
 		b.pendDL = time.Time{}
 		b.mu.Unlock()
-		err := b.writeTaken(taken, dl)
+		err := b.writeBatch(taken, dl)
 		b.mu.Lock()
 		clear(taken) // the buffers went back to the pool; keep no reference
 		b.spare = taken[:0]
@@ -316,42 +265,42 @@ func (b *RecBatcher) flushLocked(yield bool) error {
 	return err
 }
 
-// writeTaken writes the records a leader took off the queue in one
-// vectored write and releases every buffer — written, or stranded
-// behind a failed write. earliest is the tightest per-record deadline
-// among them (zero when none was attached).
-func (b *RecBatcher) writeTaken(taken []*[]byte, earliest time.Time) error {
-	err := b.writeBatch(taken, earliest)
-	for _, bp := range taken {
-		PutBuf(bp)
-	}
-	return err
-}
-
-// writeBatch frames one batch and writes it with one vectored write.
+// writeBatch frames the records a leader took off the queue, writes
+// them in one Write or one vectored write, and releases every buffer —
+// written, or stranded behind a failed write. earliest is the tightest
+// per-record deadline among them (zero when none was attached).
 func (b *RecBatcher) writeBatch(batch []*[]byte, earliest time.Time) error {
 	var err error
 	if b.PreWrite != nil {
 		err = b.PreWrite(earliest)
 	}
 	if err == nil {
+		size := 0
 		for _, bp := range batch {
-			if err = b.rec.QueueRecord(*bp); err != nil {
-				break
+			b.vec = appendFramed(b.vec, *bp, maxFragPayload)
+			size += len(*bp)
+		}
+		switch {
+		case len(b.vec) == 1:
+			_, err = b.w.Write(b.vec[0])
+		case size <= coalesceLimit:
+			b.coal = b.coal[:0]
+			for _, v := range b.vec {
+				b.coal = append(b.coal, v...)
 			}
+			_, err = b.w.Write(b.coal)
+		default:
+			bufs := net.Buffers(b.vec)
+			_, err = bufs.WriteTo(b.w)
+		}
+		clear(b.vec) // keep no reference to a buffer about to be released
+		b.vec = b.vec[:0]
+		if err != nil {
+			err = fmt.Errorf("xdr: write record batch: %w", err)
 		}
 	}
-	// Flush even after an error: it discards the stream's queue, so no
-	// reference to a buffer about to be released survives.
-	if ferr := b.rec.Flush(); err == nil {
-		err = ferr
+	for _, bp := range batch {
+		PutBuf(bp)
 	}
 	return err
-}
-
-// Err reports the sticky write error, if any.
-func (b *RecBatcher) Err() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.err
 }

@@ -5,29 +5,31 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-// queueWire writes each payload through QueueRecord+Flush and returns
-// the wire bytes plus the number of Write calls it took.
+// queueWire hands each payload to a RecBatcher with Queue, flushing
+// after every flushEvery records (0: only at the end), and returns the
+// wire bytes plus the number of Write calls they took.
 func queueWire(t *testing.T, payloads [][]byte, flushEvery int) ([]byte, int) {
 	t.Helper()
 	var cw countingWriter
 	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0)
+	b := NewRecBatcher(io.MultiWriter(&cw, &wire))
 	for i, p := range payloads {
-		if err := w.QueueRecord(preframed(p)); err != nil {
+		if err := b.Queue(pooled(p)); err != nil {
 			t.Fatalf("queue %d: %v", i, err)
 		}
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			if err := w.Flush(); err != nil {
+			if err := b.Flush(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return wire.Bytes(), cw.writes
@@ -68,25 +70,57 @@ func TestFlushSingleWrite(t *testing.T) {
 	}
 }
 
-// TestQueueRecordOpenRecordRejected: queued mode cannot interleave with
-// an open incremental record (its fragments may already be on the wire).
-func TestQueueRecordOpenRecordRejected(t *testing.T) {
+// TestAppendFramedSplits: a payload longer than the fragment limit
+// leaves as fragments of at most limit bytes, only the last one final,
+// and reads back as the one record; one within the limit is framed as
+// WriteRecord frames it.
+func TestAppendFramedSplits(t *testing.T) {
+	payload := pattern(16, 3)
 	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 0)
-	if err := w.PutLong(1); err != nil {
+	bufs := net.Buffers(appendFramed(nil, preframed(payload), 5))
+	if _, err := bufs.WriteTo(&wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.QueueRecord(preframed([]byte("x"))); err == nil {
-		t.Fatal("QueueRecord on an open record succeeded; framing would corrupt")
+	var want []byte
+	for i, frag := range [][]byte{payload[:5], payload[5:10], payload[10:15], payload[15:]} {
+		mark := []byte{0, 0, 0, byte(len(frag))}
+		if i == 3 {
+			mark[0] = 0x80 // the last fragment
+		}
+		want = append(append(want, mark...), frag...)
 	}
-	if err := w.EndRecord(); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(wire.Bytes(), want) {
+		t.Fatalf("16 bytes at limit 5:\n got %x\nwant %x", wire.Bytes(), want)
 	}
-	if err := w.QueueRecord(preframed([]byte("x"))); err != nil {
-		t.Fatalf("QueueRecord after EndRecord: %v", err)
+	got, err := NewRecStream(&rwPair{Reader: &wire}, 0).ReadRecord(nil)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %x, %v; want %x", got, err, payload)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+
+	for limit := 1; limit <= 17; limit++ {
+		for n := 0; n <= 20; n++ {
+			payload := pattern(n, byte(limit))
+			var wire, single bytes.Buffer
+			bufs := net.Buffers(appendFramed(nil, preframed(payload), limit))
+			if _, err := bufs.WriteTo(&wire); err != nil {
+				t.Fatal(err)
+			}
+			if n <= limit {
+				if err := NewRecStream(&rwPair{Writer: &single}, 0).WriteRecord(preframed(payload)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wire.Bytes(), single.Bytes()) {
+					t.Fatalf("%d bytes at limit %d: %x, WriteRecord wrote %x", n, limit, wire.Bytes(), single.Bytes())
+				}
+			}
+			if frags, wantFrags := (wire.Len()-n)/RecordMarkLen, max(1, (n+limit-1)/limit); frags != wantFrags {
+				t.Fatalf("%d bytes at limit %d: %d fragments, want %d", n, limit, frags, wantFrags)
+			}
+			got, err := NewRecStream(&rwPair{Reader: &wire}, 0).ReadRecord(nil)
+			if err != nil || !bytes.Equal(got, payload) || wire.Len() != 0 {
+				t.Fatalf("%d bytes at limit %d: read back %x, %v, %d bytes left", n, limit, got, err, wire.Len())
+			}
+		}
 	}
 }
 
@@ -94,22 +128,67 @@ type failingWriter struct{ err error }
 
 func (f *failingWriter) Write([]byte) (int, error) { return 0, f.err }
 
-// TestFlushStickyError: a failed flush poisons the stream and discards
-// later queued records instead of retaining their buffers.
+// retained counts the slots of b's queue arrays and write vector that
+// still reference a buffer. Every buffer goes back to the pool once its
+// batch is written or dropped, so any count above zero is a pooled
+// buffer the batcher can still reach.
+func retained(b *RecBatcher) int {
+	n := 0
+	for _, q := range [][]*[]byte{b.pend, b.spare} {
+		for _, bp := range q[:cap(q)] {
+			if bp != nil {
+				n++
+			}
+		}
+	}
+	for _, v := range b.vec[:cap(b.vec)] {
+		if v != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFlushStickyError: a failed flush poisons the batcher, rejects the
+// records handed in after it, and retains no buffer, written or not.
 func TestFlushStickyError(t *testing.T) {
 	boom := errors.New("boom")
-	w := NewRecStream(&rwPair{Writer: &failingWriter{boom}}, 0)
-	if err := w.QueueRecord(preframed([]byte("a"))); err != nil {
-		t.Fatal(err)
+	b := NewRecBatcher(&failingWriter{boom})
+	for _, p := range []string{"a", "b"} {
+		if err := b.Queue(pooled([]byte(p))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := w.Flush(); !errors.Is(err, boom) {
+	if err := b.Flush(); !errors.Is(err, boom) {
 		t.Fatalf("Flush error = %v, want %v", err, boom)
 	}
-	if err := w.QueueRecord(preframed([]byte("b"))); !errors.Is(err, boom) {
-		t.Fatalf("QueueRecord after failure = %v, want sticky %v", err, boom)
+	if err := b.Queue(pooled([]byte("c"))); !errors.Is(err, ErrRejected) || !errors.Is(err, boom) {
+		t.Fatalf("Queue after failure = %v, want ErrRejected wrapping %v", err, boom)
 	}
-	if n, _ := w.Queued(); n != 0 {
-		t.Fatalf("%d records retained after sticky error", n)
+	if n := b.Pending(); n != 0 {
+		t.Fatalf("%d records pending after sticky error", n)
+	}
+	if n := retained(b); n != 0 {
+		t.Fatalf("%d buffers still referenced after sticky error", n)
+	}
+}
+
+// TestRecBatcherShortBuffer: a buffer with no room for the record mark
+// is refused with an error, not a panic, and refused alone: nothing was
+// written, so the batcher carries on.
+func TestRecBatcherShortBuffer(t *testing.T) {
+	var wire bytes.Buffer
+	b := NewRecBatcher(&wire)
+	short := GetBuf(RecordMarkLen - 1)
+	*short = (*short)[:RecordMarkLen-1]
+	if err := b.Write(short); err == nil {
+		t.Fatal("accepted a buffer shorter than the record mark")
+	}
+	if err := b.Write(pooled([]byte("next"))); err != nil {
+		t.Fatalf("Write after a refused buffer: %v", err)
+	}
+	if got, err := NewRecStream(&rwPair{Reader: &wire}, 0).ReadRecord(nil); err != nil || string(got) != "next" {
+		t.Fatalf("read back %q, %v; want %q", got, err, "next")
 	}
 }
 
@@ -134,7 +213,7 @@ func TestRecBatcherCoalesces(t *testing.T) {
 		cw.Write(p)
 		return wire.Write(p)
 	})
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: lockedTee}, 0))
+	b := NewRecBatcher(lockedTee)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -181,7 +260,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // it flushes everything queued without an explicit Write/Flush.
 func TestRecBatcherQueueWatermark(t *testing.T) {
 	var cw countingWriter
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &cw}, 0))
+	b := NewRecBatcher(&cw)
 	first := pooled(bytes.Repeat([]byte{1}, 16))
 	queued := len(*first)
 	if err := b.Queue(first); err != nil {
@@ -206,7 +285,7 @@ func TestRecBatcherQueueWatermark(t *testing.T) {
 // flushing call, fires OnError exactly once, and poisons later writes.
 func TestRecBatcherErrorPropagates(t *testing.T) {
 	boom := errors.New("peer gone")
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: &failingWriter{boom}}, 0))
+	b := NewRecBatcher(&failingWriter{boom})
 	fired := 0
 	b.OnError = func(err error) {
 		fired++
@@ -255,7 +334,7 @@ func TestRecBatcherLoneWriterOneWrite(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var cw countingWriter
 			var wire bytes.Buffer
-			b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
+			b := NewRecBatcher(io.MultiWriter(&cw, &wire))
 			asked := 0
 			tc.configure(b, &asked)
 			for i, p := range payloads {
@@ -315,7 +394,7 @@ func TestRecBatcherYieldPicksUpRunnableFollowers(t *testing.T) {
 	const followers, rounds = 8, 50
 	var cw countingWriter
 	var wire bytes.Buffer
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: io.MultiWriter(&cw, &wire)}, 0))
+	b := NewRecBatcher(io.MultiWriter(&cw, &wire))
 	b.MoreWriters = func() bool { return true }
 	for i := 0; i < rounds; i++ {
 		lerr, ferrs := yieldRound(b, followers)
@@ -357,7 +436,7 @@ func TestRecBatcherYieldError(t *testing.T) {
 		cw.Write(p)
 		return 0, boom
 	})
-	b := NewRecBatcher(NewRecStream(&rwPair{Writer: failing}, 0))
+	b := NewRecBatcher(failing)
 	b.MoreWriters = func() bool { return true }
 	fired := 0
 	b.OnError = func(err error) {

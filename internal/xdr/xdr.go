@@ -18,8 +18,8 @@
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 1, the encoding layer: the primitive codecs, the buffer and record
-// streams (BufStream, RecStream with its queued-record batching mode
-// and the RecBatcher group-commit writer), and the shared buffer pool
+// streams (BufStream, RecStream, and RecBatcher, the group-commit
+// record writer of a stream transport), and the shared buffer pool
 // everything above allocates from. internal/rpcmsg (messages),
 // internal/wire (compiled stubs), and the transports in internal/client
 // and internal/server all bottom out here.

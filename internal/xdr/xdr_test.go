@@ -381,47 +381,6 @@ func TestOptionalFree(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	arms := []UnionArm{
-		{Value: 1, Marshal: nil}, // void arm
-		{Value: 2, Marshal: func(x *XDR) error { var v int32 = 9; return x.Long(&v) }},
-	}
-	buf := make([]byte, 32)
-	m := NewMemEncode(buf)
-	d := int32(2)
-	if err := Union(NewEncoder(m), &d, arms, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Buffer()) != 8 {
-		t.Fatalf("wire len = %d, want 8", len(m.Buffer()))
-	}
-
-	d = 1
-	m2 := NewMemEncode(buf)
-	if err := Union(NewEncoder(m2), &d, arms, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(m2.Buffer()) != 4 {
-		t.Fatalf("void arm wire len = %d, want 4", len(m2.Buffer()))
-	}
-
-	d = 99
-	err := Union(NewEncoder(NewMemEncode(buf)), &d, arms, nil)
-	if !errors.Is(err, ErrBadUnion) {
-		t.Fatalf("err = %v, want ErrBadUnion", err)
-	}
-
-	// A default arm accepts unlisted discriminants.
-	called := false
-	err = Union(NewEncoder(NewMemEncode(buf)), &d, arms, func(x *XDR) error {
-		called = true
-		return nil
-	})
-	if err != nil || !called {
-		t.Fatalf("default arm: err=%v called=%v", err, called)
-	}
-}
-
 func TestMemSetPos(t *testing.T) {
 	buf := make([]byte, 16)
 	m := NewMemEncode(buf)
