@@ -151,9 +151,11 @@ pipe-smoke:
 	$(GO) run ./cmd/sunbench -throughput -transport tcp -clients 2 -depth 16 -calls 40000
 
 # Short native-fuzz smoke over the decode boundary (the record-marking
-# reader and the RPC call-header decoder, fed raw bytes), the record
-# reader's read-ahead differential (whole delivery == seeded short
-# reads == a walk over the marks, records and error class alike), the
+# reader, fed raw bytes and read record by record, and the RPC
+# call-header decoder), the record reader's read-ahead differential
+# (ReadRecord under whole delivery == under seeded short reads == a walk
+# over the marks, records and error class alike; the seeds are framed
+# by hand, records of several fragments and empty non-final ones), the
 # record batcher under interleaved Write/Queue/Flush calls (every record
 # read back intact and in order, nothing left pending), the header
 # template differentials (template bytes == generic marshaler bytes),

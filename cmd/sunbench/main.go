@@ -19,7 +19,6 @@
 //	sunbench -chaos           # goodput + retry/reconnect counters under seeded faults
 //	sunbench -chaos -transport tcp -chaos-loss 0.2 -chaos-calls 1000 -seed 42
 //	sunbench -live-spec       # live codec comparison (incl. fused + compiled whole-call) over sim, udp, tcp
-//	sunbench -live-spec -fused=false          # the two plan series only (drops fused and compiled)
 //	sunbench -live-spec -header-path -json BENCH_live.json
 //	sunbench -header-path     # generic vs templated RPC header work
 //	sunbench -throughput -cpuprofile cpu.out -memprofile mem.out
@@ -60,7 +59,6 @@ func realMain() int {
 	chaosCalls := flag.Int("chaos-calls", 400, "total calls per -chaos point")
 	seed := flag.Int64("seed", 1, "fault-schedule seed for -chaos")
 	liveSpec := flag.Bool("live-spec", false, "measure the generic/specialized marshal plans over the live transports")
-	fused := flag.Bool("fused", true, "include the fused and compiled whole-call series in -live-spec (-fused=false for the two plan series only)")
 	liveSpecReps := flag.Int("live-spec-reps", 1, "complete -live-spec grid passes; the per-point median is reported")
 	headerPath := flag.Bool("header-path", false, "measure the generic vs templated RPC header encode/decode paths")
 	transports := flag.String("transport", "sim,udp,tcp", "comma-separated transports for -throughput and -live-spec")
@@ -112,7 +110,7 @@ func realMain() int {
 	live := false
 	if *liveSpec {
 		live = true
-		err = runLiveSpec(*transports, *calls, *liveSpecReps, !*fused, out)
+		err = runLiveSpec(*transports, *calls, *liveSpecReps, out)
 	}
 	if err == nil && *headerPath {
 		live = true
@@ -206,12 +204,11 @@ func splitTransports(transports string) []string {
 
 // runLiveSpec prints the paper's generic/specialized comparison measured
 // on the live wire path.
-func runLiveSpec(transports string, calls, reps int, skipFused bool, out *jsonReport) error {
+func runLiveSpec(transports string, calls, reps int, out *jsonReport) error {
 	rows, err := bench.LiveSpec(bench.LiveSpecOptions{
 		Transports: splitTransports(transports),
 		Calls:      calls,
 		Reps:       reps,
-		SkipFused:  skipFused,
 	})
 	if err != nil {
 		return err

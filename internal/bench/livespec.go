@@ -81,9 +81,6 @@ type LiveSpecOptions struct {
 	Calls int
 	// Warmup calls before each measurement. Default 50.
 	Warmup int
-	// SkipFused drops the fused and compiled whole-call series, leaving
-	// only the template+plan configurations.
-	SkipFused bool
 	// Reps runs the whole grid this many times — complete passes, so
 	// host drift lands on every series alike, the open-loop harness's
 	// interleaving — and reports the per-point median. Default 1.
@@ -260,17 +257,15 @@ func liveSpecOnce(o LiveSpecOptions) ([]LiveSpecResult, error) {
 				rm := func(x *xdr.XDR) error { return plan.Marshal(x, &out) }
 				runs = append(runs, series{m.String(), func() error { return c.Call(proc, am, rm) }})
 			}
-			if !o.SkipFused {
-				sp := livePlans[wire.Specialized]
-				runs = append(runs, series{FusedSeries, func() error {
-					return client.CallTyped(c, liveProcFused, sp, &in, sp, &out)
-				}})
-				cp := livespecrpc.PlanArr
-				cin, cout := (*livespecrpc.Livearr)(&in), (*livespecrpc.Livearr)(&out)
-				runs = append(runs, series{CompiledSeries, func() error {
-					return client.CallTyped(c, liveProcCompiled, cp, cin, cp, cout)
-				}})
-			}
+			sp := livePlans[wire.Specialized]
+			runs = append(runs, series{FusedSeries, func() error {
+				return client.CallTyped(c, liveProcFused, sp, &in, sp, &out)
+			}})
+			cp := livespecrpc.PlanArr
+			cin, cout := (*livespecrpc.Livearr)(&in), (*livespecrpc.Livearr)(&out)
+			runs = append(runs, series{CompiledSeries, func() error {
+				return client.CallTyped(c, liveProcCompiled, cp, cin, cp, cout)
+			}})
 			for _, sr := range runs {
 				doCall := sr.call
 				call := func() error {
@@ -316,10 +311,7 @@ func liveSpecOnce(o LiveSpecOptions) ([]LiveSpecResult, error) {
 
 // FormatLiveSpec renders the comparison grouped per transport, one row
 // per size with the configurations side by side and each one's speedup
-// over generic — the live rendering of Table 2's layout. Only series
-// that were measured get a column, so a SkipFused run prints the
-// two-configuration table instead of columns of zeros masquerading as
-// measurements.
+// over generic — the live rendering of Table 2's layout.
 func FormatLiveSpec(rows []LiveSpecResult) string {
 	type key struct {
 		tr string
@@ -327,7 +319,6 @@ func FormatLiveSpec(rows []LiveSpecResult) string {
 	}
 	byPoint := map[key]map[string]float64{}
 	var order []key
-	measured := map[string]bool{}
 	for _, r := range rows {
 		k := key{r.Transport, r.N}
 		if byPoint[k] == nil {
@@ -335,14 +326,11 @@ func FormatLiveSpec(rows []LiveSpecResult) string {
 			order = append(order, k)
 		}
 		byPoint[k][r.Mode] = r.NsPerCall
-		measured[r.Mode] = true
 	}
 	type column struct{ series, title, speedup string }
-	cols := []column{{"generic", "Generic", ""}, {"specialized", "Specialized", "Spd(S)"}}
-	for _, c := range []column{{FusedSeries, "Fused", "Spd(F)"}, {CompiledSeries, "Compiled", "Spd(X)"}} {
-		if measured[c.series] {
-			cols = append(cols, c)
-		}
+	cols := []column{
+		{"generic", "Generic", ""}, {"specialized", "Specialized", "Spd(S)"},
+		{FusedSeries, "Fused", "Spd(F)"}, {CompiledSeries, "Compiled", "Spd(X)"},
 	}
 	var sb strings.Builder
 	sb.WriteString("Live specialization: round-trip µs/call by marshal configuration (echo of 4-byte ints)\n")

@@ -68,28 +68,6 @@ func TestLiveSpecReps(t *testing.T) {
 	}
 }
 
-// TestLiveSpecSkipFused keeps the three-series shape reachable.
-func TestLiveSpecSkipFused(t *testing.T) {
-	rows, err := LiveSpec(LiveSpecOptions{
-		Transports: []string{"sim"},
-		Sizes:      []int{20},
-		Calls:      10,
-		Warmup:     2,
-		SkipFused:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(LiveModes) {
-		t.Fatalf("%d rows, want %d", len(rows), len(LiveModes))
-	}
-	for _, r := range rows {
-		if r.Mode == FusedSeries || r.Mode == CompiledSeries {
-			t.Fatalf("%s series present despite SkipFused", r.Mode)
-		}
-	}
-}
-
 // benchSizes is the paper's grid, the one the acceptance criteria cite.
 var benchSizes = Sizes
 

@@ -232,24 +232,17 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 		if cnt > n.bound {
 			return xdr.ErrTooBig
 		}
-		// The allocation rule (see ensureSlice). A memory stream knows what
-		// is left, so a count it cannot satisfy fails before anything is
-		// allocated; any other stream gets a bounded first allocation that
-		// doubles as elements actually decode.
-		total, have := int(cnt), int(cnt)
-		if ms, ok := x.Stream.(*xdr.MemStream); ok {
-			if int64(cnt)*int64(n.minWire) > int64(ms.Remaining()) {
-				return xdr.ErrOverflow
-			}
-		} else if total > h.cap {
-			have = min(total, max(1, xdr.MaxBlindAlloc/int(n.stride)))
+		// The allocation rule (see ensureSlice): a count the stream's
+		// remaining bytes cannot satisfy fails before anything is
+		// allocated, and a stream that cannot say what is left vouches
+		// for none.
+		ms, ok := x.Stream.(*xdr.MemStream)
+		if !ok || int64(cnt)*int64(n.minWire) > int64(ms.Remaining()) {
+			return xdr.ErrOverflow
 		}
-		data := ensureSlice(q, n.sliceT, have, n.stride)
+		total := int(cnt)
+		data := ensureSlice(q, n.sliceT, total, n.stride)
 		for i := 0; i < total; i++ {
-			if i == have {
-				have = min(total, 2*have)
-				data = growSlice(q, n.sliceT, have)
-			}
 			if err := walk(x, n.elem, unsafe.Add(data, uintptr(i)*n.stride)); err != nil {
 				return err
 			}
@@ -282,19 +275,18 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 //
 // The allocation rule, for every decoder in the tree that allocates from
 // a count read off the wire: a decoder never allocates more than the
-// bytes that can still arrive could fill. Where the stream knows what is
-// left (xdr.MemStream, through which every datagram, record and reply
-// the transports hand a decoder is read) the count times the element's
-// smallest wire size is checked against Remaining before the allocation
-// — decodeProg's opSliceRun and opSliceSub, the emitted routines,
-// walkVarArray, xdr.Array, xdr.Bytes and xdr.String all do. Where it
-// does not (a RecStream read unit by unit, a foreign Stream) the first
-// allocation is capped at xdr.MaxBlindAlloc bytes and later ones run no
-// further than that, or one doubling, ahead of what has actually decoded
-// (walkVarArray, the three xdr composites), so memory stays proportional
-// to data received. The rule has teeth only where an element costs wire
-// bytes, so a counted array whose element costs none is refused when it
-// is described (errZeroSizeElem), not here.
+// bytes that can still arrive could fill. Every decode reads memory —
+// an xdr.MemStream over the datagram, record or reply the transports
+// hand it — so the count times the element's smallest wire size is
+// checked against Remaining before the allocation: decodeProg's
+// opSliceRun and opSliceSub, the emitted routines, walkVarArray,
+// xdr.Bytes and xdr.String all do, and xdr.Array, whose element size it
+// cannot know, allocates no more elements up front than Remaining holds
+// units. A stream that cannot say what is left vouches for no count, so
+// a counted decode over it is refused before it allocates. The rule has
+// teeth only where an element costs wire bytes, so a counted array whose
+// element costs none is refused when it is described (errZeroSizeElem),
+// not here.
 func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintptr) unsafe.Pointer {
 	h := (*sliceHeader)(dst)
 	if cnt <= h.cap {
@@ -304,17 +296,6 @@ func ensureSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int, stride uintpt
 	ms := reflect.MakeSlice(sliceT, cnt, cnt)
 	reflect.NewAt(sliceT, dst).Elem().Set(ms)
 	return h.data
-}
-
-// growSlice replaces the slice at dst with one of cnt elements that
-// starts with the elements decoded so far: the doubling step of a decode
-// whose stream could not vouch for the count.
-func growSlice(dst unsafe.Pointer, sliceT reflect.Type, cnt int) unsafe.Pointer {
-	old := reflect.NewAt(sliceT, dst).Elem()
-	ns := reflect.MakeSlice(sliceT, cnt, cnt)
-	reflect.Copy(ns, old)
-	old.Set(ns)
-	return (*sliceHeader)(dst).data
 }
 
 // ---------------------------------------------------------------------------

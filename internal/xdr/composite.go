@@ -1,7 +1,5 @@
 package xdr
 
-import "unsafe"
-
 // This file carries the composite constructors of the original xdr.c:
 // counted arrays (xdr_array), fixed-length vectors (xdr_vector) and
 // optional data (xdr_pointer/xdr_reference). Discriminated unions
@@ -15,10 +13,11 @@ import "unsafe"
 // followed by each element marshaled with elem (xdr_array). maxLen bounds
 // the decoded count. On decode a slice with room for the count is kept
 // and decoded over; a larger count allocates under the allocation rule
-// (MaxBlindAlloc): no more elements up front than the stream's remaining
-// bytes could hold at one unit each, or than the cap where the stream
-// does not know, the rest appended as elements decode — which is also
-// how elements of zero wire size, of which any count can follow, arrive.
+// (see counted): no more elements up front than the MemStream's
+// remaining bytes could hold at one unit each, the rest appended as
+// elements decode — which is how elements of zero wire size, of which
+// any count can follow, arrive. Over any other stream the decode is
+// refused.
 func Array[T any](x *XDR, v *[]T, maxLen uint32, elem Proc[T]) error {
 	switch x.Op {
 	case Encode:
@@ -43,20 +42,19 @@ func Array[T any](x *XDR, v *[]T, maxLen uint32, elem Proc[T]) error {
 		if n > maxLen {
 			return ErrTooBig
 		}
+		// Only a MemStream vouches for a count; a negative total is one no
+		// 32-bit host can hold.
+		ms, ok := x.Stream.(*MemStream)
 		total := int(n)
-		if total < 0 {
-			return ErrOverflow // a count no 32-bit host can hold
+		if !ok || total < 0 {
+			return ErrOverflow
 		}
-		var zero T
 		if total <= cap(*v) {
 			*v = (*v)[:total]
 		} else {
-			first := MaxBlindAlloc / max(1, int(unsafe.Sizeof(zero)))
-			if left, ok := x.remaining(); ok {
-				first = left / BytesPerUnit
-			}
-			*v = make([]T, min(total, max(1, first)))
+			*v = make([]T, min(total, max(1, ms.Remaining()/BytesPerUnit)))
 		}
+		var zero T
 		for i := 0; i < total; i++ {
 			if i == len(*v) {
 				*v = append(*v, zero) // amortized doubling, one decoded element at a time

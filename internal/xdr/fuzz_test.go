@@ -3,7 +3,6 @@ package xdr
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -12,29 +11,17 @@ import (
 
 // FuzzRecRead feeds arbitrary bytes to the record-marking reader: the
 // first decode boundary a hostile TCP peer reaches. The reader must
-// never panic, never return more bytes than arrived, and never allocate
-// ahead of the data backing a fragment header's claimed length.
+// never panic, never hand out more bytes than arrived, and never
+// allocate ahead of the data backing a fragment header's claimed length.
 func FuzzRecRead(f *testing.F) {
 	// A well-formed single-fragment record.
-	var good bytes.Buffer
-	rs := NewRecStream(&good, 0)
-	if err := rs.PutBytes([]byte("hello world!")); err != nil {
-		f.Fatal(err)
-	}
-	if err := rs.EndRecord(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good.Bytes())
-	// A record split across two fragments.
-	var multi bytes.Buffer
-	rs = NewRecStream(&multi, 8)
-	if err := rs.PutBytes(bytes.Repeat([]byte{0xab}, 20)); err != nil {
-		f.Fatal(err)
-	}
-	if err := rs.EndRecord(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(multi.Bytes())
+	f.Add(frame([]byte("hello world!")))
+	// A record split across three fragments, and one whose payload fills
+	// its fragments exactly and ends in an empty final one.
+	f.Add(fragmented(bytes.Repeat([]byte{0xab}, 20), 8))
+	f.Add(append(fragment(pattern(8, 1), false), fragment(nil, true)...))
+	// Empty non-final fragments around a payload.
+	f.Add(append(append(fragment(nil, false), fragment(pattern(5, 2), false)...), fragment(nil, true)...))
 	// An empty final fragment, a truncated header, and a fragment header
 	// whose length lies far beyond the data behind it.
 	f.Add([]byte{0x80, 0, 0, 0})
@@ -42,17 +29,17 @@ func FuzzRecRead(f *testing.F) {
 	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := NewRecStream(bytes.NewBuffer(data), 0).ReadRecord(nil)
-		if err == nil && len(rec) > len(data) {
-			t.Fatalf("record %d bytes from %d input bytes", len(rec), len(data))
+		r := NewRecStream(bytes.NewBuffer(data), 0)
+		total := 0
+		for {
+			rec, err := r.ReadRecord(nil)
+			if total += len(rec); total > len(data) {
+				t.Fatalf("records of %d bytes from %d input bytes", total, len(data))
+			}
+			if err != nil {
+				break
+			}
 		}
-		// The streaming reader and skipper over the same input must not
-		// panic either.
-		s := NewRecStream(bytes.NewBuffer(data), 0)
-		var v int32
-		for s.GetLong(&v) == nil {
-		}
-		_ = NewRecStream(bytes.NewBuffer(data), 0).SkipRecord()
 	})
 }
 
@@ -77,14 +64,10 @@ func (s *shortReader) Read(p []byte) (int, error) {
 // errClass reduces a read error to what callers may branch on.
 func errClass(err error) string {
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return "unexpected-eof"
 	case errors.Is(err, io.EOF):
 		return "eof"
-	case errors.Is(err, ErrOverflow):
-		return "overflow"
 	case errors.Is(err, ErrRecordTooLarge):
 		return "too-large"
 	}
@@ -122,49 +105,13 @@ func refRecords(data []byte, maxRecord int) (recs [][]byte, class string) {
 	return recs, "eof"
 }
 
-// readScript drives ReadRecord, GetBytes and SkipRecord over one stream
-// in an order drawn from seed until the first error, and returns a
-// transcript of everything the stream handed out.
-func readScript(r *RecStream, seed int64) string {
-	var log bytes.Buffer
-	rng := rand.New(rand.NewSource(seed))
-	for step := 0; step < 1<<12; step++ {
-		var err error
-		switch op := rng.Intn(4); op {
-		case 0, 1:
-			var rec []byte
-			rec, err = r.ReadRecord(nil)
-			fmt.Fprintf(&log, "record %x %s\n", rec, errClass(err))
-		case 2:
-			p := make([]byte, rng.Intn(10))
-			err = r.GetBytes(p)
-			if err != nil {
-				p = nil // a failed GetBytes defines no output
-			}
-			fmt.Fprintf(&log, "bytes %x %s\n", p, errClass(err))
-			if errors.Is(err, ErrOverflow) {
-				err = nil // the record is spent, the stream is fine
-			}
-		case 3:
-			err = r.SkipRecord()
-			fmt.Fprintf(&log, "skip %s\n", errClass(err))
-		}
-		if err != nil {
-			break
-		}
-	}
-	return log.String()
-}
-
 // FuzzRecReadDiff checks the read-ahead window differentially. The same
 // bytes are read through a reader that delivers them whole and through
 // one that delivers 1..k bytes per Read, with windows from 16 bytes up:
-// (1) ReadRecord alone must hand out exactly the records a walk over
-// the marks finds, and end with io.EOF when the input stops on a record
-// boundary, io.ErrUnexpectedEOF when it stops inside a record, and
-// ErrRecordTooLarge where the bound is crossed; (2) a seeded interleaving
-// of ReadRecord, GetBytes and SkipRecord on one stream must produce the
-// same transcript however the reads were cut.
+// both must hand out exactly the records a walk over the marks finds,
+// and end with io.EOF when the input stops on a record boundary,
+// io.ErrUnexpectedEOF when it stops inside a record, and
+// ErrRecordTooLarge where the bound is crossed.
 func FuzzRecReadDiff(f *testing.F) {
 	two := frame([]byte("hello world!"), bytes.Repeat([]byte{0xcd}, 90))
 	f.Add(two, int64(1), uint8(3), uint8(0))
@@ -177,21 +124,23 @@ func FuzzRecReadDiff(f *testing.F) {
 	// them alone to spend the whole bound.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 1, 7}, int64(7), uint8(2), uint8(0))
 	f.Add(make([]byte, 4*(1<<10+1)), int64(8), uint8(9), uint8(40))
+	// Records of several fragments, empty non-final ones among them, read
+	// whole and cut short inside the last.
+	multi := append(fragmented(pattern(40, 5), 8), fragment(nil, false)...)
+	multi = append(append(multi, fragment(pattern(8, 6), false)...), fragment(nil, false)...)
+	multi = append(multi, fragmented(pattern(16, 7), 8)...)
+	f.Add(multi, int64(9), uint8(6), uint8(0))
+	f.Add(multi[:len(multi)-3], int64(10), uint8(2), uint8(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, k, win uint8) {
 		const maxRecord = 1 << 12
 		window := 16 + int(win) // bufio's minimum, so every value is a distinct size
-		streams := func() (whole, short *RecStream) {
-			whole = NewRecStream(&rwPair{Reader: bytes.NewReader(data)}, window)
-			short = NewRecStream(&rwPair{Reader: &shortReader{
-				data: data, rng: rand.New(rand.NewSource(seed)), k: 1 + int(k)}}, window)
-			whole.MaxRecord, short.MaxRecord = maxRecord, maxRecord
-			return whole, short
-		}
-
 		wantRecs, wantClass := refRecords(data, maxRecord)
-		whole, short := streams()
+		whole := NewRecStream(&rwPair{Reader: bytes.NewReader(data)}, window)
+		short := NewRecStream(&rwPair{Reader: &shortReader{
+			data: data, rng: rand.New(rand.NewSource(seed)), k: 1 + int(k)}}, window)
 		for name, r := range map[string]*RecStream{"whole": whole, "short": short} {
+			r.MaxRecord = maxRecord
 			for i := 0; ; i++ {
 				rec, err := r.ReadRecord(nil)
 				if err != nil {
@@ -208,11 +157,6 @@ func FuzzRecReadDiff(f *testing.F) {
 					t.Fatalf("%s reads: record %d = %x, not what the marks say", name, i, rec)
 				}
 			}
-		}
-
-		whole, short = streams()
-		if a, b := readScript(whole, seed), readScript(short, seed); a != b {
-			t.Fatalf("interleaved reads diverge.\nwhole:\n%s\nshort:\n%s", a, b)
 		}
 	})
 }

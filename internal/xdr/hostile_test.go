@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"specrpc/internal/testutil"
@@ -27,20 +28,25 @@ var countedDecoders = map[string]func(x *XDR) error{
 	},
 }
 
-// streamsOver returns the two kinds of stream a decoder meets, each
+// foreignStream moves a MemStream's bytes without being one: a Stream
+// that cannot say how much data is left.
+type foreignStream struct{ *MemStream }
+
+// streamsOver returns the two kinds of stream a decoder can meet, each
 // positioned at the start of body: the one that knows what is left, and
-// a record stream read unit by unit, which does not.
+// a foreign one, which does not.
 func streamsOver(body []byte) map[string]func() Stream {
-	framed := frame(body)
 	return map[string]func() Stream{
 		"MemStream": func() Stream { return NewMemDecode(body) },
-		"RecStream": func() Stream { return NewRecStream(&rwPair{Reader: bytes.NewReader(framed)}, 0) },
+		"foreign":   func() Stream { return foreignStream{NewMemDecode(body)} },
 	}
 }
 
 // TestHostileCountsAllocateLittle: a gigabyte count with nothing, or
 // next to nothing, behind it fails in every composite on both kinds of
-// stream — and fails cheaply.
+// stream — and fails cheaply. Over the foreign stream every counted
+// decode is refused, even one whose data is all there: only a stream
+// that knows what is left can vouch for a count.
 func TestHostileCountsAllocateLittle(t *testing.T) {
 	for _, body := range [][]byte{
 		{0x3f, 0xff, 0xff, 0xff},
@@ -53,27 +59,38 @@ func TestHostileCountsAllocateLittle(t *testing.T) {
 				if err == nil {
 					t.Errorf("%s on a %s: count %x decoded", name, kind, body[:4])
 				}
-				if got > 1<<20 {
+				if got >= 1<<10 {
 					t.Errorf("%s on a %s: allocated %d bytes for a count with %d bytes behind it", name, kind, got, len(body)-4)
 				}
 			}
 		}
 	}
+	whole := []byte{0, 0, 0, 1, 0, 0, 0, 7}
+	for name, decode := range countedDecoders {
+		if err := decode(NewDecoder(NewMemDecode(whole))); err != nil {
+			t.Fatalf("%s on a MemStream: %v", name, err)
+		}
+		var err error
+		got := testutil.AllocBytes(func() { err = decode(NewDecoder(foreignStream{NewMemDecode(whole)})) })
+		if !errors.Is(err, ErrOverflow) || got >= 1<<10 {
+			t.Errorf("%s on a foreign stream: err %v after %d bytes allocated; want ErrOverflow, under 1 KiB", name, err, got)
+		}
+	}
 }
 
-// TestCountedDecodeGrowsWithTheData: where the stream cannot vouch for a
-// count, a value larger than the first capped allocation still arrives
-// whole — the allocation doubles behind the data — and on both kinds of
-// stream the bytes are the ones sent.
+// TestCountedDecodeGrowsWithTheData: values far larger than any fixed
+// allocation step arrive whole, the bytes the ones sent, each sized in
+// one allocation from the count the MemStream vouched for.
 func TestCountedDecodeGrowsWithTheData(t *testing.T) {
-	blob := pattern(5*MaxBlindAlloc+3, 9)
-	nums := make([]int32, MaxBlindAlloc) // four times the first allocation's elements
+	const big = 64 << 10
+	blob := pattern(5*big+3, 9)
+	nums := make([]int32, big)
 	for i := range nums {
 		nums[i] = int32(i) * 7
 	}
 	bs := NewBufEncode(nil)
 	enc := NewEncoder(bs)
-	str := string(blob[:2*MaxBlindAlloc+1])
+	str := string(blob[:2*big+1])
 	if err := enc.Bytes(&blob, NoSizeLimit); err != nil {
 		t.Fatal(err)
 	}
@@ -83,38 +100,34 @@ func TestCountedDecodeGrowsWithTheData(t *testing.T) {
 	if err := enc.String(&str, NoSizeLimit); err != nil {
 		t.Fatal(err)
 	}
-	for kind, open := range streamsOver(bs.Buffer()) {
-		dec := NewDecoder(open())
-		var gotBlob []byte
-		var gotNums []int32
-		var gotStr string
-		if err := dec.Bytes(&gotBlob, NoSizeLimit); err != nil || !bytes.Equal(gotBlob, blob) {
-			t.Fatalf("%s: Bytes: %d bytes, err %v", kind, len(gotBlob), err)
+	dec := NewDecoder(NewMemDecode(bs.Buffer()))
+	var gotBlob []byte
+	var gotNums []int32
+	var gotStr string
+	if err := dec.Bytes(&gotBlob, NoSizeLimit); err != nil || !bytes.Equal(gotBlob, blob) || cap(gotBlob) != len(blob) {
+		t.Fatalf("Bytes: %d bytes (cap %d), err %v", len(gotBlob), cap(gotBlob), err)
+	}
+	if err := Array(dec, &gotNums, NoSizeLimit, (*XDR).Long); err != nil || len(gotNums) != len(nums) || cap(gotNums) != len(nums) {
+		t.Fatalf("Array: %d elements (cap %d), err %v", len(gotNums), cap(gotNums), err)
+	}
+	for i := range nums {
+		if gotNums[i] != nums[i] {
+			t.Fatalf("Array element %d = %d, want %d", i, gotNums[i], nums[i])
 		}
-		if err := Array(dec, &gotNums, NoSizeLimit, (*XDR).Long); err != nil || len(gotNums) != len(nums) {
-			t.Fatalf("%s: Array: %d elements, err %v", kind, len(gotNums), err)
-		}
-		for i := range nums {
-			if gotNums[i] != nums[i] {
-				t.Fatalf("%s: Array element %d = %d, want %d", kind, i, gotNums[i], nums[i])
-			}
-		}
-		if err := dec.String(&gotStr, NoSizeLimit); err != nil || gotStr != str {
-			t.Fatalf("%s: String: %d bytes, err %v", kind, len(gotStr), err)
-		}
+	}
+	if err := dec.String(&gotStr, NoSizeLimit); err != nil || gotStr != str {
+		t.Fatalf("String: %d bytes, err %v", len(gotStr), err)
 	}
 }
 
 // TestArrayOfNothing: an element of zero wire size is not refused
 // however many the count announces — no bytes need follow them.
 func TestArrayOfNothing(t *testing.T) {
-	for kind, open := range streamsOver([]byte{0, 0, 0x27, 0x10}) {
-		var v []struct{}
-		calls := 0
-		err := Array(NewDecoder(open()), &v, NoSizeLimit, func(*XDR, *struct{}) error { calls++; return nil })
-		if err != nil || len(v) != 10000 || calls != 10000 {
-			t.Errorf("%s: %d elements, %d decoded, err %v", kind, len(v), calls, err)
-		}
+	var v []struct{}
+	calls := 0
+	err := Array(NewDecoder(NewMemDecode([]byte{0, 0, 0x27, 0x10})), &v, NoSizeLimit, func(*XDR, *struct{}) error { calls++; return nil })
+	if err != nil || len(v) != 10000 || calls != 10000 {
+		t.Errorf("%d elements, %d decoded, err %v", len(v), calls, err)
 	}
 }
 

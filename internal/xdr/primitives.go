@@ -195,55 +195,23 @@ func (x *XDR) Bytes(p *[]byte, maxSize uint32) error {
 	}
 }
 
-// MaxBlindAlloc caps, in bytes, what a decoder allocates on the word of
-// a count alone, when its stream cannot say how much data is left: no
-// allocation runs further than this ahead of the data that has actually
-// decoded. The rule it serves — a decoder never allocates more than the
-// bytes that can still arrive could fill — is stated beside wire's
-// ensureSlice.
-const MaxBlindAlloc = 64 << 10
-
-// remaining reports how many bytes the handle's stream can still
-// deliver, when it knows: a MemStream does exactly, a record stream read
-// unit by unit or a foreign Stream does not.
-func (x *XDR) remaining() (int, bool) {
-	if ms, ok := x.Stream.(*MemStream); ok {
-		return ms.Remaining(), true
-	}
-	return 0, false
-}
-
 // counted decodes the n bytes and the padding behind a count already
 // read. A dst with room for them is kept and decoded over, like every
-// other decode destination; otherwise the bytes are allocated under the
-// allocation rule: in one piece once a stream that knows what is left
-// has vouched for them, else in steps of MaxBlindAlloc as they arrive.
+// other decode destination; otherwise they are allocated in one piece.
+// Either way the stream must first vouch for them — the allocation rule
+// stated beside wire's ensureSlice — so a decode over anything but a
+// MemStream, which alone knows what is left, is refused.
 func (x *XDR) counted(dst []byte, n uint32) ([]byte, error) {
+	ms, ok := x.Stream.(*MemStream)
+	if !ok || uint64(n) > uint64(ms.Remaining()) {
+		return nil, ErrOverflow
+	}
 	if uint64(n) <= uint64(cap(dst)) {
 		dst = dst[:n]
-		return dst, x.Opaque(dst)
-	}
-	if left, ok := x.remaining(); ok {
-		if uint64(n) > uint64(left) {
-			return nil, ErrOverflow
-		}
+	} else {
 		dst = make([]byte, n)
-		return dst, x.Opaque(dst)
 	}
-	total := int(n)
-	if total < 0 {
-		return nil, ErrOverflow // a count no 32-bit host can hold
-	}
-	dst = nil
-	for len(dst) < total {
-		have := len(dst)
-		dst = append(dst, make([]byte, min(total-have, MaxBlindAlloc))...)
-		if err := x.Stream.GetBytes(dst[have:]); err != nil {
-			return nil, err
-		}
-	}
-	var pad [BytesPerUnit]byte
-	return dst, x.Stream.GetBytes(pad[:Pad(total)])
+	return dst, x.Opaque(dst)
 }
 
 // NoSizeLimit disables the bound of a counted field, as passing ~0 did in C.

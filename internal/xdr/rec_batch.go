@@ -114,9 +114,12 @@ type RecBatcher struct {
 	errFired  bool
 
 	// The leader's scratch, touched only under the flush claim: the
-	// framed batch as a write vector, and its coalesced copy.
+	// framed batch as a write vector, its coalesced copy, and the
+	// net.Buffers a vectored write consumes — a field, as a local would
+	// move to the heap on every such write (WriteTo's receiver escapes).
 	vec  [][]byte
 	coal []byte
+	bufs net.Buffers
 }
 
 // ErrRejected wraps the sticky error when a record is refused before
@@ -290,8 +293,8 @@ func (b *RecBatcher) writeBatch(batch []*[]byte, earliest time.Time) error {
 			}
 			_, err = b.w.Write(b.coal)
 		default:
-			bufs := net.Buffers(b.vec)
-			_, err = bufs.WriteTo(b.w)
+			b.bufs = b.vec
+			_, err = b.bufs.WriteTo(b.w)
 		}
 		clear(b.vec) // keep no reference to a buffer about to be released
 		b.vec = b.vec[:0]

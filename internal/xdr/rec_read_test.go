@@ -35,16 +35,33 @@ func (s *segReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// fragment frames payload by hand as one fragment: its mark, the top
+// bit set on a record's last, then the bytes.
+func fragment(payload []byte, last bool) []byte {
+	u := uint32(len(payload))
+	if last {
+		u |= 1 << 31
+	}
+	return append([]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}, payload...)
+}
+
+// fragmented frames payload as one record of fragments of size bytes,
+// the last one shorter or, for an empty payload, empty.
+func fragmented(payload []byte, size int) []byte {
+	var wire []byte
+	for ; len(payload) > size; payload = payload[size:] {
+		wire = append(wire, fragment(payload[:size], false)...)
+	}
+	return append(wire, fragment(payload, true)...)
+}
+
 // frame builds the wire bytes of single-fragment records.
 func frame(payloads ...[]byte) []byte {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 0)
+	var wire []byte
 	for _, p := range payloads {
-		if err := w.WriteRecord(preframed(p)); err != nil {
-			panic(err)
-		}
+		wire = append(wire, fragment(p, true)...)
 	}
-	return wire.Bytes()
+	return wire
 }
 
 func pattern(n int, salt byte) []byte {
@@ -179,58 +196,43 @@ func TestReadAheadSurvivesTimeouts(t *testing.T) {
 	}
 }
 
-// TestReadEntryPointsCompose drives GetLong/GetBytes, SkipRecord and
-// ReadRecord over one stream and one window: each picks up exactly where
-// the last one stopped, across fragments, with a window smaller than the
-// records.
+// TestReadEntryPointsCompose drives ReadRecord and AtBoundary over one
+// stream and one window: each read picks up exactly where the last one
+// stopped, across fragments — empty non-final ones among them — with a
+// window smaller than the records and the connection cut into 7-byte
+// reads, and AtBoundary holds exactly where no record is open and no
+// byte past the last one read has been taken off the connection; the
+// stream ends with io.EOF at a boundary.
 func TestReadEntryPointsCompose(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 8) // multi-fragment records
 	recs := [][]byte{pattern(40, 5), pattern(24, 6), pattern(60, 7), pattern(12, 8)}
-	for _, p := range recs {
-		if err := w.PutBytes(p); err != nil {
-			t.Fatal(err)
+	var wire []byte
+	var ends []int // the wire offset at which each record ends
+	for i, p := range recs {
+		if i == 1 { // an empty fragment ahead of the payload and one inside it
+			wire = append(wire, fragment(nil, false)...)
+			wire = append(wire, fragment(p[:8], false)...)
+			wire = append(wire, fragment(nil, false)...)
+			p = p[8:]
 		}
-		if err := w.EndRecord(); err != nil {
-			t.Fatal(err)
+		wire = append(wire, fragmented(p, 8)...)
+		ends = append(ends, len(wire))
+	}
+	src := &chunkedReader{data: wire, chunk: 7}
+	r := NewRecStream(&rwPair{Reader: src}, 8)
+	if !r.AtBoundary() {
+		t.Fatal("fresh stream not at a boundary")
+	}
+	for i, want := range recs {
+		got, err := r.ReadRecord(nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("record %d: %x, err %v; want %x", i, got, err, want)
+		}
+		if taken := len(wire) - len(src.data); r.AtBoundary() != (taken == ends[i]) {
+			t.Fatalf("after record %d, %d wire bytes taken, the record ending at %d: AtBoundary = %v",
+				i, taken, ends[i], r.AtBoundary())
 		}
 	}
-	r := NewRecStream(&rwPair{Reader: &chunkedReader{data: wire.Bytes(), chunk: 7}}, 8)
-
-	// Record 0: one long, then the rest as a record.
-	var v int32
-	if err := r.GetLong(&v); err != nil {
-		t.Fatal(err)
-	}
-	if want := int32(uint32(recs[0][0])<<24 | uint32(recs[0][1])<<16 | uint32(recs[0][2])<<8 | uint32(recs[0][3])); v != want {
-		t.Fatalf("GetLong = %#x, want %#x", v, want)
-	}
-	if rest, err := r.ReadRecord(nil); err != nil || !bytes.Equal(rest, recs[0][4:]) {
-		t.Fatalf("ReadRecord after GetLong: %d bytes, err %v", len(rest), err)
-	}
-	// Record 1: some bytes, then skip.
-	head := make([]byte, 10)
-	if err := r.GetBytes(head); err != nil || !bytes.Equal(head, recs[1][:10]) {
-		t.Fatalf("GetBytes: %v, err %v", head, err)
-	}
-	if err := r.SkipRecord(); err != nil {
-		t.Fatal(err)
-	}
-	// Record 2 whole; record 3 byte-wise to exhaustion.
-	if got, err := r.ReadRecord(nil); err != nil || !bytes.Equal(got, recs[2]) {
-		t.Fatalf("ReadRecord: %d bytes, err %v", len(got), err)
-	}
-	all := make([]byte, len(recs[3]))
-	if err := r.GetBytes(all); err != nil || !bytes.Equal(all, recs[3]) {
-		t.Fatalf("GetBytes whole record: err %v", err)
-	}
-	if err := r.GetLong(&v); err != ErrOverflow {
-		t.Fatalf("read past the record = %v, want ErrOverflow", err)
-	}
-	if err := r.SkipRecord(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadRecord(nil); !errors.Is(err, io.EOF) || !r.AtBoundary() {
+	if _, err := r.ReadRecord(nil); !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || !r.AtBoundary() {
 		t.Fatalf("end of stream = %v (AtBoundary %v), want io.EOF at a boundary", err, r.AtBoundary())
 	}
 }
@@ -274,7 +276,7 @@ func TestMaxRecord(t *testing.T) {
 		if got, err := r.ReadRecord(nil); !errors.Is(err, ErrRecordTooLarge) || len(got) != 0 {
 			t.Fatalf("%d bytes, err = %v, want ErrRecordTooLarge", len(got), err)
 		}
-		if err := r.SkipRecord(); !errors.Is(err, ErrRecordTooLarge) {
+		if _, err := r.ReadRecord(nil); !errors.Is(err, ErrRecordTooLarge) {
 			t.Fatalf("second read = %v; the refusal must stick", err)
 		}
 		if want := limit + DefaultFragmentSize; src.n > want {
@@ -316,10 +318,14 @@ func TestMaxRecord(t *testing.T) {
 		}
 	})
 	t.Run("streaming reads too", func(t *testing.T) {
-		r := NewRecStream(&rwPair{Reader: &loopReader{frame: nonFinal(300)}}, 0)
+		// The bound counts across fragments however the reads fall: one
+		// record of 300-byte fragments, taken 7 bytes a Read, is refused
+		// at its fourth fragment.
+		wire := bytes.Repeat(nonFinal(300), 4)
+		r := NewRecStream(&rwPair{Reader: &chunkedReader{data: append(wire, fragment(nil, true)...), chunk: 7}}, 16)
 		r.MaxRecord = limit
-		if err := r.SkipRecord(); !errors.Is(err, ErrRecordTooLarge) {
-			t.Fatalf("SkipRecord = %v, want ErrRecordTooLarge", err)
+		if got, err := r.ReadRecord(nil); !errors.Is(err, ErrRecordTooLarge) || len(got) != 900 {
+			t.Fatalf("%d bytes, err = %v, want 900 and ErrRecordTooLarge", len(got), err)
 		}
 	})
 }
@@ -338,24 +344,23 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestRecStreamLazyBuffers: a stream allocates its fragment buffer on
-// the first PutBytes and its window on the first read, so the two
-// one-directional streams a connection is served by cost one buffer
-// each, and a WriteRecord-only writer costs none.
+// TestRecStreamLazyBuffers: a stream allocates its window on the first
+// read, so a WriteRecord-only writer costs none, and the window is
+// DefaultFragmentSize by default.
 func TestRecStreamLazyBuffers(t *testing.T) {
 	var wire bytes.Buffer
 	w := NewRecStream(&rwPair{Writer: &wire}, 0)
 	if err := w.WriteRecord(preframed([]byte("abcd"))); err != nil {
 		t.Fatal(err)
 	}
-	if w.wbuf != nil || w.rbuf != nil {
-		t.Fatal("WriteRecord allocated a fragment buffer or a window")
+	if w.rbuf != nil {
+		t.Fatal("WriteRecord allocated a window")
 	}
 	r := NewRecStream(&rwPair{Reader: &wire}, 0)
 	if _, err := r.ReadRecord(nil); err != nil {
 		t.Fatal(err)
 	}
-	if r.wbuf != nil || r.rbuf.Size() != DefaultFragmentSize {
-		t.Fatalf("reader: wbuf %d bytes, window %d bytes", len(r.wbuf), r.rbuf.Size())
+	if r.rbuf.Size() != DefaultFragmentSize {
+		t.Fatalf("reader: window %d bytes", r.rbuf.Size())
 	}
 }

@@ -35,22 +35,31 @@ type rwPair struct {
 	io.Writer
 }
 
+// TestRecStreamRoundTrip: a record is decoded from memory. The stream
+// moves whole records and is no XDR stream itself; a MemStream over the
+// record ReadRecord returns is.
 func TestRecStreamRoundTrip(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 16)
-	enc := NewEncoder(w)
+	if _, ok := any(NewRecStream(&rwPair{}, 0)).(Stream); ok {
+		t.Fatal("RecStream is an XDR stream again")
+	}
+	bs := NewBufEncode(nil)
+	enc := NewEncoder(bs)
 	for i := int32(0); i < 20; i++ {
 		v := i * 3
 		if err := enc.Long(&v); err != nil {
 			t.Fatalf("encode %d: %v", i, err)
 		}
 	}
-	if err := w.EndRecord(); err != nil {
+	var wire bytes.Buffer
+	if err := NewRecStream(&rwPair{Writer: &wire}, 16).WriteRecord(preframed(bs.Buffer())); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewRecStream(&rwPair{Reader: &wire}, 16)
-	dec := NewDecoder(r)
+	rec, err := NewRecStream(&rwPair{Reader: &wire}, 16).ReadRecord(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(NewMemDecode(rec))
 	for i := int32(0); i < 20; i++ {
 		var v int32
 		if err := dec.Long(&v); err != nil {
@@ -67,99 +76,61 @@ func TestRecStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecStreamFragmentation: a record of 100 bytes in 16-byte fragments
+// reassembles byte for byte however the transport cuts the reads.
 func TestRecStreamFragmentation(t *testing.T) {
-	// 100 bytes of payload through 16-byte fragments = 7 fragments.
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 16)
-	payload := make([]byte, 100)
-	for i := range payload {
-		payload[i] = byte(i)
+	payload := pattern(100, 0)
+	wire := fragmented(payload, 16)
+	if want := 100 + 7*4; len(wire) != want { // payload + 7 fragment marks
+		t.Fatalf("wire bytes = %d, want %d", len(wire), want)
 	}
-	if err := w.PutBytes(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRecord(); err != nil {
-		t.Fatal(err)
-	}
-	wantWire := 100 + 7*4 // payload + 7 fragment headers
-	if wire.Len() != wantWire {
-		t.Fatalf("wire bytes = %d, want %d", wire.Len(), wantWire)
-	}
-
-	// Reassembly must be byte-identical regardless of how the transport
-	// fragments reads (property over chunk size).
 	f := func(chunk uint8) bool {
 		c := int(chunk%13) + 1
-		r := NewRecStream(&rwPair{Reader: &chunkedReader{data: wire.Bytes(), chunk: c}}, 16)
-		got := make([]byte, 100)
-		if err := r.GetBytes(got); err != nil {
-			return false
-		}
-		return bytes.Equal(got, payload)
+		r := NewRecStream(&rwPair{Reader: &chunkedReader{data: wire, chunk: c}}, 16)
+		got, err := r.ReadRecord(nil)
+		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRecStreamMultipleRecords: records of several fragments each, back
+// to back, read back one by one, each read stopping at its record's end.
 func TestRecStreamMultipleRecords(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 8)
-	enc := NewEncoder(w)
-	for rec := int32(0); rec < 3; rec++ {
-		for i := int32(0); i < 5; i++ {
-			v := rec*100 + i
-			if err := enc.Long(&v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.EndRecord(); err != nil {
-			t.Fatal(err)
-		}
+	var wire []byte
+	for rec := 0; rec < 3; rec++ {
+		wire = append(wire, fragmented(pattern(20, byte(rec)), 8)...)
 	}
-
-	r := NewRecStream(&rwPair{Reader: &wire}, 8)
-	dec := NewDecoder(r)
-	for rec := int32(0); rec < 3; rec++ {
-		// Only read part of each record, then skip to the next —
-		// exercising xdrrec_skiprecord.
-		var v int32
-		if err := dec.Long(&v); err != nil {
-			t.Fatalf("record %d: %v", rec, err)
-		}
-		if v != rec*100 {
-			t.Fatalf("record %d first = %d, want %d", rec, v, rec*100)
-		}
-		if err := r.SkipRecord(); err != nil {
-			t.Fatalf("skip record %d: %v", rec, err)
+	r := NewRecStream(&rwPair{Reader: bytes.NewReader(wire)}, 8)
+	for rec := 0; rec < 3; rec++ {
+		if got, err := r.ReadRecord(nil); err != nil || !bytes.Equal(got, pattern(20, byte(rec))) {
+			t.Fatalf("record %d: %x, err %v", rec, got, err)
 		}
 	}
 }
 
+// TestRecStreamEmptyRecord: an empty record is one empty final fragment
+// on the wire, and reads back as an empty record.
 func TestRecStreamEmptyRecord(t *testing.T) {
 	var wire bytes.Buffer
 	w := NewRecStream(&rwPair{Writer: &wire}, 8)
-	if err := w.EndRecord(); err != nil {
+	if err := w.WriteRecord(preframed(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if wire.Len() != 4 {
-		t.Fatalf("empty record wire = %d bytes, want 4", wire.Len())
+	if !bytes.Equal(wire.Bytes(), fragment(nil, true)) {
+		t.Fatalf("empty record wire = %x, want %x", wire.Bytes(), fragment(nil, true))
 	}
 	r := NewRecStream(&rwPair{Reader: &wire}, 8)
-	var v int32
-	if err := r.GetLong(&v); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("err = %v, want ErrOverflow", err)
+	if got, err := r.ReadRecord(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty record read back as %x, err %v", got, err)
 	}
 }
 
 func TestRecStreamHeaderBits(t *testing.T) {
 	var wire bytes.Buffer
 	w := NewRecStream(&rwPair{Writer: &wire}, 64)
-	v := int32(7)
-	if err := w.PutLong(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRecord(); err != nil {
+	if err := w.WriteRecord(preframed([]byte{0, 0, 0, 7})); err != nil {
 		t.Fatal(err)
 	}
 	h := wire.Bytes()[:4]
@@ -172,75 +143,21 @@ func TestRecStreamHeaderBits(t *testing.T) {
 	}
 }
 
+// TestRecStreamWriteError: a failed write reports the connection's own
+// error underneath the stream's.
 func TestRecStreamWriteError(t *testing.T) {
-	w := NewRecStream(&rwPair{Writer: failWriter{}}, 8)
-	err := w.EndRecord()
-	if err == nil {
-		t.Fatal("expected write error")
-	}
-	// The error is sticky.
-	if err2 := w.PutLong(1); err2 == nil {
-		t.Fatal("expected sticky error")
+	w := NewRecStream(&rwPair{Writer: &failingWriter{errBrokenPipe}}, 8)
+	if err := w.WriteRecord(preframed([]byte("x"))); !errors.Is(err, errBrokenPipe) {
+		t.Fatalf("err = %v, want it to wrap %v", err, errBrokenPipe)
 	}
 }
 
-type failWriter struct{}
-
-func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("broken pipe") }
-
-func TestRecStreamSetPosUnsupported(t *testing.T) {
-	w := NewRecStream(&rwPair{Writer: io.Discard}, 8)
-	if err := w.SetPos(0); !errors.Is(err, ErrBadPos) {
-		t.Fatalf("err = %v, want ErrBadPos", err)
-	}
-}
-
-func TestRecStreamPos(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 8)
-	if w.Pos() != 0 {
-		t.Fatalf("initial pos = %d", w.Pos())
-	}
-	if err := w.PutLong(1); err != nil {
-		t.Fatal(err)
-	}
-	if w.Pos() != 4 {
-		t.Fatalf("pos after one long = %d, want 4", w.Pos())
-	}
-	// Crossing a fragment boundary keeps counting record bytes.
-	if err := w.PutLong(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.PutLong(3); err != nil {
-		t.Fatal(err)
-	}
-	if w.Pos() != 12 {
-		t.Fatalf("pos after three longs = %d, want 12", w.Pos())
-	}
-}
+var errBrokenPipe = errors.New("broken pipe")
 
 func TestReadRecordBulk(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 16)
-	payload := make([]byte, 100)
-	for i := range payload {
-		payload[i] = byte(i * 3)
-	}
-	if err := w.PutBytes(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRecord(); err != nil {
-		t.Fatal(err)
-	}
-	// A second record to prove ReadRecord stops at the boundary.
-	if err := w.PutBytes([]byte("next")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRecord(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewRecStream(&rwPair{Reader: &wire}, 16)
+	payload := pattern(100, 0)
+	wire := append(fragmented(payload, 16), frame([]byte("next"))...) // ReadRecord stops at the boundary
+	r := NewRecStream(&rwPair{Reader: bytes.NewReader(wire)}, 16)
 	got, err := r.ReadRecord(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -258,15 +175,7 @@ func TestReadRecordBulk(t *testing.T) {
 }
 
 func TestReadRecordAppends(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&rwPair{Writer: &wire}, 8)
-	if err := w.PutLong(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EndRecord(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRecStream(&rwPair{Reader: &wire}, 8)
+	r := NewRecStream(&rwPair{Reader: bytes.NewReader(frame([]byte{0, 0, 0, 7}))}, 8)
 	prefix := []byte{0xaa, 0xbb}
 	got, err := r.ReadRecord(prefix)
 	if err != nil {
@@ -300,41 +209,32 @@ func TestWriteRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteRecordMatchesStreamingPath: for payloads below the fragment
-// size (at exactly the fragment size the streaming path eagerly flushes
-// a non-final fragment and then an empty final one) the single-write
-// path must be byte-identical on the wire to PutBytes+EndRecord — old
-// and new peers interoperate.
+// TestWriteRecordMatchesStreamingPath: WriteRecord and a RecBatcher —
+// the write path of a transport's stream — put the same bytes on the
+// wire for the same record, one final fragment framed as RFC 5531 has
+// it, so old and new peers interoperate.
 func TestWriteRecordMatchesStreamingPath(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 100, DefaultFragmentSize - 1} {
-		payload := make([]byte, n)
-		for i := range payload {
-			payload[i] = byte(i * 7)
-		}
-		var oldWire, newWire bytes.Buffer
-		ow := NewRecStream(&oldWire, 0)
-		if err := ow.PutBytes(payload); err != nil {
+	for _, n := range []int{0, 1, 3, 4, 100, DefaultFragmentSize - 1, DefaultFragmentSize, 3 * DefaultFragmentSize} {
+		payload := pattern(n, 7)
+		var single, batched bytes.Buffer
+		if err := NewRecStream(&rwPair{Writer: &single}, 0).WriteRecord(preframed(payload)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ow.EndRecord(); err != nil {
+		if err := NewRecBatcher(&batched).Write(pooled(payload)); err != nil {
 			t.Fatal(err)
 		}
-		nw := NewRecStream(&newWire, 0)
-		if err := nw.WriteRecord(preframed(payload)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(oldWire.Bytes(), newWire.Bytes()) {
-			t.Fatalf("n=%d: wire bytes diverged:\n old %x\n new %x", n, oldWire.Bytes(), newWire.Bytes())
+		if want := fragment(payload, true); !bytes.Equal(single.Bytes(), want) || !bytes.Equal(batched.Bytes(), want) {
+			t.Fatalf("n=%d: wire bytes diverged:\n WriteRecord %x\n RecBatcher  %x\n by hand     %x", n, single.Bytes(), batched.Bytes(), want)
 		}
 	}
 }
 
 // TestWriteRecordSingleWrite asserts the copy-free property observable
 // from outside: the mark and payload arrive in exactly one Write call,
-// even past the fragment buffer size.
+// whatever the window.
 func TestWriteRecordSingleWrite(t *testing.T) {
 	var cw countingWriter
-	w := NewRecStream(&rwPair{Writer: &cw}, 0)
+	w := NewRecStream(&rwPair{Writer: &cw}, 16)
 	payload := make([]byte, 3*DefaultFragmentSize)
 	if err := w.WriteRecord(preframed(payload)); err != nil {
 		t.Fatal(err)
@@ -344,19 +244,6 @@ func TestWriteRecordSingleWrite(t *testing.T) {
 	}
 	if cw.bytes != RecordMarkLen+len(payload) {
 		t.Fatalf("wrote %d bytes, want %d", cw.bytes, RecordMarkLen+len(payload))
-	}
-
-	// The streaming path pays two writes per fragment on the same record.
-	cw = countingWriter{}
-	ow := NewRecStream(&rwPair{Writer: &cw}, 0)
-	if err := ow.PutBytes(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := ow.EndRecord(); err != nil {
-		t.Fatal(err)
-	}
-	if cw.writes <= 1 {
-		t.Fatalf("streaming path issued %d writes; counting is broken", cw.writes)
 	}
 }
 
@@ -371,28 +258,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteRecordAfterPutBytes: pending streamed data completes through
-// the fragmenting path, producing one record carrying both.
-func TestWriteRecordAfterPutBytes(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&wire, 0)
-	if err := w.PutLong(42); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRecord(preframed([]byte("tail"))); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRecStream(&wire, 0)
-	rec, err := r.ReadRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]byte{0, 0, 0, 42}, "tail"...)
-	if !bytes.Equal(rec, want) {
-		t.Fatalf("got %x, want %x", rec, want)
-	}
-}
-
 func TestWriteRecordTooShort(t *testing.T) {
 	w := NewRecStream(&rwPair{Writer: io.Discard}, 0)
 	if err := w.WriteRecord([]byte{1, 2}); err == nil {
@@ -400,50 +265,18 @@ func TestWriteRecordTooShort(t *testing.T) {
 	}
 }
 
+// TestWriteRecordStickyError: after a failed write no later record is
+// written — its mark could land inside the one cut short.
 func TestWriteRecordStickyError(t *testing.T) {
-	w := NewRecStream(&rwPair{Writer: failWriter{}}, 0)
+	writes := 0
+	w := NewRecStream(&rwPair{Writer: writerFunc(func([]byte) (int, error) {
+		writes++
+		return 0, errBrokenPipe
+	})}, 0)
 	if err := w.WriteRecord(preframed([]byte("x"))); err == nil {
 		t.Fatal("expected write error")
 	}
-	if err := w.WriteRecord(preframed([]byte("y"))); err == nil {
-		t.Fatal("expected sticky error")
-	}
-}
-
-// TestWriteRecordAfterFlushedFragment: an open record whose bytes were
-// already flushed (PutBytes of exactly one fragment leaves wpos == 0
-// but the record unfinished) must also complete through the fragmenting
-// path — the fast path would inject a record mark into the open record.
-func TestWriteRecordAfterFlushedFragment(t *testing.T) {
-	var wire bytes.Buffer
-	w := NewRecStream(&wire, 0)
-	head := make([]byte, DefaultFragmentSize) // flushes eagerly, wpos back to 0
-	for i := range head {
-		head[i] = byte(i)
-	}
-	if err := w.PutBytes(head); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRecord(preframed([]byte("tail"))); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh WriteRecord on the now-sealed stream is its own record.
-	if err := w.WriteRecord(preframed([]byte("second"))); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRecStream(&wire, 0)
-	rec1, err := r.ReadRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(append([]byte(nil), head...), "tail"...); !bytes.Equal(rec1, want) {
-		t.Fatalf("first record: got %d bytes, want %d of head+tail", len(rec1), len(want))
-	}
-	rec2, err := r.ReadRecord(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec2, []byte("second")) {
-		t.Fatalf("second record: got %q", rec2)
+	if err := w.WriteRecord(preframed([]byte("y"))); err == nil || writes != 1 {
+		t.Fatalf("second record: err %v after %d writes; want the sticky error and no second write", err, writes)
 	}
 }

@@ -17,9 +17,11 @@
 // remove all of that, leaving only the data movement.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
-// 1, the encoding layer: the primitive codecs, the buffer and record
-// streams (BufStream, RecStream, and RecBatcher, the group-commit
-// record writer of a stream transport), and the shared buffer pool
+// 1, the encoding layer: the primitive codecs, the XDR streams over
+// memory (MemStream, which every decode reads, and BufStream), the
+// record-marking layer of a stream transport (RecStream, which reads
+// whole records into memory and writes one at a time, and RecBatcher,
+// its group-commit record writer), and the shared buffer pool
 // everything above allocates from. internal/rpcmsg (messages),
 // internal/wire (compiled stubs), and the transports in internal/client
 // and internal/server all bottom out here.
@@ -73,7 +75,7 @@ var (
 
 // Stream is the x_ops function table of a Sun XDR handle: the micro-layer
 // that moves 4-byte units and opaque bytes in or out of some medium
-// (memory buffer, record stream, ...). All counted quantities on the wire
+// (a memory buffer, a growable one, ...). All counted quantities on the wire
 // are big-endian, 4-byte aligned.
 type Stream interface {
 	// PutLong appends one big-endian 4-byte integer (xdrmem_putlong).
