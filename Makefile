@@ -50,10 +50,14 @@ race:
 # twenty times under the detector. What a quick connection's burst costs
 # (one goroutine, one write) is a matter of lendUnder's twenty
 # microseconds, which nothing fits under the detector: those pins are
-# built `!race` and run twenty times without it.
+# built `!race` and run twenty times without it. The end of a stream is
+# pinned both ways: a connection that hangs up on a bad record answers
+# every call it read before it, handed off (under the detector) or queued
+# behind a lent token (without it), and a peer that stopped reading holds
+# the hang-up no longer than its drain bound (under the detector).
 handoff:
 	$(GO) test -race -count=20 -run 'LetGo|Reader|ReadSide|LoneCalls|BatchedOps|BatchedTerminal|IdleClosed|Unsolicited|TransportConformance' ./internal/client
-	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog|BurstBlocked|PartialRecord' ./internal/server
+	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog|BurstBlocked|PartialRecord|HangsUpBehind|BadRecordBehindHandedOff|HangUpDrain' ./internal/server
 	$(GO) test -count=20 -run 'ClosedLoopWakesNobody|QuickBurstOneWrite|BurstsAloneBecomeQuick|BadRecordBehindQueued' ./internal/server
 
 # The allocation pins are built `!race` (sync.Pool drops puts under the
@@ -170,9 +174,10 @@ pipe-smoke:
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
 # only a one-way handler's call goes unanswered), the stream server loop
-# fed raw byte streams over pipes (never panics, every reply parses and
-# answers a call of the input at most once, every call of an unbroken
-# stream is answered, no goroutine outlives the stream), the datagram path fed
+# fed raw byte streams over pipes (never panics, every reply parses, the
+# calls answered are exactly those ahead of the first record that breaks
+# the stream — not a call, or past the bound — each once, on broken
+# streams too, no goroutine outlives the stream), the datagram path fed
 # hostile sequences from several peers (every reply echoes its request's
 # XID, a non-call gets nothing, a call the table holds is never run
 # again), the .x front end fed arbitrary text (Parse never panics; what

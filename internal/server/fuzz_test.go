@@ -290,19 +290,23 @@ func (c splitConn) Close() error {
 	return c.Conn.Close()
 }
 
+// SetWriteDeadline is out's: the writes it bounds are the replies.
+func (c splitConn) SetWriteDeadline(t time.Time) error { return c.out.SetWriteDeadline(t) }
+
 // FuzzServeConn feeds arbitrary byte streams to serveConn, the stream
-// server loop — read token, lending, hand-off, and the batcher that
-// frames and writes the replies — over in-process pipes, with a
-// registered echo and a 64 KiB record bound. The loop must never panic;
-// every record it writes must parse with ReplyHeader.Marshal and answer
-// a call of the input, each call at most once; and once the peer's
-// half of the stream has ended, the loop must return and leave no
-// goroutine behind. An input the server has no reason to hang up on —
-// every record a call, the last perhaps cut short — must have every
-// call answered before the peer ends its half.
+// server loop — read token, lending, hand-off, the hang-up, and the
+// batcher that frames and writes the replies — over in-process pipes,
+// with a registered echo and a 64 KiB record bound. The loop must never
+// panic; every record it writes must parse with ReplyHeader.Marshal; the
+// calls it answers must be exactly those ahead of the first record that
+// breaks the stream — one that is not a call, or one past the bound — or
+// of the stream's end, each once, on a broken stream as on a whole one:
+// the stream ends behind their replies, and no call after the break is
+// run. Once the stream has ended the loop must return and leave no
+// goroutine behind.
 //
 // The peer sends the first cut bytes, and then the rest in one write.
-// On such an input it waits, in between, for the replies to the calls
+// On a whole input it waits, in between, for the replies to the calls
 // the first part holds whole, as a closed-loop caller does: the rest
 // then arrives at a server that has found the connection quick.
 func FuzzServeConn(f *testing.F) {
@@ -331,15 +335,13 @@ func FuzzServeConn(f *testing.F) {
 	lone, burst := frame(echo(14, 1)), frame(echo(15, 2), echo(16, 3), echo(17, 4))
 	f.Add(byte(len(lone)), append(lone, burst[:len(burst)-5]...))
 
-	// scan returns the XIDs of the calls in stream that the server may
-	// answer — every record whose call header parses, up to the end of
-	// the stream or a record past the bound, which the server does not
-	// read beyond; it may have read past a record that is not a call and
-	// handed the calls after it to workers before it hangs up — their
-	// number, and whether no record breaks the stream: it ends at or
-	// inside a record, and every record before that end is a call.
+	// scan returns the XIDs of the calls the server must answer — those
+	// ahead of the first record whose call header does not parse or whose
+	// mark is past the bound, or of the end of the stream, at or inside a
+	// record; the server reads nothing beyond — their number, and whether
+	// the stream is whole: nothing breaks it before its end.
 	scan := func(stream []byte) (xids map[uint32]int, n int, whole bool) {
-		xids, whole = map[uint32]int{}, true
+		xids = map[uint32]int{}
 		in := xdr.NewRecStream(struct {
 			io.Reader
 			io.Writer
@@ -348,12 +350,11 @@ func FuzzServeConn(f *testing.F) {
 		for {
 			rec, err := in.ReadRecord(nil)
 			if err != nil {
-				return xids, n, whole && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF))
+				return xids, n, errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 			}
 			var h rpcmsg.CallHeader
 			if h.Marshal(xdr.NewDecoder(xdr.NewMemDecode(rec))) != nil {
-				whole = false
-				continue
+				return xids, n, false
 			}
 			xids[h.XID]++
 			n++
@@ -423,14 +424,14 @@ func FuzzServeConn(f *testing.F) {
 				t.Fatalf("reply %d does not parse: %v (%x)", n, err, rec)
 			}
 			if calls[rh.XID]--; calls[rh.XID] < 0 {
-				t.Fatalf("reply %d: xid %d answers no call of the input left unanswered", n, rh.XID)
+				t.Fatalf("reply %d: xid %d answers no call ahead of the break left unanswered", n, rh.XID)
 			}
 			n++
 		}
 		if !whole {
 			release()
 		}
-		for whole && n < ncalls {
+		for n < ncalls {
 			if n >= nfirst {
 				release()
 			}
@@ -444,12 +445,29 @@ func FuzzServeConn(f *testing.F) {
 				t.Fatalf("%d replies to %d calls, and no more coming", n, ncalls)
 			}
 		}
+		// Every call owed a reply has one. The peer ends its half once the
+		// server has read all it sent, or hung up before, so a break has
+		// been read by then and any reply to a call behind it is found.
 		release()
-		_ = reqPeer.Close()
-		for rec := range replies {
-			check(rec)
+		in, sent := replies, wrote
+		for sent != nil {
+			select {
+			case rec, ok := <-in:
+				if !ok {
+					in = nil
+					continue
+				}
+				check(rec)
+			case <-sent:
+				sent = nil
+			}
 		}
-		<-wrote
+		_ = reqPeer.Close()
+		if in != nil {
+			for rec := range in {
+				check(rec)
+			}
+		}
 		<-served
 	})
 }

@@ -187,10 +187,10 @@ func TestServeTCPBurstsAloneBecomeQuick(t *testing.T) {
 // for anything. Two calls and a mark announcing more than the record
 // limit — or a record too short to hold a call header — arrive in one
 // write on a quick connection; the two replies, queued when the bad one
-// is found, are written before the connection is closed. (Handed off,
-// their handlers race the close, as they always have: a machine that
-// stretches the first call past lendUnder gets another connection to
-// show it on.)
+// is found, are written before the connection is closed. A machine that
+// stretches the first call past lendUnder hands the second off, and its
+// reply is still written first: the connection is closed behind every
+// call it read (TestServeTCPBadRecordBehindHandedOffReplies).
 func TestServeTCPBadRecordBehindQueuedReplies(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	s := New(WithMaxRecord(1024))
@@ -204,21 +204,19 @@ func TestServeTCPBadRecordBehindQueuedReplies(t *testing.T) {
 		{"over-limit mark", []byte{0x80, 0x10, 0, 0}},                  // last fragment, 1 MiB
 		{"undecodable call header", []byte{0x80, 0, 0, 4, 0, 0, 0, 9}}, // a record of four bytes
 	} {
-		replies := 0
-		for try := 0; try < 3 && replies != 2; try++ {
-			peer, c, stop := lentConn(t, s)
-			r := xdr.NewRecStream(peer, 0)
-			makeQuick(t, peer, r, c, 1)
-			if _, err := peer.Write(append(bytes.Clone(calls), bad.tail...)); err != nil {
-				t.Fatal(err)
-			}
-			for replies = 0; ; replies++ {
-				if _, err := r.ReadRecord(nil); err != nil {
-					break // the connection was closed behind the bad record
-				}
-			}
-			stop()
+		peer, c, stop := lentConn(t, s)
+		r := xdr.NewRecStream(peer, 0)
+		makeQuick(t, peer, r, c, 1)
+		if _, err := peer.Write(append(bytes.Clone(calls), bad.tail...)); err != nil {
+			t.Fatal(err)
 		}
+		replies := 0
+		for ; ; replies++ {
+			if _, err := r.ReadRecord(nil); err != nil {
+				break // the connection was closed behind the bad record
+			}
+		}
+		stop()
 		if replies != 2 {
 			t.Errorf("%s: %d replies ahead of it, want 2", bad.name, replies)
 		}

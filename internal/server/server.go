@@ -208,8 +208,9 @@ const DefaultMaxRecord = xdr.DefaultMaxRecord
 
 // WithMaxRecord bounds the size of one request record on stream
 // connections (default DefaultMaxRecord), summed over its fragments. A
-// record announcing more closes the connection before the excess is
-// buffered and is counted (Snapshot.RecordLimitDrops): without the bound
+// record announcing more ends the stream before the excess is buffered —
+// the connection closes behind the replies of the calls read before it —
+// and is counted (Snapshot.RecordLimitDrops): without the bound
 // a peer streaming fragments that never set the last-fragment bit grows
 // the request buffer until the process dies. n <= 0 keeps the default.
 func WithMaxRecord(n int) Option {
@@ -358,7 +359,8 @@ func appendSuccess(bs *xdr.BufStream, xid uint32) {
 // errBadCallHeader reports a message the fixed-offset call parse
 // rejects — exactly the messages CallHeader.Marshal rejects
 // (FuzzCallBody). There is no XID to reply to; datagram transports drop
-// it, as svc_udp did, and stream transports close the connection.
+// it, as svc_udp did, and a stream connection hangs up on it before it
+// runs anything, as svc_vc did.
 var errBadCallHeader = errors.New("server: bad call header")
 
 // handleCall decodes one request from req and produces the reply bytes,
@@ -776,7 +778,10 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 // handle), or parked on work. The token exists exactly once, so the read
 // side needs no lock; it travels over work as a nil record — or stays
 // where it is, lent to the call its holder just read (lend), one call of
-// a burst after the other.
+// a burst after the other. The stream ends in one place: the token holder
+// decides (hangUp), and run closes the connection once every call read
+// before the end has been answered. Only a failed reply write closes it
+// sooner (OnError), and Server.Close.
 type streamConn struct {
 	s    *Server
 	conn net.Conn
@@ -866,6 +871,16 @@ const lendAgain = 100 * lendLimit
 // BenchmarkServeTCPBurst8 is the measurement behind it.
 const lendUnder = 20 * time.Microsecond
 
+// drainLimit bounds how long a hung-up connection waits to write the
+// replies of the calls it read before the end: hangUp arms it as the
+// connection's write deadline. A peer that reads its replies gets all of
+// them; one that stopped reading would otherwise hold, for as long as it
+// liked, every worker blocked writing to it and so the connection's
+// goroutines and descriptor. A call whose handler outlasts it loses its
+// reply. A second is far longer than a reply write to a peer that is
+// reading takes, and a fifth of the client's default call timeout.
+const drainLimit = time.Second
+
 // serveConn serves one stream connection. Pipelined requests execute
 // concurrently — up to s.workers handlers, plus the goroutine holding
 // the read token — and nothing is started per request, nor, for a peer
@@ -953,13 +968,13 @@ func (c *streamConn) run() {
 	// empty, and a record queued after the leader exits makes its own
 	// writer the new leader), a Queue by the token holder before its next
 	// read of the connection, or before it hangs up — and the Wait below
-	// holds run open until every worker has returned, so no reply is
-	// stranded by connection teardown. The token holder that saw the
-	// stream end has closed the connection by then: a worker blocked
-	// writing a reply to a peer that stopped reading is only unblocked by
-	// the close.
+	// holds run open until every worker has returned, so the close that
+	// follows comes behind the reply of every call read before the stream
+	// ended. A worker blocked writing to a peer that stopped reading is
+	// freed by the write deadline hangUp armed (drainLimit).
 	c.serve(nil) // the accepting goroutine starts out holding the token
 	c.workers.Wait()
+	_ = c.conn.Close()
 	// The stream ended in the hands of a token holder, so nothing is lent
 	// and a watchdog still pending has nothing to take.
 	if c.watchdog != nil {
@@ -999,10 +1014,11 @@ func (c *streamConn) serve(bp *[]byte) {
 // rest of a burst is already here, so the record goes to a worker and
 // the reader keeps the token: it fans out as fast as it can be parsed.
 // When the window is empty the next read would block in the kernel
-// anyway: the token goes to a worker and the record is run here. read
-// returns without the token: given away, taken by the watchdog while it
-// was lent, or gone with the stream — the connection is closed then and
-// so is work.
+// anyway: the token goes to a worker and the record is run here. Every
+// record is checked to be a call before any of that: one that is not
+// ends the stream like a failed read. read returns without the token:
+// given away, taken by the watchdog while it was lent, or gone with the
+// stream — work is closed then.
 //
 //specrpc:hotpath
 func (c *streamConn) read() {
@@ -1012,6 +1028,9 @@ func (c *streamConn) read() {
 		bp := xdr.GetBuf(c.s.bufSize)
 		req, err := c.s.readRecordIdle(c.conn, c.rrec, (*bp)[:0], &c.inFlight, &c.completed)
 		*bp = req
+		if _, _, _, _, _, ok := rpcmsg.CallBody(req); err == nil && !ok {
+			err = errBadCallHeader // no record after it is run, as in svc_vc
+		}
 		if err != nil {
 			xdr.PutBuf(bp)
 			c.hangUp(err)
@@ -1080,18 +1099,22 @@ func (c *streamConn) reclaim() {
 }
 
 // hangUp ends the stream after a failed read — connection closed, broken
-// framing, over-limit record, or idle-reaped — and releases the parked
-// workers. Only the token holder calls it, so nobody is left to send on
-// work. The replies it had queued are owed to calls that were well
-// formed; a read that failed on what was already in the window (an
-// over-limit mark behind them in a burst) never reached tokenReader, so
-// they leave here.
+// framing, over-limit record, idle-reaped — or a record that is not a
+// call: it stops reading and releases the parked workers, and leaves the
+// close to run, behind the replies of the calls already handed out. Only
+// the token holder calls it, so nobody is left to send on work. It arms
+// the drain deadline first, so neither its own flush nor a worker's
+// reply write waits on a peer that stopped reading for longer than
+// drainLimit. The replies it had queued are owed to calls read before
+// the end; a read that ended on what was already in the window (an
+// over-limit mark or a non-call record behind them in a burst) never
+// reached tokenReader, so they leave here.
 func (c *streamConn) hangUp(err error) {
 	if errors.Is(err, xdr.ErrRecordTooLarge) {
 		c.s.recDrops.Add(1)
 	}
+	_ = c.conn.SetWriteDeadline(time.Now().Add(drainLimit))
 	c.flush()
-	_ = c.conn.Close()
 	close(c.work)
 }
 
@@ -1137,7 +1160,11 @@ func (c *streamConn) handle(bp *[]byte) {
 }
 
 // call runs the handler of bp's call and returns the reply record, nil
-// when there is none to send.
+// when there is none to send. It leaves the connection alone: read lets
+// through only records that parse as calls, so a call here is answered
+// unless its handler asked for no reply (ErrNoReply). svc_tcp's promise
+// — a stream that breaks is closed behind the replies of the calls that
+// came before it — is kept by hangUp and run.
 //
 //specrpc:hotpath
 func (c *streamConn) call(bp *[]byte) (rp *[]byte) {
@@ -1145,21 +1172,13 @@ func (c *streamConn) call(bp *[]byte) (rp *[]byte) {
 	// Reserve the record mark at the head of the reply buffer:
 	// handleCall marshals the reply behind it and the batcher patches
 	// the mark in place, so the fully-formed reply goes to the socket
-	// with no second copy.
-	out, err := c.s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen])
-	if out != nil {
+	// with no second copy. An error leaves nothing to send: read let no
+	// record through that is not a call.
+	if out, _ := c.s.handleCall(*bp, (*rp)[:xdr.RecordMarkLen]); out != nil {
 		*rp = out
 		return rp
 	}
 	xdr.PutBuf(rp)
-	if err != nil {
-		// Undecodable call header: the stream is suspect and there is
-		// no XID to reply to; close the connection so the peer fails
-		// fast, as the original svc_tcp loop did — behind the replies
-		// of the well-formed calls that came before it.
-		_ = c.wb.Flush()
-		_ = c.conn.Close()
-	} // else the handler asked for no reply (ErrNoReply)
 	return nil
 }
 
