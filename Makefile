@@ -48,17 +48,16 @@ race:
 # taken back, replies queued behind it and flushed — are a handful of
 # atomics whose wrong interleavings are rare: the tests that pin them run
 # twenty times under the detector. What a quick connection's burst costs
-# (one goroutine, one write) is a matter of lendUnder's twenty
-# microseconds, which nothing fits under the detector: those pins are
-# built `!race` and run twenty times without it. The end of a stream is
-# pinned both ways: a connection that hangs up on a bad record answers
-# every call it read before it, handed off (under the detector) or queued
-# behind a lent token (without it), and a peer that stopped reading holds
-# the hang-up no longer than its drain bound (under the detector).
+# (one goroutine, one write) is pinned on a fake clock (internal/clock)
+# that stands still until a test moves it, so lendUnder and the idle
+# watch cannot be overrun by a slow machine and those pins run under the
+# detector too. The end of a stream is pinned both ways: a connection
+# that hangs up on a bad record answers every call it read before it,
+# handed off or queued behind a lent token, and a peer that stopped
+# reading holds the hang-up no longer than its drain bound.
 handoff:
 	$(GO) test -race -count=20 -run 'LetGo|Reader|ReadSide|LoneCalls|BatchedOps|BatchedTerminal|IdleClosed|Unsolicited|TransportConformance' ./internal/client
-	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog|BurstBlocked|PartialRecord|HangsUpBehind|BadRecordBehindHandedOff|HangUpDrain' ./internal/server
-	$(GO) test -count=20 -run 'ClosedLoopWakesNobody|QuickBurstOneWrite|BurstsAloneBecomeQuick|BadRecordBehindQueued' ./internal/server
+	$(GO) test -race -count=20 -run 'LaterCall|WorkerBound|ParkedWorkers|IdleReaps|CloseWithHandlers|Watchdog|BurstBlocked|PartialRecord|HangsUpBehind|BadRecordBehind|HangUpDrain|ClosedLoopWakesNobody|QuickBurstOneWrite|BurstsAloneBecomeQuick|LendRule' ./internal/server
 
 # The allocation pins are built `!race` (sync.Pool drops puts under the
 # detector), so the race pass above never runs them: whole-call counts

@@ -46,6 +46,7 @@ import (
 	"time"
 	"unsafe"
 
+	"specrpc/internal/clock"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
@@ -313,9 +314,9 @@ func (d *demux) inFlight() int {
 // lets go. Whoever lets go looks again (engine.letGo): with other calls
 // registered the side goes to the pump, and otherwise it stays free with
 // the idle timer pushed idleWatch ahead. If that timer ever fires on a
-// side still free its goroutine becomes the pump — the reader of a quiet
-// link, there to notice the peer closing it and to drain what no call
-// asked for — until it has delivered the reply of the only call
+// side still free it starts the pump — the reader of a quiet link, there
+// to notice the peer closing it and to drain what no call asked for —
+// which reads until it has delivered the reply of the only call
 // registered, when it lets go in turn. Taking and letting go are a
 // Dekker pair with registration: a call registers and then looks at
 // owner, an owner frees the side and then looks at the registrations, so
@@ -336,7 +337,7 @@ type link struct {
 	conn  net.Conn
 	batch *xdr.RecBatcher // owns the write side of conn: frames and writes every record
 	rrec  *xdr.RecStream  // the read side
-	idle  *time.Timer     // fires engine.watch, idleWatch after the side was last let go
+	idle  clock.Timer     // fires engine.watch, idleWatch after the side was last let go
 }
 
 // Owners of a link's read side.
@@ -359,7 +360,8 @@ const (
 const idleWatch = time.Millisecond
 
 // start puts the pump on a read side nobody owns. A call that will wait
-// on its slot calls it after registering.
+// on its slot calls it after registering, and the idle timer when it
+// fires (watch).
 func (l *link) start(e *engine) {
 	if l.pumpTakes() {
 		go e.pump(l)
@@ -1066,11 +1068,10 @@ func (e *engine) letGo(l *link, xid uint32) (pump bool) {
 	return (others > 0 || l.pumped.Load()) && l.pumpTakes()
 }
 
-// watch is the idle timer firing: a read side still free gets the pump,
-// on the timer's own goroutine.
+// watch is the idle timer firing: a read side still free gets the pump.
 func (e *engine) watch(l *link) {
-	if l.dmx.error() == nil && l.pumpTakes() {
-		e.pump(l)
+	if l.dmx.error() == nil {
+		l.start(e)
 	}
 }
 
@@ -1483,6 +1484,8 @@ type TCP struct {
 	connMu   sync.Mutex
 	cur      *link
 	redialCh chan struct{}
+
+	clock clock.Clock // what each link's idle timer runs on
 }
 
 // errIllFormedReply is a stream's traits.illFormed: the record framing
@@ -1497,9 +1500,12 @@ var errIllFormedReply = fmt.Errorf("client: read reply: %w", errIllFormed)
 // work or say that it does not: a call that reads its own reply is timed
 // out by it, and a conn that returns an error from it is read by the
 // pump alone.
-func NewTCP(conn net.Conn, cfg Config) *TCP {
+func NewTCP(conn net.Conn, cfg Config) *TCP { return newTCP(conn, cfg, clock.Real{}) }
+
+// newTCP is NewTCP with the links' idle timers on clk.
+func newTCP(conn net.Conn, cfg Config, clk clock.Clock) *TCP {
 	cfg.fill()
-	c := &TCP{}
+	c := &TCP{clock: clk}
 	c.engine.init(cfg, c, traits{prefix: xdr.RecordMarkLen, illFormed: errIllFormedReply}, 0)
 	c.cur = c.newLink(conn)
 	return c
@@ -1534,7 +1540,7 @@ func (c *TCP) newLink(conn net.Conn) *link {
 	// as long as the link, and a peer must not be able to grow it without
 	// end by never finishing a record.
 	l.rrec.MaxRecord = xdr.DefaultMaxRecord
-	l.idle = time.AfterFunc(idleWatch, func() { c.watch(l) })
+	l.idle = c.clock.AfterFunc(idleWatch, func() { c.watch(l) })
 	// The write deadline covers each vectored write: a peer that stopped
 	// reading must not wedge the writers sharing the stream past their
 	// call budget. earliest is the tightest per-call deadline among the

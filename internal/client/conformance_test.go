@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"specrpc/internal/clock"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
@@ -117,20 +118,14 @@ func dialPeerTCP(t *testing.T, p *fakePeer, cfg Config) conformer {
 }
 
 // dialPeerTCPLone is dialPeerTCP for a caller that reads its own reply.
-// The link's idle timer is stopped before it can put the pump on the
-// read side; should it have fired already (the test stalled a
-// millisecond inside NewTCP) the client is dialed again.
 func dialPeerTCPLone(t *testing.T, p *fakePeer, cfg Config) conformer {
-	for {
-		tap := &readTap{}
-		c := servePeerTCP(t, p, cfg, tap.wrap)
-		if c.current().idle.Stop() {
-			return loneConformer{c, tap}
-		}
-		_ = c.Close()
-	}
+	tap := &readTap{}
+	return loneConformer{servePeerTCP(t, p, cfg, tap.wrap), tap}
 }
 
+// servePeerTCP serves the fakePeer to a client whose idle timer runs on
+// a clock that stands still: the pump reads the link only for a call
+// that waits on its slot, never for want of a reader.
 func servePeerTCP(t *testing.T, p *fakePeer, cfg Config, wrap func(net.Conn) net.Conn) *TCP {
 	p1, p2 := net.Pipe()
 	go func() {
@@ -151,7 +146,7 @@ func servePeerTCP(t *testing.T, p *fakePeer, cfg Config, wrap func(net.Conn) net
 			}
 		}
 	}()
-	c := NewTCP(wrap(p1), cfg)
+	c := newTCP(wrap(p1), cfg, clock.NewFake())
 	t.Cleanup(func() { _ = c.Close() })
 	return c
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"specrpc/internal/clock"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/server"
 	"specrpc/internal/testutil"
@@ -45,18 +46,33 @@ func (c tappedConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// awaitLetGo waits until the pump has let go of l's read side and
+// returned: a pump that has freed the side still looks at the
+// registrations once more, and takes the side back for a call that
+// registered meanwhile (letGo). Nothing else starts a pump while the
+// idle timer's clock stands still.
+func awaitLetGo(l *link) {
+	buf := make([]byte, 1<<20)
+	for l.owner.Load() != readFree || bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(").pump(")) {
+		runtime.Gosched()
+	}
+}
+
 // scriptedPeer is the far end of a pipe: it hands each request's XID to
-// the test and writes what the test tells it to.
+// the test and writes what the test tells it to. The client's idle timer
+// runs on clock, which stands still until the test advances it: nobody
+// but a call reads the link until then.
 type scriptedPeer struct {
-	conn net.Conn
-	xids chan uint32
-	w    *xdr.RecStream
+	conn  net.Conn
+	xids  chan uint32
+	w     *xdr.RecStream
+	clock *clock.Fake
 }
 
 func newScriptedPeer(t *testing.T, cfg Config, wrap func(net.Conn) net.Conn) (*TCP, *scriptedPeer) {
 	t.Helper()
 	p1, p2 := net.Pipe()
-	p := &scriptedPeer{conn: p2, xids: make(chan uint32, 64), w: xdr.NewRecStream(p2, 0)}
+	p := &scriptedPeer{conn: p2, xids: make(chan uint32, 64), w: xdr.NewRecStream(p2, 0), clock: clock.NewFake()}
 	go func() {
 		r := xdr.NewRecStream(p2, 0)
 		for {
@@ -72,7 +88,7 @@ func newScriptedPeer(t *testing.T, cfg Config, wrap func(net.Conn) net.Conn) (*T
 	if wrap != nil {
 		p1 = wrap(p1)
 	}
-	c := NewTCP(p1, cfg)
+	c := newTCP(p1, cfg, p.clock)
 	t.Cleanup(func() { _ = c.Close(); _ = p2.Close() })
 	return c, p
 }
@@ -161,9 +177,6 @@ func TestReaderDeliversOthersReply(t *testing.T) {
 			t.Cleanup(testutil.NoLeak(t))
 			tap := &readTap{}
 			c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second}, tap.wrap)
-			if !c.current().idle.Stop() {
-				t.Skip("idle timer fired during setup")
-			}
 			type result struct {
 				got uint32
 				err error
@@ -200,25 +213,23 @@ func TestReaderDeliversOthersReply(t *testing.T) {
 					t.Fatalf("bFirst=%v: reply %d never reached its call", bFirst, o.val)
 				}
 			}
-			// With the idle timer stopped only A can have delivered B's reply
-			// ahead of its own; behind it, only the pump A started.
+			// With the idle timer standing still only A can have delivered
+			// B's reply ahead of its own; behind it, only the pump A started.
 			if !bFirst && tap.pump.Load() == 0 {
 				t.Fatal("own first: B was answered, but not by the pump")
 			}
-			// Whoever read last has let go: the next lone call reads for
-			// itself — the one after it, if the test stalled for idleWatch
-			// just now and found the pump back on the quiet link.
+			// Whoever read last lets go — the pump, perhaps only after B has
+			// returned — and the next lone call reads for itself.
+			awaitLetGo(c.current())
 			own := tap.own.Load()
-			for try := uint32(0); try < 3 && tap.own.Load() == own; try++ {
-				replied := make(chan struct{})
-				go func() { p.reply(t, p.nextXID(t), 300+try); close(replied) }()
-				if got, err := callUint32(context.Background(), c); err != nil || got != 300+try {
-					t.Fatalf("bFirst=%v: next call got %d, %v", bFirst, got, err)
-				}
-				<-replied
+			replied := make(chan struct{})
+			go func() { p.reply(t, p.nextXID(t), 300); close(replied) }()
+			if got, err := callUint32(context.Background(), c); err != nil || got != 300 {
+				t.Fatalf("bFirst=%v: next call got %d, %v", bFirst, got, err)
 			}
+			<-replied
 			if tap.own.Load() == own {
-				t.Fatalf("bFirst=%v: no later lone call read for itself", bFirst)
+				t.Fatalf("bFirst=%v: the next lone call did not read for itself", bFirst)
 			}
 		})
 	}
@@ -246,9 +257,9 @@ func loopbackEcho(t testing.TB) (addr string, stop func()) {
 }
 
 // TestLoneCallsStartNoGoroutine: a caller that waits for each reply
-// before it sends the next call does all its own reading. The pump reads
-// only if the caller stalls for idleWatch between two calls, which a
-// loaded machine may make it do a few times in a thousand.
+// before it sends the next call does all its own reading. The pump would
+// read only if the caller stalled for idleWatch between two calls; on a
+// clock that stands still it never does.
 func TestLoneCallsStartNoGoroutine(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	addr, stop := loopbackEcho(t)
@@ -258,7 +269,7 @@ func TestLoneCallsStartNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap := &readTap{}
-	c := NewTCP(tap.wrap(conn), Config{Prog: fusedProg, Vers: fusedVers})
+	c := newTCP(tap.wrap(conn), Config{Prog: fusedProg, Vers: fusedVers}, clock.NewFake())
 	defer c.Close()
 
 	const calls = 1000
@@ -275,41 +286,88 @@ func TestLoneCallsStartNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestBatchedOpsStartNoGoroutine: the same caller, batching. An op is
-// seven CallBatched and a terminal Call against a server that answers
-// all eight; the terminal call takes the read side, reads past the seven
-// replies nobody asked for to its own, and lets go. No link is pinned to
-// the pump for having carried a batched call.
-func TestBatchedOpsStartNoGoroutine(t *testing.T) {
-	defer testutil.NoLeak(t)()
+// batchedClient is a client of loopbackEcho whose reads are tapped and
+// whose idle timer runs on clk, which stands still until the test
+// advances it.
+func batchedClient(t *testing.T) (c *TCP, clk *clock.Fake, tap *readTap) {
+	t.Helper()
 	addr, stop := loopbackEcho(t)
-	defer stop()
+	t.Cleanup(stop)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap := &readTap{}
-	c := NewTCP(tap.wrap(conn), Config{Prog: fusedProg, Vers: fusedVers})
-	defer c.Close()
+	clk, tap = clock.NewFake(), &readTap{}
+	c = newTCP(tap.wrap(conn), Config{Prog: fusedProg, Vers: fusedVers}, clk)
+	t.Cleanup(func() { _ = c.Close() })
+	return c, clk, tap
+}
 
+// batchedOp is one op of a batching caller: seven CallBatched and a
+// terminal Call, all of argument i, against a server that answers all
+// eight.
+func batchedOp(t *testing.T, c *TCP, i uint32) {
+	t.Helper()
+	arg, got := i, uint32(0)
+	args := func(x *xdr.XDR) error { return x.Uint32(&arg) }
+	for b := 0; b < 7; b++ {
+		if err := c.CallBatched(1, args); err != nil {
+			t.Fatalf("op %d: CallBatched: %v", i, err)
+		}
+	}
+	if err := c.Call(1, args, func(x *xdr.XDR) error { return x.Uint32(&got) }); err != nil || got != i+1 {
+		t.Fatalf("op %d: %d, %v", i, got, err)
+	}
+}
+
+// TestBatchedOpsStartNoGoroutine: the same caller, batching. The
+// terminal call of each op takes the read side, reads past the seven
+// replies nobody asked for to its own, and lets go. No link is pinned to
+// the pump for having carried a batched call.
+func TestBatchedOpsStartNoGoroutine(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
+	c, _, tap := batchedClient(t)
 	const ops = 1000
 	for i := uint32(0); i < ops; i++ {
-		arg, got := i, uint32(0)
-		args := func(x *xdr.XDR) error { return x.Uint32(&arg) }
-		for b := 0; b < 7; b++ {
-			if err := c.CallBatched(1, args); err != nil {
-				t.Fatalf("op %d: CallBatched: %v", i, err)
-			}
-		}
-		if err := c.Call(1, args, func(x *xdr.XDR) error { return x.Uint32(&got) }); err != nil || got != i+1 {
-			t.Fatalf("op %d: %d, %v", i, got, err)
-		}
+		batchedOp(t, c, i)
 	}
 	if c.current().pumped.Load() {
 		t.Fatal("link pinned to the pump")
 	}
 	if own, pump := tap.own.Load(), tap.pump.Load(); own < ops*98/100 || pump > ops*2/100 {
 		t.Fatalf("%d reads by the terminal calls themselves, %d by the pump, of %d ops", own, pump, ops)
+	}
+}
+
+// TestBatchedOpsIdleWatchTakesSide: the same ops with the clock moved
+// past idleWatch before every other one, as if the caller had thought
+// that long. The idle timer puts the pump on the free read side, so that
+// op's terminal call waits on its slot while the pump reads past the
+// seven replies nobody asked for and delivers its reply; having
+// delivered the reply of the only call registered, the pump lets go, and
+// the next op's terminal call reads for itself again.
+func TestBatchedOpsIdleWatchTakesSide(t *testing.T) {
+	t.Cleanup(testutil.NoLeak(t))
+	c, clk, tap := batchedClient(t)
+	l := c.current()
+	for i := uint32(0); i < 100; i++ {
+		own, pump := tap.own.Load(), tap.pump.Load()
+		idle := i%2 == 1
+		if idle {
+			clk.Advance(idleWatch)
+			if owner := l.owner.Load(); owner != readPump {
+				t.Fatalf("op %d: owner %d once idleWatch has passed, want the pump", i, owner)
+			}
+		}
+		batchedOp(t, c, i)
+		awaitLetGo(l)
+		if ownRead, pumpRead := tap.own.Load() > own, tap.pump.Load() > pump; ownRead == idle || pumpRead != idle {
+			t.Fatalf("op %d (idleWatch passed before it: %v): the terminal call read %v, the pump %v",
+				i, idle, ownRead, pumpRead)
+		}
+	}
+	if l.pumped.Load() {
+		t.Fatal("link pinned to the pump")
 	}
 }
 
@@ -350,9 +408,6 @@ func TestBatchingReaderDeliversOthersReply(t *testing.T) {
 	t.Cleanup(testutil.NoLeak(t))
 	tap := &readTap{}
 	c, p := newScriptedPeer(t, Config{Prog: 1, Vers: 1, Timeout: 5 * time.Second}, tap.wrap)
-	if !c.current().idle.Stop() {
-		t.Skip("idle timer fired during setup")
-	}
 	const batched = 3
 	for i := 0; i < batched; i++ {
 		if err := c.CallBatched(1, Void); err != nil {
@@ -388,7 +443,8 @@ func TestBatchingReaderDeliversOthersReply(t *testing.T) {
 	}
 	p.reply(t, b, 200)
 	// The pipe's write returns once it has been read, and with the idle
-	// timer stopped and A not yet answered nobody but A can have read it.
+	// timer standing still and A not yet answered nobody but A can have
+	// read it.
 	if tap.pump.Load() != 0 || tap.own.Load() == 0 {
 		t.Fatalf("%d reads by the pump, %d by the terminal call; want none and some", tap.pump.Load(), tap.own.Load())
 	}
@@ -534,10 +590,10 @@ func TestIdleClosedLinkRedialsTransparently(t *testing.T) {
 }
 
 // TestUnsolicitedRecordsAreDrained: records no call is waiting for leave
-// the socket without a caller's help, within idleWatch — the replies to
-// a run of batched calls with no terminal call behind it, and the reply
-// that arrives after its call has timed out. The peer is a pipe, so each
-// of its writes returns only when the client has read it.
+// the socket without a caller's help once idleWatch has passed — the
+// replies to a run of batched calls with no terminal call behind it, and
+// the reply that arrives after its call has timed out. The peer is a
+// pipe, so each of its writes returns only when the client has read it.
 func TestUnsolicitedRecordsAreDrained(t *testing.T) {
 	t.Cleanup(testutil.NoLeak(t))
 	tap := &readTap{}
@@ -562,14 +618,15 @@ func TestUnsolicitedRecordsAreDrained(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	p.clock.Advance(idleWatch)
 	written("replies to batched calls", func() {
 		for i := 0; i < batched; i++ {
 			p.reply(t, p.nextXID(t), 1)
 		}
 	})
 	// No call was there to read them and nothing pins the link to the
-	// pump: the idle timer found the side free and its goroutine, now the
-	// pump, is what read every byte.
+	// pump: the idle timer found the side free and the pump it started is
+	// what read every byte.
 	if l := c.current(); l.pumped.Load() || l.owner.Load() != readPump || tap.own.Load() != 0 || tap.pump.Load() == 0 {
 		t.Fatalf("pinned=%v owner=%d, %d reads by calls and %d by the pump; want the watch pump alone",
 			l.pumped.Load(), l.owner.Load(), tap.own.Load(), tap.pump.Load())
@@ -582,6 +639,7 @@ func TestUnsolicitedRecordsAreDrained(t *testing.T) {
 		t.Fatalf("unanswered call: %v, want ErrTimeout", err)
 	}
 	late := p.nextXID(t)
+	p.clock.Advance(idleWatch)
 	written("late reply", func() { p.reply(t, late, 1) })
 	replied := make(chan struct{})
 	go func() { p.reply(t, p.nextXID(t), 2); close(replied) }()
@@ -632,9 +690,7 @@ func TestLetGoLooksAgain(t *testing.T) {
 	t.Cleanup(testutil.NoLeak(t))
 	c, _ := newScriptedPeer(t, Config{Prog: 1, Vers: 1}, nil)
 	l := c.current()
-	if !l.idle.Stop() || !l.owner.CompareAndSwap(readFree, readCaller) {
-		t.Skip("idle timer fired during setup")
-	}
+	l.owner.Store(readCaller)
 	own, _, err := l.dmx.register(&c.xid)
 	if err != nil {
 		t.Fatal(err)

@@ -51,25 +51,6 @@ func procIO(t *testing.T) (reads, writes uint64) {
 	return reads, writes
 }
 
-// shapeService answers Scale and Sum the way the repo benchmark's
-// service does.
-type shapeService struct{ ct.ShapeProgV2Handler }
-
-func (shapeService) Scale(arg *ct.Numbers) (*ct.Numbers, error) {
-	for i := range *arg {
-		(*arg)[i] *= 3
-	}
-	return arg, nil
-}
-
-func (shapeService) Sum(arg *ct.Numbers) (*int32, error) {
-	var s int32
-	for _, v := range *arg {
-		s += v
-	}
-	return &s, nil
-}
-
 // TestStreamCallSyscalls pins the read and write syscalls of serial
 // calls through the committed stubs over loopback TCP, client and server
 // together, process-wide: what the record layer's read-ahead window,

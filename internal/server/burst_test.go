@@ -163,10 +163,10 @@ func TestServeTCPBurstBlockedHandlerHoldsNoReply(t *testing.T) {
 // TestServeTCPBurstBlockedOnQuickConnection is the same burst on a
 // connection that has been found quick, where the first call runs under
 // a lent token with the other seven unread behind it: their replies
-// still arrive while it is blocked — lendLimit late, by the watchdog's
-// doing — and the connection is not lent to again for lendAgain, however
-// quick its handlers look once they are handed off: the next such burst
-// fans out at once.
+// still arrive while it is blocked — once the clock has moved lendLimit,
+// by the watchdog's doing — and the connection is not lent to again for
+// lendAgain, however quick its handlers look once they are handed off:
+// the next such burst fans out at once.
 func TestServeTCPBurstBlockedOnQuickConnection(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	s, g := New(), newGate()
@@ -190,9 +190,10 @@ func TestServeTCPBurstBlockedOnQuickConnection(t *testing.T) {
 	}
 	makeQuick(t, peer, r, c, 1)
 	burst(500)
-	if !c.lent.Load() {
+	if !c.lending.lent.Load() {
 		t.Fatal("the blocked call is not running under a lent token")
 	}
+	advance(c, lendLimit)
 	wantOnce(t, readXIDs(t, peer, r, 7, 50*time.Millisecond), 501, 507)
 	g.release <- struct{}{}
 	wantOnce(t, readXIDs(t, peer, r, 1, time.Second), 500, 500)
@@ -200,7 +201,7 @@ func TestServeTCPBurstBlockedOnQuickConnection(t *testing.T) {
 
 	makeQuick(t, peer, r, c, 100) // handed off, and quick by the clock again
 	burst(600)
-	if c.lent.Load() {
+	if c.lending.lent.Load() {
 		t.Fatal("token lent again within lendAgain of the watchdog taking it")
 	}
 	wantOnce(t, readXIDs(t, peer, r, 7, 50*time.Millisecond), 601, 607)

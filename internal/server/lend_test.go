@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"specrpc/internal/clock"
 	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
@@ -16,7 +17,9 @@ import (
 // watchdog, lendLimit late and once.
 
 // lentConn serves one loopback connection through a streamConn the test
-// can look at. stop hangs up and waits for the connection's goroutines.
+// can look at, on a fake clock of its own: it stands still, so every
+// handler is quick, until the test advances it (advance). stop hangs up
+// and waits for the connection's goroutines.
 func lentConn(t *testing.T, s *Server) (peer net.Conn, c *streamConn, stop func()) {
 	t.Helper()
 	peer, c, _, stop = tappedLentConn(t, s)
@@ -40,26 +43,29 @@ func tappedLentConn(t *testing.T, s *Server) (peer net.Conn, c *streamConn, tap 
 		t.Fatal(err)
 	}
 	tap = &writeTap{}
+	s.clock = clock.NewFake()
 	c = s.newStreamConn(tapConn{conn, tap})
 	done := make(chan struct{})
 	go func() { c.run(); close(done) }()
 	return peer, c, tap, func() { _ = peer.Close(); <-done }
 }
 
-// makeQuick makes closed-loop echo calls, XIDs from first, until one has
-// left the connection marked quick: the next record read with nothing
-// else in flight is run under a lent token. One quick handler is enough;
-// a busy machine may need a few tries.
-func makeQuick(t *testing.T, peer net.Conn, r *xdr.RecStream, c *streamConn, first uint32) {
+// advance moves c's clock d forward, firing its watchdog if that falls
+// due: the watchdog runs before advance returns.
+func advance(c *streamConn, d time.Duration) { c.lending.clock.(*clock.Fake).Advance(d) }
+
+// makeQuick makes one closed-loop echo call, which leaves the connection
+// marked quick — its handler took no time on the clock of lentConn — so
+// the next record read is run under a lent token, unless the watchdog's
+// verdict still stands.
+func makeQuick(t *testing.T, peer net.Conn, r *xdr.RecStream, c *streamConn, xid uint32) {
 	t.Helper()
-	for xid := first; xid < first+50; xid++ {
-		if echoRoundTrips(t, peer, r, xid, 1); !c.slow.Load() {
-			// A handed-off call is still in flight when its reply is read.
-			waitFor(t, "the call to finish", func() bool { return c.inFlight.Load() == 0 })
-			return
-		}
+	echoRoundTrips(t, peer, r, xid, 1)
+	// A handed-off call is still in flight when its reply is read.
+	waitFor(t, "the call to finish", func() bool { return c.inFlight.Load() == 0 })
+	if c.lending.slow.Load() {
+		t.Fatal("connection still marked slow after a quick call")
 	}
-	t.Fatal("connection still marked slow after fifty echo calls")
 }
 
 // echoRoundTrips makes n closed-loop echo calls with XIDs from first.
@@ -73,12 +79,12 @@ func echoRoundTrips(t *testing.T, peer net.Conn, r *xdr.RecStream, first uint32,
 	}
 }
 
-// TestServeTCPWatchdogReclaimsLentToken: after quick calls the token is
+// TestServeTCPWatchdogReclaimsLentToken: after a quick call the token is
 // being lent, and the call it is lent to blocks. The next call of the
-// connection is still read and answered — by the watchdog's doing,
-// within lendLimit rather than at once — and while the blocked call
-// stays in flight, and for one call after it has returned slow, the
-// token is handed on before the handler runs, as it was before lending.
+// connection is still read and answered — by the watchdog's doing, once
+// the clock has moved lendLimit — and while the blocked call stays in
+// flight, and for one call after it has returned slow, the token is
+// handed on before the handler runs, as it was before lending.
 func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 	defer testutil.NoLeak(t)()
 	s := New()
@@ -95,9 +101,10 @@ func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 	makeQuick(t, peer, r, c, 1)
 	writeBurst(t, peer, [][]byte{buildCall(t, 100, testVers, procGate, nil)})
 	awaitEntry(t, g)
-	if !c.lent.Load() {
+	if !c.lending.lent.Load() {
 		t.Fatal("the blocked call is not running under a lent token")
 	}
+	advance(c, lendLimit)
 	for xid := uint32(101); xid < 104; xid++ {
 		start := time.Now()
 		writeBurst(t, peer, [][]byte{echoCall(t, xid)})
@@ -107,7 +114,7 @@ func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 		if d := time.Since(start); d > 50*time.Millisecond {
 			t.Fatalf("call %d behind the blocked handler took %v", xid, d)
 		}
-		if c.lent.Load() {
+		if c.lending.lent.Load() {
 			t.Fatalf("call %d: token lent again with the blocked call in flight", xid)
 		}
 	}
@@ -116,7 +123,7 @@ func TestServeTCPWatchdogReclaimsLentToken(t *testing.T) {
 		t.Fatalf("reply has xid %d, want the released call's 100", got)
 	}
 	waitFor(t, "the blocked call to finish", func() bool { return c.inFlight.Load() == 0 })
-	if !c.slow.Load() {
+	if !c.lending.slow.Load() {
 		t.Fatal("a handler that outstayed lendLimit did not mark the connection slow")
 	}
 	makeQuick(t, peer, r, c, 200) // handed off and found quick
@@ -207,6 +214,7 @@ func TestServeTCPWatchdogMidBurstDeliversEachReplyOnce(t *testing.T) {
 	}
 	writeBurst(t, peer, calls)
 	awaitEntry(t, g)
+	advance(c, lendLimit)
 	seen := readXIDs(t, peer, r, 7, time.Second)
 	if seen[104] != 0 {
 		t.Fatalf("the blocked call was answered: %v", seen)

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"specrpc/internal/clock"
 	"specrpc/internal/platform/batchio"
 	"specrpc/internal/rpcmsg"
 	"specrpc/internal/wire"
@@ -113,6 +114,8 @@ type Server struct {
 	maxRecord int // stream request-record size limit
 
 	idleTimeout time.Duration // stream idle-connection reap (0 = never)
+
+	clock clock.Clock // what stream connections' lend rules time calls by
 
 	// dgio holds the batched-I/O wrapper of every ServeUDP loop started,
 	// whose counters Snapshot sums.
@@ -266,6 +269,7 @@ func New(opts ...Option) *Server {
 		workers:   workers,
 		cacheCap:  128,
 		maxRecord: DefaultMaxRecord,
+		clock:     clock.Real{},
 		done:      make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -774,14 +778,14 @@ func (s *Server) ServeTCP(ln net.Listener) error {
 // streamConn is one stream connection being served. Every goroutine of
 // the connection runs the same loop (serve) and is, at any moment, in one
 // of three places: holding the read token (in read, the only code that
-// touches rrec, spawned, noLend, began and queued), running a call (in
-// handle), or parked on work. The token exists exactly once, so the read
-// side needs no lock; it travels over work as a nil record — or stays
-// where it is, lent to the call its holder just read (lend), one call of
-// a burst after the other. The stream ends in one place: the token holder
-// decides (hangUp), and run closes the connection once every call read
-// before the end has been answered. Only a failed reply write closes it
-// sooner (OnError), and Server.Close.
+// touches rrec, spawned, queued and the lend rule's began and noLend),
+// running a call (in handle), or parked on work. The token exists exactly
+// once, so the read side needs no lock; it travels over work as a nil
+// record — or stays where it is, lent to the call its holder just read
+// (lend), one call of a burst after the other. The stream ends in one
+// place: the token holder decides (hangUp), and run closes the
+// connection once every call read before the end has been answered. Only
+// a failed reply write closes it sooner (OnError), and Server.Close.
 type streamConn struct {
 	s    *Server
 	conn net.Conn
@@ -795,27 +799,12 @@ type streamConn struct {
 	spawned int            // workers started so far, at most s.workers
 	workers sync.WaitGroup // the spawned workers
 
-	// lent is set while the token holder runs a call with the token in its
-	// pocket. Whoever clears it has the token: the lender, back from the
-	// call, or the watchdog, lendLimit after the newest lend. slow is what
-	// the last call to finish told the next: its handler took longer than
-	// lendUnder or, under a lent token, the token holder had by then
-	// spent longer than that on what its last read of the connection
-	// brought — so hand the token on first. It starts set: nothing is
-	// known about a connection's first call. noLend is the watchdog's
-	// verdict, and the token holder's to read: nothing is lent before it
-	// (lendAgain).
-	lent     atomic.Bool
-	slow     atomic.Bool
-	watchdog *time.Timer // nil until the first lend
-	noLend   time.Time
+	lending lendRule // whether a call just read runs under a lent token
 
-	// began is when the token holder's last read of the connection
-	// returned: the start of the burst it is working through. queued says
-	// that replies of that burst sit on wb without a writer behind them
-	// (lend); the token holder writes them before it reads the connection
-	// again (tokenReader), so none waits on the peer.
-	began  time.Time
+	// queued says that replies of the burst the token holder is working
+	// through sit on wb without a writer behind them (lend); the token
+	// holder writes them before it reads the connection again
+	// (tokenReader), so none waits on the peer.
 	queued bool
 
 	// inFlight/completed drive the idle reaper: a timeout only reaps when
@@ -828,6 +817,96 @@ type streamConn struct {
 	// about to reply.
 	inFlight, completed atomic.Int64
 }
+
+// lendRule is when a stream connection's token holder may keep the read
+// token while it runs the call it has just read — lend it to the call —
+// and the watchdog that takes a lent token back. It has a method for
+// each moment of that: a read returned, may this call be lent, a lend
+// begins and ends, the watchdog fires, a handed-off call was timed, the
+// stream is over. The time it goes by is clock's: package time in
+// production, a fake that moves only when advanced in tests. (The
+// datagram reader of ROADMAP item 4 is to hold one too.)
+type lendRule struct {
+	clock  clock.Clock
+	handOn func() // gives the token to a worker, as read would have
+
+	// lent is set while the token holder runs a call with the token in its
+	// pocket. Whoever clears it has the token: the lender, back from the
+	// call, or the watchdog, lendLimit after the newest lend. slow is what
+	// the last call to finish told the next: its handler took longer than
+	// lendUnder or, under a lent token, the token holder had by then
+	// spent longer than that on what its last read of the connection
+	// brought — so hand the token on first. It starts set: nothing is
+	// known about a connection's first call. noLend is the watchdog's
+	// verdict, and the token holder's to read: nothing is lent before it
+	// (lendAgain).
+	lent     atomic.Bool
+	slow     atomic.Bool
+	watchdog clock.Timer // armed by each lend
+	noLend   time.Time
+
+	// began is when the token holder's last read of the connection
+	// returned: the start of the burst it is working through.
+	began time.Time
+}
+
+// init readies the rule for a connection: nothing is known about its
+// first call yet, and the watchdog is armed stopped, for lends to push.
+func (r *lendRule) init(clk clock.Clock, handOn func()) {
+	r.clock, r.handOn = clk, handOn
+	r.slow.Store(true)
+	r.watchdog = clk.AfterFunc(lendLimit, r.reclaim)
+	r.watchdog.Stop()
+}
+
+// readReturned is the token holder's read of the connection returning:
+// what it brought is a new burst.
+func (r *lendRule) readReturned() { r.began = r.clock.Now() }
+
+// mayLend reports whether the call just read may run under a lent token:
+// the last call to finish was quick, and the watchdog's verdict is over.
+// Token holder only.
+func (r *lendRule) mayLend() bool { return !r.slow.Load() && r.began.After(r.noLend) }
+
+// lendBegins pushes the watchdog lendLimit ahead and lends the token. It
+// returns the start of the lender's burst, for lendEnds: once the
+// watchdog has taken the token, the next holder's reads move began.
+//
+//specrpc:hotpath
+func (r *lendRule) lendBegins() (began time.Time) {
+	r.watchdog.Reset(lendLimit)
+	began = r.began
+	r.lent.Store(true)
+	return began
+}
+
+// lendEnds is the lent call returning: it leaves word whether the burst
+// begun at began has kept the token holder past lendUnder, and takes the
+// token back, reporting whether the watchdog had taken it first.
+func (r *lendRule) lendEnds(began time.Time) (back bool) {
+	r.timed(began)
+	return r.lent.CompareAndSwap(true, false)
+}
+
+// reclaim is the watchdog: a token still lent is taken from its lender
+// and handed on, so the connection's next request is read — and the rest
+// of the lender's burst run — while the call that outstayed lendLimit
+// runs on; and nothing is lent for lendAgain.
+func (r *lendRule) reclaim() {
+	if r.lent.CompareAndSwap(true, false) {
+		r.noLend = r.clock.Now().Add(lendAgain)
+		r.handOn()
+	}
+}
+
+// timed leaves word of a call that started at start for the next one
+// read: slow if it took longer than lendUnder.
+func (r *lendRule) timed(start time.Time) { r.slow.Store(r.clock.Since(start) > lendUnder) }
+
+// stop disarms the watchdog: the stream ended in the hands of a token
+// holder, so nothing is lent and a watchdog still pending has nothing to
+// take.
+func (r *lendRule) stop() { r.watchdog.Stop() }
 
 // lendLimit is how long a lent token may stay lent. Below it a handler
 // that blocks keeps the connection's next request unread, and the rest
@@ -915,7 +994,7 @@ func (s *Server) newStreamConn(conn net.Conn) *streamConn {
 		wb:   xdr.NewRecBatcher(conn),
 		work: make(chan *[]byte)}
 	c.rrec = xdr.NewRecStream((*tokenReader)(c), 0)
-	c.slow.Store(true)
+	c.lending.init(s.clock, func() { c.give(nil) })
 	c.rrec.MaxRecord = s.maxRecord
 	// A failed reply write leaves the record stream unusable; close the
 	// connection so the read loop exits and the peer fails fast instead
@@ -940,7 +1019,7 @@ func (r *tokenReader) Read(p []byte) (int, error) {
 	c := (*streamConn)(r)
 	c.flush()
 	n, err := c.conn.Read(p)
-	c.began = time.Now()
+	c.lending.readReturned()
 	return n, err
 }
 
@@ -975,11 +1054,7 @@ func (c *streamConn) run() {
 	c.serve(nil) // the accepting goroutine starts out holding the token
 	c.workers.Wait()
 	_ = c.conn.Close()
-	// The stream ended in the hands of a token holder, so nothing is lent
-	// and a watchdog still pending has nothing to take.
-	if c.watchdog != nil {
-		c.watchdog.Stop()
-	}
+	c.lending.stop()
 }
 
 // serve is the loop every goroutine of the connection runs, entered with
@@ -1038,7 +1113,7 @@ func (c *streamConn) read() {
 		}
 		c.inFlight.Add(1)
 		switch {
-		case !c.slow.Load() && c.began.After(c.noLend):
+		case c.lending.mayLend():
 			if !c.lend(bp) {
 				return
 			}
@@ -1073,29 +1148,11 @@ func (c *streamConn) read() {
 //
 //specrpc:hotpath
 func (c *streamConn) lend(bp *[]byte) (back bool) {
-	if c.watchdog == nil {
-		c.watchdog = time.AfterFunc(lendLimit, c.reclaim)
-	} else {
-		c.watchdog.Reset(lendLimit)
-	}
-	began := c.began // the next holder's from the moment the token is lent
-	c.lent.Store(true)
+	began := c.lending.lendBegins()
 	rp := c.call(bp)
-	c.slow.Store(time.Since(began) > lendUnder)
-	back = c.lent.CompareAndSwap(true, false)
+	back = c.lending.lendEnds(began)
 	c.reply(bp, rp, back && !c.rrec.AtBoundary())
 	return back
-}
-
-// reclaim is the watchdog: a token still lent is taken from its lender
-// and given away, so the connection's next request is read — and the
-// rest of the lender's burst run — while the call that outstayed
-// lendLimit runs on.
-func (c *streamConn) reclaim() {
-	if c.lent.CompareAndSwap(true, false) {
-		c.noLend = time.Now().Add(lendAgain)
-		c.give(nil)
-	}
 }
 
 // hangUp ends the stream after a failed read — connection closed, broken
@@ -1153,9 +1210,9 @@ func (c *streamConn) worker(bp *[]byte) {
 //
 //specrpc:hotpath
 func (c *streamConn) handle(bp *[]byte) {
-	start := time.Now()
+	start := c.lending.clock.Now()
 	rp := c.call(bp)
-	c.slow.Store(time.Since(start) > lendUnder)
+	c.lending.timed(start)
 	c.reply(bp, rp, false)
 }
 
