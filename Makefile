@@ -23,7 +23,7 @@ build:
 # a second Go layout that does run here: hyper aligns to 4 there, so the
 # fused programs differ from the host's while the emitted stubs must
 # not, and a count past 2^31 reads negative as an int — the codec tests
-# run under it. So do the transports' and the datagram batch layer's:
+# and rpcgen's (the emitted text is one on every GOARCH) run under it. So do the transports' and the datagram batch layer's:
 # their structs hold 64-bit atomic counters that a 32-bit layout must
 # keep aligned.
 xcompile:
@@ -35,7 +35,7 @@ xcompile:
 	GOOS=linux GOARCH=mips $(GO) build ./...
 	GOOS=linux GOARCH=mips $(GO) vet ./internal/xdr ./internal/wire
 	GOARCH=386 $(GO) test ./internal/xdr ./internal/wire ./internal/compiledtest/... \
-		./internal/server ./internal/client ./internal/platform/batchio
+		./internal/rpcgen ./internal/server ./internal/client ./internal/platform/batchio
 
 test:
 	$(GO) test ./...
@@ -104,14 +104,16 @@ bench-json:
 # committed baseline under per-family thresholds. Specialization series
 # are compared as ratios to the same-pass generic yardstick (benchdiff
 # does this on both sides), which cancels the host-speed wander between
-# the baseline run and now; the raw yardsticks get wide catastrophe
-# thresholds of their own. The baseline's live-spec points are
+# the baseline run and now. Only those ratios and counted series are
+# judged: the raw yardsticks (live-spec-abs, header-path-abs) are
+# printed and not gated, since they move with the host and failed this
+# gate on untouched series. The baseline's live-spec points are
 # themselves medians (bench-json passes -live-spec-reps 3), so both
 # sides of the comparison carry the same estimator and one lucky pass
-# can't poison a point. A regression in any
-# series now fails the build instead of scrolling past in a non-fatal
-# report. Comparing against a baseline from different hardware needs
-# wider thresholds: benchdiff -threshold fam=pct,... overrides.
+# can't poison a point. A regression in any gated series fails the
+# build instead of scrolling past in a non-fatal report. Comparing
+# against a baseline from different hardware needs wider thresholds:
+# benchdiff -threshold fam=pct,... overrides.
 bench-diff:
 	for i in 1 2 3; do \
 		$(GO) run ./cmd/sunbench -live-spec -transport sim -calls 2000 -header-path -json bench_head$$i.json >/dev/null || exit 1; \
@@ -139,8 +141,11 @@ chaos-smoke:
 # path, and (where the kernel offers it) recvmmsg, with the udp rows'
 # srvW/op at exactly 1.000 (one write per reply) and the 1x1 tcp `on`
 # row's cliW/op and srvW/op at 1.000 (a lone caller) — and, as the
-# 1x1 `calls` row of a second run, the closed-loop burst that stays on
-# one goroutine at each end (every column 0.125 to 0.13).
+# 1x1 `calls` row of a second run, the closed-loop burst. That row is
+# printed and not judged: it depends on the host's load (0.125 to 0.13
+# on a quiet host, 0.149 to 0.208 on a busy one). That a quick burst
+# stays on one goroutine at each end and writes once is asserted on a
+# fake clock, by the pins in internal/server/quick_test.go.
 batch-smoke:
 	$(GO) run ./cmd/sunbench -batch -transport udp,tcp -clients 2 -depth 8 -calls 2000
 	$(GO) run ./cmd/sunbench -batch -transport tcp -clients 1 -depth 1 -calls 8000
@@ -169,7 +174,7 @@ pipe-smoke:
 # outside the window touched), the derivation differential
 # (tempo-derived plan == hand-built plan, bytes and errors alike), the
 # derivation's steps on random word-subset shapes (the regrouped
-# residual == lower's steps, or an explicit refusal),
+# residual == Lower's steps, or an explicit refusal),
 # the server's dispatch path fed raw bytes (never panics, errors exactly
 # when the header walk does, every reply parses and echoes the XID, and
 # only a one-way handler's call goes unanswered), the stream server loop
@@ -232,11 +237,16 @@ genstubs:
 # types whose compiled decoders carve one slab, are exchanged
 # both ways — Go bytes from each rung decode in C and encode back
 # unchanged, C-encoded values decode in Go to the same value, and hostile
-# discriminants, flags and truncations are refused alike. It skips
-# where gcc, rpcgen or the tirpc headers are missing; CI installs them
-# and sets SPECRPC_INTEROP=require, which makes a skip a failure.
+# discriminants, flags and truncations are refused alike. Then the host
+# corpus (internal/hostcorpus): every .x file the host ships under
+# /usr/include/rpcsvc and /usr/include/tirpc/rpc goes through cpp and
+# this repo's rpcgen -compiled, and the nine whose Go builds today must
+# still build. Both skip where gcc, cpp, rpcgen, the tirpc headers or
+# the corpus are missing; CI installs them and sets
+# SPECRPC_INTEROP=require, which makes a skip a failure.
 interop:
 	$(GO) test -count=1 -run Interop -v ./internal/interop
+	$(GO) test -count=1 -v ./internal/hostcorpus
 
 # Repo-invariant analyzers (cmd/specvet) over the whole tree via the
 # go vet vettool protocol, so test files are covered too. Any finding

@@ -1,0 +1,14 @@
+// Package hostcorpus pins this repository's rpcgen against the protocol
+// files the host ships: every .x file under /usr/include/rpcsvc and
+// /usr/include/tirpc/rpc — NFS, mount, the status monitor, the port
+// mapper and the rest of Sun's own services — is run through cpp -P, as
+// the system rpcgen runs it, then through rpcgen's compiled-stub
+// generator, and every package it generates is built with one go build.
+// The test fails when a file that builds stops building, and logs what
+// happens to each of the others.
+//
+// The package has no code of its own; run it with `make interop`. The
+// test skips, saying why, where cpp, the go command or the corpus is
+// missing, and fails instead when SPECRPC_INTEROP=require is set, as CI
+// sets it.
+package hostcorpus

@@ -1,123 +1,99 @@
-package wire
+package rpcgen
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"unicode"
 
+	"specrpc/internal/wire"
 	"specrpc/internal/xdr"
 )
 
-// This file is the codegen backend of the top specialization rung:
-// where fused.go still *interprets* a flat instruction array at run
-// time, the emitter below prints the same program as straight-line Go
-// source that rpcgen writes next to the generated stubs. The emitted
-// routines are the paper's compiled specialized stubs: one bounds
-// reservation covers the header image plus every leading fixed-size
-// field, scalar stores and loads land at offsets the Go compiler
-// resolves to constants, fixed opaque data is a copy, an array of scalar
-// units is one call to the run kernel the interpreter uses (units.go),
-// and other variable-length tails run as explicit loops — no Op
-// dispatch at all.
+// This file is the codegen backend of the top specialization rung.
+// Where wire's fused executor interprets a flat instruction array at run
+// time, the emitter prints the same program as straight-line Go source,
+// the paper's compiled specialized stubs: one bounds reservation covers
+// the header image plus every leading fixed-size field, stores and loads
+// land at offsets the Go compiler resolves to constants, fixed opaque
+// data is a copy, an array of scalar units is one call to wire's run
+// kernels, and other variable-length tails are explicit loops.
 //
-// Both back ends start from one lowering: lower (compile.go) walks the
-// Type once into a layout-free program, which Compile fuses against the
-// running GOARCH's offsets and the emitter prints step by step. The
-// emitter takes the program before fusion because generation happens in
-// the rpcgen process, where the Go types being described do not exist
-// yet, and because the source it writes must be right on every GOARCH:
-// it addresses fields by selector (a step's path, spelled through the
-// field names) and lets the compiler do the offset arithmetic, and its
-// segments are runs of fixed-size steps in wire order, not runs fused by
-// one host's memory layout. What the tree cannot imply — the declared
-// name an enum field casts through or a typedef'd slice allocates as —
-// rides on Type.Go.
+// It prints wire.Lower's layout-free steps, the program wire.Compile
+// fuses against the running GOARCH's offsets, before fusion: the Go
+// types it describes do not exist in this process, and its source must
+// be right on every GOARCH, so it addresses fields by selector and lets
+// the compiler do the offset arithmetic. The Go names the shape cannot
+// imply — an enum a field casts through, a typedef a slice allocates
+// as, void's struct{} — come from the generator's spellings.
 //
 // Byte and error equivalence with the interpretive plans is a hard
-// requirement — compiled, fused, and generic codecs multiplex on one
-// connection — so every printed sequence mirrors the corresponding
-// encodeProg/decodeProg semantics: bound checks before counts, padding
-// written explicitly (Extend may return recycled dirty memory), hostile
-// counts rejected against the element's smallest wire size before
-// allocation, and the exact slice reuse rule of
-// ensureSlice/ensureSlicePtrFree. The differential fuzz tests
-// (FuzzCompiledCodec, FuzzLayoutCodec) pin all of it.
+// requirement, since all the rungs multiplex on one connection, so every
+// printed sequence mirrors wire's encodeProg/decodeProg: bound checks
+// before counts, padding written explicitly (Extend may return dirty
+// memory), hostile counts rejected against the element's smallest wire
+// size before allocation, and ensureSlice's reuse rule. The differential
+// fuzz tests (FuzzCompiledCodec, FuzzLayoutCodec) pin all of it.
 
-// GoName exports an IDL identifier (lower_snake -> CamelCase): the one
-// spelling of the declarations rpcgen writes and of the selectors the
-// emitted code refers to them by.
-func GoName(name string) string {
-	var sb strings.Builder
-	for _, p := range strings.Split(name, "_") {
-		if p == "" {
-			continue
-		}
-		r := []rune(p)
-		r[0] = unicode.ToUpper(r[0])
-		sb.WriteString(string(r))
-	}
-	return sb.String()
-}
+// spellings maps a Type the generator built to the Go type name the
+// generated package declares for it where the shape does not imply one.
+type spellings map[*wire.Type]string
 
 // goScalars spells the kinds whose Go type the shape implies outright.
-var goScalars = map[Kind]string{
-	Int32: "int32", Uint32: "uint32", Bool: "bool", Float32: "float32",
-	Hyper: "int64", Uhyper: "uint64", Float64: "float64", String: "string", OpaqueVar: "[]byte",
+var goScalars = map[wire.Kind]string{
+	wire.Int32: "int32", wire.Uint32: "uint32", wire.Bool: "bool", wire.Float32: "float32",
+	wire.Hyper: "int64", wire.Uhyper: "uint64", wire.Float64: "float64", wire.String: "string", wire.OpaqueVar: "[]byte",
 }
 
 // goSpelling is the Go type the generated package declares for t: the
-// explicit Type.Go where one was recorded, otherwise what the shape
-// implies — array prefixes down to the first element that names itself.
-func goSpelling(t *Type) string {
+// spelling recorded for it, otherwise what the shape implies — array
+// prefixes down to the first element that names itself.
+func (e *emitter) goSpelling(t *wire.Type) string {
 	var prefix string
-	for ; t.Go == "" && (t.Kind == FixedArray || t.Kind == VarArray); t = t.Elem {
-		if t.Kind == FixedArray {
+	for ; e.spell[t] == "" && (t.Kind == wire.FixedArray || t.Kind == wire.VarArray); t = t.Elem {
+		if t.Kind == wire.FixedArray {
 			prefix += fmt.Sprintf("[%d]", t.Len)
 		} else {
 			prefix += "[]"
 		}
 	}
 	switch {
-	case t.Go != "":
-		return prefix + t.Go
-	case t.Kind == OpaqueFixed:
+	case e.spell[t] != "":
+		return prefix + e.spell[t]
+	case t.Kind == wire.OpaqueFixed:
 		return fmt.Sprintf("%s[%d]byte", prefix, t.Len)
-	case t.Kind == Struct || t.Kind == Union:
+	case t.Kind == wire.Struct || t.Kind == wire.Union:
 		return prefix + GoName(t.Name)
-	case t.Kind == Optional:
-		return prefix + "*" + goSpelling(t.Elem)
+	case t.Kind == wire.Optional:
+		return prefix + "*" + e.goSpelling(t.Elem)
 	}
 	return prefix + goScalars[t.Kind]
 }
 
 // field resolves a step's path under t, the type its program runs
 // against, to the field's type and its Go expression under expr.
-func field(t *Type, expr string, path []int) (*Type, string) {
+func field(t *wire.Type, expr string, path []int) (*wire.Type, string) {
 	for _, i := range path {
-		f := t.members()[i]
+		f := t.Members()[i]
 		t, expr = f.Type, expr+"."+GoName(f.Name)
 	}
 	return t, expr
 }
 
-// EmitCompiledFuncs renders the compiled encoder/decoder pair for one
-// root type as Go source: compiledAppend<base> emits a whole message
-// (header image, XID stamp, value) onto a BufStream, and
-// compiledDecode<base> reads the value back out of raw body bytes. The
-// functions are meant to be registered with RegisterCompiled in the
-// generated package's init. usesMath reports whether the source needs
-// the math import (float fields); encoding/binary is always needed.
-func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err error) {
-	if root == nil {
-		return "", false, fmt.Errorf("wire: emit: nil root type")
-	}
-	steps, err := lower(root)
+// emitCompiled renders the compiled encoder/decoder pair for one root
+// type as Go source: compiledAppend<base> emits a whole message (header
+// image, XID stamp, value) onto a BufStream, and compiledDecode<base>
+// reads the value back out of raw body bytes. The functions are meant
+// to be registered with wire.RegisterCompiled in the generated
+// package's init. spell names the types the shape does not; usesMath
+// reports whether the source needs the math import (float fields);
+// encoding/binary is always needed.
+func emitCompiled(base string, root *wire.Type, spell spellings) (src string, usesMath bool, err error) {
+	steps, err := wire.Lower(root)
 	if err != nil {
 		return "", false, err
 	}
-	e := &emitter{}
-	goType := goSpelling(root)
+	e := &emitter{spell: spell}
+	goType := e.goSpelling(root)
 
 	e.pf("// compiledAppend%s is the rpcgen-emitted straight-line encoder for %s:", base, goType)
 	e.pf("// one reservation covers the header and the leading fixed-size fields,")
@@ -178,18 +154,18 @@ func EmitCompiledFuncs(base string, root *Type) (src string, usesMath bool, err 
 // pointerFree reports whether the Go value a program runs against holds
 // no pointers: no string, variable opaque, counted array or optional
 // anywhere in it. Its memory can then be carved from a slab.
-func pointerFree(steps []step) bool {
+func pointerFree(steps []wire.Step) bool {
 	for _, s := range steps {
-		switch s.op {
-		case opString, opOpaqueV, opSliceSub, opOptional:
+		switch s.Op {
+		case wire.OpString, wire.OpOpaqueV, wire.OpSliceSub, wire.OpOptional:
 			return false
-		case opVecSub:
-			if !pointerFree(s.sub) {
+		case wire.OpVecSub:
+			if !pointerFree(s.Sub) {
 				return false
 			}
-		case opUnion:
-			for _, a := range s.arms {
-				if !pointerFree(a.sub) {
+		case wire.OpUnion:
+			for _, a := range s.Arms {
+				if !pointerFree(a.Sub) {
 					return false
 				}
 			}
@@ -204,27 +180,27 @@ func pointerFree(steps []step) bool {
 // part inside a loop counts as many, a union as its largest arm. A
 // program with at most one part gets no slab; its decoder allocates that
 // part as it always has.
-func slabParts(steps []step) int {
+func slabParts(steps []wire.Step) int {
 	n := 0
 	for _, s := range steps {
-		switch s.op {
-		case opString, opOpaqueV:
+		switch s.Op {
+		case wire.OpString, wire.OpOpaqueV:
 			n++
-		case opSliceSub, opOptional:
-			switch sub := slabParts(s.sub); {
-			case pointerFree(s.sub):
+		case wire.OpSliceSub, wire.OpOptional:
+			switch sub := slabParts(s.Sub); {
+			case pointerFree(s.Sub):
 				n++
-			case s.op == opSliceSub:
+			case s.Op == wire.OpSliceSub:
 				n += 2 * sub
 			default:
 				n += sub
 			}
-		case opVecSub:
-			n += min(s.n, 2) * slabParts(s.sub)
-		case opUnion:
+		case wire.OpVecSub:
+			n += min(s.N, 2) * slabParts(s.Sub)
+		case wire.OpUnion:
 			most := 0
-			for _, a := range s.arms {
-				most = max(most, slabParts(a.sub))
+			for _, a := range s.Arms {
+				most = max(most, slabParts(a.Sub))
 			}
 			n += most
 		}
@@ -235,20 +211,20 @@ func slabParts(steps []step) int {
 // usesOld reports whether the pre-pass of a program reads the value it
 // decodes over: whether a slice it decodes may be reused or a pointer
 // decoded through.
-func usesOld(steps []step) bool {
+func usesOld(steps []wire.Step) bool {
 	for _, s := range steps {
 		switch {
-		case s.op == opOpaqueV:
+		case s.Op == wire.OpOpaqueV:
 			return true
-		case s.op == opSliceSub || s.op == opOptional:
-			if pointerFree(s.sub) || usesOld(s.sub) {
+		case s.Op == wire.OpSliceSub || s.Op == wire.OpOptional:
+			if pointerFree(s.Sub) || usesOld(s.Sub) {
 				return true
 			}
-		case s.op == opVecSub && usesOld(s.sub):
+		case s.Op == wire.OpVecSub && usesOld(s.Sub):
 			return true
-		case s.op == opUnion:
-			for _, a := range s.arms {
-				if usesOld(a.sub) {
+		case s.Op == wire.OpUnion:
+			for _, a := range s.Arms {
+				if usesOld(a.Sub) {
 					return true
 				}
 			}
@@ -265,6 +241,7 @@ type emitter struct {
 	indent int
 	names  int
 	math   bool
+	spell  spellings
 }
 
 func (e *emitter) pf(format string, args ...any) {
@@ -322,16 +299,25 @@ const unrollLimit = 4
 // same in memory and on the wire. A bool is not (one byte in memory),
 // and a struct element keeps its per-field stores — the emitter does not
 // know whether Go pads it.
-func unitKernel(sub []step) (width uintptr, ok bool) {
-	if len(sub) != 1 || len(sub[0].path) != 0 || (sub[0].op != opUnits && sub[0].op != opUnits8) {
+func unitKernel(sub []wire.Step) (width int, ok bool) {
+	if len(sub) != 1 || len(sub[0].Path) != 0 || (sub[0].Op != wire.OpUnits && sub[0].Op != wire.OpUnits8) {
 		return 0, false
 	}
-	return 8 * sub[0].op.memWidth(), true
+	return unitBits(sub[0].Op), true
+}
+
+// unitBits is the width in bits of one unit of the run class o, OpUnits
+// or OpUnits8.
+func unitBits(o wire.Op) int {
+	if o == wire.OpUnits8 {
+		return 64
+	}
+	return 32
 }
 
 // isFloat reports whether a unit step's field is an IEEE-754 value,
 // stored through its bits.
-func isFloat(t *Type) bool { return t.Kind == Float32 || t.Kind == Float64 }
+func isFloat(t *wire.Type) bool { return t.Kind == wire.Float32 || t.Kind == wire.Float64 }
 
 // ---------------------------------------------------------------------------
 // Fixed-size stores and loads
@@ -343,20 +329,20 @@ func isFloat(t *Type) bool { return t.Kind == Float32 || t.Kind == Float64 }
 
 // emitFixed renders one fixed-size step at buf[base+off]: its stores
 // when enc, its loads otherwise.
-func emitFixed(e *emitter, lb *lineBuf, enc bool, s step, t *Type, expr, buf, base string, off int) {
+func emitFixed(e *emitter, lb *lineBuf, enc bool, s wire.Step, t *wire.Type, expr, buf, base string, off int) {
 	switch {
-	case s.op != opVecSub && enc:
+	case s.Op != wire.OpVecSub && enc:
 		emitStore(e, lb, s, t, expr, buf, base, off)
-	case s.op != opVecSub:
+	case s.Op != wire.OpVecSub:
 		emitLoad(e, lb, s, t, expr, buf, base, off)
-	case s.wire == 0: // nothing on the wire
-	case s.n <= unrollLimit:
-		for j := 0; j < s.n; j++ {
-			emitAllFixed(e, lb, enc, s.sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*s.wire/s.n)
+	case s.Wire == 0: // nothing on the wire
+	case s.N <= unrollLimit:
+		for j := 0; j < s.N; j++ {
+			emitAllFixed(e, lb, enc, s.Sub, t.Elem, fmt.Sprintf("%s[%d]", expr, j), buf, base, off+j*s.Wire/s.N)
 		}
 	default:
-		win := fmt.Sprintf("%s[%s:%s]", buf, offExpr(base, off), offExpr(base, off+s.wire))
-		if width, ok := unitKernel(s.sub); ok {
+		win := fmt.Sprintf("%s[%s:%s]", buf, offExpr(base, off), offExpr(base, off+s.Wire))
+		if width, ok := unitKernel(s.Sub); ok {
 			if enc {
 				lb.add("wire.PutUnits%d(%s, %s[:])", width, win, expr)
 			} else {
@@ -365,10 +351,10 @@ func emitFixed(e *emitter, lb *lineBuf, enc bool, s step, t *Type, expr, buf, ba
 			return
 		}
 		iv := e.name("i")
-		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+		lb.add("for %s := 0; %s < %d; %s++ {", iv, iv, s.N, iv)
 		lb.depth++
-		emitAllFixed(e, lb, enc, s.sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
-			buf, fmt.Sprintf("%s+%s*%d", offExpr(base, off), iv, s.wire/s.n), 0)
+		emitAllFixed(e, lb, enc, s.Sub, t.Elem, fmt.Sprintf("%s[%s]", expr, iv),
+			buf, fmt.Sprintf("%s+%s*%d", offExpr(base, off), iv, s.Wire/s.N), 0)
 		lb.depth--
 		lb.add("}")
 	}
@@ -376,75 +362,75 @@ func emitFixed(e *emitter, lb *lineBuf, enc bool, s step, t *Type, expr, buf, ba
 
 // emitAllFixed renders a program of fixed-size steps, run against the
 // value expr of type t, at consecutive wire offsets from base+off.
-func emitAllFixed(e *emitter, lb *lineBuf, enc bool, steps []step, t *Type, expr, buf, base string, off int) {
+func emitAllFixed(e *emitter, lb *lineBuf, enc bool, steps []wire.Step, t *wire.Type, expr, buf, base string, off int) {
 	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
+		ft, x := field(t, expr, s.Path)
 		emitFixed(e, lb, enc, s, ft, x, buf, base, off)
-		off += s.wire
+		off += s.Wire
 	}
 }
 
 // emitStore renders the store of one scalar or fixed opaque step.
-func emitStore(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+func emitStore(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, base string, off int) {
 	at := offExpr(base, off)
-	switch s.op {
-	case opUnits, opUnits8:
-		w := 8 * s.op.memWidth()
+	switch s.Op {
+	case wire.OpUnits, wire.OpUnits8:
+		w := unitBits(s.Op)
 		val := fmt.Sprintf("uint%d(%s)", w, expr)
 		if isFloat(t) {
 			e.math = true
-			if goSpelling(t) != fmt.Sprintf("float%d", w) {
+			if e.goSpelling(t) != fmt.Sprintf("float%d", w) {
 				expr = fmt.Sprintf("float%d(%s)", w, expr)
 			}
 			val = fmt.Sprintf("math.Float%dbits(%s)", w, expr)
 		}
 		lb.add("binary.BigEndian.PutUint%d(%s[%s:], %s)", w, buf, at, val)
-	case opBools:
+	case wire.OpBools:
 		lb.add("if %s {", expr)
 		lb.add("\tbinary.BigEndian.PutUint32(%s[%s:], 1)", buf, at)
 		lb.add("} else {")
 		lb.add("\tbinary.BigEndian.PutUint32(%s[%s:], 0)", buf, at)
 		lb.add("}")
-	case opBytes:
-		if s.n == 0 {
+	case wire.OpBytes:
+		if s.N == 0 {
 			return
 		}
-		lb.add("copy(%s[%s:%s], %s[:])", buf, at, offExpr(base, off+s.n), expr)
-		for j := 0; j < xdr.Pad(s.n); j++ {
-			lb.add("%s[%s] = 0", buf, offExpr(base, off+s.n+j))
+		lb.add("copy(%s[%s:%s], %s[:])", buf, at, offExpr(base, off+s.N), expr)
+		for j := 0; j < xdr.Pad(s.N); j++ {
+			lb.add("%s[%s] = 0", buf, offExpr(base, off+s.N+j))
 		}
 	}
 }
 
 // emitLoad renders the load of one scalar or fixed opaque step.
-func emitLoad(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, off int) {
+func emitLoad(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, base string, off int) {
 	at := offExpr(base, off)
 	var val string
-	switch s.op {
-	case opUnits, opUnits8:
-		w := 8 * s.op.memWidth()
+	switch s.Op {
+	case wire.OpUnits, wire.OpUnits8:
+		w := unitBits(s.Op)
 		val = fmt.Sprintf("binary.BigEndian.Uint%d(%s[%s:])", w, buf, at)
 		if isFloat(t) {
 			e.math = true
 			val = fmt.Sprintf("math.Float%dfrombits(%s)", w, val)
-			if goSpelling(t) == fmt.Sprintf("float%d", w) {
+			if e.goSpelling(t) == fmt.Sprintf("float%d", w) {
 				lb.add("%s = %s", expr, val)
 				return
 			}
 		}
-	case opBools:
+	case wire.OpBools:
 		val = fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:]) != 0", buf, at)
-		if goSpelling(t) == "bool" {
+		if e.goSpelling(t) == "bool" {
 			lb.add("%s = %s", expr, val)
 			return
 		}
-	case opBytes:
-		if s.n > 0 {
-			lb.add("copy(%s[:], %s[%s:%s])", expr, buf, at, offExpr(base, off+s.n))
+	case wire.OpBytes:
+		if s.N > 0 {
+			lb.add("copy(%s[:], %s[%s:%s])", expr, buf, at, offExpr(base, off+s.N))
 		}
 		return
 	}
-	lb.add("%s = %s(%s)", expr, goSpelling(t), val)
+	lb.add("%s = %s(%s)", expr, e.goSpelling(t), val)
 }
 
 // ---------------------------------------------------------------------------
@@ -460,43 +446,43 @@ func emitLoad(e *emitter, lb *lineBuf, s step, t *Type, expr, buf, base string, 
 // reads one.
 type gen interface {
 	// fixed adds a fixed-size step to the pending segment.
-	fixed(s step, t *Type, expr string)
+	fixed(s wire.Step, t *wire.Type, expr string)
 	// beginVar closes the pending segment before a variable-size step.
 	beginVar()
 	// flush closes the pending segment at the end of a program.
 	flush()
-	counted(s step, t *Type, expr string)
-	slice(s step, t *Type, expr string)
-	optional(s step, t *Type, expr string)
+	counted(s wire.Step, t *wire.Type, expr string)
+	slice(s wire.Step, t *wire.Type, expr string)
+	optional(s wire.Step, t *wire.Type, expr string)
 	// elems starts the side's generator for an element loop's body, or
 	// a union arm's.
 	elems() gen
 	// tag is the expression a union over expr switches on.
-	tag(t *Type, expr string) string
+	tag(t *wire.Type, expr string) string
 	// fail is the statement that gives up with err.
 	fail(err string) string
 }
 
 // printSteps renders steps run against expr, a value of type t.
-func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
+func printSteps(g gen, e *emitter, steps []wire.Step, t *wire.Type, expr string) {
 	for _, s := range steps {
-		ft, x := field(t, expr, s.path)
+		ft, x := field(t, expr, s.Path)
 		switch {
-		case s.wire == 0: // nothing on the wire
-		case s.wire != varWire:
+		case s.Wire == 0: // nothing on the wire
+		case s.Wire != wire.VarWire:
 			g.fixed(s, ft, x)
-		case s.op == opVecSub: // variable-size elements
+		case s.Op == wire.OpVecSub: // variable-size elements
 			g.beginVar()
 			iv := e.name("i")
-			e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.n, iv)
+			e.pf("for %s := 0; %s < %d; %s++ {", iv, iv, s.N, iv)
 			printElems(g.elems(), e, s, ft, fmt.Sprintf("%s[%s]", x, iv))
-		case s.op == opSliceSub:
+		case s.Op == wire.OpSliceSub:
 			g.beginVar()
 			g.slice(s, ft, x)
-		case s.op == opUnion:
+		case s.Op == wire.OpUnion:
 			g.beginVar()
 			printUnion(g, e, s, ft, x)
-		case s.op == opOptional:
+		case s.Op == wire.OpOptional:
 			g.beginVar()
 			g.optional(s, ft, x)
 		default:
@@ -509,9 +495,9 @@ func printSteps(g gen, e *emitter, steps []step, t *Type, expr string) {
 // printElems prints, with sub, the body of an element loop over the
 // array step s of type t, whose header the caller printed, and closes
 // it.
-func printElems(sub gen, e *emitter, s step, t *Type, elem string) {
+func printElems(sub gen, e *emitter, s wire.Step, t *wire.Type, elem string) {
 	e.indent++
-	printSteps(sub, e, s.sub, t.Elem, elem)
+	printSteps(sub, e, s.Sub, t.Elem, elem)
 	sub.flush()
 	e.indent--
 	e.pf("}")
@@ -522,23 +508,23 @@ func printElems(sub gen, e *emitter, s step, t *Type, elem string) {
 // switch on the discriminant with one case per arm, each printing the
 // arm's program against expr, and ErrBadUnion for a value no arm
 // covers.
-func printUnion(g gen, e *emitter, s step, t *Type, expr string) {
+func printUnion(g gen, e *emitter, s wire.Step, t *wire.Type, expr string) {
 	e.pf("switch %s {", g.tag(t, expr))
 	def := false
-	for _, a := range s.arms {
-		if a.def {
+	for _, a := range s.Arms {
+		if a.Default {
 			def = true
 			e.pf("default:")
 		} else {
-			vals := make([]string, len(a.cases))
-			for i, c := range a.cases {
+			vals := make([]string, len(a.Cases))
+			for i, c := range a.Cases {
 				vals[i] = fmt.Sprint(c)
 			}
 			e.pf("case %s:", strings.Join(vals, ", "))
 		}
 		e.indent++
 		sub := g.elems()
-		printSteps(sub, e, a.sub, t, expr)
+		printSteps(sub, e, a.Sub, t, expr)
 		sub.flush()
 		e.indent--
 	}
@@ -564,20 +550,22 @@ type appendGen struct {
 	headerDone bool
 }
 
-func (g *appendGen) fixed(s step, t *Type, expr string) {
+func (g *appendGen) fixed(s wire.Step, t *wire.Type, expr string) {
 	if g.seg == "" {
 		g.seg = g.e.name("b")
 		g.pend = &lineBuf{}
 	}
 	emitFixed(g.e, g.pend, true, s, t, expr, g.seg, "", g.pendSize)
-	g.pendSize += s.wire
+	g.pendSize += s.Wire
 }
 
 func (g *appendGen) beginVar() { g.flush() }
 
 func (g *appendGen) elems() gen { return &appendGen{e: g.e, headerDone: true} }
 
-func (g *appendGen) tag(t *Type, expr string) string { return expr + "." + GoName(t.Fields[0].Name) }
+func (g *appendGen) tag(t *wire.Type, expr string) string {
+	return expr + "." + GoName(t.Fields[0].Name)
+}
 
 func (g *appendGen) fail(err string) string { return "return " + err }
 
@@ -608,16 +596,16 @@ func (g *appendGen) flush() {
 // counted renders a string or variable-opaque step: bound check before
 // the count (as encodeProg does), one reservation for count + bytes +
 // padding, padding zeroed explicitly.
-func (g *appendGen) counted(s step, t *Type, expr string) {
+func (g *appendGen) counted(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
-	g.tooBig(expr, s.bound)
+	g.tooBig(expr, s.Bound)
 	nv, pv, wv := e.name("n"), e.name("p"), e.name("w")
 	e.pf("%s := len(%s)", nv, expr)
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
 	e.pf("%s := bs.Extend(4 + %s + %s)", wv, nv, pv)
 	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
 	src := expr
-	if s.op == opString && goSpelling(t) != "string" {
+	if s.Op == wire.OpString && e.goSpelling(t) != "string" {
 		src = fmt.Sprintf("string(%s)", expr)
 	}
 	e.pf("copy(%s[4:], %s)", wv, src)
@@ -629,14 +617,14 @@ func (g *appendGen) counted(s step, t *Type, expr string) {
 
 // optional renders optional data: a set pointer's flag opens the first
 // segment of its pointee's program, a nil one is a lone 0 unit.
-func (g *appendGen) optional(s step, t *Type, expr string) {
+func (g *appendGen) optional(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
 	pv := e.name("p")
 	e.pf("if %s := %s; %s != nil {", pv, expr, pv)
 	e.indent++
 	sub := &appendGen{e: e, headerDone: true, seg: e.name("b"), pend: &lineBuf{}, pendSize: 4}
 	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
-	printSteps(sub, e, s.sub, t.Elem, "(*"+pv+")")
+	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
 	sub.flush()
 	e.indent--
 	e.pf("} else {")
@@ -653,7 +641,7 @@ func (g *appendGen) tooBig(expr string, bound uint32) {
 	}
 }
 
-func (g *appendGen) slice(s step, t *Type, expr string) {
+func (g *appendGen) slice(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
 	// Hoist the slice into a local: indexing the original lvalue inside
 	// a loop would force the compiler to reload the slice header every
@@ -662,11 +650,11 @@ func (g *appendGen) slice(s step, t *Type, expr string) {
 	// keeps both out of the residual loop.
 	sv := e.name("s")
 	e.pf("%s := %s", sv, expr)
-	g.tooBig(sv, s.bound)
+	g.tooBig(sv, s.Bound)
 	nv := e.name("n")
 	e.pf("%s := len(%s)", nv, sv)
-	es, _ := sizes(s.sub)
-	if es == varWire {
+	es, _ := wire.Sizes(s.Sub)
+	if es == wire.VarWire {
 		// Variable-size elements: count, then each element re-enters the
 		// segment machinery inside the loop.
 		e.pf("binary.BigEndian.PutUint32(bs.Extend(4), uint32(%s))", nv)
@@ -680,7 +668,7 @@ func (g *appendGen) slice(s step, t *Type, expr string) {
 	wv := e.name("w")
 	e.pf("%s := bs.Extend(4 + %s*%d)", wv, nv, es)
 	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
-	if width, ok := unitKernel(s.sub); ok {
+	if width, ok := unitKernel(s.Sub); ok {
 		// A run of scalar units: the kernel putRun stores through.
 		e.pf("wire.PutUnits%d(%s[4:], %s)", width, wv, sv)
 		return
@@ -695,7 +683,7 @@ func (g *appendGen) slice(s step, t *Type, expr string) {
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
 	lb := &lineBuf{}
-	emitAllFixed(e, lb, true, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
+	emitAllFixed(e, lb, true, s.Sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), ov, "", 0)
 	e.lines(lb)
 	e.pf("%s = %s[%d:]", ov, ov, es)
 	e.indent--
@@ -735,7 +723,7 @@ type decodeGen struct {
 	nilable  bool   // sizing: ref may be nil
 }
 
-func (g *decodeGen) fixed(s step, t *Type, expr string) {
+func (g *decodeGen) fixed(s wire.Step, t *wire.Type, expr string) {
 	if g.pend == nil {
 		g.pend = &lineBuf{}
 	}
@@ -746,7 +734,7 @@ func (g *decodeGen) fixed(s step, t *Type, expr string) {
 		}
 		emitFixed(g.e, g.pend, false, s, t, expr, "body", base, off)
 	}
-	g.pendSize += s.wire
+	g.pendSize += s.Wire
 }
 
 // beginVar also materializes the cursor variable at the current static
@@ -770,11 +758,11 @@ func (g *decodeGen) scope(ref string, nilable bool) gen {
 
 // tag is the union's discriminant field; the pre-pass, which stores
 // nothing, reads it off the end of the segment just checked instead.
-func (g *decodeGen) tag(t *Type, expr string) string {
+func (g *decodeGen) tag(t *wire.Type, expr string) string {
 	switch {
 	case !g.sizing:
 		return expr + "." + GoName(t.Fields[0].Name)
-	case t.Fields[0].Type.Kind == Uint32:
+	case t.Fields[0].Type.Kind == wire.Uint32:
 		return "binary.BigEndian.Uint32(body[pos-4:])"
 	default:
 		return "int32(binary.BigEndian.Uint32(body[pos-4:]))"
@@ -854,23 +842,23 @@ func (g *decodeGen) room(fresh, elem, n string) {
 	g.e.pf("}")
 }
 
-func (g *decodeGen) counted(s step, t *Type, expr string) {
+func (g *decodeGen) counted(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
-	nv := g.count(s.bound)
+	nv := g.count(s.Bound)
 	pv := e.name("p")
 	e.pf("%s := xdr.Pad(%s)", pv, nv)
 	g.overflow("%s+%s > len(body)-pos", nv, pv)
 	switch {
-	case g.sizing && s.op == opString:
+	case g.sizing && s.Op == wire.OpString:
 		g.room("", "byte", nv)
 	case g.sizing:
 		g.room(nv+" > cap("+expr+")", "byte", nv)
-	case s.op == opString && g.slab && goSpelling(t) == "string":
+	case s.Op == wire.OpString && g.slab && e.goSpelling(t) == "string":
 		e.pf("%s = slab.String(body[pos : pos+%s])", expr, nv)
-	case s.op == opString && g.slab:
-		e.pf("%s = %s(slab.String(body[pos : pos+%s]))", expr, goSpelling(t), nv)
-	case s.op == opString:
-		e.pf("%s = %s(body[pos : pos+%s])", expr, goSpelling(t), nv)
+	case s.Op == wire.OpString && g.slab:
+		e.pf("%s = %s(slab.String(body[pos : pos+%s]))", expr, e.goSpelling(t), nv)
+	case s.Op == wire.OpString:
+		e.pf("%s = %s(body[pos : pos+%s])", expr, e.goSpelling(t), nv)
 	default:
 		g.alloc(t, expr, nv, "byte")
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
@@ -882,7 +870,7 @@ func (g *decodeGen) counted(s step, t *Type, expr string) {
 // flag means the pointee follows, a nil pointer gets a fresh pointee and
 // a set one is decoded over, and a zero flag clears the pointer. A
 // pointer-free pointee is a slab part.
-func (g *decodeGen) optional(s step, t *Type, expr string) {
+func (g *decodeGen) optional(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
 	g.overflow("pos+4 > len(body)")
 	fv := e.name("f")
@@ -899,7 +887,7 @@ func (g *decodeGen) optional(s step, t *Type, expr string) {
 	pv := e.name("p")
 	e.pf("%s := %s", pv, expr)
 	e.pf("if %s == nil {", pv)
-	if elem := goSpelling(t.Elem); g.slab && pointerFree(s.sub) {
+	if elem := e.goSpelling(t.Elem); g.slab && pointerFree(s.Sub) {
 		e.pf("\t%s = wire.CarveNew[%s](&slab)", pv, elem)
 	} else {
 		e.pf("\t%s = new(%s)", pv, elem)
@@ -907,7 +895,7 @@ func (g *decodeGen) optional(s step, t *Type, expr string) {
 	e.pf("\t%s = %s", expr, pv)
 	e.pf("}")
 	sub := g.elems()
-	printSteps(sub, e, s.sub, t.Elem, "(*"+pv+")")
+	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
 	sub.flush()
 	e.indent--
 	e.pf("}")
@@ -916,20 +904,20 @@ func (g *decodeGen) optional(s step, t *Type, expr string) {
 // sizeOptional is optional's pre-pass, past the flag fv: a fresh
 // pointer-free pointee takes room, and a pointee with parts of its own
 // is read through for the pre-pass of its program.
-func (g *decodeGen) sizeOptional(s step, t *Type, expr, fv string) {
+func (g *decodeGen) sizeOptional(s wire.Step, t *wire.Type, expr, fv string) {
 	e := g.e
 	e.pf("if %s != 0 {", fv)
 	e.indent++
 	sub, pexpr := g.scope("", false), ""
 	switch {
-	case pointerFree(s.sub):
-		g.room(expr+" == nil", goSpelling(t.Elem), "1")
-	case usesOld(s.sub):
+	case pointerFree(s.Sub):
+		g.room(expr+" == nil", e.goSpelling(t.Elem), "1")
+	case usesOld(s.Sub):
 		pv := e.name("p")
-		g.readOld(pv, "*"+goSpelling(t.Elem), expr)
+		g.readOld(pv, "*"+e.goSpelling(t.Elem), expr)
 		sub, pexpr = g.scope(pv, true), "(*"+pv+")"
 	}
-	printSteps(sub, e, s.sub, t.Elem, pexpr)
+	printSteps(sub, e, s.Sub, t.Elem, pexpr)
 	sub.flush()
 	e.indent--
 	e.pf("}")
@@ -952,7 +940,7 @@ func (g *decodeGen) readOld(lv, typ, expr string) {
 // for the count is kept (so a zero count leaves nil nil and non-nil
 // empty), only a larger count allocates — from the slab, as n elements
 // of elem, in a slab decoder.
-func (g *decodeGen) alloc(t *Type, expr, nv, elem string) {
+func (g *decodeGen) alloc(t *wire.Type, expr, nv, elem string) {
 	e := g.e
 	e.pf("if %s <= cap(%s) {", nv, expr)
 	e.pf("\t%s = %s[:%s]", expr, expr, nv)
@@ -960,29 +948,29 @@ func (g *decodeGen) alloc(t *Type, expr, nv, elem string) {
 	if elem != "" && g.slab {
 		e.pf("\t%s = wire.Carve[%s](&slab, %s)", expr, elem, nv)
 	} else {
-		e.pf("\t%s = make(%s, %s)", expr, goSpelling(t), nv)
+		e.pf("\t%s = make(%s, %s)", expr, e.goSpelling(t), nv)
 	}
 	e.pf("}")
 }
 
-func (g *decodeGen) slice(s step, t *Type, expr string) {
+func (g *decodeGen) slice(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
-	nv := g.count(s.bound)
+	nv := g.count(s.Bound)
 	// Every element costs at least elemMin wire bytes, exactly that when
 	// its size is static: one check rejects hostile counts before
-	// allocation, as decodeProg's opSliceRun/opSliceSub pre-check does.
-	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.elemMin)
+	// allocation, as decodeProg's opSliceRun/OpSliceSub pre-check does.
+	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.ElemMin)
 	var elem string
-	if pointerFree(s.sub) {
-		elem = goSpelling(t.Elem)
+	if pointerFree(s.Sub) {
+		elem = e.goSpelling(t.Elem)
 	}
-	es, _ := sizes(s.sub)
+	es, _ := wire.Sizes(s.Sub)
 	if g.sizing {
 		g.sizeSlice(s, t, expr, nv, elem, es)
 		return
 	}
 	g.alloc(t, expr, nv, elem)
-	if es == varWire {
+	if es == wire.VarWire {
 		// Variable-size elements: per-element checks do the rest.
 		sv := e.name("s")
 		e.pf("%s := %s", sv, expr)
@@ -993,7 +981,7 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 	}
 	// Fixed-size elements: the check above was exact, so the element
 	// loop runs unchecked.
-	if width, ok := unitKernel(s.sub); ok {
+	if width, ok := unitKernel(s.Sub); ok {
 		// A run of scalar units: the kernel getRun loads through, which
 		// takes the run's bytes off the front of the window.
 		e.pf("wire.GetUnits%d(%s, body[pos:])", width, expr)
@@ -1015,7 +1003,7 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 	e.pf("for %s := range %s {", iv, sv)
 	e.indent++
 	lb := &lineBuf{}
-	emitAllFixed(e, lb, false, s.sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
+	emitAllFixed(e, lb, false, s.Sub, t.Elem, fmt.Sprintf("%s[%s]", sv, iv), bv, "", 0)
 	e.lines(lb)
 	e.pf("%s = %s[%d:]", bv, bv, es)
 	e.indent--
@@ -1027,28 +1015,28 @@ func (g *decodeGen) slice(s step, t *Type, expr string) {
 // pointer-free elements (elem) is a part; the elements of any other are
 // walked for theirs, read through the old backing array where the
 // decode reuses it.
-func (g *decodeGen) sizeSlice(s step, t *Type, expr, nv, elem string, es int) {
+func (g *decodeGen) sizeSlice(s wire.Step, t *wire.Type, expr, nv, elem string, es int) {
 	e := g.e
 	if elem != "" {
 		g.room(nv+" > cap("+expr+")", elem, nv)
 	}
 	switch {
-	case es != varWire:
+	case es != wire.VarWire:
 		e.pf("pos += %s * %d", nv, es)
-	case elem != "" || !usesOld(s.sub):
+	case elem != "" || !usesOld(s.Sub):
 		iv := e.name("i")
 		e.pf("for %s := 0; %s < %s; %s++ {", iv, iv, nv, iv)
 		printElems(g.scope("", false), e, s, t, "")
 	default:
 		sv, iv, rv := e.name("s"), e.name("i"), e.name("r")
-		g.readOld(sv, goSpelling(t), expr)
+		g.readOld(sv, e.goSpelling(t), expr)
 		e.pf("if %s > cap(%s) {", nv, sv)
 		e.pf("\t%s = nil", sv)
 		e.pf("} else {")
 		e.pf("\t%s = %s[:%s]", sv, sv, nv)
 		e.pf("}")
 		e.pf("for %s := 0; %s < %s; %s++ {", iv, iv, nv, iv)
-		e.pf("\tvar %s *%s", rv, goSpelling(t.Elem))
+		e.pf("\tvar %s *%s", rv, e.goSpelling(t.Elem))
 		e.pf("\tif %s != nil {", sv)
 		e.pf("\t\t%s = &%s[%s]", rv, sv, iv)
 		e.pf("\t}")

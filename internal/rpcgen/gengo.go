@@ -23,7 +23,7 @@ type GoOptions struct {
 	// WireImport is the import path of the wire codec runtime.
 	WireImport string
 	// Compiled additionally emits rpcgen-compiled straight-line codecs
-	// (wire.EmitCompiledFuncs) for every plan in the wire subset and
+	// (emit.go) for every plan in the wire subset and
 	// registers them with wire.RegisterCompiled, so the transports'
 	// typed entry points pick them over the fused plan interpreter.
 	Compiled bool
@@ -61,7 +61,8 @@ func (o *GoOptions) fill() {
 // is gofmt-formatted.
 func GenerateGo(spec *Spec, opts GoOptions) (string, error) {
 	opts.fill()
-	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool), types: make(map[string]*wire.Type)}
+	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool), types: make(map[string]*wire.Type),
+		spell: spellings{wire.VoidT(): "struct{}"}}
 	if err := g.run(); err != nil {
 		return "", err
 	}
@@ -89,6 +90,7 @@ type goGen struct {
 	needMath bool                  // an emitted codec uses the math package
 	compat   map[string]bool       // declared type name -> in wire subset
 	types    map[string]*wire.Type // declared type name -> its description
+	spell    spellings             // the emitter's Go names for enum, typedef and void types
 	voidDone bool                  // planVoid is declared
 }
 
@@ -96,10 +98,19 @@ func (g *goGen) pf(format string, args ...any) {
 	fmt.Fprintf(&g.sb, format, args...)
 }
 
-// GoName exports an IDL identifier (lower_snake -> CamelCase). It is
-// wire.GoName, the spelling the compiled-codec emitter uses for the
-// field selectors it prints, so declarations and selectors cannot drift.
-func GoName(name string) string { return wire.GoName(name) }
+// GoName exports an IDL identifier (lower_snake -> CamelCase): the one
+// spelling of the declarations rpcgen writes and of the field selectors
+// the compiled-codec emitter prints, so the two cannot drift.
+func GoName(name string) string {
+	var sb strings.Builder
+	for _, p := range strings.Split(name, "_") {
+		if r := []rune(p); len(r) > 0 {
+			r[0] = unicode.ToUpper(r[0])
+			sb.WriteString(string(r))
+		}
+	}
+	return sb.String()
+}
 
 // wireVar and planVar name the generated description and plan variables
 // for a declared type.
@@ -315,8 +326,9 @@ func (g *goGen) optionalStmt(ptr string, elem TypeRef) (string, error) {
 // over from one switch: expr is the wire.Type constructor expression
 // written into the generated source, typ the same description built
 // in-process — so the tree the generated package compiles at init is the
-// tree the compiled-codec emitter reads here. typ records a Go spelling
-// only where the shape does not imply it: enums and typedef'd names.
+// tree the compiled-codec emitter reads here. g.spell records typ's Go
+// spelling only where the shape does not imply it: enums and typedef'd
+// names.
 func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 	switch t.Kind {
 	case KindInt:
@@ -342,7 +354,8 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 	case KindNamed:
 		if kind, _ := g.spec.declKind(t.Name); kind == "enum" {
 			// Enums are int32 on the wire and cast through their own name.
-			expr, typ = "wire.Int32T()", &wire.Type{Kind: wire.Int32, Go: GoName(t.Name)}
+			expr, typ = "wire.Int32T()", &wire.Type{Kind: wire.Int32}
+			g.spell[typ] = GoName(t.Name)
 		} else {
 			expr = wireVar(t.Name)
 			if typ, err = g.declType(t.Name); err != nil {
@@ -435,7 +448,7 @@ func (g *goGen) typedefRef(td TypedefDef) (expr string, typ *wire.Type, err erro
 		return "", nil, fmt.Errorf("typedef %s: %w", td.Name, err)
 	}
 	named := *under
-	named.Go = GoName(td.Name)
+	g.spell[&named] = GoName(td.Name)
 	return expr, &named, nil
 }
 
@@ -495,9 +508,7 @@ func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 	}
 	g.pf("var %s = wire.MustPlan[%s](%s, wire.Specialized)\n\n", dedicated, goT, expr)
 	// The codec pair is named after the variable, minus its "plan".
-	r := []rune(strings.TrimPrefix(dedicated, "plan"))
-	r[0] = unicode.ToUpper(r[0])
-	return dedicated, g.genCompiled(string(r), goT, dedicated, root)
+	return dedicated, g.genCompiled(strings.TrimPrefix(dedicated, "plan"), goT, dedicated, root)
 }
 
 // voidPlan declares, once, planVoid: the empty program, the plan of
@@ -516,15 +527,15 @@ func (g *goGen) voidPlan() (string, error) {
 }
 
 // genCompiled emits, when opts.Compiled asks for it, the straight-line
-// codec pair for one plan (wire.EmitCompiledFuncs: the wire shape
-// lowered into Go with field selectors instead of a plan-executor tail)
+// codec pair for one plan (emitCompiled: the wire shape lowered into Go
+// with field selectors instead of a plan-executor tail)
 // plus its init-time registration, so the transports' typed entry
 // points find it. Both accumulate after all declarations.
 func (g *goGen) genCompiled(base, goType, planExpr string, root *wire.Type) error {
 	if !g.opts.Compiled {
 		return nil
 	}
-	src, usesMath, err := wire.EmitCompiledFuncs(base, root)
+	src, usesMath, err := emitCompiled(base, root, g.spell)
 	if err != nil {
 		return err
 	}

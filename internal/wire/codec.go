@@ -268,7 +268,7 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 // allocating once it has seen its largest message — and only a larger
 // count allocates. A zero count therefore leaves a nil slice nil and a
 // non-nil one empty. Every decoder follows the same rule
-// (ensureSlicePtrFree, decodeProg's opOpaqueV, the emitted routines), so
+// (ensureSlicePtrFree, decodeProg's OpOpaqueV, the emitted routines), so
 // the engines agree on reused destinations as they do on fresh ones.
 // Allocation goes through reflect so element types carrying pointers
 // (strings, nested slices) stay visible to the garbage collector.
@@ -279,7 +279,7 @@ func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
 // an xdr.MemStream over the datagram, record or reply the transports
 // hand it — so the count times the element's smallest wire size is
 // checked against Remaining before the allocation: decodeProg's
-// opSliceRun and opSliceSub, the emitted routines, walkVarArray,
+// opSliceRun and OpSliceSub, the emitted routines, walkVarArray,
 // xdr.Bytes and xdr.String all do, and xdr.Array, whose element size it
 // cannot know, allocates no more elements up front than Remaining holds
 // units. A stream that cannot say what is left vouches for no count, so
@@ -319,15 +319,15 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 		in := &prog[i]
 		q := unsafe.Add(p, in.off)
 		switch in.op {
-		case opUnits, opUnits8, opBools, opBytes:
+		case OpUnits, OpUnits8, OpBools, OpBytes:
 			putRun(bs.Extend(in.wire), in.op, q, in.n)
-		case opString:
+		case OpString:
 			h := (*stringHeader)(q)
 			if uint32(h.len) > in.bound {
 				return xdr.ErrTooBig
 			}
 			encCounted(bs, h.data, h.len)
-		case opOpaqueV:
+		case OpOpaqueV:
 			h := (*sliceHeader)(q)
 			if uint32(h.len) > in.bound {
 				return xdr.ErrTooBig
@@ -341,7 +341,7 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 			w := bs.Extend(4 + h.len*in.wire)
 			binary.BigEndian.PutUint32(w, uint32(h.len))
 			putRun(w[4:], in.run, h.data, h.len*in.unitsPer)
-		case opSliceSub:
+		case OpSliceSub:
 			h := (*sliceHeader)(q)
 			if uint32(h.len) > in.bound {
 				return xdr.ErrTooBig
@@ -352,13 +352,13 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 					return err
 				}
 			}
-		case opVecSub:
+		case OpVecSub:
 			for j := 0; j < in.n; j++ {
 				if err := encodeProg(bs, in.sub, unsafe.Add(q, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
-		case opUnion:
+		case OpUnion:
 			sub, err := selectArm(in.arms, *(*uint32)(q))
 			if err != nil {
 				return err
@@ -366,7 +366,7 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 			if err := encodeProg(bs, sub, p); err != nil {
 				return err
 			}
-		case opOptional:
+		case OpOptional:
 			elem := *(*unsafe.Pointer)(q)
 			w := bs.Extend(4)
 			if elem == nil {
@@ -415,13 +415,13 @@ func selectArm(arms []armInstr, d uint32) ([]instr, error) {
 // explicit padding (the window may be recycled dirty memory).
 //
 //specrpc:hotpath
-func putRun(w []byte, o op, src unsafe.Pointer, n int) {
+func putRun(w []byte, o Op, src unsafe.Pointer, n int) {
 	switch o {
-	case opUnits:
+	case OpUnits:
 		putUnits32(w, unsafe.Slice((*uint32)(src), n))
-	case opUnits8:
+	case OpUnits8:
 		putUnits64(w, unsafe.Slice((*uint64)(src), n))
-	case opBools:
+	case OpBools:
 		for j := 0; j < n; j++ {
 			var u uint32
 			if *(*byte)(unsafe.Add(src, j)) != 0 {
@@ -429,7 +429,7 @@ func putRun(w []byte, o op, src unsafe.Pointer, n int) {
 			}
 			binary.BigEndian.PutUint32(w[4*j:], u)
 		}
-	case opBytes:
+	case OpBytes:
 		copy(w, unsafe.Slice((*byte)(src), n))
 		for j := n; j < len(w); j++ {
 			w[j] = 0
@@ -458,13 +458,13 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 		in := &prog[i]
 		q := unsafe.Add(p, in.off)
 		switch in.op {
-		case opUnits, opUnits8, opBools, opBytes:
+		case OpUnits, OpUnits8, OpBools, OpBytes:
 			b, err := ms.Take(in.wire)
 			if err != nil {
 				return err
 			}
 			getRun(b, in.op, q, in.n)
-		case opString:
+		case OpString:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
 				return err
@@ -474,7 +474,7 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 				return err
 			}
 			*(*string)(q) = string(b[:cnt])
-		case opOpaqueV:
+		case OpOpaqueV:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
 				return err
@@ -507,7 +507,7 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 				return err
 			}
 			getRun(b, in.run, data, cnt*in.unitsPer)
-		case opSliceSub:
+		case OpSliceSub:
 			cnt, err := decCount(ms, in.bound)
 			if err != nil {
 				return err
@@ -524,13 +524,13 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 					return err
 				}
 			}
-		case opVecSub:
+		case OpVecSub:
 			for j := 0; j < in.n; j++ {
 				if err := decodeProg(ms, in.sub, unsafe.Add(q, uintptr(j)*in.stride)); err != nil {
 					return err
 				}
 			}
-		case opUnion:
+		case OpUnion:
 			// An earlier run decoded the discriminant into the value.
 			sub, err := selectArm(in.arms, *(*uint32)(q))
 			if err != nil {
@@ -539,7 +539,7 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 			if err := decodeProg(ms, sub, p); err != nil {
 				return err
 			}
-		case opOptional:
+		case OpOptional:
 			b, err := ms.Take(4)
 			if err != nil {
 				return err
@@ -583,17 +583,17 @@ func decCount(ms *xdr.MemStream, bound uint32) (int, error) {
 // runWire(o, n) bytes the caller already bounds-checked — into dst.
 //
 //specrpc:hotpath
-func getRun(b []byte, o op, dst unsafe.Pointer, n int) {
+func getRun(b []byte, o Op, dst unsafe.Pointer, n int) {
 	switch o {
-	case opUnits:
+	case OpUnits:
 		getUnits32(unsafe.Slice((*uint32)(dst), n), b)
-	case opUnits8:
+	case OpUnits8:
 		getUnits64(unsafe.Slice((*uint64)(dst), n), b)
-	case opBools:
+	case OpBools:
 		for j := 0; j < n; j++ {
 			*(*bool)(unsafe.Add(dst, j)) = binary.BigEndian.Uint32(b[4*j:]) != 0
 		}
-	case opBytes:
+	case OpBytes:
 		copy(unsafe.Slice((*byte)(dst), n), b)
 	}
 }

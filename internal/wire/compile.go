@@ -57,46 +57,47 @@ type node struct {
 	arms []int
 }
 
-// op is one compiled instruction class of the flat plan. The four run
-// classes come first: they are the fixed-size instructions, the ones
-// whose wire size is static (op.fixed).
-type op uint8
+// Op is the class of a step of Lower's program and of an instruction of
+// the fused plan. The four run classes come first: they are the
+// fixed-size ones, whose wire size is static (Op.fixed). Every class but
+// opSliceRun, which only fuse makes, is a step class.
+type Op uint8
 
 const (
-	// opUnits moves n 4-byte big-endian units at off: fused runs of
+	// OpUnits moves n 4-byte big-endian units at off: fused runs of
 	// int32/uint32/float32 fields and fixed arrays thereof.
-	opUnits op = iota + 1
-	// opUnits8 moves n 8-byte big-endian units at off: hyper/uhyper/double
+	OpUnits Op = iota + 1
+	// OpUnits8 moves n 8-byte big-endian units at off: hyper/uhyper/double
 	// runs.
-	opUnits8
-	// opBools moves n Go bools at off, each a 4-byte 0/1 wire unit.
-	opBools
-	// opBytes moves n raw bytes plus padding at off (fixed opaque): the
+	OpUnits8
+	// OpBools moves n Go bools at off, each a 4-byte 0/1 wire unit.
+	OpBools
+	// OpBytes moves n raw bytes plus padding at off (fixed opaque): the
 	// fused-memcpy run.
-	opBytes
-	// opString moves a counted string at off.
-	opString
-	// opOpaqueV moves counted raw bytes ([]byte) at off.
-	opOpaqueV
+	OpBytes
+	// OpString moves a counted string at off.
+	OpString
+	// OpOpaqueV moves counted raw bytes ([]byte) at off.
+	OpOpaqueV
 	// opSliceRun moves a counted slice at off whose element flattens to
 	// unitsPer units of run class run (e.g. []int32, []color, []bool,
 	// []int64, or a []point whose fields fuse completely): the count,
 	// then one run over the whole backing array.
 	opSliceRun
-	// opSliceSub moves a counted slice of composite elements: count, then
+	// OpSliceSub moves a counted slice of composite elements: count, then
 	// the sub-program per element advancing by stride.
-	opSliceSub
-	// opVecSub runs the sub-program n times advancing by stride (fixed
+	OpSliceSub
+	// OpVecSub runs the sub-program n times advancing by stride (fixed
 	// array of composite elements that did not fuse).
-	opVecSub
-	// opUnion runs the program of the arm selected by the 4-byte
+	OpVecSub
+	// OpUnion runs the program of the arm selected by the 4-byte
 	// discriminant at off, which an earlier run has already moved: the
 	// dynamic test left in the residual code, over per-arm static
 	// programs.
-	opUnion
-	// opOptional moves the 4-byte flag of the pointer at off, then, when
+	OpUnion
+	// OpOptional moves the 4-byte flag of the pointer at off, then, when
 	// it is set, the sub-program against the pointee.
-	opOptional
+	OpOptional
 )
 
 // instr is one step of a compiled plan. The offsets and counts are the
@@ -104,21 +105,21 @@ const (
 // the type alone is folded in here, so executing the plan touches only
 // the dynamic bytes.
 type instr struct {
-	op       op
+	op       Op
 	off      uintptr
-	n        int     // unit/byte count (run classes, opVecSub)
-	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun), one element at its smallest (opSliceSub)
+	n        int     // unit/byte count (run classes, OpVecSub)
+	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun), one element at its smallest (OpSliceSub)
 	bound    uint32  // decode limit for counted ops
 	stride   uintptr // Go element size for slice/vector ops
-	run      op      // run class of the fused element (opSliceRun)
+	run      Op      // run class of the fused element (opSliceRun)
 	unitsPer int     // fused units per element (opSliceRun)
 	sub      []instr
 	sliceT   reflect.Type // concrete slice type for decode allocation
-	ptrT     reflect.Type // opOptional: the pointee type for decode allocation
-	arms     []armInstr   // opUnion
+	ptrT     reflect.Type // OpOptional: the pointee type for decode allocation
+	arms     []armInstr   // OpUnion
 }
 
-// armInstr is one arm of an opUnion instruction: the discriminant values
+// armInstr is one arm of an OpUnion instruction: the discriminant values
 // that select it, whether it is the default, and its member's program,
 // which runs against the union's own base pointer.
 type armInstr struct {
@@ -128,32 +129,32 @@ type armInstr struct {
 }
 
 // fixed reports whether o is a run class: a fixed-size instruction.
-func (o op) fixed() bool { return o >= opUnits && o <= opBytes }
+func (o Op) fixed() bool { return o >= OpUnits && o <= OpBytes }
 
 // memWidth is the Go-memory size of one unit of run class o.
-func (o op) memWidth() uintptr {
+func (o Op) memWidth() uintptr {
 	switch o {
-	case opUnits:
+	case OpUnits:
 		return 4
-	case opUnits8:
+	case OpUnits8:
 		return 8
-	default: // opBools, opBytes
+	default: // OpBools, OpBytes
 		return 1
 	}
 }
 
 // runWire reports the wire bytes n units of run class o occupy. It is the
-// one answer to "what is the static wire size": every step.wire of the
+// one answer to "what is the static wire size": every Step.Wire of the
 // layout-free program and every instr.wire of the fused one is computed
 // here or summed from it when built, and the executors, the fused view
 // and the emitter only ever read the fields.
-func runWire(o op, n int) int {
+func runWire(o Op, n int) int {
 	switch o {
-	case opUnits8:
+	case OpUnits8:
 		return 8 * n
-	case opBytes:
+	case OpBytes:
 		return n + xdr.Pad(n)
-	default: // opUnits, opBools: one 4-byte unit each
+	default: // OpUnits, OpBools: one 4-byte unit each
 		return 4 * n
 	}
 }
@@ -208,9 +209,9 @@ func Compile(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 		return nil, err
 	}
 	c.root = root
-	// lower is also the one verdict on the shape, so the walker refuses
+	// Lower is also the one verdict on the shape, so the walker refuses
 	// what the plans refuse.
-	steps, err := lower(t)
+	steps, err := Lower(t)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +307,7 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		if rt.Kind() != reflect.Struct {
 			return mismatch()
 		}
-		ms := t.members()
+		ms := t.Members()
 		if rt.NumField() != len(ms) {
 			return node{}, fmt.Errorf("wire: %s %s has %d fields, Go type %s has %d",
 				t.Kind, t.Name, len(ms), rt, rt.NumField())
@@ -345,67 +346,69 @@ func nameMatches(wireName, goName string) bool {
 	return canon(wireName) == canon(goName)
 }
 
-// step is one instruction of the layout-free program lower builds from
-// a Type: the shape's one walk, shared by both back ends. It holds what
+// Step is one instruction of the layout-free program Lower builds from
+// a Type: the shape's one walk, shared by every back end. It holds what
 // the shape alone decides and no Go offset, since offsets and the run
 // fusion that follows from them belong to the GOARCH the program runs
 // on. fuse resolves a program against a bound node into the
-// interpreter's flat instructions; the emitter (emit.go) prints it as Go
+// interpreter's flat instructions, derivation (derive.go) rebuilds one
+// from the specializer's residual, and rpcgen's emitter prints one as Go
 // source that names fields by selector and leaves offsets to the
 // compiler.
-type step struct {
-	op      op        // a run class (a scalar, or fixed opaque), opString, opOpaqueV, opVecSub (fixed array), opSliceSub (counted array), opUnion or opOptional
-	path    []int     // member indices (Type.members) from the value the program runs against down to the step's field
-	n       int       // units (run classes; bytes for fixed opaque) or elements (opVecSub)
-	wire    int       // static wire bytes, or varWire when the value decides them
-	bound   uint32    // declared limit of a counted step; 0 means none
-	elemMin int       // array steps: the fewest wire bytes one element occupies; opUnion: the smallest arm
-	sub     []step    // array steps: the element's program; opOptional: the pointee's
-	arms    []armStep // opUnion
+type Step struct {
+	Op      Op        // a run class (a scalar, or fixed opaque), OpString, OpOpaqueV, OpVecSub (fixed array), OpSliceSub (counted array), OpUnion or OpOptional
+	Path    []int     // member indices (Type.Members) from the value the program runs against down to the step's field
+	N       int       // units (run classes; bytes for fixed opaque) or elements (OpVecSub)
+	Wire    int       // static wire bytes, or VarWire when the value decides them
+	Bound   uint32    // declared limit of a counted step; 0 means none
+	ElemMin int       // array steps: the fewest wire bytes one element occupies; OpUnion: the smallest arm
+	Sub     []Step    // array steps: the element's program; OpOptional: the pointee's
+	Arms    []ArmStep // OpUnion
 }
 
-// armStep is one arm of a union step: its case values, whether it is the
+// ArmStep is one arm of a union step: its case values, whether it is the
 // default, and its member's program, run against the union value (so
 // its paths start at the union's members, like a struct's fields).
-type armStep struct {
-	cases []int64
-	def   bool
-	sub   []step
+type ArmStep struct {
+	Cases   []int64 // the discriminant values that select the arm
+	Default bool    // the arm every value no other arm lists selects
+	Sub     []Step  // the member's program; empty for a void arm
 }
 
-// varWire marks a step whose wire size depends on the value.
-const varWire = -1
+// VarWire is the Step.Wire of a step whose wire size depends on the
+// value.
+const VarWire = -1
 
-// lower builds the layout-free program of t: structs dissolve into
+// Lower builds the layout-free program of t: structs dissolve into
 // their fields' steps, each named by path, and arrays carry their
 // element's program. A union is its discriminant's step followed by a
 // union step holding one program per arm; optional data is one step
 // holding the pointee's program. Which arrays become runs is fuse's to
 // decide. It refuses what Validate refuses.
-func lower(t *Type) ([]step, error) {
-	s := step{n: 1, wire: varWire, bound: t.Bound}
+func Lower(t *Type) ([]Step, error) {
+	s := Step{N: 1, Wire: VarWire, Bound: t.Bound}
 	switch t.Kind {
 	case Int32, Uint32, Float32:
-		s.op = opUnits
+		s.Op = OpUnits
 	case Hyper, Uhyper, Float64:
-		s.op = opUnits8
+		s.Op = OpUnits8
 	case Bool:
-		s.op = opBools
+		s.Op = OpBools
 	case OpaqueFixed:
-		s.op, s.n = opBytes, t.Len
+		s.Op, s.N = OpBytes, t.Len
 	case String:
-		s.op = opString
+		s.Op = OpString
 	case OpaqueVar:
-		s.op = opOpaqueV
+		s.Op = OpOpaqueV
 	case Struct:
-		var steps []step
+		var steps []Step
 		for i, f := range t.Fields {
-			sub, err := lower(f.Type)
+			sub, err := Lower(f.Type)
 			if err != nil {
 				return nil, fmt.Errorf("struct %s field %s: %w", t.Name, f.Name, err)
 			}
 			for _, fs := range sub {
-				fs.path = append([]int{i}, fs.path...)
+				fs.Path = append([]int{i}, fs.Path...)
 				steps = append(steps, fs)
 			}
 		}
@@ -413,44 +416,44 @@ func lower(t *Type) ([]step, error) {
 	case Union:
 		return lowerUnion(t)
 	case Optional:
-		sub, err := lower(t.Elem)
+		sub, err := Lower(t.Elem)
 		if err != nil {
 			return nil, fmt.Errorf("optional: %w", err)
 		}
-		s.op, s.sub = opOptional, sub
+		s.Op, s.Sub = OpOptional, sub
 	case FixedArray, VarArray:
-		sub, err := lower(t.Elem)
+		sub, err := Lower(t.Elem)
 		if err != nil {
 			return nil, err
 		}
-		elemWire, elemMin := sizes(sub)
-		s.sub, s.elemMin = sub, elemMin
+		elemWire, elemMin := Sizes(sub)
+		s.Sub, s.ElemMin = sub, elemMin
 		switch {
 		case t.Kind == FixedArray:
-			s.op, s.n = opVecSub, t.Len
-			if elemWire != varWire {
-				s.wire = t.Len * elemWire
+			s.Op, s.N = OpVecSub, t.Len
+			if elemWire != VarWire {
+				s.Wire = t.Len * elemWire
 			}
 		case elemMin == 0:
 			return nil, errZeroSizeElem
 		default:
-			s.op = opSliceSub
+			s.Op = OpSliceSub
 		}
 	default:
 		return nil, fmt.Errorf("wire: cannot lower kind %s", t.Kind)
 	}
-	if s.op.fixed() {
-		s.wire = runWire(s.op, s.n)
+	if s.Op.fixed() {
+		s.Wire = runWire(s.Op, s.N)
 	}
-	return []step{s}, nil
+	return []Step{s}, nil
 }
 
 // lowerUnion lowers a union: the discriminant's run step, named by path
 // [0], then the union step, whose arm programs name their member by its
-// index in t.members(). It refuses a discriminant that is not a 4-byte
+// index in t.Members(). It refuses a discriminant that is not a 4-byte
 // integer, a case value the discriminant cannot hold, a value two arms
 // list, and more than one default.
-func lowerUnion(t *Type) ([]step, error) {
+func lowerUnion(t *Type) ([]Step, error) {
 	if len(t.Fields) != 1 || t.Fields[0].Type == nil {
 		return nil, fmt.Errorf("wire: union %s: want one discriminant", t.Name)
 	}
@@ -465,8 +468,8 @@ func lowerUnion(t *Type) ([]step, error) {
 	if len(t.Arms) == 0 {
 		return nil, fmt.Errorf("wire: union %s has no arms", t.Name)
 	}
-	disc := step{op: opUnits, path: []int{0}, n: 1, wire: runWire(opUnits, 1)}
-	u := step{op: opUnion, n: 1, wire: varWire, elemMin: -1}
+	disc := Step{Op: OpUnits, Path: []int{0}, N: 1, Wire: runWire(OpUnits, 1)}
+	u := Step{Op: OpUnion, N: 1, Wire: VarWire, ElemMin: -1}
 	seen, defaults := make(map[int64]bool), 0
 	member := t.armMember()
 	for k, a := range t.Arms {
@@ -484,49 +487,49 @@ func lowerUnion(t *Type) ([]step, error) {
 			}
 			seen[c] = true
 		}
-		arm := armStep{cases: a.Cases, def: a.Default}
+		arm := ArmStep{Cases: a.Cases, Default: a.Default}
 		if member[k] >= 0 {
-			sub, err := lower(a.Field.Type)
+			sub, err := Lower(a.Field.Type)
 			if err != nil {
 				return nil, fmt.Errorf("union %s arm %s: %w", t.Name, a.Field.Name, err)
 			}
 			for _, fs := range sub {
-				fs.path = append([]int{member[k]}, fs.path...)
-				arm.sub = append(arm.sub, fs)
+				fs.Path = append([]int{member[k]}, fs.Path...)
+				arm.Sub = append(arm.Sub, fs)
 			}
 		}
-		if _, least := sizes(arm.sub); u.elemMin < 0 || least < u.elemMin {
-			u.elemMin = least
+		if _, least := Sizes(arm.Sub); u.ElemMin < 0 || least < u.ElemMin {
+			u.ElemMin = least
 		}
-		u.arms = append(u.arms, arm)
+		u.Arms = append(u.Arms, arm)
 	}
 	if defaults > 1 {
 		return nil, fmt.Errorf("wire: union %s has %d default arms", t.Name, defaults)
 	}
-	return []step{disc, u}, nil
+	return []Step{disc, u}, nil
 }
 
-// sizes reports a program's static wire size (varWire when it depends
+// Sizes reports a program's static wire size (VarWire when it depends
 // on the value) and the fewest wire bytes it can occupy: every counted
 // item at its empty encoding, the 4-byte count, an optional at its
 // 4-byte flag, and a union at its smallest arm (its discriminant is a
 // step of its own).
-func sizes(steps []step) (wire, least int) {
+func Sizes(steps []Step) (wire, least int) {
 	for _, s := range steps {
 		switch {
-		case s.wire != varWire:
-			least += s.wire
-		case s.op == opVecSub:
-			least += s.n * s.elemMin
-		case s.op == opUnion:
-			least += s.elemMin
+		case s.Wire != VarWire:
+			least += s.Wire
+		case s.Op == OpVecSub:
+			least += s.N * s.ElemMin
+		case s.Op == OpUnion:
+			least += s.ElemMin
 		default:
 			least += xdr.BytesPerUnit
 		}
-		if wire == varWire || s.wire == varWire {
-			wire = varWire
+		if wire == VarWire || s.Wire == VarWire {
+			wire = VarWire
 		} else {
-			wire += s.wire
+			wire += s.Wire
 		}
 	}
 	return wire, least
@@ -536,51 +539,51 @@ func sizes(steps []step) (wire, least int) {
 // value it runs against, into the flat instruction array: each path
 // becomes a Go offset on this GOARCH, and adjacent runs fuse by Go-memory
 // contiguity.
-func fuse(steps []step, n *node) []instr {
+func fuse(steps []Step, n *node) []instr {
 	var prog []instr
 	for _, s := range steps {
 		f := n
-		for _, i := range s.path {
+		for _, i := range s.Path {
 			f = &f.fields[i]
 		}
-		switch s.op {
-		case opString, opOpaqueV:
-			prog = append(prog, instr{op: s.op, off: f.off, bound: f.bound})
-		case opVecSub:
-			sub := fuse(s.sub, f.elem)
+		switch s.Op {
+		case OpString, OpOpaqueV:
+			prog = append(prog, instr{op: s.Op, off: f.off, bound: f.bound})
+		case OpVecSub:
+			sub := fuse(s.Sub, f.elem)
 			if units, run, ok := fullyFused(sub, f.stride); ok {
 				// The element fuses to contiguous units covering its whole
 				// stride, so the array is one big run: loop bounds
 				// resolved at compile time.
-				appendRun(&prog, run, f.off, s.n*units)
+				appendRun(&prog, run, f.off, s.N*units)
 				break
 			}
-			prog = append(prog, instr{op: opVecSub, off: f.off, n: s.n, stride: f.stride, sub: sub})
-		case opSliceSub:
-			sub := fuse(s.sub, f.elem)
-			if units, run, ok := fullyFused(sub, f.stride); ok && run != opBytes {
+			prog = append(prog, instr{op: OpVecSub, off: f.off, n: s.N, stride: f.stride, sub: sub})
+		case OpSliceSub:
+			sub := fuse(s.Sub, f.elem)
+			if units, run, ok := fullyFused(sub, f.stride); ok && run != OpBytes {
 				prog = append(prog, sliceRun(f.off, f.bound, run, units, f.sliceT))
 				break
 			}
 			prog = append(prog, instr{
-				op: opSliceSub, off: f.off, bound: f.bound, wire: s.elemMin,
+				op: OpSliceSub, off: f.off, bound: f.bound, wire: s.ElemMin,
 				stride: f.stride, sub: sub, sliceT: f.sliceT,
 			})
-		case opUnion:
+		case OpUnion:
 			// The arms' paths start at the union's members, whose offsets
 			// bind already resolved against the same base pointer.
-			arms := make([]armInstr, len(s.arms))
-			for k, a := range s.arms {
-				arms[k] = armInstr{def: a.def, sub: fuse(a.sub, f)}
-				for _, c := range a.cases {
+			arms := make([]armInstr, len(s.Arms))
+			for k, a := range s.Arms {
+				arms[k] = armInstr{def: a.Default, sub: fuse(a.Sub, f)}
+				for _, c := range a.Cases {
 					arms[k].cases = append(arms[k].cases, uint32(c))
 				}
 			}
-			prog = append(prog, instr{op: opUnion, off: f.fields[0].off, arms: arms})
-		case opOptional:
-			prog = append(prog, instr{op: opOptional, off: f.off, sub: fuse(s.sub, f.elem), ptrT: f.ptrT})
+			prog = append(prog, instr{op: OpUnion, off: f.fields[0].off, arms: arms})
+		case OpOptional:
+			prog = append(prog, instr{op: OpOptional, off: f.off, sub: fuse(s.Sub, f.elem), ptrT: f.ptrT})
 		default: // a run class
-			appendRun(&prog, s.op, f.off, s.n)
+			appendRun(&prog, s.Op, f.off, s.N)
 		}
 	}
 	return prog
@@ -590,13 +593,13 @@ func fuse(steps []step, n *node) []instr {
 // instruction when the two are the same class and contiguous in Go
 // memory — the compile-time analog of the specializer coalescing
 // adjacent stores.
-func appendRun(prog *[]instr, o op, off uintptr, n int) {
+func appendRun(prog *[]instr, o Op, off uintptr, n int) {
 	if k := len(*prog); k > 0 {
 		prev := &(*prog)[k-1]
 		if prev.op == o && prev.off+uintptr(prev.n)*o.memWidth() == off {
-			// opBytes runs carry wire padding after them; only a run that
+			// OpBytes runs carry wire padding after them; only a run that
 			// ends 4-byte aligned can absorb more bytes.
-			if o != opBytes || prev.n%4 == 0 {
+			if o != OpBytes || prev.n%4 == 0 {
 				prev.n += n
 				prev.wire = runWire(o, prev.n)
 				return
@@ -608,7 +611,7 @@ func appendRun(prog *[]instr, o op, off uintptr, n int) {
 
 // sliceRun builds the counted-slice instruction for elements that fuse
 // to unitsPer units of run class run.
-func sliceRun(off uintptr, bound uint32, run op, unitsPer int, sliceT reflect.Type) instr {
+func sliceRun(off uintptr, bound uint32, run Op, unitsPer int, sliceT reflect.Type) instr {
 	return instr{
 		op: opSliceRun, off: off, bound: bound, run: run, unitsPer: unitsPer,
 		wire: runWire(run, unitsPer), stride: sliceT.Elem().Size(), sliceT: sliceT,
@@ -618,7 +621,7 @@ func sliceRun(off uintptr, bound uint32, run op, unitsPer int, sliceT reflect.Ty
 // fullyFused reports whether a compiled element program is a single run
 // starting at offset 0 and covering the whole element stride, i.e. the
 // element can be folded into its enclosing array's run.
-func fullyFused(sub []instr, stride uintptr) (count int, o op, ok bool) {
+func fullyFused(sub []instr, stride uintptr) (count int, o Op, ok bool) {
 	if len(sub) != 1 || sub[0].off != 0 {
 		return 0, 0, false
 	}
@@ -629,7 +632,7 @@ func fullyFused(sub []instr, stride uintptr) (count int, o op, ok bool) {
 	if uintptr(in.n)*in.op.memWidth() != stride {
 		return 0, 0, false // Go padding inside the element: cannot fuse
 	}
-	if in.op == opBytes && in.n%4 != 0 {
+	if in.op == OpBytes && in.n%4 != 0 {
 		return 0, 0, false // wire padding between elements: cannot fuse
 	}
 	return in.n, in.op, true

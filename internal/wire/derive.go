@@ -8,7 +8,7 @@ package wire
 // the wire shape, specializes it against the library with the paper's
 // division (mode, ops table, and buffer geometry static; buffer pointer
 // and user data dynamic), and extracts the residual store/load schedule.
-// This file reads that schedule back into lower's layout-free program:
+// This file reads that schedule back into Lower's layout-free program:
 // every scalar access becomes a step named by its field path, a fixed
 // array's element accesses regroup into one array step, and the probe
 // unrolling of a counted array re-generalizes to one counted step. fuse
@@ -22,7 +22,7 @@ package wire
 // probe subset and returns
 // planext.UnsupportedError, so callers fall back to Compile explicitly;
 // derivation never silently mis-lowers. Within the subset the regrouped
-// steps equal lower's (TestDerivedStepsMatchLower, FuzzDerivedSteps),
+// steps equal Lower's (TestDerivedStepsMatchLower, FuzzDerivedSteps),
 // so the derived program is Compile's and the codecs are byte-identical
 // on the wire (see derive_test.go and FuzzDerivedPlan).
 
@@ -83,7 +83,7 @@ func DeriveShape(t *Type) (*planext.Shape, error) {
 
 // DeriveCodec builds the codec for (t, rt) from the specializer instead
 // of the hand compiler: probe stubs are specialized in both directions,
-// the residual schedules are cross-checked, regrouped into lower's
+// the residual schedules are cross-checked, regrouped into Lower's
 // steps, and placed on rt's layout by fuse, as Compile places its own.
 // The mode must be Specialized (a derived plan is by construction not
 // the generic walker).
@@ -116,7 +116,7 @@ func DeriveCodec(t *Type, rt reflect.Type, mode Mode) (*Codec, error) {
 
 // deriveSteps specializes shape's probe stub in both directions and
 // regroups the residual into the layout-free program.
-func deriveSteps(shape *planext.Shape) ([]step, error) {
+func deriveSteps(shape *planext.Shape) ([]Step, error) {
 	enc, err := planext.Derive(shape, planext.Encode)
 	if err != nil {
 		return nil, err
@@ -160,23 +160,23 @@ func schedulesAgree(enc, dec *planext.Schedule) error {
 	return nil
 }
 
-// regroup reads a residual schedule of shape back into lower's
+// regroup reads a residual schedule of shape back into Lower's
 // layout-free program. A scalar access becomes one step named by its
-// field path; a fixed array's element accesses become one opVecSub
+// field path; a fixed array's element accesses become one OpVecSub
 // step; a counted field's probe group — the count word, then its
-// ProbeCount elements — becomes one opSliceSub step, the way back from
+// ProbeCount elements — becomes one OpSliceSub step, the way back from
 // the paper's §6.2 guarded specialization to a program for any runtime
 // length. It reads planext's types only: placing the steps on a Go
 // layout is fuse's job. Any access it cannot place in the shape is an
 // error, never a guess.
-func regroup(sched *planext.Schedule, shape *planext.Shape) ([]step, error) {
+func regroup(sched *planext.Schedule, shape *planext.Shape) ([]Step, error) {
 	// The probe stream is strictly linear: access i moves bytes [4i,4i+4).
 	for i, a := range sched.Accesses {
 		if a.WireOff != 4*i {
 			return nil, fmt.Errorf("wire: derive: access %d at wire offset %d, want %d (non-linear residual)", i, a.WireOff, 4*i)
 		}
 	}
-	var steps []step
+	var steps []Step
 	for i := 0; i < len(sched.Accesses); {
 		s, n, err := regroupAt(sched.Accesses, i, shape)
 		if err != nil {
@@ -191,14 +191,14 @@ func regroup(sched *planext.Schedule, shape *planext.Shape) ([]step, error) {
 // regroupAt regroups the access at index i — with, for an array, the
 // rest of its element group — into one step, and reports how many
 // accesses it consumed.
-func regroupAt(acc []planext.Access, i int, shape *planext.Shape) (step, int, error) {
+func regroupAt(acc []planext.Access, i int, shape *planext.Shape) (Step, int, error) {
 	a := acc[i]
 	cur := shape
 	var path []int
 	for si, st := range a.Path {
 		if st.Field >= 0 {
 			if cur.Kind != planext.Record || st.Field >= len(cur.Fields) {
-				return step{}, 0, fmt.Errorf("wire: derive: access %s: field step %d into %s of %d fields", a, st.Field, cur.Kind, len(cur.Fields))
+				return Step{}, 0, fmt.Errorf("wire: derive: access %s: field step %d into %s of %d fields", a, st.Field, cur.Kind, len(cur.Fields))
 			}
 			cur = cur.Fields[st.Field]
 			path = append(path, st.Field)
@@ -206,10 +206,10 @@ func regroupAt(acc []planext.Access, i int, shape *planext.Shape) (step, int, er
 		switch {
 		case st.Count:
 			if si != len(a.Path)-1 {
-				return step{}, 0, fmt.Errorf("wire: derive: access %s: count step mid-path", a)
+				return Step{}, 0, fmt.Errorf("wire: derive: access %s: count step mid-path", a)
 			}
 			if cur.Kind != planext.Counted {
-				return step{}, 0, fmt.Errorf("wire: derive: count word of non-counted %s", cur.Kind)
+				return Step{}, 0, fmt.Errorf("wire: derive: count word of non-counted %s", cur.Kind)
 			}
 			elems := a.Path[:si:si]
 			if st.Field >= 0 {
@@ -217,28 +217,28 @@ func regroupAt(acc []planext.Access, i int, shape *planext.Shape) (step, int, er
 			}
 			k := planext.ProbeCount(cur.Bound)
 			if err := elementGroup(acc, i+1, elems, k, a); err != nil {
-				return step{}, 0, err
+				return Step{}, 0, err
 			}
-			s, err := arrayStep(opSliceSub, path, cur, a)
+			s, err := arrayStep(OpSliceSub, path, cur, a)
 			return s, 1 + k, err
 		case st.Index >= 0:
 			if cur.Kind != planext.Fixed || st.Index >= cur.Len {
-				return step{}, 0, fmt.Errorf("wire: derive: access %s: index step %d into %s of %d elements", a, st.Index, cur.Kind, cur.Len)
+				return Step{}, 0, fmt.Errorf("wire: derive: access %s: index step %d into %s of %d elements", a, st.Index, cur.Kind, cur.Len)
 			}
 			if err := elementGroup(acc, i, a.Path[:si], cur.Len, a); err != nil {
-				return step{}, 0, err
+				return Step{}, 0, err
 			}
-			s, err := arrayStep(opVecSub, path, cur, a)
+			s, err := arrayStep(OpVecSub, path, cur, a)
 			return s, cur.Len, err
 		case st.Field < 0:
-			return step{}, 0, fmt.Errorf("wire: derive: access %s: malformed step", a)
+			return Step{}, 0, fmt.Errorf("wire: derive: access %s: malformed step", a)
 		}
 	}
 	s := leafStep(cur)
 	if s == nil {
-		return step{}, 0, fmt.Errorf("wire: derive: access %s resolves to non-scalar %s", a, cur.Kind)
+		return Step{}, 0, fmt.Errorf("wire: derive: access %s resolves to non-scalar %s", a, cur.Kind)
 	}
-	s.path = path
+	s.Path = path
 	return *s, 1, nil
 }
 
@@ -259,32 +259,32 @@ func elementGroup(acc []planext.Access, from int, prefix []planext.Step, k int, 
 	return nil
 }
 
-// arrayStep builds the array step o (opVecSub or opSliceSub) at path
+// arrayStep builds the array step o (OpVecSub or OpSliceSub) at path
 // for arr, whose elements must be word-shaped scalars.
-func arrayStep(o op, path []int, arr *planext.Shape, a planext.Access) (step, error) {
+func arrayStep(o Op, path []int, arr *planext.Shape, a planext.Access) (Step, error) {
 	elem := leafStep(arr.Elem)
 	if elem == nil {
-		return step{}, fmt.Errorf("wire: derive: access %s: array of non-scalar elements", a)
+		return Step{}, fmt.Errorf("wire: derive: access %s: array of non-scalar elements", a)
 	}
-	s := step{op: o, path: path, n: 1, wire: varWire, bound: arr.Bound, elemMin: elem.wire, sub: []step{*elem}}
-	if o == opVecSub {
-		s.n, s.wire = arr.Len, arr.Len*elem.wire
+	s := Step{Op: o, Path: path, N: 1, Wire: VarWire, Bound: arr.Bound, ElemMin: elem.Wire, Sub: []Step{*elem}}
+	if o == OpVecSub {
+		s.N, s.Wire = arr.Len, arr.Len*elem.Wire
 	}
 	return s, nil
 }
 
-// leafStep is the step lower builds for a word-shaped scalar, or nil
+// leafStep is the step Lower builds for a word-shaped scalar, or nil
 // when s is not one.
-func leafStep(s *planext.Shape) *step {
-	o := opUnits
+func leafStep(s *planext.Shape) *Step {
+	o := OpUnits
 	switch s.Kind {
 	case planext.Word, planext.UWord:
 	case planext.Flag:
-		o = opBools
+		o = OpBools
 	default:
 		return nil
 	}
-	return &step{op: o, n: 1, wire: runWire(o, 1)}
+	return &Step{Op: o, N: 1, Wire: runWire(o, 1)}
 }
 
 // ---------------------------------------------------------------------------
@@ -327,46 +327,46 @@ func (in instr) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-11s off=%d", in.op, in.off)
 	switch in.op {
-	case opUnits, opUnits8, opBools, opBytes:
+	case OpUnits, OpUnits8, OpBools, OpBytes:
 		fmt.Fprintf(&sb, " n=%d", in.n)
-	case opString, opOpaqueV:
+	case OpString, OpOpaqueV:
 		fmt.Fprintf(&sb, " bound=%#x", in.bound)
 	case opSliceRun:
 		fmt.Fprintf(&sb, " bound=%#x stride=%d per=%d*%s %s", in.bound, in.stride, in.unitsPer, in.run, in.sliceT)
-	case opSliceSub:
+	case OpSliceSub:
 		fmt.Fprintf(&sb, " bound=%#x stride=%d %s", in.bound, in.stride, in.sliceT)
-	case opVecSub:
+	case OpVecSub:
 		fmt.Fprintf(&sb, " n=%d stride=%d", in.n, in.stride)
-	case opOptional:
+	case OpOptional:
 		fmt.Fprintf(&sb, " %s", in.ptrT)
 	}
 	return sb.String()
 }
 
 // String names the instruction class.
-func (o op) String() string {
+func (o Op) String() string {
 	switch o {
-	case opUnits:
+	case OpUnits:
 		return "units"
-	case opUnits8:
+	case OpUnits8:
 		return "units8"
-	case opBools:
+	case OpBools:
 		return "bools"
-	case opBytes:
+	case OpBytes:
 		return "bytes"
-	case opString:
+	case OpString:
 		return "string"
-	case opOpaqueV:
+	case OpOpaqueV:
 		return "opaque<>"
 	case opSliceRun:
 		return "slice-run"
-	case opSliceSub:
+	case OpSliceSub:
 		return "slice-sub"
-	case opVecSub:
+	case OpVecSub:
 		return "vec-sub"
-	case opUnion:
+	case OpUnion:
 		return "union"
-	case opOptional:
+	case OpOptional:
 		return "optional"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))

@@ -373,13 +373,13 @@ func FuzzDerivedPlan(f *testing.F) {
 
 // TestDerivedStepsMatchLower pins derivation before any Go layout
 // enters: the steps regrouped from the specializer's residual are the
-// layout-free program lower builds from the same type. Neither side
+// layout-free program Lower builds from the same type. Neither side
 // holds an offset, so the comparison is the same on every GOARCH.
 func TestDerivedStepsMatchLower(t *testing.T) {
 	for _, tc := range derivedCorpus {
-		want, err := lower(tc.t)
+		want, err := Lower(tc.t)
 		if err != nil {
-			t.Fatalf("%s: lower: %v", tc.name, err)
+			t.Fatalf("%s: Lower: %v", tc.name, err)
 		}
 		shape, err := DeriveShape(tc.t)
 		if err != nil {
@@ -437,7 +437,7 @@ func wordSubsetType(b []byte) (t *Type, derivable bool) {
 }
 
 // FuzzDerivedSteps is TestDerivedStepsMatchLower over random word-subset
-// shapes: every derivable one regroups to lower's steps, and every
+// shapes: every derivable one regroups to Lower's steps, and every
 // other one is refused with *planext.UnsupportedError.
 func FuzzDerivedSteps(f *testing.F) {
 	f.Add([]byte{3, 3, 0, 0, 1, 1, 3, 2, 4, 1})
@@ -462,9 +462,9 @@ func FuzzDerivedSteps(f *testing.F) {
 		if err != nil {
 			t.Fatalf("shape from %x: deriveSteps: %v", b, err)
 		}
-		want, err := lower(wt)
+		want, err := Lower(wt)
 		if err != nil {
-			t.Fatalf("shape from %x: lower: %v", b, err)
+			t.Fatalf("shape from %x: Lower: %v", b, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shape from %x: derived steps differ from lower's\nlower:   %+v\nderived: %+v", b, want, got)

@@ -172,7 +172,7 @@ func TestCallPlanFixedFusion(t *testing.T) {
 	if len(b.prog) != 5 || &b.prog[0] != &mc.prog[0] {
 		t.Fatalf("fused body is not a view of the codec's %d-instruction program: %+v", len(mc.prog), b)
 	}
-	if b.nfixed != 3 || b.fixedWire != 4+4+8 || b.prog[b.nfixed].op != opString {
+	if b.nfixed != 3 || b.fixedWire != 4+4+8 || b.prog[b.nfixed].op != OpString {
 		t.Errorf("prefix = %d instructions / %d bytes, want 3 / 16 stopping at the string", b.nfixed, b.fixedWire)
 	}
 	v := mid{A: -1, Flag: true, H: 1 << 40, Name: "abcde", Z: 7}

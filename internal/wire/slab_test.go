@@ -3,7 +3,6 @@ package wire
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"unsafe"
 )
@@ -138,41 +137,6 @@ func TestSlabRoomOverflows(t *testing.T) {
 	} {
 		if got >= 0 {
 			t.Errorf("an overflowing sum reads %d", got)
-		}
-	}
-}
-
-// TestEmitSlabChoice: a root with at most one pointer-free part outside
-// a loop keeps the part-by-part decoder, and one with more, or with a
-// part in a loop, gets a slab and its pre-pass; a pointer-free optional
-// pointee is a part, an array of strings holds pointers and is not.
-func TestEmitSlabChoice(t *testing.T) {
-	pair := StructT("pair", F("a", Int32T()), F("b", HyperT()))
-	named := StructT("named", F("nm", StringT(8)))
-	for _, c := range []struct {
-		name string
-		t    *Type
-		slab bool
-	}{
-		{"ints", VarArrayT(0, Int32T()), false},
-		{"one string", StructT("s", F("a", Int32T()), F("nm", StringT(0))), false},
-		{"optional pair", OptionalT(pair), false},
-		{"string and optional", StructT("s", F("nm", StringT(0)), F("p", OptionalT(pair))), true},
-		{"strings", VarArrayT(0, StringT(0)), true},
-		{"two fixed strings", FixedArrayT(2, StringT(0)), true},
-		{"one fixed string", FixedArrayT(1, StringT(0)), false},
-		{"optional named", OptionalT(named), false},
-		{"pairs and bytes", StructT("s", F("p", VarArrayT(0, pair)), F("o", OpaqueVarT(0))), true},
-	} {
-		src, _, err := EmitCompiledFuncs("X", c.t)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := strings.Contains(src, "func compiledSlabX("); got != c.slab {
-			t.Errorf("%s: slab %v, want %v\n%s", c.name, got, c.slab, src)
-		}
-		if !c.slab && strings.Contains(src, "slab") {
-			t.Errorf("%s: a decoder without a slab mentions one\n%s", c.name, src)
 		}
 	}
 }

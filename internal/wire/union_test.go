@@ -85,7 +85,7 @@ func TestUnionOptionalBytes(t *testing.T) {
 
 // TestUnionOptionalMinWire: the walker's smallest wire size of a union
 // (4 plus the smallest arm) and of optional data (the 4-byte flag) is
-// the one lower's counted step checks a count against.
+// the one Lower's counted step checks a count against.
 func TestUnionOptionalMinWire(t *testing.T) {
 	pt, res, _ := uTypes()
 	wide := UnionT("wide", F("d", Uint32T()), Case("a", pt, 1), Case("b", HyperT(), 2))
@@ -98,17 +98,17 @@ func TestUnionOptionalMinWire(t *testing.T) {
 		{OptionalT(pt), 4},
 		{StructT("s", F("o", OptionalT(HyperT())), F("w", wide)), 16},
 	} {
-		steps, err := lower(VarArrayT(0, tc.t))
+		steps, err := Lower(VarArrayT(0, tc.t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tc.t.minWireSize(); got != tc.want || steps[0].elemMin != tc.want {
-			t.Errorf("%s: minWireSize %d, lower's elemMin %d, want %d", tc.t.Kind, got, steps[0].elemMin, tc.want)
+		if got := tc.t.minWireSize(); got != tc.want || steps[0].ElemMin != tc.want {
+			t.Errorf("%s: minWireSize %d, Lower's ElemMin %d, want %d", tc.t.Kind, got, steps[0].ElemMin, tc.want)
 		}
 	}
 }
 
-// TestUnionValidate: lower, and so Compile in either mode and the
+// TestUnionValidate: Lower, and so Compile in either mode and the
 // emitter, refuses the unions no closure could serve.
 func TestUnionValidate(t *testing.T) {
 	pt, _, _ := uTypes()
@@ -132,7 +132,7 @@ func TestUnionValidate(t *testing.T) {
 			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
 		}
 	}
-	// The walker refuses what lower refuses, though bind would take it.
+	// The walker refuses what Lower refuses, though bind would take it.
 	rep := UnionT("u", F("d", Int32T()), Case("a", pt, 1), Case("", nil, 1))
 	if _, err := NewPlan[struct {
 		D int32

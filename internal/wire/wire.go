@@ -26,10 +26,12 @@
 // i-cache effect is real; live it measured no different from
 // Specialized and was retired.)
 //
-// The same Type tree is also what rpcgen hands the compiled-stub emitter
-// (emit.go), and both specialized back ends start from one lowering of
-// it (lower, in compile.go), so a shape is described and walked once
-// however it ends up executed.
+// Every specialized back end starts from one lowering of the Type tree
+// (Lower, in compile.go): fuse places its layout-free steps for the
+// interpreter here, and rpcgen's compiled-stub emitter prints the same
+// steps as Go source, so a shape is described and walked once however
+// it ends up executed. The package is the runtime that transports and
+// generated stubs link; generation lives in rpcgen.
 //
 // In the five-layer specialization stack (see DESIGN.md) this is layer
 // 3, the stub layer: it compiles type descriptions down onto the
@@ -126,10 +128,6 @@ type Type struct {
 	Fields []Field
 	// Arms are a union's cases, in declaration order.
 	Arms []Arm
-	// Go is the Go type spelling the compiled-stub emitter casts and
-	// allocates with, set where the shape alone does not imply it (an
-	// enum's or typedef's declared name); the codecs ignore it.
-	Go string
 }
 
 // Field is one struct member.
@@ -162,7 +160,7 @@ var (
 	hyperT   = &Type{Kind: Hyper}
 	uhyperT  = &Type{Kind: Uhyper}
 	float64T = &Type{Kind: Float64}
-	voidT    = &Type{Kind: Struct, Name: "void", Go: "struct{}"}
+	voidT    = &Type{Kind: Struct, Name: "void"}
 )
 
 // Int32T describes a 32-bit signed integer (also XDR enums: they are
@@ -245,10 +243,10 @@ func Default(name string, t *Type) Arm {
 	return Arm{Default: true, Field: Field{Name: name, Type: t}}
 }
 
-// members lists the Go fields a Struct or Union is bound to, in order: a
+// Members lists the Go fields a Struct or Union is bound to, in order: a
 // struct's fields, or a union's discriminant followed by the member of
 // each non-void arm. A step's path indexes this list.
-func (t *Type) members() []Field {
+func (t *Type) Members() []Field {
 	if t.Kind != Union {
 		return t.Fields
 	}
@@ -262,7 +260,7 @@ func (t *Type) members() []Field {
 }
 
 // armMember reports, for each of a union's arms, the index of its member
-// in members(), or -1 for a void arm.
+// in Members(), or -1 for a void arm.
 func (t *Type) armMember() []int {
 	idx, next := make([]int, len(t.Arms)), len(t.Fields)
 	for k, a := range t.Arms {
@@ -283,7 +281,7 @@ func effBound(b uint32) uint32 {
 }
 
 // minWireSize reports the fewest wire bytes a value of t can occupy: the
-// generic walker's own answer, kept apart from lower's (step.elemMin) so
+// generic walker's own answer, kept apart from Lower's (Step.ElemMin) so
 // the fuzzers compare two derivations, not one. A counted item counts at
 // its empty encoding, the 4-byte count.
 func (t *Type) minWireSize() int {
@@ -328,10 +326,10 @@ func (t *Type) minWireSize() int {
 var errZeroSizeElem = errors.New("wire: counted array of elements with no wire size")
 
 // Validate reports whether the codecs refuse t whatever Go type it is
-// bound to, naming the offending field: it is lower's verdict, which
+// bound to, naming the offending field: it is Lower's verdict, which
 // Compile and the emitter act on, and rpcgen asks here so it can fail at
 // the declaration instead of generating a plan that fails at init.
 func (t *Type) Validate() error {
-	_, err := lower(t)
+	_, err := Lower(t)
 	return err
 }
