@@ -325,15 +325,6 @@ func OpenLoopGrid(opts []OpenLoopOptions, reps int) ([]OpenLoopResult, error) {
 	return out, nil
 }
 
-// OpenLoopMedian is OpenLoopGrid for a single configuration.
-func OpenLoopMedian(o OpenLoopOptions, reps int) (OpenLoopResult, error) {
-	rs, err := OpenLoopGrid([]OpenLoopOptions{o}, reps)
-	if err != nil {
-		return OpenLoopResult{}, err
-	}
-	return rs[0], nil
-}
-
 // FormatOpenLoop renders the open-loop grid with its latency tail.
 func FormatOpenLoop(rows []OpenLoopResult) string {
 	var sb strings.Builder

@@ -6,47 +6,18 @@
 package integration
 
 import (
-	"bufio"
-	"bytes"
-	"net"
-	"os"
-	"strconv"
 	"testing"
 
-	"specrpc/internal/client"
-	ct "specrpc/internal/compiledtest"
-	"specrpc/internal/server"
 	"specrpc/internal/testutil"
-	"specrpc/internal/xdr"
 )
 
-// procIO reads the process's read and write syscall counts from
-// /proc/self/io, skipping the test where the file cannot be read.
+// procIO reads the process's read and write syscall counts, skipping
+// the test where /proc/self/io cannot be read.
 func procIO(t *testing.T) (reads, writes uint64) {
 	t.Helper()
-	b, err := os.ReadFile("/proc/self/io")
+	reads, writes, err := readProcIO()
 	if err != nil {
 		t.Skipf("no syscall counts: %v", err)
-	}
-	found := 0
-	for sc := bufio.NewScanner(bytes.NewReader(b)); sc.Scan(); {
-		name, val, _ := bytes.Cut(sc.Bytes(), []byte(": "))
-		var dst *uint64
-		switch string(name) {
-		case "syscr":
-			dst = &reads
-		case "syscw":
-			dst = &writes
-		default:
-			continue
-		}
-		if *dst, err = strconv.ParseUint(string(val), 10, 64); err != nil {
-			t.Skipf("unreadable %s in /proc/self/io: %v", name, err)
-		}
-		found++
-	}
-	if found != 2 {
-		t.Skip("/proc/self/io has no syscr/syscw")
 	}
 	return reads, writes
 }
@@ -68,43 +39,7 @@ func TestStreamCallSyscalls(t *testing.T) {
 	t.Cleanup(testutil.NoLeak(t))
 	procIO(t)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := server.New()
-	defer s.Close()
-	ct.RegisterShapeProgV2(s, shapeService{})
-	go func() { _ = s.ServeTCP(ln) }()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp := client.NewTCP(conn, client.Config{Prog: ct.ShapeProgV2Prog, Vers: ct.ShapeProgV2Vers})
-	defer tcp.Close()
-	stubs := ct.ShapeProgV2Client{C: tcp}
-
-	scale := func(n int) func() error {
-		arg := make(ct.Numbers, n)
-		return func() error {
-			for i := range arg {
-				arg[i] = int32(i)
-			}
-			_, err := stubs.Scale(&arg)
-			return err
-		}
-	}
-	nums := make(ct.Numbers, 100)
-	batched := func(x *xdr.XDR) error { return nums.Marshal(x) }
-	burst := func() error {
-		for i := 0; i < 7; i++ {
-			if err := tcp.CallBatched(ct.ShapeProgV2ProcSum, batched); err != nil {
-				return err
-			}
-		}
-		_, err := stubs.Sum(&nums)
-		return err
-	}
+	tcp, stubs := shapeOverTCP(t)
 
 	for _, tc := range []struct {
 		name             string
@@ -112,9 +47,9 @@ func TestStreamCallSyscalls(t *testing.T) {
 		calls            int // per op
 		maxRead, maxWrit float64
 	}{
-		{"Scale(20)", scale(20), 1, 4.2, 2.1},
-		{"Scale(2000)", scale(2000), 1, 6.2, 2.1},
-		{"7 CallBatched + Sum", burst, 8, 0.6, 0.3},
+		{"Scale(20)", scaleOp(stubs, 20), 1, 4.2, 2.1},
+		{"Scale(2000)", scaleOp(stubs, 2000), 1, 6.2, 2.1},
+		{"7 CallBatched + Sum", burstOp(tcp, stubs), 8, 0.6, 0.3},
 	} {
 		const ops = 400
 		for i := 0; i < 50; i++ { // fill the pools, settle the connection

@@ -633,15 +633,3 @@ func XDRSpec(op int, handy int) *tempo.ObjSpec {
 		},
 	}
 }
-
-// XDRSpecDynHandy is the division with a dynamic remaining-space counter
-// (used when residual loops must keep runtime overflow checks).
-func XDRSpecDynHandy(op int) *tempo.ObjSpec {
-	return &tempo.ObjSpec{
-		StructName: "xdrbuf",
-		Fields: map[string]any{
-			"x_op":  int64(op),
-			"x_ops": OpsSpec(),
-		},
-	}
-}

@@ -72,13 +72,6 @@ func (n *Network) SetLink(from, to Addr, f LinkFaults) {
 	n.links[linkKey{from, to}] = &ff
 }
 
-// ClearLink removes the profile installed for exactly (from, to).
-func (n *Network) ClearLink(from, to Addr) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.links, linkKey{from, to})
-}
-
 // Partition cuts the directed link from→to: every packet sent across it
 // is dropped (and counted) until Heal. Wildcards work as in SetLink, so
 // Partition("", "server") isolates the server's receive side entirely.

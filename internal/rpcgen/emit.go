@@ -22,9 +22,10 @@ import (
 // fuses against the running GOARCH's offsets, before fusion: the Go
 // types it describes do not exist in this process, and its source must
 // be right on every GOARCH, so it addresses fields by selector and lets
-// the compiler do the offset arithmetic. The Go names the shape cannot
-// imply — an enum a field casts through, a typedef a slice allocates
-// as, void's struct{} — come from the generator's spellings.
+// the compiler do the offset arithmetic. Every Go type it prints is the
+// name the generator's walk recorded for the node, goType's answer for
+// that use: the shape alone cannot name an enum a field casts through, a
+// typedef a slice allocates as, or void's struct{}.
 //
 // Byte and error equivalence with the interpretive plans is a hard
 // requirement, since all the rungs multiplex on one connection, so every
@@ -33,41 +34,6 @@ import (
 // memory), hostile counts rejected against the element's smallest wire
 // size before allocation, and ensureSlice's reuse rule. The differential
 // fuzz tests (FuzzCompiledCodec, FuzzLayoutCodec) pin all of it.
-
-// spellings maps a Type the generator built to the Go type name the
-// generated package declares for it where the shape does not imply one.
-type spellings map[*wire.Type]string
-
-// goScalars spells the kinds whose Go type the shape implies outright.
-var goScalars = map[wire.Kind]string{
-	wire.Int32: "int32", wire.Uint32: "uint32", wire.Bool: "bool", wire.Float32: "float32",
-	wire.Hyper: "int64", wire.Uhyper: "uint64", wire.Float64: "float64", wire.String: "string", wire.OpaqueVar: "[]byte",
-}
-
-// goSpelling is the Go type the generated package declares for t: the
-// spelling recorded for it, otherwise what the shape implies — array
-// prefixes down to the first element that names itself.
-func (e *emitter) goSpelling(t *wire.Type) string {
-	var prefix string
-	for ; e.spell[t] == "" && (t.Kind == wire.FixedArray || t.Kind == wire.VarArray); t = t.Elem {
-		if t.Kind == wire.FixedArray {
-			prefix += fmt.Sprintf("[%d]", t.Len)
-		} else {
-			prefix += "[]"
-		}
-	}
-	switch {
-	case e.spell[t] != "":
-		return prefix + e.spell[t]
-	case t.Kind == wire.OpaqueFixed:
-		return fmt.Sprintf("%s[%d]byte", prefix, t.Len)
-	case t.Kind == wire.Struct || t.Kind == wire.Union:
-		return prefix + GoName(t.Name)
-	case t.Kind == wire.Optional:
-		return prefix + "*" + e.goSpelling(t.Elem)
-	}
-	return prefix + goScalars[t.Kind]
-}
 
 // field resolves a step's path under t, the type its program runs
 // against, to the field's type and its Go expression under expr.
@@ -84,16 +50,16 @@ func field(t *wire.Type, expr string, path []int) (*wire.Type, string) {
 // image, XID stamp, value) onto a BufStream, and compiledDecode<base>
 // reads the value back out of raw body bytes. The functions are meant
 // to be registered with wire.RegisterCompiled in the generated
-// package's init. spell names the types the shape does not; usesMath
-// reports whether the source needs the math import (float fields);
-// encoding/binary is always needed.
-func emitCompiled(base string, root *wire.Type, spell spellings) (src string, usesMath bool, err error) {
+// package's init. names holds the Go name of every node under root;
+// usesMath reports whether the source needs the math import (float
+// fields); encoding/binary is always needed.
+func emitCompiled(base string, root *wire.Type, names map[*wire.Type]string) (src string, usesMath bool, err error) {
 	steps, err := wire.Lower(root)
 	if err != nil {
 		return "", false, err
 	}
-	e := &emitter{spell: spell}
-	goType := e.goSpelling(root)
+	e := &emitter{goName: names}
+	goType := names[root]
 
 	e.pf("// compiledAppend%s is the rpcgen-emitted straight-line encoder for %s:", base, goType)
 	e.pf("// one reservation covers the header and the leading fixed-size fields,")
@@ -241,7 +207,7 @@ type emitter struct {
 	indent int
 	names  int
 	math   bool
-	spell  spellings
+	goName map[*wire.Type]string // the Go name of each node of the tree
 }
 
 func (e *emitter) pf(format string, args ...any) {
@@ -379,7 +345,7 @@ func emitStore(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, ba
 		val := fmt.Sprintf("uint%d(%s)", w, expr)
 		if isFloat(t) {
 			e.math = true
-			if e.goSpelling(t) != fmt.Sprintf("float%d", w) {
+			if e.goName[t] != fmt.Sprintf("float%d", w) {
 				expr = fmt.Sprintf("float%d(%s)", w, expr)
 			}
 			val = fmt.Sprintf("math.Float%dbits(%s)", w, expr)
@@ -413,14 +379,14 @@ func emitLoad(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, bas
 		if isFloat(t) {
 			e.math = true
 			val = fmt.Sprintf("math.Float%dfrombits(%s)", w, val)
-			if e.goSpelling(t) == fmt.Sprintf("float%d", w) {
+			if e.goName[t] == fmt.Sprintf("float%d", w) {
 				lb.add("%s = %s", expr, val)
 				return
 			}
 		}
 	case wire.OpBools:
 		val = fmt.Sprintf("binary.BigEndian.Uint32(%s[%s:]) != 0", buf, at)
-		if e.goSpelling(t) == "bool" {
+		if e.goName[t] == "bool" {
 			lb.add("%s = %s", expr, val)
 			return
 		}
@@ -430,7 +396,7 @@ func emitLoad(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, bas
 		}
 		return
 	}
-	lb.add("%s = %s(%s)", expr, e.goSpelling(t), val)
+	lb.add("%s = %s(%s)", expr, e.goName[t], val)
 }
 
 // ---------------------------------------------------------------------------
@@ -605,7 +571,7 @@ func (g *appendGen) counted(s wire.Step, t *wire.Type, expr string) {
 	e.pf("%s := bs.Extend(4 + %s + %s)", wv, nv, pv)
 	e.pf("binary.BigEndian.PutUint32(%s, uint32(%s))", wv, nv)
 	src := expr
-	if s.Op == wire.OpString && e.goSpelling(t) != "string" {
+	if s.Op == wire.OpString && e.goName[t] != "string" {
 		src = fmt.Sprintf("string(%s)", expr)
 	}
 	e.pf("copy(%s[4:], %s)", wv, src)
@@ -853,12 +819,12 @@ func (g *decodeGen) counted(s wire.Step, t *wire.Type, expr string) {
 		g.room("", "byte", nv)
 	case g.sizing:
 		g.room(nv+" > cap("+expr+")", "byte", nv)
-	case s.Op == wire.OpString && g.slab && e.goSpelling(t) == "string":
+	case s.Op == wire.OpString && g.slab && e.goName[t] == "string":
 		e.pf("%s = slab.String(body[pos : pos+%s])", expr, nv)
 	case s.Op == wire.OpString && g.slab:
-		e.pf("%s = %s(slab.String(body[pos : pos+%s]))", expr, e.goSpelling(t), nv)
+		e.pf("%s = %s(slab.String(body[pos : pos+%s]))", expr, e.goName[t], nv)
 	case s.Op == wire.OpString:
-		e.pf("%s = %s(body[pos : pos+%s])", expr, e.goSpelling(t), nv)
+		e.pf("%s = %s(body[pos : pos+%s])", expr, e.goName[t], nv)
 	default:
 		g.alloc(t, expr, nv, "byte")
 		e.pf("copy(%s, body[pos:pos+%s])", expr, nv)
@@ -887,7 +853,7 @@ func (g *decodeGen) optional(s wire.Step, t *wire.Type, expr string) {
 	pv := e.name("p")
 	e.pf("%s := %s", pv, expr)
 	e.pf("if %s == nil {", pv)
-	if elem := e.goSpelling(t.Elem); g.slab && pointerFree(s.Sub) {
+	if elem := e.goName[t.Elem]; g.slab && pointerFree(s.Sub) {
 		e.pf("\t%s = wire.CarveNew[%s](&slab)", pv, elem)
 	} else {
 		e.pf("\t%s = new(%s)", pv, elem)
@@ -911,10 +877,10 @@ func (g *decodeGen) sizeOptional(s wire.Step, t *wire.Type, expr, fv string) {
 	sub, pexpr := g.scope("", false), ""
 	switch {
 	case pointerFree(s.Sub):
-		g.room(expr+" == nil", e.goSpelling(t.Elem), "1")
+		g.room(expr+" == nil", e.goName[t.Elem], "1")
 	case usesOld(s.Sub):
 		pv := e.name("p")
-		g.readOld(pv, "*"+e.goSpelling(t.Elem), expr)
+		g.readOld(pv, "*"+e.goName[t.Elem], expr)
 		sub, pexpr = g.scope(pv, true), "(*"+pv+")"
 	}
 	printSteps(sub, e, s.Sub, t.Elem, pexpr)
@@ -948,7 +914,7 @@ func (g *decodeGen) alloc(t *wire.Type, expr, nv, elem string) {
 	if elem != "" && g.slab {
 		e.pf("\t%s = wire.Carve[%s](&slab, %s)", expr, elem, nv)
 	} else {
-		e.pf("\t%s = make(%s, %s)", expr, e.goSpelling(t), nv)
+		e.pf("\t%s = make(%s, %s)", expr, e.goName[t], nv)
 	}
 	e.pf("}")
 }
@@ -962,7 +928,7 @@ func (g *decodeGen) slice(s wire.Step, t *wire.Type, expr string) {
 	g.overflow("int64(%s)*%d > int64(len(body)-pos)", nv, s.ElemMin)
 	var elem string
 	if pointerFree(s.Sub) {
-		elem = e.goSpelling(t.Elem)
+		elem = e.goName[t.Elem]
 	}
 	es, _ := wire.Sizes(s.Sub)
 	if g.sizing {
@@ -1029,14 +995,14 @@ func (g *decodeGen) sizeSlice(s wire.Step, t *wire.Type, expr, nv, elem string, 
 		printElems(g.scope("", false), e, s, t, "")
 	default:
 		sv, iv, rv := e.name("s"), e.name("i"), e.name("r")
-		g.readOld(sv, e.goSpelling(t), expr)
+		g.readOld(sv, e.goName[t], expr)
 		e.pf("if %s > cap(%s) {", nv, sv)
 		e.pf("\t%s = nil", sv)
 		e.pf("} else {")
 		e.pf("\t%s = %s[:%s]", sv, sv, nv)
 		e.pf("}")
 		e.pf("for %s := 0; %s < %s; %s++ {", iv, iv, nv, iv)
-		e.pf("\tvar %s *%s", rv, e.goSpelling(t.Elem))
+		e.pf("\tvar %s *%s", rv, e.goName[t.Elem])
 		e.pf("\tif %s != nil {", sv)
 		e.pf("\t\t%s = &%s[%s]", rv, sv, iv)
 		e.pf("\t}")

@@ -2,6 +2,8 @@ package rpcgen
 
 import (
 	"errors"
+	goparser "go/parser"
+	"go/token"
 	"os"
 	"strings"
 	"testing"
@@ -14,9 +16,8 @@ import (
 // (wire's TestNestedLayout), but the emitted source is printed from the
 // layout-free steps before fusion, so it is one text on every GOARCH.
 func TestEmitNestedLayout(t *testing.T) {
-	inner := wire.StructT("inner", wire.F("p", wire.Int32T()), wire.F("q", wire.HyperT()))
-	nested := wire.StructT("nested", wire.F("a", wire.Int32T()), wire.F("s", inner))
-	src, _, err := emitCompiled("Nested", nested, nil)
+	g := walker(t, "struct inner { int p; hyper q; }; struct nested { int a; inner s; };")
+	src, _, err := emitCompiled("Nested", g.walk(t, TypeRef{Kind: KindNamed, Name: "nested"}), g.names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,26 +35,34 @@ func TestEmitNestedLayout(t *testing.T) {
 // part in a loop, gets a slab and its pre-pass; a pointer-free optional
 // pointee is a part, an array of strings holds pointers and is not.
 func TestEmitSlabChoice(t *testing.T) {
-	pair := wire.StructT("pair", wire.F("a", wire.Int32T()), wire.F("b", wire.HyperT()))
-	named := wire.StructT("named", wire.F("nm", wire.StringT(8)))
+	g := walker(t, `struct pair { int a; hyper b; };
+struct named { string nm<8>; };
+typedef string str<>;
+struct onestr { int a; string nm<>; };
+struct stropt { string nm<>; pair *p; };
+struct pairsbytes { pair p<>; opaque o<>; };`)
+	named := func(name string) TypeRef { return TypeRef{Kind: KindNamed, Name: name} }
 	for _, c := range []struct {
 		name string
-		t    *wire.Type
+		t    TypeRef
 		slab bool
 	}{
-		{"ints", wire.VarArrayT(0, wire.Int32T()), false},
-		{"one string", wire.StructT("s", wire.F("a", wire.Int32T()), wire.F("nm", wire.StringT(0))), false},
-		{"optional pair", wire.OptionalT(pair), false},
-		{"string and optional", wire.StructT("s", wire.F("nm", wire.StringT(0)), wire.F("p", wire.OptionalT(pair))), true},
-		{"strings", wire.VarArrayT(0, wire.StringT(0)), true},
-		{"two fixed strings", wire.FixedArrayT(2, wire.StringT(0)), true},
-		{"one fixed string", wire.FixedArrayT(1, wire.StringT(0)), false},
-		{"optional named", wire.OptionalT(named), false},
-		{"pairs and bytes", wire.StructT("s", wire.F("p", wire.VarArrayT(0, pair)), wire.F("o", wire.OpaqueVarT(0))), true},
+		{"ints", TypeRef{Kind: KindInt, VarArray: true}, false},
+		{"one string", named("onestr"), false},
+		{"optional pair", TypeRef{Kind: KindNamed, Name: "pair", Optional: true}, false},
+		{"string and optional", named("stropt"), true},
+		{"strings", TypeRef{Kind: KindNamed, Name: "str", VarArray: true}, true},
+		{"two fixed strings", TypeRef{Kind: KindNamed, Name: "str", FixedArray: 2}, true},
+		{"one fixed string", TypeRef{Kind: KindNamed, Name: "str", FixedArray: 1}, false},
+		{"optional named", TypeRef{Kind: KindNamed, Name: "named", Optional: true}, false},
+		{"pairs and bytes", named("pairsbytes"), true},
 	} {
-		src, _, err := emitCompiled("X", c.t, nil)
+		src, _, err := emitCompiled("X", g.walk(t, c.t), g.names)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := goparser.ParseFile(token.NewFileSet(), "x.go", "package x\n"+src, 0); err != nil {
+			t.Errorf("%s: emitted source does not parse: %v\n%s", c.name, err, src)
 		}
 		if got := strings.Contains(src, "func compiledSlabX("); got != c.slab {
 			t.Errorf("%s: slab %v, want %v\n%s", c.name, got, c.slab, src)
@@ -76,4 +85,25 @@ func TestEmitRefusesZeroSizeElem(t *testing.T) {
 	if _, _, err := emitCompiled("Holders", wire.StructT("holders", wire.F("hs", wire.VarArrayT(0, holderT))), nil); !errors.Is(err, zeroSize) {
 		t.Errorf("emitter on a counted array of opaque[0] holders: %v", err)
 	}
+}
+
+// walker is GenerateGo's walk over the declarations of src, for feeding
+// the emitter a tree and the Go names of its nodes.
+func walker(t *testing.T, src string) *goGen {
+	t.Helper()
+	spec, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &goGen{spec: spec, decls: make(map[string]decl), names: make(map[*wire.Type]string)}
+}
+
+// walk is the tree of the type use ref, which must lie in the subset.
+func (g *goGen) walk(t *testing.T, ref TypeRef) *wire.Type {
+	t.Helper()
+	_, typ, err := g.wireRef(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return typ
 }

@@ -1,6 +1,7 @@
 package rpcgen
 
 import (
+	"errors"
 	"fmt"
 	"go/format"
 	"strconv"
@@ -49,10 +50,12 @@ func (o *GoOptions) fill() {
 
 // GenerateGo emits a complete Go source file for the spec: constants,
 // types, marshaling routines, client stubs, and server registration
-// helpers. Types within the wire codec subset (every type but those that
-// reach themselves, such as a linked list) get a wire.Type description
-// and a compiled marshal plan, and their procedures' stubs — a void side
-// is the empty plan, planVoid — route through the codec-based
+// helpers. One walk per type (wireRef) decides whether it lies in the
+// wire codec subset and builds its wire.Type description in the same
+// pass; errOutside lists what lies outside, chiefly void and the types
+// that reach themselves, such as a linked list. Types inside get a
+// compiled marshal plan, and their procedures' stubs — a void side is
+// the empty plan, planVoid — route through the codec-based
 // CallTyped/RegisterTyped entry points — which, on the package's own
 // transports, fuse the per-connection header template and the
 // procedure's plan into one whole-call codec, so typed procedures get
@@ -61,8 +64,8 @@ func (o *GoOptions) fill() {
 // is gofmt-formatted.
 func GenerateGo(spec *Spec, opts GoOptions) (string, error) {
 	opts.fill()
-	g := &goGen{spec: spec, opts: opts, compat: make(map[string]bool), types: make(map[string]*wire.Type),
-		spell: spellings{wire.VoidT(): "struct{}"}}
+	g := &goGen{spec: spec, opts: opts, decls: make(map[string]decl),
+		names: map[*wire.Type]string{wire.VoidT(): "struct{}"}}
 	if err := g.run(); err != nil {
 		return "", err
 	}
@@ -88,10 +91,27 @@ type goGen struct {
 	compiled strings.Builder       // emitted straight-line codecs, appended last
 	hasEmit  bool                  // any compiled codec was emitted
 	needMath bool                  // an emitted codec uses the math package
-	compat   map[string]bool       // declared type name -> in wire subset
-	types    map[string]*wire.Type // declared type name -> its description
-	spell    spellings             // the emitter's Go names for enum, typedef and void types
+	usesWire bool                  // a plan is declared: the wire package is imported
+	decls    map[string]decl       // declared type name -> its walk
+	names    map[*wire.Type]string // node the walk built -> goType of its use
 	voidDone bool                  // planVoid is declared
+}
+
+// errOutside is the walk's answer for a type outside the wire subset:
+// void, which is no value; an undeclared name; a declaration met again
+// while it is still being built; a union whose discriminant is not an
+// int, an unsigned int or an enum, or whose case value does not
+// resolve; and anything with a member outside. Such a type keeps a
+// closure over the generic XDR layer. Any other error of the walk fails
+// generation.
+var errOutside = errors.New("rpcgen: outside the wire subset")
+
+// decl is the memoized walk of a declared struct, union or typedef: its
+// wire.Type constructor expression and tree, or the walk's error.
+type decl struct {
+	expr string
+	typ  *wire.Type
+	err  error
 }
 
 func (g *goGen) pf(format string, args ...any) {
@@ -121,7 +141,6 @@ func (g *goGen) writeHeader(out *strings.Builder) {
 	fmt.Fprintf(out, "// Code generated by rpcgen from an XDR interface definition. DO NOT EDIT.\n\n")
 	fmt.Fprintf(out, "package %s\n\n", g.opts.Package)
 	needsClient := len(g.spec.Programs) > 0
-	needsWire := g.specUsesWire()
 	fmt.Fprintf(out, "import (\n")
 	if g.hasEmit {
 		fmt.Fprintf(out, "\t%q\n", "encoding/binary")
@@ -135,7 +154,7 @@ func (g *goGen) writeHeader(out *strings.Builder) {
 		fmt.Fprintf(out, "\trpcclient %q\n", g.opts.ClientImport)
 		fmt.Fprintf(out, "\trpcserver %q\n", g.opts.ServerImport)
 	}
-	if needsWire {
+	if g.usesWire {
 		fmt.Fprintf(out, "\twire %q\n", g.opts.WireImport)
 	}
 	fmt.Fprintf(out, ")\n\n")
@@ -173,128 +192,19 @@ func (g *goGen) run() error {
 }
 
 // ---------------------------------------------------------------------------
-// Wire subset analysis
-
-// specUsesWire reports whether any generated code will reference the
-// wire package, which decides the import.
-func (g *goGen) specUsesWire() bool {
-	for _, st := range g.spec.Structs {
-		if g.declCompat("struct", st.Name) {
-			return true
-		}
-	}
-	for _, td := range g.spec.Typedefs {
-		if g.declCompat("typedef", td.Name) {
-			return true
-		}
-	}
-	for _, u := range g.spec.Unions {
-		if g.declCompat("union", u.Name) {
-			return true
-		}
-	}
-	for _, p := range g.spec.Programs {
-		for _, v := range p.Versions {
-			for _, proc := range v.Procs {
-				if g.procTyped(proc) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// refCompat reports whether a value's type lies in the wire codec
-// subset: everything rpcgen parses but void, which is no value, and the
-// types that reach themselves.
-func (g *goGen) refCompat(t TypeRef) bool {
-	if t.Kind == KindVoid {
-		return false
-	}
-	if t.Kind != KindNamed {
-		return true
-	}
-	kind, ok := g.spec.declKind(t.Name)
-	if !ok {
-		return false
-	}
-	if kind == "enum" {
-		return true
-	}
-	return g.declCompat(kind, t.Name)
-}
-
-// declCompat memoizes subset membership for declared types. The
-// conservative false pre-seed is the cycle guard: a declaration that
-// reaches itself (a linked list through optional data) meets its own
-// false and stays on the closure path, as does every type that contains
-// it.
-func (g *goGen) declCompat(kind, name string) bool {
-	if v, ok := g.compat[name]; ok {
-		return v
-	}
-	g.compat[name] = false
-	v := false
-	switch kind {
-	case "struct":
-		for _, st := range g.spec.Structs {
-			if st.Name != name {
-				continue
-			}
-			v = true
-			for _, f := range st.Fields {
-				if !g.refCompat(f.Type) {
-					v = false
-					break
-				}
-			}
-		}
-	case "typedef":
-		for _, td := range g.spec.Typedefs {
-			if td.Name == name {
-				v = g.refCompat(td.Type)
-			}
-		}
-	case "union":
-		for _, u := range g.spec.Unions {
-			if u.Name == name {
-				v = g.unionCompat(u)
-			}
-		}
-	}
-	g.compat[name] = v
-	return v
-}
-
-// unionCompat reports whether a union lies in the subset: a discriminant
-// that is an int, an unsigned int or an enum, case values that resolve,
-// and every arm's member in the subset.
-func (g *goGen) unionCompat(u UnionDef) bool {
-	d := u.Discriminant.Type
-	if d.FixedArray > 0 || d.VarArray || d.Optional {
-		return false
-	}
-	if kind, _ := g.spec.declKind(d.Name); d.Kind != KindInt && d.Kind != KindUint && (d.Kind != KindNamed || kind != "enum") {
-		return false
-	}
-	for _, arm := range u.Arms {
-		for _, cv := range arm.CaseValues {
-			if _, err := g.spec.resolve(cv); err != nil {
-				return false
-			}
-		}
-		if arm.Field != nil && !g.refCompat(arm.Field.Type) {
-			return false
-		}
-	}
-	return true
-}
+// The wire subset: one walk decides and builds
 
 // procTyped reports whether a procedure routes through the codec-based
-// typed entry points: each side void or in the subset.
+// typed entry points: each side void or not outside the subset. A side
+// whose walk fails otherwise is typed, and planRef reports the error.
 func (g *goGen) procTyped(p ProcDef) bool {
-	side := func(t TypeRef) bool { return t.Kind == KindVoid || g.refCompat(t) }
+	side := func(t TypeRef) bool {
+		if t.Kind == KindVoid {
+			return true
+		}
+		_, _, err := g.wireRef(t)
+		return !outside(err)
+	}
 	return side(p.Arg) && side(p.Result)
 }
 
@@ -322,14 +232,16 @@ func (g *goGen) optionalStmt(ptr string, elem TypeRef) (string, error) {
 	return fmt.Sprintf("if err := xdr.Optional(x, %s, %s); err != nil { return err }", ptr, proc), nil
 }
 
-// wireRef resolves a type use already known to be in the subset, twice
-// over from one switch: expr is the wire.Type constructor expression
-// written into the generated source, typ the same description built
-// in-process — so the tree the generated package compiles at init is the
-// tree the compiled-codec emitter reads here. g.spell records typ's Go
-// spelling only where the shape does not imply it: enums and typedef'd
-// names.
+// wireRef walks a type use once: it decides whether the use lies in the
+// wire subset, answering errOutside if not, and builds it twice over
+// from one switch: expr is the wire.Type constructor expression written
+// into the generated source, typ the same description built in-process
+// — so the tree the generated package compiles at init is the tree the
+// compiled-codec emitter reads here. g.names records, for every node
+// built, the name goType gives its use, which the emitter prints.
 func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
+	use := t
+	use.FixedArray, use.VarArray, use.Optional = 0, false, false
 	switch t.Kind {
 	case KindInt:
 		expr, typ = "wire.Int32T()", wire.Int32T()
@@ -353,18 +265,20 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 		expr, typ = fmt.Sprintf("wire.OpaqueVarT(%d)", t.Bound), wire.OpaqueVarT(uint32(t.Bound))
 	case KindNamed:
 		if kind, _ := g.spec.declKind(t.Name); kind == "enum" {
-			// Enums are int32 on the wire and cast through their own name.
+			// Enums are int32 on the wire and cast through their own name,
+			// so each use is a node of its own.
 			expr, typ = "wire.Int32T()", &wire.Type{Kind: wire.Int32}
-			g.spell[typ] = GoName(t.Name)
+		} else if _, typ, err = g.declType(t.Name); err != nil {
+			return "", nil, err
 		} else {
 			expr = wireVar(t.Name)
-			if typ, err = g.declType(t.Name); err != nil {
-				return "", nil, err
-			}
 		}
+	case KindVoid:
+		return "", nil, errOutside
 	default:
 		return "", nil, fmt.Errorf("rpcgen: type kind %d has no wire description", t.Kind)
 	}
+	g.name(typ, use)
 	switch {
 	case t.FixedArray > 0:
 		expr, typ = fmt.Sprintf("wire.FixedArrayT(%d, %s)", t.FixedArray, expr), wire.FixedArrayT(t.FixedArray, typ)
@@ -376,28 +290,55 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 			return "", nil, fmt.Errorf("line %d: %w", t.Line, err)
 		}
 	}
+	use.FixedArray, use.VarArray = t.FixedArray, t.VarArray
+	g.name(typ, use)
 	if t.Optional {
 		expr, typ = fmt.Sprintf("wire.OptionalT(%s)", expr), wire.OptionalT(typ)
+		g.name(typ, t)
 	}
 	return expr, typ, nil
 }
+
+// name records the Go name goType gives use for typ, the node built for
+// it. The walk refuses void, goType's one error, before it names a node.
+func (g *goGen) name(typ *wire.Type, use TypeRef) {
+	g.names[typ], _ = g.goType(use)
+}
+
+// outside reports whether a walk answered errOutside. A member outside
+// puts its container outside, whatever error another member has.
+func outside(err error) bool { return errors.Is(err, errOutside) }
 
 // unionRef is wireRef for a union declaration: the UnionT expression and
 // the tree, discriminant and arms, validated here against the
 // declaration as wireRef validates a counted array.
 func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
-	de, dt, err := g.wireRef(u.Discriminant.Type)
-	if err != nil {
-		return "", nil, fmt.Errorf("union %s: %w", u.Name, err)
+	d := u.Discriminant.Type
+	if kind, _ := g.spec.declKind(d.Name); d.FixedArray > 0 || d.VarArray || d.Optional ||
+		d.Kind != KindInt && d.Kind != KindUint && (d.Kind != KindNamed || kind != "enum") {
+		return "", nil, errOutside
 	}
+	de, dt, _ := g.wireRef(d) // an int, an unsigned int or an enum: nothing to refuse
 	exprs := []string{fmt.Sprintf("wire.F(%q, %s)", u.Discriminant.Name, de)}
 	arms := make([]wire.Arm, len(u.Arms))
 	for i, arm := range u.Arms {
+		vals := make([]int64, len(arm.CaseValues))
+		lits := make([]string, len(arm.CaseValues))
+		for j, cv := range arm.CaseValues {
+			v, cerr := g.spec.resolve(cv)
+			if cerr != nil {
+				return "", nil, errOutside
+			}
+			vals[j], lits[j] = v, strconv.FormatInt(v, 10)
+		}
 		name, fe, ft := "", "nil", (*wire.Type)(nil)
 		if arm.Field != nil {
+			var ferr error
 			name = arm.Field.Name
-			if fe, ft, err = g.wireRef(arm.Field.Type); err != nil {
-				return "", nil, fmt.Errorf("union %s.%s: %w", u.Name, name, err)
+			if fe, ft, ferr = g.wireRef(arm.Field.Type); outside(ferr) {
+				return "", nil, ferr
+			} else if ferr != nil && err == nil {
+				err = fmt.Errorf("union %s.%s: %w", u.Name, name, ferr)
 			}
 		}
 		if len(arm.CaseValues) == 0 {
@@ -405,14 +346,11 @@ func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
 			arms[i] = wire.Default(name, ft)
 			continue
 		}
-		vals := make([]int64, len(arm.CaseValues))
-		lits := make([]string, len(arm.CaseValues))
-		for j, cv := range arm.CaseValues {
-			vals[j], _ = g.spec.resolve(cv)
-			lits[j] = strconv.FormatInt(vals[j], 10)
-		}
 		exprs = append(exprs, fmt.Sprintf("wire.Case(%q, %s, %s)", name, fe, strings.Join(lits, ", ")))
 		arms[i] = wire.Case(name, ft, vals...)
+	}
+	if err != nil {
+		return "", nil, err
 	}
 	typ = wire.UnionT(u.Name, wire.F(u.Discriminant.Name, dt), arms...)
 	if err := typ.Validate(); err != nil {
@@ -428,59 +366,68 @@ func (g *goGen) structRef(st StructDef) (expr string, typ *wire.Type, err error)
 	exprs := make([]string, len(st.Fields))
 	fields := make([]wire.Field, len(st.Fields))
 	for i, f := range st.Fields {
-		fe, ft, err := g.wireRef(f.Type)
-		if err != nil {
-			return "", nil, fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, err)
+		fe, ft, ferr := g.wireRef(f.Type)
+		if outside(ferr) {
+			return "", nil, ferr
+		} else if ferr != nil && err == nil {
+			err = fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, ferr)
 		}
 		exprs[i] = fmt.Sprintf("wire.F(%q, %s)", f.Name, fe)
 		fields[i] = wire.F(f.Name, ft)
+	}
+	if err != nil {
+		return "", nil, err
 	}
 	expr = fmt.Sprintf("wire.StructT(%q,\n\t\t%s,\n\t)", st.Name, strings.Join(exprs, ",\n\t\t"))
 	return expr, wire.StructT(st.Name, fields...), nil
 }
 
 // typedefRef is wireRef for a typedef declaration: the underlying
-// shape's expression, and its tree under the declared name — what
-// allocations and casts must spell; the shape itself is unchanged.
+// shape's expression, and its tree as a node of its own, which declType
+// names after the typedef — what allocations and casts must spell; the
+// shape itself is unchanged.
 func (g *goGen) typedefRef(td TypedefDef) (expr string, typ *wire.Type, err error) {
 	expr, under, err := g.wireRef(td.Type)
 	if err != nil {
 		return "", nil, fmt.Errorf("typedef %s: %w", td.Name, err)
 	}
 	named := *under
-	g.spell[&named] = GoName(td.Name)
 	return expr, &named, nil
 }
 
-// declType builds, once, the description a declared struct or typedef
-// in the subset names (the value of its generated wireVar).
-func (g *goGen) declType(name string) (t *wire.Type, err error) {
-	if memo, ok := g.types[name]; ok {
-		return memo, nil
+// declType walks, once, the declared struct, union or typedef name: the
+// constructor expression its generated wireVar holds and its tree, or
+// the walk's error — errOutside for a name not declared. While the walk
+// runs, the memo holds errOutside for name: the in-progress mark. A
+// declaration that reaches itself (a linked list through optional data)
+// meets its own mark and lies outside the subset, as does every type
+// that contains it.
+func (g *goGen) declType(name string) (expr string, typ *wire.Type, err error) {
+	if d, ok := g.decls[name]; ok {
+		return d.expr, d.typ, d.err
 	}
+	g.decls[name] = decl{err: errOutside}
+	err = errOutside
 	for _, st := range g.spec.Structs {
 		if st.Name == name {
-			_, t, err = g.structRef(st)
+			expr, typ, err = g.structRef(st)
 		}
 	}
 	for _, td := range g.spec.Typedefs {
 		if td.Name == name {
-			_, t, err = g.typedefRef(td)
+			expr, typ, err = g.typedefRef(td)
 		}
 	}
 	for _, u := range g.spec.Unions {
 		if u.Name == name {
-			_, t, err = g.unionRef(u)
+			expr, typ, err = g.unionRef(u)
 		}
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		g.name(typ, TypeRef{Kind: KindNamed, Name: name})
 	}
-	if t == nil {
-		return nil, fmt.Errorf("rpcgen: no declaration for type %s", name)
-	}
-	g.types[name] = t
-	return t, nil
+	g.decls[name] = decl{expr, typ, err}
+	return expr, typ, err
 }
 
 // planRef resolves the plan expression for a proc argument or result: a
@@ -507,6 +454,7 @@ func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 		return "", err
 	}
 	g.pf("var %s = wire.MustPlan[%s](%s, wire.Specialized)\n\n", dedicated, goT, expr)
+	g.usesWire = true
 	// The codec pair is named after the variable, minus its "plan".
 	return dedicated, g.genCompiled(strings.TrimPrefix(dedicated, "plan"), goT, dedicated, root)
 }
@@ -516,7 +464,7 @@ func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 func (g *goGen) voidPlan() (string, error) {
 	ref := planVar("void")
 	if !g.voidDone {
-		g.voidDone = true
+		g.voidDone, g.usesWire = true, true
 		g.pf("// %s is the empty program, the plan of a void argument or result.\n", ref)
 		g.pf("var %s = wire.MustPlan[struct{}](wire.VoidT(), wire.Specialized)\n\n", ref)
 		if err := g.genCompiled("Void", "struct{}", ref, wire.VoidT()); err != nil {
@@ -535,7 +483,7 @@ func (g *goGen) genCompiled(base, goType, planExpr string, root *wire.Type) erro
 	if !g.opts.Compiled {
 		return nil
 	}
-	src, usesMath, err := emitCompiled(base, root, g.spell)
+	src, usesMath, err := emitCompiled(base, root, g.names)
 	if err != nil {
 		return err
 	}
@@ -585,7 +533,7 @@ func (g *goGen) goType(t TypeRef) (string, error) {
 	case KindString:
 		base = "string"
 	case KindOpaqueF:
-		return fmt.Sprintf("[%d]byte", t.Bound), nil
+		base = fmt.Sprintf("[%d]byte", t.Bound)
 	case KindOpaqueV:
 		base = "[]byte"
 	case KindNamed:
@@ -716,6 +664,7 @@ func (g *goGen) genPlanDecl(idlName, goTypeName, wireExpr string) {
 		wireVar(idlName), idlName, planVar(idlName))
 	g.pf("var (\n\t%s = %s\n", wireVar(idlName), wireExpr)
 	g.pf("\t%s = wire.MustPlan[%s](%s, wire.Specialized)\n)\n\n", planVar(idlName), goTypeName, wireVar(idlName))
+	g.usesWire = true
 }
 
 func (g *goGen) genTypedef(td TypedefDef) error {
@@ -726,8 +675,7 @@ func (g *goGen) genTypedef(td TypedefDef) error {
 	}
 	g.pf("// %s is the IDL typedef %s.\ntype %s %s\n\n", name, td.Name, name, typ)
 
-	if g.declCompat("typedef", td.Name) {
-		expr, root, err := g.typedefRef(td)
+	if expr, root, err := g.declType(td.Name); !outside(err) {
 		if err != nil {
 			return err
 		}
@@ -773,8 +721,7 @@ func (g *goGen) genStruct(st StructDef) error {
 	}
 	g.pf("}\n\n")
 
-	if g.declCompat("struct", st.Name) {
-		expr, root, err := g.structRef(st)
+	if expr, root, err := g.declType(st.Name); !outside(err) {
 		if err != nil {
 			return err
 		}
@@ -822,8 +769,7 @@ func (g *goGen) genUnion(u UnionDef) error {
 	}
 	g.pf("}\n\n")
 
-	if g.declCompat("union", u.Name) {
-		expr, root, err := g.unionRef(u)
+	if expr, root, err := g.declType(u.Name); !outside(err) {
 		if err != nil {
 			return err
 		}

@@ -19,7 +19,28 @@ func Parse(src string) (*Spec, error) {
 			return nil, err
 		}
 	}
+	if err := p.spec.typedefCycle(); err != nil {
+		return nil, err
+	}
 	return p.spec, nil
+}
+
+// typedefCycle refuses a typedef that reaches itself through typedefs
+// alone (typedef node *node;): it names no data, and the closures that
+// marshal a pointer typedef would recurse on it without end.
+func (s *Spec) typedefCycle() error {
+	next := make(map[string]string)
+	for _, td := range s.Typedefs {
+		next[td.Name] = td.Type.Name
+	}
+	for _, td := range s.Typedefs {
+		for i, name := 0, td.Name; i < len(next); i++ {
+			if name = next[name]; name == td.Name {
+				return fmt.Errorf("rpcgen: typedef %s reaches itself through typedefs alone", td.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -93,14 +93,16 @@ func TestParseRich(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		`struct s { int a }`,                    // missing semicolons
-		`const X = ;`,                           // missing value
-		`enum e { A = , B };`,                   // bad enumerator
-		`union u switch int d) { };`,            // malformed switch
-		`program P { version V { } };`,          // missing numbers
-		`struct s { string name; };`,            // unbounded string
-		`typedef int t<10>; typedef int t<20>;`, // redeclaration
-		`union u switch (int a) { case`,         // truncated: used to step past EOF and panic
+		`struct s { int a }`,                        // missing semicolons
+		`const X = ;`,                               // missing value
+		`enum e { A = , B };`,                       // bad enumerator
+		`union u switch int d) { };`,                // malformed switch
+		`program P { version V { } };`,              // missing numbers
+		`struct s { string name; };`,                // unbounded string
+		`typedef int t<10>; typedef int t<20>;`,     // redeclaration
+		`union u switch (int a) { case`,             // truncated: used to step past EOF and panic
+		`typedef node *node; struct s { node n; };`, // a typedef of itself names no data
+		`typedef a *b; typedef b *a;`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -202,9 +204,9 @@ func TestGenerateGoWirePlans(t *testing.T) {
 
 // TestGenerateGoLinkedList: a type that reaches itself through optional
 // data — RFC 1833's pmaplist is one, directly or through a pointer
-// typedef — has no plan: rpcgen's cycle guard keeps it, and every type
-// and procedure holding it, on the closure path, and the generated
-// package still builds.
+// typedef — has no plan: it meets its own in-progress mark in rpcgen's
+// walk, which keeps it, and every type and procedure holding it, on the
+// closure path, and the generated package still builds.
 func TestGenerateGoLinkedList(t *testing.T) {
 	spec, err := Parse(`struct node {
 	int   v;
@@ -259,11 +261,25 @@ program LIST { version V {
 	}
 }
 
-// TestGenerateGoRefusesZeroSizeElements: a counted array of elements
-// with no wire size — expressible in a .x file, and refused by
-// wire.Compile — fails generation against the line that declares it,
-// plan-only and compiled, instead of becoming a MustPlan that panics in
-// the importer's init.
+// TestGenerateGoOptionalFixedOpaque: optional fixed-length opaque data
+// (opaque *d[4]) is declared as the pointer its wire shape binds to and
+// the compiled codec dereferences, so the generated package builds.
+func TestGenerateGoOptionalFixedOpaque(t *testing.T) {
+	spec, err := Parse(`struct opt { opaque *d[4]; hyper h; };
+program P { version V { opt ECHO(opt) = 1; } = 1; } = 0x20000003;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := GenerateGo(spec, GoOptions{Package: "optopaque", Compiled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "D *[4]byte") {
+		t.Errorf("optional opaque[4] not declared *[4]byte:\n%s", out)
+	}
+	buildGenerated(t, "optopaque", out)
+}
+
 // buildGenerated compiles generated source as package pkg inside this
 // module, where it may import the internal runtime; it skips when no go
 // command is at hand.
@@ -286,6 +302,11 @@ func buildGenerated(t *testing.T, pkg, src string) {
 	}
 }
 
+// TestGenerateGoRefusesZeroSizeElements: a counted array of elements
+// with no wire size — expressible in a .x file, and refused by
+// wire.Compile — fails generation against the line that declares it,
+// plan-only and compiled, instead of becoming a MustPlan that panics in
+// the importer's init.
 func TestGenerateGoRefusesZeroSizeElements(t *testing.T) {
 	spec, err := Parse(`struct holder { opaque pad[0]; };
 struct many {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"specrpc/internal/client"
+	"specrpc/internal/clock"
 	"specrpc/internal/testutil"
 	"specrpc/internal/xdr"
 )
@@ -225,4 +227,60 @@ func TestServeTCPLoneCallOneWrite(t *testing.T) {
 		t.Fatalf("%d lone calls answered with %d records in %d writes, want %d and %d",
 			calls, len(records), writes, calls, calls)
 	}
+}
+
+// readCount counts the Reads of a connection that delivered bytes: each
+// is one read syscall that moved data.
+type readCount struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c readCount) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestBatchTCPCallsServerWrites: the reply half of a CallBatched burst,
+// through the client. A group of seven CallBatched echoes and a
+// terminal call leaves the client in one write and reaches the server
+// in one read, so the token holder runs all eight under a lent token and
+// writes their replies once, and the terminal call reads all eight in
+// one read: 0.125 of each per call. The server runs on a clock that
+// stands still, so every handler is quick by it: on the real clock a
+// host that stretches a burst past lendUnder fans the rest of it out,
+// and the count would be the host's, not the code's.
+func TestBatchTCPCallsServerWrites(t *testing.T) {
+	defer testutil.NoLeak(t)()
+	s := newTestServer()
+	s.clock = clock.NewFake()
+	conn, tap := serveTapped(t, s)
+	var reads atomic.Int64
+	c := client.NewTCP(readCount{conn, &reads}, client.Config{Prog: testProg, Vers: testVers, Timeout: 5 * time.Second})
+	in, out := make([]int32, 20), []int32(nil)
+	marshal := func(x *xdr.XDR) error { return xdr.Array(x, &in, xdr.NoSizeLimit, (*xdr.XDR).Long) }
+	unmarshal := func(x *xdr.XDR) error { return xdr.Array(x, &out, xdr.NoSizeLimit, (*xdr.XDR).Long) }
+	const calls = 8000
+	for g := 0; g < calls/8; g++ {
+		for i := 0; i < 7; i++ {
+			if err := c.CallBatched(procEcho, marshal); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Call(procEcho, marshal, unmarshal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = c.Close()
+	_ = s.Close()
+	writes, _ := tap.snapshot(t)
+	srvW, cliR := float64(writes)/calls, float64(reads.Load())/calls
+	if srvW > 0.13 || cliR > 0.13 {
+		t.Fatalf("server writes/call = %.4f and client reads/call = %.4f, want <= 0.13: a closed-loop burst is not staying on one goroutine",
+			srvW, cliR)
+	}
+	t.Logf("%.4f server writes and %.4f client reads a call", srvW, cliR)
 }
