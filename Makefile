@@ -217,7 +217,10 @@ fuzz:
 # (internal/compiledtest's test files, re-packaged), proving the emitted
 # source is not merely compilable but byte-identical to the
 # interpreters it replaces — and that the tempo-derived plans match the
-# hand-built ones for every freshly generated derivable type.
+# hand-built ones for every freshly generated derivable type. layout.x,
+# the shapes rich.x leaves out (its linked lists' chain loops among
+# them), is generated with -compiled into a package of its own and runs
+# internal/compiledtest/layout's tests the same way.
 genstubs:
 	rm -rf ci_genstubs
 	mkdir -p ci_genstubs
@@ -229,6 +232,11 @@ genstubs:
 	sed 's/^package compiledtest$$/package ci_genstubs/' internal/compiledtest/derive_test.go > ci_genstubs/derive_test.go
 	$(GO) vet ./ci_genstubs
 	$(GO) test ./ci_genstubs
+	mkdir -p ci_genstubs/layout
+	$(GO) run ./cmd/rpcgen -compiled -pkg layout -go ci_genstubs/layout/stubs.go internal/rpcgen/testdata/layout.x
+	cp internal/compiledtest/layout/*_test.go ci_genstubs/layout/
+	$(GO) vet ./ci_genstubs/layout
+	$(GO) test ./ci_genstubs/layout
 	rm -rf ci_genstubs
 
 # The libtirpc differential (internal/interop): the system rpcgen turns

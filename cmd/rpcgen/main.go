@@ -6,9 +6,16 @@
 //
 //	rpcgen [-pkg name] [-compiled] [-go out.go] [-minic out.mc] file.x
 //
-// With no output flags the Go stubs go to standard output. -compiled
-// additionally emits straight-line compiled codecs for every wire plan
-// and registers them, so typed procedures bypass the plan interpreter.
+// With no output flags the Go stubs go to standard output. Every type
+// gets a wire description and a compiled marshal plan — a linked list
+// (a struct whose last field is optional data of itself) one that runs
+// as a loop — and every procedure's stubs run on plans. A construct no
+// plan describes fails with an error naming the type and the construct:
+// a type no declaration defines (char, netobj, uint32_t), a bool union
+// discriminant, a self-reference other than a list's last field.
+// -compiled additionally emits straight-line compiled codecs for every
+// wire plan and registers them, so procedures bypass the plan
+// interpreter.
 package main
 
 import (
@@ -27,6 +34,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: rpcgen [-pkg name] [-compiled] [-go out.go] [-minic out.mc] file.x")
+		fmt.Fprintln(os.Stderr, "every type gets a plan, a linked list one that loops; a type no plan describes is an error")
 		os.Exit(2)
 	}
 	if err := run(flag.Arg(0), *pkg, *goOut, *mcOut, *compiled); err != nil {

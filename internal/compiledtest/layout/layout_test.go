@@ -61,6 +61,8 @@ var (
 	choiceEngines   = newEngines(wireTypeChoice, planChoice)
 	tintedEngines   = newEngines(wireTypeTinted, planTinted)
 	optinnerEngines = newEngines(wireTypeOptinner, planOptinner)
+	intlistEngines  = newEngines(wireTypeIntlist, planIntlist)
+	exportsEngines  = newEngines(wireTypeExports, planExports)
 )
 
 // checkEncode encodes v as a call and as a reply on every rung and
@@ -280,6 +282,32 @@ func (s *source) optinner() Optinner {
 	return nil
 }
 
+// intlist draws a list of up to max links behind its head.
+func (s *source) intlist(max int) Intlist {
+	v := Intlist{V: int32(s.u64())}
+	for p, n := &v.Next, s.count(max); n > 0; n-- {
+		*p = &Intlist{V: int32(s.u64())}
+		p = &(*p).Next
+	}
+	return v
+}
+
+// exports draws an export list of up to 3 nodes, each with up to 3
+// groups, nil when empty as a decode leaves it.
+func (s *source) exports() Exports {
+	var head Exports
+	for p, n := &head, s.count(3); n > 0; n-- {
+		e := &Exportnode{ExDir: s.str(16)}
+		for g, k := &e.ExGroups, s.count(3); k > 0; k-- {
+			*g = &Groupnode{GrName: s.str(8)}
+			g = &(*g).GrNext
+		}
+		*p = e
+		p = &e.ExNext
+	}
+	return head
+}
+
 // fuzzUnions derives a Unions value from raw, every count inside its
 // bound and every discriminant one its union accepts.
 func fuzzUnions(raw []byte) Unions {
@@ -361,6 +389,13 @@ func FuzzLayoutCodec(f *testing.F) {
 	f.Add(uint32(3), []byte{0, 0, 0, 3, 0, 0, 0, 1})
 	f.Add(uint32(4), []byte{0xf0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 2,
 		0, 0, 0, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8})
+	// Lists: an intlist of two links, a link flag of 2 that the bytes
+	// behind it cannot fill, and an export list whose node holds a group
+	// list, its flags 0xffffffff.
+	f.Add(uint32(5), []byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 0})
+	f.Add(uint32(6), []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 5})
+	f.Add(uint32(7), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0x2f, 0, 0, 0, 0xff, 0xff, 0xff, 0xff,
+		0, 0, 0, 2, 0x67, 0x31, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, xid uint32, raw []byte) {
 		ctmpl, err := rpcmsg.NewCallTemplate(0x20000200, 1, rpcmsg.None(), rpcmsg.None())
 		if err != nil {
@@ -419,6 +454,27 @@ func FuzzLayoutCodec(f *testing.F) {
 		optinnerEngines.checkDecode(t, raw)
 		// The raw bytes decoded over the value before and after.
 		unionsEngines.checkReuseAgreeOn(t, ub, raw)
+
+		ls := &source{raw}
+		il, il2 := ls.intlist(8), ls.intlist(8)
+		ex, ex2 := ls.exports(), ls.exports()
+		ib := intlistEngines.checkEncode(t, ctmpl, rtmpl, xid, &il)
+		eb := exportsEngines.checkEncode(t, ctmpl, rtmpl, xid, &ex)
+		var gotI Intlist
+		var gotE Exports
+		if err := intlistEngines[2].decode(ib, &gotI); err != nil || !testutil.Same(gotI, il) {
+			t.Fatalf("compiled decode of an intlist: %s, %v; want %s", testutil.Show(gotI), err, testutil.Show(il))
+		}
+		if err := exportsEngines[2].decode(eb, &gotE); err != nil || !testutil.Same(gotE, ex) {
+			t.Fatalf("compiled decode of exports: %s, %v; want %s", testutil.Show(gotE), err, testutil.Show(ex))
+		}
+		exportsEngines.checkCarved(t, eb)
+		intlistEngines.checkReuseAgree(t, [2][]byte{ib, intlistEngines.checkEncode(t, ctmpl, rtmpl, xid, &il2)})
+		exportsEngines.checkReuseAgree(t, [2][]byte{eb, exportsEngines.checkEncode(t, ctmpl, rtmpl, xid, &ex2)})
+		intlistEngines.checkDecode(t, raw)
+		exportsEngines.checkDecode(t, raw)
+		intlistEngines.checkReuseAgreeOn(t, ib, raw)
+		exportsEngines.checkReuseAgreeOn(t, eb, raw)
 	})
 }
 

@@ -55,6 +55,26 @@ var (
 	planOptinner     = wire.MustPlan[Optinner](wireTypeOptinner, wire.Specialized)
 )
 
+// Groups is the IDL typedef groups.
+type Groups *Groupnode
+
+// wireTypeGroups describes groups on the wire; planGroups is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeGroups = wire.OptionalT(wireTypeGroupnode)
+	planGroups     = wire.MustPlan[Groups](wireTypeGroups, wire.Specialized)
+)
+
+// Exports is the IDL typedef exports.
+type Exports *Exportnode
+
+// wireTypeExports describes exports on the wire; planExports is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeExports = wire.OptionalT(wireTypeExportnode)
+	planExports     = wire.MustPlan[Exports](wireTypeExports, wire.Specialized)
+)
+
 // Inner is the IDL struct inner.
 type Inner struct {
 	P int32
@@ -210,6 +230,62 @@ var (
 // Marshal encodes or decodes the struct through its compiled wire plan.
 func (v *Unions) Marshal(x *xdr.XDR) error { return planUnions.Marshal(x, v) }
 
+// Intlist is the IDL struct intlist.
+type Intlist struct {
+	V    int32
+	Next *Intlist
+}
+
+// wireTypeIntlist describes intlist on the wire; planIntlist is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeIntlist = wire.ListT("intlist", "next",
+		wire.F("v", wire.Int32T()),
+	)
+	planIntlist = wire.MustPlan[Intlist](wireTypeIntlist, wire.Specialized)
+)
+
+// Marshal encodes or decodes the struct through its compiled wire plan.
+func (v *Intlist) Marshal(x *xdr.XDR) error { return planIntlist.Marshal(x, v) }
+
+// Groupnode is the IDL struct groupnode.
+type Groupnode struct {
+	GrName string
+	GrNext Groups
+}
+
+// wireTypeGroupnode describes groupnode on the wire; planGroupnode is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeGroupnode = wire.ListT("groupnode", "gr_next",
+		wire.F("gr_name", wire.StringT(8)),
+	)
+	planGroupnode = wire.MustPlan[Groupnode](wireTypeGroupnode, wire.Specialized)
+)
+
+// Marshal encodes or decodes the struct through its compiled wire plan.
+func (v *Groupnode) Marshal(x *xdr.XDR) error { return planGroupnode.Marshal(x, v) }
+
+// Exportnode is the IDL struct exportnode.
+type Exportnode struct {
+	ExDir    string
+	ExGroups Groups
+	ExNext   Exports
+}
+
+// wireTypeExportnode describes exportnode on the wire; planExportnode is its compiled specialized
+// marshal plan (offsets and loop bounds resolved at build time).
+var (
+	wireTypeExportnode = wire.ListT("exportnode", "ex_next",
+		wire.F("ex_dir", wire.StringT(16)),
+		wire.F("ex_groups", wireTypeGroups),
+	)
+	planExportnode = wire.MustPlan[Exportnode](wireTypeExportnode, wire.Specialized)
+)
+
+// Marshal encodes or decodes the struct through its compiled wire plan.
+func (v *Exportnode) Marshal(x *xdr.XDR) error { return planExportnode.Marshal(x, v) }
+
 // Choice is the IDL union choice; exactly the arm selected by Sel is valid.
 type Choice struct {
 	Sel   uint32
@@ -358,6 +434,351 @@ func compiledDecodeOptinner(body []byte, v *Optinner) error {
 
 func init() {
 	wire.RegisterCompiled(planOptinner, wire.Compiled[Optinner]{Append: compiledAppendOptinner, Decode: compiledDecodeOptinner})
+}
+
+// compiledAppendGroups is the rpcgen-emitted straight-line encoder for Groups:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendGroups(bs *xdr.BufStream, hdr []byte, xid uint32, v *Groups) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	s3 := (*v)
+	for p2, k4 := s3, 0; p2 != nil; p2, k4 = (*p2).GrNext, k4+1 {
+		if k4 > 0 {
+			if k4&1 == 0 {
+				s3 = (*s3).GrNext
+			}
+			if p2 == s3 {
+				return xdr.ErrCycle
+			}
+		}
+		b5 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b5, 1)
+		if uint32(len((*p2).GrName)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n6 := len((*p2).GrName)
+		p7 := xdr.Pad(n6)
+		w8 := bs.Extend(4 + n6 + p7)
+		binary.BigEndian.PutUint32(w8, uint32(n6))
+		copy(w8[4:], (*p2).GrName)
+		for z9 := 4 + n6; z9 < 4+n6+p7; z9++ {
+			w8[z9] = 0
+		}
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	return nil
+}
+
+// compiledDecodeGroups is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabGroups computes.
+func compiledDecodeGroups(body []byte, v *Groups) error {
+	slab := wire.NewSlab(compiledSlabGroups(body, v))
+	pos := 0
+	l10 := &(*v)
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f12 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f12 == 0 {
+			*l10 = nil
+			break
+		}
+		if len(body)-pos < 8 {
+			return xdr.ErrOverflow
+		}
+		p11 := *l10
+		if p11 == nil {
+			p11 = new(Groupnode)
+			*l10 = p11
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u13 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u13 > 8 {
+			return xdr.ErrTooBig
+		}
+		n14 := int(u13)
+		p15 := xdr.Pad(n14)
+		if n14+p15 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p11).GrName = slab.String(body[pos : pos+n14])
+		pos += n14 + p15
+		l10 = &(*p11).GrNext
+	}
+	return nil
+}
+
+// compiledSlabGroups is compiledDecodeGroups's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabGroups(body []byte, v *Groups) int {
+	size := 0
+	pos := 0
+	for {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f16 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f16 == 0 {
+			break
+		}
+		if len(body)-pos < 8 {
+			return 0
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		u17 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u17 > 8 {
+			return 0
+		}
+		n18 := int(u17)
+		p19 := xdr.Pad(n18)
+		if n18+p19 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n18)
+		pos += n18 + p19
+	}
+	return size
+}
+
+func init() {
+	wire.RegisterCompiled(planGroups, wire.Compiled[Groups]{Append: compiledAppendGroups, Decode: compiledDecodeGroups})
+}
+
+// compiledAppendExports is the rpcgen-emitted straight-line encoder for Exports:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendExports(bs *xdr.BufStream, hdr []byte, xid uint32, v *Exports) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	s3 := (*v)
+	for p2, k4 := s3, 0; p2 != nil; p2, k4 = (*p2).ExNext, k4+1 {
+		if k4 > 0 {
+			if k4&1 == 0 {
+				s3 = (*s3).ExNext
+			}
+			if p2 == s3 {
+				return xdr.ErrCycle
+			}
+		}
+		b5 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b5, 1)
+		if uint32(len((*p2).ExDir)) > 16 {
+			return xdr.ErrTooBig
+		}
+		n6 := len((*p2).ExDir)
+		p7 := xdr.Pad(n6)
+		w8 := bs.Extend(4 + n6 + p7)
+		binary.BigEndian.PutUint32(w8, uint32(n6))
+		copy(w8[4:], (*p2).ExDir)
+		for z9 := 4 + n6; z9 < 4+n6+p7; z9++ {
+			w8[z9] = 0
+		}
+		s11 := (*p2).ExGroups
+		for p10, k12 := s11, 0; p10 != nil; p10, k12 = (*p10).GrNext, k12+1 {
+			if k12 > 0 {
+				if k12&1 == 0 {
+					s11 = (*s11).GrNext
+				}
+				if p10 == s11 {
+					return xdr.ErrCycle
+				}
+			}
+			b13 := bs.Extend(4)
+			binary.BigEndian.PutUint32(b13, 1)
+			if uint32(len((*p10).GrName)) > 8 {
+				return xdr.ErrTooBig
+			}
+			n14 := len((*p10).GrName)
+			p15 := xdr.Pad(n14)
+			w16 := bs.Extend(4 + n14 + p15)
+			binary.BigEndian.PutUint32(w16, uint32(n14))
+			copy(w16[4:], (*p10).GrName)
+			for z17 := 4 + n14; z17 < 4+n14+p15; z17++ {
+				w16[z17] = 0
+			}
+		}
+		binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	return nil
+}
+
+// compiledDecodeExports is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabExports computes.
+func compiledDecodeExports(body []byte, v *Exports) error {
+	slab := wire.NewSlab(compiledSlabExports(body, v))
+	pos := 0
+	l18 := &(*v)
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f20 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f20 == 0 {
+			*l18 = nil
+			break
+		}
+		if len(body)-pos < 12 {
+			return xdr.ErrOverflow
+		}
+		p19 := *l18
+		if p19 == nil {
+			p19 = new(Exportnode)
+			*l18 = p19
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u21 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u21 > 16 {
+			return xdr.ErrTooBig
+		}
+		n22 := int(u21)
+		p23 := xdr.Pad(n22)
+		if n22+p23 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p19).ExDir = slab.String(body[pos : pos+n22])
+		pos += n22 + p23
+		l24 := &(*p19).ExGroups
+		for {
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			f26 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if f26 == 0 {
+				*l24 = nil
+				break
+			}
+			if len(body)-pos < 8 {
+				return xdr.ErrOverflow
+			}
+			p25 := *l24
+			if p25 == nil {
+				p25 = new(Groupnode)
+				*l24 = p25
+			}
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			u27 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u27 > 8 {
+				return xdr.ErrTooBig
+			}
+			n28 := int(u27)
+			p29 := xdr.Pad(n28)
+			if n28+p29 > len(body)-pos {
+				return xdr.ErrOverflow
+			}
+			(*p25).GrName = slab.String(body[pos : pos+n28])
+			pos += n28 + p29
+			l24 = &(*p25).GrNext
+		}
+		l18 = &(*p19).ExNext
+	}
+	return nil
+}
+
+// compiledSlabExports is compiledDecodeExports's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabExports(body []byte, v *Exports) int {
+	size := 0
+	pos := 0
+	for {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f30 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f30 == 0 {
+			break
+		}
+		if len(body)-pos < 12 {
+			return 0
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		u31 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u31 > 16 {
+			return 0
+		}
+		n32 := int(u31)
+		p33 := xdr.Pad(n32)
+		if n32+p33 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n32)
+		pos += n32 + p33
+		for {
+			if pos+4 > len(body) {
+				return 0
+			}
+			f34 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if f34 == 0 {
+				break
+			}
+			if len(body)-pos < 8 {
+				return 0
+			}
+			if pos+4 > len(body) {
+				return 0
+			}
+			u35 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u35 > 8 {
+				return 0
+			}
+			n36 := int(u35)
+			p37 := xdr.Pad(n36)
+			if n36+p37 > len(body)-pos {
+				return 0
+			}
+			size = wire.SlabRoom[byte](size, n36)
+			pos += n36 + p37
+		}
+	}
+	return size
+}
+
+func init() {
+	wire.RegisterCompiled(planExports, wire.Compiled[Exports]{Append: compiledAppendExports, Decode: compiledDecodeExports})
 }
 
 // compiledAppendInner is the rpcgen-emitted straight-line encoder for Inner:
@@ -1671,6 +2092,594 @@ func compiledSlabUnions(body []byte, v *Unions) int {
 
 func init() {
 	wire.RegisterCompiled(planUnions, wire.Compiled[Unions]{Append: compiledAppendUnions, Decode: compiledDecodeUnions})
+}
+
+// compiledAppendIntlist is the rpcgen-emitted straight-line encoder for Intlist:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendIntlist(bs *xdr.BufStream, hdr []byte, xid uint32, v *Intlist) error {
+	w2 := bs.Extend(len(hdr) + 4)
+	copy(w2, hdr)
+	binary.BigEndian.PutUint32(w2, xid)
+	b1 := w2[len(hdr):]
+	binary.BigEndian.PutUint32(b1[0:], uint32((*v).V))
+	s4 := (*v).Next
+	for p3, k5 := s4, 0; p3 != nil; p3, k5 = (*p3).Next, k5+1 {
+		if k5 > 0 {
+			if k5&1 == 0 {
+				s4 = (*s4).Next
+			}
+			if p3 == s4 {
+				return xdr.ErrCycle
+			}
+		}
+		b6 := bs.Extend(8)
+		binary.BigEndian.PutUint32(b6, 1)
+		binary.BigEndian.PutUint32(b6[4:], uint32((*p3).V))
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	return nil
+}
+
+// compiledDecodeIntlist is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+func compiledDecodeIntlist(body []byte, v *Intlist) error {
+	if len(body) < 4 {
+		return xdr.ErrOverflow
+	}
+	(*v).V = int32(binary.BigEndian.Uint32(body[0:]))
+	pos := 4
+	l7 := &(*v).Next
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f9 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f9 == 0 {
+			*l7 = nil
+			break
+		}
+		if len(body)-pos < 8 {
+			return xdr.ErrOverflow
+		}
+		p8 := *l7
+		if p8 == nil {
+			p8 = new(Intlist)
+			*l7 = p8
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		(*p8).V = int32(binary.BigEndian.Uint32(body[pos:]))
+		pos += 4
+		l7 = &(*p8).Next
+	}
+	return nil
+}
+
+func init() {
+	wire.RegisterCompiled(planIntlist, wire.Compiled[Intlist]{Append: compiledAppendIntlist, Decode: compiledDecodeIntlist})
+}
+
+// compiledAppendGroupnode is the rpcgen-emitted straight-line encoder for Groupnode:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendGroupnode(bs *xdr.BufStream, hdr []byte, xid uint32, v *Groupnode) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	if uint32(len((*v).GrName)) > 8 {
+		return xdr.ErrTooBig
+	}
+	n2 := len((*v).GrName)
+	p3 := xdr.Pad(n2)
+	w4 := bs.Extend(4 + n2 + p3)
+	binary.BigEndian.PutUint32(w4, uint32(n2))
+	copy(w4[4:], (*v).GrName)
+	for z5 := 4 + n2; z5 < 4+n2+p3; z5++ {
+		w4[z5] = 0
+	}
+	s7 := (*v).GrNext
+	for p6, k8 := s7, 0; p6 != nil; p6, k8 = (*p6).GrNext, k8+1 {
+		if k8 > 0 {
+			if k8&1 == 0 {
+				s7 = (*s7).GrNext
+			}
+			if p6 == s7 {
+				return xdr.ErrCycle
+			}
+		}
+		b9 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b9, 1)
+		if uint32(len((*p6).GrName)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n10 := len((*p6).GrName)
+		p11 := xdr.Pad(n10)
+		w12 := bs.Extend(4 + n10 + p11)
+		binary.BigEndian.PutUint32(w12, uint32(n10))
+		copy(w12[4:], (*p6).GrName)
+		for z13 := 4 + n10; z13 < 4+n10+p11; z13++ {
+			w12[z13] = 0
+		}
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	return nil
+}
+
+// compiledDecodeGroupnode is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabGroupnode computes.
+func compiledDecodeGroupnode(body []byte, v *Groupnode) error {
+	slab := wire.NewSlab(compiledSlabGroupnode(body, v))
+	pos := 0
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u14 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u14 > 8 {
+		return xdr.ErrTooBig
+	}
+	n15 := int(u14)
+	p16 := xdr.Pad(n15)
+	if n15+p16 > len(body)-pos {
+		return xdr.ErrOverflow
+	}
+	(*v).GrName = slab.String(body[pos : pos+n15])
+	pos += n15 + p16
+	l17 := &(*v).GrNext
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f19 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f19 == 0 {
+			*l17 = nil
+			break
+		}
+		if len(body)-pos < 8 {
+			return xdr.ErrOverflow
+		}
+		p18 := *l17
+		if p18 == nil {
+			p18 = new(Groupnode)
+			*l17 = p18
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u20 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u20 > 8 {
+			return xdr.ErrTooBig
+		}
+		n21 := int(u20)
+		p22 := xdr.Pad(n21)
+		if n21+p22 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p18).GrName = slab.String(body[pos : pos+n21])
+		pos += n21 + p22
+		l17 = &(*p18).GrNext
+	}
+	return nil
+}
+
+// compiledSlabGroupnode is compiledDecodeGroupnode's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabGroupnode(body []byte, v *Groupnode) int {
+	size := 0
+	pos := 0
+	if pos+4 > len(body) {
+		return 0
+	}
+	u23 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u23 > 8 {
+		return 0
+	}
+	n24 := int(u23)
+	p25 := xdr.Pad(n24)
+	if n24+p25 > len(body)-pos {
+		return 0
+	}
+	size = wire.SlabRoom[byte](size, n24)
+	pos += n24 + p25
+	for {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f26 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f26 == 0 {
+			break
+		}
+		if len(body)-pos < 8 {
+			return 0
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		u27 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u27 > 8 {
+			return 0
+		}
+		n28 := int(u27)
+		p29 := xdr.Pad(n28)
+		if n28+p29 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n28)
+		pos += n28 + p29
+	}
+	return size
+}
+
+func init() {
+	wire.RegisterCompiled(planGroupnode, wire.Compiled[Groupnode]{Append: compiledAppendGroupnode, Decode: compiledDecodeGroupnode})
+}
+
+// compiledAppendExportnode is the rpcgen-emitted straight-line encoder for Exportnode:
+// one reservation covers the header and the leading fixed-size fields,
+// stores land at constant offsets, arrays of scalar units go through the
+// interpreter's own run kernel, and other variable-length tails run as
+// explicit loops — no plan-executor dispatch. Byte-identical to the
+// interpretive plan by construction.
+func compiledAppendExportnode(bs *xdr.BufStream, hdr []byte, xid uint32, v *Exportnode) error {
+	w1 := bs.Extend(len(hdr))
+	copy(w1, hdr)
+	binary.BigEndian.PutUint32(w1, xid)
+	if uint32(len((*v).ExDir)) > 16 {
+		return xdr.ErrTooBig
+	}
+	n2 := len((*v).ExDir)
+	p3 := xdr.Pad(n2)
+	w4 := bs.Extend(4 + n2 + p3)
+	binary.BigEndian.PutUint32(w4, uint32(n2))
+	copy(w4[4:], (*v).ExDir)
+	for z5 := 4 + n2; z5 < 4+n2+p3; z5++ {
+		w4[z5] = 0
+	}
+	s7 := (*v).ExGroups
+	for p6, k8 := s7, 0; p6 != nil; p6, k8 = (*p6).GrNext, k8+1 {
+		if k8 > 0 {
+			if k8&1 == 0 {
+				s7 = (*s7).GrNext
+			}
+			if p6 == s7 {
+				return xdr.ErrCycle
+			}
+		}
+		b9 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b9, 1)
+		if uint32(len((*p6).GrName)) > 8 {
+			return xdr.ErrTooBig
+		}
+		n10 := len((*p6).GrName)
+		p11 := xdr.Pad(n10)
+		w12 := bs.Extend(4 + n10 + p11)
+		binary.BigEndian.PutUint32(w12, uint32(n10))
+		copy(w12[4:], (*p6).GrName)
+		for z13 := 4 + n10; z13 < 4+n10+p11; z13++ {
+			w12[z13] = 0
+		}
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	s15 := (*v).ExNext
+	for p14, k16 := s15, 0; p14 != nil; p14, k16 = (*p14).ExNext, k16+1 {
+		if k16 > 0 {
+			if k16&1 == 0 {
+				s15 = (*s15).ExNext
+			}
+			if p14 == s15 {
+				return xdr.ErrCycle
+			}
+		}
+		b17 := bs.Extend(4)
+		binary.BigEndian.PutUint32(b17, 1)
+		if uint32(len((*p14).ExDir)) > 16 {
+			return xdr.ErrTooBig
+		}
+		n18 := len((*p14).ExDir)
+		p19 := xdr.Pad(n18)
+		w20 := bs.Extend(4 + n18 + p19)
+		binary.BigEndian.PutUint32(w20, uint32(n18))
+		copy(w20[4:], (*p14).ExDir)
+		for z21 := 4 + n18; z21 < 4+n18+p19; z21++ {
+			w20[z21] = 0
+		}
+		s23 := (*p14).ExGroups
+		for p22, k24 := s23, 0; p22 != nil; p22, k24 = (*p22).GrNext, k24+1 {
+			if k24 > 0 {
+				if k24&1 == 0 {
+					s23 = (*s23).GrNext
+				}
+				if p22 == s23 {
+					return xdr.ErrCycle
+				}
+			}
+			b25 := bs.Extend(4)
+			binary.BigEndian.PutUint32(b25, 1)
+			if uint32(len((*p22).GrName)) > 8 {
+				return xdr.ErrTooBig
+			}
+			n26 := len((*p22).GrName)
+			p27 := xdr.Pad(n26)
+			w28 := bs.Extend(4 + n26 + p27)
+			binary.BigEndian.PutUint32(w28, uint32(n26))
+			copy(w28[4:], (*p22).GrName)
+			for z29 := 4 + n26; z29 < 4+n26+p27; z29++ {
+				w28[z29] = 0
+			}
+		}
+		binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	}
+	binary.BigEndian.PutUint32(bs.Extend(4), 0)
+	return nil
+}
+
+// compiledDecodeExportnode is the matching straight-line decoder: one length
+// check per fixed-size run, loads at constant offsets, counts validated
+// before any allocation.
+// Strings, opaques and pointer-free arrays are carved from one slab
+// of the size compiledSlabExportnode computes.
+func compiledDecodeExportnode(body []byte, v *Exportnode) error {
+	slab := wire.NewSlab(compiledSlabExportnode(body, v))
+	pos := 0
+	if pos+4 > len(body) {
+		return xdr.ErrOverflow
+	}
+	u30 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u30 > 16 {
+		return xdr.ErrTooBig
+	}
+	n31 := int(u30)
+	p32 := xdr.Pad(n31)
+	if n31+p32 > len(body)-pos {
+		return xdr.ErrOverflow
+	}
+	(*v).ExDir = slab.String(body[pos : pos+n31])
+	pos += n31 + p32
+	l33 := &(*v).ExGroups
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f35 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f35 == 0 {
+			*l33 = nil
+			break
+		}
+		if len(body)-pos < 8 {
+			return xdr.ErrOverflow
+		}
+		p34 := *l33
+		if p34 == nil {
+			p34 = new(Groupnode)
+			*l33 = p34
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u36 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u36 > 8 {
+			return xdr.ErrTooBig
+		}
+		n37 := int(u36)
+		p38 := xdr.Pad(n37)
+		if n37+p38 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p34).GrName = slab.String(body[pos : pos+n37])
+		pos += n37 + p38
+		l33 = &(*p34).GrNext
+	}
+	l39 := &(*v).ExNext
+	for {
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		f41 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f41 == 0 {
+			*l39 = nil
+			break
+		}
+		if len(body)-pos < 12 {
+			return xdr.ErrOverflow
+		}
+		p40 := *l39
+		if p40 == nil {
+			p40 = new(Exportnode)
+			*l39 = p40
+		}
+		if pos+4 > len(body) {
+			return xdr.ErrOverflow
+		}
+		u42 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u42 > 16 {
+			return xdr.ErrTooBig
+		}
+		n43 := int(u42)
+		p44 := xdr.Pad(n43)
+		if n43+p44 > len(body)-pos {
+			return xdr.ErrOverflow
+		}
+		(*p40).ExDir = slab.String(body[pos : pos+n43])
+		pos += n43 + p44
+		l45 := &(*p40).ExGroups
+		for {
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			f47 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if f47 == 0 {
+				*l45 = nil
+				break
+			}
+			if len(body)-pos < 8 {
+				return xdr.ErrOverflow
+			}
+			p46 := *l45
+			if p46 == nil {
+				p46 = new(Groupnode)
+				*l45 = p46
+			}
+			if pos+4 > len(body) {
+				return xdr.ErrOverflow
+			}
+			u48 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u48 > 8 {
+				return xdr.ErrTooBig
+			}
+			n49 := int(u48)
+			p50 := xdr.Pad(n49)
+			if n49+p50 > len(body)-pos {
+				return xdr.ErrOverflow
+			}
+			(*p46).GrName = slab.String(body[pos : pos+n49])
+			pos += n49 + p50
+			l45 = &(*p46).GrNext
+		}
+		l39 = &(*p40).ExNext
+	}
+	return nil
+}
+
+// compiledSlabExportnode is compiledDecodeExportnode's pre-pass: the Go bytes of
+// every string, opaque and pointer-free array a decode of body into v
+// allocates, aligned as wire.Carve aligns them, or 0 where the decode
+// fails. It reads the counts with the decoder's own checks and leaves
+// out the slices the decode reuses.
+func compiledSlabExportnode(body []byte, v *Exportnode) int {
+	size := 0
+	pos := 0
+	if pos+4 > len(body) {
+		return 0
+	}
+	u51 := binary.BigEndian.Uint32(body[pos:])
+	pos += 4
+	if u51 > 16 {
+		return 0
+	}
+	n52 := int(u51)
+	p53 := xdr.Pad(n52)
+	if n52+p53 > len(body)-pos {
+		return 0
+	}
+	size = wire.SlabRoom[byte](size, n52)
+	pos += n52 + p53
+	for {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f54 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f54 == 0 {
+			break
+		}
+		if len(body)-pos < 8 {
+			return 0
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		u55 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u55 > 8 {
+			return 0
+		}
+		n56 := int(u55)
+		p57 := xdr.Pad(n56)
+		if n56+p57 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n56)
+		pos += n56 + p57
+	}
+	for {
+		if pos+4 > len(body) {
+			return 0
+		}
+		f58 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if f58 == 0 {
+			break
+		}
+		if len(body)-pos < 12 {
+			return 0
+		}
+		if pos+4 > len(body) {
+			return 0
+		}
+		u59 := binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if u59 > 16 {
+			return 0
+		}
+		n60 := int(u59)
+		p61 := xdr.Pad(n60)
+		if n60+p61 > len(body)-pos {
+			return 0
+		}
+		size = wire.SlabRoom[byte](size, n60)
+		pos += n60 + p61
+		for {
+			if pos+4 > len(body) {
+				return 0
+			}
+			f62 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if f62 == 0 {
+				break
+			}
+			if len(body)-pos < 8 {
+				return 0
+			}
+			if pos+4 > len(body) {
+				return 0
+			}
+			u63 := binary.BigEndian.Uint32(body[pos:])
+			pos += 4
+			if u63 > 8 {
+				return 0
+			}
+			n64 := int(u63)
+			p65 := xdr.Pad(n64)
+			if n64+p65 > len(body)-pos {
+				return 0
+			}
+			size = wire.SlabRoom[byte](size, n64)
+			pos += n64 + p65
+		}
+	}
+	return size
+}
+
+func init() {
+	wire.RegisterCompiled(planExportnode, wire.Compiled[Exportnode]{Append: compiledAppendExportnode, Decode: compiledDecodeExportnode})
 }
 
 // compiledAppendChoice is the rpcgen-emitted straight-line encoder for Choice:

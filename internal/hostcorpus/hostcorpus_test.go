@@ -1,6 +1,7 @@
 package hostcorpus
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,19 +20,28 @@ const requireEnv = "SPECRPC_INTEROP"
 // corpusDirs are where the host keeps its protocol files.
 var corpusDirs = []string{"/usr/include/rpcsvc", "/usr/include/tirpc/rpc"}
 
-// building are the files whose generated Go builds. The others fail
-// for reasons ROADMAP item 14 lists (rpcgen extensions, libc types, a
-// bool discriminant); a file that starts building belongs here.
+// building are the files whose generated Go builds. The others are
+// refused, by the parser or the generator, for reasons ROADMAP item 14
+// lists (rpcgen extensions, libc types, a bool discriminant); a file
+// that starts building belongs here.
 var building = []string{
 	"mount", "nfs_prot", "rex", "rquota", "rstat", "rusers", "sm_inter", "spray", "yppasswd",
 }
+
+// closureMarks are what generated code that marshals through the
+// generic XDR layer's composites, or calls and registers closures, would
+// contain: every procedure of a file that builds runs on plans.
+var closureMarks = []string{"c.C.Call(", "srv.Register(", "xdr.Optional", "xdr.Vector", "xdr.Array"}
 
 // brokenPkg matches the line go build prints before the errors of a
 // package that does not build.
 var brokenPkg = regexp.MustCompile(`(?m)^# \S+/(\w+)$`)
 
 // TestHostCorpusBuilds generates compiled stubs for every .x file of the
-// corpus and builds them all at once.
+// corpus and builds them all at once. Every file either builds, with a
+// plan for each of its types and no closure, or is refused by the parser
+// or the generator with an error that names the construct; Go that does
+// not build is a failure.
 func TestHostCorpusBuilds(t *testing.T) {
 	missing := func(what string) {
 		t.Helper()
@@ -86,7 +96,12 @@ func TestHostCorpusBuilds(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(tmp, name, name+".go"), []byte(out), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		verdict[name] = "builds"
+		for _, mark := range closureMarks {
+			if strings.Contains(out, mark) {
+				t.Errorf("%s.x: generated Go holds %q", name, mark)
+			}
+		}
+		verdict[name] = fmt.Sprintf("builds, %d plans", strings.Count(out, "wire.MustPlan["))
 	}
 	out, err := exec.Command(goBin, "build", "./"+tmp+"/...").CombinedOutput()
 	broken := brokenPkg.FindAllStringSubmatch(string(out), -1)
@@ -105,9 +120,12 @@ func TestHostCorpusBuilds(t *testing.T) {
 		t.Logf("%-14s %s", name, verdict[name])
 	}
 	for _, name := range building {
-		if v := verdict[name]; v != "builds" {
+		if v := verdict[name]; !strings.HasPrefix(v, "builds") {
 			t.Errorf("%s.x built and no longer does: %q", name, v)
 		}
+	}
+	for _, m := range broken {
+		t.Errorf("%s.x generates Go that does not build", m[1])
 	}
 	if t.Failed() {
 		t.Logf("go build:\n%s", out)

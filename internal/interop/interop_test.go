@@ -423,7 +423,10 @@ func TestInteropValues(t *testing.T) {
 	for i, sp := range specs {
 		cases := map[string]any{"lookup_result": lookups[0], "lookup_miss": lookups[1]}
 		if i == 1 {
-			cases = map[string]any{"unions": unions}
+			exports := layout.Exports(&layout.Exportnode{ExDir: "/a",
+				ExGroups: &layout.Groupnode{GrName: "g1", GrNext: &layout.Groupnode{GrName: "g2"}},
+				ExNext:   &layout.Exportnode{ExDir: "/bb"}})
+			cases = map[string]any{"unions": unions, "exports": exports}
 		}
 		d := build(t, cflags, sp)
 		for name, want := range cases {
@@ -470,6 +473,10 @@ func TestInteropHostile(t *testing.T) {
 		},
 		"choice":   {word(0xf0000000, 5), word(4000000000, 1, 2), word(0)},
 		"optinner": {word(2, 1, 0, 2), word(0xffffffff, 1, 0, 2), word(0), word(1, 1)},
+		// A link flag of 2 and one of 0xffffffff, a list cut after a set
+		// flag, and a list with no ending flag.
+		"intlist": {word(5, 2, 6, 0xffffffff, 7, 0), word(5, 1), word(5, 1, 6)},
+		"exports": {word(1, 1, 0x2f000000, 1, 2, 0x67310000, 0, 0), word(1, 0, 0, 1)},
 		"lookup_result": {
 			word(9),
 			word(0x80000000),

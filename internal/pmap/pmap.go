@@ -12,7 +12,6 @@ import (
 	"specrpc/internal/client"
 	"specrpc/internal/server"
 	"specrpc/internal/wire"
-	"specrpc/internal/xdr"
 )
 
 // Portmapper protocol identity.
@@ -44,9 +43,17 @@ type Mapping struct {
 	Port uint32
 }
 
-// Compiled wire plans for the protocol bodies: the four mapping fields
-// fuse into a single 4-unit run, and the scalar replies compile to one
-// instruction each.
+// mapList is a node of DUMP's result, RFC 1833's pmaplist (struct
+// pmaplist { mapping map; pmaplist *next; }).
+type mapList struct {
+	Map  Mapping
+	Next *mapList
+}
+
+// Compiled wire plans for every procedure's bodies: the four mapping
+// fields fuse into a single 4-unit run, the scalar replies compile to
+// one instruction each, void is the empty program, and DUMP's list is a
+// flag and then one chain step, a loop over its links.
 var (
 	mappingType = wire.StructT("mapping",
 		wire.F("prog", wire.Uint32T()),
@@ -57,10 +64,10 @@ var (
 	mappingPlan = wire.MustPlan[Mapping](mappingType, wire.Specialized)
 	boolPlan    = wire.MustPlan[bool](wire.BoolT(), wire.Specialized)
 	portPlan    = wire.MustPlan[uint32](wire.Uint32T(), wire.Specialized)
+	voidPlan    = wire.MustPlan[struct{}](wire.VoidT(), wire.Specialized)
+	dumpPlan    = wire.MustPlan[*mapList](wire.OptionalT(
+		wire.ListT("pmaplist", "next", wire.F("map", mappingType))), wire.Specialized)
 )
-
-// Marshal encodes or decodes the mapping through its compiled wire plan.
-func (m *Mapping) Marshal(x *xdr.XDR) error { return mappingPlan.Marshal(x, m) }
 
 // Registry is the in-memory mapping table.
 type Registry struct {
@@ -125,13 +132,11 @@ func (r *Registry) Dump() []Mapping {
 }
 
 // RegisterService installs the portmapper procedures on srv, backed by
-// reg. The mapping-shaped procedures route through the compiled wire
-// plans via the typed registration path; Dump keeps a closure because
-// the pmaplist optional-data chain lies outside the wire subset.
+// reg, every one through the compiled wire plans via the typed
+// registration path.
 func RegisterService(srv *server.Server, reg *Registry) {
-	srv.Register(Prog, Vers, ProcNull, func(dec *xdr.XDR) (server.Marshal, error) {
-		return func(*xdr.XDR) error { return nil }, nil
-	})
+	server.RegisterTyped(srv, Prog, Vers, ProcNull, voidPlan, voidPlan,
+		func(*struct{}) (*struct{}, error) { return nil, nil })
 	server.RegisterTyped(srv, Prog, Vers, ProcSet, mappingPlan, boolPlan,
 		func(m *Mapping) (*bool, error) {
 			ok := reg.Set(*m)
@@ -147,50 +152,15 @@ func RegisterService(srv *server.Server, reg *Registry) {
 			port := reg.GetPort(m.Prog, m.Vers, m.Prot)
 			return &port, nil
 		})
-	srv.Register(Prog, Vers, ProcDump, func(dec *xdr.XDR) (server.Marshal, error) {
-		list := reg.Dump()
-		return func(enc *xdr.XDR) error { return marshalList(enc, &list) }, nil
-	})
-}
-
-// marshalList (de)serializes the linked pmaplist as XDR optional-data
-// chain: each entry is prefixed by a 1 flag, the list ends with 0.
-func marshalList(x *xdr.XDR, list *[]Mapping) error {
-	switch x.Op {
-	case xdr.Encode:
-		for i := range *list {
-			follows := true
-			if err := x.Bool(&follows); err != nil {
-				return err
+	server.RegisterTyped(srv, Prog, Vers, ProcDump, voidPlan, dumpPlan,
+		func(*struct{}) (**mapList, error) {
+			var head *mapList
+			ms := reg.Dump()
+			for i := len(ms) - 1; i >= 0; i-- {
+				head = &mapList{Map: ms[i], Next: head}
 			}
-			if err := (*list)[i].Marshal(x); err != nil {
-				return err
-			}
-		}
-		follows := false
-		return x.Bool(&follows)
-	case xdr.Decode:
-		*list = nil
-		for {
-			var follows bool
-			if err := x.Bool(&follows); err != nil {
-				return err
-			}
-			if !follows {
-				return nil
-			}
-			var m Mapping
-			if err := m.Marshal(x); err != nil {
-				return err
-			}
-			*list = append(*list, m)
-		}
-	case xdr.Free:
-		*list = nil
-		return nil
-	default:
-		return xdr.ErrBadOp
-	}
+			return &head, nil
+		})
 }
 
 // Client wraps a generic RPC caller with typed portmapper operations.
@@ -207,7 +177,7 @@ func ClientConfig() client.Config { return client.Config{Prog: Prog, Vers: Vers}
 
 // Null pings the portmapper.
 func (p *Client) Null() error {
-	return p.c.Call(ProcNull, client.Void, client.Void)
+	return client.CallTyped(p.c, ProcNull, voidPlan, &struct{}{}, voidPlan, &struct{}{})
 }
 
 // Set registers a mapping, reporting whether it was newly bound.
@@ -235,8 +205,13 @@ func (p *Client) GetPort(prog, vers, prot uint32) (uint32, error) {
 
 // Dump fetches the whole mapping table.
 func (p *Client) Dump() ([]Mapping, error) {
+	var head *mapList
+	if err := client.CallTyped(p.c, ProcDump, voidPlan, &struct{}{}, dumpPlan, &head); err != nil {
+		return nil, err
+	}
 	var list []Mapping
-	err := p.c.Call(ProcDump, client.Void,
-		func(x *xdr.XDR) error { return marshalList(x, &list) })
-	return list, err
+	for n := head; n != nil; n = n.Next {
+		list = append(list, n.Map)
+	}
+	return list, nil
 }

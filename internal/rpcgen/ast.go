@@ -2,8 +2,9 @@
 // interface language of RFC 4506 / RFC 1057 (.x files, the input of the
 // original rpcgen) and generates
 //
-//   - Go declarations and marshaling stubs over internal/xdr, plus typed
-//     client call wrappers and server registration helpers; and
+//   - Go declarations with their wire descriptions and compiled marshal
+//     plans (internal/wire), plus typed client call wrappers and server
+//     registration helpers; and
 //   - mini-C marshaling routines for the fixed-shape subset, which feed
 //     internal/tempo the same way rpcgen's C output fed Tempo.
 package rpcgen

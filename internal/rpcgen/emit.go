@@ -16,7 +16,8 @@ import (
 // the header image plus every leading fixed-size field, stores and loads
 // land at offsets the Go compiler resolves to constants, fixed opaque
 // data is a copy, an array of scalar units is one call to wire's run
-// kernels, and other variable-length tails are explicit loops.
+// kernels, and other variable-length tails are explicit loops — a
+// linked list too, one loop over its links.
 //
 // It prints wire.Lower's layout-free steps, the program wire.Compile
 // fuses against the running GOARCH's offsets, before fusion: the Go
@@ -43,6 +44,13 @@ func field(t *wire.Type, expr string, path []int) (*wire.Type, string) {
 		t, expr = f.Type, expr+"."+GoName(f.Name)
 	}
 	return t, expr
+}
+
+// link is the Go expression of the link of node, a list node of the type
+// t's optional data points at.
+func link(t *wire.Type, node string) string {
+	ms := t.Elem.Members()
+	return node + "." + GoName(ms[len(ms)-1].Name)
 }
 
 // emitCompiled renders the compiled encoder/decoder pair for one root
@@ -118,12 +126,12 @@ func emitCompiled(base string, root *wire.Type, names map[*wire.Type]string) (sr
 }
 
 // pointerFree reports whether the Go value a program runs against holds
-// no pointers: no string, variable opaque, counted array or optional
-// anywhere in it. Its memory can then be carved from a slab.
+// no pointers: no string, variable opaque, counted array, optional or
+// list anywhere in it. Its memory can then be carved from a slab.
 func pointerFree(steps []wire.Step) bool {
 	for _, s := range steps {
 		switch s.Op {
-		case wire.OpString, wire.OpOpaqueV, wire.OpSliceSub, wire.OpOptional:
+		case wire.OpString, wire.OpOpaqueV, wire.OpSliceSub, wire.OpOptional, wire.OpChain:
 			return false
 		case wire.OpVecSub:
 			if !pointerFree(s.Sub) {
@@ -143,9 +151,9 @@ func pointerFree(steps []wire.Step) bool {
 // slabParts counts the slab parts one decode of a program allocates —
 // strings, variable opaques, counted arrays and optional pointees of
 // pointer-free elements — up to 2, which stands for "more than one": a
-// part inside a loop counts as many, a union as its largest arm. A
-// program with at most one part gets no slab; its decoder allocates that
-// part as it always has.
+// part inside a loop (a list's nodes too) counts as many, a union as its
+// largest arm. A program with at most one part gets no slab; its decoder
+// allocates that part as it always has.
 func slabParts(steps []wire.Step) int {
 	n := 0
 	for _, s := range steps {
@@ -161,6 +169,8 @@ func slabParts(steps []wire.Step) int {
 			default:
 				n += sub
 			}
+		case wire.OpChain:
+			n += 2 * slabParts(s.Sub)
 		case wire.OpVecSub:
 			n += min(s.N, 2) * slabParts(s.Sub)
 		case wire.OpUnion:
@@ -186,7 +196,7 @@ func usesOld(steps []wire.Step) bool {
 			if pointerFree(s.Sub) || usesOld(s.Sub) {
 				return true
 			}
-		case s.Op == wire.OpVecSub && usesOld(s.Sub):
+		case (s.Op == wire.OpVecSub || s.Op == wire.OpChain) && usesOld(s.Sub):
 			return true
 		case s.Op == wire.OpUnion:
 			for _, a := range s.Arms {
@@ -406,7 +416,7 @@ func emitLoad(e *emitter, lb *lineBuf, s wire.Step, t *wire.Type, expr, buf, bas
 // collect into the side's pending segment, and every variable-size step
 // closes the segment and prints its own block — a loop over a fixed
 // array of variable-size elements and a union's switch here, counted
-// items, counted arrays and optional data by the side.
+// items, counted arrays, optional data and lists by the side.
 
 // gen is one side of the printer: appendGen writes a message, decodeGen
 // reads one.
@@ -420,6 +430,9 @@ type gen interface {
 	counted(s wire.Step, t *wire.Type, expr string)
 	slice(s wire.Step, t *wire.Type, expr string)
 	optional(s wire.Step, t *wire.Type, expr string)
+	// chain prints a list's loop over its links, from expr, optional
+	// data of type t whose pointee is a list node.
+	chain(s wire.Step, t *wire.Type, expr string)
 	// elems starts the side's generator for an element loop's body, or
 	// a union arm's.
 	elems() gen
@@ -451,6 +464,9 @@ func printSteps(g gen, e *emitter, steps []wire.Step, t *wire.Type, expr string)
 		case s.Op == wire.OpOptional:
 			g.beginVar()
 			g.optional(s, ft, x)
+		case s.Op == wire.OpChain:
+			g.beginVar()
+			g.chain(s, ft, x)
 		default:
 			g.beginVar()
 			g.counted(s, ft, x)
@@ -596,6 +612,33 @@ func (g *appendGen) optional(s wire.Step, t *wire.Type, expr string) {
 	e.pf("} else {")
 	e.pf("\tbinary.BigEndian.PutUint32(bs.Extend(4), 0)")
 	e.pf("}")
+}
+
+// chain renders a list as encodeProg's OpChain writes it: per node a 1
+// flag opening the first segment of the node's program, then a 0 flag,
+// and xdr.ErrCycle where the tortoise, moving one node for every two of
+// the walk's, meets the walk (wire's nextSlow).
+func (g *appendGen) chain(s wire.Step, t *wire.Type, expr string) {
+	e := g.e
+	pv, sv, kv := e.name("p"), e.name("s"), e.name("k")
+	e.pf("%s := %s", sv, expr)
+	e.pf("for %s, %s := %s, 0; %s != nil; %s, %s = %s, %s+1 {", pv, kv, sv, pv, pv, kv, link(t, "(*"+pv+")"), kv)
+	e.indent++
+	e.pf("if %s > 0 {", kv)
+	e.pf("\tif %s&1 == 0 {", kv)
+	e.pf("\t\t%s = %s", sv, link(t, "(*"+sv+")"))
+	e.pf("\t}")
+	e.pf("\tif %s == %s {", pv, sv)
+	e.pf("\t\treturn xdr.ErrCycle")
+	e.pf("\t}")
+	e.pf("}")
+	sub := &appendGen{e: e, headerDone: true, seg: e.name("b"), pend: &lineBuf{}, pendSize: 4}
+	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
+	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
+	sub.flush()
+	e.indent--
+	e.pf("}")
+	e.pf("binary.BigEndian.PutUint32(bs.Extend(4), 0)")
 }
 
 // tooBig renders the encode-side bound check of a counted item.
@@ -838,10 +881,7 @@ func (g *decodeGen) counted(s wire.Step, t *wire.Type, expr string) {
 // pointer-free pointee is a slab part.
 func (g *decodeGen) optional(s wire.Step, t *wire.Type, expr string) {
 	e := g.e
-	g.overflow("pos+4 > len(body)")
-	fv := e.name("f")
-	e.pf("%s := binary.BigEndian.Uint32(body[pos:])", fv)
-	e.pf("pos += 4")
+	fv := g.flag()
 	if g.sizing {
 		g.sizeOptional(s, t, expr, fv)
 		return
@@ -887,6 +927,77 @@ func (g *decodeGen) sizeOptional(s wire.Step, t *wire.Type, expr, fv string) {
 	sub.flush()
 	e.indent--
 	e.pf("}")
+}
+
+// chain renders a list as decodeProg's OpChain reads it: per set flag,
+// once the rest of a link and the flag after it can still arrive, the
+// node the link holds is decoded over or a fresh one allocated, and the
+// walk goes on from that node's link; a 0 flag clears the link it ends.
+func (g *decodeGen) chain(s wire.Step, t *wire.Type, expr string) {
+	e := g.e
+	if g.sizing {
+		g.sizeChain(s, t, expr)
+		return
+	}
+	lv, pv := e.name("l"), e.name("p")
+	e.pf("%s := &%s", lv, expr)
+	e.pf("for {")
+	e.indent++
+	fv := g.flag()
+	e.pf("if %s == 0 {", fv)
+	e.pf("\t*%s = nil", lv)
+	e.pf("\tbreak")
+	e.pf("}")
+	g.overflow("len(body)-pos < %d", s.ElemMin)
+	e.pf("%s := *%s", pv, lv)
+	e.pf("if %s == nil {", pv)
+	e.pf("\t%s = new(%s)", pv, e.goName[t.Elem])
+	e.pf("\t*%s = %s", lv, pv)
+	e.pf("}")
+	sub := g.elems()
+	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
+	sub.flush()
+	e.pf("%s = &%s", lv, link(t, "(*"+pv+")"))
+	e.indent--
+	e.pf("}")
+}
+
+// sizeChain is chain's pre-pass: the parts of every node's program,
+// read, where the decode reuses them, through the nodes the list held.
+func (g *decodeGen) sizeChain(s wire.Step, t *wire.Type, expr string) {
+	e := g.e
+	sub, pexpr, ov := g.scope("", false), "", ""
+	if usesOld(s.Sub) {
+		ov = e.name("o")
+		g.readOld(ov, "*"+e.goName[t.Elem], expr)
+		sub, pexpr = g.scope(ov, true), "(*"+ov+")"
+	}
+	e.pf("for {")
+	e.indent++
+	fv := g.flag()
+	e.pf("if %s == 0 {", fv)
+	e.pf("\tbreak")
+	e.pf("}")
+	g.overflow("len(body)-pos < %d", s.ElemMin)
+	printSteps(sub, e, s.Sub, t.Elem, pexpr)
+	sub.flush()
+	if ov != "" {
+		e.pf("if %s != nil {", ov)
+		e.pf("\t%s = %s", ov, link(t, "(*"+ov+")"))
+		e.pf("}")
+	}
+	e.indent--
+	e.pf("}")
+}
+
+// flag renders the read of an optional's or a link's 4-byte flag and
+// returns its variable.
+func (g *decodeGen) flag() string {
+	fv := g.e.name("f")
+	g.overflow("pos+4 > len(body)")
+	g.e.pf("%s := binary.BigEndian.Uint32(body[pos:])", fv)
+	g.e.pf("pos += 4")
+	return fv
 }
 
 // readOld declares the pre-pass local lv, of type typ, holding the old

@@ -1,7 +1,6 @@
 package rpcgen
 
 import (
-	"errors"
 	"fmt"
 	"go/format"
 	"strconv"
@@ -24,9 +23,9 @@ type GoOptions struct {
 	// WireImport is the import path of the wire codec runtime.
 	WireImport string
 	// Compiled additionally emits rpcgen-compiled straight-line codecs
-	// (emit.go) for every plan in the wire subset and
-	// registers them with wire.RegisterCompiled, so the transports'
-	// typed entry points pick them over the fused plan interpreter.
+	// (emit.go) for every plan and registers them with
+	// wire.RegisterCompiled, so the transports' typed entry points pick
+	// them over the fused plan interpreter.
 	Compiled bool
 }
 
@@ -49,19 +48,21 @@ func (o *GoOptions) fill() {
 }
 
 // GenerateGo emits a complete Go source file for the spec: constants,
-// types, marshaling routines, client stubs, and server registration
-// helpers. One walk per type (wireRef) decides whether it lies in the
-// wire codec subset and builds its wire.Type description in the same
-// pass; errOutside lists what lies outside, chiefly void and the types
-// that reach themselves, such as a linked list. Types inside get a
-// compiled marshal plan, and their procedures' stubs — a void side is
-// the empty plan, planVoid — route through the codec-based
-// CallTyped/RegisterTyped entry points — which, on the package's own
-// transports, fuse the per-connection header template and the
-// procedure's plan into one whole-call codec, so typed procedures get
-// the fully specialized message path without any stub-side code. The
-// rest keep hand-shaped closures over the generic XDR layer. The output
-// is gofmt-formatted.
+// types with their wire descriptions and compiled marshal plans, client
+// stubs, and server registration helpers. One walk per type (wireRef)
+// builds its wire.Type description, so every type the generator accepts
+// has a plan. A linked list — a struct whose last field is optional data
+// of the struct itself, directly or through a pointer typedef — is a
+// wire.ListT, which every engine runs as a loop. Anything else fails
+// generation with an error naming the type and the construct: a name no
+// declaration defines (char, netobj, uint32_t), a union whose
+// discriminant is not an int, an unsigned int or an enum (a bool), a
+// case value that is not a constant, and a type that reaches itself
+// other than as a linked list. Every procedure's stubs route through the
+// codec-based CallTyped/RegisterTyped entry points — a void side is the
+// empty plan, planVoid — which, on the package's own transports, fuse
+// the per-connection header template and the procedure's plan into one
+// whole-call codec. The output is gofmt-formatted.
 func GenerateGo(spec *Spec, opts GoOptions) (string, error) {
 	opts.fill()
 	g := &goGen{spec: spec, opts: opts, decls: make(map[string]decl),
@@ -96,15 +97,6 @@ type goGen struct {
 	names    map[*wire.Type]string // node the walk built -> goType of its use
 	voidDone bool                  // planVoid is declared
 }
-
-// errOutside is the walk's answer for a type outside the wire subset:
-// void, which is no value; an undeclared name; a declaration met again
-// while it is still being built; a union whose discriminant is not an
-// int, an unsigned int or an enum, or whose case value does not
-// resolve; and anything with a member outside. Such a type keeps a
-// closure over the generic XDR layer. Any other error of the walk fails
-// generation.
-var errOutside = errors.New("rpcgen: outside the wire subset")
 
 // decl is the memoized walk of a declared struct, union or typedef: its
 // wire.Type constructor expression and tree, or the walk's error.
@@ -192,52 +184,14 @@ func (g *goGen) run() error {
 }
 
 // ---------------------------------------------------------------------------
-// The wire subset: one walk decides and builds
+// Wire descriptions: one walk builds each type's, or refuses it
 
-// procTyped reports whether a procedure routes through the codec-based
-// typed entry points: each side void or not outside the subset. A side
-// whose walk fails otherwise is typed, and planRef reports the error.
-func (g *goGen) procTyped(p ProcDef) bool {
-	side := func(t TypeRef) bool {
-		if t.Kind == KindVoid {
-			return true
-		}
-		_, _, err := g.wireRef(t)
-		return !outside(err)
-	}
-	return side(p.Arg) && side(p.Result)
-}
-
-// pointerTypedef reports the pointee of a typedef of optional data (a
-// Go pointer type, which can carry no Marshal method), so closures can
-// marshal one as the optional data it is.
-func (g *goGen) pointerTypedef(name string) (elem TypeRef, ok bool) {
-	for _, td := range g.spec.Typedefs {
-		if td.Name == name && td.Type.Optional {
-			elem = td.Type
-			elem.Optional = false
-			return elem, true
-		}
-	}
-	return TypeRef{}, false
-}
-
-// optionalStmt marshals the optional data at ptr, a **T or an
-// expression convertible to one, whose pointee is elem.
-func (g *goGen) optionalStmt(ptr string, elem TypeRef) (string, error) {
-	proc, err := g.elemProc(elem)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("if err := xdr.Optional(x, %s, %s); err != nil { return err }", ptr, proc), nil
-}
-
-// wireRef walks a type use once: it decides whether the use lies in the
-// wire subset, answering errOutside if not, and builds it twice over
-// from one switch: expr is the wire.Type constructor expression written
-// into the generated source, typ the same description built in-process
-// — so the tree the generated package compiles at init is the tree the
-// compiled-codec emitter reads here. g.names records, for every node
+// wireRef walks a type use once, failing on a construct no plan
+// describes, and builds it twice over from one switch: expr is the
+// wire.Type constructor expression written into the generated source,
+// typ the same description built in-process — so the tree the generated
+// package compiles at init is the tree the compiled-codec emitter reads
+// here. g.names records, for every node
 // built, the name goType gives its use, which the emitter prints.
 func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 	use := t
@@ -274,7 +228,7 @@ func (g *goGen) wireRef(t TypeRef) (expr string, typ *wire.Type, err error) {
 			expr = wireVar(t.Name)
 		}
 	case KindVoid:
-		return "", nil, errOutside
+		return "", nil, fmt.Errorf("rpcgen: void used as a value type")
 	default:
 		return "", nil, fmt.Errorf("rpcgen: type kind %d has no wire description", t.Kind)
 	}
@@ -305,10 +259,6 @@ func (g *goGen) name(typ *wire.Type, use TypeRef) {
 	g.names[typ], _ = g.goType(use)
 }
 
-// outside reports whether a walk answered errOutside. A member outside
-// puts its container outside, whatever error another member has.
-func outside(err error) bool { return errors.Is(err, errOutside) }
-
 // unionRef is wireRef for a union declaration: the UnionT expression and
 // the tree, discriminant and arms, validated here against the
 // declaration as wireRef validates a counted array.
@@ -316,7 +266,7 @@ func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
 	d := u.Discriminant.Type
 	if kind, _ := g.spec.declKind(d.Name); d.FixedArray > 0 || d.VarArray || d.Optional ||
 		d.Kind != KindInt && d.Kind != KindUint && (d.Kind != KindNamed || kind != "enum") {
-		return "", nil, errOutside
+		return "", nil, fmt.Errorf("union %s: discriminant %s is not an int, an unsigned int or an enum", u.Name, u.Discriminant.Name)
 	}
 	de, dt, _ := g.wireRef(d) // an int, an unsigned int or an enum: nothing to refuse
 	exprs := []string{fmt.Sprintf("wire.F(%q, %s)", u.Discriminant.Name, de)}
@@ -325,20 +275,17 @@ func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
 		vals := make([]int64, len(arm.CaseValues))
 		lits := make([]string, len(arm.CaseValues))
 		for j, cv := range arm.CaseValues {
-			v, cerr := g.spec.resolve(cv)
-			if cerr != nil {
-				return "", nil, errOutside
+			v, err := g.spec.resolve(cv)
+			if err != nil {
+				return "", nil, fmt.Errorf("union %s: %w", u.Name, err)
 			}
 			vals[j], lits[j] = v, strconv.FormatInt(v, 10)
 		}
 		name, fe, ft := "", "nil", (*wire.Type)(nil)
 		if arm.Field != nil {
-			var ferr error
 			name = arm.Field.Name
-			if fe, ft, ferr = g.wireRef(arm.Field.Type); outside(ferr) {
-				return "", nil, ferr
-			} else if ferr != nil && err == nil {
-				err = fmt.Errorf("union %s.%s: %w", u.Name, name, ferr)
+			if fe, ft, err = g.wireRef(arm.Field.Type); err != nil {
+				return "", nil, fmt.Errorf("union %s.%s: %w", u.Name, name, err)
 			}
 		}
 		if len(arm.CaseValues) == 0 {
@@ -349,9 +296,6 @@ func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
 		exprs = append(exprs, fmt.Sprintf("wire.Case(%q, %s, %s)", name, fe, strings.Join(lits, ", ")))
 		arms[i] = wire.Case(name, ft, vals...)
 	}
-	if err != nil {
-		return "", nil, err
-	}
 	typ = wire.UnionT(u.Name, wire.F(u.Discriminant.Name, dt), arms...)
 	if err := typ.Validate(); err != nil {
 		return "", nil, fmt.Errorf("union %s: %w", u.Name, err)
@@ -361,25 +305,52 @@ func (g *goGen) unionRef(u UnionDef) (expr string, typ *wire.Type, err error) {
 }
 
 // structRef is wireRef for a struct declaration: the StructT expression
-// and the tree, field by field.
+// and the tree, field by field, or for a linked list's node the ListT
+// expression, whose link is the struct itself.
 func (g *goGen) structRef(st StructDef) (expr string, typ *wire.Type, err error) {
-	exprs := make([]string, len(st.Fields))
-	fields := make([]wire.Field, len(st.Fields))
-	for i, f := range st.Fields {
-		fe, ft, ferr := g.wireRef(f.Type)
-		if outside(ferr) {
-			return "", nil, ferr
-		} else if ferr != nil && err == nil {
-			err = fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, ferr)
+	fields := st.Fields
+	if g.isList(st) {
+		fields = fields[:len(fields)-1]
+	}
+	exprs := make([]string, len(fields))
+	wfs := make([]wire.Field, len(fields))
+	for i, f := range fields {
+		fe, ft, err := g.wireRef(f.Type)
+		if err != nil {
+			return "", nil, fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, err)
 		}
 		exprs[i] = fmt.Sprintf("wire.F(%q, %s)", f.Name, fe)
-		fields[i] = wire.F(f.Name, ft)
+		wfs[i] = wire.F(f.Name, ft)
 	}
-	if err != nil {
-		return "", nil, err
+	body := strings.Join(exprs, ",\n\t\t")
+	if len(fields) == len(st.Fields) {
+		return fmt.Sprintf("wire.StructT(%q,\n\t\t%s,\n\t)", st.Name, body), wire.StructT(st.Name, wfs...), nil
 	}
-	expr = fmt.Sprintf("wire.StructT(%q,\n\t\t%s,\n\t)", st.Name, strings.Join(exprs, ",\n\t\t"))
-	return expr, wire.StructT(st.Name, fields...), nil
+	next := st.Fields[len(fields)]
+	typ = wire.ListT(st.Name, next.Name, wfs...)
+	g.name(typ.Fields[len(fields)].Type, next.Type)
+	if len(fields) == 0 {
+		return fmt.Sprintf("wire.ListT(%q, %q)", st.Name, next.Name), typ, nil
+	}
+	return fmt.Sprintf("wire.ListT(%q, %q,\n\t\t%s,\n\t)", st.Name, next.Name, body), typ, nil
+}
+
+// isList reports whether st is a linked list's node: a struct whose last
+// field is optional data of the struct itself, spelt st *next or through
+// a pointer typedef (typedef struct st *list;).
+func (g *goGen) isList(st StructDef) bool {
+	if len(st.Fields) == 0 {
+		return false
+	}
+	t := st.Fields[len(st.Fields)-1].Type
+	if t.Kind == KindNamed && !t.Optional && t.FixedArray == 0 && !t.VarArray {
+		for _, td := range g.spec.Typedefs {
+			if td.Name == t.Name {
+				t = td.Type
+			}
+		}
+	}
+	return t.Kind == KindNamed && t.Name == st.Name && t.Optional && t.FixedArray == 0 && !t.VarArray
 }
 
 // typedefRef is wireRef for a typedef declaration: the underlying
@@ -397,17 +368,16 @@ func (g *goGen) typedefRef(td TypedefDef) (expr string, typ *wire.Type, err erro
 
 // declType walks, once, the declared struct, union or typedef name: the
 // constructor expression its generated wireVar holds and its tree, or
-// the walk's error — errOutside for a name not declared. While the walk
-// runs, the memo holds errOutside for name: the in-progress mark. A
-// declaration that reaches itself (a linked list through optional data)
-// meets its own mark and lies outside the subset, as does every type
-// that contains it.
+// the walk's error. While the walk runs, the memo holds the in-progress
+// mark, an error: a declaration that meets it reaches itself other than
+// as a linked list, whose link structRef takes before the walk can meet
+// the mark.
 func (g *goGen) declType(name string) (expr string, typ *wire.Type, err error) {
 	if d, ok := g.decls[name]; ok {
 		return d.expr, d.typ, d.err
 	}
-	g.decls[name] = decl{err: errOutside}
-	err = errOutside
+	g.decls[name] = decl{err: fmt.Errorf("%s reaches itself other than as a linked list (optional data of a struct in its last field)", name)}
+	err = fmt.Errorf("type %s is not declared", name)
 	for _, st := range g.spec.Structs {
 		if st.Name == name {
 			expr, typ, err = g.structRef(st)
@@ -442,7 +412,8 @@ func (g *goGen) planRef(t TypeRef, dedicated string) (ref string, err error) {
 	plain := t.FixedArray == 0 && !t.VarArray && !t.Optional
 	if t.Kind == KindNamed && plain {
 		if kind, _ := g.spec.declKind(t.Name); kind != "enum" {
-			return planVar(t.Name), nil
+			_, _, err := g.declType(t.Name)
+			return planVar(t.Name), err
 		}
 	}
 	goT, err := g.goType(t)
@@ -555,110 +526,8 @@ func (g *goGen) goType(t TypeRef) (string, error) {
 	return base, nil
 }
 
-// marshalStmt emits the statement marshaling expression `target` (an
-// addressable lvalue of the given type) through the generic XDR layer;
-// it is the fallback for shapes outside the wire subset.
-func (g *goGen) marshalStmt(target string, t TypeRef) (string, error) {
-	bound := func(b int) string {
-		if b <= 0 {
-			return "xdr.NoSizeLimit"
-		}
-		return fmt.Sprintf("%d", b)
-	}
-	elem := t
-	elem.FixedArray, elem.VarArray, elem.Optional = 0, false, false
-	elemProc, elemErr := g.elemProc(elem)
-
-	switch {
-	case t.Optional:
-		if elemErr != nil {
-			return "", elemErr
-		}
-		return g.optionalStmt("&"+target, elem)
-	case t.FixedArray > 0:
-		if elemErr != nil {
-			return "", elemErr
-		}
-		return fmt.Sprintf("if err := xdr.Vector(x, %s[:], %s); err != nil { return err }", target, elemProc), nil
-	case t.VarArray:
-		if elemErr != nil {
-			return "", elemErr
-		}
-		return fmt.Sprintf("if err := xdr.Array(x, &%s, %s, %s); err != nil { return err }", target, bound(t.Bound), elemProc), nil
-	}
-	switch t.Kind {
-	case KindInt:
-		return fmt.Sprintf("if err := x.Long(&%s); err != nil { return err }", target), nil
-	case KindUint:
-		return fmt.Sprintf("if err := x.Uint32(&%s); err != nil { return err }", target), nil
-	case KindHyper:
-		return fmt.Sprintf("if err := x.Hyper(&%s); err != nil { return err }", target), nil
-	case KindUhyper:
-		return fmt.Sprintf("if err := x.Uint64(&%s); err != nil { return err }", target), nil
-	case KindBool:
-		return fmt.Sprintf("if err := x.Bool(&%s); err != nil { return err }", target), nil
-	case KindFloat:
-		return fmt.Sprintf("if err := x.Float32(&%s); err != nil { return err }", target), nil
-	case KindDouble:
-		return fmt.Sprintf("if err := x.Float64(&%s); err != nil { return err }", target), nil
-	case KindString:
-		return fmt.Sprintf("if err := x.String(&%s, %s); err != nil { return err }", target, bound(t.Bound)), nil
-	case KindOpaqueF:
-		return fmt.Sprintf("if err := x.Opaque(%s[:]); err != nil { return err }", target), nil
-	case KindOpaqueV:
-		return fmt.Sprintf("if err := x.Bytes(&%s, %s); err != nil { return err }", target, bound(t.Bound)), nil
-	case KindNamed:
-		if pe, ok := g.pointerTypedef(t.Name); ok {
-			goT, err := g.goType(pe)
-			if err != nil {
-				return "", err
-			}
-			return g.optionalStmt(fmt.Sprintf("(**%s)(&%s)", goT, target), pe)
-		}
-		return fmt.Sprintf("if err := %s.Marshal(x); err != nil { return err }", target), nil
-	default:
-		return "", fmt.Errorf("rpcgen: cannot marshal type kind %d", t.Kind)
-	}
-}
-
-// elemProc renders the xdr.Proc for an element type.
-func (g *goGen) elemProc(t TypeRef) (string, error) {
-	switch t.Kind {
-	case KindInt:
-		return "(*xdr.XDR).Long", nil
-	case KindUint:
-		return "(*xdr.XDR).Uint32", nil
-	case KindHyper:
-		return "(*xdr.XDR).Hyper", nil
-	case KindUhyper:
-		return "(*xdr.XDR).Uint64", nil
-	case KindBool:
-		return "(*xdr.XDR).Bool", nil
-	case KindFloat:
-		return "(*xdr.XDR).Float32", nil
-	case KindDouble:
-		return "(*xdr.XDR).Float64", nil
-	case KindNamed:
-		n := GoName(t.Name)
-		if pe, ok := g.pointerTypedef(t.Name); ok {
-			goT, err := g.goType(pe)
-			if err != nil {
-				return "", err
-			}
-			stmt, err := g.optionalStmt(fmt.Sprintf("(**%s)(v)", goT), pe)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("func(x *xdr.XDR, v *%s) error { %s; return nil }", n, stmt), nil
-		}
-		return fmt.Sprintf("func(x *xdr.XDR, v *%s) error { return v.Marshal(x) }", n), nil
-	default:
-		return "", fmt.Errorf("rpcgen: unsupported array element kind %d", t.Kind)
-	}
-}
-
 // genPlanDecl emits the wire description and compiled plan for a
-// declared type in the subset.
+// declared type.
 func (g *goGen) genPlanDecl(idlName, goTypeName, wireExpr string) {
 	g.pf("// %s describes %s on the wire; %s is its compiled specialized\n// marshal plan (offsets and loop bounds resolved at build time).\n",
 		wireVar(idlName), idlName, planVar(idlName))
@@ -674,38 +543,18 @@ func (g *goGen) genTypedef(td TypedefDef) error {
 		return fmt.Errorf("typedef %s: %w", td.Name, err)
 	}
 	g.pf("// %s is the IDL typedef %s.\ntype %s %s\n\n", name, td.Name, name, typ)
-
-	if expr, root, err := g.declType(td.Name); !outside(err) {
-		if err != nil {
-			return err
-		}
-		g.genPlanDecl(td.Name, name, expr)
-		if !td.Type.Optional {
-			g.pf("// Marshal encodes or decodes the value through its compiled wire plan.\n")
-			g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(td.Name))
-		}
-		if err := g.genCompiled(name, name, planVar(td.Name), root); err != nil {
-			return fmt.Errorf("typedef %s: %w", td.Name, err)
-		}
-		return nil
-	}
-	if td.Type.Optional {
-		// A pointer type has no methods: closures marshal it in place.
-		return nil
-	}
-
-	// Marshal method: operate on the underlying shape.
-	g.pf("// Marshal encodes or decodes the value.\n")
-	g.pf("func (v *%s) Marshal(x *xdr.XDR) error {\n", name)
-	under, err := g.goType(td.Type)
+	expr, root, err := g.declType(td.Name)
 	if err != nil {
 		return err
 	}
-	stmt, err := g.marshalStmt("u", td.Type)
-	if err != nil {
+	g.genPlanDecl(td.Name, name, expr)
+	if !td.Type.Optional { // a pointer type can carry no methods
+		g.pf("// Marshal encodes or decodes the value through its compiled wire plan.\n")
+		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(td.Name))
+	}
+	if err := g.genCompiled(name, name, planVar(td.Name), root); err != nil {
 		return fmt.Errorf("typedef %s: %w", td.Name, err)
 	}
-	g.pf("\tu := %s(*v)\n\t%s\n\t*v = %s(u)\n\treturn nil\n}\n\n", under, stmt, name)
 	return nil
 }
 
@@ -720,30 +569,16 @@ func (g *goGen) genStruct(st StructDef) error {
 		g.pf("\t%s %s\n", GoName(f.Name), typ)
 	}
 	g.pf("}\n\n")
-
-	if expr, root, err := g.declType(st.Name); !outside(err) {
-		if err != nil {
-			return err
-		}
-		g.genPlanDecl(st.Name, name, expr)
-		g.pf("// Marshal encodes or decodes the struct through its compiled wire plan.\n")
-		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(st.Name))
-		if err := g.genCompiled(name, name, planVar(st.Name), root); err != nil {
-			return fmt.Errorf("struct %s: %w", st.Name, err)
-		}
-		return nil
+	expr, root, err := g.declType(st.Name)
+	if err != nil {
+		return err
 	}
-
-	g.pf("// Marshal encodes or decodes the struct field by field.\n")
-	g.pf("func (v *%s) Marshal(x *xdr.XDR) error {\n", name)
-	for _, f := range st.Fields {
-		stmt, err := g.marshalStmt("v."+GoName(f.Name), f.Type)
-		if err != nil {
-			return fmt.Errorf("struct %s.%s: %w", st.Name, f.Name, err)
-		}
-		g.pf("\t%s\n", stmt)
+	g.genPlanDecl(st.Name, name, expr)
+	g.pf("// Marshal encodes or decodes the struct through its compiled wire plan.\n")
+	g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(st.Name))
+	if err := g.genCompiled(name, name, planVar(st.Name), root); err != nil {
+		return fmt.Errorf("struct %s: %w", st.Name, err)
 	}
-	g.pf("\treturn nil\n}\n\n")
 	return nil
 }
 
@@ -768,70 +603,17 @@ func (g *goGen) genUnion(u UnionDef) error {
 		g.pf("\t%s %s\n", GoName(arm.Field.Name), typ)
 	}
 	g.pf("}\n\n")
-
-	if expr, root, err := g.declType(u.Name); !outside(err) {
-		if err != nil {
-			return err
-		}
-		g.genPlanDecl(u.Name, name, expr)
-		g.pf("// Marshal encodes or decodes the union through its compiled wire plan.\n")
-		g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(u.Name))
-		if err := g.genCompiled(name, name, planVar(u.Name), root); err != nil {
-			return fmt.Errorf("union %s: %w", u.Name, err)
-		}
-		return nil
-	}
-
-	g.pf("// Marshal encodes or decodes the union: discriminant, then the arm.\n")
-	g.pf("func (v *%s) Marshal(x *xdr.XDR) error {\n", name)
-	g.pf("\td := int32(v.%s)\n", GoName(u.Discriminant.Name))
-	g.pf("\tif err := x.Enum(&d); err != nil { return err }\n")
-	g.pf("\tv.%s = %s(d)\n", GoName(u.Discriminant.Name), dtyp)
-	g.pf("\tswitch d {\n")
-	hasDefault := false
-	for _, arm := range u.Arms {
-		if len(arm.CaseValues) == 0 {
-			hasDefault = true
-			g.pf("\tdefault:\n")
-		} else {
-			vals := make([]string, len(arm.CaseValues))
-			for i, cv := range arm.CaseValues {
-				if c, ok := g.spec.LookupConst(cv); ok {
-					vals[i] = fmt.Sprintf("%d", c)
-				} else {
-					vals[i] = cv
-				}
-			}
-			g.pf("\tcase %s:\n", strings.Join(vals, ", "))
-		}
-		if arm.Field == nil {
-			g.pf("\t\t// void arm\n")
-			continue
-		}
-		stmt, err := g.marshalStmt("v."+GoName(arm.Field.Name), arm.Field.Type)
-		if err != nil {
-			return fmt.Errorf("union %s.%s: %w", u.Name, arm.Field.Name, err)
-		}
-		g.pf("\t\t%s\n", stmt)
-	}
-	if !hasDefault {
-		g.pf("\tdefault:\n\t\treturn xdr.ErrBadUnion\n")
-	}
-	g.pf("\t}\n\treturn nil\n}\n\n")
-	return nil
-}
-
-// marshalFuncFor renders a client.Marshal closure for an argument or
-// result type.
-func (g *goGen) marshalFuncFor(t TypeRef, varName string) (string, error) {
-	if t.Kind == KindVoid {
-		return "rpcclient.Void", nil
-	}
-	stmt, err := g.marshalStmt("(*"+varName+")", t)
+	expr, root, err := g.declType(u.Name)
 	if err != nil {
-		return "", err
+		return err
 	}
-	return fmt.Sprintf("func(x *xdr.XDR) error { %s; return nil }", stmt), nil
+	g.genPlanDecl(u.Name, name, expr)
+	g.pf("// Marshal encodes or decodes the union through its compiled wire plan.\n")
+	g.pf("func (v *%s) Marshal(x *xdr.XDR) error { return %s.Marshal(x, v) }\n\n", name, planVar(u.Name))
+	if err := g.genCompiled(name, name, planVar(u.Name), root); err != nil {
+		return fmt.Errorf("union %s: %w", u.Name, err)
+	}
+	return nil
 }
 
 // sideTypes renders a procedure's argument and result Go types, "" for
@@ -861,85 +643,45 @@ func (g *goGen) genProgram(p ProgramDef) error {
 		}
 		g.pf(")\n\n")
 
-		// Dedicated plan variables for typed procedures whose argument or
+		// Dedicated plan variables for the procedures whose argument or
 		// result is not a declared type with a package plan.
-		type typedProc struct {
-			argPlan, resPlan string
-		}
-		typed := make(map[string]typedProc)
-		for _, proc := range v.Procs {
-			if !g.procTyped(proc) {
-				continue
-			}
-			mname := GoName(strings.ToLower(proc.Name))
-			ap, err := g.planRef(proc.Arg, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Arg")
-			if err != nil {
+		plans := make([]struct{ arg, res string }, len(v.Procs))
+		for i, proc := range v.Procs {
+			dedicated := planVar(strings.ToLower(p.Name)) + "V" + fmt.Sprint(v.Num) + GoName(strings.ToLower(proc.Name))
+			var err error
+			if plans[i].arg, err = g.planRef(proc.Arg, dedicated+"Arg"); err != nil {
 				return fmt.Errorf("proc %s arg: %w", proc.Name, err)
 			}
-			rp, err := g.planRef(proc.Result, planVar(strings.ToLower(p.Name))+"V"+fmt.Sprint(v.Num)+mname+"Res")
-			if err != nil {
+			if plans[i].res, err = g.planRef(proc.Result, dedicated+"Res"); err != nil {
 				return fmt.Errorf("proc %s result: %w", proc.Name, err)
 			}
-			typed[proc.Name] = typedProc{argPlan: ap, resPlan: rp}
 		}
 
 		// Client stub.
 		g.pf("// %s is a typed client for %s version %d.\ntype %s struct {\n\tC rpcclient.Caller\n}\n\n",
 			cname, p.Name, v.Num, cname)
-		for _, proc := range v.Procs {
+		for i, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
 			argT, resT, err := g.sideTypes(proc)
 			if err != nil {
 				return err
 			}
-			if tp, ok := typed[proc.Name]; ok {
-				// A void side passes the empty plan a zero-size value.
-				params, arg := "", "&struct{}{}"
-				if argT != "" {
-					params, arg = "arg *"+argT, "arg"
-				}
-				g.pf("// %s calls procedure %d through compiled wire plans, fused\n// with the call header into a whole-call codec on supporting transports.\n", mname, proc.Num)
-				if resT == "" {
-					g.pf("func (c *%s) %s(%s) error {\n", cname, mname, params)
-					g.pf("\treturn rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, &struct{}{})\n}\n\n",
-						base, mname, tp.argPlan, arg, tp.resPlan)
-					continue
-				}
-				g.pf("func (c *%s) %s(%s) (*%s, error) {\n", cname, mname, params, resT)
-				g.pf("\tres := new(%s)\n\treturn res, rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, res)\n}\n\n",
-					resT, base, mname, tp.argPlan, arg, tp.resPlan)
+			pp := plans[i]
+			// A void side passes the empty plan a zero-size value.
+			params, arg := "", "&struct{}{}"
+			if argT != "" {
+				params, arg = "arg *"+argT, "arg"
+			}
+			g.pf("// %s calls procedure %d through compiled wire plans, fused\n// with the call header into a whole-call codec on supporting transports.\n", mname, proc.Num)
+			if resT == "" {
+				g.pf("func (c *%s) %s(%s) error {\n", cname, mname, params)
+				g.pf("\treturn rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, &struct{}{})\n}\n\n",
+					base, mname, pp.arg, arg, pp.res)
 				continue
 			}
-			// A closure stub has one side outside the subset, which a
-			// void side is not.
-			switch {
-			case resT == "":
-				am, err := g.marshalFuncFor(proc.Arg, "arg")
-				if err != nil {
-					return err
-				}
-				g.pf("// %s calls procedure %d.\nfunc (c *%s) %s(arg *%s) error {\n", mname, proc.Num, cname, mname, argT)
-				g.pf("\treturn c.C.Call(%sProc%s, %s, rpcclient.Void)\n}\n\n", base, mname, am)
-			case argT == "":
-				rm, err := g.marshalFuncFor(proc.Result, "res")
-				if err != nil {
-					return err
-				}
-				g.pf("// %s calls procedure %d.\nfunc (c *%s) %s() (*%s, error) {\n", mname, proc.Num, cname, mname, resT)
-				g.pf("\tres := new(%s)\n\treturn res, c.C.Call(%sProc%s, rpcclient.Void, %s)\n}\n\n", resT, base, mname, rm)
-			default:
-				am, err := g.marshalFuncFor(proc.Arg, "arg")
-				if err != nil {
-					return err
-				}
-				rm, err := g.marshalFuncFor(proc.Result, "res")
-				if err != nil {
-					return err
-				}
-				g.pf("// %s calls procedure %d.\nfunc (c *%s) %s(arg *%s) (*%s, error) {\n",
-					mname, proc.Num, cname, mname, argT, resT)
-				g.pf("\tres := new(%s)\n\treturn res, c.C.Call(%sProc%s, %s, %s)\n}\n\n", resT, base, mname, am, rm)
-			}
+			g.pf("func (c *%s) %s(%s) (*%s, error) {\n", cname, mname, params, resT)
+			g.pf("\tres := new(%s)\n\treturn res, rpcclient.CallTyped(c.C, %sProc%s, %s, %s, %s, res)\n}\n\n",
+				resT, base, mname, pp.arg, arg, pp.res)
 		}
 
 		// Server interface + registration.
@@ -974,53 +716,23 @@ func (g *goGen) genProgram(p ProgramDef) error {
 
 		g.pf("// Register%s installs h's procedures on srv.\n", base)
 		g.pf("func Register%s(srv *rpcserver.Server, h %s) {\n", base, iname)
-		for _, proc := range v.Procs {
+		for i, proc := range v.Procs {
 			mname := GoName(strings.ToLower(proc.Name))
-			if tp, ok := typed[proc.Name]; ok {
-				// A void side is a *struct{} the handler neither takes nor
-				// returns: a nil result replies with the empty body.
-				argT, resT, _ := g.sideTypes(proc) // the stubs above checked the error
-				hf := "h." + mname
-				switch {
-				case argT == "" && resT == "":
-					hf = fmt.Sprintf("func(*struct{}) (*struct{}, error) { return nil, h.%s() }", mname)
-				case argT == "":
-					hf = fmt.Sprintf("func(*struct{}) (*%s, error) { return h.%s() }", resT, mname)
-				case resT == "":
-					hf = fmt.Sprintf("func(arg *%s) (*struct{}, error) { return nil, h.%s(arg) }", argT, mname)
-				}
-				g.pf("\trpcserver.RegisterTyped(srv, %sProg, %sVers, %sProc%s, %s, %s, %s)\n",
-					base, base, base, mname, tp.argPlan, tp.resPlan, hf)
-				continue
+			// A void side is a *struct{} the handler neither takes nor
+			// returns: a nil result replies with the empty body.
+			argT, resT, _ := g.sideTypes(proc) // the stubs above checked the error
+			hf := "h." + mname
+			switch {
+			case argT == "" && resT == "":
+				hf = fmt.Sprintf("func(*struct{}) (*struct{}, error) { return nil, h.%s() }", mname)
+			case argT == "":
+				hf = fmt.Sprintf("func(*struct{}) (*%s, error) { return h.%s() }", resT, mname)
+			case resT == "":
+				hf = fmt.Sprintf("func(arg *%s) (*struct{}, error) { return nil, h.%s(arg) }", argT, mname)
 			}
-			g.pf("\tsrv.Register(%sProg, %sVers, %sProc%s, func(dec *xdr.XDR) (rpcserver.Marshal, error) {\n",
-				base, base, base, mname)
-			if proc.Arg.Kind != KindVoid {
-				argT, _ := g.goType(proc.Arg)
-				stmt, err := g.marshalStmt("arg", proc.Arg)
-				if err != nil {
-					return err
-				}
-				g.pf("\t\tvar arg %s\n", argT)
-				g.pf("\t\tif err := func(x *xdr.XDR) error { %s; return nil }(dec); err != nil {\n", stmt)
-				g.pf("\t\t\treturn nil, fmt.Errorf(\"%%w: %%v\", rpcserver.ErrGarbageArgs, err)\n\t\t}\n")
-			}
-			call := fmt.Sprintf("h.%s()", mname)
-			if proc.Arg.Kind != KindVoid {
-				call = fmt.Sprintf("h.%s(&arg)", mname)
-			}
-			if proc.Result.Kind != KindVoid {
-				stmt, err := g.marshalStmt("(*res)", proc.Result)
-				if err != nil {
-					return err
-				}
-				g.pf("\t\tres, err := %s\n\t\tif err != nil {\n\t\t\treturn nil, err\n\t\t}\n", call)
-				g.pf("\t\treturn func(x *xdr.XDR) error { %s; return nil }, nil\n", stmt)
-			} else {
-				g.pf("\t\tif err := %s; err != nil {\n\t\t\treturn nil, err\n\t\t}\n", call)
-				g.pf("\t\treturn func(x *xdr.XDR) error { return nil }, nil\n")
-			}
-			g.pf("\t})\n")
+			pp := plans[i]
+			g.pf("\trpcserver.RegisterTyped(srv, %sProg, %sVers, %sProc%s, %s, %s, %s)\n",
+				base, base, base, mname, pp.arg, pp.res, hf)
 		}
 		g.pf("}\n\n")
 	}

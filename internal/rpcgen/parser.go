@@ -26,8 +26,7 @@ func Parse(src string) (*Spec, error) {
 }
 
 // typedefCycle refuses a typedef that reaches itself through typedefs
-// alone (typedef node *node;): it names no data, and the closures that
-// marshal a pointer typedef would recurse on it without end.
+// alone (typedef node *node;): it names no data.
 func (s *Spec) typedefCycle() error {
 	next := make(map[string]string)
 	for _, td := range s.Typedefs {

@@ -202,25 +202,25 @@ func TestGenerateGoWirePlans(t *testing.T) {
 	}
 }
 
-// TestGenerateGoLinkedList: a type that reaches itself through optional
-// data — RFC 1833's pmaplist is one, directly or through a pointer
-// typedef — has no plan: it meets its own in-progress mark in rpcgen's
-// walk, which keeps it, and every type and procedure holding it, on the
-// closure path, and the generated package still builds.
+// TestGenerateGoLinkedList: a linked list — a struct whose last field is
+// optional data of the struct itself, directly (node) or through a
+// pointer typedef as RFC 1833 spells pmaplist (cells) — is a wire.ListT
+// with a plan, and so is every type that holds one; the generated
+// package builds, plan-only and compiled, with no closure left in it.
 func TestGenerateGoLinkedList(t *testing.T) {
 	spec, err := Parse(`struct node {
 	int   v;
 	node *next;
 };
-typedef struct link *chain;
-struct link {
-	int   v;
-	chain next;
-	chain more<2>;
+typedef struct cell *cells;
+struct cell {
+	string name<8>;
+	cells  next;
 };
 struct holder {
-	int  n;
-	node head;
+	int   n;
+	node  head;
+	cells rest;
 };
 struct flat {
 	int *maybe;
@@ -228,6 +228,7 @@ struct flat {
 program LIST { version V {
 	holder ECHO(holder) = 1;
 	flat FLAT(flat) = 2;
+	cells CELLS(void) = 3;
 } = 1; } = 0x20000002;`)
 	if err != nil {
 		t.Fatal(err)
@@ -237,27 +238,69 @@ program LIST { version V {
 		if err != nil {
 			t.Fatalf("compiled=%v: %v", compiled, err)
 		}
-		for _, reject := range []string{"wireTypeNode", "wireTypeHolder", "wireTypeChain", "wireTypeLink", "ProcEcho, plan"} {
-			if strings.Contains(out, reject) {
-				t.Errorf("compiled=%v: output has %q", compiled, reject)
-			}
-		}
 		for _, want := range []string{
-			"if err := xdr.Optional(x, &v.Next, func(x *xdr.XDR, v *Node) error { return v.Marshal(x) }); err != nil {",
-			"return res, c.C.Call(ListV1ProcEcho,",
-			// The typedef'd form (RFC 1833 spells pmaplist so): a pointer
-			// type has no methods, so closures marshal it in place.
-			"type Chain *Link",
-			"if err := xdr.Optional(x, (**Link)(&v.Next), func(x *xdr.XDR, v *Link) error { return v.Marshal(x) }); err != nil {",
-			// The type beside it that does not reach itself is typed.
-			"wireTypeFlat = wire.StructT(\"flat\",",
-			"rpcclient.CallTyped(c.C, ListV1ProcFlat, planFlat, arg, planFlat, res)",
+			"wireTypeNode = wire.ListT(\"node\", \"next\",\n\t\twire.F(\"v\", wire.Int32T()),\n\t)",
+			"type Cells *Cell",
+			"wireTypeCell = wire.ListT(\"cell\", \"next\",",
+			"wireTypeCells = wire.OptionalT(wireTypeCell)",
+			"rpcclient.CallTyped(c.C, ListV1ProcEcho, planHolder, arg, planHolder, res)",
+			"rpcclient.CallTyped(c.C, ListV1ProcCells, planVoid, &struct{}{}, planCells, res)",
+			"rpcserver.RegisterTyped(srv, ListV1Prog, ListV1Vers, ListV1ProcFlat, planFlat, planFlat, h.Flat)",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("compiled=%v: output missing %q", compiled, want)
 			}
 		}
+		for _, reject := range closureMarks {
+			if strings.Contains(out, reject) {
+				t.Errorf("compiled=%v: output has %q", compiled, reject)
+			}
+		}
+		if compiled && !strings.Contains(out, "return xdr.ErrCycle") {
+			t.Errorf("compiled encoders do not check their lists for cycles")
+		}
 		buildGenerated(t, "list", out)
+	}
+}
+
+// closureMarks are what generated code that marshals through the
+// generic XDR layer's composites, or calls and registers closures, would
+// contain; GenerateGo's output contains none of them.
+var closureMarks = []string{"c.C.Call(", "srv.Register(", "xdr.Optional", "xdr.Vector", "xdr.Array"}
+
+// TestGenerateGoRefuses: what has no plan fails generation, plan-only
+// and compiled, with an error naming the type and the construct: a
+// self-reference that is not a list's last field, a name no declaration
+// defines, a bool discriminant (RFC 4506 allows it; the codecs take an
+// int, an unsigned int or an enum) and a case value that is not a
+// constant.
+func TestGenerateGoRefuses(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`typedef struct link *chain;
+struct link {
+	int   v;
+	chain more<2>;
+	chain next;
+};`, "typedef chain: struct link.more: chain reaches itself other than as a linked list"},
+		{`struct tree { int v; tree *left; tree *right; };`, "struct tree.left: tree reaches itself other than as a linked list"},
+		{`struct a { b *x; }; struct b { a *y; };`, "struct a.x: struct b.y: a reaches itself"},
+		{`struct bp { char c; };`, "struct bp.c: type char is not declared"},
+		{`struct k { netobj n; };`, "struct k.n: type netobj is not declared"},
+		{`typedef uint32_t u<>;`, "typedef u: type uint32_t is not declared"},
+		{`union r switch (bool more) { case TRUE: int v; case FALSE: void; };`, "union r: discriminant more is not an int, an unsigned int or an enum"},
+		{`union r switch (int d) { case NOPE: int v; };`, `union r: unknown constant "NOPE"`},
+		{`program P { version V { nope ECHO(void) = 1; } = 1; } = 0x20000004;`, "proc ECHO result: type nope is not declared"},
+	} {
+		spec, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		for _, compiled := range []bool{false, true} {
+			_, err := GenerateGo(spec, GoOptions{Package: "refused", Compiled: compiled})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("compiled=%v: %s:\n err %v\nwant %q", compiled, tc.src, err, tc.want)
+			}
+		}
 	}
 }
 

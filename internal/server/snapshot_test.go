@@ -32,9 +32,9 @@ func void(*xdr.XDR) (server.Marshal, error) { return nil, nil }
 // rpcgen -compiled stub (every procedure of one, the union result and
 // the void sides included), the fused program of a hand-built specialized
 // plan, the walker of a Generic-mode one, and no rung at all for a
-// closure registered through Register — including the portmapper's,
-// whose typed procedures run on fused plans and whose NULL and DUMP are
-// closures.
+// closure registered through Register. The portmapper's five procedures
+// all run on hand-built fused plans, its NULL on the empty program and
+// its DUMP's list on a chain step.
 func TestSnapshotRungs(t *testing.T) {
 	const prog, vers = 0x20000779, 1
 	shape := wire.VarArrayT(0, wire.Int32T())
@@ -53,11 +53,11 @@ func TestSnapshotRungs(t *testing.T) {
 	}
 	sp, sv := compiledtest.ShapeProgV2Prog, compiledtest.ShapeProgV2Vers
 	want := []server.ProcInfo{
-		row(pmap.Prog, pmap.Vers, pmap.ProcNull, closure),
+		row(pmap.Prog, pmap.Vers, pmap.ProcNull, wire.RungFused),
 		row(pmap.Prog, pmap.Vers, pmap.ProcSet, wire.RungFused),
 		row(pmap.Prog, pmap.Vers, pmap.ProcUnset, wire.RungFused),
 		row(pmap.Prog, pmap.Vers, pmap.ProcGetPort, wire.RungFused),
-		row(pmap.Prog, pmap.Vers, pmap.ProcDump, closure),
+		row(pmap.Prog, pmap.Vers, pmap.ProcDump, wire.RungFused),
 		row(sp, sv, compiledtest.ShapeProgV2ProcLookup, wire.RungCompiled),
 		row(sp, sv, compiledtest.ShapeProgV2ProcPing, wire.RungCompiled),
 		row(sp, sv, compiledtest.ShapeProgV2ProcScale, wire.RungCompiled),

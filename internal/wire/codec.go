@@ -179,32 +179,79 @@ func armOf(arms []Arm, d uint32) (int, bool) {
 // walkOptional is xdr.Optional over a bound pointer: the flag as an
 // xdr.Bool (any nonzero value on the wire means the data follows), a
 // decode that reuses a non-nil pointee and clears the pointer on a zero
-// flag, and a free that clears it.
+// flag, and a free that clears it. Optional data of a list node — a
+// list's link, or a pointer to its first node — is walked as one loop:
+// each set flag moves the fields of the node it leads to, and the walk
+// goes on from that node's link. There a decode checks, before it takes
+// a node, that the rest of the link and the flag after it can still
+// arrive (the allocation rule beside ensureSlice), and an encode fails
+// with xdr.ErrCycle on a list that leads back into itself (nextSlow).
 func walkOptional(x *xdr.XDR, n *node, pp *unsafe.Pointer) error {
-	follows := *pp != nil
-	switch x.Op {
-	case xdr.Encode, xdr.Decode:
-		if err := x.Bool(&follows); err != nil {
-			return err
+	body, list := unsafe.Slice(n.elem, 1), n.t.Elem.chain()
+	var next uintptr
+	if list {
+		last := len(n.elem.fields) - 1
+		body, next = n.elem.fields[:last], n.elem.fields[last].off
+	}
+	slow := *pp
+	for k := 0; ; k++ {
+		follows := *pp != nil
+		if list && follows && x.Op == xdr.Encode {
+			var cyclic bool
+			if slow, cyclic = nextSlow(*pp, slow, k, next); cyclic {
+				return xdr.ErrCycle
+			}
 		}
-	case xdr.Free:
-	default:
-		return xdr.ErrBadOp
+		switch x.Op {
+		case xdr.Encode, xdr.Decode:
+			if err := x.Bool(&follows); err != nil {
+				return err
+			}
+		case xdr.Free:
+		default:
+			return xdr.ErrBadOp
+		}
+		if !follows {
+			*pp = nil
+			return nil
+		}
+		if ms, ok := x.Stream.(*xdr.MemStream); list && x.Op == xdr.Decode && (!ok || ms.Remaining() < n.minWire) {
+			return xdr.ErrOverflow
+		}
+		if *pp == nil {
+			*pp = reflect.New(n.ptrT).UnsafePointer()
+		}
+		cur := *pp
+		for i := range body {
+			if err := walk(x, &body[i], cur); err != nil {
+				return err
+			}
+		}
+		if x.Op == xdr.Free {
+			*pp = nil
+		}
+		if !list {
+			return nil
+		}
+		pp = (*unsafe.Pointer)(unsafe.Add(cur, next))
 	}
-	if !follows {
-		*pp = nil
-		return nil
+}
+
+// nextSlow is one step of the tortoise-and-hare check every encoder of
+// a list makes, in O(1) memory: p is the k-th node, slow the node the
+// check has reached, which moves one node for every two of p's; the
+// list loops back on itself exactly when p meets it. next is the link's
+// offset in a node.
+//
+//specrpc:hotpath
+func nextSlow(p, slow unsafe.Pointer, k int, next uintptr) (unsafe.Pointer, bool) {
+	if k == 0 {
+		return slow, false
 	}
-	if *pp == nil {
-		*pp = reflect.New(n.ptrT).UnsafePointer()
+	if k&1 == 0 {
+		slow = *(*unsafe.Pointer)(unsafe.Add(slow, next))
 	}
-	if err := walk(x, n.elem, *pp); err != nil {
-		return err
-	}
-	if x.Op == xdr.Free {
-		*pp = nil
-	}
-	return nil
+	return slow, p == slow
 }
 
 func walkVarArray(x *xdr.XDR, n *node, q unsafe.Pointer) error {
@@ -377,6 +424,21 @@ func encodeProg(bs *xdr.BufStream, prog []instr, p unsafe.Pointer) error {
 			if err := encodeProg(bs, in.sub, elem); err != nil {
 				return err
 			}
+		case OpChain:
+			node := *(*unsafe.Pointer)(q)
+			slow := node
+			for k := 0; node != nil; k++ {
+				var cyclic bool
+				if slow, cyclic = nextSlow(node, slow, k, in.stride); cyclic {
+					return xdr.ErrCycle
+				}
+				binary.BigEndian.PutUint32(bs.Extend(4), 1)
+				if err := encodeProg(bs, in.sub, node); err != nil {
+					return err
+				}
+				node = *(*unsafe.Pointer)(unsafe.Add(node, in.stride))
+			}
+			binary.BigEndian.PutUint32(bs.Extend(4), 0)
 		default:
 			return errBadInstruction
 		}
@@ -554,6 +616,30 @@ func decodeProg(ms *xdr.MemStream, prog []instr, p unsafe.Pointer) error {
 			}
 			if err := decodeProg(ms, in.sub, *pp); err != nil {
 				return err
+			}
+		case OpChain:
+			// A node the list held is decoded over, a fresh one taken once
+			// the rest of its link can still arrive, and the link a 0 flag
+			// ends is cleared.
+			for pp := (*unsafe.Pointer)(q); ; {
+				b, err := ms.Take(4)
+				if err != nil {
+					return err
+				}
+				if binary.BigEndian.Uint32(b) == 0 {
+					*pp = nil
+					break
+				}
+				if ms.Remaining() < in.wire {
+					return xdr.ErrOverflow
+				}
+				if *pp == nil {
+					*pp = reflect.New(in.ptrT).UnsafePointer()
+				}
+				if err := decodeProg(ms, in.sub, *pp); err != nil {
+					return err
+				}
+				pp = (*unsafe.Pointer)(unsafe.Add(*pp, in.stride))
 			}
 		default:
 			return errBadInstruction

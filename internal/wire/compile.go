@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -50,7 +51,9 @@ type node struct {
 	ptrT   reflect.Type // Optional: the pointee type a decode allocates
 	bound  uint32
 	// minWire is the fewest wire bytes one VarArray element can occupy:
-	// what a decoded count is checked against before it is allocated.
+	// what a decoded count is checked against before it is allocated. On
+	// optional data, the fewest the pointee occupies: for a list's node,
+	// what must remain after a set flag before the node is decoded.
 	minWire int
 	// arms holds, for each of a Union's arms, the index of its member in
 	// fields, or -1 for a void arm.
@@ -98,6 +101,11 @@ const (
 	// OpOptional moves the 4-byte flag of the pointer at off, then, when
 	// it is set, the sub-program against the pointee.
 	OpOptional
+	// OpChain moves a linked list from its link at off: while the link is
+	// set, a 1 flag and the sub-program (the node's fields) against the
+	// node it points at, then that node's own link; a 0 flag ends it. One
+	// loop over (flag, body), however long the list.
+	OpChain
 )
 
 // instr is one step of a compiled plan. The offsets and counts are the
@@ -108,14 +116,14 @@ type instr struct {
 	op       Op
 	off      uintptr
 	n        int     // unit/byte count (run classes, OpVecSub)
-	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun), one element at its smallest (OpSliceSub)
+	wire     int     // static wire bytes: the whole run (run classes), one element (opSliceRun), one element at its smallest (OpSliceSub), the rest of a link after its set flag at its smallest, next flag included (OpChain)
 	bound    uint32  // decode limit for counted ops
-	stride   uintptr // Go element size for slice/vector ops
+	stride   uintptr // Go element size for slice/vector ops; OpChain: the link's offset in a node
 	run      Op      // run class of the fused element (opSliceRun)
 	unitsPer int     // fused units per element (opSliceRun)
 	sub      []instr
 	sliceT   reflect.Type // concrete slice type for decode allocation
-	ptrT     reflect.Type // OpOptional: the pointee type for decode allocation
+	ptrT     reflect.Type // OpOptional, OpChain: the pointee type for decode allocation
 	arms     []armInstr   // OpUnion
 }
 
@@ -303,6 +311,7 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		}
 		n.elem = &elem
 		n.ptrT = rt.Elem()
+		n.minWire = t.Elem.minWireSize()
 	case Struct, Union:
 		if rt.Kind() != reflect.Struct {
 			return mismatch()
@@ -319,6 +328,14 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 				return node{}, fmt.Errorf("wire: %s %s field %d: wire name %q does not match Go field %q",
 					t.Kind, t.Name, i, f.Name, gf.Name)
 			}
+			if t.chain() && i == len(ms)-1 {
+				if gf.Type.Kind() != reflect.Pointer || gf.Type.Elem() != rt {
+					return node{}, fmt.Errorf("wire: struct %s field %s: a list's link binds to a pointer to %s, not %s", t.Name, f.Name, rt, gf.Type)
+				}
+				// The link's node is this struct at offset 0, linked below.
+				n.fields[i] = node{t: f.Type, off: off + gf.Offset, ptrT: rt, minWire: t.minWireSize()}
+				continue
+			}
 			fn, err := bind(f.Type, gf.Type, off+gf.Offset)
 			if err != nil {
 				return node{}, fmt.Errorf("wire: %s %s field %s: %w", t.Kind, t.Name, f.Name, err)
@@ -327,6 +344,19 @@ func bind(t *Type, rt reflect.Type, off uintptr) (node, error) {
 		}
 		if t.Kind == Union {
 			n.arms = t.armMember()
+		}
+		if t.chain() {
+			// A node is bound at offset 0 in its own allocation; so is the
+			// value itself when it is one, else it gets a node of its own.
+			self := &n
+			if off != 0 {
+				at0, err := bind(t, rt, 0)
+				if err != nil {
+					return node{}, err
+				}
+				self = &at0
+			}
+			n.fields[len(ms)-1].elem = self
 		}
 	default:
 		return node{}, fmt.Errorf("wire: unknown kind %d", uint8(t.Kind))
@@ -356,13 +386,13 @@ func nameMatches(wireName, goName string) bool {
 // source that names fields by selector and leaves offsets to the
 // compiler.
 type Step struct {
-	Op      Op        // a run class (a scalar, or fixed opaque), OpString, OpOpaqueV, OpVecSub (fixed array), OpSliceSub (counted array), OpUnion or OpOptional
+	Op      Op        // a run class (a scalar, or fixed opaque), OpString, OpOpaqueV, OpVecSub (fixed array), OpSliceSub (counted array), OpUnion, OpOptional or OpChain
 	Path    []int     // member indices (Type.Members) from the value the program runs against down to the step's field
 	N       int       // units (run classes; bytes for fixed opaque) or elements (OpVecSub)
 	Wire    int       // static wire bytes, or VarWire when the value decides them
 	Bound   uint32    // declared limit of a counted step; 0 means none
-	ElemMin int       // array steps: the fewest wire bytes one element occupies; OpUnion: the smallest arm
-	Sub     []Step    // array steps: the element's program; OpOptional: the pointee's
+	ElemMin int       // array steps: the fewest wire bytes one element occupies; OpUnion: the smallest arm; OpChain: the rest of a link after its set flag, the next flag included
+	Sub     []Step    // array steps: the element's program; OpOptional: the pointee's; OpChain: a node's, its link left out
 	Arms    []ArmStep // OpUnion
 }
 
@@ -383,8 +413,11 @@ const VarWire = -1
 // their fields' steps, each named by path, and arrays carry their
 // element's program. A union is its discriminant's step followed by a
 // union step holding one program per arm; optional data is one step
-// holding the pointee's program. Which arrays become runs is fuse's to
-// decide. It refuses what Validate refuses.
+// holding the pointee's program; a list node (ListT) is its fields'
+// steps followed by one chain step holding them again, run against each
+// node its link leads to, and optional data of a list node is that
+// chain step alone, the link to the list's first node. Which arrays
+// become runs is fuse's to decide. It refuses what Validate refuses.
 func Lower(t *Type) ([]Step, error) {
 	s := Step{N: 1, Wire: VarWire, Bound: t.Bound}
 	switch t.Kind {
@@ -401,8 +434,12 @@ func Lower(t *Type) ([]Step, error) {
 	case OpaqueVar:
 		s.Op = OpOpaqueV
 	case Struct:
+		fields := t.Fields
+		if t.chain() {
+			fields = fields[:len(fields)-1]
+		}
 		var steps []Step
-		for i, f := range t.Fields {
+		for i, f := range fields {
 			sub, err := Lower(f.Type)
 			if err != nil {
 				return nil, fmt.Errorf("struct %s field %s: %w", t.Name, f.Name, err)
@@ -412,6 +449,11 @@ func Lower(t *Type) ([]Step, error) {
 				steps = append(steps, fs)
 			}
 		}
+		if len(fields) < len(t.Fields) {
+			_, least := Sizes(steps)
+			steps = append(steps, Step{Op: OpChain, Path: []int{len(fields)}, N: 1, Wire: VarWire,
+				ElemMin: least + xdr.BytesPerUnit, Sub: slices.Clone(steps)})
+		}
 		return steps, nil
 	case Union:
 		return lowerUnion(t)
@@ -419,6 +461,11 @@ func Lower(t *Type) ([]Step, error) {
 		sub, err := Lower(t.Elem)
 		if err != nil {
 			return nil, fmt.Errorf("optional: %w", err)
+		}
+		if t.Elem.chain() {
+			link := sub[len(sub)-1]
+			link.Path = nil
+			return []Step{link}, nil
 		}
 		s.Op, s.Sub = OpOptional, sub
 	case FixedArray, VarArray:
@@ -512,8 +559,8 @@ func lowerUnion(t *Type) ([]Step, error) {
 // Sizes reports a program's static wire size (VarWire when it depends
 // on the value) and the fewest wire bytes it can occupy: every counted
 // item at its empty encoding, the 4-byte count, an optional at its
-// 4-byte flag, and a union at its smallest arm (its discriminant is a
-// step of its own).
+// 4-byte flag (a list at the flag that ends it), and a union at its
+// smallest arm (its discriminant is a step of its own).
 func Sizes(steps []Step) (wire, least int) {
 	for _, s := range steps {
 		switch {
@@ -582,6 +629,10 @@ func fuse(steps []Step, n *node) []instr {
 			prog = append(prog, instr{op: OpUnion, off: f.fields[0].off, arms: arms})
 		case OpOptional:
 			prog = append(prog, instr{op: OpOptional, off: f.off, sub: fuse(s.Sub, f.elem), ptrT: f.ptrT})
+		case OpChain:
+			node := f.elem
+			prog = append(prog, instr{op: OpChain, off: f.off, wire: s.ElemMin, sub: fuse(s.Sub, node),
+				ptrT: f.ptrT, stride: node.fields[len(node.fields)-1].off})
 		default: // a run class
 			appendRun(&prog, s.Op, f.off, s.N)
 		}

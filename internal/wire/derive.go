@@ -339,6 +339,8 @@ func (in instr) String() string {
 		fmt.Fprintf(&sb, " n=%d stride=%d", in.n, in.stride)
 	case OpOptional:
 		fmt.Fprintf(&sb, " %s", in.ptrT)
+	case OpChain:
+		fmt.Fprintf(&sb, " %s link=%d", in.ptrT, in.stride)
 	}
 	return sb.String()
 }
@@ -368,6 +370,8 @@ func (o Op) String() string {
 		return "union"
 	case OpOptional:
 		return "optional"
+	case OpChain:
+		return "chain"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}

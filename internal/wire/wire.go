@@ -1,9 +1,9 @@
 // Package wire is the codec layer between type descriptions and the live
 // transport: a wire.Type — the XDR rpcgen parses (ints, fixed and
 // counted arrays, strings, opaque data, structs, discriminated unions,
-// optional data; void is the empty struct), all but types that reach
-// themselves — compiles into a marshal plan that encodes and decodes
-// real Go values against the internal/xdr streams.
+// optional data and linked lists; void is the empty struct) — compiles
+// into a marshal plan that encodes and decodes real Go values against
+// the internal/xdr streams.
 //
 // The package transplants the paper's §5 comparison (Muller et al.,
 // ICDCS'98) onto the production hot path. One description compiles into
@@ -67,7 +67,7 @@ const (
 	VarArray    // 4-byte count + elements of Elem; Bound limits the count
 	Struct      // Fields in order
 	Union       // 4-byte discriminant (Fields[0]), then the arm it selects
-	Optional    // 4-byte flag, then Elem when the flag is nonzero; a Go *T
+	Optional    // 4-byte flag, then Elem when the flag is nonzero; a Go *T; a list's link (ListT) when Elem is the struct it ends
 )
 
 // String names the kind.
@@ -222,6 +222,28 @@ func VoidT() *Type { return voidT }
 // OptionalT describes optional data (elem *name): a 4-byte flag, then
 // elem when the flag is nonzero, bound to a Go *T.
 func OptionalT(elem *Type) *Type { return &Type{Kind: Optional, Elem: elem} }
+
+// ListT describes a linked list's node, the one shape that reaches
+// itself: a struct of fields in wire order, then next, optional data
+// whose pointee is the struct itself (struct name { ...; name *next; }).
+// It binds to a Go struct whose last field points at the struct. The
+// description is cyclic; it lowers to the fields' steps followed by one
+// OpChain step, which every engine runs as a loop.
+func ListT(name, next string, fields ...Field) *Type {
+	t := &Type{Kind: Struct, Name: name}
+	t.Fields = append(fields[:len(fields):len(fields)], F(next, OptionalT(t)))
+	return t
+}
+
+// chain reports whether t is a list node (ListT): a struct whose last
+// field is optional data pointing back at t.
+func (t *Type) chain() bool {
+	if t.Kind != Struct || len(t.Fields) == 0 {
+		return false
+	}
+	last := t.Fields[len(t.Fields)-1].Type
+	return last != nil && last.Kind == Optional && last.Elem == t
+}
 
 // UnionT describes a discriminated union: disc, a 4-byte int or
 // unsigned (an enum is an int), then the member of the arm its value

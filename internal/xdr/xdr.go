@@ -71,6 +71,9 @@ var (
 	ErrBadUnion = errors.New("xdr: unknown union discriminant")
 	// ErrBadPos reports an out-of-range SetPos.
 	ErrBadPos = errors.New("xdr: position out of range")
+	// ErrCycle reports a linked list whose links lead back into it: its
+	// encoding would never end.
+	ErrCycle = errors.New("xdr: linked list loops back on itself")
 )
 
 // Stream is the x_ops function table of a Sun XDR handle: the micro-layer
