@@ -604,14 +604,21 @@ func (g *appendGen) optional(s wire.Step, t *wire.Type, expr string) {
 	pv := e.name("p")
 	e.pf("if %s := %s; %s != nil {", pv, expr, pv)
 	e.indent++
-	sub := &appendGen{e: e, headerDone: true, seg: e.name("b"), pend: &lineBuf{}, pendSize: 4}
-	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
-	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
-	sub.flush()
+	g.pointee(s, t, pv)
 	e.indent--
 	e.pf("} else {")
 	e.pf("\tbinary.BigEndian.PutUint32(bs.Extend(4), 0)")
 	e.pf("}")
+}
+
+// pointee renders what follows a set pointer pv of optional data of
+// type t: its 1 flag, opening the first segment of the program s.Sub
+// against the pointee.
+func (g *appendGen) pointee(s wire.Step, t *wire.Type, pv string) {
+	sub := &appendGen{e: g.e, headerDone: true, seg: g.e.name("b"), pend: &lineBuf{}, pendSize: 4}
+	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
+	printSteps(sub, g.e, s.Sub, t.Elem, "(*"+pv+")")
+	sub.flush()
 }
 
 // chain renders a list as encodeProg's OpChain writes it: per node a 1
@@ -632,10 +639,7 @@ func (g *appendGen) chain(s wire.Step, t *wire.Type, expr string) {
 	e.pf("\t\treturn xdr.ErrCycle")
 	e.pf("\t}")
 	e.pf("}")
-	sub := &appendGen{e: e, headerDone: true, seg: e.name("b"), pend: &lineBuf{}, pendSize: 4}
-	sub.pend.add("binary.BigEndian.PutUint32(%s, 1)", sub.seg)
-	printSteps(sub, e, s.Sub, t.Elem, "(*"+pv+")")
-	sub.flush()
+	g.pointee(s, t, pv)
 	e.indent--
 	e.pf("}")
 	e.pf("binary.BigEndian.PutUint32(bs.Extend(4), 0)")

@@ -195,7 +195,7 @@ func TestGenerateGoWirePlans(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	for _, reject := range []string{"c.C.Call(", "srv.Register("} {
+	for _, reject := range closureMarks {
 		if strings.Contains(out, reject) {
 			t.Errorf("output still has a closure stub: %q", reject)
 		}

@@ -4,6 +4,7 @@ import (
 	goparser "go/parser"
 	"go/token"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -49,7 +50,8 @@ func TestCommittedStubsCurrent(t *testing.T) {
 
 // FuzzParse feeds arbitrary text to the .x front end: Parse never
 // panics, and whatever it accepts GenerateGo turns — plan-only and with
-// compiled codecs — into either an error or Go source that parses.
+// compiled codecs — into either an error or Go source that parses and
+// holds no closure (closureMarks).
 func FuzzParse(f *testing.F) {
 	for _, tc := range committedStubs {
 		src, err := os.ReadFile(tc.spec)
@@ -71,6 +73,11 @@ func FuzzParse(f *testing.F) {
 			}
 			if _, err := goparser.ParseFile(token.NewFileSet(), "stubs.go", out, goparser.AllErrors); err != nil {
 				t.Fatalf("compiled=%v: generated Go does not parse: %v\n%s", compiled, err, out)
+			}
+			for _, mark := range closureMarks {
+				if strings.Contains(out, mark) {
+					t.Fatalf("compiled=%v: generated Go holds %q\n%s", compiled, mark, out)
+				}
 			}
 		}
 	})
